@@ -107,16 +107,35 @@ def wedge_indices(d: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(d), k))
 
 
-def _wedge_coordinates(frame: np.ndarray, idx: list[tuple[int, ...]]) -> np.ndarray:
-    """Pluecker coordinates of a d x k frame: k x k minors in basis order."""
-    return np.array([np.linalg.det(frame[list(rows), :]) for rows in idx])
+# Byte budget of the (n, block, k, k) stack gathered by _wedge_coordinates;
+# wedge^4 of a 9x9 matrix, the largest compound spectra builds, fits in one.
+_GATHER_BYTES = 2 << 20
+
+
+def _wedge_coordinates(A: np.ndarray, rows: np.ndarray,
+                       cols: np.ndarray) -> np.ndarray:
+    """The k x k minors det A[r, c] for the row tuples r of ``rows`` (n x k)
+    and column tuples c of ``cols`` (m x k), as an n x m array: column j
+    holds the Pluecker coordinates of the frame A[:, c_j].
+
+    One batched ``det`` over the gathered stack runs the same LU per
+    matrix as a scalar call, so each minor is bit-identical to a per-minor
+    loop; blocks of columns keep the stack within ``_GATHER_BYTES``.
+    """
+    n, k = rows.shape
+    block = max(1, _GATHER_BYTES // (A.itemsize * n * k * k))
+    return np.concatenate([
+        np.linalg.det(A[rows[:, None, :, None],
+                        cols[None, start:start + block, None, :]])
+        for start in range(0, len(cols), block)], axis=1)
 
 
 def wedge_power(M, k: int) -> MatrixD:
     """k-th exterior power in the lexicographic wedge basis.
 
-    Columns are the wedge coordinates of the images of the basis wedges;
-    eigenvalue and singular-value moduli of the result are the k-fold
+    Columns are the wedge coordinates of the images of the basis wedges:
+    all C(d, k)^2 minors, from one stacked determinant (about 2 MB for
+    C(d, k) <= 126).  Eigenvalue and singular-value moduli are the k-fold
     products of those of M.  The input is normalized first; the image of
     a unit-determinant matrix has unit determinant exactly.
     """
@@ -124,12 +143,9 @@ def wedge_power(M, k: int) -> MatrixD:
     A, d = Mu.mat, Mu.dim
     if not 1 <= k <= d - 1:
         raise ValueError(f"wedge index k={k} out of range for dimension {d}")
-    idx = wedge_indices(d, k)
-    W = np.empty((len(idx), len(idx)))
-    for col, cols_idx in enumerate(idx):
-        W[:, col] = _wedge_coordinates(A[:, list(cols_idx)], idx)
+    idx = np.array(wedge_indices(d, k))
     sign = Mu.det_sign if math.comb(d - 1, k - 1) % 2 else 1
-    return MatrixD(np.ascontiguousarray(W), sign)
+    return MatrixD(_wedge_coordinates(A, idx, idx), sign)
 
 
 def _sym_pairs(d: int) -> list[tuple[int, int]]:
@@ -195,8 +211,9 @@ def flag_wedge(V: Subspace) -> Subspace:
     independent of the frame choice up to sign."""
     frame = V.frame if isinstance(V, Subspace) else np.asarray(V, dtype=float)
     d, m = frame.shape
-    coords = _wedge_coordinates(frame, wedge_indices(d, m))
-    return Subspace.line(coords)
+    coords = _wedge_coordinates(frame, np.array(wedge_indices(d, m)),
+                                np.arange(m)[None, :])
+    return Subspace.line(coords[:, 0])
 
 
 def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
@@ -237,23 +254,20 @@ def _complex_to_real6(g: np.ndarray) -> np.ndarray:
 def _su21_fixed_basis() -> np.ndarray:
     """The 15 x 9 matrix of the fixed space of wedge^2 of multiplication
     by i, in the lexicographic wedge basis of wedge^2 R^6."""
-    idx = wedge_indices(6, 2)
-    e = np.eye(6)
-
-    def wv(u, v):
-        frame = np.column_stack([u, v])
-        return _wedge_coordinates(frame, idx)
-
+    pairs = wedge_indices(6, 2)
+    idx = np.array(pairs)
+    # column (i, j) of the compound of the identity is e_i ^ e_j
+    wv = dict(zip(pairs, _wedge_coordinates(np.eye(6), idx, idx).T))
     cols = [
-        wv(e[0], e[1]),
-        wv(e[1], e[2]) - wv(e[0], e[3]),
-        wv(e[0], e[2]) + wv(e[1], e[3]),
-        wv(e[2], e[3]),
-        wv(e[1], e[4]) - wv(e[0], e[5]),
-        wv(e[0], e[4]) + wv(e[1], e[5]),
-        wv(e[2], e[4]) + wv(e[3], e[5]),
-        wv(e[3], e[4]) - wv(e[2], e[5]),
-        wv(e[4], e[5]),
+        wv[0, 1],
+        wv[1, 2] - wv[0, 3],
+        wv[0, 2] + wv[1, 3],
+        wv[2, 3],
+        wv[1, 4] - wv[0, 5],
+        wv[0, 4] + wv[1, 5],
+        wv[2, 4] + wv[3, 5],
+        wv[3, 4] - wv[2, 5],
+        wv[4, 5],
     ]
     return np.column_stack(cols)
 
@@ -274,12 +288,9 @@ def build_su21_rep(g, form_tol: float = 1e-8) -> MatrixD:
         raise ValueError("expected a 3x3 complex matrix")
     if np.abs(g.conj().T @ SU21_FORM @ g - SU21_FORM).max() > form_tol:
         raise ValueError("not in SU(2,1): Hermitian form not preserved")
-    A6 = _complex_to_real6(g)
-    idx = wedge_indices(6, 2)
-    W = np.empty((15, 15))
-    for col, cols_idx in enumerate(idx):
-        W[:, col] = _wedge_coordinates(A6[:, list(cols_idx)], idx)
-    image = W @ _SU21_BASIS
+    # the unnormalized compound: wedge_power would rescale the lift
+    idx = np.array(wedge_indices(6, 2))
+    image = _wedge_coordinates(_complex_to_real6(g), idx, idx) @ _SU21_BASIS
     coef, *_ = np.linalg.lstsq(_SU21_BASIS, image, rcond=None)
     resid = np.abs(_SU21_BASIS @ coef - image).max()
     if resid > 1e-8:
@@ -314,39 +325,27 @@ def hitchin_zeta(flag_km1, flag_k, flag_kp1, flag_dkm1, flag_dk, flag_dkp1,
         if not hi.contains(lo, nesting_tol):
             raise ValueError(f"flags not nested: {name}")
 
-    idx = wedge_indices(d, k)
     lvl = str(level)
     if lvl == "1":
         return flag_wedge(flag_k)
+    eye = np.eye(d)
     if lvl == "2":
-        span = []
-        for u in flag_kp1.frame.T:
-            full = np.column_stack([flag_km1.frame, u])
-            span.append(_wedge_coordinates(full, idx))
-        return Subspace.from_spanning(np.column_stack(span))
-    if lvl in ("D-1", "d-1"):
-        span = []
-        for u in flag_dk.frame.T:
-            for J in combinations(range(d), k - 1):
-                full = np.column_stack([u.reshape(-1, 1), np.eye(d)[:, list(J)]])
-                span.append(_wedge_coordinates(full, idx))
-        return Subspace.from_spanning(np.column_stack(span))
-    if lvl in ("D-2", "d-2"):
-        span = []
-        for u in flag_dkm1.frame.T:
-            for J in combinations(range(d), k - 1):
-                full = np.column_stack([u.reshape(-1, 1), np.eye(d)[:, list(J)]])
-                span.append(_wedge_coordinates(full, idx))
-        if k >= 2:
-            for u in flag_dk.frame.T:
-                for w in flag_dkp1.frame.T:
-                    for J in combinations(range(d), k - 2):
-                        full = np.column_stack(
-                            [u.reshape(-1, 1), w.reshape(-1, 1),
-                             np.eye(d)[:, list(J)]])
-                        span.append(_wedge_coordinates(full, idx))
-        return Subspace.from_spanning(np.column_stack(span))
-    raise ValueError(f"unknown zeta level {level!r}")
+        frames = [np.column_stack([flag_km1.frame, u])
+                  for u in flag_kp1.frame.T]
+    elif lvl in ("D-1", "d-1", "D-2", "d-2"):
+        lines = flag_dk if lvl.endswith("1") else flag_dkm1
+        frames = [np.column_stack([u, eye[:, list(J)]])
+                  for u in lines.frame.T
+                  for J in combinations(range(d), k - 1)]
+        if lvl.endswith("2") and k >= 2:
+            frames += [np.column_stack([u, w, eye[:, list(J)]])
+                       for u in flag_dk.frame.T for w in flag_dkp1.frame.T
+                       for J in combinations(range(d), k - 2)]
+    else:
+        raise ValueError(f"unknown zeta level {level!r}")
+    F = np.hstack(frames)
+    return Subspace.from_spanning(_wedge_coordinates(
+        F, np.array(wedge_indices(d, k)), np.arange(F.shape[1]).reshape(-1, k)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anosovlab import functors
 from anosovlab.functors import (build_representation, build_su21_rep,
                                 direct_sum_rep, flag_wedge, hitchin_zeta,
                                 perturb_rep, representation_from_matrices,
@@ -13,6 +14,7 @@ from anosovlab.linalg import (Subspace, eigen_moduli, normalize_lift,
                               proj_distance, singular_values,
                               subspace_distance)
 from anosovlab.spectra import gap_profile
+from tests.conftest import load_example_config
 
 
 def random_sl2(rng, lam=None):
@@ -96,6 +98,74 @@ class TestWedgePower:
         lhs = wedge_power(A @ B, 2).mat
         rhs = (wedge_power(A, 2) @ wedge_power(B, 2)).mat
         assert np.abs(lhs - rhs).max() < 1e-8
+
+
+def loop_minors(A, rows, cols):
+    """Reference: one scalar np.linalg.det call per minor."""
+    out = np.empty((len(rows), len(cols)))
+    for j, c in enumerate(cols):
+        frame = A[:, list(c)]
+        for i, r in enumerate(rows):
+            out[i, j] = np.linalg.det(frame[list(r), :])
+    return out
+
+
+def loop_wedge_power(M, k):
+    A = normalize_lift(M).mat
+    idx = wedge_indices(A.shape[0], k)
+    return loop_minors(A, idx, idx)
+
+
+def badly_scaled(rng, d):
+    # entries spread over 12 orders of magnitude, determinant far from 1
+    return rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-6, 6, size=(d, d))
+
+
+class TestStackedMinors:
+    @pytest.mark.parametrize("d", [4, 7, 10])
+    def test_wedge_power_matches_per_minor_loop(self, d):
+        rng = np.random.default_rng(70 + d)
+        for M in (badly_scaled(rng, d), np.diag(np.geomspace(1e4, 1e-3, d))):
+            for k in range(1, d):
+                assert np.array_equal(wedge_power(M, k).mat,
+                                      loop_wedge_power(M, k))
+
+    @pytest.mark.parametrize("d", [4, 7, 10])
+    def test_flag_wedge_matches_per_minor_loop(self, d):
+        rng = np.random.default_rng(80 + d)
+        for m in range(1, d):
+            V = Subspace.from_spanning(rng.normal(size=(d, m)))
+            coords = loop_minors(V.frame, wedge_indices(d, m), [range(m)])
+            assert np.array_equal(flag_wedge(V).frame,
+                                  Subspace.line(coords[:, 0]).frame)
+
+    def test_su21_matches_per_minor_construction(self):
+        recipe = load_example_config("su21_9dim")["representation"]
+        J = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+        idx = wedge_indices(6, 2)
+        E = loop_minors(np.eye(6), idx, idx)
+        wv = {p: E[:, i] for i, p in enumerate(idx)}
+        basis = np.column_stack([
+            wv[0, 1], wv[1, 2] - wv[0, 3], wv[0, 2] + wv[1, 3], wv[2, 3],
+            wv[1, 4] - wv[0, 5], wv[0, 4] + wv[1, 5], wv[2, 4] + wv[3, 5],
+            wv[3, 4] - wv[2, 5], wv[4, 5]])
+        assert np.array_equal(functors._SU21_BASIS, basis)
+        for rows in recipe["generators"].values():
+            g = np.array([[complex(re, im) for re, im in row] for row in rows])
+            for h in (g, J @ g.conj().T @ J):
+                W = loop_minors(functors._complex_to_real6(h), idx, idx)
+                coef, *_ = np.linalg.lstsq(basis, W @ basis, rcond=None)
+                assert np.array_equal(build_su21_rep(h).mat,
+                                      normalize_lift(coef).mat)
+
+    @pytest.mark.parametrize("budget", [1, 5 * 56 * 9 * 8])
+    def test_column_blocks_match_one_block(self, monkeypatch, budget):
+        # C(8, 3) = 56 columns: one per block, then blocks of 5 and a last of 1
+        M = badly_scaled(np.random.default_rng(90), 8)
+        whole = wedge_power(M, 3).mat
+        monkeypatch.setattr(functors, "_GATHER_BYTES", budget)
+        assert np.array_equal(wedge_power(M, 3).mat, whole)
+        assert np.array_equal(whole, loop_wedge_power(M, 3))
 
 
 class TestSymSquare:
