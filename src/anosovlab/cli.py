@@ -138,7 +138,7 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v
+            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
                              for k, v in row.items()})
 
 

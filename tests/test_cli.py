@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 from pathlib import Path
@@ -101,6 +102,17 @@ class TestRun:
         assert (out / "spectra.csv").exists()
         header = (out / "spectra.csv").read_text().splitlines()[0]
         assert header.startswith("word,length,mu_1")
+
+    def test_csv_cells_are_plain_floats(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(config_path("fuchsian_tau3")),
+                     "--radius", "3", "--out", str(out)]) == 0
+        for name in ("spectra.csv", "alpha_per_radius.csv"):
+            with (out / name).open(newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for key, cell in row.items():
+                        if key != "word":
+                            float(cell)
 
     def test_gap_collapse_exits_two(self, tmp_path):
         out = tmp_path / "out"
