@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -94,6 +95,68 @@ def _validate_recipe(recipe, path: str) -> None:
         raise ConfigError(f"{path}.kind", f"unknown recipe kind {kind!r}")
 
 
+def _recipe_labels(recipe: dict) -> set[str]:
+    """Positive generator labels of a validated recipe."""
+    while recipe["kind"] not in ("matrices", "su21"):
+        recipe = recipe["left" if recipe["kind"] == "direct_sum" else "base"]
+    return set(recipe["generators"])
+
+
+def _is_int(value, lo: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# integer experiment fields and their least value; ranges that depend on
+# the representation's dimension are checked where the value is used
+_COUNT_FIELDS = {"k": 1, "m": 1, "i": 1, "K": 1, "n_triples": 1,
+                 "n_anchors": 1, "n_min": 1, "anchor_index": 0}
+_POSITIVE_FIELDS = ("tol", "dedup_tol", "sep_tol")
+_REAL_FIELDS = ("slope_min", "r2_min", "margin_min")
+
+
+def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
+    def check(ok: bool, key: str, expected: str, value) -> None:
+        if not ok:
+            raise ConfigError(f"{path}.{key}",
+                              f"expected {expected}, got {value!r}")
+
+    for key, lo in _COUNT_FIELDS.items():
+        if key in exp:
+            check(_is_int(exp[key], lo), key, f"an integer >= {lo}", exp[key])
+    for key in _POSITIVE_FIELDS:
+        if key in exp:
+            check(_is_real(exp[key]) and exp[key] > 0, key,
+                  "a finite number > 0", exp[key])
+    for key in _REAL_FIELDS:
+        if key in exp:
+            check(_is_real(exp[key]), key, "a finite number", exp[key])
+    for key, ok, expected in (
+            ("ks", lambda k: _is_int(k, 1), "an integer >= 1"),
+            # the noise range [-eps, eps] must have a finite width
+            ("eps_list", lambda e: _is_real(e) and 0 <= e
+             and math.isfinite(2.0 * e), "a number >= 0 with 2 * eps finite")):
+        if key in exp:
+            values = exp[key]
+            check(isinstance(values, list) and values, key,
+                  "a non-empty list", values)
+            for j, value in enumerate(values):
+                check(ok(value), f"{key}[{j}]", expected, value)
+    if "window" in exp:
+        w = exp["window"]
+        check(isinstance(w, list) and len(w) == 2 and all(map(_is_real, w))
+              and 0 < w[0] < w[1], "window", "[lo, hi] with 0 < lo < hi", w)
+    if "word" in exp:
+        word = exp["word"]
+        letters = labels | {label.upper() for label in labels}
+        check(isinstance(word, str) and word and set(word) <= letters,
+              "word", f"a non-empty word in {''.join(sorted(letters))}", word)
+
+
 def _is_numeric(rows) -> bool:
     try:
         np.asarray(rows, dtype=float)
@@ -125,6 +188,8 @@ def load_config(path: Path) -> dict:
     if kind not in KINDS:
         raise ConfigError("config.experiment.kind",
                           f"unknown kind {kind!r}; expected one of {KINDS}")
+    _validate_experiment(exp, _recipe_labels(cfg["representation"]),
+                         "config.experiment")
     return cfg
 
 

@@ -90,6 +90,42 @@ class TestValidation:
         assert "non-invertible" in capsys.readouterr().err
 
 
+class TestExperimentFields:
+    @pytest.mark.parametrize("kind, key, value, path", [
+        ("certify", "ks", "1", "ks"),
+        ("certify", "ks", [1, 0], "ks[1]"),
+        ("perturb-sweep", "k", "1", "k"),
+        ("alpha", "m", "2", "m"),
+        ("gelfand", "i", 0, "i"),
+        ("gelfand", "K", 2.5, "K"),
+        ("hoelder", "window", [1e-1, 1e-4], "window"),
+        ("perturb-sweep", "eps_list", [0.0, 1e308], "eps_list[1]"),
+        ("gelfand", "word", "az", "word"),
+        ("hyperconvex", "n_triples", 0, "n_triples"),
+        ("hoelder", "n_anchors", True, "n_anchors"),
+        ("cones", "n_min", 0, "n_min"),
+        ("limitset", "anchor_index", -1, "anchor_index"),
+        ("alpha", "tol", -1e-9, "tol"),
+        ("limitset", "dedup_tol", "1e-7", "dedup_tol"),
+        ("hyperconvex", "sep_tol", float("nan"), "sep_tol"),
+        ("certify", "slope_min", None, "slope_min"),
+        ("certify", "r2_min", "0.9", "r2_min"),
+        ("hyperconvex", "margin_min", [0.0], "margin_min"),
+    ])
+    def test_bad_field_exits_one_with_path(self, tmp_path, capsys, kind, key,
+                                           value, path):
+        cfg = {"representation": BASE_REP, "radius": 2, "seed": 0,
+               "experiment": {"kind": kind, key: value}}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+        assert f"error: config.experiment.{path}: " in capsys.readouterr().err
+
+    def test_word_over_inverse_labels_accepted(self, tmp_path):
+        cfg = {"representation": {"kind": "tau", "d": 3, "base": BASE_REP},
+               "radius": 2, "seed": 0,
+               "experiment": {"kind": "gelfand", "word": "aB"}}
+        assert load_config(write_config(tmp_path, cfg))["experiment"]["word"]
+
+
 class TestRun:
     def test_alpha_run(self, tmp_path):
         out = tmp_path / "out"
