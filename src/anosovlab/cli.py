@@ -142,7 +142,7 @@ def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
              and math.isfinite(2.0 * e), "a number >= 0 with 2 * eps finite")):
         if key in exp:
             values = exp[key]
-            check(isinstance(values, list) and values, key,
+            check(isinstance(values, list) and len(values) > 0, key,
                   "a non-empty list", values)
             for j, value in enumerate(values):
                 check(ok(value), f"{key}[{j}]", expected, value)
@@ -153,7 +153,7 @@ def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
     if "word" in exp:
         word = exp["word"]
         letters = labels | {label.upper() for label in labels}
-        check(isinstance(word, str) and word and set(word) <= letters,
+        check(isinstance(word, str) and len(word) > 0 and set(word) <= letters,
               "word", f"a non-empty word in {''.join(sorted(letters))}", word)
 
 
