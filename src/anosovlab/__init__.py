@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .linalg import (MatrixD, SpectralData, Subspace, direct_sum_margin,
                      eigen_moduli, normalize_lift, point_subspace_distance,
                      proj_distance, singular_values, top_invariant_subspace)
-from .groups import (GeneratorSet, GroupElement, enumerate_ball,
+from .groups import (Ball, GeneratorSet, GroupElement, enumerate_ball,
                      is_infinite_order_proxy)
 from .functors import (Representation, build_representation, build_su21_rep,
                        direct_sum_rep, flag_wedge, hitchin_zeta, perturb_rep,

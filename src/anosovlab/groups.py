@@ -10,7 +10,10 @@ whose matrices agree (as elements of PGL, i.e. up to sign) are merged.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,6 +23,7 @@ from .linalg import MatrixD, eigen_moduli, normalize_lift
 __all__ = [
     "GeneratorSet",
     "GroupElement",
+    "Ball",
     "BallTooLargeError",
     "enumerate_ball",
     "is_infinite_order_proxy",
@@ -66,7 +70,7 @@ def canonical_cyclic(word: str) -> str:
     """Lexicographically smallest rotation of the cyclically reduced core.
 
     Conjugate elements share this key, so conjugation-invariant data
-    (eigenvalue moduli) can be cached under it.
+    (eigenvalue moduli) is computed once per key.
     """
     w = cyclic_reduce(word)
     if not w:
@@ -82,9 +86,6 @@ class GeneratorSet:
     labels: tuple[str, ...]
     matrices: dict[str, MatrixD] = field(compare=False)
     dim: int
-    # conjugation-invariant spectral data cached by conjugacy class
-    jordan_cache: dict = field(default_factory=dict, repr=False,
-                               compare=False)
 
     @classmethod
     def from_matrices(cls, gens: dict,
@@ -169,9 +170,73 @@ def _predicted_ball_size(n_letters: int, radius: int) -> int:
     return total
 
 
+class Ball(Sequence):
+    """The elements of a word-metric ball, enumerated once.
+
+    A sequence of :class:`GroupElement` sorted by (length, word), after
+    merging words with equal matrices.  ``products`` stacks the
+    left-to-right products of *every* reduced word of length <= radius,
+    merged or kept, and ``row`` maps each word to its index there.  The
+    inverse word and every rotation of the cyclic core of a ball word are
+    again reduced words of no greater length, so their matrices are rows
+    of the same stack, even where that word itself was merged away.
+
+    Spectral arrays over the elements (rows in ball order) are computed
+    on first use, one stacked call each, and live as long as the ball.
+    """
+
+    def __init__(self, gens: GeneratorSet, words: list[str],
+                 products: np.ndarray, keep: list[int]):
+        products.flags.writeable = False
+        self.gens = gens
+        self.products = products
+        self.row = {w: i for i, w in enumerate(words)}
+        self.rows = np.array(keep)
+        self.lengths = np.array([len(words[i]) for i in keep])
+        # stack row of each element's inverse word
+        self.inverse_rows = np.array([self.row[inverse_word(words[i])]
+                                      for i in keep])
+        det_sign = {label: gens.matrices[label].det_sign
+                    for label in gens.labels}
+        self._elements = [
+            GroupElement(word=words[i], gens=gens, matrix=MatrixD(
+                products[i], math.prod(det_sign[ch] for ch in words[i])))
+            for i in keep]
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def __getitem__(self, index):
+        return self._elements[index]
+
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        """(n, d) eigenvalue moduli of the element matrices, descending."""
+        return eigen_moduli(self.products[self.rows])
+
+    @cached_property
+    def cartan(self) -> np.ndarray:
+        """(n, d) Cartan vectors (log singular values, descending)."""
+        from .spectra import cartan_logs  # spectra builds on this module
+        return cartan_logs(self.products[self.rows],
+                           self.products[self.inverse_rows])
+
+    @cached_property
+    def jordan(self) -> np.ndarray:
+        """(n, d) Jordan vectors (log eigenvalue moduli, descending),
+        computed once per conjugacy class on its canonical cyclic word."""
+        from .spectra import jordan_logs  # spectra builds on this module
+        classes: dict[str, int] = {}
+        member = [classes.setdefault(canonical_cyclic(g.word), len(classes))
+                  for g in self._elements]
+        fwd = [self.row[w] for w in classes]
+        bwd = [self.row[inverse_word(w)] for w in classes]
+        return jordan_logs(self.products[fwd], self.products[bwd])[member]
+
+
 def enumerate_ball(gens: GeneratorSet, radius: int,
                    dedup_tol: float = DEFAULT_DEDUP_TOL,
-                   max_elements: int = DEFAULT_BALL_CAP) -> list[GroupElement]:
+                   max_elements: int = DEFAULT_BALL_CAP) -> Ball:
     """All freely reduced words of length <= radius with their matrices.
 
     Elements whose matrices agree within ``dedup_tol`` (max-entry
@@ -204,25 +269,16 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
             words.append(w)
             mats.append(M)
 
-    keep = _dedup_indices(words, mats, dedup_tol)
-    det_signs = {label: gens.matrices[label].det_sign for label in gens.labels}
-    out = []
-    for i in keep:
-        sign = 1
-        for ch in words[i]:
-            sign *= det_signs[ch]
-        out.append(GroupElement(word=words[i],
-                                matrix=MatrixD(mats[i].copy(), sign),
-                                gens=gens))
-    out.sort(key=lambda g: (g.length, g.word))
-    return out
+    products = np.array(mats)
+    return Ball(gens, words, products,
+                _dedup_indices(words, products, dedup_tol))
 
 
 def _dedup_indices(words, mats, tol) -> list[int]:
     """Merge indices whose matrices agree up to sign within ``tol``
     (Chebyshev metric on entries), keeping the (length, word)-smallest."""
     n = len(words)
-    flat = np.array([M.ravel() for M in mats])
+    flat = np.asarray(mats).reshape(n, -1)
     # both lifts of each PGL element, so sign never needs normalizing
     tree = cKDTree(np.vstack([flat, -flat]))
     parent = list(range(n))

@@ -115,11 +115,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_matrix(M) -> np.ndarray:
+def _as_matrix(M, stack: bool = False) -> np.ndarray:
+    """A square matrix, or with ``stack`` also a stack (..., d, d)."""
     if isinstance(M, MatrixD):
         return M.mat
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or (A.ndim > 2 and not stack):
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return A
 
@@ -150,18 +151,20 @@ def normalize_lift(M) -> MatrixD:
 
 
 def eigen_moduli(M) -> np.ndarray:
-    """Absolute values of the (complex) eigenvalues, sorted descending."""
-    A = _as_matrix(M)
+    """Absolute values of the (complex) eigenvalues, sorted descending,
+    of one matrix or of each matrix of a stack (..., d, d)."""
+    A = _as_matrix(M, stack=True)
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ValueError(f"eigenvalue iteration failed: {exc}") from exc
-    return np.sort(np.abs(w))[::-1]
+    return np.sort(np.abs(w))[..., ::-1]
 
 
 def singular_values(M) -> np.ndarray:
-    """Singular values sorted descending (sqrt of eigenvalues of M^T M)."""
-    return np.linalg.svd(_as_matrix(M), compute_uv=False)
+    """Singular values sorted descending (sqrt of eigenvalues of M^T M),
+    of one matrix or of each matrix of a stack (..., d, d)."""
+    return np.linalg.svd(_as_matrix(M, stack=True), compute_uv=False)
 
 
 def top_invariant_subspace(M, m: int, gap_tol: float = DEFAULT_GAP_TOL,

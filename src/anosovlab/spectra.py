@@ -2,29 +2,32 @@
 certification, the optimal-regularity ratio estimator, Gelfand-limit
 checks and the Jordan/Cartan cone diagnostic.
 
+One kernel, :func:`cartan_logs` and :func:`jordan_logs`, maps a stack of
+matrices and the stack of their inverses to (n, d) log-vectors.  A ball
+feeds it its products once, and every analytic here reduces over the
+resulting arrays; :func:`cartan_jordan` feeds it a stack of one.
+
 Accuracy notes.  Jordan data (eigenvalue moduli) is conjugation
-invariant, so it is computed on the cyclically reduced core of a word,
-whose matrix is an aligned product with well-conditioned spectrum.  For
-both Cartan and Jordan vectors the moduli >= 1 are read from the element
-and the moduli < 1 from its inverse (mu_i(g) = 1/mu_(d+1-i)(g^-1));
-the remaining unit-determinant defect is redistributed onto the
-worst-conditioned middle indices.  This keeps log-ratios of the extreme
-moduli accurate to ~1e-11 even for deep words whose matrix norms dwarf
-their middle spectrum.
+invariant, so it is computed once per conjugacy class, on the canonical
+cyclically reduced word, whose matrix is an aligned product with
+well-conditioned spectrum.  For both Cartan and Jordan vectors the moduli
+>= 1 are read from the element and the moduli < 1 from its inverse
+(mu_i(g) = 1/mu_(d+1-i)(g^-1)); the remaining unit-determinant defect is
+redistributed onto the worst-conditioned middle indices.  This keeps
+log-ratios of the extreme moduli accurate to ~1e-11 even for deep words
+whose matrix norms dwarf their middle spectrum.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .functors import Representation
-from .groups import (GeneratorSet, GroupElement, canonical_cyclic,
-                     cyclic_reduce, enumerate_ball, inverse_word)
+from .functors import Representation, wedge_power
+from .groups import (GroupElement, canonical_cyclic, enumerate_ball,
+                     inverse_word)
 from .linalg import MatrixD, SpectralData, eigen_moduli, singular_values
 
 __all__ = [
@@ -42,24 +45,6 @@ __all__ = [
 
 VERDICT_LINEAR = "gap grows linearly"
 VERDICT_NOT_LINEAR = "linear growth not established"
-
-
-def _thread_count() -> int:
-    try:
-        n = int(os.environ.get("ANOSOV_LAB_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _map_elements(fn, items):
-    """Deterministic map honoring the ANOSOV_LAB_THREADS cap."""
-    n = _thread_count()
-    if n <= 1 or len(items) < 64:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
 
 def _merged_log_moduli(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
     """Combine descending modulus vectors of an element and its inverse.
@@ -95,8 +80,6 @@ def _wedge_refined_logs(Mf, Mb, merged: np.ndarray, suspect: np.ndarray,
     to d = 9) and the unit-determinant defect lands on the least
     reliable uncovered index.
     """
-    from .functors import wedge_power
-
     d = Mf.dim
 
     def ladder_diffs(M, count):
@@ -132,60 +115,50 @@ def _wedge_refined_logs(Mf, Mb, merged: np.ndarray, suspect: np.ndarray,
     return np.sort(ll)[::-1]
 
 
-def _jordan_logs(gens: GeneratorSet, word: str,
-                 refine_tol: float = 1e-9) -> np.ndarray:
-    sig = canonical_cyclic(word)
-    if not sig:
-        return np.zeros(gens.dim)
-    cached = gens.jordan_cache.get(sig)
-    if cached is not None:
-        return cached
-    out = _jordan_logs_uncached(gens, sig, refine_tol)
-    gens.jordan_cache[sig] = out
-    return out
+def cartan_logs(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """(n, d) Cartan vectors of a stack of matrices ``fwd``, given the
+    stack ``bwd`` of their inverses."""
+    return np.array([_merged_log_moduli(f, b) for f, b in
+                     zip(singular_values(fwd), singular_values(bwd))])
 
 
-def _jordan_logs_uncached(gens: GeneratorSet, sig: str,
-                          refine_tol: float) -> np.ndarray:
-    Mf = gens.matrix_of_word(sig)
-    Mb = gens.matrix_of_word(inverse_word(sig))
-    fwd = eigen_moduli(Mf)
-    bwd = eigen_moduli(Mb)
-    merged = _merged_log_moduli(fwd, bwd)
-    # self-validation: the element and its inverse are independent
-    # computations of the same spectrum; disagreement outside the single
-    # determinant-corrected middle index flags lost accuracy
-    delta = np.abs(np.log(fwd) + np.log(bwd)[::-1])
-    mid = int(np.argmax(np.minimum(merged[0] - merged, merged - merged[-1])))
-    suspect = delta > refine_tol
-    suspect[mid] = False
-    if suspect.any():
-        suspect[mid] = delta[mid] > refine_tol
-        return _wedge_refined_logs(Mf, Mb, merged, suspect)
-    return merged
-
-
-def _cartan_logs(gens: GeneratorSet, word: str) -> np.ndarray:
-    if not word:
-        return np.zeros(gens.dim)
-    fwd = singular_values(gens.matrix_of_word(word))
-    bwd = singular_values(gens.matrix_of_word(inverse_word(word)))
-    return _merged_log_moduli(fwd, bwd)
+def jordan_logs(fwd: np.ndarray, bwd: np.ndarray,
+                refine_tol: float = 1e-9) -> np.ndarray:
+    """(n, d) Jordan vectors of a stack of matrices ``fwd``, given the
+    stack ``bwd`` of their inverses.  A matrix and its inverse are two
+    computations of one spectrum; rows where they disagree outside the
+    determinant-corrected middle index are repaired from exterior powers.
+    """
+    out = []
+    for Mf, Mb, f, b in zip(fwd, bwd, eigen_moduli(fwd), eigen_moduli(bwd)):
+        merged = _merged_log_moduli(f, b)
+        delta = np.abs(np.log(f) + np.log(b)[::-1])
+        mid = int(np.argmax(np.minimum(merged[0] - merged,
+                                       merged - merged[-1])))
+        suspect = delta > refine_tol
+        suspect[mid] = False
+        if suspect.any():
+            suspect[mid] = delta[mid] > refine_tol
+            merged = _wedge_refined_logs(MatrixD(Mf, 1), MatrixD(Mb, 1),
+                                         merged, suspect)
+        out.append(merged)
+    return np.array(out)
 
 
 def cartan_jordan(g) -> SpectralData:
     """Cartan vector (log singular values) and Jordan vector (log
-    eigenvalue moduli) of a group element, both descending with sum 0."""
+    eigenvalue moduli) of a group element or a matrix, both descending
+    with sum 0."""
     if isinstance(g, GroupElement):
-        mu = _cartan_logs(g.gens, g.word)
-        lam = _jordan_logs(g.gens, g.word)
+        core = canonical_cyclic(g.word)
+        A = g.matrix.mat
+        Ainv, C, Cinv = (g.gens.matrix_of_word(w).mat for w in
+                         (inverse_word(g.word), core, inverse_word(core)))
     else:
-        M = g if isinstance(g, MatrixD) else None
-        A = M.mat if M is not None else np.asarray(g, dtype=float)
-        Ainv = np.linalg.inv(A)
-        mu = _merged_log_moduli(singular_values(A), singular_values(Ainv))
-        lam = _merged_log_moduli(eigen_moduli(A), eigen_moduli(Ainv))
-    return SpectralData(mu=mu, lam=lam)
+        A = g.mat if isinstance(g, MatrixD) else np.asarray(g, dtype=float)
+        C, Cinv = A, Ainv = A, np.linalg.inv(A)
+    return SpectralData(mu=cartan_logs(A[None], Ainv[None])[0],
+                        lam=jordan_logs(C[None], Cinv[None])[0])
 
 
 def linefit(x, y):
@@ -233,18 +206,10 @@ def gap_profile(rep: Representation, k: int, radius: int,
         raise ValueError("radius must be >= 1")
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
-    per_min: dict[int, float] = {}
-    per_max: dict[int, float] = {}
-    gaps = _map_elements(
-        lambda g: _cartan_logs(g.gens, g.word), [g for g in ball if g.length])
-    for g, mu in zip([g for g in ball if g.length], gaps):
-        gap = mu[k - 1] - mu[k]
-        n = g.length
-        per_min[n] = min(per_min.get(n, math.inf), gap)
-        per_max[n] = max(per_max.get(n, -math.inf), gap)
-    lengths = np.array(sorted(per_min))
-    mins = np.array([per_min[n] for n in lengths])
-    maxs = np.array([per_max[n] for n in lengths])
+    gaps = ball.cartan[:, k - 1] - ball.cartan[:, k]
+    lengths = np.unique(ball.lengths[ball.lengths > 0])
+    mins = np.array([gaps[ball.lengths == n].min() for n in lengths])
+    maxs = np.array([gaps[ball.lengths == n].max() for n in lengths])
     if lengths.size >= 3:
         slope, intercept, r2 = linefit(lengths, mins)
         linear = slope > slope_min and r2 > r2_min
@@ -282,38 +247,24 @@ def alpha_m_estimate(rep: Representation, m: int, radius: int,
         raise ValueError(f"alpha index m={m} out of range for dimension {d}")
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
-    best = math.inf
-    witness = None
-    per_radius = np.full((radius, 2), np.nan)
-    per_radius[:, 0] = np.arange(1, radius + 1)
-    for g in ball:
-        if not g.length:
-            continue
-        lam = _jordan_logs(rep.generators, g.word)
-        top_gap = lam[0] - lam[m - 1]
-        if top_gap <= tol:
-            continue
-        ratio = (lam[0] - lam[m]) / top_gap
-        if ratio < best:
-            best = ratio
-            witness = g
-        r = g.length
-        idx = r - 1
-        cur = per_radius[idx, 1]
-        if math.isnan(cur) or ratio < cur:
-            per_radius[idx, 1] = ratio
-    if witness is None:
+    lam = ball.jordan
+    top_gap = lam[:, 0] - lam[:, m - 1]
+    ratios = np.full(len(ball), math.inf)
+    gapped = (ball.lengths > 0) & (top_gap > tol)
+    ratios[gapped] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
+    best = int(np.argmin(ratios))
+    if ratios[best] == math.inf:
         raise ValueError(
             "no infinite-order witness: no element has a (1, m) eigenvalue gap")
     # per-radius running infimum, monotone non-increasing
-    running = math.inf
-    for i in range(radius):
-        if not math.isnan(per_radius[i, 1]):
-            running = min(running, per_radius[i, 1])
-        per_radius[i, 1] = running if running < math.inf else math.nan
+    radii = np.arange(1, radius + 1)
+    running = np.minimum.accumulate(
+        [ratios[ball.lengths == r].min(initial=math.inf) for r in radii])
+    per_radius = np.column_stack(
+        [radii, np.where(running < math.inf, running, np.nan)])
     tail = per_radius[~np.isnan(per_radius[:, 1]), 1]
     converged = tail.size >= 2 and abs(tail[-1] - tail[-2]) <= convergence_tol
-    return AlphaEstimate(m=m, value=best, witness=witness,
+    return AlphaEstimate(m=m, value=ratios[best], witness=ball[best],
                          per_radius=per_radius, converged=converged)
 
 
@@ -373,33 +324,24 @@ def cone_diagnostic(rep: Representation, radius: int, n_min: int,
         raise ValueError("radius must exceed n_min")
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
-    directions = []
-    for g in ball:
-        if not g.length:
-            continue
-        lam = _jordan_logs(rep.generators, g.word)
-        norm = np.linalg.norm(lam)
-        if norm > direction_tol:
-            directions.append(lam / norm)
-    dists = []
-    for g in ball:
-        if g.length < n_min:
-            continue
-        mu = _cartan_logs(g.gens, g.word)
-        norm = np.linalg.norm(mu)
-        if norm <= direction_tol:
-            continue
-        u = mu / norm
-        if directions:
-            dots = np.clip(np.array(directions) @ u, -1.0, 1.0)
-            dists.append(float(np.arccos(dots.max())))
-    if not dists or not directions:
+    directions = _unit_rows(ball.jordan[ball.lengths > 0], direction_tol)
+    cartan = _unit_rows(ball.cartan[ball.lengths >= n_min], direction_tol)
+    if not len(directions) or not len(cartan):
         return ConeReport(max_distance=math.nan, mean_distance=math.nan,
                           n_elements=0, degenerate=True)
-    arr = np.array(dists)
+    arr = np.array([np.arccos(np.clip(directions @ u, -1.0, 1.0).max())
+                    for u in cartan])
     return ConeReport(max_distance=float(arr.max()),
                       mean_distance=float(arr.mean()),
                       n_elements=arr.size, degenerate=False)
+
+
+def _unit_rows(vectors: np.ndarray, tol: float) -> np.ndarray:
+    """The rows of norm above ``tol``, normalized.  Norms are taken row by
+    row: a vectorized norm sums in another order."""
+    norms = np.array([np.linalg.norm(v) for v in vectors])
+    keep = norms > tol
+    return vectors[keep] / norms[keep, None]
 
 
 def spectral_table(rep: Representation, radius: int, m: int | None = None,
@@ -409,9 +351,7 @@ def spectral_table(rep: Representation, radius: int, m: int | None = None,
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
     rows = []
-    for g in ball:
-        mu = _cartan_logs(g.gens, g.word)
-        lam = _jordan_logs(rep.generators, g.word)
+    for g, mu, lam in zip(ball, ball.cartan, ball.jordan):
         row = {"word": g.word or "<id>", "length": g.length}
         for i, v in enumerate(mu, 1):
             row[f"mu_{i}"] = v

@@ -111,6 +111,14 @@ class TestExperimentFields:
         ("certify", "slope_min", None, "slope_min"),
         ("certify", "r2_min", "0.9", "r2_min"),
         ("hyperconvex", "margin_min", [0.0], "margin_min"),
+        # ranges that depend on the dimension (2) or the radius (2)
+        ("certify", "ks", [1, 2], "ks[1]"),
+        ("perturb-sweep", "k", 2, "k"),
+        ("alpha", "m", 3, "m"),
+        ("limitset", "m", 2, "m"),
+        ("hyperconvex", "m", 1, "m"),
+        ("gelfand", "i", 3, "i"),
+        ("cones", "n_min", 2, "n_min"),
     ])
     def test_bad_field_exits_one_with_path(self, tmp_path, capsys, kind, key,
                                            value, path):
@@ -169,6 +177,9 @@ class TestRun:
         svg = (out / "limit_set.svg").read_text()
         assert svg.startswith("<svg") and "<circle" in svg
         assert (out / "limit_cloud.csv").exists()
+        # the flag dedup tolerance limit_samples used by default
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tolerances"]["dedup_tol"] == 1e-07
 
     def test_hyperconvex_kind(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))

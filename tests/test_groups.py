@@ -136,3 +136,40 @@ def test_dedup_order_independent():
              for i in _dedup_indices([words[p] for p in perm],
                                      [mats[p] for p in perm], 1e-9)}
     assert keep1 == keep2 == {"", "a", "b", "bb"}
+
+
+class TestBall:
+    """The ball's stacked rows against the per-word reference path."""
+
+    @staticmethod
+    def assert_matches_reference(ball, elements):
+        from anosovlab.spectra import cartan_jordan
+        gens = ball.gens
+        index = {g.word: i for i, g in enumerate(ball)}
+        for g in elements:
+            i = index[g.word]
+            ref = cartan_jordan(gens.element(g.word))
+            assert np.array_equal(ball.cartan[i], ref.mu)
+            assert np.array_equal(ball.jordan[i], ref.lam)
+            inverse = ball.products[ball.inverse_rows[i]]
+            assert np.array_equal(
+                inverse, gens.matrix_of_word(inverse_word(g.word)).mat)
+
+    def test_tau3_rows_match_reference(self, tau3_rep):
+        ball = enumerate_ball(tau3_rep.generators, 4)
+        self.assert_matches_reference(ball, ball)
+
+    def test_merged_inverse_read_from_all_words(self):
+        # a^2 = -1, so a and A are one PGL element: A is kept, a merged
+        gens = GeneratorSet.from_matrices({"a": rotation(np.pi / 2),
+                                           "b": np.diag([3.0, 1.0 / 3.0])})
+        ball = enumerate_ball(gens, 3)
+        words = {g.word for g in ball}
+        assert "A" in words and "a" not in words
+        self.assert_matches_reference(ball, ball)
+
+    def test_slice(self, tau3_rep):
+        ball = enumerate_ball(tau3_rep.generators, 4)
+        part = ball[::7]
+        assert [g.word for g in part] == [g.word for g in ball][::7]
+        self.assert_matches_reference(ball, part)

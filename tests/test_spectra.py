@@ -201,11 +201,3 @@ def test_linefit_r2_constant_data():
     slope, intercept, r2 = linefit([1, 2, 3], [5.0, 5.0, 5.0])
     assert slope == pytest.approx(0.0, abs=1e-12)
     assert r2 == 0.0
-
-
-def test_threads_env_does_not_change_results(tau3_rep, monkeypatch):
-    base = gap_profile(tau3_rep, 1, 4)
-    monkeypatch.setenv("ANOSOV_LAB_THREADS", "4")
-    threaded = gap_profile(tau3_rep, 1, 4)
-    assert np.array_equal(base.min_gap, threaded.min_gap)
-    assert base.slope == threaded.slope
