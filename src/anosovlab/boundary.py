@@ -18,9 +18,7 @@ import numpy as np
 
 from .functors import Representation
 from .groups import GroupElement, enumerate_ball
-from .linalg import (SpectralData, SpectralGapError, Subspace,
-                     direct_sum_margin, orthonormalize,
-                     point_subspace_distance, proj_distance,
+from .linalg import (SpectralData, SpectralGapError, Subspace, orthonormalize,
                      top_invariant_subspace)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
@@ -108,7 +106,6 @@ def limit_samples(rep: Representation, m: int, radius: int,
                     f"({profile.verdict}); limit samples may be unreliable",
                     stacklevel=2)
     samples: list[FlagSample] = []
-    kept_points: list[np.ndarray] = []
     cos_thresh = math.sqrt(max(0.0, 1.0 - dedup_tol ** 2))
     lam = ball.moduli
     proximal = np.flatnonzero(
@@ -116,23 +113,26 @@ def limit_samples(rep: Representation, m: int, radius: int,
         & (lam[:, 0] / lam[:, -1] > 1.0 + 1e-9)  # is_infinite_order_proxy
         & (lam[:, 0] / lam[:, 1] > 1.0 + gap_tol)
         & (lam[:, m - 1] / lam[:, m] > 1.0 + gap_tol))
+    kept = np.empty((len(proximal), d))  # limit points kept so far
     for i in proximal:
         g = ball[i]
         M = g.matrix
         Minv = ball.products[ball.inverse_rows[i]]
         try:
+            # only the line takes part in the dedup: test it first
             xi1 = top_invariant_subspace(M, 1, gap_tol)
+            v = xi1.vector()
+            n_kept = len(samples)
+            if n_kept and float(
+                    np.max(np.abs(kept[:n_kept] @ v))) > cos_thresh:
+                continue
             xim = xi1 if m == 1 else top_invariant_subspace(M, m, gap_tol)
             xi1_m = top_invariant_subspace(Minv, 1, gap_tol)
             xi_dm = top_invariant_subspace(Minv, d - m, gap_tol)
             xi_d1 = top_invariant_subspace(Minv, d - 1, gap_tol)
         except SpectralGapError:
             continue
-        v = xi1.vector()
-        if kept_points and float(
-                np.max(np.abs(np.array(kept_points) @ v))) > cos_thresh:
-            continue
-        kept_points.append(v)
+        kept[n_kept] = v
         samples.append(FlagSample(witness=g, xi1_plus=xi1, xim_plus=xim,
                                   xi_dm_minus=xi_dm, xi_d1_minus=xi_d1,
                                   xi1_minus=xi1_m,
@@ -141,6 +141,70 @@ def limit_samples(rep: Representation, m: int, radius: int,
     if not samples:
         raise ValueError("no proximal elements found in the ball")
     return LimitCloud(samples=tuple(samples), m=m, rep_recipe=rep.recipe)
+
+
+# Byte budget of each chunk temporary of the pair scans (the residuals
+# behind the sep_tol masks, the gathered frame stacks); between chunks only
+# the boolean (n, n) masks, the (n, d, k) frame stacks and 1-D per-triple
+# arrays stay alive.
+_PAIR_BYTES = 256 << 10
+
+
+def _chunks(n_items: int, item_bytes: int):
+    """Slices of ``range(n_items)`` whose float temporaries of
+    ``item_bytes`` per item fit in ``_PAIR_BYTES`` (at least one item)."""
+    step = max(1, _PAIR_BYTES // item_bytes)
+    return (slice(start, start + step) for start in range(0, n_items, step))
+
+
+def _unit_lines(lines) -> np.ndarray:
+    """(n, d) unit representatives of lines, normalized as
+    ``proj_distance`` and ``point_subspace_distance`` normalize them."""
+    return np.array([L.frame[:, 0] / np.linalg.norm(L.frame[:, 0])
+                     for L in lines])
+
+
+def _frames(subspaces) -> np.ndarray:
+    """(n, d, k) stack of the orthonormal frames of equal-rank subspaces."""
+    return np.stack([V.frame for V in subspaces])
+
+
+def _near(P: np.ndarray, Q: np.ndarray, sep_tol: float) -> np.ndarray:
+    """Boolean (n, n) mask of ``proj_distance(P[i], Q[j]) < sep_tol`` for
+    unit rows, from the same orthogonal residual, a chunk of rows at a
+    time."""
+    near = np.empty((len(P), len(Q)), dtype=bool)
+    for rows in _chunks(len(P), Q.nbytes):
+        U = P[rows]
+        resid = Q - U[:, None, :] * (U @ Q.T)[:, :, None]
+        near[rows] = np.minimum(1.0, np.linalg.norm(resid, axis=2)) < sep_tol
+    return near
+
+
+def _kept_pairs(near: np.ndarray, item_bytes: int):
+    """Row and column indices of the pairs that ``near`` does not mask, in
+    row-major order, one chunk of the flattened mask at a time (chunks
+    may split a row); chunks with no kept pair are left out."""
+    flat = near.reshape(-1)
+    for part in _chunks(flat.size, item_bytes):
+        kept = part.start + np.flatnonzero(~flat[part])
+        if kept.size:
+            yield np.divmod(kept, near.shape[1])
+
+
+def _margins(*stacks: np.ndarray) -> np.ndarray:
+    """``direct_sum_margin`` of each row of frame stacks (c, d, k_i): one
+    batched SVD of the frames concatenated in the same column order."""
+    return np.linalg.svd(np.concatenate(stacks, axis=2),
+                         compute_uv=False)[:, -1]
+
+
+def _first_below(values: np.ndarray, best: float) -> int | None:
+    """Position of the first least value of a chunk if it beats ``best``:
+    chunk by chunk, the item a scan keeping the first strict minimum
+    keeps."""
+    t = int(np.argmin(values))
+    return t if values[t] < best else None
 
 
 @dataclass(frozen=True)
@@ -160,23 +224,36 @@ def transversality_scan(cloud: LimitCloud,
     The y-flags live at the minus point of y's witness.  Pairs of
     boundary points closer than ``sep_tol`` are skipped: transversality
     is a condition on distinct points, and the margin degenerates
-    continuously (quadratically, at a tangency) as they collide."""
+    continuously (quadratically, at a tangency) as they collide.
+
+    Evaluated over stacked arrays: the skip mask is one boolean (n, n)
+    array, and the margins of the kept pairs come from one batched SVD
+    per chunk of pairs, bit-identical to ``direct_sum_margin`` pair by
+    pair.  Beyond the mask and the (n, d, k) frame stacks, memory stays
+    within a few chunk temporaries of ``_PAIR_BYTES`` (256 KiB) each; a
+    mask row larger than that is one chunk."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
+    samples = cloud.samples
+    words = [s.witness.word for s in samples]
+    near = _near(_unit_lines(s.xi1_plus for s in samples),
+                 _unit_lines(s.xi1_minus for s in samples), sep_tol)
+    Xm = _frames(s.xim_plus for s in samples)
+    Ydm = _frames(s.xi_dm_minus for s in samples)
+    X1 = _frames(s.xi1_plus for s in samples)
+    Yd1 = _frames(s.xi_d1_minus for s in samples)
+    d = Xm.shape[1]
     best_m, best_1 = math.inf, math.inf
     pair_m = pair_1 = ("", "")
     n = 0
-    for sx in cloud.samples:
-        for sy in cloud.samples:
-            if proj_distance(sx.xi1_plus, sy.xi1_minus) < sep_tol:
-                continue  # numerically coincident boundary points
-            n += 1
-            marg_m = direct_sum_margin([sx.xim_plus, sy.xi_dm_minus])
-            marg_1 = direct_sum_margin([sx.xi1_plus, sy.xi_d1_minus])
-            if marg_m < best_m:
-                best_m, pair_m = marg_m, (sx.witness.word, sy.witness.word)
-            if marg_1 < best_1:
-                best_1, pair_1 = marg_1, (sx.witness.word, sy.witness.word)
+    for i, j in _kept_pairs(near, Xm.itemsize * d * d):
+        n += len(i)
+        marg_m = _margins(Xm[i], Ydm[j])
+        marg_1 = _margins(X1[i], Yd1[j])
+        if (t := _first_below(marg_m, best_m)) is not None:
+            best_m, pair_m = float(marg_m[t]), (words[i[t]], words[j[t]])
+        if (t := _first_below(marg_1, best_1)) is not None:
+            best_1, pair_1 = float(marg_1[t]), (words[i[t]], words[j[t]])
     return TransversalityReport(min_margin_m=best_m, worst_pair_m=pair_m,
                                 min_margin_1=best_1, worst_pair_1=pair_1,
                                 n_pairs=n)
@@ -199,6 +276,12 @@ def hyperconvexity_scan(cloud: LimitCloud, m: int | None = None,
     x and z are plus points of two samples, y the minus point of a third;
     triples with any pairwise distance below ``sep_tol`` are resampled
     (the margin degenerates continuously as points collide).
+
+    The separation tests read two boolean (n, n) masks, plus against plus
+    and plus against minus points, built in chunks of rows within
+    ``_PAIR_BYTES`` (256 KiB) of temporaries; the margins of the accepted
+    triples come after the draws from one batched SVD per chunk,
+    bit-identical to ``direct_sum_margin`` triple by triple.
     """
     if m is None:
         m = cloud.m
@@ -210,9 +293,12 @@ def hyperconvexity_scan(cloud: LimitCloud, m: int | None = None,
         raise ValueError("need at least 3 samples")
     rng = np.random.default_rng(seed)
     n = len(cloud)
-    margins = np.empty(n_triples)
-    best = math.inf
-    worst = ("", "", "")
+    samples = cloud.samples
+    plus = _unit_lines(s.xi1_plus for s in samples)
+    near_plus = _near(plus, plus, sep_tol)
+    near_minus = _near(plus, _unit_lines(s.xi1_minus for s in samples),
+                       sep_tol)
+    triples = np.empty((n_triples, 3), dtype=np.intp)
     count = 0
     tries = 0
     max_tries = 2000 * n_triples
@@ -225,18 +311,22 @@ def hyperconvexity_scan(cloud: LimitCloud, m: int | None = None,
         i, j, k = rng.integers(0, n, 3)
         if i == j or j == k or i == k:
             continue
-        sx, sz, sy = cloud.samples[i], cloud.samples[j], cloud.samples[k]
-        x1, z1, y1 = sx.xi1_plus, sz.xi1_plus, sy.xi1_minus
-        if (proj_distance(x1, z1) < sep_tol
-                or proj_distance(x1, y1) < sep_tol
-                or proj_distance(z1, y1) < sep_tol):
+        if near_plus[i, j] or near_minus[i, k] or near_minus[j, k]:
             continue
-        marg = direct_sum_margin([x1, z1, sy.xi_dm_minus])
-        margins[count] = marg
+        triples[count] = i, j, k
         count += 1
-        if marg < best:
-            best = marg
-            worst = (sx.witness.word, sz.witness.word, sy.witness.word)
+    X1 = _frames(s.xi1_plus for s in samples)
+    Ydm = _frames(s.xi_dm_minus for s in samples)
+    margins = np.empty(n_triples)
+    _, d, width = Ydm.shape
+    for part in _chunks(n_triples, Ydm.itemsize * d * (2 + width)):
+        i, j, k = triples[part].T
+        margins[part] = _margins(X1[i], X1[j], Ydm[k])
+    best = math.inf
+    worst = ("", "", "")
+    if n_triples and (t := _first_below(margins, best)) is not None:
+        best = float(margins[t])
+        worst = tuple(samples[idx].witness.word for idx in triples[t])
     return HyperconvexityReport(min_margin=best, worst_triple=worst,
                                 margins=margins, n_evaluated=count)
 
@@ -256,24 +346,35 @@ def controlled_set_check(cloud: LimitCloud, sep_tol: float = 1e-3,
     xi^(d-1)(y) must be positive.
 
     Points within ``sep_tol`` of the hyperplane's own boundary point are
-    skipped (the distance vanishes quadratically at the tangency)."""
+    skipped (the distance vanishes quadratically at the tangency).
+
+    Evaluated over stacked arrays: the skip mask is one boolean (n, n)
+    array, and the distances of the kept pairs come from one stacked
+    ``matmul`` residual per chunk of pairs (equal to
+    ``point_subspace_distance`` up to rounding in the last bits).  Beyond
+    the mask and the frame stacks, memory stays within a few chunk
+    temporaries of ``_PAIR_BYTES`` (256 KiB) each."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
+    samples = cloud.samples
+    words = [s.witness.word for s in samples]
+    plus = _unit_lines(s.xi1_plus for s in samples)
+    near = _near(plus, _unit_lines(s.xi1_minus for s in samples), sep_tol)
+    H = _frames(s.xi_d1_minus for s in samples)
+    d = H.shape[1]
     best = math.inf
     worst = ("", "")
     violations = []
     n = 0
-    for sp in cloud.samples:
-        p = sp.xi1_plus
-        for sy in cloud.samples:
-            if proj_distance(p, sy.xi1_minus) < sep_tol:
-                continue  # numerically the hyperplane's own boundary point
-            n += 1
-            marg = point_subspace_distance(p, sy.xi_d1_minus)
-            if marg < best:
-                best, worst = marg, (sp.witness.word, sy.witness.word)
-            if marg <= violation_tol:
-                violations.append((sp.witness.word, sy.witness.word))
+    for i, j in _kept_pairs(near, H.itemsize * d * d):
+        n += len(i)
+        u, F = plus[i], H[j]
+        resid = u - (u[:, None, :] @ F @ F.transpose(0, 2, 1))[:, 0]
+        marg = np.minimum(1.0, np.linalg.norm(resid, axis=1))
+        if (t := _first_below(marg, best)) is not None:
+            best, worst = float(marg[t]), (words[i[t]], words[j[t]])
+        violations += [(words[i[t]], words[j[t]])
+                       for t in np.flatnonzero(marg <= violation_tol)]
     return ControlledSetReport(min_margin=best, worst_pair=worst,
                                violations=tuple(violations), n_pairs=n)
 

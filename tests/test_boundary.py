@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from anosovlab import boundary
 from anosovlab.boundary import (FlagSample, LimitCloud, controlled_set_check,
                                 hyperconvexity_scan, irreducibility_proxy,
                                 limit_samples, transversality_scan)
@@ -8,7 +11,8 @@ from anosovlab.functors import (direct_sum_rep, flag_wedge,
                                 representation_from_matrices,
                                 tau_representation, wedge_power)
 from anosovlab.groups import inverse_word
-from anosovlab.linalg import (Subspace, apply_to_subspace, proj_distance,
+from anosovlab.linalg import (Subspace, apply_to_subspace, direct_sum_margin,
+                              point_subspace_distance, proj_distance,
                               subspace_distance, top_invariant_subspace)
 from anosovlab.spectra import cartan_jordan
 
@@ -212,6 +216,156 @@ class TestControlledSet:
         report = controlled_set_check(cloud, sep_tol=1e-2)
         assert report.min_margin > 1e-5
         assert not report.violations
+
+
+def reference_transversality(cloud, sep_tol=1e-3):
+    """The per-pair transversality scan the stacked one replaced."""
+    best_m, best_1 = math.inf, math.inf
+    pair_m = pair_1 = ("", "")
+    n = 0
+    for sx in cloud.samples:
+        for sy in cloud.samples:
+            if proj_distance(sx.xi1_plus, sy.xi1_minus) < sep_tol:
+                continue
+            n += 1
+            marg_m = direct_sum_margin([sx.xim_plus, sy.xi_dm_minus])
+            marg_1 = direct_sum_margin([sx.xi1_plus, sy.xi_d1_minus])
+            if marg_m < best_m:
+                best_m, pair_m = marg_m, (sx.witness.word, sy.witness.word)
+            if marg_1 < best_1:
+                best_1, pair_1 = marg_1, (sx.witness.word, sy.witness.word)
+    return best_m, pair_m, best_1, pair_1, n
+
+
+def reference_controlled_set(cloud, sep_tol=1e-3, violation_tol=1e-10):
+    """The per-pair controlled-set check the stacked one replaced."""
+    best = math.inf
+    worst = ("", "")
+    violations = []
+    n = 0
+    for sp in cloud.samples:
+        p = sp.xi1_plus
+        for sy in cloud.samples:
+            if proj_distance(p, sy.xi1_minus) < sep_tol:
+                continue
+            n += 1
+            marg = point_subspace_distance(p, sy.xi_d1_minus)
+            if marg < best:
+                best, worst = marg, (sp.witness.word, sy.witness.word)
+            if marg <= violation_tol:
+                violations.append((sp.witness.word, sy.witness.word))
+    return best, worst, tuple(violations), n
+
+
+def reference_hyperconvexity(cloud, n_triples, seed, sep_tol=1e-3):
+    """The per-triple hyperconvexity scan the stacked one replaced."""
+    rng = np.random.default_rng(seed)
+    n = len(cloud)
+    margins = np.empty(n_triples)
+    best = math.inf
+    worst = ("", "", "")
+    count = 0
+    tries = 0
+    while count < n_triples:
+        tries += 1
+        if tries > 2000 * n_triples:
+            raise ValueError("cannot find separated triples")
+        i, j, k = rng.integers(0, n, 3)
+        if i == j or j == k or i == k:
+            continue
+        sx, sz, sy = cloud.samples[i], cloud.samples[j], cloud.samples[k]
+        x1, z1, y1 = sx.xi1_plus, sz.xi1_plus, sy.xi1_minus
+        if (proj_distance(x1, z1) < sep_tol
+                or proj_distance(x1, y1) < sep_tol
+                or proj_distance(z1, y1) < sep_tol):
+            continue
+        marg = direct_sum_margin([x1, z1, sy.xi_dm_minus])
+        margins[count] = marg
+        count += 1
+        if marg < best:
+            best = marg
+            worst = (sx.witness.word, sz.witness.word, sy.witness.word)
+    return best, worst, margins, count
+
+
+@pytest.fixture(scope="module")
+def tau5_m3_cloud(schottky_rep):
+    return limit_samples(tau_representation(schottky_rep, 5), 3, 4)
+
+
+@pytest.fixture(scope="module", params=["tau3_cloud", "tau4_cloud",
+                                        "tau5_m3_cloud"])
+def scanned_cloud(request):
+    """A cloud with the per-pair reference results of the three scans."""
+    cloud = request.getfixturevalue(request.param)
+    return cloud, {
+        "transversality": reference_transversality(cloud),
+        "controlled": reference_controlled_set(cloud),
+        "hyperconvexity": reference_hyperconvexity(cloud, 500, seed=3)}
+
+
+class TestStackedScans:
+    """The stacked scans against the per-pair loops they replaced."""
+
+    @staticmethod
+    def assert_same(cloud, ref):
+        t = transversality_scan(cloud)
+        assert (t.min_margin_m, t.worst_pair_m, t.min_margin_1,
+                t.worst_pair_1, t.n_pairs) == ref["transversality"]
+        c = controlled_set_check(cloud)
+        best, worst, violations, n = ref["controlled"]
+        assert (c.n_pairs, c.worst_pair, c.violations) == (n, worst,
+                                                            violations)
+        assert abs(c.min_margin - best) <= 1e-15
+        h = hyperconvexity_scan(cloud, n_triples=500, seed=3)
+        best, worst, margins, count = ref["hyperconvexity"]
+        assert (h.min_margin, h.worst_triple, h.n_evaluated) == (best, worst,
+                                                                  count)
+        assert np.array_equal(h.margins, margins)
+
+    def test_equal_to_per_pair_loops(self, scanned_cloud):
+        self.assert_same(*scanned_cloud)
+
+    def test_chunks_split_mid_row(self, scanned_cloud, monkeypatch):
+        cloud, ref = scanned_cloud
+        d = cloud.samples[0].xi1_plus.ambient_dim
+        # seven pairs per chunk (n is no multiple of 7), one mask row
+        monkeypatch.setattr(boundary, "_PAIR_BYTES", 7 * 8 * d * d)
+        assert len(cloud) % 7 and 7 * 8 * d * d < len(cloud) * 8 * d
+        self.assert_same(cloud, ref)
+
+    def test_ties_keep_the_first_pair(self, monkeypatch):
+        # coordinate flags on which every pair ties: the m-margins are 1,
+        # and the plus lines lie in the hyperplanes (margins 0)
+        e = np.eye(3)
+        gens = representation_from_matrices(
+            {"a": np.diag([2.0, 1.0, 0.5])}).generators
+        cloud = LimitCloud(samples=tuple(
+            make_sample(gens, w, x, e[:, :2], e[:, 2:], e[:, :2], e[2])
+            for w, x in [("a", e[0]), ("aa", e[1]), ("A", e[0])]),
+            m=2, rep_recipe={})
+        monkeypatch.setattr(boundary, "_PAIR_BYTES", 1)  # one per chunk
+        ref = {"transversality": reference_transversality(cloud),
+               "controlled": reference_controlled_set(cloud),
+               "hyperconvexity": reference_hyperconvexity(cloud, 500, seed=3)}
+        assert ref["transversality"][:2] == (1.0, ("a", "a"))
+        self.assert_same(cloud, ref)
+
+    def test_every_pair_skipped(self, tau4_cloud):
+        # a projective distance never exceeds 1, so sep_tol=2 skips all
+        t = transversality_scan(tau4_cloud, sep_tol=2.0)
+        assert (t.min_margin_m, t.worst_pair_m, t.min_margin_1,
+                t.worst_pair_1, t.n_pairs) == (math.inf, ("", ""), math.inf,
+                                               ("", ""), 0)
+        c = controlled_set_check(tau4_cloud, sep_tol=2.0)
+        assert (c.min_margin, c.worst_pair, c.violations, c.n_pairs) == (
+            math.inf, ("", ""), (), 0)
+        assert reference_transversality(tau4_cloud, sep_tol=2.0) == (
+            math.inf, ("", ""), math.inf, ("", ""), 0)
+        assert reference_controlled_set(tau4_cloud, sep_tol=2.0) == (
+            math.inf, ("", ""), (), 0)
+        with pytest.raises(ValueError, match="cannot find 2 separated"):
+            hyperconvexity_scan(tau4_cloud, n_triples=2, sep_tol=2.0)
 
 
 class TestIrreducibilityProxy:
