@@ -9,7 +9,6 @@ renders the cloud in an adapted affine chart via the command line tool.
 """
 
 import json
-import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -46,7 +45,9 @@ def main():
     print(f"  controlled-set margin  {ctrl.min_margin:.2e}, "
           f"{len(ctrl.violations)} violations")
 
-    out = Path(tempfile.mkdtemp(prefix="anosov_demo_"))
+    # under the checkout's git-ignored out/ directory
+    out = Path(__file__).resolve().parents[1] / "out" / "veronese_demo"
+    out.mkdir(parents=True, exist_ok=True)
     run_cfg = dict(cfg)
     run_cfg["name"] = "veronese_demo"
     run_cfg["representation"] = rep.recipe

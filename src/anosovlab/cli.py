@@ -177,6 +177,12 @@ def _check_bounds(exp: dict, dim: int, radius: int) -> None:
             raise ConfigError(f"config.experiment.{field_path}",
                               f"expected an integer in [{lo}, {hi}] for "
                               f"{scope}, got {value!r}")
+    if exp["kind"] == "cones" and "n_min" not in exp:
+        n_min = _cones_n_min(exp, radius)
+        if radius <= n_min:
+            raise ConfigError("config.radius",
+                              f"expected an integer >= {n_min + 1} for the "
+                              f"cones default n_min {n_min}, got {radius}")
 
 
 def _is_numeric(rows) -> bool:
@@ -433,8 +439,12 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
     return results, True
 
 
+def _cones_n_min(exp: dict, radius: int) -> int:
+    return exp.get("n_min", max(1, radius - 3))
+
+
 def _run_cones(rep, exp, radius, seed, out, artifacts):
-    report = cone_diagnostic(rep, radius, exp.get("n_min", max(1, radius - 3)))
+    report = cone_diagnostic(rep, radius, _cones_n_min(exp, radius))
     results = {"max_distance": report.max_distance,
                "mean_distance": report.mean_distance,
                "n_elements": report.n_elements,
@@ -511,9 +521,11 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         "dim": rep.dim,
         "tolerances": {
             "gap_tol": 1e-6,
-            "dedup_tol": exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL
-                                 if exp["kind"] in FLAG_KINDS
-                                 else DEFAULT_DEDUP_TOL),
+            # only the flag dedup reads the config; balls always merge
+            # at the groups default
+            "dedup_tol": (exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL)
+                          if exp["kind"] in FLAG_KINDS
+                          else DEFAULT_DEDUP_TOL),
             "slope_min": exp.get("slope_min", 0.05),
             "sep_tol": exp.get("sep_tol", 1e-3),
         },

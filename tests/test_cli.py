@@ -127,6 +127,14 @@ class TestExperimentFields:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
         assert f"error: config.experiment.{path}: " in capsys.readouterr().err
 
+    def test_cones_default_n_min_needs_radius_two(self, tmp_path, capsys):
+        # without n_min, cones defaults it to max(1, radius - 3) = 1
+        cfg = {"representation": BASE_REP, "radius": 1, "seed": 0,
+               "experiment": {"kind": "cones"}}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert "error: config.radius: expected an integer >= 2" in err
+
     def test_word_over_inverse_labels_accepted(self, tmp_path):
         cfg = {"representation": {"kind": "tau", "d": 3, "base": BASE_REP},
                "radius": 2, "seed": 0,
@@ -180,6 +188,18 @@ class TestRun:
         # the flag dedup tolerance limit_samples used by default
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tolerances"]["dedup_tol"] == 1e-07
+
+    def test_ball_dedup_tol_reported_as_used(self, tmp_path):
+        # certify never reads dedup_tol: its ball merges at the default
+        cfg = load_config(config_path("schottky_sl2"))
+        cfg["experiment"]["dedup_tol"] = 0.5
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--radius", "3",
+                     "--out", str(out)]) in (0, 2)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["kind"] == "certify"
+        assert summary["tolerances"]["dedup_tol"] == 1e-08
 
     def test_hyperconvex_kind(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))
