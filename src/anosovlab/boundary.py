@@ -18,8 +18,8 @@ import numpy as np
 
 from .functors import Representation
 from .groups import GroupElement, enumerate_ball
-from .linalg import (SpectralData, SpectralGapError, Subspace, orthonormalize,
-                     top_invariant_subspace)
+from .linalg import (GAP_TOL, SpectralData, SpectralGapError, Subspace,
+                     orthonormalize, top_invariant_subspace)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
@@ -82,9 +82,8 @@ class LimitCloud:
 
 
 def limit_samples(rep: Representation, m: int, radius: int,
-                  gap_tol: float = 1e-6,
                   dedup_tol: float = DEFAULT_FLAG_DEDUP_TOL,
-                  ball=None, check_gaps: bool = True) -> LimitCloud:
+                  ball=None) -> LimitCloud:
     """Flags of the attracting fixed points of all proximal ball elements.
 
     Elements need eigenvalue-modulus gaps at indices 1 and m (the same
@@ -97,22 +96,21 @@ def limit_samples(rep: Representation, m: int, radius: int,
         raise ValueError(f"flag index m={m} out of range for dimension {d}")
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
-    if check_gaps:
-        for k in sorted({1, m}):
-            profile = gap_profile(rep, k, radius, ball=ball)
-            if not profile.linear:
-                warnings.warn(
-                    f"gap profile at k={k} is not certified linear "
-                    f"({profile.verdict}); limit samples may be unreliable",
-                    stacklevel=2)
+    for k in sorted({1, m}):
+        profile = gap_profile(rep, k, radius, ball=ball)
+        if not profile.linear:
+            warnings.warn(
+                f"gap profile at k={k} is not certified linear "
+                f"({profile.verdict}); limit samples may be unreliable",
+                stacklevel=2)
     samples: list[FlagSample] = []
     cos_thresh = math.sqrt(max(0.0, 1.0 - dedup_tol ** 2))
     lam = ball.moduli
     proximal = np.flatnonzero(
         (ball.lengths > 0)
         & (lam[:, 0] / lam[:, -1] > 1.0 + 1e-9)  # is_infinite_order_proxy
-        & (lam[:, 0] / lam[:, 1] > 1.0 + gap_tol)
-        & (lam[:, m - 1] / lam[:, m] > 1.0 + gap_tol))
+        & (lam[:, 0] / lam[:, 1] > 1.0 + GAP_TOL)
+        & (lam[:, m - 1] / lam[:, m] > 1.0 + GAP_TOL))
     kept = np.empty((len(proximal), d))  # limit points kept so far
     for i in proximal:
         g = ball[i]
@@ -120,16 +118,16 @@ def limit_samples(rep: Representation, m: int, radius: int,
         Minv = ball.products[ball.inverse_rows[i]]
         try:
             # only the line takes part in the dedup: test it first
-            xi1 = top_invariant_subspace(M, 1, gap_tol)
+            xi1 = top_invariant_subspace(M, 1)
             v = xi1.vector()
             n_kept = len(samples)
             if n_kept and float(
                     np.max(np.abs(kept[:n_kept] @ v))) > cos_thresh:
                 continue
-            xim = xi1 if m == 1 else top_invariant_subspace(M, m, gap_tol)
-            xi1_m = top_invariant_subspace(Minv, 1, gap_tol)
-            xi_dm = top_invariant_subspace(Minv, d - m, gap_tol)
-            xi_d1 = top_invariant_subspace(Minv, d - 1, gap_tol)
+            xim = xi1 if m == 1 else top_invariant_subspace(M, m)
+            xi1_m = top_invariant_subspace(Minv, 1)
+            xi_dm = top_invariant_subspace(Minv, d - m)
+            xi_d1 = top_invariant_subspace(Minv, d - 1)
         except SpectralGapError:
             continue
         kept[n_kept] = v
@@ -339,11 +337,11 @@ class ControlledSetReport:
     n_pairs: int
 
 
-def controlled_set_check(cloud: LimitCloud, sep_tol: float = 1e-3,
-                         violation_tol: float = 1e-10) -> ControlledSetReport:
+def controlled_set_check(cloud: LimitCloud,
+                         sep_tol: float = 1e-3) -> ControlledSetReport:
     """Checks that sampled limit points meet each hyperplane flag only at
     its own boundary point: for p != xi^(1)(y) the distance from p to
-    xi^(d-1)(y) must be positive.
+    xi^(d-1)(y) must be positive; distances up to 1e-10 are violations.
 
     Points within ``sep_tol`` of the hyperplane's own boundary point are
     skipped (the distance vanishes quadratically at the tangency).
@@ -374,7 +372,7 @@ def controlled_set_check(cloud: LimitCloud, sep_tol: float = 1e-3,
         if (t := _first_below(marg, best)) is not None:
             best, worst = float(marg[t]), (words[i[t]], words[j[t]])
         violations += [(words[i[t]], words[j[t]])
-                       for t in np.flatnonzero(marg <= violation_tol)]
+                       for t in np.flatnonzero(marg <= 1e-10)]
     return ControlledSetReport(min_margin=best, worst_pair=worst,
                                violations=tuple(violations), n_pairs=n)
 
@@ -387,15 +385,15 @@ class IrreducibilityReport:
     min_invariant_dim: int
 
 
-def _invariant_closure_dim(seed: np.ndarray, gen_mats: list[np.ndarray],
-                           rtol: float = 1e-10) -> int:
+def _invariant_closure_dim(seed: np.ndarray,
+                           gen_mats: list[np.ndarray]) -> int:
     """Dimension of the smallest subspace containing ``seed`` that is
     invariant under all generators (Krylov-style closure)."""
     V = orthonormalize(seed)
     d = V.shape[0]
     while V.shape[1] < d:
         images = [V] + [A @ V for A in gen_mats]
-        W = orthonormalize(np.column_stack(images), rtol=rtol)
+        W = orthonormalize(np.column_stack(images), rtol=1e-10)
         if W.shape[1] == V.shape[1]:
             break
         V = W
@@ -403,7 +401,7 @@ def _invariant_closure_dim(seed: np.ndarray, gen_mats: list[np.ndarray],
 
 
 def irreducibility_proxy(rep: Representation, radius: int,
-                         ball=None, rank_rtol: float = 1e-8) -> IrreducibilityReport:
+                         ball=None) -> IrreducibilityReport:
     """Numerical proxy for irreducibility.
 
     Positive iff (a) the sampled limit points span R^d and (b) no proper
@@ -420,7 +418,7 @@ def irreducibility_proxy(rep: Representation, radius: int,
     # a top modulus gap also makes the element infinite order
     lam = ball.moduli
     for i in np.flatnonzero((ball.lengths > 0)
-                            & (lam[:, 0] / lam[:, 1] > 1.0 + 1e-6)):
+                            & (lam[:, 0] / lam[:, 1] > 1.0 + GAP_TOL)):
         try:
             points.append(top_invariant_subspace(ball[i].matrix, 1).vector())
         except SpectralGapError:
@@ -428,7 +426,7 @@ def irreducibility_proxy(rep: Representation, radius: int,
     xi1_rank = 0
     if points:
         s = np.linalg.svd(np.array(points).T, compute_uv=False)
-        xi1_rank = int((s > rank_rtol * s[0]).sum())
+        xi1_rank = int((s > 1e-8 * s[0]).sum())
 
     gen_mats = [rep.generators.matrices[l].mat
                 for l in rep.generators.positive_labels]

@@ -25,14 +25,29 @@ from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
                        limit_samples)
 from .functors import build_representation, perturb_rep
 from .geometry import build_chart, chart_coords, hoelder_regression
-from .groups import DEFAULT_DEDUP_TOL, enumerate_ball
+from .groups import enumerate_ball
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
                       gelfand_check, spectral_table)
 
-KINDS = ("certify", "alpha", "limitset", "hyperconvex", "hoelder", "cones",
-         "gelfand", "perturb-sweep")
-# kinds that sample a limit cloud, whose flag dedup reads ``dedup_tol``
-FLAG_KINDS = ("limitset", "hyperconvex", "hoelder")
+# The experiment fields each kind reads, with their defaults: any other
+# field is rejected.  A callable default depends on the run and is called
+# with the representation and the radius.
+_FIELDS = {
+    "certify": {"ks": [1], "slope_min": 0.05, "r2_min": 0.9},
+    "alpha": {"m": 2, "tol": 1e-9},
+    "limitset": {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
+                 "anchor_index": 0},
+    "hyperconvex": {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
+                    "n_triples": 500, "sep_tol": 1e-3, "margin_min": 0.0},
+    "hoelder": {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
+                "window": [1e-5, 1e-1], "n_anchors": 3},
+    "cones": {"n_min": lambda rep, radius: max(1, radius - 3)},
+    "gelfand": {"word": lambda rep, radius: rep.generators.positive_labels[0],
+                "i": 1, "K": 200},
+    "perturb-sweep": {"eps_list": [0.0, 1e-4, 1e-3], "k": 1,
+                      "slope_min": 0.05, "r2_min": 0.9},
+}
+KINDS = tuple(_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -43,10 +58,8 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _require(cfg: dict, key: str, types, path: str, default=None, optional=False):
+def _require(cfg: dict, key: str, types, path: str):
     if key not in cfg:
-        if optional:
-            return default
         raise ConfigError(f"{path}.{key}", "missing required field")
     value = cfg[key]
     if types is not None and not isinstance(value, types):
@@ -119,6 +132,7 @@ def _is_real(value) -> bool:
 # _check_bounds once the representation is built
 _COUNT_FIELDS = {"k": 1, "m": 1, "i": 1, "K": 1, "n_triples": 1,
                  "n_anchors": 1, "n_min": 1, "anchor_index": 0}
+# the tolerances, which the summary reports
 _POSITIVE_FIELDS = ("tol", "dedup_tol", "sep_tol")
 _REAL_FIELDS = ("slope_min", "r2_min", "margin_min")
 
@@ -129,6 +143,12 @@ def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}",
                               f"expected {expected}, got {value!r}")
 
+    fields = _FIELDS[exp["kind"]]
+    for key in exp:
+        if key != "kind" and key not in fields:
+            raise ConfigError(f"{path}.{key}",
+                              f"not a field of kind {exp['kind']!r}, which "
+                              f"reads {', '.join(fields)}")
     for key, lo in _COUNT_FIELDS.items():
         if key in exp:
             check(_is_int(exp[key], lo), key, f"an integer >= {lo}", exp[key])
@@ -161,28 +181,28 @@ def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
               "word", f"a non-empty word in {''.join(sorted(letters))}", word)
 
 
-def _check_bounds(exp: dict, dim: int, radius: int) -> None:
-    """Experiment values whose range depends on the representation's
-    dimension or on the radius, as the analytics require them."""
+def _check_bounds(exp: dict, fields: dict, dim: int, radius: int) -> None:
+    """Resolved experiment values whose range depends on the
+    representation's dimension or on the radius, as the analytics require
+    them.  A default out of range for the radius blames the radius."""
     m_lo = 2 if exp["kind"] in ("alpha", "hyperconvex") else 1
     bounds = {"k": (1, dim - 1), "m": (m_lo, dim - 1), "i": (1, dim),
               "n_min": (1, radius - 1)}
-    values = [(key, key, exp[key]) for key in bounds if key in exp]
-    values += [(f"ks[{j}]", "k", k) for j, k in enumerate(exp.get("ks", []))]
+    values = [(key, key, fields[key]) for key in bounds if key in fields]
+    if "ks" in fields:
+        values += [(f"ks[{j}]", "k", k) for j, k in enumerate(fields["ks"])]
     for field_path, key, value in values:
         lo, hi = bounds[key]
-        if not lo <= value <= hi:
-            scope = (f"radius {radius}" if key == "n_min"
-                     else f"dimension {dim}")
-            raise ConfigError(f"config.experiment.{field_path}",
-                              f"expected an integer in [{lo}, {hi}] for "
-                              f"{scope}, got {value!r}")
-    if exp["kind"] == "cones" and "n_min" not in exp:
-        n_min = _cones_n_min(exp, radius)
-        if radius <= n_min:
-            raise ConfigError("config.radius",
-                              f"expected an integer >= {n_min + 1} for the "
-                              f"cones default n_min {n_min}, got {radius}")
+        if lo <= value <= hi:
+            continue
+        if key == "n_min" and key not in exp:
+            raise ConfigError("config.radius", f"expected an integer >= "
+                              f"{value + 1} for the {exp['kind']} default "
+                              f"n_min {value}, got {radius}")
+        scope = f"radius {radius}" if key == "n_min" else f"dimension {dim}"
+        raise ConfigError(f"config.experiment.{field_path}",
+                          f"expected an integer in [{lo}, {hi}] for "
+                          f"{scope}, got {value!r}")
 
 
 def _is_numeric(rows) -> bool:
@@ -235,7 +255,7 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
                              for k, v in row.items()})
 
 
-def _write_svg(path: Path, points, anchor_uw, tangent_frac=0.15) -> None:
+def _write_svg(path: Path, points, anchor_uw) -> None:
     """Scatter of chart coordinates with the tangent direction (the
     u-axis of the chart) drawn at the anchor."""
     size = 640.0
@@ -257,7 +277,7 @@ def _write_svg(path: Path, points, anchor_uw, tangent_frac=0.15) -> None:
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
-    half = tangent_frac * span
+    half = 0.15 * span
     x0, y0 = sx(anchor_uw[0] - half), sy(anchor_uw[1])
     x1, y1 = sx(anchor_uw[0] + half), sy(anchor_uw[1])
     lines.append(f'<line x1="{x0:.3f}" y1="{y0:.3f}" x2="{x1:.3f}" '
@@ -275,14 +295,12 @@ def _write_svg(path: Path, points, anchor_uw, tangent_frac=0.15) -> None:
 # experiment drivers: each returns (results dict, property verdict)
 
 def _run_certify(rep, exp, radius, seed, out, artifacts):
-    ks = exp.get("ks", [1])
     ball = enumerate_ball(rep.generators, radius)
     rows, results = [], {}
     all_linear = True
-    for k in ks:
+    for k in exp["ks"]:
         prof = gap_profile(rep, k, radius, ball=ball,
-                           slope_min=exp.get("slope_min", 0.05),
-                           r2_min=exp.get("r2_min", 0.9))
+                           slope_min=exp["slope_min"], r2_min=exp["r2_min"])
         for n, mn, mx in zip(prof.lengths, prof.min_gap, prof.max_gap):
             rows.append({"k": k, "length": int(n), "min_gap": float(mn),
                          "max_gap": float(mx)})
@@ -301,9 +319,9 @@ def _run_certify(rep, exp, radius, seed, out, artifacts):
 
 
 def _run_alpha(rep, exp, radius, seed, out, artifacts):
-    m = exp.get("m", 2)
+    m = exp["m"]
     ball = enumerate_ball(rep.generators, radius)
-    est = alpha_m_estimate(rep, m, radius, tol=exp.get("tol", 1e-9), ball=ball)
+    est = alpha_m_estimate(rep, m, radius, tol=exp["tol"], ball=ball)
     rows = [{"radius": int(r), "alpha_inf": float(v)}
             for r, v in est.per_radius if not np.isnan(v)]
     _write_csv(out / "alpha_per_radius.csv", ["radius", "alpha_inf"], rows)
@@ -342,16 +360,15 @@ def _pick_chart_pair(cloud, anchor_index):
 
 
 def _run_limitset(rep, exp, radius, seed, out, artifacts):
-    m = exp.get("m", 2)
-    cloud = limit_samples(
-        rep, m, radius, dedup_tol=exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL))
+    m = exp["m"]
+    cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
     rows = _cloud_rows(cloud)
     _write_csv(out / "limit_cloud.csv", list(rows[0].keys()), rows)
     artifacts.append("limit_cloud.csv")
     results = {"m": m, "n_samples": len(cloud),
                "coverage": cloud.coverage_stats()}
     if rep.dim == 3:
-        anchor, far = _pick_chart_pair(cloud, exp.get("anchor_index", 0))
+        anchor, far = _pick_chart_pair(cloud, exp["anchor_index"])
         frame = build_chart(anchor, far)
         pts, chart_rows = [], []
         for s in cloud.samples:
@@ -373,18 +390,15 @@ def _run_limitset(rep, exp, radius, seed, out, artifacts):
 
 
 def _run_hyperconvex(rep, exp, radius, seed, out, artifacts):
-    m = exp.get("m", 2)
-    cloud = limit_samples(
-        rep, m, radius, dedup_tol=exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL))
-    report = hyperconvexity_scan(cloud, m=m,
-                                 n_triples=exp.get("n_triples", 500),
-                                 seed=seed,
-                                 sep_tol=exp.get("sep_tol", 1e-3))
+    m = exp["m"]
+    cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
+    report = hyperconvexity_scan(cloud, m=m, n_triples=exp["n_triples"],
+                                 seed=seed, sep_tol=exp["sep_tol"])
     rows = [{"index": i, "margin": float(v)}
             for i, v in enumerate(report.margins)]
     _write_csv(out / "hyperconvexity_margins.csv", ["index", "margin"], rows)
     artifacts.append("hyperconvexity_margins.csv")
-    margin_min = exp.get("margin_min", 0.0)
+    margin_min = exp["margin_min"]
     results = {"m": m, "n_samples": len(cloud),
                "n_triples": report.n_evaluated,
                "min_margin": report.min_margin,
@@ -394,11 +408,9 @@ def _run_hyperconvex(rep, exp, radius, seed, out, artifacts):
 
 
 def _run_hoelder(rep, exp, radius, seed, out, artifacts):
-    m = exp.get("m", 2)
-    window = tuple(exp.get("window", [1e-5, 1e-1]))
-    n_anchors = exp.get("n_anchors", 3)
-    cloud = limit_samples(
-        rep, m, radius, dedup_tol=exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL))
+    m = exp["m"]
+    window = tuple(exp["window"])
+    cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
     pts = cloud.points()
     # anchors with the most neighbours inside the window, deterministically
     scores = []
@@ -412,7 +424,7 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}
     rows, scatter = [], []
-    for i in order[:n_anchors]:
+    for i in order[:exp["n_anchors"]]:
         anchor = cloud.samples[i]
         rep_report = hoelder_regression(cloud, anchor, window=window)
         results["anchors"].append({
@@ -439,12 +451,8 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
     return results, True
 
 
-def _cones_n_min(exp: dict, radius: int) -> int:
-    return exp.get("n_min", max(1, radius - 3))
-
-
 def _run_cones(rep, exp, radius, seed, out, artifacts):
-    report = cone_diagnostic(rep, radius, _cones_n_min(exp, radius))
+    report = cone_diagnostic(rep, radius, exp["n_min"])
     results = {"max_distance": report.max_distance,
                "mean_distance": report.mean_distance,
                "n_elements": report.n_elements,
@@ -453,9 +461,7 @@ def _run_cones(rep, exp, radius, seed, out, artifacts):
 
 
 def _run_gelfand(rep, exp, radius, seed, out, artifacts):
-    word = exp.get("word", rep.generators.positive_labels[0])
-    i = exp.get("i", 1)
-    K = exp.get("K", 200)
+    word, i, K = exp["word"], exp["i"], exp["K"]
     g = rep.generators.element(word)
     errors = gelfand_check(g.matrix, i, K)
     rows = [{"k": k + 1, "error": float(e)} for k, e in enumerate(errors)]
@@ -466,12 +472,12 @@ def _run_gelfand(rep, exp, radius, seed, out, artifacts):
 
 
 def _run_perturb_sweep(rep, exp, radius, seed, out, artifacts):
-    eps_list = exp.get("eps_list", [0.0, 1e-4, 1e-3])
-    k = exp.get("k", 1)
+    k = exp["k"]
     rows, results = [], []
-    for idx, eps in enumerate(eps_list):
+    for idx, eps in enumerate(exp["eps_list"]):
         pert = perturb_rep(rep, float(eps), seed + idx)
-        prof = gap_profile(pert, k, radius)
+        prof = gap_profile(pert, k, radius, slope_min=exp["slope_min"],
+                           r2_min=exp["r2_min"])
         rows.append({"eps": float(eps), "slope": prof.slope,
                      "r_squared": prof.r_squared, "verdict": prof.verdict})
         results.append({"eps": float(eps), "slope": prof.slope,
@@ -506,9 +512,13 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
     exp = cfg["experiment"]
     radius = cfg["radius"]
     seed = cfg["seed"]
-    _check_bounds(exp, rep.dim, radius)
+    # the fields the kind reads: the config's value, else the default
+    fields = {key: exp[key] if key in exp
+              else default(rep, radius) if callable(default) else default
+              for key, default in _FIELDS[exp["kind"]].items()}
+    _check_bounds(exp, fields, rep.dim, radius)
     artifacts: list[str] = []
-    results, ok = _DRIVERS[exp["kind"]](rep, exp, radius, seed, out_dir,
+    results, ok = _DRIVERS[exp["kind"]](rep, fields, radius, seed, out_dir,
                                         artifacts)
     summary = {
         "tool": "anosov-lab",
@@ -519,16 +529,8 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         "radius": radius,
         "seed": seed,
         "dim": rep.dim,
-        "tolerances": {
-            "gap_tol": 1e-6,
-            # only the flag dedup reads the config; balls always merge
-            # at the groups default
-            "dedup_tol": (exp.get("dedup_tol", DEFAULT_FLAG_DEDUP_TOL)
-                          if exp["kind"] in FLAG_KINDS
-                          else DEFAULT_DEDUP_TOL),
-            "slope_min": exp.get("slope_min", 0.05),
-            "sep_tol": exp.get("sep_tol", 1e-3),
-        },
+        "tolerances": {key: value for key, value in fields.items()
+                       if key in _POSITIVE_FIELDS + _REAL_FIELDS},
         "results": results,
         "property_satisfied": bool(ok),
         "outputs": sorted(artifacts),

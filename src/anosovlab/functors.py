@@ -275,18 +275,18 @@ def _su21_fixed_basis() -> np.ndarray:
 _SU21_BASIS = _su21_fixed_basis()
 
 
-def build_su21_rep(g, form_tol: float = 1e-8) -> MatrixD:
+def build_su21_rep(g) -> MatrixD:
     """9x9 real matrix of an SU(2,1) element acting on the invariant
     9-dimensional subspace of wedge^2 R^6.
 
-    The input must preserve the antidiagonal Hermitian form; for an
-    element with eigenvalue moduli (w, 1, 1/w) the output moduli are
+    The input must preserve the antidiagonal Hermitian form to 1e-8; for
+    an element with eigenvalue moduli (w, 1, 1/w) the output moduli are
     (w^2, w, w, 1, 1, 1, 1/w, 1/w, 1/w^2).
     """
     g = np.asarray(g, dtype=complex)
     if g.shape != (3, 3):
         raise ValueError("expected a 3x3 complex matrix")
-    if np.abs(g.conj().T @ SU21_FORM @ g - SU21_FORM).max() > form_tol:
+    if np.abs(g.conj().T @ SU21_FORM @ g - SU21_FORM).max() > 1e-8:
         raise ValueError("not in SU(2,1): Hermitian form not preserved")
     # the unnormalized compound: wedge_power would rescale the lift
     idx = np.array(wedge_indices(6, 2))
@@ -302,7 +302,7 @@ def build_su21_rep(g, form_tol: float = 1e-8) -> MatrixD:
 # exterior-power flag maps
 
 def hitchin_zeta(flag_km1, flag_k, flag_kp1, flag_dkm1, flag_dk, flag_dkp1,
-                 level, nesting_tol: float = 1e-8) -> Subspace:
+                 level) -> Subspace:
     """Flag maps of the k-th exterior power from nested flags at a point.
 
     Levels (D = C(d, k)):
@@ -322,7 +322,7 @@ def hitchin_zeta(flag_km1, flag_k, flag_kp1, flag_dkm1, flag_dk, flag_dkp1,
                          (flag_k, flag_kp1, "k in k+1"),
                          (flag_dkm1, flag_dk, "d-k-1 in d-k"),
                          (flag_dk, flag_dkp1, "d-k in d-k+1")]:
-        if not hi.contains(lo, nesting_tol):
+        if not hi.contains(lo):
             raise ValueError(f"flags not nested: {name}")
 
     lvl = str(level)

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DISTANCE_FLOOR = 1e-14
+_MARGIN_TOL = 1e-8  # chart compatibility tolerance
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,7 @@ class ChartFrame:
         return self.basis_change.shape[0]
 
 
-def build_chart(sx: FlagSample, sy: FlagSample,
-                margin_tol: float = 1e-8) -> ChartFrame:
+def build_chart(sx: FlagSample, sy: FlagSample) -> ChartFrame:
     """Affine chart adapted to the flags of x (plus data of sx) and y
     (minus data of sy).
 
@@ -64,10 +64,10 @@ def build_chart(sx: FlagSample, sy: FlagSample,
     y_dm, y_d1 = sy.xi_dm_minus, sy.xi_d1_minus
     d, m = x1.ambient_dim, xm.rank
     checks = [
-        ("xi1(x) inside xim(x)", xm.contains(x1, margin_tol)),
-        ("xi_dm(y) inside xi_d1(y)", y_d1.contains(y_dm, margin_tol)),
-        ("xi1(x) + xi_d1(y)", direct_sum_margin([x1, y_d1]) > margin_tol),
-        ("xim(x) + xi_dm(y)", direct_sum_margin([xm, y_dm]) > margin_tol),
+        ("xi1(x) inside xim(x)", xm.contains(x1, _MARGIN_TOL)),
+        ("xi_dm(y) inside xi_d1(y)", y_d1.contains(y_dm, _MARGIN_TOL)),
+        ("xi1(x) + xi_d1(y)", direct_sum_margin([x1, y_d1]) > _MARGIN_TOL),
+        ("xim(x) + xi_dm(y)", direct_sum_margin([xm, y_dm]) > _MARGIN_TOL),
     ]
     for name, ok in checks:
         if not ok:
@@ -83,7 +83,7 @@ def build_chart(sx: FlagSample, sy: FlagSample,
     B = np.column_stack(cols)
     if B.shape != (d, d):
         raise ValueError("flag ranks do not assemble a full basis")
-    if abs(np.linalg.det(B)) < margin_tol:
+    if abs(np.linalg.det(B)) < _MARGIN_TOL:
         raise ValueError("chart compatibility failed: assembled basis singular")
     return ChartFrame(basis_change=B, inverse=np.linalg.inv(B), m=m)
 
@@ -179,10 +179,9 @@ class TangencyReport:
         return float(self.angles[:n].max())
 
 
-def tangency_check(cloud: LimitCloud, anchor: FlagSample,
-                   n_points: int = 20, delta_max: float = 0.5) -> TangencyReport:
+def tangency_check(cloud: LimitCloud, anchor: FlagSample) -> TangencyReport:
     """Angles between secant directions from the anchor and the anchor's
-    tangent flag, for the nearest cloud points sorted by distance.
+    tangent flag, for the 20 nearest cloud points within 0.5, nearest first.
 
     The angles must decrease toward zero as the secant point approaches
     the anchor when the tangent flag is correct.
@@ -193,7 +192,7 @@ def tangency_check(cloud: LimitCloud, anchor: FlagSample,
     for s in cloud.samples:
         p = s.xi1_plus.vector()
         dp = proj_distance(anchor.xi1_plus, s.xi1_plus)
-        if dp < 1e-13 or dp > delta_max:
+        if dp < 1e-13 or dp > 0.5:
             continue
         # secant direction: component of p transverse to the anchor line
         sec = p - x1 * (x1 @ p)
@@ -203,12 +202,12 @@ def tangency_check(cloud: LimitCloud, anchor: FlagSample,
     if len(rows) < 5:
         raise ValueError("need at least 5 cloud points near the anchor")
     rows.sort()
-    rows = rows[:n_points]
+    rows = rows[:20]
     return TangencyReport(distances=np.array([r[0] for r in rows]),
                           angles=np.array([r[1] for r in rows]))
 
 
-def hilbert_distance_psd(X, Y, pd_tol: float = 1e-10) -> float:
+def hilbert_distance_psd(X, Y) -> float:
     """Hilbert distance between positive-definite symmetric matrices in
     the projectivized PD cone.
 
@@ -222,7 +221,7 @@ def hilbert_distance_psd(X, Y, pd_tol: float = 1e-10) -> float:
     for name, M in (("X", A), ("Y", B)):
         if not np.allclose(M, M.T, atol=1e-10):
             raise ValueError(f"{name} is not symmetric")
-        if np.linalg.eigvalsh(M).min() <= pd_tol:
+        if np.linalg.eigvalsh(M).min() <= 1e-10:
             raise ValueError(f"{name} is not positive definite")
     kappa = sla.eigvalsh(B, A)
     return float(np.log(kappa[-1] / kappa[0]))
@@ -238,13 +237,12 @@ class GapInequalityReport:
 
 
 def eigen_gap_inequality_check(rep: Representation, m: int, alpha: float,
-                               radius: int, tol: float = 1e-9,
-                               ball=None) -> GapInequalityReport:
+                               radius: int, ball=None) -> GapInequalityReport:
     """Audits lam_(m+1)/lam_m <= (lam_2/lam_1)^(alpha-1) over the ball.
 
     In log form the margin is log(lam_m/lam_(m+1)) -
     (alpha-1) log(lam_1/lam_2); the check passes when the smallest margin
-    stays above ``-tol``.  A claimed regularity exponent alpha for the
+    stays above -1e-9.  A claimed regularity exponent alpha for the
     limit set forces this inequality for every element.
     """
     if alpha <= 1:
@@ -259,7 +257,7 @@ def eigen_gap_inequality_check(rep: Representation, m: int, alpha: float,
                        - (alpha - 1.0) * (lam[:, 0] - lam[:, 1]), math.inf)
     # the identity comes first, so a ball of it alone reports no witness
     worst = int(np.argmin(margins))
-    return GapInequalityReport(passed=bool(margins[worst] >= -tol),
+    return GapInequalityReport(passed=bool(margins[worst] >= -1e-9),
                                worst_margin=margins[worst],
                                worst_witness=ball[worst].word, alpha=alpha,
                                m=m)

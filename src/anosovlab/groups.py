@@ -32,8 +32,7 @@ __all__ = [
     "cyclic_reduce",
 ]
 
-DEFAULT_DEDUP_TOL = 1e-8
-DEFAULT_BALL_CAP = 5_000_000
+_BALL_CAP = 5_000_000  # words of the largest ball, before dedup
 
 
 class BallTooLargeError(RuntimeError):
@@ -154,9 +153,6 @@ class GroupElement:
     def length(self) -> int:
         return len(self.word)
 
-    def inverse(self) -> "GroupElement":
-        return self.gens.element(inverse_word(self.word))
-
 
 def _predicted_ball_size(n_letters: int, radius: int) -> int:
     # free-group count: 1 + sum_{n=1..R} 2k (2k-1)^(n-1)
@@ -234,23 +230,22 @@ class Ball(Sequence):
         return jordan_logs(self.products[fwd], self.products[bwd])[member]
 
 
-def enumerate_ball(gens: GeneratorSet, radius: int,
-                   dedup_tol: float = DEFAULT_DEDUP_TOL,
-                   max_elements: int = DEFAULT_BALL_CAP) -> Ball:
+def enumerate_ball(gens: GeneratorSet, radius: int) -> Ball:
     """All freely reduced words of length <= radius with their matrices.
 
-    Elements whose matrices agree within ``dedup_tol`` (max-entry
-    difference, up to the PGL sign) are merged, keeping the shortest word
-    (ties: lexicographic).  The result is sorted by (length, word) and is
-    independent of enumeration order.
+    Elements whose matrices agree within 1e-8 (max-entry difference, up
+    to the PGL sign) are merged, keeping the shortest word (ties:
+    lexicographic).  The result is sorted by (length, word) and is
+    independent of enumeration order; balls of over ``_BALL_CAP`` words
+    raise ``BallTooLargeError``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
     n_letters = len(gens.labels)
     predicted = _predicted_ball_size(n_letters, radius)
-    if predicted > max_elements:
+    if predicted > _BALL_CAP:
         raise BallTooLargeError(
-            f"ball too large: {predicted} words exceed cap {max_elements}")
+            f"ball too large: {predicted} words exceed cap {_BALL_CAP}")
 
     words: list[str] = [""]
     mats: list[np.ndarray] = [np.eye(gens.dim)]
@@ -271,7 +266,7 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
 
     products = np.array(mats)
     return Ball(gens, words, products,
-                _dedup_indices(words, products, dedup_tol))
+                _dedup_indices(words, products, 1e-8))
 
 
 def _dedup_indices(words, mats, tol) -> list[int]:
@@ -307,11 +302,11 @@ def _dedup_indices(words, mats, tol) -> list[int]:
     return sorted(best.values(), key=lambda i: (len(words[i]), words[i]))
 
 
-def is_infinite_order_proxy(g: GroupElement, tol: float = 1e-9) -> bool:
-    """True iff the top-to-bottom eigenvalue modulus ratio exceeds 1 + tol.
+def is_infinite_order_proxy(g: GroupElement) -> bool:
+    """True iff the top-to-bottom eigenvalue modulus ratio exceeds 1 + 1e-9.
 
     Elliptic and finite-order elements (all moduli 1) return False; this
     is a numerical proxy, not an order computation.
     """
     lam = eigen_moduli(g.matrix)
-    return bool(lam[0] / lam[-1] > 1.0 + tol)
+    return bool(lam[0] / lam[-1] > 1.0 + 1e-9)

@@ -32,7 +32,7 @@ __all__ = [
     "apply_to_subspace",
 ]
 
-DEFAULT_GAP_TOL = 1e-6
+GAP_TOL = 1e-6  # least relative modulus gap of top_invariant_subspace
 
 
 class SpectralGapError(ValueError):
@@ -77,9 +77,9 @@ class Subspace:
         return self.frame.shape[1]
 
     @classmethod
-    def from_spanning(cls, vectors, rtol: float = 1e-12) -> "Subspace":
+    def from_spanning(cls, vectors) -> "Subspace":
         """Orthonormalize a (d x k) spanning set, dropping dependent columns."""
-        return cls(orthonormalize(np.asarray(vectors, dtype=float), rtol=rtol))
+        return cls(orthonormalize(np.asarray(vectors, dtype=float)))
 
     @classmethod
     def line(cls, v) -> "Subspace":
@@ -167,13 +167,12 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(_as_matrix(M, stack=True), compute_uv=False)
 
 
-def top_invariant_subspace(M, m: int, gap_tol: float = DEFAULT_GAP_TOL,
-                           polish_steps: int = 2) -> Subspace:
+def top_invariant_subspace(M, m: int) -> Subspace:
     """Invariant subspace spanned by generalized eigenvectors of the top
     ``m`` eigenvalue moduli.
 
     Requires a relative modulus gap at index m; conjugate pairs are kept
-    together by working with the ordered real Schur form.  A couple of
+    together by working with the ordered real Schur form.  Two
     orthogonal-iteration steps remove the forward-error wobble of the
     Schur reordering (the subspace is attracting, so iteration contracts).
     """
@@ -184,7 +183,7 @@ def top_invariant_subspace(M, m: int, gap_tol: float = DEFAULT_GAP_TOL,
     if m == d:
         return Subspace(np.eye(d))
     lam = eigen_moduli(A)
-    if lam[m] <= 0 or lam[m - 1] / lam[m] <= 1.0 + gap_tol:
+    if lam[m] <= 0 or lam[m - 1] / lam[m] <= 1.0 + GAP_TOL:
         raise SpectralGapError(f"no spectral gap at index {m}")
     thresh = np.sqrt(lam[m - 1] * lam[m])
     _, Z, sdim = sla.schur(A, output="real",
@@ -192,7 +191,7 @@ def top_invariant_subspace(M, m: int, gap_tol: float = DEFAULT_GAP_TOL,
     if sdim != m:
         raise SpectralGapError(f"no spectral gap at index {m}")
     V = Z[:, :m]
-    for _ in range(polish_steps):
+    for _ in range(2):
         V = np.linalg.qr(A @ V)[0]
     return Subspace(orthonormalize(V))
 
@@ -249,12 +248,13 @@ def subspace_distance(U, V) -> float:
     return min(1.0, float(np.linalg.norm(resid, 2)))
 
 
-def subspace_intersection(U, V, tol: float = 1e-10) -> Subspace:
+def subspace_intersection(U, V) -> Subspace:
     """Intersection of two subspaces via the nullspace of [U | -V]."""
     FU, FV = _as_frame(U), _as_frame(V)
     stacked = np.hstack([FU, -FV])
     _, s, vh = np.linalg.svd(stacked)
-    ns = vh[s.size:] if stacked.shape[1] > s.size else vh[(s > tol * s[0]).sum():]
+    ns = (vh[s.size:] if stacked.shape[1] > s.size
+          else vh[(s > 1e-10 * s[0]).sum():])
     if ns.shape[0] == 0:
         d = FU.shape[0]
         return Subspace(np.zeros((d, 0)))

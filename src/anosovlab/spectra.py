@@ -63,11 +63,8 @@ def _merged_log_moduli(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
     return np.sort(ll)[::-1]
 
 
-WEDGE_REFINE_CAP = 128
-
-
-def _wedge_refined_logs(Mf, Mb, merged: np.ndarray, suspect: np.ndarray,
-                        cap: int = WEDGE_REFINE_CAP) -> np.ndarray:
+def _wedge_refined_logs(Mf, Mb, merged: np.ndarray,
+                        suspect: np.ndarray) -> np.ndarray:
     """Repair suspect log moduli via top eigenvalues of exterior powers.
 
     lam_i = lam_1(wedge^i M) / lam_1(wedge^(i-1) M); top eigenvalues of
@@ -76,7 +73,7 @@ def _wedge_refined_logs(Mf, Mb, merged: np.ndarray, suspect: np.ndarray,
     are replaced -- the cross-validated ones are already reliable, and
     for strongly non-normal inputs the compounds themselves degrade.
     The top indices come from M, the bottom ones from its inverse by
-    duality; compounds larger than ``cap`` are skipped (full coverage up
+    duality; compounds of size above 128 are skipped (full coverage up
     to d = 9) and the unit-determinant defect lands on the least
     reliable uncovered index.
     """
@@ -85,7 +82,7 @@ def _wedge_refined_logs(Mf, Mb, merged: np.ndarray, suspect: np.ndarray,
     def ladder_diffs(M, count):
         out, prev = [], 0.0
         for i in range(1, count + 1):
-            if math.comb(d, i) > cap:
+            if math.comb(d, i) > 128:
                 break
             W = M if i == 1 else wedge_power(M, i)
             t = math.log(eigen_moduli(W)[0])
@@ -122,12 +119,12 @@ def cartan_logs(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
                      zip(singular_values(fwd), singular_values(bwd))])
 
 
-def jordan_logs(fwd: np.ndarray, bwd: np.ndarray,
-                refine_tol: float = 1e-9) -> np.ndarray:
+def jordan_logs(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
     """(n, d) Jordan vectors of a stack of matrices ``fwd``, given the
     stack ``bwd`` of their inverses.  A matrix and its inverse are two
-    computations of one spectrum; rows where they disagree outside the
-    determinant-corrected middle index are repaired from exterior powers.
+    computations of one spectrum; rows where their logs differ by over
+    1e-9 outside the determinant-corrected middle index are repaired from
+    exterior powers.
     """
     out = []
     for Mf, Mb, f, b in zip(fwd, bwd, eigen_moduli(fwd), eigen_moduli(bwd)):
@@ -135,10 +132,8 @@ def jordan_logs(fwd: np.ndarray, bwd: np.ndarray,
         delta = np.abs(np.log(f) + np.log(b)[::-1])
         mid = int(np.argmax(np.minimum(merged[0] - merged,
                                        merged - merged[-1])))
-        suspect = delta > refine_tol
-        suspect[mid] = False
-        if suspect.any():
-            suspect[mid] = delta[mid] > refine_tol
+        suspect = delta > 1e-9
+        if suspect.sum() > suspect[mid]:  # a suspect index besides mid
             merged = _wedge_refined_logs(MatrixD(Mf, 1), MatrixD(Mb, 1),
                                          merged, suspect)
         out.append(merged)
@@ -232,15 +227,14 @@ class AlphaEstimate:
 
 
 def alpha_m_estimate(rep: Representation, m: int, radius: int,
-                     tol: float = 1e-9, ball=None,
-                     convergence_tol: float = 1e-6) -> AlphaEstimate:
+                     tol: float = 1e-9, ball=None) -> AlphaEstimate:
     """Infimum over ball elements of
     log(lam_1/lam_(m+1)) / log(lam_1/lam_m), skipping elements whose
     (1, m) eigenvalue gap is below ``tol`` on the log scale.
 
     The infimum over the whole group is truncated to the ball; the
     per-radius column makes convergence visible and ``converged`` flags
-    whether the last two radii agree within ``convergence_tol``.
+    whether the last two radii agree within 1e-6.
     """
     d = rep.dim
     if not 2 <= m <= d - 1:
@@ -263,7 +257,7 @@ def alpha_m_estimate(rep: Representation, m: int, radius: int,
     per_radius = np.column_stack(
         [radii, np.where(running < math.inf, running, np.nan)])
     tail = per_radius[~np.isnan(per_radius[:, 1]), 1]
-    converged = tail.size >= 2 and abs(tail[-1] - tail[-2]) <= convergence_tol
+    converged = tail.size >= 2 and abs(tail[-1] - tail[-2]) <= 1e-6
     return AlphaEstimate(m=m, value=ratios[best], witness=ball[best],
                          per_radius=per_radius, converged=converged)
 
@@ -311,7 +305,7 @@ class ConeReport:
 
 
 def cone_diagnostic(rep: Representation, radius: int, n_min: int,
-                    ball=None, direction_tol: float = 1e-9) -> ConeReport:
+                    ball=None) -> ConeReport:
     """Angular distance between each long element's normalized Cartan
     vector and the nearest normalized Jordan direction over the ball.
 
@@ -324,8 +318,8 @@ def cone_diagnostic(rep: Representation, radius: int, n_min: int,
         raise ValueError("radius must exceed n_min")
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
-    directions = _unit_rows(ball.jordan[ball.lengths > 0], direction_tol)
-    cartan = _unit_rows(ball.cartan[ball.lengths >= n_min], direction_tol)
+    directions = _unit_rows(ball.jordan[ball.lengths > 0])
+    cartan = _unit_rows(ball.cartan[ball.lengths >= n_min])
     if not len(directions) or not len(cartan):
         return ConeReport(max_distance=math.nan, mean_distance=math.nan,
                           n_elements=0, degenerate=True)
@@ -336,11 +330,11 @@ def cone_diagnostic(rep: Representation, radius: int, n_min: int,
                       n_elements=arr.size, degenerate=False)
 
 
-def _unit_rows(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """The rows of norm above ``tol``, normalized.  Norms are taken row by
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """The rows of norm above 1e-9, normalized.  Norms are taken row by
     row: a vectorized norm sums in another order."""
     norms = np.array([np.linalg.norm(v) for v in vectors])
-    keep = norms > tol
+    keep = norms > 1e-9
     return vectors[keep] / norms[keep, None]
 
 

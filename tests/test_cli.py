@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from anosovlab.cli import list_examples, load_config, main
+from anosovlab.cli import ConfigError, list_examples, load_config, main
 
 
 def config_path(name: str) -> Path:
@@ -23,6 +23,19 @@ BASE_REP = {
     "kind": "matrices", "dim": 2,
     "generators": {"a": [[2.0, 0.0], [0.0, 0.5]],
                    "b": [[1.25, 0.75], [0.75, 1.25]]},
+}
+
+
+# the experiment fields each kind reads, and no others
+READS = {
+    "certify": {"ks", "slope_min", "r2_min"},
+    "alpha": {"m", "tol"},
+    "limitset": {"m", "dedup_tol", "anchor_index"},
+    "hyperconvex": {"m", "dedup_tol", "n_triples", "sep_tol", "margin_min"},
+    "hoelder": {"m", "dedup_tol", "window", "n_anchors"},
+    "cones": {"n_min"},
+    "gelfand": {"word", "i", "K"},
+    "perturb-sweep": {"eps_list", "k", "slope_min", "r2_min"},
 }
 
 
@@ -119,6 +132,8 @@ class TestExperimentFields:
         ("hyperconvex", "m", 1, "m"),
         ("gelfand", "i", 3, "i"),
         ("cones", "n_min", 2, "n_min"),
+        # a field the kind does not read
+        ("certify", "dedup_tol", 0.5, "dedup_tol"),
     ])
     def test_bad_field_exits_one_with_path(self, tmp_path, capsys, kind, key,
                                            value, path):
@@ -134,6 +149,40 @@ class TestExperimentFields:
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
         err = capsys.readouterr().err
         assert "error: config.radius: expected an integer >= 2" in err
+
+    @pytest.mark.parametrize("kind", ["alpha", "limitset", "hyperconvex",
+                                      "hoelder"])
+    def test_default_m_out_of_range_names_field(self, tmp_path, capsys,
+                                                kind):
+        # the default m = 2 needs dimension >= 3
+        cfg = {"representation": BASE_REP, "radius": 2, "seed": 0,
+               "experiment": {"kind": kind}}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert "error: config.experiment.m: expected an integer in [" in err
+        assert "for dimension 2, got 2" in err
+
+    def test_field_accepted_iff_kind_reads_it(self, tmp_path):
+        valid = {"ks": [1], "k": 1, "m": 1, "i": 1, "K": 5,
+                 "window": [1e-4, 1e-1], "eps_list": [0.0], "word": "a",
+                 "n_triples": 5, "n_anchors": 1, "n_min": 1,
+                 "anchor_index": 0, "tol": 1e-9, "dedup_tol": 1e-7,
+                 "sep_tol": 1e-3, "slope_min": 0.05, "r2_min": 0.9,
+                 "margin_min": 0.0}
+        accepted = {}
+        for kind in READS:
+            for key, value in valid.items():
+                cfg = {"representation": BASE_REP, "radius": 2, "seed": 0,
+                       "experiment": {"kind": kind, key: value}}
+                path = write_config(tmp_path, cfg)
+                try:
+                    load_config(path)
+                except ConfigError as exc:
+                    assert exc.path == f"config.experiment.{key}"
+                    assert "not a field of kind" in str(exc)
+                    continue
+                accepted.setdefault(kind, set()).add(key)
+        assert accepted == READS
 
     def test_word_over_inverse_labels_accepted(self, tmp_path):
         cfg = {"representation": {"kind": "tau", "d": 3, "base": BASE_REP},
@@ -189,17 +238,41 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tolerances"]["dedup_tol"] == 1e-07
 
-    def test_ball_dedup_tol_reported_as_used(self, tmp_path):
-        # certify never reads dedup_tol: its ball merges at the default
-        cfg = load_config(config_path("schottky_sl2"))
-        cfg["experiment"]["dedup_tol"] = 0.5
-        path = write_config(tmp_path, cfg)
+    @pytest.mark.parametrize("experiment, tolerances", [
+        ({"kind": "certify", "slope_min": 0.01},
+         {"slope_min": 0.01, "r2_min": 0.9}),
+        ({"kind": "alpha", "tol": 1e-8}, {"tol": 1e-8}),
+        ({"kind": "limitset"}, {"dedup_tol": 1e-7}),
+        ({"kind": "hyperconvex", "n_triples": 20, "sep_tol": 1e-2},
+         {"dedup_tol": 1e-7, "sep_tol": 1e-2, "margin_min": 0.0}),
+        ({"kind": "hoelder", "window": [1e-3, 0.5], "n_anchors": 1,
+          "dedup_tol": 1e-6}, {"dedup_tol": 1e-6}),
+        ({"kind": "cones"}, {}),
+        ({"kind": "gelfand", "K": 10}, {}),
+        ({"kind": "perturb-sweep", "eps_list": [0.0], "r2_min": 0.5},
+         {"slope_min": 0.05, "r2_min": 0.5}),
+    ], ids=list(READS))
+    def test_summary_reports_tolerances_read(self, tmp_path, experiment,
+                                             tolerances):
+        # the config's value where it sets one, the kind's default otherwise
+        cfg = load_config(config_path("fuchsian_tau3"))
+        cfg["experiment"] = experiment
         out = tmp_path / "out"
-        assert main(["run", str(path), "--radius", "3",
+        assert main(["run", str(write_config(tmp_path, cfg)), "--radius", "4",
                      "--out", str(out)]) in (0, 2)
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["kind"] == "certify"
-        assert summary["tolerances"]["dedup_tol"] == 1e-08
+        assert summary["tolerances"] == tolerances
+
+    def test_perturb_sweep_honours_slope_min(self, tmp_path):
+        # the unperturbed Schottky gap grows with slope about 1.4 < 50
+        cfg = load_config(config_path("schottky_sl2"))
+        cfg["experiment"] = {"kind": "perturb-sweep", "eps_list": [0.0],
+                             "slope_min": 50}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--radius", "4",
+                     "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["results"]["sweep"][0]["slope"] < 50
 
     def test_hyperconvex_kind(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))

@@ -78,8 +78,10 @@ class TestEnumerateBall:
         assert keys == sorted(keys)
 
     def test_ball_cap(self, schottky_rep):
-        with pytest.raises(BallTooLargeError, match="ball too large"):
-            enumerate_ball(schottky_rep.generators, 5, max_elements=100)
+        # 1 + 4 (3^15 - 1) / 2 = 28,697,813 words exceed the 5,000,000 cap
+        with pytest.raises(BallTooLargeError, match="ball too large: "
+                           "28697813 words exceed cap 5000000"):
+            enumerate_ball(schottky_rep.generators, 15)
 
     def test_matrix_matches_word_product(self, schottky_rep):
         ball = enumerate_ball(schottky_rep.generators, 3)
