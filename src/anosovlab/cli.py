@@ -25,7 +25,7 @@ from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
                        limit_samples)
 from .functors import build_representation, perturb_rep
 from .geometry import build_chart, chart_coords, hoelder_regression
-from .groups import enumerate_ball
+from .groups import BallTooLargeError, enumerate_ball
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
                       gelfand_check, spectral_table)
 
@@ -227,9 +227,7 @@ def load_config(path: Path) -> dict:
         raise ConfigError(str(path), "top level must be an object")
     _validate_recipe(_require(cfg, "representation", dict, "config"),
                      "config.representation")
-    radius = _require(cfg, "radius", int, "config")
-    if radius < 1:
-        raise ConfigError("config.radius", "radius must be >= 1")
+    _check_radius(_require(cfg, "radius", int, "config"))
     _require(cfg, "seed", int, "config")
     exp = _require(cfg, "experiment", dict, "config")
     kind = _require(exp, "kind", str, "config.experiment")
@@ -239,6 +237,12 @@ def load_config(path: Path) -> dict:
     _validate_experiment(exp, _recipe_labels(cfg["representation"]),
                          "config.experiment")
     return cfg
+
+
+def _check_radius(radius: int) -> int:
+    if radius < 1:
+        raise ConfigError("config.radius", "radius must be >= 1")
+    return radius
 
 
 def _config_hash(cfg: dict) -> str:
@@ -362,6 +366,11 @@ def _pick_chart_pair(cloud, anchor_index):
 def _run_limitset(rep, exp, radius, seed, out, artifacts):
     m = exp["m"]
     cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
+    if exp["anchor_index"] >= len(cloud):
+        raise ConfigError("config.experiment.anchor_index",
+                          f"expected an integer in [0, {len(cloud) - 1}] "
+                          f"for {len(cloud)} limit samples, "
+                          f"got {exp['anchor_index']}")
     rows = _cloud_rows(cloud)
     _write_csv(out / "limit_cloud.csv", list(rows[0].keys()), rows)
     artifacts.append("limit_cloud.csv")
@@ -518,8 +527,11 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
               for key, default in _FIELDS[exp["kind"]].items()}
     _check_bounds(exp, fields, rep.dim, radius)
     artifacts: list[str] = []
-    results, ok = _DRIVERS[exp["kind"]](rep, fields, radius, seed, out_dir,
-                                        artifacts)
+    try:
+        results, ok = _DRIVERS[exp["kind"]](rep, fields, radius, seed,
+                                            out_dir, artifacts)
+    except BallTooLargeError as exc:
+        raise ConfigError("config.radius", str(exc)) from exc
     summary = {
         "tool": "anosov-lab",
         "version": __version__,
@@ -583,12 +595,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.radius is not None:
-        cfg["radius"] = args.radius
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     out_dir = args.out or Path("out") / args.config.stem
     try:
+        if args.radius is not None:
+            cfg["radius"] = _check_radius(args.radius)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         return run_experiment(cfg, out_dir)
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

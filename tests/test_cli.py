@@ -274,6 +274,35 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["sweep"][0]["slope"] < 50
 
+    def test_anchor_index_past_the_cloud(self, tmp_path, capsys):
+        cfg = load_config(config_path("fuchsian_tau3"))
+        cfg["experiment"] = {"kind": "limitset", "anchor_index": 100000}
+        assert main(["run", str(write_config(tmp_path, cfg)), "--radius", "3",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: config.experiment.anchor_index: " in err
+        assert "limit samples, got 100000" in err
+
+    @pytest.mark.parametrize("name, radius, message", [
+        ("fuchsian_tau3", "0", "radius must be >= 1"),
+        ("schottky_sl2", "-2", "radius must be >= 1"),
+        ("fuchsian_tau3", "20", "exceed cap 5000000"),
+    ])
+    def test_radius_override_checked(self, tmp_path, capsys, name, radius,
+                                     message):
+        assert main(["run", str(config_path(name)), "--radius", radius,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.radius: ") and message in err
+
+    def test_config_radius_over_cap(self, tmp_path, capsys):
+        cfg = load_config(config_path("fuchsian_tau3"))
+        cfg["radius"] = 20
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.radius: ball too large: ")
+
     def test_hyperconvex_kind(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))
         cfg["experiment"] = {"kind": "hyperconvex", "m": 2, "n_triples": 50,
