@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functors import Representation
-from .groups import GroupElement, enumerate_ball
+from .groups import GroupElement, cyclic_reduce, enumerate_ball, inverse_word
 from .linalg import (GAP_TOL, SpectralData, SpectralGapError, Subspace,
                      orthonormalize, top_invariant_subspace)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
@@ -81,15 +81,164 @@ class LimitCloud:
                 "nn_mean": float(nn.mean()), "nn_min": float(nn.min())}
 
 
+def _conjugators(word: str, c: str) -> tuple[str, str]:
+    """The plus and minus conjugators P, Q of a reduced word w with class
+    word ``c = canonical_cyclic(w)``: ``w = P c P^-1 = Q c Q^-1``.
+
+    With ``w = u core u^-1`` and ``core = c[j:] + c[:j]``, ``P = u c[j:]``
+    (``u`` when j = 0) and ``Q = u c[:j]^-1``.  Both are reduced words
+    shorter than w, and ``P c`` and ``Q c^-1`` are reduced products.
+    """
+    core = cyclic_reduce(word)
+    u = word[:(len(word) - len(core)) // 2]
+    j = (c + c).index(core)
+    return (u + c[j:] if j else u), u + inverse_word(c[:j])
+
+
+def _moved(table: dict, words: list[str], frames: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of the spans of ``M(w_n) frames[n]``, where M(w)
+    is the product of ``table[letter]`` along w, from the last letter to
+    the first: one stacked matmul and QR per letter position (words are
+    right-aligned, shorter ones padded with the identity).
+
+    The rounded product M(w) carries an absolute error of about
+    eps * |M(w)|, which a flag that M(w) stretches far less than its norm
+    (a middle rank) does not survive: moved by the rounded M(P), the
+    exact tau_7 3-planes of the radius-5 ball are off by up to 7e-7,
+    moved letter by letter by 5e-14."""
+    d = frames.shape[1]
+    code = {label: n + 1 for n, label in enumerate(table)}
+    stack = np.array([np.eye(d), *table.values()])
+    width = max(map(len, words), default=0)
+    letters = np.zeros((len(words), width), dtype=np.intp)
+    for n, w in enumerate(words):
+        letters[n, width - len(w):] = [code[x] for x in w]
+    for t in reversed(range(width)):
+        frames = np.linalg.qr(stack[letters[:, t]] @ frames)[0]
+    return frames
+
+
+def _signed(U: np.ndarray) -> np.ndarray:
+    """A stack of frames with ``orthonormalize``'s sign convention: the
+    largest-|entry| coordinate of each column positive."""
+    top = np.take_along_axis(U, np.abs(U).argmax(axis=1)[:, None], axis=1)
+    return np.where(top < 0, -U, U)
+
+
+class _ClassFlags:
+    """Attracting flags of ball elements, extracted once per conjugacy
+    class and transported along the reduced conjugators.
+
+    For ``w = P c P^-1 = Q c Q^-1`` (see :func:`_conjugators`) the
+    attracting flags of w are M(P) times those of the class word c, and
+    those of w^-1 are M(Q) times those of c^-1.  ``specs`` maps each
+    flag to ``(source, rank, conjugator, dual)``: the flag is extracted as
+    the top invariant subspace of that rank of the source matrix, A =
+    M(c), B = M(c^-1) or their transposes ``At``, ``Bt``.  A direct flag
+    is the span of M(conjugator) times the extracted frame; a dual flag
+    is the orthogonal complement of M(conjugator)^-T times it.  Since
+    ``P c`` and ``Q c^-1`` are reduced, M(P) does not contract the
+    attracting flags of c, nor M(Q) those of c^-1.
+
+    Each distinct (source, rank) costs one ``top_invariant_subspace``
+    call per class on the source's rounded product.  That Schur frame is
+    then polished by two sweeps of orthogonal iteration along the
+    source's letters, and moved along the conjugator's letters (see
+    :func:`_moved`).  A class with no spectral gap at some extraction is
+    dropped with its elements; ``index`` holds the ball indices kept, in
+    the given order.
+    """
+
+    def __init__(self, ball, index, specs: dict):
+        words, member = ball.classes
+        products = ball.products
+        keys = list(dict.fromkeys((src, rank)
+                                  for src, rank, _, _ in specs.values()))
+        extracted: dict[int, list] = {}
+        for k in dict.fromkeys(member[index].tolist()):
+            A = products[ball.row[words[k]]]
+            B = products[ball.row[inverse_word(words[k])]]
+            sources = {"A": A, "B": B, "At": A.T, "Bt": B.T}
+            try:
+                extracted[k] = [top_invariant_subspace(sources[src], rank)
+                                .frame for src, rank in keys]
+            except SpectralGapError:
+                continue
+        self.index = np.array([i for i in index if member[i] in extracted],
+                              dtype=np.intp)
+        position = {k: p for p, k in enumerate(extracted)}
+        self._class = np.array([position[member[i]] for i in self.index],
+                               dtype=np.intp)
+        gens = ball.gens.matrices
+        self._tables = {False: {x: M.mat for x, M in gens.items()},
+                        True: {x: M.mat.T for x, M in gens.items()}}
+        # the letters of each source word, with the table they index
+        cls = [words[k] for k in extracted]
+        source_words = {"A": (cls, False),
+                        "B": ([inverse_word(c) for c in cls], False),
+                        "At": ([c[::-1] for c in cls], True),
+                        "Bt": ([c.swapcase() for c in cls], True)}
+        d = products.shape[1]
+        self._frames = {}
+        for n, (src, rank) in enumerate(keys):
+            frames = np.array([f[n] for f in extracted.values()])
+            frames = frames.reshape(-1, d, rank)
+            src_words, transposed = source_words[src]
+            for _ in range(2):
+                frames = _moved(self._tables[transposed], src_words, frames)
+            self._frames[src, rank] = frames
+        conj = [_conjugators(ball[i].word, words[member[i]])
+                for i in self.index]
+        self._conj = {"P": [p for p, _ in conj], "Q": [q for _, q in conj]}
+        self._specs = specs
+
+    def __call__(self, name: str, sel=None) -> np.ndarray:
+        """(n, d, rank) orthonormal frames of flag ``name`` of the kept
+        elements at positions ``sel`` (all by default), with
+        ``orthonormalize``'s sign convention."""
+        src, rank, conj, dual = self._specs[name]
+        if sel is None:
+            sel = range(len(self.index))
+        conj_words = [self._conj[conj][t] for t in sel]
+        frames = self._frames[src, rank][self._class[list(sel)]]
+        if not dual:
+            return _signed(_moved(self._tables[False], conj_words, frames))
+        # M(x)^-T is the product of the letters' inverse transposes
+        moved = _moved(self._tables[True],
+                       [x.swapcase() for x in conj_words], frames)
+        return _signed(np.linalg.svd(moved)[0][..., rank:])
+
+
+def _proximal(ball, ks) -> np.ndarray:
+    """Ball indices of the non-identity elements whose class has a
+    relative eigenvalue-modulus gap above ``GAP_TOL`` at every index k of
+    ``ks`` (read from ``ball.jordan``)."""
+    lam = ball.jordan
+    keep = ball.lengths > 0
+    for k in ks:
+        keep &= lam[:, k - 1] - lam[:, k] > math.log1p(GAP_TOL)
+    return np.flatnonzero(keep)
+
+
 def limit_samples(rep: Representation, m: int, radius: int,
                   dedup_tol: float = DEFAULT_FLAG_DEDUP_TOL,
                   ball=None) -> LimitCloud:
     """Flags of the attracting fixed points of all proximal ball elements.
 
     Elements need eigenvalue-modulus gaps at indices 1 and m (the same
-    gaps serve the inverse element at d-1 and d-m).  Samples whose limit
-    points agree within ``dedup_tol`` are merged, keeping the shortest
-    witness, so ``dedup_tol`` acts as the spatial resolution of the cloud.
+    gaps serve the inverse element at d-1 and d-m), read from the class
+    spectrum ``ball.jordan``.  The flags are extracted once per conjugacy
+    class, from the matrices of its canonical cyclic word c and of c^-1,
+    and transported to each element along reduced conjugators (see
+    :class:`_ClassFlags`).  Ranks above d/2 come by duality, as
+    orthogonal complements of transported flags of the transposes: a
+    Schur extraction at the bottom of the spectrum would lose them.
+
+    Samples whose limit points agree within ``dedup_tol`` are merged,
+    keeping the first witness in ball order (the shortest), so
+    ``dedup_tol`` acts as the spatial resolution of the cloud.  Only the
+    lines take part in the dedup; the other four flags are transported
+    for the kept samples only.
     """
     d = rep.dim
     if not 1 <= m <= d - 1:
@@ -103,42 +252,36 @@ def limit_samples(rep: Representation, m: int, radius: int,
                 f"gap profile at k={k} is not certified linear "
                 f"({profile.verdict}); limit samples may be unreliable",
                 stacklevel=2)
-    samples: list[FlagSample] = []
+    flags = _ClassFlags(ball, _proximal(ball, sorted({1, m})), {
+        "xi1_plus": ("A", 1, "P", False),
+        "xim_plus": (("A", m, "P", False) if m <= d - m
+                     else ("Bt", d - m, "P", True)),
+        "xi_dm_minus": (("B", d - m, "Q", False) if d - m <= m
+                        else ("At", m, "Q", True)),
+        "xi_d1_minus": ("At", 1, "Q", True),
+        "xi1_minus": ("B", 1, "Q", False),
+    })
+    lines = flags("xi1_plus")[:, :, 0]
     cos_thresh = math.sqrt(max(0.0, 1.0 - dedup_tol ** 2))
-    lam = ball.moduli
-    proximal = np.flatnonzero(
-        (ball.lengths > 0)
-        & (lam[:, 0] / lam[:, -1] > 1.0 + 1e-9)  # is_infinite_order_proxy
-        & (lam[:, 0] / lam[:, 1] > 1.0 + GAP_TOL)
-        & (lam[:, m - 1] / lam[:, m] > 1.0 + GAP_TOL))
-    kept = np.empty((len(proximal), d))  # limit points kept so far
-    for i in proximal:
-        g = ball[i]
-        M = g.matrix
-        Minv = ball.products[ball.inverse_rows[i]]
-        try:
-            # only the line takes part in the dedup: test it first
-            xi1 = top_invariant_subspace(M, 1)
-            v = xi1.vector()
-            n_kept = len(samples)
-            if n_kept and float(
-                    np.max(np.abs(kept[:n_kept] @ v))) > cos_thresh:
-                continue
-            xim = xi1 if m == 1 else top_invariant_subspace(M, m)
-            xi1_m = top_invariant_subspace(Minv, 1)
-            xi_dm = top_invariant_subspace(Minv, d - m)
-            xi_d1 = top_invariant_subspace(Minv, d - 1)
-        except SpectralGapError:
+    kept: list[int] = []  # positions in flags.index of the kept samples
+    points = np.empty_like(lines)  # their limit points
+    for t, v in enumerate(lines):
+        n = len(kept)
+        if n and float(np.max(np.abs(points[:n] @ v))) > cos_thresh:
             continue
-        kept[n_kept] = v
-        samples.append(FlagSample(witness=g, xi1_plus=xi1, xim_plus=xim,
-                                  xi_dm_minus=xi_dm, xi_d1_minus=xi_d1,
-                                  xi1_minus=xi1_m,
-                                  spectral=SpectralData(mu=ball.cartan[i],
-                                                        lam=ball.jordan[i])))
-    if not samples:
+        points[len(kept)] = v
+        kept.append(t)
+    if not kept:
         raise ValueError("no proximal elements found in the ball")
-    return LimitCloud(samples=tuple(samples), m=m, rep_recipe=rep.recipe)
+    frames = {name: flags(name, kept) for name in
+              ("xim_plus", "xi_dm_minus", "xi_d1_minus", "xi1_minus")}
+    samples = tuple(
+        FlagSample(witness=ball[i], xi1_plus=Subspace(points[n, :, None]),
+                   **{name: Subspace(F[n]) for name, F in frames.items()},
+                   spectral=SpectralData(mu=ball.cartan[i],
+                                         lam=ball.jordan[i]))
+        for n, i in enumerate(flags.index[kept]))
+    return LimitCloud(samples=samples, m=m, rep_recipe=rep.recipe)
 
 
 # Byte budget of each chunk temporary of the pair scans (the residuals
@@ -414,18 +557,11 @@ def irreducibility_proxy(rep: Representation, radius: int,
     d = rep.dim
     if ball is None:
         ball = enumerate_ball(rep.generators, radius)
-    points = []
-    # a top modulus gap also makes the element infinite order
-    lam = ball.moduli
-    for i in np.flatnonzero((ball.lengths > 0)
-                            & (lam[:, 0] / lam[:, 1] > 1.0 + GAP_TOL)):
-        try:
-            points.append(top_invariant_subspace(ball[i].matrix, 1).vector())
-        except SpectralGapError:
-            continue
+    lines = _ClassFlags(ball, _proximal(ball, [1]),
+                        {"xi1_plus": ("A", 1, "P", False)})("xi1_plus")
     xi1_rank = 0
-    if points:
-        s = np.linalg.svd(np.array(points).T, compute_uv=False)
+    if len(lines):
+        s = np.linalg.svd(lines[:, :, 0].T, compute_uv=False)
         xi1_rank = int((s > 1e-8 * s[0]).sum())
 
     gen_mats = [rep.generators.matrices[l].mat

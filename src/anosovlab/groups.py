@@ -206,11 +206,6 @@ class Ball(Sequence):
         return self._elements[index]
 
     @cached_property
-    def moduli(self) -> np.ndarray:
-        """(n, d) eigenvalue moduli of the element matrices, descending."""
-        return eigen_moduli(self.products[self.rows])
-
-    @cached_property
     def cartan(self) -> np.ndarray:
         """(n, d) Cartan vectors (log singular values, descending)."""
         from .spectra import cartan_logs  # spectra builds on this module
@@ -218,15 +213,24 @@ class Ball(Sequence):
                            self.products[self.inverse_rows])
 
     @cached_property
+    def classes(self) -> tuple[list[str], np.ndarray]:
+        """The canonical cyclic words of the elements' conjugacy classes,
+        in order of first appearance, and the class index of each
+        element."""
+        keys: dict[str, int] = {}
+        member = np.array([keys.setdefault(canonical_cyclic(g.word),
+                                           len(keys))
+                           for g in self._elements])
+        return list(keys), member
+
+    @cached_property
     def jordan(self) -> np.ndarray:
         """(n, d) Jordan vectors (log eigenvalue moduli, descending),
         computed once per conjugacy class on its canonical cyclic word."""
         from .spectra import jordan_logs  # spectra builds on this module
-        classes: dict[str, int] = {}
-        member = [classes.setdefault(canonical_cyclic(g.word), len(classes))
-                  for g in self._elements]
-        fwd = [self.row[w] for w in classes]
-        bwd = [self.row[inverse_word(w)] for w in classes]
+        words, member = self.classes
+        fwd = [self.row[w] for w in words]
+        bwd = [self.row[inverse_word(w)] for w in words]
         return jordan_logs(self.products[fwd], self.products[bwd])[member]
 
 

@@ -1,7 +1,11 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anosovlab import boundary
 from anosovlab.boundary import (FlagSample, LimitCloud, controlled_set_check,
@@ -10,11 +14,13 @@ from anosovlab.boundary import (FlagSample, LimitCloud, controlled_set_check,
 from anosovlab.functors import (direct_sum_rep, flag_wedge,
                                 representation_from_matrices,
                                 tau_representation, wedge_power)
-from anosovlab.groups import inverse_word
+from anosovlab.groups import (canonical_cyclic, cyclic_reduce, free_reduce,
+                              inverse_word)
 from anosovlab.linalg import (Subspace, apply_to_subspace, direct_sum_margin,
                               point_subspace_distance, proj_distance,
                               subspace_distance, top_invariant_subspace)
 from anosovlab.spectra import cartan_jordan
+from tests.conftest import load_example_config
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +139,106 @@ class TestLimitSamples:
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError, match="no proximal"):
                 limit_samples(rep, 2, 3)
+
+
+# 40-digit letters of the shipped Schottky pair and their inverses
+_LETTERS = {}
+for _label, _rows in load_example_config(
+        "schottky_sl2")["representation"]["generators"].items():
+    with mpmath.workdps(40):
+        _LETTERS[_label] = mpmath.matrix(_rows)
+        _LETTERS[_label.upper()] = mpmath.inverse(_LETTERS[_label])
+
+
+@functools.lru_cache(maxsize=None)
+def osculating_plane(word: str, d: int, k: int) -> np.ndarray:
+    """Orthonormal frame of the exact attracting k-plane of tau_d(word).
+
+    tau_d acts on degree-(d-1) forms by precomposition with the inverse,
+    so its attracting k-plane is the osculating k-plane of the Veronese
+    curve at L^(d-1), span{L^(d-j) L'^(j-1) : j <= k}, for the attracting
+    linear form L (the top eigenvector of the base word's inverse
+    transpose) and any L' independent of it.  Coefficients by Y-degree,
+    from 40-digit mpmath products."""
+    with mpmath.workdps(40):
+        M = mpmath.eye(2)
+        for ch in word:
+            M = M * _LETTERS[ch]
+        E, V = mpmath.eig(mpmath.inverse(M).T)
+        top = max(range(2), key=lambda i: abs(E[i]))
+        l0, l1 = mpmath.re(V[0, top]), mpmath.re(V[1, top])
+
+        def power(u0, u1, p):
+            return [mpmath.binomial(p, t) * u0 ** (p - t) * u1 ** t
+                    for t in range(p + 1)]
+
+        cols = []
+        for j in range(k):
+            a, b = power(l0, l1, d - 1 - j), power(-l1, l0, j)
+            cols.append([sum(a[t - s] * b[s] for s in range(len(b))
+                             if 0 <= t - s < len(a)) for t in range(d)])
+    return np.linalg.qr(np.array(cols, dtype=float).T)[0]
+
+
+def flag_errors(sample: FlagSample) -> dict:
+    """Sine of the largest principal angle between each flag of a sample
+    and its exact value."""
+    w = sample.witness.word
+    d, m = sample.xi1_plus.ambient_dim, sample.xim_plus.rank
+    exact = {"xi1_plus": osculating_plane(w, d, 1),
+             "xim_plus": osculating_plane(w, d, m),
+             "xi1_minus": osculating_plane(inverse_word(w), d, 1),
+             "xi_dm_minus": osculating_plane(inverse_word(w), d, d - m),
+             "xi_d1_minus": osculating_plane(inverse_word(w), d, d - 1)}
+    return {name: subspace_distance(Subspace(E), getattr(sample, name))
+            for name, E in exact.items()}
+
+
+class TestExactFlags:
+    """Every flag against the osculating planes of the Veronese curve."""
+
+    @pytest.mark.parametrize("d, m", [
+        (d, m) for d in range(3, 8)
+        for m in sorted({1, 2, d - 2, d // 2} & set(range(1, d)))])
+    def test_flags_match_osculating_planes(self, schottky_rep, d, m):
+        cloud = limit_samples(tau_representation(schottky_rep, d), m, 4)
+        # one sample per non-identity word of length <= 4 that is no
+        # proper power (aa, ABBa = A BB a, ...): 160 - 28
+        assert len(cloud) == 132
+        worst = max(max(flag_errors(s).values()) for s in cloud.samples)
+        assert worst <= 1e-9
+
+    def test_tau5_conjugate_sampled(self, schottky_rep):
+        # bbaBB has sigma_1/lambda_1 ~ 1e8: its rounded product showed a
+        # spurious complex pair, and its own flags were off by 3e-4
+        cloud = limit_samples(tau_representation(schottky_rep, 5), 2, 5)
+        sample, = [s for s in cloud.samples if s.witness.word == "bbaBB"]
+        assert max(flag_errors(sample).values()) <= 1e-12
+
+
+def reduced_words(alphabet: str):
+    return st.lists(st.sampled_from(alphabet), min_size=1, max_size=12).map(
+        lambda letters: free_reduce("".join(letters))).filter(bool)
+
+
+class TestConjugators:
+    @given(reduced_words("aAbB") | reduced_words("aAbBcC"))
+    def test_reduced_conjugators(self, w):
+        c = canonical_cyclic(w)
+        P, Q = boundary._conjugators(w, c)
+        for x, core in ((P, c), (Q, inverse_word(c))):
+            assert free_reduce(x) == x and len(x) < len(w)
+            assert free_reduce(x + c + inverse_word(x)) == w
+            # x core is a reduced product
+            assert free_reduce(x + core) == x + core
+
+    def test_examples(self):
+        # w = u core u^-1 with u = "b", core = "aB", c = "Ba" = core[1:] +
+        # core[:1]: P = u c[1:] = "ba", Q = u c[:1]^-1 = "bb"
+        assert canonical_cyclic("baBB") == "Ba"
+        assert boundary._conjugators("baBB", "Ba") == ("ba", "bb")
+        assert boundary._conjugators("aab", "aab") == ("", "")
+        assert cyclic_reduce("baBB") == "aB"
 
 
 class TestTransversality:
