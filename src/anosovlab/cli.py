@@ -68,10 +68,37 @@ def _require(cfg: dict, key: str, types, path: str):
     return value
 
 
+# the top-level keys of a config, and the fields each recipe kind reads
+# (a matrices recipe may also carry the optional "name")
+_CONFIG_KEYS = ("name", "description", "representation", "radius", "seed",
+                "experiment")
+_RECIPE_FIELDS = {
+    "matrices": ("kind", "dim", "generators", "name"),
+    "su21": ("kind", "generators"),
+    "tau": ("kind", "base", "d"),
+    "wedge": ("kind", "base", "k"),
+    "sym2": ("kind", "base"),
+    "perturb": ("kind", "base", "eps", "seed"),
+    "direct_sum": ("kind", "left", "right"),
+}
+
+
+def _reject_unknown(obj: dict, known, path: str, owner: str) -> None:
+    """Exit at the first key of ``obj`` outside ``known``."""
+    for key in obj:
+        if key not in known:
+            reads = ", ".join(k for k in known if k != "kind")
+            raise ConfigError(f"{path}.{key}",
+                              f"not a field of {owner}, which reads {reads}")
+
+
 def _validate_recipe(recipe, path: str) -> None:
     if not isinstance(recipe, dict):
         raise ConfigError(path, "representation recipe must be an object")
     kind = _require(recipe, "kind", str, path)
+    if kind in _RECIPE_FIELDS:
+        _reject_unknown(recipe, _RECIPE_FIELDS[kind], path,
+                        f"recipe kind {kind!r}")
     if kind == "matrices":
         gens = _require(recipe, "generators", dict, path)
         if not gens:
@@ -143,12 +170,8 @@ def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}",
                               f"expected {expected}, got {value!r}")
 
-    fields = _FIELDS[exp["kind"]]
-    for key in exp:
-        if key != "kind" and key not in fields:
-            raise ConfigError(f"{path}.{key}",
-                              f"not a field of kind {exp['kind']!r}, which "
-                              f"reads {', '.join(fields)}")
+    _reject_unknown(exp, ["kind", *_FIELDS[exp["kind"]]], path,
+                    f"kind {exp['kind']!r}")
     for key, lo in _COUNT_FIELDS.items():
         if key in exp:
             check(_is_int(exp[key], lo), key, f"an integer >= {lo}", exp[key])
@@ -199,10 +222,15 @@ def _check_bounds(exp: dict, fields: dict, dim: int, radius: int) -> None:
             raise ConfigError("config.radius", f"expected an integer >= "
                               f"{value + 1} for the {exp['kind']} default "
                               f"n_min {value}, got {radius}")
-        scope = f"radius {radius}" if key == "n_min" else f"dimension {dim}"
+        scope, size = ("radius", radius) if key == "n_min" else ("dimension",
+                                                                 dim)
+        if lo > hi:  # every empty range here has hi = size - 1
+            raise ConfigError(f"config.experiment.{field_path}",
+                              f"kind {exp['kind']!r} needs {scope} >= "
+                              f"{lo + 1}, got {size}")
         raise ConfigError(f"config.experiment.{field_path}",
                           f"expected an integer in [{lo}, {hi}] for "
-                          f"{scope}, got {value!r}")
+                          f"{scope} {size}, got {value!r}")
 
 
 def _is_numeric(rows) -> bool:
@@ -225,6 +253,7 @@ def load_config(path: Path) -> dict:
                                      f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")
+    _reject_unknown(cfg, _CONFIG_KEYS, "config", "a config")
     _validate_recipe(_require(cfg, "representation", dict, "config"),
                      "config.representation")
     _check_radius(_require(cfg, "radius", int, "config"))

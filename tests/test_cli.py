@@ -103,6 +103,44 @@ class TestValidation:
         assert "non-invertible" in capsys.readouterr().err
 
 
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        # a misspelt seed next to a recipe field matrices does not read
+        rep = dict(BASE_REP, dimension=3)
+        cfg = {"representation": rep, "radius": 2, "seed": 0, "sed": 5,
+               "experiment": {"kind": "certify"}}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert "error: config.sed: not a field of a config, which reads " \
+               "name, description, representation, radius, seed, " \
+               "experiment" in err
+
+    @pytest.mark.parametrize("recipe, path", [
+        (dict(BASE_REP, dimension=3), "representation.dimension"),
+        ({"kind": "tau", "d": 3, "base": BASE_REP, "dim": 3},
+         "representation.dim"),
+        ({"kind": "tau", "d": 3, "base": dict(BASE_REP, k=2)},
+         "representation.base.k"),
+        ({"kind": "direct_sum", "left": BASE_REP,
+          "right": {"kind": "sym2", "base": BASE_REP, "d": 3}},
+         "representation.right.d"),
+        ({"kind": "perturb", "base": BASE_REP, "eps": 0.1, "seed": 1,
+          "name": "p"}, "representation.name"),
+    ])
+    def test_unknown_recipe_field(self, tmp_path, capsys, recipe, path):
+        cfg = {"representation": recipe, "radius": 2, "seed": 0,
+               "experiment": {"kind": "certify"}}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config.{path}: not a field of recipe kind " in err
+
+    def test_named_matrices_recipe_accepted(self, tmp_path):
+        # build_representation reads the optional name of a matrices recipe
+        cfg = {"representation": dict(BASE_REP, name="pair"), "radius": 2,
+               "seed": 0, "description": "", "name": "n",
+               "experiment": {"kind": "certify"}}
+        assert load_config(write_config(tmp_path, cfg))["name"] == "n"
+
+
 class TestExperimentFields:
     @pytest.mark.parametrize("kind, key, value, path", [
         ("certify", "ks", "1", "ks"),
@@ -159,8 +197,13 @@ class TestExperimentFields:
                "experiment": {"kind": kind}}
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
         err = capsys.readouterr().err
-        assert "error: config.experiment.m: expected an integer in [" in err
-        assert "for dimension 2, got 2" in err
+        if kind in ("alpha", "hyperconvex"):
+            # m >= 2 leaves no m in range at dimension 2
+            assert (f"error: config.experiment.m: kind {kind!r} needs "
+                    f"dimension >= 3, got 2") in err
+        else:
+            assert "error: config.experiment.m: expected an integer in [" in err
+            assert "for dimension 2, got 2" in err
 
     def test_field_accepted_iff_kind_reads_it(self, tmp_path):
         valid = {"ks": [1], "k": 1, "m": 1, "i": 1, "K": 5,
