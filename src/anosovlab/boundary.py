@@ -95,10 +95,12 @@ def _conjugators(word: str, c: str) -> tuple[str, str]:
     return (u + c[j:] if j else u), u + inverse_word(c[:j])
 
 
-def _moved(table: dict, words: list[str], frames: np.ndarray) -> np.ndarray:
-    """Orthonormal frames of the spans of ``M(w_n) frames[n]``, where M(w)
-    is the product of ``table[letter]`` along w, from the last letter to
-    the first: one stacked matmul and QR per letter position (words are
+def _moved(letters: dict, words: list[str], frames: np.ndarray,
+           transposed: bool = False) -> np.ndarray:
+    """Orthonormal frames of the spans of ``M(w_n) frames[n]``, or of
+    ``M(w_n)^T frames[n]`` if ``transposed``, where M(w) is the product of
+    ``letters[x]`` along w.  The letters act one at a time, the last
+    first: one stacked matmul and QR per letter position (words are
     right-aligned, shorter ones padded with the identity).
 
     The rounded product M(w) carries an absolute error of about
@@ -106,15 +108,17 @@ def _moved(table: dict, words: list[str], frames: np.ndarray) -> np.ndarray:
     (a middle rank) does not survive: moved by the rounded M(P), the
     exact tau_7 3-planes of the radius-5 ball are off by up to 7e-7,
     moved letter by letter by 5e-14."""
-    d = frames.shape[1]
-    code = {label: n + 1 for n, label in enumerate(table)}
-    stack = np.array([np.eye(d), *table.values()])
+    if transposed:  # M(w)^T is the product of the transposes, reversed
+        letters = {x: L.T for x, L in letters.items()}
+        words = [w[::-1] for w in words]
+    code = {x: n + 1 for n, x in enumerate(letters)}
+    stack = np.array([np.eye(frames.shape[1]), *letters.values()])
     width = max(map(len, words), default=0)
-    letters = np.zeros((len(words), width), dtype=np.intp)
+    codes = np.zeros((len(words), width), dtype=np.intp)
     for n, w in enumerate(words):
-        letters[n, width - len(w):] = [code[x] for x in w]
+        codes[n, width - len(w):] = [code[x] for x in w]
     for t in reversed(range(width)):
-        frames = np.linalg.qr(stack[letters[:, t]] @ frames)[0]
+        frames = np.linalg.qr(stack[codes[:, t]] @ frames)[0]
     return frames
 
 
@@ -169,23 +173,18 @@ class _ClassFlags:
         position = {k: p for p, k in enumerate(extracted)}
         self._class = np.array([position[member[i]] for i in self.index],
                                dtype=np.intp)
-        gens = ball.gens.matrices
-        self._tables = {False: {x: M.mat for x, M in gens.items()},
-                        True: {x: M.mat.T for x, M in gens.items()}}
-        # the letters of each source word, with the table they index
-        cls = [words[k] for k in extracted]
-        source_words = {"A": (cls, False),
-                        "B": ([inverse_word(c) for c in cls], False),
-                        "At": ([c[::-1] for c in cls], True),
-                        "Bt": ([c.swapcase() for c in cls], True)}
+        self._letters = {x: M.mat for x, M in ball.gens.matrices.items()}
+        fwd = [words[k] for k in extracted]
+        bwd = [inverse_word(c) for c in fwd]
+        source_words = {"A": fwd, "B": bwd, "At": fwd, "Bt": bwd}
         d = products.shape[1]
         self._frames = {}
         for n, (src, rank) in enumerate(keys):
-            frames = np.array([f[n] for f in extracted.values()])
-            frames = frames.reshape(-1, d, rank)
-            src_words, transposed = source_words[src]
+            frames = np.array([f[n] for f in extracted.values()]).reshape(
+                -1, d, rank)
             for _ in range(2):
-                frames = _moved(self._tables[transposed], src_words, frames)
+                frames = _moved(self._letters, source_words[src], frames,
+                                transposed=src.endswith("t"))
             self._frames[src, rank] = frames
         conj = [_conjugators(ball[i].word, words[member[i]])
                 for i in self.index]
@@ -202,10 +201,9 @@ class _ClassFlags:
         conj_words = [self._conj[conj][t] for t in sel]
         frames = self._frames[src, rank][self._class[list(sel)]]
         if not dual:
-            return _signed(_moved(self._tables[False], conj_words, frames))
-        # M(x)^-T is the product of the letters' inverse transposes
-        moved = _moved(self._tables[True],
-                       [x.swapcase() for x in conj_words], frames)
+            return _signed(_moved(self._letters, conj_words, frames))
+        moved = _moved(self._letters, [inverse_word(x) for x in conj_words],
+                       frames, transposed=True)  # M(x)^-T = M(x^-1)^T
         return _signed(np.linalg.svd(moved)[0][..., rank:])
 
 
@@ -269,7 +267,7 @@ def limit_samples(rep: Representation, m: int, radius: int,
         n = len(kept)
         if n and float(np.max(np.abs(points[:n] @ v))) > cos_thresh:
             continue
-        points[len(kept)] = v
+        points[n] = v
         kept.append(t)
     if not kept:
         raise ValueError("no proximal elements found in the ball")

@@ -102,7 +102,6 @@ class TestValidation:
         assert main(["run", str(path)]) == 1
         assert "non-invertible" in capsys.readouterr().err
 
-
     def test_unknown_top_level_key(self, tmp_path, capsys):
         # a misspelt seed next to a recipe field matrices does not read
         rep = dict(BASE_REP, dimension=3)
@@ -110,9 +109,9 @@ class TestValidation:
                "experiment": {"kind": "certify"}}
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
         err = capsys.readouterr().err
-        assert "error: config.sed: not a field of a config, which reads " \
-               "name, description, representation, radius, seed, " \
-               "experiment" in err
+        assert ("error: config.sed: not a field of a config, which reads "
+                "name, description, representation, radius, seed, "
+                "experiment") in err
 
     @pytest.mark.parametrize("recipe, path", [
         (dict(BASE_REP, dimension=3), "representation.dimension"),
@@ -202,7 +201,8 @@ class TestExperimentFields:
             assert (f"error: config.experiment.m: kind {kind!r} needs "
                     f"dimension >= 3, got 2") in err
         else:
-            assert "error: config.experiment.m: expected an integer in [" in err
+            assert ("error: config.experiment.m: expected an integer in ["
+                    in err)
             assert "for dimension 2, got 2" in err
 
     def test_field_accepted_iff_kind_reads_it(self, tmp_path):
