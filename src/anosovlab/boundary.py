@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .functors import Representation
 from .groups import GroupElement, cyclic_reduce, enumerate_ball, inverse_word
@@ -74,9 +75,12 @@ class LimitCloud:
         if len(pts) < 2:
             return {"n": len(pts), "nn_max": math.nan, "nn_mean": math.nan,
                     "nn_min": math.nan}
-        gram = np.clip(np.abs(pts @ pts.T), 0.0, 1.0)
-        np.fill_diagonal(gram, 0.0)
-        nn = np.sqrt(1.0 - gram.max(axis=1) ** 2)
+        # nearest of +-q by chordal distance (no cancellation; the first
+        # hit is p or a copy of it), then proj_distance's residual sine
+        _, hit = cKDTree(np.vstack([pts, -pts])).query(pts, k=2)
+        near = pts[hit[:, 1] % len(pts)]
+        resid = near - pts * (pts * near).sum(axis=1)[:, None]
+        nn = np.minimum(1.0, np.linalg.norm(resid, axis=1))
         return {"n": len(pts), "nn_max": float(nn.max()),
                 "nn_mean": float(nn.mean()), "nn_min": float(nn.min())}
 

@@ -27,7 +27,7 @@ from .functors import build_representation, perturb_rep
 from .geometry import build_chart, chart_coords, hoelder_regression
 from .groups import BallTooLargeError, enumerate_ball
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
-                      gelfand_check, spectral_table)
+                      gelfand_check, spectral_kernel, spectral_table)
 
 # The experiment fields each kind reads, with their defaults: any other
 # field is rejected.  A callable default depends on the run and is called
@@ -573,6 +573,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         "tolerances": {key: value for key, value in fields.items()
                        if key in _POSITIVE_FIELDS + _REAL_FIELDS},
         "results": results,
+        "diagnostics": {"spectral_kernel": spectral_kernel(rep.generators)},
         "property_satisfied": bool(ok),
         "outputs": sorted(artifacts),
         "wall_clock_s": round(time.perf_counter() - started, 6),

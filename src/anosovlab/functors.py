@@ -25,7 +25,6 @@ __all__ = [
     "wedge_power",
     "sym_square",
     "veronese_point",
-    "veronese_hyperplane",
     "flag_wedge",
     "direct_sum_rep",
     "build_su21_rep",
@@ -69,10 +68,6 @@ def representation_from_matrices(gens: dict, name: str = "") -> Representation:
 # matrix-level functors
 
 
-def _as_unit(g) -> MatrixD:
-    return g if isinstance(g, MatrixD) else normalize_lift(g)
-
-
 def tau_d(g, d: int) -> MatrixD:
     """Standard irreducible representation of a 2x2 matrix in dimension d.
 
@@ -84,7 +79,7 @@ def tau_d(g, d: int) -> MatrixD:
     """
     if d < 2:
         raise ValueError("tau_d requires d >= 2")
-    M = _as_unit(g)
+    M = normalize_lift(g)
     if M.dim != 2:
         raise ValueError("tau_d expects a 2x2 matrix")
     A = M.mat
@@ -139,7 +134,7 @@ def wedge_power(M, k: int) -> MatrixD:
     products of those of M.  The input is normalized first; the image of
     a unit-determinant matrix has unit determinant exactly.
     """
-    Mu = _as_unit(M)
+    Mu = normalize_lift(M)
     A, d = Mu.mat, Mu.dim
     if not 1 <= k <= d - 1:
         raise ValueError(f"wedge index k={k} out of range for dimension {d}")
@@ -160,7 +155,7 @@ def sym_square(M) -> MatrixD:
     singular-value identities hold exactly (S of an orthogonal matrix is
     orthogonal).
     """
-    Mu = _as_unit(M)
+    Mu = normalize_lift(M)
     A, d = Mu.mat, Mu.dim
     pairs = _sym_pairs(d)
     rt2 = np.sqrt(2.0)
@@ -188,24 +183,6 @@ def veronese_point(v) -> Subspace:
     return Subspace.line(coords)
 
 
-def veronese_hyperplane(W) -> Subspace:
-    """Image of a hyperplane under the dual symmetric-square embedding:
-    span{v (x) w + w (x) v : w in W, v in R^d}, a hyperplane in
-    Sym2(R^d).  Signs are quotiented projectively, so any frame of W
-    gives the same subspace."""
-    F = W.frame if isinstance(W, Subspace) else np.asarray(W, dtype=float)
-    d = F.shape[0]
-    pairs = _sym_pairs(d)
-    rt2 = np.sqrt(2.0)
-    span = []
-    for w in F.T:
-        for v in np.eye(d):
-            X = np.outer(v, w) + np.outer(w, v)
-            span.append([X[i, j] * (1.0 if i == j else rt2)
-                         for (i, j) in pairs])
-    return Subspace.from_spanning(np.array(span).T)
-
-
 def flag_wedge(V: Subspace) -> Subspace:
     """The line [v_1 ^ ... ^ v_m] in the wedge space, for any frame of V;
     independent of the frame choice up to sign."""
@@ -224,10 +201,11 @@ def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
     d1, d2 = r1.dim, r2.dim
 
     def block(label):
+        M1, M2 = (r.generators.matrices[label] for r in (r1, r2))
         blk = np.zeros((d1 + d2, d1 + d2))
-        blk[:d1, :d1] = r1.generators.matrices[label].mat
-        blk[d1:, d1:] = r2.generators.matrices[label].mat
-        return blk
+        blk[:d1, :d1] = M1.mat
+        blk[d1:, d1:] = M2.mat
+        return MatrixD(blk, M1.det_sign * M2.det_sign)
 
     gens = {label: block(label) for label in l1}
     invs = {label: block(label.upper()) for label in l1}
@@ -356,8 +334,8 @@ def _map_generators(rep: Representation, fn, recipe: dict) -> Representation:
     # image numerically would lose the small spectrum for stiff inputs
     gens, invs = {}, {}
     for label in rep.generators.positive_labels:
-        gens[label] = fn(rep.generators.matrices[label]).mat
-        invs[label] = fn(rep.generators.matrices[label.upper()]).mat
+        gens[label] = fn(rep.generators.matrices[label])
+        invs[label] = fn(rep.generators.matrices[label.upper()])
     return Representation(
         generators=GeneratorSet.from_matrices(gens, inverses=invs),
         recipe=recipe)

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .linalg import MatrixD, eigen_moduli, normalize_lift
+from .linalg import MatrixD, normalize_lift
 
 __all__ = [
     "GeneratorSet",
@@ -26,7 +26,6 @@ __all__ = [
     "Ball",
     "BallTooLargeError",
     "enumerate_ball",
-    "is_infinite_order_proxy",
     "inverse_word",
     "free_reduce",
     "cyclic_reduce",
@@ -95,7 +94,8 @@ class GeneratorSet:
         Inverses are inverted numerically unless passed explicitly;
         callers that know the inverse in closed form (functor images of a
         base inverse) should pass it, since numerical inversion loses the
-        small spectrum of badly conditioned generators.
+        small spectrum of badly conditioned generators.  A
+        :class:`MatrixD` (a functor image) is kept as it is.
         """
         if not gens:
             raise ValueError("at least one generator required")
@@ -172,19 +172,22 @@ class Ball(Sequence):
     A sequence of :class:`GroupElement` sorted by (length, word), after
     merging words with equal matrices.  ``products`` stacks the
     left-to-right products of *every* reduced word of length <= radius,
-    merged or kept, and ``row`` maps each word to its index there.  The
+    merged or kept, in the order of the list ``words``, and ``row`` maps
+    each word to its index there.  The
     inverse word and every rotation of the cyclic core of a ball word are
     again reduced words of no greater length, so their matrices are rows
     of the same stack, even where that word itself was merged away.
 
-    Spectral arrays over the elements (rows in ball order) are computed
-    on first use, one stacked call each, and live as long as the ball.
+    The Cartan and Jordan arrays over the elements (rows in ball order)
+    are computed together on first use, by one compound ladder along the
+    words, and live as long as the ball.
     """
 
     def __init__(self, gens: GeneratorSet, words: list[str],
                  products: np.ndarray, keep: list[int]):
         products.flags.writeable = False
         self.gens = gens
+        self.words = words
         self.products = products
         self.row = {w: i for i, w in enumerate(words)}
         self.rows = np.array(keep)
@@ -206,13 +209,6 @@ class Ball(Sequence):
         return self._elements[index]
 
     @cached_property
-    def cartan(self) -> np.ndarray:
-        """(n, d) Cartan vectors (log singular values, descending)."""
-        from .spectra import cartan_logs  # spectra builds on this module
-        return cartan_logs(self.products[self.rows],
-                           self.products[self.inverse_rows])
-
-    @cached_property
     def classes(self) -> tuple[list[str], np.ndarray]:
         """The canonical cyclic words of the elements' conjugacy classes,
         in order of first appearance, and the class index of each
@@ -224,14 +220,25 @@ class Ball(Sequence):
         return list(keys), member
 
     @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        from .spectra import ladder_logs  # spectra builds on this module
+        words, member = self.classes
+        cartan, jordan = ladder_logs(
+            self.gens, self.words, self.products, self.rows,
+            self.inverse_rows, [self.row[w] for w in words],
+            [self.row[inverse_word(w)] for w in words])
+        return cartan, jordan[member]
+
+    @property
+    def cartan(self) -> np.ndarray:
+        """(n, d) Cartan vectors (log singular values, descending)."""
+        return self._spectra[0]
+
+    @property
     def jordan(self) -> np.ndarray:
         """(n, d) Jordan vectors (log eigenvalue moduli, descending),
         computed once per conjugacy class on its canonical cyclic word."""
-        from .spectra import jordan_logs  # spectra builds on this module
-        words, member = self.classes
-        fwd = [self.row[w] for w in words]
-        bwd = [self.row[inverse_word(w)] for w in words]
-        return jordan_logs(self.products[fwd], self.products[bwd])[member]
+        return self._spectra[1]
 
 
 def enumerate_ball(gens: GeneratorSet, radius: int) -> Ball:
@@ -305,12 +312,3 @@ def _dedup_indices(words, mats, tol) -> list[int]:
             best[r] = i
     return sorted(best.values(), key=lambda i: (len(words[i]), words[i]))
 
-
-def is_infinite_order_proxy(g: GroupElement) -> bool:
-    """True iff the top-to-bottom eigenvalue modulus ratio exceeds 1 + 1e-9.
-
-    Elliptic and finite-order elements (all moduli 1) return False; this
-    is a numerical proxy, not an order computation.
-    """
-    lam = eigen_moduli(g.matrix)
-    return bool(lam[0] / lam[-1] > 1.0 + 1e-9)

@@ -138,8 +138,11 @@ def normalize_lift(M) -> MatrixD:
     """Rescale an invertible matrix into SL^±_d(R).
 
     Returns M / |det M|^(1/d) together with the determinant sign.  All
-    ratios of eigenvalues and singular values are unchanged.
+    ratios of eigenvalues and singular values are unchanged.  A MatrixD is
+    kept as it is: its determinant, read off rounded entries, errs by eps*cond.
     """
+    if isinstance(M, MatrixD):
+        return M
     A = _as_matrix(M)
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")

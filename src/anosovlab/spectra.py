@@ -2,20 +2,18 @@
 certification, the optimal-regularity ratio estimator, Gelfand-limit
 checks and the Jordan/Cartan cone diagnostic.
 
-One kernel, :func:`cartan_logs` and :func:`jordan_logs`, maps a stack of
-matrices and the stack of their inverses to (n, d) log-vectors.  A ball
-feeds it its products once, and every analytic here reduces over the
-resulting arrays; :func:`cartan_jordan` feeds it a stack of one.
-
-Accuracy notes.  Jordan data (eigenvalue moduli) is conjugation
-invariant, so it is computed once per conjugacy class, on the canonical
-cyclically reduced word, whose matrix is an aligned product with
-well-conditioned spectrum.  For both Cartan and Jordan vectors the moduli
->= 1 are read from the element and the moduli < 1 from its inverse
-(mu_i(g) = 1/mu_(d+1-i)(g^-1)); the remaining unit-determinant defect is
-redistributed onto the worst-conditioned middle indices.  This keeps
-log-ratios of the extreme moduli accurate to ~1e-11 even for deep words
-whose matrix norms dwarf their middle spectrum.
+One kernel, the compound ladder :func:`ladder_logs`, gives the Cartan
+vectors of a ball's words (or of one element's, :func:`cartan_jordan`)
+and the Jordan vectors of their classes' canonical cyclic words.  By
+Cauchy-Binet the k-th exterior power of a word's matrix is the product
+of its letters', and its top singular value or eigenvalue modulus gives
+the sum of the top k logs, free of the rounded product's loss of every
+value below ``sigma_1 * eps``.  Per diagonal block of the generators,
+of dimension n, the top floor(n/2) indices come from the word, the
+bottom floor(n/2) from its inverse and an odd middle one from log|det|.
+Compounds are built while C(n, k) <= 126 (every index up to n = 9); a
+larger block takes the rest of its middle from the block product's own
+spectrum, shifted to its log|det|, and :func:`spectral_kernel` says so.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functors import Representation, wedge_power
-from .groups import (GroupElement, canonical_cyclic, enumerate_ball,
-                     inverse_word)
+from .functors import Representation, _wedge_coordinates, wedge_indices
+from .groups import (GeneratorSet, GroupElement, canonical_cyclic,
+                     enumerate_ball, inverse_word)
 from .linalg import MatrixD, SpectralData, eigen_moduli, singular_values
 
 __all__ = [
@@ -46,114 +44,133 @@ __all__ = [
 VERDICT_LINEAR = "gap grows linearly"
 VERDICT_NOT_LINEAR = "linear growth not established"
 
-def _merged_log_moduli(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    """Combine descending modulus vectors of an element and its inverse.
-
-    Entries >= 1 come from ``fwd``, the rest from the reversed
-    reciprocals of ``bwd``.  The sum-log defect is then absorbed entirely
-    by the single mid-spectrum index farthest from both extremes, which
-    is the one whose direct estimate is least accurate and the dominant
-    source of the defect; the result sums to zero exactly.
-    """
-    merged = np.where(fwd >= 1.0, fwd, 1.0 / bwd[::-1])
-    ll = np.log(np.sort(merged)[::-1])
-    defect = ll.sum()
-    mid = int(np.argmax(np.minimum(ll[0] - ll, ll - ll[-1])))
-    ll[mid] -= defect
-    return np.sort(ll)[::-1]
+_COMPOUND_CAP = 126  # = C(9, 4): the largest compound the ladder builds
+# Byte budget of each chunk of word compounds the ladder holds; it holds
+# one chunk per word length.  Wedge^4 of a 9x9 block takes 127 KB.
+_LADDER_BYTES = 2 << 20
 
 
-def _wedge_refined_logs(Mf, Mb, merged: np.ndarray,
-                        suspect: np.ndarray) -> np.ndarray:
-    """Repair suspect log moduli via top eigenvalues of exterior powers.
-
-    lam_i = lam_1(wedge^i M) / lam_1(wedge^(i-1) M); top eigenvalues of
-    the compound matrices stay relatively accurate when the suspect
-    moduli sit far below the matrix norm.  Only indices flagged suspect
-    are replaced -- the cross-validated ones are already reliable, and
-    for strongly non-normal inputs the compounds themselves degrade.
-    The top indices come from M, the bottom ones from its inverse by
-    duality; compounds of size above 128 are skipped (full coverage up
-    to d = 9) and the unit-determinant defect lands on the least
-    reliable uncovered index.
-    """
-    d = Mf.dim
-
-    def ladder_diffs(M, count):
-        out, prev = [], 0.0
-        for i in range(1, count + 1):
-            if math.comb(d, i) > 128:
-                break
-            W = M if i == 1 else wedge_power(M, i)
-            t = math.log(eigen_moduli(W)[0])
-            out.append(t - prev)
-            prev = t
-        return out
-
-    half = d // 2
-    top = ladder_diffs(Mf, half)
-    bot = ladder_diffs(Mb, d - half)
-    ll = merged.copy()
-    covered = np.zeros(d, dtype=bool)
-    for i, val in enumerate(top):
-        if suspect[i]:
-            ll[i] = val
-        covered[i] = True
-    for j, val in enumerate(bot):
-        if suspect[d - 1 - j]:
-            ll[d - 1 - j] = -val
-        covered[d - 1 - j] = True
-    defect = ll.sum()
-    pool = np.flatnonzero(~covered if not covered.all() else suspect)
-    if pool.size == 0:
-        pool = np.arange(d)
-    w = np.minimum(ll[0] - ll[pool], ll[pool] - ll[-1])
-    ll[pool[int(np.argmax(w))]] -= defect
-    return np.sort(ll)[::-1]
+def _diagonal_blocks(gens: GeneratorSet) -> list[np.ndarray]:
+    """Index sets of the generators' common diagonal blocks, in order."""
+    d = gens.dim
+    linked = np.eye(d, dtype=bool) | np.any(
+        [(M.mat != 0) | (M.mat.T != 0) for M in gens.matrices.values()], 0)
+    least = np.arange(d)
+    for _ in range(d):  # spread each component's least index along links
+        least = np.where(linked, least, d).min(axis=1)
+    return [np.flatnonzero(least == i) for i in np.unique(least)]
 
 
-def cartan_logs(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    """(n, d) Cartan vectors of a stack of matrices ``fwd``, given the
-    stack ``bwd`` of their inverses."""
-    return np.array([_merged_log_moduli(f, b) for f, b in
-                     zip(singular_values(fwd), singular_values(bwd))])
+def _rungs(n: int) -> int:
+    """The largest k <= n/2 with C(n, k) <= ``_COMPOUND_CAP``."""
+    return max(k for k in range(n // 2 + 1)
+               if math.comb(n, k) <= _COMPOUND_CAP)
 
 
-def jordan_logs(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    """(n, d) Jordan vectors of a stack of matrices ``fwd``, given the
-    stack ``bwd`` of their inverses.  A matrix and its inverse are two
-    computations of one spectrum; rows where their logs differ by over
-    1e-9 outside the determinant-corrected middle index are repaired from
-    exterior powers.
-    """
-    out = []
-    for Mf, Mb, f, b in zip(fwd, bwd, eigen_moduli(fwd), eigen_moduli(bwd)):
-        merged = _merged_log_moduli(f, b)
-        delta = np.abs(np.log(f) + np.log(b)[::-1])
-        mid = int(np.argmax(np.minimum(merged[0] - merged,
-                                       merged - merged[-1])))
-        suspect = delta > 1e-9
-        if suspect.sum() > suspect[mid]:  # a suspect index besides mid
-            merged = _wedge_refined_logs(MatrixD(Mf, 1), MatrixD(Mb, 1),
-                                         merged, suspect)
-        out.append(merged)
-    return np.array(out)
+def spectral_kernel(gens: GeneratorSet) -> dict:
+    """The block dimensions and ``ladder`` or ``capped at k=K`` per block."""
+    dims = [len(b) for b in _diagonal_blocks(gens)]
+    return {"blocks": dims,
+            "paths": ["ladder" if n - 2 * _rungs(n) <= 1
+                      else f"capped at k={_rungs(n)}" for n in dims]}
+
+
+def _compound_logs(letters: dict, words: list[str], reads) -> list:
+    """Per (rows, _, spectrum) of ``reads``, the (K-1, len(rows)) logs of
+    the top ``spectrum`` value of the words' compounds, multiplied from
+    ``letters`` left to right over the prefix-closed ``words``."""
+    sizes = [C.shape[0] for C in next(iter(letters.values()))]
+    if not sizes:
+        return [np.zeros((0, len(at))) for at, *_ in reads]
+    step = max(1, _LADDER_BYTES // (8 * sum(c * c for c in sizes)))
+    row = {w: i for i, w in enumerate(words)}
+    kids = [[] for _ in words]
+    for i, w in enumerate(words[1:], 1):
+        kids[row[w[:-1]]].append(i)
+    need = [np.isin(np.arange(len(words)), at) for at, *_ in reads]
+    logs = [np.zeros((len(sizes), len(words))) for _ in reads]
+
+    def walk(ids, stacks):
+        for (*_, spectrum), wanted, out in zip(reads, need, logs):
+            sel = wanted[ids]
+            if sel.any():
+                for t, S in zip(out, stacks):
+                    t[ids[sel]] = np.log(spectrum(S[sel])[:, 0])
+        sub = np.array([k for i in ids for k in kids[i]], dtype=np.intp)
+        pos = np.repeat(np.arange(len(ids)), [len(kids[i]) for i in ids])
+        for start in range(0, len(sub), step):
+            part, at = sub[start:start + step], pos[start:start + step]
+            last = np.array([words[i][-1] for i in part])
+            grown = [np.empty((len(part), c, c)) for c in sizes]
+            for x, compounds in letters.items():
+                sel = last == x
+                for G, S, L in zip(grown, stacks, compounds):
+                    G[sel] = S[at[sel]] @ L
+            walk(part, grown)
+
+    walk(np.array([row[""]]), [np.eye(c)[None] for c in sizes])
+    del walk  # it refers to itself: free its arrays now, not at a gc pass
+    return [out[:, at] for (at, *_), out in zip(reads, logs)]
+
+
+def ladder_logs(gens: GeneratorSet, words: list[str], products: np.ndarray,
+                rows, inverse_rows, class_rows,
+                class_inverse_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Descending Cartan vectors of the words at ``rows`` and Jordan
+    vectors of the cyclically reduced words at ``class_rows`` (their
+    inverses at ``inverse_rows``, ``class_inverse_rows``), from the
+    prefix-closed, length-sorted ``words`` and their left-to-right
+    ``products``, on which the k = 1 rung of each block is read."""
+    reads = [(np.r_[fwd, bwd].astype(np.intp), len(fwd), spectrum)
+             for fwd, bwd, spectrum in
+             ((rows, inverse_rows, singular_values),
+              (class_rows, class_inverse_rows, eigen_moduli))]
+    vectors = [[], []]
+    for B in _diagonal_blocks(gens):
+        n, K = len(B), _rungs(len(B))
+        P = products if n == gens.dim else products[:, B][:, :, B]
+        letters = {x: M.mat[np.ix_(B, B)] for x, M in gens.matrices.items()}
+        ld = {x: np.linalg.slogdet(L)[1] for x, L in letters.items()}
+        idx = [np.array(wedge_indices(n, k)) for k in range(2, K + 1)]
+        more = _compound_logs({x: [_wedge_coordinates(L, i, i) for i in idx]
+                               for x, L in letters.items()}, words, reads)
+        for (at, m, spectrum), t, out in zip(reads, more, vectors):
+            rows_at, back = np.unique(at, return_inverse=True)
+            S = P if len(rows_at) == len(P) else P[rows_at]  # no full copy
+            own = np.log(spectrum(S))[back]
+            ladder = np.diff(np.vstack([np.zeros(len(at)), own[:, 0], t])
+                             [:K + 1], axis=0)  # (K, len(at)): top K logs
+            hi, lo = ladder[:, :m].T, -ladder[::-1, m:].T
+            mid = own[:m, K:n - K]
+            if n > 2 * K:  # the middle, shifted to the block's log|det|
+                logdet = np.zeros(m)  # a block filling the space has unit
+                if n < gens.dim:      # |det|; slogdet would add eps * cond
+                    logdet[:] = [sum(ld[x] for x in words[i]) for i in at[:m]]
+                mid = mid + ((logdet - hi.sum(axis=1) - lo.sum(axis=1)
+                              - mid.sum(axis=1)) / mid.shape[1])[:, None]
+            out.append(np.hstack([hi, mid, lo]))
+    # descending; adding 0.0 copies the reversed view and clears -0.0
+    return tuple(np.sort(np.hstack(v))[:, ::-1] + 0.0 for v in vectors)
 
 
 def cartan_jordan(g) -> SpectralData:
-    """Cartan vector (log singular values) and Jordan vector (log
-    eigenvalue moduli) of a group element or a matrix, both descending
-    with sum 0."""
+    """Cartan and Jordan vectors (descending, sum 0) of a group element,
+    from the prefixes of its words, or of a matrix as a one-letter word."""
     if isinstance(g, GroupElement):
-        core = canonical_cyclic(g.word)
-        A = g.matrix.mat
-        Ainv, C, Cinv = (g.gens.matrix_of_word(w).mat for w in
-                         (inverse_word(g.word), core, inverse_word(core)))
+        gens, word = g.gens, g.word
     else:
-        A = g.mat if isinstance(g, MatrixD) else np.asarray(g, dtype=float)
-        C, Cinv = A, Ainv = A, np.linalg.inv(A)
-    return SpectralData(mu=cartan_logs(A[None], Ainv[None])[0],
-                        lam=jordan_logs(C[None], Cinv[None])[0])
+        gens, word = GeneratorSet.from_matrices({"a": g}), "a"
+    core = canonical_cyclic(word)
+    ends = {word, inverse_word(word), core, inverse_word(core)}
+    products = {"": np.eye(gens.dim)}
+    for w in sorted({w[:i] for w in ends for i in range(1, len(w) + 1)},
+                    key=lambda w: (len(w), w)):  # as enumerate_ball does
+        products[w] = products[w[:-1]] @ gens.matrices[w[-1]].mat
+    row = {w: i for i, w in enumerate(products)}
+    mu, lam = ladder_logs(
+        gens, list(products), np.array(list(products.values())), [row[word]],
+        [row[inverse_word(word)]], [row[core]], [row[inverse_word(core)]])
+    return SpectralData(mu=mu[0], lam=lam[0])
 
 
 def linefit(x, y):

@@ -500,3 +500,22 @@ def test_coverage_stats(tau3_cloud):
     # finer clouds cover more tightly than coarse nets
     coarse = LimitCloud(samples=tau3_cloud.samples[:4], m=2, rep_recipe={})
     assert coarse.coverage_stats()["nn_mean"] >= stats["nn_min"]
+
+
+def test_coverage_stats_at_dedup_resolution():
+    # two points 1e-7 apart: 1 - cos^2 cancels to about 1% there
+    e = np.eye(3)
+    gens = representation_from_matrices(
+        {"a": np.diag([2.0, 1.0, 0.5])}).generators
+    near = np.array([math.sqrt(1.0 - 1e-14), 1e-7, 0.0])
+    samples = tuple(make_sample(gens, w, p, e[:, :2], e[:, 2:], e[:, 1:],
+                                e[2]) for w, p in (("a", e[0]), ("A", near)))
+    stats = LimitCloud(samples=samples, m=2, rep_recipe={}).coverage_stats()
+    u, v = (s.xi1_plus.vector() for s in samples)
+    with mpmath.workdps(50):
+        cos = mpmath.fsum(mpmath.mpf(x) * mpmath.mpf(y) for x, y in zip(u, v))
+        norms = (mpmath.fsum(mpmath.mpf(x) ** 2 for x in u)
+                 * mpmath.fsum(mpmath.mpf(y) ** 2 for y in v))
+        exact = float(mpmath.sqrt(1 - cos ** 2 / norms))
+    assert stats["nn_min"] == pytest.approx(exact, rel=1e-12)
+    assert stats["nn_max"] == pytest.approx(exact, rel=1e-12)

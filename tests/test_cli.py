@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -266,6 +267,30 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert not summary["property_satisfied"]
         assert summary["results"]["k=2"]["verdict"] != "gap grows linearly"
+
+    def test_summary_reports_kernel_per_block(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", str(config_path("tau_d_plus_tau_d2")),
+                     "--radius", "3", "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diagnostics"]["spectral_kernel"] == {
+            "blocks": [4, 6], "paths": ["ladder", "ladder"]}
+
+    def test_summary_reports_capped_block(self, tmp_path):
+        cfg = {"representation": {"kind": "tau", "d": 10, "base": BASE_REP},
+               "radius": 3, "seed": 0, "experiment": {"kind": "certify"}}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) in (0, 2)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diagnostics"]["spectral_kernel"] == {
+            "blocks": [10], "paths": ["capped at k=3"]}
+        with (out / "spectra.csv").open(newline="") as fh:
+            for row in csv.DictReader(fh):
+                for prefix in ("mu_", "lambda_"):
+                    values = [float(row[f"{prefix}{i}"]) for i in range(1, 11)]
+                    assert all(map(math.isfinite, values))
+                    assert abs(sum(values)) < 1e-9
 
     def test_limitset_svg(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))

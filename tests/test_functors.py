@@ -451,35 +451,3 @@ class TestRecipes:
         for l in rep.generators.positive_labels:
             assert np.abs(rebuilt.generators.matrices[l].mat
                           - rep.generators.matrices[l].mat).max() < 1e-8
-
-
-class TestVeroneseHyperplane:
-    def test_hyperplane_dimension(self):
-        from anosovlab.functors import veronese_hyperplane
-        W = Subspace(np.eye(3)[:, :2])
-        img = veronese_hyperplane(W)
-        assert img.ambient_dim == 6
-        assert img.rank == 5
-
-    def test_orthogonal_point_misses_image(self):
-        from anosovlab.functors import veronese_hyperplane, veronese_point
-        from anosovlab.linalg import point_subspace_distance
-        e = np.eye(3)
-        img = veronese_hyperplane(Subspace(e[:, :2]))
-        # [e3 (x) e3] is the unique squared point off the hyperplane image
-        far = veronese_point(e[2])
-        near = veronese_point(e[0])
-        assert point_subspace_distance(far, img) == pytest.approx(1.0)
-        assert point_subspace_distance(near, img) < 1e-12
-
-    def test_equivariance(self):
-        from anosovlab.functors import veronese_hyperplane
-        rng = np.random.default_rng(60)
-        for _ in range(10):
-            g = normalize_lift(rng.normal(size=(3, 3)))
-            W = Subspace.from_spanning(rng.normal(size=(3, 2)))
-            gW = Subspace.from_spanning(g.mat @ W.frame)
-            lhs = Subspace.from_spanning(sym_square(g).mat
-                                         @ veronese_hyperplane(W).frame)
-            rhs = veronese_hyperplane(gW)
-            assert subspace_distance(lhs, rhs) < 1e-9

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anosovlab.groups import (BallTooLargeError, GeneratorSet, cyclic_reduce,
-                              enumerate_ball, free_reduce, inverse_word,
-                              is_infinite_order_proxy)
+                              enumerate_ball, free_reduce, inverse_word)
+from anosovlab.spectra import cartan_jordan
 
 
 def rotation(theta):
@@ -114,14 +114,22 @@ class TestGeneratorSet:
 
 
 class TestInfiniteOrderProxy:
+    """An element of infinite order shows a spread Jordan vector; elliptic
+    and trivial elements have all moduli 1."""
+
+    @staticmethod
+    def spread(g) -> float:
+        lam = cartan_jordan(g).lam
+        return lam[0] - lam[-1]
+
     def test_hyperbolic(self, schottky_rep):
-        assert is_infinite_order_proxy(schottky_rep.generators.element("a"))
+        assert self.spread(schottky_rep.generators.element("a")) > 1e-9
 
     def test_elliptic(self, rotation_rep):
-        assert not is_infinite_order_proxy(rotation_rep.generators.element("a"))
+        assert self.spread(rotation_rep.generators.element("a")) < 1e-12
 
     def test_identity(self, schottky_rep):
-        assert not is_infinite_order_proxy(schottky_rep.generators.element(""))
+        assert self.spread(schottky_rep.generators.element("")) == 0.0
 
 
 def test_dedup_order_independent():
@@ -145,7 +153,6 @@ class TestBall:
 
     @staticmethod
     def assert_matches_reference(ball, elements):
-        from anosovlab.spectra import cartan_jordan
         gens = ball.gens
         index = {g.word: i for i, g in enumerate(ball)}
         for g in elements:
@@ -159,6 +166,11 @@ class TestBall:
 
     def test_tau3_rows_match_reference(self, tau3_rep):
         ball = enumerate_ball(tau3_rep.generators, 4)
+        self.assert_matches_reference(ball, ball)
+
+    def test_block_sum_rows_match_reference(self, tau5_plus_tau2_rep):
+        # compounds of both blocks, each associated left to right
+        ball = enumerate_ball(tau5_plus_tau2_rep.generators, 3)
         self.assert_matches_reference(ball, ball)
 
     def test_merged_inverse_read_from_all_words(self):

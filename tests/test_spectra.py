@@ -1,14 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anosovlab.functors import (representation_from_matrices,
+                                sym_square_representation,
                                 tau_representation, wedge_representation)
-from anosovlab.groups import enumerate_ball, inverse_word
+from anosovlab.groups import enumerate_ball, free_reduce, inverse_word
 from anosovlab.spectra import (alpha_m_estimate, cartan_jordan,
                                cone_diagnostic, gap_profile, gelfand_check,
-                               linefit, spectral_table)
+                               linefit, spectral_kernel, spectral_table)
+from tests.conftest import load_example_config
 
 
 class TestCartanJordan:
@@ -201,3 +206,175 @@ def test_linefit_r2_constant_data():
     slope, intercept, r2 = linefit([1, 2, 3], [5.0, 5.0, 5.0])
     assert slope == pytest.approx(0.0, abs=1e-12)
     assert r2 == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the compound ladder against exact references
+
+_BASE = load_example_config("schottky_sl2")["representation"]["generators"]
+_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
+
+
+def seeded_words(seed: int, count: int, length: int) -> list[str]:
+    """Reduced words of one length over the Schottky letters."""
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(count):
+        w = ""
+        while len(w) < length:
+            ch = "aAbB"[rng.integers(4)]
+            if not w or ch != _INVERSE[w[-1]]:
+                w += ch
+        words.append(w)
+    return words
+
+
+def base_word(word: str):
+    """80-digit product of the 2x2 base letters (unit determinant)."""
+    M = mpmath.eye(2)
+    for ch in word:
+        A = mpmath.matrix(_BASE[ch.lower()])
+        A = A / mpmath.sqrt(abs(mpmath.det(A)))
+        M = M * (A if ch.islower() else mpmath.inverse(A))
+    return M
+
+
+def tau_exact(M, d: int):
+    """tau_d of a unit-determinant 2x2 mpmath matrix, in the monomial
+    basis X^(d-1-i) Y^i of :func:`anosovlab.functors.tau_d`: column j
+    holds the coefficients of (h00 X + h01 Y)^(d-1-j) (h10 X + h11 Y)^j,
+    h = M^-1."""
+    h = mpmath.inverse(M)
+    n = d - 1
+    T = mpmath.zeros(d, d)
+    for j in range(d):
+        for s in range(n - j + 1):
+            for t in range(j + 1):
+                T[s + t, j] += (mpmath.binomial(n - j, s)
+                                * h[0, 0] ** (n - j - s) * h[0, 1] ** s
+                                * mpmath.binomial(j, t)
+                                * h[1, 0] ** (j - t) * h[1, 1] ** t)
+    return T
+
+
+class TestLadderOracle:
+    """Every index of tau_3..tau_7 at lengths 6-8 within 1e-9 of exact:
+    Cartan vectors against the 80-digit singular values of tau_d of the
+    base word (the product of the tau_d generators at 80 digits), Jordan
+    vectors against the closed form (d - 1 - 2j) log|lambda_1(core)|."""
+
+    @pytest.mark.parametrize("length", [6, 7, 8], ids="L{}".format)
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7], ids="tau{}".format)
+    def test_tau_words(self, schottky_rep, d, length):
+        gens = tau_representation(schottky_rep, d).generators
+        for word in seeded_words(100 * d + length, 10, length):
+            data = cartan_jordan(gens.element(word))
+            with mpmath.workdps(80):
+                M = base_word(word)
+                sig = mpmath.svd_r(tau_exact(M, d), compute_uv=False)
+                mu = sorted((mpmath.log(s) for s in sig), reverse=True)
+                tr = abs(M[0, 0] + M[1, 1])
+                top = (mpmath.log((tr + mpmath.sqrt(tr * tr - 4)) / 2)
+                       if tr > 2 else mpmath.mpf(0))
+                lam = [(d - 1 - 2 * j) * top for j in range(d)]
+            assert np.abs(data.mu - np.array(mu, dtype=float)).max() < 1e-9
+            assert np.abs(data.lam - np.array(lam, dtype=float)).max() < 1e-9
+
+
+def reduced(min_size: int, max_size: int):
+    """Freely reduced words over the Schottky letters."""
+    return st.lists(st.sampled_from("aAbB"), min_size=min_size,
+                    max_size=max_size).map(free_reduce)
+
+
+def _conjugated(rep, seed: int):
+    """The representation conjugated by a seeded matrix of condition
+    number below 10: its generators share no block structure."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(rep.dim, rep.dim)))[0]
+    C = Q @ np.diag(np.linspace(1.0, 3.0, rep.dim))
+    Cinv = np.linalg.inv(C)
+    return representation_from_matrices({
+        l: C @ rep.generators.matrices[l].mat @ Cinv
+        for l in rep.generators.positive_labels})
+
+
+class TestLadderProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(reduced(1, 7), reduced(0, 3))
+    def test_jordan_conjugation_invariant(self, tau4_rep, word, conj):
+        # a conjugate word in a conjugated basis keeps the Jordan vector
+        other = _conjugated(tau4_rep, 5).generators
+        lam = cartan_jordan(tau4_rep.generators.element(word)).lam
+        moved = cartan_jordan(
+            other.element(conj + word + inverse_word(conj))).lam
+        assert np.abs(lam - moved).max() < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(reduced(1, 8))
+    def test_inverse_duality(self, schottky_rep, word):
+        gens = tau_representation(schottky_rep, 5).generators
+        fwd = cartan_jordan(gens.element(word))
+        bwd = cartan_jordan(gens.element(inverse_word(word)))
+        assert np.abs(fwd.mu + bwd.mu[::-1]).max() < 1e-10
+        assert np.abs(fwd.lam + bwd.lam[::-1]).max() < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(reduced(0, 8))
+    def test_direct_sum_is_sorted_union(self, schottky_rep,
+                                        tau5_plus_tau2_rep, word):
+        total = cartan_jordan(tau5_plus_tau2_rep.generators.element(word))
+        parts = [cartan_jordan(tau_representation(schottky_rep, d)
+                               .generators.element(word)) for d in (5, 2)]
+        for got, vecs in ((total.mu, [p.mu for p in parts]),
+                          (total.lam, [p.lam for p in parts])):
+            union = np.sort(np.concatenate(vecs))[::-1]
+            assert np.abs(got - union).max() < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(reduced(0, 6))
+    def test_functor_jordan_is_pairwise_sums(self, tau3_rep, tau4_rep,
+                                             word):
+        for rep, functor, strict in (
+                (tau4_rep, wedge_representation(tau4_rep, 2), True),
+                (tau3_rep, sym_square_representation(tau3_rep), False)):
+            lam = cartan_jordan(rep.generators.element(word)).lam
+            pairs = [lam[i] + lam[j] for i in range(len(lam))
+                     for j in range(i + strict, len(lam))]
+            got = cartan_jordan(functor.generators.element(word)).lam
+            assert np.abs(got - np.sort(pairs)[::-1]).max() < 1e-10
+
+
+class TestCappedBlock:
+    """A 10-dimensional block builds compounds up to k = 3 (C(10, 4) =
+    210 is past the cap); the middle four indices come from the product's
+    own spectrum, shifted to the block's log|det|."""
+
+    def test_report(self, schottky_rep):
+        rep = tau_representation(schottky_rep, 10)
+        assert spectral_kernel(rep.generators) == {
+            "blocks": [10], "paths": ["capped at k=3"]}
+
+    def test_covered_indices_exact(self, schottky_rep):
+        ball = enumerate_ball(tau_representation(schottky_rep, 10).generators,
+                              3)
+        for vectors in (ball.cartan, ball.jordan):
+            assert np.isfinite(vectors).all()
+            assert np.abs(vectors.sum(axis=1)).max() < 1e-9
+        covered = [0, 1, 2, 7, 8, 9]
+        for i, g in enumerate(ball):
+            if g.length < 3:
+                continue
+            with mpmath.workdps(80):
+                M = base_word(g.word)
+                tr = abs(M[0, 0] + M[1, 1])
+                top = (mpmath.log((tr + mpmath.sqrt(tr * tr - 4)) / 2)
+                       if tr > 2 else mpmath.mpf(0))
+                lam = np.array([(9 - 2 * j) * top for j in range(10)],
+                               dtype=float)
+                if i % 9 == 0:  # a sample of the Cartan vectors
+                    sig = mpmath.svd_r(tau_exact(M, 10), compute_uv=False)
+                    mu = np.array(sorted((mpmath.log(s) for s in sig),
+                                         reverse=True), dtype=float)
+                    assert np.abs(ball.cartan[i] - mu)[covered].max() < 1e-9
+            assert np.abs(ball.jordan[i] - lam)[covered].max() < 1e-9
