@@ -10,7 +10,7 @@ from .linalg import (MatrixD, SpectralData, Subspace, direct_sum_margin,
                      proj_distance, singular_values, top_invariant_subspace)
 from .groups import Ball, GeneratorSet, GroupElement, enumerate_ball
 from .functors import (Representation, build_representation, build_su21_rep,
-                       direct_sum_rep, flag_wedge, hitchin_zeta, perturb_rep,
+                       direct_sum_rep, flag_wedge, perturb_rep,
                        representation_from_matrices, su21_representation,
                        sym_square, sym_square_representation, tau_d,
                        tau_representation, veronese_point, wedge_power,

@@ -286,11 +286,18 @@ def limit_samples(rep: Representation, m: int, radius: int,
     return LimitCloud(samples=samples, m=m, rep_recipe=rep.recipe)
 
 
-# Byte budget of each chunk temporary of the pair scans (the residuals
-# behind the sep_tol masks, the gathered frame stacks); between chunks only
-# the boolean (n, n) masks, the (n, d, k) frame stacks and 1-D per-triple
-# arrays stay alive.
+# Byte budget of the float temporaries of one block of the pair scans (the
+# cosines behind the sep_tol test, the per-pair products of frames, the
+# margins) and of one batch of drawn triples; between blocks only the
+# (n, d, k) per-sample stacks and 1-D per-triple arrays stay alive.
 _PAIR_BYTES = 256 << 10
+
+# Half-width of the band in which a scan recomputes a value screened from
+# one GEMM with the residual formula of ``linalg`` before deciding on it:
+# around sep_tol^2 for the squared sines 1 - cos^2, around the least
+# distance and the violation threshold for the controlled-set distances.
+# Screened and residual values of unit rows differ by a few ulps of 1.
+_BAND = 1e-12
 
 
 def _chunks(n_items: int, item_bytes: int):
@@ -298,6 +305,22 @@ def _chunks(n_items: int, item_bytes: int):
     ``item_bytes`` per item fit in ``_PAIR_BYTES`` (at least one item)."""
     step = max(1, _PAIR_BYTES // item_bytes)
     return (slice(start, start + step) for start in range(0, n_items, step))
+
+
+def _blocks(n: int, item_bytes: int):
+    """(rows, cols) slices of the (n, n) grid of ordered pairs, in
+    row-major order, whose float temporaries of ``item_bytes`` per pair fit
+    in ``_PAIR_BYTES``: whole rows while one fits, else pieces of one row
+    (at least one pair)."""
+    per = max(1, _PAIR_BYTES // item_bytes)
+    if per >= n:
+        step = per // n
+        for start in range(0, n, step):
+            yield slice(start, min(start + step, n)), slice(0, n)
+        return
+    for row in range(n):
+        for start in range(0, n, per):
+            yield slice(row, row + 1), slice(start, min(start + per, n))
 
 
 def _unit_lines(lines) -> np.ndarray:
@@ -312,27 +335,124 @@ def _frames(subspaces) -> np.ndarray:
     return np.stack([V.frame for V in subspaces])
 
 
-def _near(P: np.ndarray, Q: np.ndarray, sep_tol: float) -> np.ndarray:
-    """Boolean (n, n) mask of ``proj_distance(P[i], Q[j]) < sep_tol`` for
-    unit rows, from the same orthogonal residual, a chunk of rows at a
-    time."""
-    near = np.empty((len(P), len(Q)), dtype=bool)
-    for rows in _chunks(len(P), Q.nbytes):
-        U = P[rows]
-        resid = Q - U[:, None, :] * (U @ Q.T)[:, :, None]
-        near[rows] = np.minimum(1.0, np.linalg.norm(resid, axis=2)) < sep_tol
-    return near
+def _complements(F: np.ndarray) -> np.ndarray:
+    """(n, d, d - k) orthonormal complements of a stack of (n, d, k)
+    orthonormal frames."""
+    return np.linalg.svd(F)[0][..., F.shape[2]:]
 
 
-def _kept_pairs(near: np.ndarray, item_bytes: int):
-    """Row and column indices of the pairs that ``near`` does not mask, in
-    row-major order, one chunk of the flattened mask at a time (chunks
-    may split a row); chunks with no kept pair are left out."""
-    flat = near.reshape(-1)
-    for part in _chunks(flat.size, item_bytes):
-        kept = part.start + np.flatnonzero(~flat[part])
-        if kept.size:
-            yield np.divmod(kept, near.shape[1])
+def _proj_distances(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``proj_distance(U[t], V[t])`` of unit rows, from the same
+    orthogonal residual."""
+    resid = V - U * np.einsum("ij,ij->i", U, V)[:, None]
+    return np.minimum(1.0, np.linalg.norm(resid, axis=1))
+
+
+def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float) -> np.ndarray:
+    """Boolean (r, c) mask of ``proj_distance(P[a], Q[b]) >= sep_tol`` for
+    unit rows: the squared sine 1 - cos^2 from one GEMM of cosines, and
+    the orthogonal residual for the pairs within ``_BAND`` of
+    sep_tol^2, so the mask equals the residual test's."""
+    cos = P @ Q.T
+    sine2 = 1.0 - cos * cos
+    keep = sine2 >= sep_tol * sep_tol
+    a, b = np.nonzero(np.abs(sine2 - sep_tol * sep_tol) <= _BAND)
+    if a.size:
+        keep[a, b] = _proj_distances(P[a], Q[b]) >= sep_tol
+    return keep
+
+
+def _kept_blocks(plus: np.ndarray, minus: np.ndarray, sep_tol: float,
+                 item_bytes: int):
+    """Blocks ``(rows, cols, keep)`` of the ordered pairs (x, y) of a
+    cloud (see :func:`_blocks`); ``keep`` marks the pairs whose plus point
+    of x and minus point of y are at least ``sep_tol`` apart."""
+    for rows, cols in _blocks(len(plus), item_bytes):
+        yield rows, cols, _separated(plus[rows], minus[cols], sep_tol)
+
+
+def _sigma_max(G: np.ndarray) -> np.ndarray:
+    """(r, c) largest singular values of the p x q blocks G[a, :, b, :] of
+    an (r, p, c, q) grid: a norm for min(p, q) = 1, the larger eigenvalue
+    of the 2 x 2 Gram matrix for 2 (a sum of non-negative terms), else a
+    stacked SVD."""
+    if G.shape[1] > G.shape[3]:
+        G = G.transpose(0, 3, 2, 1)
+    if G.shape[1] == 1:
+        return np.sqrt((G * G).sum(axis=(1, 3)))
+    if G.shape[1] == 2:
+        u, v = G[:, 0], G[:, 1]
+        a, e, b = (u * u).sum(axis=2), (v * v).sum(axis=2), (u * v).sum(axis=2)
+        return np.sqrt(0.5 * (a + e) + np.hypot(0.5 * (a - e), b))
+    return np.linalg.svd(G.transpose(0, 2, 1, 3), compute_uv=False)[..., 0]
+
+
+def _sigma_min(G: np.ndarray) -> np.ndarray:
+    """(r, c) k-th singular values, k = min(p, q), of the p x q blocks of an
+    (r, p, c, q) grid.  For k = 2 this is vol / sigma_max, with vol^2 the
+    sum of the squared 2 x 2 minors (|det| for a square block), each
+    accurate to rounding; a zero block gives 0.  For k >= 3 a stacked
+    SVD."""
+    if G.shape[1] > G.shape[3]:
+        G = G.transpose(0, 3, 2, 1)
+    k, width = G.shape[1], G.shape[3]
+    if k == 1:
+        return (np.abs(G[:, 0, :, 0]) if width == 1
+                else np.sqrt((G * G).sum(axis=(1, 3))))
+    if k == 2:
+        minors = np.array([G[:, 0, :, a] * G[:, 1, :, b]
+                           - G[:, 0, :, b] * G[:, 1, :, a]
+                           for a in range(width) for b in range(a + 1, width)])
+        vol = np.sqrt((minors * minors).sum(axis=0))
+        top = _sigma_max(G)
+        return np.divide(vol, top, out=np.zeros_like(top), where=top > 0)
+    return np.linalg.svd(G.transpose(0, 2, 1, 3),
+                         compute_uv=False)[..., k - 1]
+
+
+class _PairProducts:
+    """The (r, p, c, q) grids of the products L_a^T R_b of a stack of
+    (n, d, p) frames L and a stack of (n, d, q) frames R, one GEMM per
+    block of pairs: both stacks are flattened once."""
+
+    def __init__(self, L: np.ndarray, R: np.ndarray):
+        self._p, self._q = L.shape[2], R.shape[2]
+        self._L = L.transpose(0, 2, 1).reshape(-1, L.shape[1])
+        self._R = R.transpose(1, 0, 2).reshape(R.shape[1], -1)
+
+    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
+        p, q = self._p, self._q
+        G = (self._L[rows.start * p:rows.stop * p]
+             @ self._R[:, cols.start * q:cols.stop * q])
+        return G.reshape(rows.stop - rows.start, p, cols.stop - cols.start,
+                         q)
+
+
+class _FlagPair:
+    """Direct-sum margins ``sigma_min([X_a | Y_b])`` of the pairs of a
+    stack of (n, d, p) frames X and a stack of (n, d, q) frames Y, p + q
+    <= d (q = d - p for flags), by blocks of pairs.
+
+    [X Y]^T [X Y] has the eigenvalues 1 +- cos(theta_i) and 1, for the
+    principal angles theta_i between the two spans (Björck & Golub, Math.
+    Comp. 27, 1973), so the margin is sqrt(1 - c) = s / sqrt(1 + c) with
+    c = cos(theta_1) = sigma_max(X^T Y) and s = sin(theta_1).  The sine
+    form keeps the margin's absolute accuracy near zero (Knyazev &
+    Argentati, SIAM J. Sci. Comput. 23, 2002).  With k = min(p, q), s is
+    the k-th singular value of X^T Y' for the complement Y' of Y when
+    p <= q, else of X'^T Y for the complement X' of X: a k x k block for
+    flags."""
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray):
+        self._sine = (_PairProducts(X, _complements(Y))
+                      if X.shape[2] <= Y.shape[2]
+                      else _PairProducts(_complements(X), Y))
+        self._cos = _PairProducts(X, Y)
+
+    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
+        s = _sigma_min(self._sine(rows, cols))
+        c = _sigma_max(self._cos(rows, cols))
+        return s / np.sqrt(1.0 + c)
 
 
 def _margins(*stacks: np.ndarray) -> np.ndarray:
@@ -350,6 +470,25 @@ def _first_below(values: np.ndarray, best: float) -> int | None:
     return t if values[t] < best else None
 
 
+def _least_kept(values: np.ndarray, keep: np.ndarray, best: tuple,
+                rows: slice, cols: slice) -> tuple:
+    """``best``, a ``(value, (x, y))`` pair, or the first least kept value
+    of a block in row-major order with its pair if that beats it."""
+    masked = np.where(keep, values, math.inf)
+    t = _first_below(masked.reshape(-1), best[0])
+    if t is None:
+        return best
+    a, b = divmod(t, masked.shape[1])
+    return float(masked[a, b]), (rows.start + a, cols.start + b)
+
+
+def _pair_words(cloud: LimitCloud, pair) -> tuple[str, str]:
+    """The witness words of a pair of sample indices, ("", "") for none."""
+    if pair is None:
+        return "", ""
+    return tuple(cloud.samples[t].witness.word for t in pair)
+
+
 @dataclass(frozen=True)
 class TransversalityReport:
     min_margin_m: float
@@ -357,6 +496,24 @@ class TransversalityReport:
     min_margin_1: float
     worst_pair_1: tuple[str, str]
     n_pairs: int
+
+
+def _transversality_blocks(cloud: LimitCloud, sep_tol: float):
+    """Blocks ``(rows, cols, keep, margin_m, margin_1)`` of the pair grid
+    of :func:`transversality_scan`: the (r, c) margins of xi^(m)(x)
+    against xi^(d-m)(y) and of xi^(1)(x) against xi^(d-1)(y), for x in
+    ``rows`` and y in ``cols``, and the mask of the pairs it keeps."""
+    samples = cloud.samples
+    flags_m = _FlagPair(_frames(s.xim_plus for s in samples),
+                        _frames(s.xi_dm_minus for s in samples))
+    flags_1 = _FlagPair(_frames(s.xi1_plus for s in samples),
+                        _frames(s.xi_d1_minus for s in samples))
+    d = samples[0].xi1_plus.ambient_dim
+    for rows, cols, keep in _kept_blocks(
+            _unit_lines(s.xi1_plus for s in samples),
+            _unit_lines(s.xi1_minus for s in samples), sep_tol,
+            8 * (2 * d * d + 16)):
+        yield rows, cols, keep, flags_m(rows, cols), flags_1(rows, cols)
 
 
 def transversality_scan(cloud: LimitCloud,
@@ -369,37 +526,28 @@ def transversality_scan(cloud: LimitCloud,
     is a condition on distinct points, and the margin degenerates
     continuously (quadratically, at a tangency) as they collide.
 
-    Evaluated over stacked arrays: the skip mask is one boolean (n, n)
-    array, and the margins of the kept pairs come from one batched SVD
-    per chunk of pairs, bit-identical to ``direct_sum_margin`` pair by
-    pair.  Beyond the mask and the (n, d, k) frame stacks, memory stays
-    within a few chunk temporaries of ``_PAIR_BYTES`` (256 KiB) each; a
-    mask row larger than that is one chunk."""
+    The margin ``sigma_min([X Y])`` of two complementary flags is
+    ``s / sqrt(1 + c)``, with c the cosine and s the sine of their least
+    principal angle (see :class:`_FlagPair`): for the line x against the
+    hyperplane with unit normal n_y, s = |x . n_y| and c the norm of x's
+    projection on the hyperplane.  It agrees with ``direct_sum_margin``
+    to rounding.  The pairs are evaluated a block at a time (see
+    :func:`_blocks`), separation test included: beyond the (n, d, k)
+    per-sample frame stacks, memory stays within a few block temporaries
+    of ``_PAIR_BYTES`` (256 KiB) each."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
-    samples = cloud.samples
-    words = [s.witness.word for s in samples]
-    near = _near(_unit_lines(s.xi1_plus for s in samples),
-                 _unit_lines(s.xi1_minus for s in samples), sep_tol)
-    Xm = _frames(s.xim_plus for s in samples)
-    Ydm = _frames(s.xi_dm_minus for s in samples)
-    X1 = _frames(s.xi1_plus for s in samples)
-    Yd1 = _frames(s.xi_d1_minus for s in samples)
-    d = Xm.shape[1]
-    best_m, best_1 = math.inf, math.inf
-    pair_m = pair_1 = ("", "")
+    best_m = best_1 = (math.inf, None)
     n = 0
-    for i, j in _kept_pairs(near, Xm.itemsize * d * d):
-        n += len(i)
-        marg_m = _margins(Xm[i], Ydm[j])
-        marg_1 = _margins(X1[i], Yd1[j])
-        if (t := _first_below(marg_m, best_m)) is not None:
-            best_m, pair_m = float(marg_m[t]), (words[i[t]], words[j[t]])
-        if (t := _first_below(marg_1, best_1)) is not None:
-            best_1, pair_1 = float(marg_1[t]), (words[i[t]], words[j[t]])
-    return TransversalityReport(min_margin_m=best_m, worst_pair_m=pair_m,
-                                min_margin_1=best_1, worst_pair_1=pair_1,
-                                n_pairs=n)
+    for rows, cols, keep, marg_m, marg_1 in _transversality_blocks(
+            cloud, sep_tol):
+        n += int(np.count_nonzero(keep))
+        best_m = _least_kept(marg_m, keep, best_m, rows, cols)
+        best_1 = _least_kept(marg_1, keep, best_1, rows, cols)
+    return TransversalityReport(
+        min_margin_m=best_m[0], worst_pair_m=_pair_words(cloud, best_m[1]),
+        min_margin_1=best_1[0], worst_pair_1=_pair_words(cloud, best_1[1]),
+        n_pairs=n)
 
 
 @dataclass(frozen=True)
@@ -418,13 +566,15 @@ def hyperconvexity_scan(cloud: LimitCloud, m: int | None = None,
 
     x and z are plus points of two samples, y the minus point of a third;
     triples with any pairwise distance below ``sep_tol`` are resampled
-    (the margin degenerates continuously as points collide).
+    (the margin degenerates continuously as points collide), at most
+    2000 draws per requested triple.
 
-    The separation tests read two boolean (n, n) masks, plus against plus
-    and plus against minus points, built in chunks of rows within
-    ``_PAIR_BYTES`` (256 KiB) of temporaries; the margins of the accepted
-    triples come after the draws from one batched SVD per chunk,
-    bit-identical to ``direct_sum_margin`` triple by triple.
+    Candidates are drawn in batches of ``rng.integers(0, n, (B, 3))``,
+    the same stream as B draws of three, and only the drawn pairs are
+    tested for separation, with ``proj_distance``'s residual; a batch
+    holds at most ``_PAIR_BYTES`` (256 KiB) of temporaries.  The margins
+    of the accepted triples come after the draws from one batched SVD
+    per chunk, bit-identical to ``direct_sum_margin`` triple by triple.
     """
     if m is None:
         m = cloud.m
@@ -438,26 +588,29 @@ def hyperconvexity_scan(cloud: LimitCloud, m: int | None = None,
     n = len(cloud)
     samples = cloud.samples
     plus = _unit_lines(s.xi1_plus for s in samples)
-    near_plus = _near(plus, plus, sep_tol)
-    near_minus = _near(plus, _unit_lines(s.xi1_minus for s in samples),
-                       sep_tol)
+    minus = _unit_lines(s.xi1_minus for s in samples)
     triples = np.empty((n_triples, 3), dtype=np.intp)
     count = 0
     tries = 0
     max_tries = 2000 * n_triples
+    batch = max(1, _PAIR_BYTES // (plus.itemsize * 8 * plus.shape[1]))
     while count < n_triples:
-        tries += 1
-        if tries > max_tries:
+        if tries >= max_tries:
             raise ValueError(
                 f"cannot find {n_triples} separated triples "
                 f"(sep_tol={sep_tol}); got {count}")
-        i, j, k = rng.integers(0, n, 3)
-        if i == j or j == k or i == k:
-            continue
-        if near_plus[i, j] or near_minus[i, k] or near_minus[j, k]:
-            continue
-        triples[count] = i, j, k
-        count += 1
+        draws = rng.integers(0, n, (min(batch, max_tries - tries,
+                                        2 * (n_triples - count) + 16), 3))
+        tries += len(draws)
+        i, j, k = draws.T
+        ok = (i != j) & (j != k) & (i != k)
+        i, j, k = i[ok], j[ok], k[ok]
+        ok[ok] = ((_proj_distances(plus[i], plus[j]) >= sep_tol)
+                  & (_proj_distances(plus[i], minus[k]) >= sep_tol)
+                  & (_proj_distances(plus[j], minus[k]) >= sep_tol))
+        taken = draws[ok][:n_triples - count]
+        triples[count:count + len(taken)] = taken
+        count += len(taken)
     X1 = _frames(s.xi1_plus for s in samples)
     Ydm = _frames(s.xi_dm_minus for s in samples)
     margins = np.empty(n_triples)
@@ -491,34 +644,39 @@ def controlled_set_check(cloud: LimitCloud,
     Points within ``sep_tol`` of the hyperplane's own boundary point are
     skipped (the distance vanishes quadratically at the tangency).
 
-    Evaluated over stacked arrays: the skip mask is one boolean (n, n)
-    array, and the distances of the kept pairs come from one stacked
-    ``matmul`` residual per chunk of pairs (equal to
-    ``point_subspace_distance`` up to rounding in the last bits).  Beyond
-    the mask and the frame stacks, memory stays within a few chunk
+    The distances are screened as |u . n_y| for the unit point u and the
+    unit normal n_y of the hyperplane, one GEMM per block of pairs (see
+    :func:`_blocks`), separation test included.  The pairs within
+    ``_BAND`` of a block's least distance or of the violation threshold
+    are recomputed as ``point_subspace_distance``'s residual, so the
+    minimum, its pair and the violations are the residual's.  Beyond the
+    (n, d, d - 1) stack of hyperplanes, memory stays within a few block
     temporaries of ``_PAIR_BYTES`` (256 KiB) each."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
     samples = cloud.samples
-    words = [s.witness.word for s in samples]
     plus = _unit_lines(s.xi1_plus for s in samples)
-    near = _near(plus, _unit_lines(s.xi1_minus for s in samples), sep_tol)
     H = _frames(s.xi_d1_minus for s in samples)
-    d = H.shape[1]
-    best = math.inf
-    worst = ("", "")
+    normals = _complements(H)[..., 0]
+    best = (math.inf, None)
     violations = []
     n = 0
-    for i, j in _kept_pairs(near, H.itemsize * d * d):
-        n += len(i)
-        u, F = plus[i], H[j]
+    for rows, cols, keep in _kept_blocks(
+            plus, _unit_lines(s.xi1_minus for s in samples), sep_tol,
+            8 * (plus.shape[1] + 8)):
+        n += int(np.count_nonzero(keep))
+        dist = np.where(keep, np.abs(plus[rows] @ normals[cols].T), math.inf)
+        a, b = np.nonzero(keep & ((dist <= dist.min() + _BAND)
+                                  | (np.abs(dist - 1e-10) <= _BAND)))
+        u, F = plus[rows][a], H[cols][b]
         resid = u - (u[:, None, :] @ F @ F.transpose(0, 2, 1))[:, 0]
-        marg = np.minimum(1.0, np.linalg.norm(resid, axis=1))
-        if (t := _first_below(marg, best)) is not None:
-            best, worst = float(marg[t]), (words[i[t]], words[j[t]])
-        violations += [(words[i[t]], words[j[t]])
-                       for t in np.flatnonzero(marg <= 1e-10)]
-    return ControlledSetReport(min_margin=best, worst_pair=worst,
+        dist[a, b] = np.linalg.norm(resid, axis=1)
+        dist = np.minimum(1.0, dist)
+        best = _least_kept(dist, keep, best, rows, cols)
+        violations += [_pair_words(cloud, (rows.start + a, cols.start + b))
+                       for a, b in zip(*np.nonzero(dist <= 1e-10))]
+    return ControlledSetReport(min_margin=best[0],
+                               worst_pair=_pair_words(cloud, best[1]),
                                violations=tuple(violations), n_pairs=n)
 
 

@@ -475,11 +475,11 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
                      "slope": rep_report.slope,
                      "r_squared": rep_report.r_squared,
                      "n_points": rep_report.n_points})
-        for dp, dt in _pair_distances(cloud, anchor, "sin"):
-            if window[0] < dp < window[1] and dt > 1e-14:
-                scatter.append({"anchor": anchor.witness.word,
-                                "point_distance": dp,
-                                "tangent_distance": dt})
+        dp, dt = _pair_distances(cloud, anchor, "sin")
+        kept = (window[0] < dp) & (dp < window[1]) & (dt > 1e-14)
+        scatter += [{"anchor": anchor.witness.word, "point_distance": p,
+                     "tangent_distance": t}
+                    for p, t in zip(dp[kept].tolist(), dt[kept].tolist())]
     _write_csv(out / "hoelder_slopes.csv",
                ["witness", "slope", "r_squared", "n_points"], rows)
     artifacts.append("hoelder_slopes.csv")

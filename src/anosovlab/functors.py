@@ -28,7 +28,6 @@ __all__ = [
     "flag_wedge",
     "direct_sum_rep",
     "build_su21_rep",
-    "hitchin_zeta",
     "perturb_rep",
     "tau_representation",
     "wedge_representation",
@@ -274,56 +273,6 @@ def build_su21_rep(g) -> MatrixD:
     if resid > 1e-8:
         raise ValueError(f"fixed space not preserved (residual {resid:.2e})")
     return normalize_lift(coef)
-
-
-# ---------------------------------------------------------------------------
-# exterior-power flag maps
-
-def hitchin_zeta(flag_km1, flag_k, flag_kp1, flag_dkm1, flag_dk, flag_dkp1,
-                 level) -> Subspace:
-    """Flag maps of the k-th exterior power from nested flags at a point.
-
-    Levels (D = C(d, k)):
-      ``1``    -> wedge^k of the k-flag, a line,
-      ``2``    -> (wedge^(k-1) of the (k-1)-flag) ^ (k+1)-flag, rank 2,
-      ``"D-2"``-> (d-k-1)-flag ^ wedge^(k-1) R^d
-                  + (d-k)-flag ^ (d-k+1)-flag ^ wedge^(k-2) R^d,
-      ``"D-1"``-> (d-k)-flag ^ wedge^(k-1) R^d.
-    """
-    k = flag_k.rank
-    d = flag_k.ambient_dim
-    if flag_km1 is None:
-        flag_km1 = Subspace(np.zeros((d, 0)))
-    if flag_dkp1 is None:
-        flag_dkp1 = Subspace(np.eye(d))
-    for lo, hi, name in [(flag_km1, flag_k, "k-1 in k"),
-                         (flag_k, flag_kp1, "k in k+1"),
-                         (flag_dkm1, flag_dk, "d-k-1 in d-k"),
-                         (flag_dk, flag_dkp1, "d-k in d-k+1")]:
-        if not hi.contains(lo):
-            raise ValueError(f"flags not nested: {name}")
-
-    lvl = str(level)
-    if lvl == "1":
-        return flag_wedge(flag_k)
-    eye = np.eye(d)
-    if lvl == "2":
-        frames = [np.column_stack([flag_km1.frame, u])
-                  for u in flag_kp1.frame.T]
-    elif lvl in ("D-1", "d-1", "D-2", "d-2"):
-        lines = flag_dk if lvl.endswith("1") else flag_dkm1
-        frames = [np.column_stack([u, eye[:, list(J)]])
-                  for u in lines.frame.T
-                  for J in combinations(range(d), k - 1)]
-        if lvl.endswith("2") and k >= 2:
-            frames += [np.column_stack([u, w, eye[:, list(J)]])
-                       for u in flag_dk.frame.T for w in flag_dkp1.frame.T
-                       for J in combinations(range(d), k - 2)]
-    else:
-        raise ValueError(f"unknown zeta level {level!r}")
-    F = np.hstack(frames)
-    return Subspace.from_spanning(_wedge_coordinates(
-        F, np.array(wedge_indices(d, k)), np.arange(F.shape[1]).reshape(-1, k)))
 
 
 # ---------------------------------------------------------------------------

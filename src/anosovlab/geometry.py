@@ -14,8 +14,7 @@ import scipy.linalg as sla
 from .boundary import FlagSample, LimitCloud
 from .functors import Representation
 from .groups import enumerate_ball
-from .linalg import (Subspace, direct_sum_margin,
-                     point_subspace_distance, proj_distance,
+from .linalg import (Subspace, direct_sum_margin, proj_distance,
                      subspace_intersection)
 from .spectra import linefit
 
@@ -120,19 +119,21 @@ class RegressionReport:
 
 
 def _pair_distances(cloud: LimitCloud, anchor: FlagSample, metric: str):
-    """(distance to anchor point, distance to anchor tangent flag) per
-    cloud point, in the requested metric variant."""
-    x1, xm = anchor.xi1_plus, anchor.xim_plus
-    out = []
-    for s in cloud.samples:
-        p = s.xi1_plus
-        dp = proj_distance(p, x1)
-        dt = point_subspace_distance(p, xm)
-        if metric == "chord":
-            dp = math.sqrt(2.0 - 2.0 * math.sqrt(max(0.0, 1.0 - dp * dp)))
-            dt = math.sqrt(2.0 - 2.0 * math.sqrt(max(0.0, 1.0 - dt * dt)))
-        out.append((dp, dt))
-    return out
+    """Arrays of the distances of the cloud points to the anchor point and
+    to the anchor's tangent flag, in the requested metric variant: for
+    "sin" the ``proj_distance`` and ``point_subspace_distance`` residuals,
+    over the stacked points at once."""
+    P = np.array([s.xi1_plus.frame[:, 0] for s in cloud.samples])
+    P = P / np.linalg.norm(P, axis=1)[:, None]
+    x = anchor.xi1_plus.frame[:, 0]
+    x = x / np.linalg.norm(x)
+    F = anchor.xim_plus.frame
+    dp = np.minimum(1.0, np.linalg.norm(x - P * (P @ x)[:, None], axis=1))
+    dt = np.minimum(1.0, np.linalg.norm(P - (P @ F) @ F.T, axis=1))
+    if metric == "chord":
+        dp, dt = (np.sqrt(2.0 - 2.0 * np.sqrt(np.maximum(0.0, 1.0 - v * v)))
+                  for v in (dp, dt))
+    return dp, dt
 
 
 def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
@@ -150,16 +151,11 @@ def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
     if metric not in ("sin", "chord"):
         raise ValueError("metric must be 'sin' or 'chord'")
     lo, hi = window
-    xs, ys = [], []
-    floored = 0
-    for dp, dt in _pair_distances(cloud, anchor, metric):
-        if not lo < dp < hi:
-            continue
-        if dt <= DISTANCE_FLOOR:
-            floored += 1
-            continue
-        xs.append(math.log(dp))
-        ys.append(math.log(dt))
+    dp, dt = _pair_distances(cloud, anchor, metric)
+    inside = (lo < dp) & (dp < hi)
+    floored = int(np.count_nonzero(inside & (dt <= DISTANCE_FLOOR)))
+    used = inside & (dt > DISTANCE_FLOOR)
+    xs, ys = np.log(dp[used]), np.log(dt[used])
     if len(xs) < min_points:
         raise ValueError(
             f"too few cloud points in window ({len(xs)} < {min_points}); "

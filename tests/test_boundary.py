@@ -1,10 +1,11 @@
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anosovlab import boundary
@@ -296,6 +297,35 @@ class TestHyperconvexity:
         with pytest.raises(ValueError, match="at least 3"):
             hyperconvexity_scan(small, n_triples=10, seed=0)
 
+    @pytest.mark.parametrize("n", [3, 132, 440, 10629])
+    def test_batched_draws_equal_per_call_draws(self, n):
+        # the scan draws candidate triples in batches: the same stream
+        batched, per_call = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(batched.integers(0, n, (700, 3)),
+                              [per_call.integers(0, n, 3) for _ in range(700)])
+        assert batched.integers(0, 2 ** 62) == per_call.integers(0, 2 ** 62)
+
+    def test_draw_limit_reports_the_count(self):
+        # 196 of 10^6 candidate triples are separated: plus points of "a"
+        # and every other sample but one coincide, only one minus point
+        # lies off them.  The error gives the triples accepted within
+        # 2000 draws per requested triple, as drawn one at a time.
+        e = np.eye(3)
+        gens = representation_from_matrices(
+            {"a": np.diag([2.0, 1.0, 0.5])}).generators
+        samples = tuple(
+            make_sample(gens, "a" * (t + 1), e[1] if t == 0 else e[0],
+                        e[:, :2], e[:, 2:], e[:, 1:],
+                        e[2] if t == 99 else e[0]) for t in range(100))
+        rng, count = np.random.default_rng(2), 0
+        for _ in range(2000 * 3):
+            i, j, k = rng.integers(0, 100, 3)
+            count += bool(j != i != k != j and 0 in (i, j) and k == 99)
+        assert 0 < count < 3
+        with pytest.raises(ValueError, match=f"; got {count}$"):
+            hyperconvexity_scan(LimitCloud(samples=samples, m=2,
+                                           rep_recipe={}), n_triples=3, seed=2)
+
     def test_deterministic_given_seed(self, tau3_cloud):
         r1 = hyperconvexity_scan(tau3_cloud, n_triples=50, seed=7)
         r2 = hyperconvexity_scan(tau3_cloud, n_triples=50, seed=7)
@@ -317,6 +347,23 @@ class TestControlledSet:
         # the own-point pair (s2 against its own hyperplane) is skipped
         assert report.n_pairs == 2
 
+    def test_true_collision_reported(self):
+        # in a rotated frame: the plus point of "a" lies in the hyperplane
+        # of "aa", whose own boundary point is orthogonal to it
+        Q = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))[0]
+        gens = representation_from_matrices(
+            {"a": np.diag([2.0, 1.0, 0.5])}).generators
+        s1 = make_sample(gens, "a", Q[:, 0], Q[:, :2], Q[:, 2:], Q[:, 1:],
+                         Q[:, 2])
+        s2 = make_sample(gens, "aa", Q[:, 2], Q[:, 1:], Q[:, :1], Q[:, :2],
+                         Q[:, 1])
+        report = controlled_set_check(
+            LimitCloud(samples=(s1, s2), m=2, rep_recipe={}))
+        assert report.n_pairs == 3
+        assert report.violations == (("a", "aa"),)
+        assert report.worst_pair == ("a", "aa")
+        assert report.min_margin <= 1e-15
+
     def test_fuchsian_positive(self, tau3_rep):
         cloud = limit_samples(tau3_rep, 2, 5, dedup_tol=1e-2)
         report = controlled_set_check(cloud, sep_tol=1e-2)
@@ -325,22 +372,37 @@ class TestControlledSet:
 
 
 def reference_transversality(cloud, sep_tol=1e-3):
-    """The per-pair transversality scan the stacked one replaced."""
+    """The per-pair transversality scan with ``direct_sum_margin``: the
+    least margins, their first pairs, the pair count and the (n, n)
+    margins (nan where a pair is skipped)."""
+    n = len(cloud)
+    margins = np.full((2, n, n), np.nan)
     best_m, best_1 = math.inf, math.inf
     pair_m = pair_1 = ("", "")
-    n = 0
-    for sx in cloud.samples:
-        for sy in cloud.samples:
+    for a, sx in enumerate(cloud.samples):
+        for b, sy in enumerate(cloud.samples):
             if proj_distance(sx.xi1_plus, sy.xi1_minus) < sep_tol:
                 continue
-            n += 1
             marg_m = direct_sum_margin([sx.xim_plus, sy.xi_dm_minus])
             marg_1 = direct_sum_margin([sx.xi1_plus, sy.xi_d1_minus])
+            margins[:, a, b] = marg_m, marg_1
             if marg_m < best_m:
                 best_m, pair_m = marg_m, (sx.witness.word, sy.witness.word)
             if marg_1 < best_1:
                 best_1, pair_1 = marg_1, (sx.witness.word, sy.witness.word)
-    return best_m, pair_m, best_1, pair_1, n
+    n_pairs = int(np.count_nonzero(~np.isnan(margins[0])))
+    return best_m, pair_m, best_1, pair_1, n_pairs, margins
+
+
+def scan_margins(cloud, sep_tol=1e-3):
+    """The (n, n) margins of the blocks of ``transversality_scan`` (nan
+    where a pair is skipped)."""
+    n = len(cloud)
+    margins = np.full((2, n, n), np.nan)
+    for rows, cols, keep, *values in boundary._transversality_blocks(
+            cloud, sep_tol):
+        margins[:, rows, cols] = np.where(keep, values, np.nan)
+    return margins
 
 
 def reference_controlled_set(cloud, sep_tol=1e-3, violation_tol=1e-10):
@@ -415,9 +477,26 @@ class TestStackedScans:
 
     @staticmethod
     def assert_same(cloud, ref):
+        # transversality: closed-form margins agree with the per-pair SVD
+        # to 1e-12; a worst pair may differ only at a tie within 1e-12
         t = transversality_scan(cloud)
-        assert (t.min_margin_m, t.worst_pair_m, t.min_margin_1,
-                t.worst_pair_1, t.n_pairs) == ref["transversality"]
+        best_m, pair_m, best_1, pair_1, n, margins = ref["transversality"]
+        assert t.n_pairs == n
+        scanned = scan_margins(cloud)
+        assert np.array_equal(np.isnan(scanned), np.isnan(margins))
+        if n:
+            assert np.nanmax(np.abs(scanned - margins)) <= 1e-12
+        index = {s.witness.word: i for i, s in enumerate(cloud.samples)}
+        for got, pair, best, ref_pair, layer in (
+                (t.min_margin_m, t.worst_pair_m, best_m, pair_m, 0),
+                (t.min_margin_1, t.worst_pair_1, best_1, pair_1, 1)):
+            if not n:
+                assert (got, pair) == (best, ref_pair)
+                continue
+            assert abs(got - best) <= 1e-12
+            if pair != ref_pair:
+                x, y = (index[w] for w in pair)
+                assert margins[layer, x, y] <= best + 1e-12
         c = controlled_set_check(cloud)
         best, worst, violations, n = ref["controlled"]
         assert (c.n_pairs, c.worst_pair, c.violations) == (n, worst,
@@ -435,9 +514,12 @@ class TestStackedScans:
     def test_chunks_split_mid_row(self, scanned_cloud, monkeypatch):
         cloud, ref = scanned_cloud
         d = cloud.samples[0].xi1_plus.ambient_dim
-        # seven pairs per chunk (n is no multiple of 7), one mask row
-        monkeypatch.setattr(boundary, "_PAIR_BYTES", 7 * 8 * d * d)
-        assert len(cloud) % 7 and 7 * 8 * d * d < len(cloud) * 8 * d
+        # 2/7 of a row of d x d floats: blocks are pieces of rows, the last
+        # one shorter, and batches hold tens of triples
+        budget = len(cloud) * 8 * d * d * 2 // 7
+        monkeypatch.setattr(boundary, "_PAIR_BYTES", budget)
+        assert len(list(boundary._blocks(len(cloud), 8 * d * d))) > 3 * len(
+            cloud)
         self.assert_same(cloud, ref)
 
     def test_ties_keep_the_first_pair(self, monkeypatch):
@@ -450,12 +532,30 @@ class TestStackedScans:
             make_sample(gens, w, x, e[:, :2], e[:, 2:], e[:, :2], e[2])
             for w, x in [("a", e[0]), ("aa", e[1]), ("A", e[0])]),
             m=2, rep_recipe={})
-        monkeypatch.setattr(boundary, "_PAIR_BYTES", 1)  # one per chunk
+        monkeypatch.setattr(boundary, "_PAIR_BYTES", 1)  # one per block
         ref = {"transversality": reference_transversality(cloud),
                "controlled": reference_controlled_set(cloud),
                "hyperconvexity": reference_hyperconvexity(cloud, 500, seed=3)}
         assert ref["transversality"][:2] == (1.0, ("a", "a"))
         self.assert_same(cloud, ref)
+        t = transversality_scan(cloud)
+        assert (t.min_margin_m, t.worst_pair_m) == (1.0, ("a", "a"))
+        assert (t.min_margin_1, t.worst_pair_1) == (0.0, ("a", "a"))
+
+    def test_separation_at_the_threshold(self):
+        # at sep_tol equal to a pair's own residual distance the pair is
+        # kept, one ulp above it skipped: the squared sines from the GEMM
+        # of cosines decide only outside the band
+        rng = np.random.default_rng(6)
+        P, Q = (v / np.linalg.norm(v, axis=1)[:, None]
+                for v in rng.standard_normal((2, 400, 4)))
+        Q[:200] = P[:200] + 1e-3 * rng.standard_normal((200, 4))
+        Q /= np.linalg.norm(Q, axis=1)[:, None]
+        for u, v in zip(P[:, None], Q[:, None]):
+            dist = boundary._proj_distances(u, v)[0]
+            assert boundary._separated(u, v, dist)[0, 0]
+            assert not boundary._separated(u, v, np.nextafter(dist, 2.0))[0, 0]
+            assert abs(dist - proj_distance(u[0], v[0])) <= 1e-15
 
     def test_every_pair_skipped(self, tau4_cloud):
         # a projective distance never exceeds 1, so sep_tol=2 skips all
@@ -466,12 +566,88 @@ class TestStackedScans:
         c = controlled_set_check(tau4_cloud, sep_tol=2.0)
         assert (c.min_margin, c.worst_pair, c.violations, c.n_pairs) == (
             math.inf, ("", ""), (), 0)
-        assert reference_transversality(tau4_cloud, sep_tol=2.0) == (
+        assert reference_transversality(tau4_cloud, sep_tol=2.0)[:5] == (
             math.inf, ("", ""), math.inf, ("", ""), 0)
         assert reference_controlled_set(tau4_cloud, sep_tol=2.0) == (
             math.inf, ("", ""), (), 0)
         with pytest.raises(ValueError, match="cannot find 2 separated"):
             hyperconvexity_scan(tau4_cloud, n_triples=2, sep_tol=2.0)
+
+
+def flag_pair(rng, d, m, angle):
+    """Random complementary frames X (rank m) and Y (rank d - m), in
+    random bases, whose least principal angle is ``angle`` if given: the
+    first vector of Y leans that far off the first vector of X."""
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    Y = Q[:, m:].copy()
+    if angle is not None:
+        Y[:, 0] = math.cos(angle) * Q[:, 0] + math.sin(angle) * Q[:, m]
+
+    def rebase(F):
+        return F @ np.linalg.qr(rng.standard_normal((F.shape[1],) * 2))[0]
+    return rebase(Q[:, :m]), rebase(Y)
+
+
+class TestClosedFormMargins:
+    """The principal-angle margins of the transversality scan against
+    ``direct_sum_margin`` and against 50-digit references."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8).flatmap(
+               lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+           st.integers(0, 2 ** 32 - 1), st.integers(1, 16))
+    def test_random_flags(self, dm, seed, digits):
+        d, m = dm
+        rng = np.random.default_rng(seed)
+        angle = 10.0 ** -digits
+        pairs = [flag_pair(rng, d, m, a) for a in (angle, None, None)]
+        X, Y = (np.array(F) for F in zip(*pairs))
+        margins = boundary._FlagPair(X, Y)(slice(0, 3), slice(0, 3))
+        for a in range(3):
+            for b in range(3):
+                ref = direct_sum_margin([X[a], Y[b]])
+                assert abs(margins[a, b] - ref) <= 1e-12
+        # [X Y] of the constructed pair has sigma_min^2 = 1 - cos(angle)
+        assert abs(margins[0, 0] - math.sqrt(2) * math.sin(angle / 2)) <= 1e-15
+
+    def test_zero_sine_block(self):
+        # a 2-plane against itself in R^4: the 2 x 2 sine block is 0 and
+        # so is the margin, with no 0 / 0 (a RuntimeWarning fails here)
+        e = np.eye(4)
+        X = np.array([e[:, :2], e[:, :2]])
+        Y = np.array([e[:, :2], e[:, 2:]])
+        margins = boundary._FlagPair(X, Y)(slice(0, 2), slice(0, 2))
+        assert np.array_equal(margins, [[0.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("d, m", [(4, 2), (6, 3)])
+    def test_smallest_margins_against_mpmath(self, schottky_rep, d, m):
+        cloud = limit_samples(tau_representation(schottky_rep, d), m, 4)
+        margins = np.nan_to_num(scan_margins(cloud), nan=math.inf)
+        flags = (("xim_plus", "xi_dm_minus"), ("xi1_plus", "xi_d1_minus"))
+        for layer, (fx, fy) in enumerate(flags):
+            for t in np.argsort(margins[layer], axis=None)[:30]:
+                x, y = divmod(int(t), len(cloud))
+                A = np.hstack([getattr(cloud.samples[x], fx).frame,
+                               getattr(cloud.samples[y], fy).frame])
+                with mpmath.workdps(50):
+                    exact = min(mpmath.svd_r(mpmath.matrix(A.tolist()),
+                                             compute_uv=False))
+                assert abs(margins[layer, x, y] - float(exact)) <= 1e-15
+
+    def test_memory_linear_in_samples(self, tau3_rep):
+        cloud = limit_samples(tau3_rep, 2, 6)
+        n, d = len(cloud), 3
+        tracemalloc.start()
+        try:
+            report = transversality_scan(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_pairs > 1_600_000
+        # blocks within _PAIR_BYTES plus the (n, d, d) stacks, less than
+        # one (n, n) boolean mask
+        bound = 4 * boundary._PAIR_BYTES + 4 * n * d * d * 8
+        assert peak <= bound < n * n
 
 
 class TestIrreducibilityProxy:

@@ -3,16 +3,15 @@ import pytest
 
 from anosovlab import functors
 from anosovlab.functors import (build_representation, build_su21_rep,
-                                direct_sum_rep, flag_wedge, hitchin_zeta,
-                                perturb_rep, representation_from_matrices,
+                                direct_sum_rep, flag_wedge, perturb_rep,
+                                representation_from_matrices,
                                 su21_representation, sym_square,
                                 sym_square_representation, tau_d,
                                 tau_representation, veronese_point,
                                 wedge_indices, wedge_power,
                                 wedge_representation)
 from anosovlab.linalg import (Subspace, eigen_moduli, normalize_lift,
-                              proj_distance, singular_values,
-                              subspace_distance)
+                              proj_distance, singular_values)
 from anosovlab.spectra import gap_profile
 from tests.conftest import load_example_config
 
@@ -334,71 +333,6 @@ class TestSU21:
     def test_rejects_non_members(self):
         with pytest.raises(ValueError, match="not in SU"):
             build_su21_rep(np.diag([2.0, 1.0, 1.0]))
-
-
-class TestHitchinZeta:
-    @staticmethod
-    def coordinate_flags(d):
-        e = np.eye(d)
-        return {j: Subspace(e[:, :j]) for j in range(1, d + 1)}
-
-    def test_level_one_d4_k2(self):
-        f = self.coordinate_flags(4)
-        z1 = hitchin_zeta(f[1], f[2], f[3], f[1], f[2], f[3], 1)
-        expected = np.zeros(6)
-        expected[wedge_indices(4, 2).index((0, 1))] = 1.0
-        assert proj_distance(z1, Subspace.line(expected)) < 1e-12
-
-    def test_level_two_d4_k2(self):
-        f = self.coordinate_flags(4)
-        z2 = hitchin_zeta(f[1], f[2], f[3], f[1], f[2], f[3], 2)
-        idx = wedge_indices(4, 2)
-        expected = np.zeros((6, 2))
-        expected[idx.index((0, 1)), 0] = 1.0
-        expected[idx.index((0, 2)), 1] = 1.0
-        assert z2.rank == 2
-        assert subspace_distance(z2, Subspace(expected)) < 1e-12
-
-    def test_level_dm2_d4_k2(self):
-        f = self.coordinate_flags(4)
-        z = hitchin_zeta(f[1], f[2], f[3], f[1], f[2], f[3], "D-2")
-        idx = wedge_indices(4, 2)
-        assert z.rank == len(idx) - 2
-        # excluded wedges: the top one {2,3} and {1,3} (0-based indices)
-        excluded = [idx.index((2, 3)), idx.index((1, 3))]
-        for row in excluded:
-            assert np.abs(z.frame[row, :]).max() < 1e-10
-
-    def test_level_dm1_d4_k2(self):
-        f = self.coordinate_flags(4)
-        z = hitchin_zeta(f[1], f[2], f[3], f[1], f[2], f[3], "D-1")
-        idx = wedge_indices(4, 2)
-        assert z.rank == len(idx) - 1
-        assert np.abs(z.frame[idx.index((2, 3)), :]).max() < 1e-10
-
-    def test_k1_degeneracies(self):
-        # for k=1 the wedge space is R^d itself: level 1 gives the line,
-        # level D-2 the (d-2)-flag, level D-1 the hyperplane
-        f = self.coordinate_flags(3)
-        z1 = hitchin_zeta(None, f[1], f[2], f[1], f[2], None, 1)
-        assert proj_distance(z1, Subspace.line(np.eye(3)[:, 0])) < 1e-12
-        zDm2 = hitchin_zeta(None, f[1], f[2], f[1], f[2], None, "D-2")
-        assert zDm2.rank == 1
-        assert proj_distance(zDm2, Subspace.line(np.eye(3)[:, 0])) < 1e-12
-        zDm1 = hitchin_zeta(None, f[1], f[2], f[1], f[2], None, "D-1")
-        assert subspace_distance(zDm1, Subspace(np.eye(3)[:, :2])) < 1e-12
-
-    def test_nesting_violation(self):
-        e = np.eye(4)
-        bad = Subspace(e[:, 2:3])  # not containing the 1-flag
-        f = self.coordinate_flags(4)
-        with pytest.raises(ValueError, match="not nested"):
-            hitchin_zeta(f[1], bad, f[3], f[1], f[2], f[3], 1)
-
-    def test_unknown_level(self):
-        f = self.coordinate_flags(4)
-        with pytest.raises(ValueError, match="level"):
-            hitchin_zeta(f[1], f[2], f[3], f[1], f[2], f[3], "D-3")
 
 
 class TestPerturb:
