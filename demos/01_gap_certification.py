@@ -13,8 +13,8 @@ from importlib import resources
 
 import numpy as np
 
-from anosovlab import (build_representation, direct_sum_rep, gap_profile,
-                       tau_representation)
+from anosovlab import (build_representation, direct_sum_rep, enumerate_ball,
+                       gap_profile, tau_representation)
 
 
 def load_example_config(name):
@@ -23,7 +23,7 @@ def load_example_config(name):
 
 
 def show_profile(rep, k, radius):
-    prof = gap_profile(rep, k, radius)
+    prof = gap_profile(enumerate_ball(rep.generators, radius), k)
     print(f"\n  k = {k}: per-length minima of log(mu_{k}/mu_{k+1})")
     for n, lo, hi in zip(prof.lengths, prof.min_gap, prof.max_gap):
         bar = "#" * int(4 * lo)

@@ -15,12 +15,11 @@ from importlib import resources
 import numpy as np
 
 from anosovlab import (alpha_m_estimate, build_representation,
-                       hoelder_regression, limit_samples, tangency_check,
-                       tau_representation)
+                       enumerate_ball, hoelder_regression, limit_samples,
+                       tangency_check, tau_representation)
 from anosovlab.boundary import FlagSample, LimitCloud
 from anosovlab.functors import representation_from_matrices
 from anosovlab.linalg import Subspace
-from anosovlab.spectra import cartan_jordan
 
 
 def synthetic_cloud(beta, n_points=1000, seed=0):
@@ -34,8 +33,7 @@ def synthetic_cloud(beta, n_points=1000, seed=0):
                           xim_plus=Subspace(e[:, :2]),
                           xi_dm_minus=Subspace(e[:, 2:]),
                           xi_d1_minus=Subspace(e[:, 1:]),
-                          xi1_minus=Subspace.line(e[2]),
-                          spectral=cartan_jordan(g))
+                          xi1_minus=Subspace.line(e[2]))
 
     rng = np.random.default_rng(seed)
     us = np.exp(rng.uniform(np.log(1e-4), np.log(1e-1), n_points))
@@ -77,7 +75,7 @@ def main():
     print(f"  secant angles at the 5 nearest points: "
           f"{np.round(tang.angles[:5], 6)} (should shrink toward 0)")
 
-    est = alpha_m_estimate(rep, 2, 6)
+    est = alpha_m_estimate(enumerate_ball(rep.generators, 6), 2)
     print(f"  eigenvalue-ratio infimum: {est.value:.12f} "
           f"(witness {est.witness.word!r})")
     print("  -> the regression recovers the eigenvalue formula's alpha = 2")

@@ -22,7 +22,8 @@ import numpy as np
 
 from anosovlab import (alpha_m_estimate, build_representation,
                        direct_sum_rep, eigen_gap_inequality_check,
-                       irreducibility_proxy, tau_representation)
+                       enumerate_ball, irreducibility_proxy,
+                       tau_representation)
 
 
 def main():
@@ -37,8 +38,8 @@ def main():
                                         tau_representation(base, 2)),
     }
     for name, rep in reps.items():
-        est = alpha_m_estimate(rep, 2, 5)
-        irr = irreducibility_proxy(rep, 3)
+        est = alpha_m_estimate(enumerate_ball(rep.generators, 5), 2)
+        irr = irreducibility_proxy(enumerate_ball(rep.generators, 3))
         flag = "irreducible" if irr.irreducible else \
             f"reducible (invariant dim {irr.min_invariant_dim})"
         print(f"{name:14s} alpha_2 = {est.value:.12f}   [{flag}]")
@@ -52,7 +53,8 @@ def main():
     for name, rep, alpha in [("tau_3", reps["tau_3"], 2.0),
                              ("tau_5 + tau_2", reps["tau_5 + tau_2"], 2.0),
                              ("tau_5 + tau_2", reps["tau_5 + tau_2"], 1.5)]:
-        check = eigen_gap_inequality_check(rep, 2, alpha, 4)
+        check = eigen_gap_inequality_check(
+            enumerate_ball(rep.generators, 4), 2, alpha)
         verdict = "holds" if check.passed else \
             f"fails (witness {check.worst_witness!r})"
         print(f"  {name:14s} alpha = {alpha}: {verdict}, "

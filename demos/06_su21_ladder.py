@@ -18,7 +18,8 @@ from importlib import resources
 import numpy as np
 
 from anosovlab import (alpha_m_estimate, build_representation,
-                       build_su21_rep, eigen_moduli, gap_profile)
+                       build_su21_rep, eigen_moduli, enumerate_ball,
+                       gap_profile)
 
 
 def main():
@@ -31,16 +32,17 @@ def main():
                      .joinpath("configs", "su21_9dim.json").read_text())
     rep = build_representation(cfg["representation"])
     print(f"\ntwo-generator subgroup, dim {rep.dim}, ball radius 3")
+    ball = enumerate_ball(rep.generators, 3)
 
     for k in (1, 4):
-        prof = gap_profile(rep, k, 3)
+        prof = gap_profile(ball, k)
         print(f"  k = {k}: per-length min gaps "
               f"{np.round(prof.min_gap, 4)}")
 
-    est = alpha_m_estimate(rep, 4, 3)
+    est = alpha_m_estimate(ball, 4)
     print(f"\nindex-4 regularity ratio: {est.value:.12f} "
           f"(exactly 1: the fourth gap never opens)")
-    est2 = alpha_m_estimate(rep, 2, 3)
+    est2 = alpha_m_estimate(ball, 2)
     print(f"index-2 regularity ratio: {est2.value:.12f} "
           f"(= 1 as well: lam_2 = lam_3 = w)")
 

@@ -18,9 +18,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .functors import Representation
-from .groups import GroupElement, cyclic_reduce, enumerate_ball, inverse_word
-from .linalg import (GAP_TOL, SpectralData, SpectralGapError, Subspace,
-                     orthonormalize, top_invariant_subspace)
+from .groups import (Ball, GroupElement, cyclic_reduce, enumerate_ball,
+                     inverse_word)
+from .linalg import (GAP_TOL, SpectralGapError, Subspace, orthonormalize,
+                     top_invariant_subspace)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
@@ -51,7 +52,6 @@ class FlagSample:
     xi_dm_minus: Subspace    # attracting (d-m)-subspace of the inverse
     xi_d1_minus: Subspace    # attracting hyperplane of the inverse
     xi1_minus: Subspace      # attracting line of the inverse (minus point)
-    spectral: SpectralData
 
 
 @dataclass(frozen=True)
@@ -223,9 +223,9 @@ def _proximal(ball, ks) -> np.ndarray:
 
 
 def limit_samples(rep: Representation, m: int, radius: int,
-                  dedup_tol: float = DEFAULT_FLAG_DEDUP_TOL,
-                  ball=None) -> LimitCloud:
-    """Flags of the attracting fixed points of all proximal ball elements.
+                  dedup_tol: float = DEFAULT_FLAG_DEDUP_TOL) -> LimitCloud:
+    """Flags of the attracting fixed points of all proximal elements of the
+    ball of ``radius``; the cloud records the recipe of ``rep``.
 
     Elements need eigenvalue-modulus gaps at indices 1 and m (the same
     gaps serve the inverse element at d-1 and d-m), read from the class
@@ -245,10 +245,9 @@ def limit_samples(rep: Representation, m: int, radius: int,
     d = rep.dim
     if not 1 <= m <= d - 1:
         raise ValueError(f"flag index m={m} out of range for dimension {d}")
-    if ball is None:
-        ball = enumerate_ball(rep.generators, radius)
+    ball = enumerate_ball(rep.generators, radius)
     for k in sorted({1, m}):
-        profile = gap_profile(rep, k, radius, ball=ball)
+        profile = gap_profile(ball, k)
         if not profile.linear:
             warnings.warn(
                 f"gap profile at k={k} is not certified linear "
@@ -279,9 +278,7 @@ def limit_samples(rep: Representation, m: int, radius: int,
               ("xim_plus", "xi_dm_minus", "xi_d1_minus", "xi1_minus")}
     samples = tuple(
         FlagSample(witness=ball[i], xi1_plus=Subspace(points[n, :, None]),
-                   **{name: Subspace(F[n]) for name, F in frames.items()},
-                   spectral=SpectralData(mu=ball.cartan[i],
-                                         lam=ball.jordan[i]))
+                   **{name: Subspace(F[n]) for name, F in frames.items()})
         for n, i in enumerate(flags.index[kept]))
     return LimitCloud(samples=samples, m=m, rep_recipe=rep.recipe)
 
@@ -558,11 +555,12 @@ class HyperconvexityReport:
     n_evaluated: int
 
 
-def hyperconvexity_scan(cloud: LimitCloud, m: int | None = None,
-                        n_triples: int = 500, seed: int = 0,
+def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
+                        seed: int = 0,
                         sep_tol: float = 1e-3) -> HyperconvexityReport:
     """Minimum of direct_sum_margin(xi^(1)(x), xi^(1)(z), xi^(d-m)(y))
-    over seeded random triples of pairwise-distinct boundary points.
+    over seeded random triples of pairwise-distinct boundary points, for
+    the cloud's m.
 
     x and z are plus points of two samples, y the minus point of a third;
     triples with any pairwise distance below ``sep_tol`` are resampled
@@ -576,11 +574,7 @@ def hyperconvexity_scan(cloud: LimitCloud, m: int | None = None,
     of the accepted triples come after the draws from one batched SVD
     per chunk, bit-identical to ``direct_sum_margin`` triple by triple.
     """
-    if m is None:
-        m = cloud.m
-    if m != cloud.m:
-        raise ValueError(f"cloud was sampled for m={cloud.m}, not m={m}")
-    if m < 2:
+    if cloud.m < 2:
         raise ValueError("hyperconvexity scan requires m >= 2")
     if len(cloud) < 3:
         raise ValueError("need at least 3 samples")
@@ -703,8 +697,7 @@ def _invariant_closure_dim(seed: np.ndarray,
     return V.shape[1]
 
 
-def irreducibility_proxy(rep: Representation, radius: int,
-                         ball=None) -> IrreducibilityReport:
+def irreducibility_proxy(ball: Ball) -> IrreducibilityReport:
     """Numerical proxy for irreducibility.
 
     Positive iff (a) the sampled limit points span R^d and (b) no proper
@@ -714,9 +707,7 @@ def irreducibility_proxy(rep: Representation, radius: int,
     generator, so a proper closure certifies reducibility; the converse
     direction is heuristic.
     """
-    d = rep.dim
-    if ball is None:
-        ball = enumerate_ball(rep.generators, radius)
+    d = ball.gens.dim
     lines = _ClassFlags(ball, _proximal(ball, [1]),
                         {"xi1_plus": ("A", 1, "P", False)})("xi1_plus")
     xi1_rank = 0
@@ -724,8 +715,7 @@ def irreducibility_proxy(rep: Representation, radius: int,
         s = np.linalg.svd(lines[:, :, 0].T, compute_uv=False)
         xi1_rank = int((s > 1e-8 * s[0]).sum())
 
-    gen_mats = [rep.generators.matrices[l].mat
-                for l in rep.generators.positive_labels]
+    gen_mats = [ball.gens.matrices[l].mat for l in ball.gens.positive_labels]
     min_dim = d
     for A in gen_mats:
         w, vecs = np.linalg.eig(A)

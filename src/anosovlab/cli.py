@@ -24,7 +24,8 @@ from . import __version__
 from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
                        limit_samples)
 from .functors import build_representation, perturb_rep
-from .geometry import build_chart, chart_coords, hoelder_regression
+from .geometry import (REGRESSION_CAVEAT, _pair_distances, build_chart,
+                       chart_coords, hoelder_regression)
 from .groups import BallTooLargeError, enumerate_ball
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
                       gelfand_check, spectral_kernel, spectral_table)
@@ -332,8 +333,8 @@ def _run_certify(rep, exp, radius, seed, out, artifacts):
     rows, results = [], {}
     all_linear = True
     for k in exp["ks"]:
-        prof = gap_profile(rep, k, radius, ball=ball,
-                           slope_min=exp["slope_min"], r2_min=exp["r2_min"])
+        prof = gap_profile(ball, k, slope_min=exp["slope_min"],
+                           r2_min=exp["r2_min"])
         for n, mn, mx in zip(prof.lengths, prof.min_gap, prof.max_gap):
             rows.append({"k": k, "length": int(n), "min_gap": float(mn),
                          "max_gap": float(mx)})
@@ -345,7 +346,7 @@ def _run_certify(rep, exp, radius, seed, out, artifacts):
     _write_csv(out / "gap_profile.csv", ["k", "length", "min_gap", "max_gap"],
                rows)
     artifacts.append("gap_profile.csv")
-    table = spectral_table(rep, radius, ball=ball)
+    table = spectral_table(ball)
     _write_csv(out / "spectra.csv", list(table[0].keys()), table)
     artifacts.append("spectra.csv")
     return results, all_linear
@@ -354,12 +355,12 @@ def _run_certify(rep, exp, radius, seed, out, artifacts):
 def _run_alpha(rep, exp, radius, seed, out, artifacts):
     m = exp["m"]
     ball = enumerate_ball(rep.generators, radius)
-    est = alpha_m_estimate(rep, m, radius, tol=exp["tol"], ball=ball)
+    est = alpha_m_estimate(ball, m, tol=exp["tol"])
     rows = [{"radius": int(r), "alpha_inf": float(v)}
             for r, v in est.per_radius if not np.isnan(v)]
     _write_csv(out / "alpha_per_radius.csv", ["radius", "alpha_inf"], rows)
     artifacts.append("alpha_per_radius.csv")
-    table = spectral_table(rep, radius, m=m, ball=ball)
+    table = spectral_table(ball, m=m)
     _write_csv(out / "spectra.csv", list(table[0].keys()), table)
     artifacts.append("spectra.csv")
     results = {"m": m, "alpha": est.value, "witness": est.witness.word,
@@ -430,7 +431,7 @@ def _run_limitset(rep, exp, radius, seed, out, artifacts):
 def _run_hyperconvex(rep, exp, radius, seed, out, artifacts):
     m = exp["m"]
     cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
-    report = hyperconvexity_scan(cloud, m=m, n_triples=exp["n_triples"],
+    report = hyperconvexity_scan(cloud, n_triples=exp["n_triples"],
                                  seed=seed, sep_tol=exp["sep_tol"])
     rows = [{"index": i, "margin": float(v)}
             for i, v in enumerate(report.margins)]
@@ -451,13 +452,8 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
     cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
     pts = cloud.points()
     # anchors with the most neighbours inside the window, deterministically
-    scores = []
-    for i, s in enumerate(cloud.samples):
-        v = s.xi1_plus.vector()
-        dots = np.clip(np.abs(pts @ v), 0.0, 1.0)
-        dist = np.sqrt(1.0 - dots ** 2)
-        scores.append(((dist > window[0]) & (dist < window[1])).sum())
-    from .geometry import REGRESSION_CAVEAT, _pair_distances
+    scores = [np.count_nonzero((window[0] < dp) & (dp < window[1]))
+              for dp, _ in (_pair_distances(pts, s) for s in cloud.samples)]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}
@@ -475,11 +471,9 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
                      "slope": rep_report.slope,
                      "r_squared": rep_report.r_squared,
                      "n_points": rep_report.n_points})
-        dp, dt = _pair_distances(cloud, anchor, "sin")
-        kept = (window[0] < dp) & (dp < window[1]) & (dt > 1e-14)
         scatter += [{"anchor": anchor.witness.word, "point_distance": p,
                      "tangent_distance": t}
-                    for p, t in zip(dp[kept].tolist(), dt[kept].tolist())]
+                    for p, t in rep_report.points.tolist()]
     _write_csv(out / "hoelder_slopes.csv",
                ["witness", "slope", "r_squared", "n_points"], rows)
     artifacts.append("hoelder_slopes.csv")
@@ -490,7 +484,8 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
 
 
 def _run_cones(rep, exp, radius, seed, out, artifacts):
-    report = cone_diagnostic(rep, radius, exp["n_min"])
+    report = cone_diagnostic(enumerate_ball(rep.generators, radius),
+                             exp["n_min"])
     results = {"max_distance": report.max_distance,
                "mean_distance": report.mean_distance,
                "n_elements": report.n_elements,
@@ -514,8 +509,8 @@ def _run_perturb_sweep(rep, exp, radius, seed, out, artifacts):
     rows, results = [], []
     for idx, eps in enumerate(exp["eps_list"]):
         pert = perturb_rep(rep, float(eps), seed + idx)
-        prof = gap_profile(pert, k, radius, slope_min=exp["slope_min"],
-                           r2_min=exp["r2_min"])
+        prof = gap_profile(enumerate_ball(pert.generators, radius), k,
+                           slope_min=exp["slope_min"], r2_min=exp["r2_min"])
         rows.append({"eps": float(eps), "slope": prof.slope,
                      "r_squared": prof.r_squared, "verdict": prof.verdict})
         results.append({"eps": float(eps), "slope": prof.slope,

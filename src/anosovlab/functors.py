@@ -82,7 +82,8 @@ def tau_d(g, d: int) -> MatrixD:
     if M.dim != 2:
         raise ValueError("tau_d expects a 2x2 matrix")
     A = M.mat
-    h = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) * M.det_sign
+    h = (np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
+         * np.sign(np.linalg.det(A)))
     n = d - 1
     cols = []
     for j in range(d):
@@ -92,8 +93,7 @@ def tau_d(g, d: int) -> MatrixD:
         p2 = np.array([math.comb(j, t) * h[1, 0] ** (j - t) * h[1, 1] ** t
                        for t in range(j + 1)])
         cols.append(np.convolve(p1, p2))
-    sign = M.det_sign if (d * (d - 1) // 2) % 2 else 1
-    return MatrixD(np.ascontiguousarray(np.array(cols).T), sign)
+    return MatrixD(np.ascontiguousarray(np.array(cols).T))
 
 
 def wedge_indices(d: int, k: int) -> list[tuple[int, ...]]:
@@ -138,8 +138,7 @@ def wedge_power(M, k: int) -> MatrixD:
     if not 1 <= k <= d - 1:
         raise ValueError(f"wedge index k={k} out of range for dimension {d}")
     idx = np.array(wedge_indices(d, k))
-    sign = Mu.det_sign if math.comb(d - 1, k - 1) % 2 else 1
-    return MatrixD(_wedge_coordinates(A, idx, idx), sign)
+    return MatrixD(_wedge_coordinates(A, idx, idx))
 
 
 def _sym_pairs(d: int) -> list[tuple[int, int]]:
@@ -166,8 +165,7 @@ def sym_square(M) -> MatrixD:
         # X = M B_ij M^T; read off its coordinates in the weighted basis
         for row, (kk, ll) in enumerate(pairs):
             S[row, col] = X[kk, ll] if kk == ll else rt2 * X[kk, ll]
-    sign = Mu.det_sign if (d + 1) % 2 else 1
-    return MatrixD(np.ascontiguousarray(S), sign)
+    return MatrixD(np.ascontiguousarray(S))
 
 
 def veronese_point(v) -> Subspace:
@@ -204,7 +202,7 @@ def direct_sum_rep(r1: Representation, r2: Representation) -> Representation:
         blk = np.zeros((d1 + d2, d1 + d2))
         blk[:d1, :d1] = M1.mat
         blk[d1:, d1:] = M2.mat
-        return MatrixD(blk, M1.det_sign * M2.det_sign)
+        return MatrixD(blk)
 
     gens = {label: block(label) for label in l1}
     invs = {label: block(label.upper()) for label in l1}

@@ -12,8 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .boundary import FlagSample, LimitCloud
-from .functors import Representation
-from .groups import enumerate_ball
+from .groups import Ball
 from .linalg import (Subspace, direct_sum_margin, proj_distance,
                      subspace_intersection)
 from .spectra import linefit
@@ -111,34 +110,32 @@ class RegressionReport:
     slope: float
     intercept: float
     r_squared: float
-    n_points: int
     n_floored: int
     window: tuple[float, float]
-    metric: str
+    points: np.ndarray  # (n, 2): the fitted (point, tangent) distances
     caveat: str = REGRESSION_CAVEAT
 
+    @property
+    def n_points(self) -> int:
+        return len(self.points)
 
-def _pair_distances(cloud: LimitCloud, anchor: FlagSample, metric: str):
-    """Arrays of the distances of the cloud points to the anchor point and
-    to the anchor's tangent flag, in the requested metric variant: for
-    "sin" the ``proj_distance`` and ``point_subspace_distance`` residuals,
-    over the stacked points at once."""
-    P = np.array([s.xi1_plus.frame[:, 0] for s in cloud.samples])
-    P = P / np.linalg.norm(P, axis=1)[:, None]
+
+def _pair_distances(points: np.ndarray, anchor: FlagSample):
+    """Arrays of the distances of a cloud's stacked ``points`` (see
+    :meth:`LimitCloud.points`) to the anchor point and to the anchor's
+    tangent flag: the ``proj_distance`` and ``point_subspace_distance``
+    residuals, over the stacked points at once."""
+    P = points / np.linalg.norm(points, axis=1)[:, None]
     x = anchor.xi1_plus.frame[:, 0]
     x = x / np.linalg.norm(x)
     F = anchor.xim_plus.frame
     dp = np.minimum(1.0, np.linalg.norm(x - P * (P @ x)[:, None], axis=1))
     dt = np.minimum(1.0, np.linalg.norm(P - (P @ F) @ F.T, axis=1))
-    if metric == "chord":
-        dp, dt = (np.sqrt(2.0 - 2.0 * np.sqrt(np.maximum(0.0, 1.0 - v * v)))
-                  for v in (dp, dt))
     return dp, dt
 
 
 def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
                        window: tuple[float, float] = (1e-5, 1e-1),
-                       metric: str = "sin",
                        min_points: int = 20) -> RegressionReport:
     """Least-squares slope of log(distance to the anchor's tangent flag)
     against log(distance to the anchor point), over cloud points whose
@@ -146,12 +143,11 @@ def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
 
     The slope estimates the Hölder exponent of the limit set at the
     anchor where the graph-equality hypothesis holds; points numerically
-    on the tangent flag (distance below 1e-14) are excluded and counted.
+    on the tangent flag (distance at most ``DISTANCE_FLOOR``) are excluded
+    and counted.  The report keeps the points the fit used.
     """
-    if metric not in ("sin", "chord"):
-        raise ValueError("metric must be 'sin' or 'chord'")
     lo, hi = window
-    dp, dt = _pair_distances(cloud, anchor, metric)
+    dp, dt = _pair_distances(cloud.points(), anchor)
     inside = (lo < dp) & (dp < hi)
     floored = int(np.count_nonzero(inside & (dt <= DISTANCE_FLOOR)))
     used = inside & (dt > DISTANCE_FLOOR)
@@ -162,8 +158,8 @@ def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
             "increase the ball radius or widen the window")
     slope, intercept, r2 = linefit(xs, ys)
     return RegressionReport(slope=slope, intercept=intercept, r_squared=r2,
-                            n_points=len(xs), n_floored=floored,
-                            window=(lo, hi), metric=metric)
+                            n_floored=floored, window=(lo, hi),
+                            points=np.column_stack([dp[used], dt[used]]))
 
 
 @dataclass(frozen=True)
@@ -232,8 +228,8 @@ class GapInequalityReport:
     m: int
 
 
-def eigen_gap_inequality_check(rep: Representation, m: int, alpha: float,
-                               radius: int, ball=None) -> GapInequalityReport:
+def eigen_gap_inequality_check(ball: Ball, m: int,
+                               alpha: float) -> GapInequalityReport:
     """Audits lam_(m+1)/lam_m <= (lam_2/lam_1)^(alpha-1) over the ball.
 
     In log form the margin is log(lam_m/lam_(m+1)) -
@@ -243,11 +239,9 @@ def eigen_gap_inequality_check(rep: Representation, m: int, alpha: float,
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    d = rep.dim
+    d = ball.gens.dim
     if not 2 <= m <= d - 1:
         raise ValueError(f"index m={m} out of range for dimension {d}")
-    if ball is None:
-        ball = enumerate_ball(rep.generators, radius)
     lam = ball.jordan
     margins = np.where(ball.lengths > 0, (lam[:, m - 1] - lam[:, m])
                        - (alpha - 1.0) * (lam[:, 0] - lam[:, 1]), math.inf)

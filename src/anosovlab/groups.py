@@ -10,7 +10,6 @@ whose matrices agree (as elements of PGL, i.e. up to sign) are merged.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -130,7 +129,7 @@ class GeneratorSet:
         return tuple(l for l in self.labels if l.islower())
 
     def matrix_of_word(self, word: str) -> MatrixD:
-        M = MatrixD(np.eye(self.dim), 1)
+        M = MatrixD(np.eye(self.dim))
         for ch in word:
             M = M @ self.matrices[ch]
         return M
@@ -170,10 +169,12 @@ class Ball(Sequence):
     """The elements of a word-metric ball, enumerated once.
 
     A sequence of :class:`GroupElement` sorted by (length, word), after
-    merging words with equal matrices.  ``products`` stacks the
-    left-to-right products of *every* reduced word of length <= radius,
-    merged or kept, in the order of the list ``words``, and ``row`` maps
-    each word to its index there.  The
+    merging words with equal matrices: the one input of the spectral
+    analytics, which read the dimension from ``gens.dim`` and the radius
+    from :attr:`radius`.  ``products`` stacks the left-to-right products
+    of *every* reduced word of length <= radius, merged or kept, in the
+    order of the list ``words`` (prefix-closed and sorted by (length,
+    word)), and ``row`` maps each word to its index there.  The
     inverse word and every rotation of the cyclic core of a ball word are
     again reduced words of no greater length, so their matrices are rows
     of the same stack, even where that word itself was merged away.
@@ -195,15 +196,18 @@ class Ball(Sequence):
         # stack row of each element's inverse word
         self.inverse_rows = np.array([self.row[inverse_word(words[i])]
                                       for i in keep])
-        det_sign = {label: gens.matrices[label].det_sign
-                    for label in gens.labels}
-        self._elements = [
-            GroupElement(word=words[i], gens=gens, matrix=MatrixD(
-                products[i], math.prod(det_sign[ch] for ch in words[i])))
-            for i in keep]
+        self._elements = [GroupElement(word=words[i], gens=gens,
+                                       matrix=MatrixD(products[i]))
+                          for i in keep]
 
     def __len__(self) -> int:
         return len(self._elements)
+
+    @property
+    def radius(self) -> int:
+        """The length of the longest enumerated word, merged or kept: the
+        enumeration radius."""
+        return len(self.words[-1])
 
     def __getitem__(self, index):
         return self._elements[index]
@@ -222,12 +226,7 @@ class Ball(Sequence):
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
         from .spectra import ladder_logs  # spectra builds on this module
-        words, member = self.classes
-        cartan, jordan = ladder_logs(
-            self.gens, self.words, self.products, self.rows,
-            self.inverse_rows, [self.row[w] for w in words],
-            [self.row[inverse_word(w)] for w in words])
-        return cartan, jordan[member]
+        return ladder_logs(self)
 
     @property
     def cartan(self) -> np.ndarray:

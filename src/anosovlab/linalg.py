@@ -41,25 +41,20 @@ class SpectralGapError(ValueError):
 
 @dataclass(frozen=True)
 class MatrixD:
-    """A d x d real matrix scaled to unit determinant modulus.
-
-    ``mat`` is read-only; ``det_sign`` records the sign of the original
-    determinant (the scaling factor is always positive).
-    """
+    """A d x d real matrix scaled to unit determinant modulus; ``mat`` is
+    read-only."""
 
     mat: np.ndarray
-    det_sign: int
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
     def inv(self) -> "MatrixD":
-        return MatrixD(_readonly(np.linalg.inv(self.mat)), self.det_sign)
+        return MatrixD(_readonly(np.linalg.inv(self.mat)))
 
     def __matmul__(self, other: "MatrixD") -> "MatrixD":
-        return MatrixD(_readonly(self.mat @ other.mat),
-                       self.det_sign * other.det_sign)
+        return MatrixD(_readonly(self.mat @ other.mat))
 
 
 @dataclass(frozen=True)
@@ -137,9 +132,9 @@ def _as_frame(V) -> np.ndarray:
 def normalize_lift(M) -> MatrixD:
     """Rescale an invertible matrix into SL^±_d(R).
 
-    Returns M / |det M|^(1/d) together with the determinant sign.  All
-    ratios of eigenvalues and singular values are unchanged.  A MatrixD is
-    kept as it is: its determinant, read off rounded entries, errs by eps*cond.
+    Returns M / |det M|^(1/d); all ratios of eigenvalues and singular
+    values are unchanged.  A MatrixD is kept as it is: its determinant,
+    read off rounded entries, errs by eps*cond.
     """
     if isinstance(M, MatrixD):
         return M
@@ -150,7 +145,7 @@ def normalize_lift(M) -> MatrixD:
     if sign == 0 or not np.isfinite(logabsdet):
         raise ValueError("non-invertible generator")
     d = A.shape[0]
-    return MatrixD(_readonly(A * np.exp(-logabsdet / d)), int(sign))
+    return MatrixD(_readonly(A * np.exp(-logabsdet / d)))
 
 
 def eigen_moduli(M) -> np.ndarray:

@@ -2,9 +2,11 @@
 certification, the optimal-regularity ratio estimator, Gelfand-limit
 checks and the Jordan/Cartan cone diagnostic.
 
-One kernel, the compound ladder :func:`ladder_logs`, gives the Cartan
-vectors of a ball's words (or of one element's, :func:`cartan_jordan`)
-and the Jordan vectors of their classes' canonical cyclic words.  By
+Every analytic takes the :class:`~anosovlab.groups.Ball` it reads, and
+reads the dimension and the radius from it.  One kernel, the compound
+ladder :func:`ladder_logs`, gives the Cartan vectors of a ball's
+elements and the Jordan vectors of their classes' canonical cyclic words;
+:func:`cartan_jordan` runs it on a ball of one element.  By
 Cauchy-Binet the k-th exterior power of a word's matrix is the product
 of its letters', and its top singular value or eigenvalue modulus gives
 the sum of the top k logs, free of the rounded product's loss of every
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functors import Representation, _wedge_coordinates, wedge_indices
-from .groups import (GeneratorSet, GroupElement, canonical_cyclic,
-                     enumerate_ball, inverse_word)
+from .functors import _wedge_coordinates, wedge_indices
+from .groups import (Ball, GeneratorSet, GroupElement, canonical_cyclic,
+                     inverse_word)
 from .linalg import MatrixD, SpectralData, eigen_moduli, singular_values
 
 __all__ = [
@@ -113,18 +115,22 @@ def _compound_logs(letters: dict, words: list[str], reads) -> list:
     return [out[:, at] for (at, *_), out in zip(reads, logs)]
 
 
-def ladder_logs(gens: GeneratorSet, words: list[str], products: np.ndarray,
-                rows, inverse_rows, class_rows,
-                class_inverse_rows) -> tuple[np.ndarray, np.ndarray]:
-    """Descending Cartan vectors of the words at ``rows`` and Jordan
-    vectors of the cyclically reduced words at ``class_rows`` (their
-    inverses at ``inverse_rows``, ``class_inverse_rows``), from the
-    prefix-closed, length-sorted ``words`` and their left-to-right
-    ``products``, on which the k = 1 rung of each block is read."""
-    reads = [(np.r_[fwd, bwd].astype(np.intp), len(fwd), spectrum)
-             for fwd, bwd, spectrum in
-             ((rows, inverse_rows, singular_values),
-              (class_rows, class_inverse_rows, eigen_moduli))]
+def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """Descending (n, d) Cartan and Jordan vectors of the ball's elements.
+    Cartan vectors are read on the elements' rows and their inverse words'
+    rows, Jordan vectors once per class on the rows of its canonical
+    cyclic word and of that word's inverse; the k = 1 rung of each block
+    on the ball's ``products``, the others on compounds multiplied along
+    its prefix-closed, length-sorted ``words``."""
+    gens, words, products, row = (ball.gens, ball.words, ball.products,
+                                  ball.row)
+    classes, member = ball.classes
+    class_rows = [row[w] for w in classes]
+    class_rows += [row[inverse_word(w)] for w in classes]
+    reads = [(np.r_[ball.rows, ball.inverse_rows].astype(np.intp), len(ball),
+              singular_values),
+             (np.array(class_rows, dtype=np.intp), len(classes),
+              eigen_moduli)]
     vectors = [[], []]
     for B in _diagonal_blocks(gens):
         n, K = len(B), _rungs(len(B))
@@ -150,12 +156,14 @@ def ladder_logs(gens: GeneratorSet, words: list[str], products: np.ndarray,
                               - mid.sum(axis=1)) / mid.shape[1])[:, None]
             out.append(np.hstack([hi, mid, lo]))
     # descending; adding 0.0 copies the reversed view and clears -0.0
-    return tuple(np.sort(np.hstack(v))[:, ::-1] + 0.0 for v in vectors)
+    cartan, jordan = (np.sort(np.hstack(v))[:, ::-1] + 0.0 for v in vectors)
+    return cartan, jordan[member]
 
 
 def cartan_jordan(g) -> SpectralData:
     """Cartan and Jordan vectors (descending, sum 0) of a group element,
-    from the prefixes of its words, or of a matrix as a one-letter word."""
+    or of a matrix as a one-letter word: the one element of a ball over
+    the prefixes of its word, its inverse and their cyclic cores."""
     if isinstance(g, GroupElement):
         gens, word = g.gens, g.word
     else:
@@ -166,11 +174,10 @@ def cartan_jordan(g) -> SpectralData:
     for w in sorted({w[:i] for w in ends for i in range(1, len(w) + 1)},
                     key=lambda w: (len(w), w)):  # as enumerate_ball does
         products[w] = products[w[:-1]] @ gens.matrices[w[-1]].mat
-    row = {w: i for i, w in enumerate(products)}
-    mu, lam = ladder_logs(
-        gens, list(products), np.array(list(products.values())), [row[word]],
-        [row[inverse_word(word)]], [row[core]], [row[inverse_word(core)]])
-    return SpectralData(mu=mu[0], lam=lam[0])
+    words = list(products)
+    ball = Ball(gens, words, np.array(list(products.values())),
+                [words.index(word)])
+    return SpectralData(mu=ball.cartan[0], lam=ball.jordan[0])
 
 
 def linefit(x, y):
@@ -201,9 +208,8 @@ class GapProfile:
     verdict: str
 
 
-def gap_profile(rep: Representation, k: int, radius: int,
-                slope_min: float = 0.05, r2_min: float = 0.9,
-                ball=None) -> GapProfile:
+def gap_profile(ball: Ball, k: int, slope_min: float = 0.05,
+                r2_min: float = 0.9) -> GapProfile:
     """Per-length extrema of log(mu_k / mu_(k+1)) over the deduplicated
     ball, with a least-squares fit through the per-length minima.
 
@@ -211,13 +217,11 @@ def gap_profile(rep: Representation, k: int, radius: int,
     exceeds ``slope_min`` and R^2 exceeds ``r2_min``; a positive verdict
     is numerical evidence of a linear gap, not a certificate.
     """
-    d = rep.dim
+    d = ball.gens.dim
     if not 1 <= k <= d - 1:
         raise ValueError(f"gap index k={k} out of range for dimension {d}")
-    if radius < 1:
+    if ball.radius < 1:
         raise ValueError("radius must be >= 1")
-    if ball is None:
-        ball = enumerate_ball(rep.generators, radius)
     gaps = ball.cartan[:, k - 1] - ball.cartan[:, k]
     lengths = np.unique(ball.lengths[ball.lengths > 0])
     mins = np.array([gaps[ball.lengths == n].min() for n in lengths])
@@ -243,8 +247,7 @@ class AlphaEstimate:
     converged: bool
 
 
-def alpha_m_estimate(rep: Representation, m: int, radius: int,
-                     tol: float = 1e-9, ball=None) -> AlphaEstimate:
+def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
     """Infimum over ball elements of
     log(lam_1/lam_(m+1)) / log(lam_1/lam_m), skipping elements whose
     (1, m) eigenvalue gap is below ``tol`` on the log scale.
@@ -253,11 +256,9 @@ def alpha_m_estimate(rep: Representation, m: int, radius: int,
     per-radius column makes convergence visible and ``converged`` flags
     whether the last two radii agree within 1e-6.
     """
-    d = rep.dim
+    d = ball.gens.dim
     if not 2 <= m <= d - 1:
         raise ValueError(f"alpha index m={m} out of range for dimension {d}")
-    if ball is None:
-        ball = enumerate_ball(rep.generators, radius)
     lam = ball.jordan
     top_gap = lam[:, 0] - lam[:, m - 1]
     ratios = np.full(len(ball), math.inf)
@@ -268,7 +269,7 @@ def alpha_m_estimate(rep: Representation, m: int, radius: int,
         raise ValueError(
             "no infinite-order witness: no element has a (1, m) eigenvalue gap")
     # per-radius running infimum, monotone non-increasing
-    radii = np.arange(1, radius + 1)
+    radii = np.arange(1, ball.radius + 1)
     running = np.minimum.accumulate(
         [ratios[ball.lengths == r].min(initial=math.inf) for r in radii])
     per_radius = np.column_stack(
@@ -321,8 +322,7 @@ class ConeReport:
     degenerate: bool
 
 
-def cone_diagnostic(rep: Representation, radius: int, n_min: int,
-                    ball=None) -> ConeReport:
+def cone_diagnostic(ball: Ball, n_min: int) -> ConeReport:
     """Angular distance between each long element's normalized Cartan
     vector and the nearest normalized Jordan direction over the ball.
 
@@ -331,10 +331,8 @@ def cone_diagnostic(rep: Representation, radius: int, n_min: int,
     proof.  Elements with vanishing vectors (elliptic data) are skipped;
     if everything vanishes the report is flagged degenerate.
     """
-    if radius <= n_min:
+    if ball.radius <= n_min:
         raise ValueError("radius must exceed n_min")
-    if ball is None:
-        ball = enumerate_ball(rep.generators, radius)
     directions = _unit_rows(ball.jordan[ball.lengths > 0])
     cartan = _unit_rows(ball.cartan[ball.lengths >= n_min])
     if not len(directions) or not len(cartan):
@@ -355,12 +353,9 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors[keep] / norms[keep, None]
 
 
-def spectral_table(rep: Representation, radius: int, m: int | None = None,
-                   ball=None) -> list[dict]:
+def spectral_table(ball: Ball, m: int | None = None) -> list[dict]:
     """Per-element spectral rows for CSV export: word, length, the Cartan
     and Jordan log-vectors, and (optionally) the m-th regularity ratio."""
-    if ball is None:
-        ball = enumerate_ball(rep.generators, radius)
     rows = []
     for g, mu, lam in zip(ball, ball.cartan, ball.jordan):
         row = {"word": g.word or "<id>", "length": g.length}

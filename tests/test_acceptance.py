@@ -107,7 +107,7 @@ def test_criterion_02_wedge_ratio_identities():
 def test_criterion_03_three_halves_ratio(tau5_plus_tau2):
     with timed(60):
         ball = enumerate_ball(tau5_plus_tau2.generators, 6)
-        est = alpha_m_estimate(tau5_plus_tau2, 2, 6, ball=ball)
+        est = alpha_m_estimate(ball, 2)
         per_radius = {int(r): v for r, v in est.per_radius if not np.isnan(v)}
         devs = [abs(est.value - 1.5)]
         devs += [abs(per_radius[r] - 1.5) for r in range(2, 7)]
@@ -135,7 +135,7 @@ def test_criterion_05_gap_collapse(tau4_plus_tau6):
                 continue
             lam = np.exp(cartan_jordan(g).lam)
             worst = max(worst, abs(lam[1] / lam[2] - 1.0))
-        prof = gap_profile(tau4_plus_tau6, 1, 5, ball=ball)
+        prof = gap_profile(ball, 1)
         ok = worst < 1e-9 and prof.slope > 0.05 and prof.r_squared > 0.99
     report(5, "4+6 sum collapses the second gap but stays 1-proximal", ok,
            f"max |lam2/lam3 - 1| = {worst:.2e}; k=1 fit slope "
@@ -163,7 +163,7 @@ def test_criterion_06_veronese_conic(tau3_rep):
             reg = hoelder_regression(cloud, cloud.samples[i], window=window)
             slopes.append(reg.slope)
 
-        est = alpha_m_estimate(tau3_rep, 2, 6)
+        est = alpha_m_estimate(enumerate_ball(tau3_rep.generators, 6), 2)
         alpha_dev = abs(est.value - 2.0)
         ok = (residual < 1e-7
               and all(1.9 <= s <= 2.1 for s in slopes)
@@ -179,8 +179,7 @@ def test_criterion_07_hyperconvexity(tau3_rep):
         # cloud at net resolution 0.05: the scan needs well-separated
         # boundary points, and triple margins scale with the separations
         cloud = limit_samples(tau3_rep, 2, 6, dedup_tol=0.05)
-        scan = hyperconvexity_scan(cloud, m=2, n_triples=500, seed=0,
-                                   sep_tol=1e-3)
+        scan = hyperconvexity_scan(cloud, n_triples=500, seed=0, sep_tol=1e-3)
     report(7, "hyperconvexity margins stay positive", scan.min_margin > 1e-4,
            f"min margin {scan.min_margin:.2e} over 500 seeded triples "
            f"(worst triple {scan.worst_triple})")

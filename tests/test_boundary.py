@@ -15,12 +15,11 @@ from anosovlab.boundary import (FlagSample, LimitCloud, controlled_set_check,
 from anosovlab.functors import (direct_sum_rep, flag_wedge,
                                 representation_from_matrices,
                                 tau_representation, wedge_power)
-from anosovlab.groups import (canonical_cyclic, cyclic_reduce, free_reduce,
-                              inverse_word)
+from anosovlab.groups import (canonical_cyclic, cyclic_reduce,
+                              enumerate_ball, free_reduce, inverse_word)
 from anosovlab.linalg import (Subspace, apply_to_subspace, direct_sum_margin,
                               point_subspace_distance, proj_distance,
                               subspace_distance, top_invariant_subspace)
-from anosovlab.spectra import cartan_jordan
 from tests.conftest import load_example_config
 
 
@@ -41,8 +40,7 @@ def make_sample(gens, word, xi1, xim, xi_dm, xi_d1, xi1m):
                       xim_plus=Subspace.from_spanning(xim),
                       xi_dm_minus=Subspace.from_spanning(xi_dm),
                       xi_d1_minus=Subspace.from_spanning(xi_d1),
-                      xi1_minus=Subspace.line(xi1m),
-                      spectral=cartan_jordan(g))
+                      xi1_minus=Subspace.line(xi1m))
 
 
 class TestLimitSamples:
@@ -287,10 +285,6 @@ class TestHyperconvexity:
         report = hyperconvexity_scan(cloud, n_triples=200, seed=0)
         assert report.min_margin > 1e-4
         assert report.n_evaluated == 200
-
-    def test_m_mismatch(self, tau3_cloud):
-        with pytest.raises(ValueError, match="sampled for m=2"):
-            hyperconvexity_scan(tau3_cloud, m=3, n_triples=10, seed=0)
 
     def test_needs_three_samples(self, tau3_cloud):
         small = LimitCloud(samples=tau3_cloud.samples[:2], m=2, rep_recipe={})
@@ -652,19 +646,20 @@ class TestClosedFormMargins:
 
 class TestIrreducibilityProxy:
     def test_tau3_irreducible(self, tau3_rep):
-        report = irreducibility_proxy(tau3_rep, 3)
+        report = irreducibility_proxy(enumerate_ball(tau3_rep.generators, 3))
         assert report.irreducible
         assert report.xi1_rank == 3
         assert report.min_invariant_dim == 3
 
     def test_direct_sum_reducible(self, tau5_plus_tau2_rep):
-        report = irreducibility_proxy(tau5_plus_tau2_rep, 3)
+        report = irreducibility_proxy(
+            enumerate_ball(tau5_plus_tau2_rep.generators, 3))
         assert not report.irreducible
         assert report.min_invariant_dim < 7
 
     def test_single_boost_reducible(self):
         rep = representation_from_matrices({"a": np.diag([2.0, 1.0, 0.5])})
-        report = irreducibility_proxy(rep, 3)
+        report = irreducibility_proxy(enumerate_ball(rep.generators, 3))
         assert not report.irreducible
         assert report.min_invariant_dim == 1
 

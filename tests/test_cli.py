@@ -419,8 +419,12 @@ class TestRun:
         assert main(["run", str(path), "--radius", "6",
                      "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
+        with (out / "hoelder_scatter.csv").open() as fh:
+            scatter = [row["anchor"] for row in csv.DictReader(fh)]
         for anchor in summary["results"]["anchors"]:
             assert abs(anchor["slope"] - 2.0) < 0.15
+            # the scatter holds exactly the points each fit used
+            assert scatter.count(anchor["witness"]) == anchor["n_points"]
 
     def test_cones_kind(self, tmp_path):
         cfg = load_config(config_path("schottky_sl2"))

@@ -10,6 +10,7 @@ from anosovlab.functors import (build_representation, build_su21_rep,
                                 tau_representation, veronese_point,
                                 wedge_indices, wedge_power,
                                 wedge_representation)
+from anosovlab.groups import enumerate_ball
 from anosovlab.linalg import (Subspace, eigen_moduli, normalize_lift,
                               proj_distance, singular_values)
 from anosovlab.spectra import gap_profile
@@ -356,8 +357,9 @@ class TestPerturb:
                                p2.generators.matrices["a"].mat)
 
     def test_small_perturbation_keeps_gap_slope(self, schottky_rep):
-        base = gap_profile(schottky_rep, 1, 4)
-        pert = gap_profile(perturb_rep(schottky_rep, 1e-3, 0), 1, 4)
+        base = gap_profile(enumerate_ball(schottky_rep.generators, 4), 1)
+        pert = gap_profile(enumerate_ball(
+            perturb_rep(schottky_rep, 1e-3, 0).generators, 4), 1)
         assert abs(pert.slope - base.slope) / base.slope < 0.10
 
 

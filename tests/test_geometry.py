@@ -3,6 +3,7 @@ import pytest
 
 from anosovlab.boundary import LimitCloud, limit_samples
 from anosovlab.functors import representation_from_matrices
+from anosovlab.groups import enumerate_ball
 from anosovlab.geometry import (ChartFrame, build_chart, chart_coords,
                                 eigen_gap_inequality_check,
                                 hilbert_distance_psd, hoelder_regression,
@@ -150,17 +151,6 @@ class TestHoelderRegression:
         with pytest.raises(ValueError, match="too few"):
             hoelder_regression(cloud, anchor, window=(1e-5, 1.5e-1))
 
-    def test_metric_variant_stable_slope(self):
-        cloud, anchor = synthetic_graph_cloud(1.5)
-        sin_rep = hoelder_regression(cloud, anchor, window=(1e-5, 1.5e-1))
-        chord_rep = hoelder_regression(cloud, anchor, window=(1e-5, 1.5e-1),
-                                       metric="chord")
-        assert abs(sin_rep.slope - chord_rep.slope) < 0.02
-
-    def test_unknown_metric(self):
-        cloud, anchor = synthetic_graph_cloud(1.5, n_points=50)
-        with pytest.raises(ValueError, match="metric"):
-            hoelder_regression(cloud, anchor, metric="euclid")
 
 
 class TestTangency:
@@ -254,21 +244,25 @@ class TestHilbertMetric:
 
 class TestGapInequality:
     def test_tau3_equality_at_alpha_two(self, tau3_rep):
-        report = eigen_gap_inequality_check(tau3_rep, 2, 2.0, 4)
+        report = eigen_gap_inequality_check(
+            enumerate_ball(tau3_rep.generators, 4), 2, 2.0)
         assert report.passed
         assert abs(report.worst_margin) < 1e-9  # exact equality on the ladder
 
     def test_alpha_near_one_trivial(self, tau3_rep):
-        report = eigen_gap_inequality_check(tau3_rep, 2, 1.01, 3)
+        report = eigen_gap_inequality_check(
+            enumerate_ball(tau3_rep.generators, 3), 2, 1.01)
         assert report.passed
         assert report.worst_margin > 0
 
     def test_reducible_sum_fails_at_1p6(self, tau5_plus_tau2_rep):
-        report = eigen_gap_inequality_check(tau5_plus_tau2_rep, 2, 1.6, 3)
+        report = eigen_gap_inequality_check(
+            enumerate_ball(tau5_plus_tau2_rep.generators, 3), 2, 1.6)
         assert not report.passed
         assert report.worst_margin < -1e-3
         assert report.worst_witness
 
     def test_alpha_validation(self, tau3_rep):
         with pytest.raises(ValueError, match="alpha"):
-            eigen_gap_inequality_check(tau3_rep, 2, 1.0, 3)
+            eigen_gap_inequality_check(
+                enumerate_ball(tau3_rep.generators, 3), 2, 1.0)

@@ -45,6 +45,15 @@ class TestEnumerateBall:
         assert ball[0].word == ""
         assert np.allclose(ball[0].matrix.mat, np.eye(2))
 
+    @pytest.mark.parametrize("radius", range(5))
+    def test_radius_survives_merges(self, radius):
+        # a quarter turn squares to -I, the identity of PGL: every word of
+        # length >= 2 merges, yet the ball keeps its enumeration radius
+        gens = GeneratorSet.from_matrices({"a": rotation(np.pi / 2)})
+        ball = enumerate_ball(gens, radius)
+        assert ball.lengths.max() == min(radius, 1)
+        assert ball.radius == radius
+
     def test_involution_dedup(self):
         # a = diag(1, -1) squares to the identity; the lift has |det| = 1
         gens = GeneratorSet.from_matrices({"a": np.diag([1.0, -1.0])})

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovlab.functors import (representation_from_matrices,
+from anosovlab.functors import (build_representation,
+                                representation_from_matrices,
                                 sym_square_representation,
                                 tau_representation, wedge_representation)
 from anosovlab.groups import enumerate_ball, free_reduce, inverse_word
@@ -66,7 +67,7 @@ class TestCartanJordan:
 class TestGapProfile:
     def test_single_boost_exact_line(self):
         rep = representation_from_matrices({"a": np.diag([2.0, 0.5])})
-        prof = gap_profile(rep, 1, 5)
+        prof = gap_profile(enumerate_ball(rep.generators, 5), 1)
         # min gap at length n is n log 4 for powers of a diagonal boost
         assert np.allclose(prof.min_gap, prof.lengths * np.log(4.0), atol=1e-10)
         assert prof.slope == pytest.approx(np.log(4.0), abs=1e-9)
@@ -74,7 +75,7 @@ class TestGapProfile:
         assert prof.linear
 
     def test_elliptic_rep_negative(self, rotation_rep):
-        prof = gap_profile(rotation_rep, 1, 5)
+        prof = gap_profile(enumerate_ball(rotation_rep.generators, 5), 1)
         assert not prof.linear
         assert prof.verdict == "linear growth not established"
         assert np.allclose(prof.min_gap, 0.0, atol=1e-10)
@@ -82,40 +83,41 @@ class TestGapProfile:
     def test_hitchin_image_positive_both_gaps(self, tau3_rep):
         ball = enumerate_ball(tau3_rep.generators, 6)
         for k in (1, 2):
-            prof = gap_profile(tau3_rep, k, 6, ball=ball)
+            prof = gap_profile(ball, k)
             assert prof.linear, prof.verdict
 
     def test_too_few_lengths_no_fit(self, schottky_rep):
-        prof = gap_profile(schottky_rep, 1, 2)
+        prof = gap_profile(enumerate_ball(schottky_rep.generators, 2), 1)
         assert prof.slope is None
         assert not prof.linear
 
     def test_bad_index_rejected(self, schottky_rep):
         with pytest.raises(ValueError, match="out of range"):
-            gap_profile(schottky_rep, 2, 3)
+            gap_profile(enumerate_ball(schottky_rep.generators, 3), 2)
 
 
 class TestAlphaEstimate:
     def test_tau3_is_two(self, tau3_rep):
-        est = alpha_m_estimate(tau3_rep, 2, 4)
+        est = alpha_m_estimate(enumerate_ball(tau3_rep.generators, 4), 2)
         assert est.value == pytest.approx(2.0, abs=1e-10)
         assert est.converged
 
     def test_tau4_is_two(self, tau4_rep):
         # ladder moduli lam^3, lam, 1/lam, 1/lam^3 give
         # log(lam1/lam3) / log(lam1/lam2) = 4 log lam / 2 log lam = 2
-        est = alpha_m_estimate(tau4_rep, 2, 4)
+        est = alpha_m_estimate(enumerate_ball(tau4_rep.generators, 4), 2)
         assert est.value == pytest.approx(2.0, abs=1e-10)
 
     def test_per_radius_monotone(self, tau5_plus_tau2_rep):
-        est = alpha_m_estimate(tau5_plus_tau2_rep, 2, 5)
+        est = alpha_m_estimate(
+            enumerate_ball(tau5_plus_tau2_rep.generators, 5), 2)
         vals = est.per_radius[~np.isnan(est.per_radius[:, 1]), 1]
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_no_witness_error(self, rotation_rep):
         rep3 = tau_representation(rotation_rep, 3)
         with pytest.raises(ValueError, match="no infinite-order witness"):
-            alpha_m_estimate(rep3, 2, 3)
+            alpha_m_estimate(enumerate_ball(rep3.generators, 3), 2)
 
     def test_conjugation_invariance(self, tau3_rep):
         rng = np.random.default_rng(30)
@@ -126,13 +128,25 @@ class TestAlphaEstimate:
         conj = representation_from_matrices({
             l: C @ tau3_rep.generators.matrices[l].mat @ Cinv
             for l in tau3_rep.generators.positive_labels})
-        e1 = alpha_m_estimate(tau3_rep, 2, 4)
-        e2 = alpha_m_estimate(conj, 2, 4)
+        e1 = alpha_m_estimate(enumerate_ball(tau3_rep.generators, 4), 2)
+        e2 = alpha_m_estimate(enumerate_ball(conj.generators, 4), 2)
         assert e1.value == pytest.approx(e2.value, abs=1e-8)
 
     def test_index_validation(self, tau3_rep):
         with pytest.raises(ValueError, match="out of range"):
-            alpha_m_estimate(tau3_rep, 1, 3)
+            alpha_m_estimate(enumerate_ball(tau3_rep.generators, 3), 1)
+
+    @pytest.mark.parametrize("name", ["fuchsian_tau3", "su21_9dim",
+                                      "tau5_plus_tau2"])
+    def test_shipped_config_reads_its_ball(self, name):
+        # the witness and the per-radius table come from one ball
+        cfg = load_example_config(name)
+        ball = enumerate_ball(
+            build_representation(cfg["representation"]).generators,
+            cfg["radius"])
+        est = alpha_m_estimate(ball, cfg["experiment"]["m"])
+        assert est.witness.length <= ball.radius
+        assert est.per_radius[-1, 1] == est.value
 
 
 class TestGelfand:
@@ -163,22 +177,24 @@ class TestGelfand:
 class TestConeDiagnostic:
     def test_single_boost_zero_distance(self):
         rep = representation_from_matrices({"a": np.diag([2.0, 1.0, 0.5])})
-        report = cone_diagnostic(rep, 4, 2)
+        report = cone_diagnostic(enumerate_ball(rep.generators, 4), 2)
         assert report.max_distance < 1e-9
         assert not report.degenerate
 
     def test_schottky_cones_close(self, schottky_rep):
-        report = cone_diagnostic(schottky_rep, 6, 4)
+        report = cone_diagnostic(enumerate_ball(schottky_rep.generators, 6),
+                                 4)
         assert report.mean_distance < 0.1
         assert report.n_elements > 0
 
     def test_elliptic_degenerate(self, rotation_rep):
-        report = cone_diagnostic(rotation_rep, 4, 2)
+        report = cone_diagnostic(enumerate_ball(rotation_rep.generators, 4),
+                                 2)
         assert report.degenerate
 
     def test_radius_validation(self, schottky_rep):
         with pytest.raises(ValueError, match="exceed"):
-            cone_diagnostic(schottky_rep, 3, 3)
+            cone_diagnostic(enumerate_ball(schottky_rep.generators, 3), 3)
 
 
 def test_wedge_gap_profile_matches_higher_index(tau4_rep):
@@ -186,14 +202,14 @@ def test_wedge_gap_profile_matches_higher_index(tau4_rep):
     # the base representation, length by length
     w2 = wedge_representation(tau4_rep, 2)
     ball4 = enumerate_ball(tau4_rep.generators, 4)
-    base = gap_profile(tau4_rep, 2, 4, ball=ball4)
-    wedge = gap_profile(w2, 1, 4)
+    base = gap_profile(ball4, 2)
+    wedge = gap_profile(enumerate_ball(w2.generators, 4), 1)
     assert np.allclose(base.min_gap, wedge.min_gap, atol=1e-8)
     assert np.allclose(base.max_gap, wedge.max_gap, atol=1e-8)
 
 
 def test_spectral_table_columns(tau3_rep):
-    rows = spectral_table(tau3_rep, 2, m=2)
+    rows = spectral_table(enumerate_ball(tau3_rep.generators, 2), m=2)
     assert rows[0]["word"] == "<id>"
     assert math.isnan(rows[0]["ratio_m"])
     for key in ("mu_1", "mu_3", "lambda_1", "lambda_3", "length"):
