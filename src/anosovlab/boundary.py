@@ -208,7 +208,7 @@ class _ClassFlags:
             return _signed(_moved(self._letters, conj_words, frames))
         moved = _moved(self._letters, [inverse_word(x) for x in conj_words],
                        frames, transposed=True)  # M(x)^-T = M(x^-1)^T
-        return _signed(np.linalg.svd(moved)[0][..., rank:])
+        return _signed(_complements(moved))
 
 
 def _proximal(ball, ks) -> np.ndarray:

@@ -24,31 +24,12 @@ from . import __version__
 from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
                        limit_samples)
 from .functors import build_representation, perturb_rep
-from .geometry import (REGRESSION_CAVEAT, _pair_distances, build_chart,
-                       chart_coords, hoelder_regression)
+from .geometry import (REGRESSION_CAVEAT, _point_distances, _unit_rows,
+                       build_chart, chart_coords, hoelder_regression)
 from .groups import BallTooLargeError, enumerate_ball
+from .linalg import proj_distance
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
                       gelfand_check, spectral_kernel, spectral_table)
-
-# The experiment fields each kind reads, with their defaults: any other
-# field is rejected.  A callable default depends on the run and is called
-# with the representation and the radius.
-_FIELDS = {
-    "certify": {"ks": [1], "slope_min": 0.05, "r2_min": 0.9},
-    "alpha": {"m": 2, "tol": 1e-9},
-    "limitset": {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
-                 "anchor_index": 0},
-    "hyperconvex": {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
-                    "n_triples": 500, "sep_tol": 1e-3, "margin_min": 0.0},
-    "hoelder": {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
-                "window": [1e-5, 1e-1], "n_anchors": 3},
-    "cones": {"n_min": lambda rep, radius: max(1, radius - 3)},
-    "gelfand": {"word": lambda rep, radius: rep.generators.positive_labels[0],
-                "i": 1, "K": 200},
-    "perturb-sweep": {"eps_list": [0.0, 1e-4, 1e-3], "k": 1,
-                      "slope_min": 0.05, "r2_min": 0.9},
-}
-KINDS = tuple(_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -69,8 +50,8 @@ def _require(cfg: dict, key: str, types, path: str):
     return value
 
 
-# the top-level keys of a config, and the fields each recipe kind reads
-# (a matrices recipe may also carry the optional "name")
+# the top-level keys of a config, and the fields each recipe kind reads,
+# all required (a matrices recipe may also carry the optional "name")
 _CONFIG_KEYS = ("name", "description", "representation", "radius", "seed",
                 "experiment")
 _RECIPE_FIELDS = {
@@ -82,6 +63,67 @@ _RECIPE_FIELDS = {
     "perturb": ("kind", "base", "eps", "seed"),
     "direct_sum": ("kind", "left", "right"),
 }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # compared, not converted, so that a huge JSON integer is rejected too
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
+
+
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
+_REAL = (_is_real, "a finite number")
+# the noise range [-eps, eps] must have a finite width
+_EPS = (lambda v: _is_real(v) and v >= 0 and math.isfinite(2.0 * v),
+        "a number >= 0 with 2 * eps finite")
+# The rule of every integer and real value, by field name, wherever the
+# field appears: at the top level, in a recipe or in an experiment (the
+# overrides --radius and --seed included).  An integer field maps to its
+# least value; a real field to its test and what it expects; a list field
+# to the rule of each entry of a non-empty list.  Ranges that depend on
+# the representation's dimension or on the radius are checked by
+# _check_bounds once the representation is built.  The summary reports
+# the _POSITIVE and _REAL fields a run read as its tolerances.
+_VALUES = {
+    "radius": 1, "seed": 0, "dim": 1, "d": 2, "k": 1, "eps": _EPS,
+    "ks": [1], "m": 1, "i": 1, "K": 1, "n_triples": 1, "n_anchors": 1,
+    "n_min": 1, "anchor_index": 0, "eps_list": [_EPS],
+    "tol": _POSITIVE, "dedup_tol": _POSITIVE, "sep_tol": _POSITIVE,
+    "slope_min": _REAL, "r2_min": _REAL, "margin_min": _REAL,
+    "window": (lambda w: isinstance(w, list) and len(w) == 2
+               and all(map(_is_real, w)) and 0 < w[0] < w[1],
+               "[lo, hi] with 0 < lo < hi"),
+}
+
+
+def _check_values(obj: dict, path: str) -> None:
+    """Exit at the first value of ``obj`` that breaks its field's rule."""
+    for key, value in obj.items():
+        rule = _VALUES.get(key)
+        if rule is None:
+            continue
+        entries = [(key, value)]
+        if isinstance(rule, list):
+            if not (isinstance(value, list) and value):
+                raise ConfigError(f"{path}.{key}",
+                                  f"expected a non-empty list, got {value!r}")
+            rule = rule[0]
+            entries = [(f"{key}[{j}]", v) for j, v in enumerate(value)]
+        for name, v in entries:
+            if not isinstance(rule, int):
+                if not rule[0](v):
+                    raise ConfigError(f"{path}.{name}",
+                                      f"expected {rule[1]}, got {v!r}")
+            elif not _is_int(v):
+                raise ConfigError(f"{path}.{name}",
+                                  f"expected an integer, got {v!r}")
+            elif v < rule:
+                raise ConfigError(f"{path}.{name}",
+                                  f"{name} must be >= {rule}, got {v}")
 
 
 def _reject_unknown(obj: dict, known, path: str, owner: str) -> None:
@@ -97,46 +139,34 @@ def _validate_recipe(recipe, path: str) -> None:
     if not isinstance(recipe, dict):
         raise ConfigError(path, "representation recipe must be an object")
     kind = _require(recipe, "kind", str, path)
-    if kind in _RECIPE_FIELDS:
-        _reject_unknown(recipe, _RECIPE_FIELDS[kind], path,
-                        f"recipe kind {kind!r}")
-    if kind == "matrices":
-        gens = _require(recipe, "generators", dict, path)
-        if not gens:
-            raise ConfigError(f"{path}.generators",
-                              "at least one generator required")
-        dim = _require(recipe, "dim", int, path)
-        for label, rows in gens.items():
-            arr = np.asarray(rows, dtype=float) if _is_numeric(rows) else None
-            if arr is None or arr.shape != (dim, dim):
-                raise ConfigError(f"{path}.generators.{label}",
-                                  f"expected a {dim}x{dim} numeric matrix")
-    elif kind == "su21":
-        gens = _require(recipe, "generators", dict, path)
-        if not gens:
-            raise ConfigError(f"{path}.generators",
-                              "at least one generator required")
-        for label, rows in gens.items():
-            arr = np.asarray(rows, dtype=float) if _is_numeric(rows) else None
-            if arr is None or arr.shape != (3, 3, 2):
-                raise ConfigError(f"{path}.generators.{label}",
-                                  "expected a 3x3 matrix of [re, im] pairs")
-    elif kind in ("tau", "wedge", "sym2", "perturb"):
-        _validate_recipe(_require(recipe, "base", dict, path), f"{path}.base")
-        if kind == "tau":
-            d = _require(recipe, "d", int, path)
-            if d < 2:
-                raise ConfigError(f"{path}.d", "tau dimension must be >= 2")
-        if kind == "wedge":
-            _require(recipe, "k", int, path)
-        if kind == "perturb":
-            _require(recipe, "eps", (int, float), path)
-            _require(recipe, "seed", int, path)
-    elif kind == "direct_sum":
-        _validate_recipe(_require(recipe, "left", dict, path), f"{path}.left")
-        _validate_recipe(_require(recipe, "right", dict, path), f"{path}.right")
-    else:
+    if kind not in _RECIPE_FIELDS:
         raise ConfigError(f"{path}.kind", f"unknown recipe kind {kind!r}")
+    _reject_unknown(recipe, _RECIPE_FIELDS[kind], path,
+                    f"recipe kind {kind!r}")
+    for key in _RECIPE_FIELDS[kind]:
+        if key != "name":
+            _require(recipe, key, None, path)
+    _check_values(recipe, path)
+    if kind in ("matrices", "su21"):
+        gens = _require(recipe, "generators", dict, path)
+        if not gens:
+            raise ConfigError(f"{path}.generators",
+                              "at least one generator required")
+        dim = recipe.get("dim")
+        shape, expected = (((dim, dim), f"a {dim}x{dim} numeric matrix")
+                           if kind == "matrices" else
+                           ((3, 3, 2), "a 3x3 matrix of [re, im] pairs"))
+        for label, rows in gens.items():
+            try:
+                ok = np.asarray(rows, dtype=float).shape == shape
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"{path}.generators.{label}",
+                                  f"expected {expected}")
+    for key in ("base", "left", "right"):
+        if key in recipe:
+            _validate_recipe(recipe[key], f"{path}.{key}")
 
 
 def _recipe_labels(recipe: dict) -> set[str]:
@@ -146,63 +176,18 @@ def _recipe_labels(recipe: dict) -> set[str]:
     return set(recipe["generators"])
 
 
-def _is_int(value, lo: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
-
-
-def _is_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-# integer experiment fields and their least value; ranges that depend on
-# the representation's dimension or the radius are checked by
-# _check_bounds once the representation is built
-_COUNT_FIELDS = {"k": 1, "m": 1, "i": 1, "K": 1, "n_triples": 1,
-                 "n_anchors": 1, "n_min": 1, "anchor_index": 0}
-# the tolerances, which the summary reports
-_POSITIVE_FIELDS = ("tol", "dedup_tol", "sep_tol")
-_REAL_FIELDS = ("slope_min", "r2_min", "margin_min")
-
-
 def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
-    def check(ok: bool, key: str, expected: str, value) -> None:
-        if not ok:
-            raise ConfigError(f"{path}.{key}",
-                              f"expected {expected}, got {value!r}")
-
-    _reject_unknown(exp, ["kind", *_FIELDS[exp["kind"]]], path,
+    _reject_unknown(exp, ["kind", *_KINDS[exp["kind"]][1]], path,
                     f"kind {exp['kind']!r}")
-    for key, lo in _COUNT_FIELDS.items():
-        if key in exp:
-            check(_is_int(exp[key], lo), key, f"an integer >= {lo}", exp[key])
-    for key in _POSITIVE_FIELDS:
-        if key in exp:
-            check(_is_real(exp[key]) and exp[key] > 0, key,
-                  "a finite number > 0", exp[key])
-    for key in _REAL_FIELDS:
-        if key in exp:
-            check(_is_real(exp[key]), key, "a finite number", exp[key])
-    for key, ok, expected in (
-            ("ks", lambda k: _is_int(k, 1), "an integer >= 1"),
-            # the noise range [-eps, eps] must have a finite width
-            ("eps_list", lambda e: _is_real(e) and 0 <= e
-             and math.isfinite(2.0 * e), "a number >= 0 with 2 * eps finite")):
-        if key in exp:
-            values = exp[key]
-            check(isinstance(values, list) and len(values) > 0, key,
-                  "a non-empty list", values)
-            for j, value in enumerate(values):
-                check(ok(value), f"{key}[{j}]", expected, value)
-    if "window" in exp:
-        w = exp["window"]
-        check(isinstance(w, list) and len(w) == 2 and all(map(_is_real, w))
-              and 0 < w[0] < w[1], "window", "[lo, hi] with 0 < lo < hi", w)
+    _check_values(exp, path)
     if "word" in exp:
         word = exp["word"]
         letters = labels | {label.upper() for label in labels}
-        check(isinstance(word, str) and len(word) > 0 and set(word) <= letters,
-              "word", f"a non-empty word in {''.join(sorted(letters))}", word)
+        if not (isinstance(word, str) and len(word) > 0
+                and set(word) <= letters):
+            raise ConfigError(f"{path}.word",
+                              f"expected a non-empty word in "
+                              f"{''.join(sorted(letters))}, got {word!r}")
 
 
 def _check_bounds(exp: dict, fields: dict, dim: int, radius: int) -> None:
@@ -234,14 +219,6 @@ def _check_bounds(exp: dict, fields: dict, dim: int, radius: int) -> None:
                           f"{scope} {size}, got {value!r}")
 
 
-def _is_numeric(rows) -> bool:
-    try:
-        np.asarray(rows, dtype=float)
-        return True
-    except (TypeError, ValueError):
-        return False
-
-
 def load_config(path: Path) -> dict:
     try:
         raw = path.read_text()
@@ -255,24 +232,19 @@ def load_config(path: Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")
     _reject_unknown(cfg, _CONFIG_KEYS, "config", "a config")
-    _validate_recipe(_require(cfg, "representation", dict, "config"),
+    _validate_recipe(_require(cfg, "representation", None, "config"),
                      "config.representation")
-    _check_radius(_require(cfg, "radius", int, "config"))
-    _require(cfg, "seed", int, "config")
+    for key in ("radius", "seed"):
+        _require(cfg, key, None, "config")
+    _check_values(cfg, "config")
     exp = _require(cfg, "experiment", dict, "config")
     kind = _require(exp, "kind", str, "config.experiment")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise ConfigError("config.experiment.kind",
                           f"unknown kind {kind!r}; expected one of {KINDS}")
     _validate_experiment(exp, _recipe_labels(cfg["representation"]),
                          "config.experiment")
     return cfg
-
-
-def _check_radius(radius: int) -> int:
-    if radius < 1:
-        raise ConfigError("config.radius", "radius must be >= 1")
-    return radius
 
 
 def _config_hash(cfg: dict) -> str:
@@ -289,7 +261,7 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
                              for k, v in row.items()})
 
 
-def _write_svg(path: Path, points, anchor_uw) -> None:
+def _svg(points, anchor_uw) -> str:
     """Scatter of chart coordinates with the tangent direction (the
     u-axis of the chart) drawn at the anchor."""
     size = 640.0
@@ -322,19 +294,21 @@ def _write_svg(path: Path, points, anchor_uw) -> None:
     lines.append(f'<circle cx="{sx(anchor_uw[0]):.3f}" '
                  f'cy="{sy(anchor_uw[1]):.3f}" r="3.5" fill="#d62728"/>')
     lines.append("</svg>")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers: each returns (results dict, property verdict)
+# experiment drivers: each takes the resolved experiment fields and returns
+# (results dict, property verdict, artifacts), where artifacts maps each
+# file name to its (header, rows) table or to its SVG text
 
-def _run_certify(rep, exp, radius, seed, out, artifacts):
+def _run_certify(rep, fields, radius, seed):
     ball = enumerate_ball(rep.generators, radius)
     rows, results = [], {}
     all_linear = True
-    for k in exp["ks"]:
-        prof = gap_profile(ball, k, slope_min=exp["slope_min"],
-                           r2_min=exp["r2_min"])
+    for k in fields["ks"]:
+        prof = gap_profile(ball, k, slope_min=fields["slope_min"],
+                           r2_min=fields["r2_min"])
         for n, mn, mx in zip(prof.lengths, prof.min_gap, prof.max_gap):
             rows.append({"k": k, "length": int(n), "min_gap": float(mn),
                          "max_gap": float(mx)})
@@ -343,31 +317,26 @@ def _run_certify(rep, exp, radius, seed, out, artifacts):
             "r_squared": prof.r_squared, "verdict": prof.verdict,
         }
         all_linear = all_linear and prof.linear
-    _write_csv(out / "gap_profile.csv", ["k", "length", "min_gap", "max_gap"],
-               rows)
-    artifacts.append("gap_profile.csv")
     table = spectral_table(ball)
-    _write_csv(out / "spectra.csv", list(table[0].keys()), table)
-    artifacts.append("spectra.csv")
-    return results, all_linear
+    return results, all_linear, {
+        "gap_profile.csv": (["k", "length", "min_gap", "max_gap"], rows),
+        "spectra.csv": (list(table[0].keys()), table)}
 
 
-def _run_alpha(rep, exp, radius, seed, out, artifacts):
-    m = exp["m"]
+def _run_alpha(rep, fields, radius, seed):
+    m = fields["m"]
     ball = enumerate_ball(rep.generators, radius)
-    est = alpha_m_estimate(ball, m, tol=exp["tol"])
+    est = alpha_m_estimate(ball, m, tol=fields["tol"])
     rows = [{"radius": int(r), "alpha_inf": float(v)}
             for r, v in est.per_radius if not np.isnan(v)]
-    _write_csv(out / "alpha_per_radius.csv", ["radius", "alpha_inf"], rows)
-    artifacts.append("alpha_per_radius.csv")
     table = spectral_table(ball, m=m)
-    _write_csv(out / "spectra.csv", list(table[0].keys()), table)
-    artifacts.append("spectra.csv")
     results = {"m": m, "alpha": est.value, "witness": est.witness.word,
                "converged": bool(est.converged)}
     if not est.converged:
         results["note"] = "possibly not converged"
-    return results, True
+    return results, True, {
+        "alpha_per_radius.csv": (["radius", "alpha_inf"], rows),
+        "spectra.csv": (list(table[0].keys()), table)}
 
 
 def _cloud_rows(cloud):
@@ -385,7 +354,6 @@ def _cloud_rows(cloud):
 
 
 def _pick_chart_pair(cloud, anchor_index):
-    from .linalg import proj_distance
     anchor = cloud.samples[anchor_index]
     far_idx = max(range(len(cloud.samples)),
                   key=lambda i: (proj_distance(anchor.xi1_plus,
@@ -393,21 +361,20 @@ def _pick_chart_pair(cloud, anchor_index):
     return anchor, cloud.samples[far_idx]
 
 
-def _run_limitset(rep, exp, radius, seed, out, artifacts):
-    m = exp["m"]
-    cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
-    if exp["anchor_index"] >= len(cloud):
+def _run_limitset(rep, fields, radius, seed):
+    m = fields["m"]
+    cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
+    if fields["anchor_index"] >= len(cloud):
         raise ConfigError("config.experiment.anchor_index",
                           f"expected an integer in [0, {len(cloud) - 1}] "
                           f"for {len(cloud)} limit samples, "
-                          f"got {exp['anchor_index']}")
+                          f"got {fields['anchor_index']}")
     rows = _cloud_rows(cloud)
-    _write_csv(out / "limit_cloud.csv", list(rows[0].keys()), rows)
-    artifacts.append("limit_cloud.csv")
+    artifacts = {"limit_cloud.csv": (list(rows[0].keys()), rows)}
     results = {"m": m, "n_samples": len(cloud),
                "coverage": cloud.coverage_stats()}
     if rep.dim == 3:
-        anchor, far = _pick_chart_pair(cloud, exp["anchor_index"])
+        anchor, far = _pick_chart_pair(cloud, fields["anchor_index"])
         frame = build_chart(anchor, far)
         pts, chart_rows = [], []
         for s in cloud.samples:
@@ -419,46 +386,45 @@ def _run_limitset(rep, exp, radius, seed, out, artifacts):
             chart_rows.append({"word": s.witness.word,
                                "u": float(u[0]), "w": float(w[0])})
         a_u, a_w = chart_coords(frame, anchor.xi1_plus)
-        _write_svg(out / "limit_set.svg", pts, (float(a_u[0]), float(a_w[0])))
-        artifacts.append("limit_set.svg")
-        _write_csv(out / "chart_cloud.csv", ["word", "u", "w"], chart_rows)
-        artifacts.append("chart_cloud.csv")
+        artifacts["limit_set.svg"] = _svg(pts, (float(a_u[0]),
+                                                float(a_w[0])))
+        artifacts["chart_cloud.csv"] = (["word", "u", "w"], chart_rows)
         results["svg_points"] = len(pts)
         results["anchor"] = anchor.witness.word
-    return results, True
+    return results, True, artifacts
 
 
-def _run_hyperconvex(rep, exp, radius, seed, out, artifacts):
-    m = exp["m"]
-    cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
-    report = hyperconvexity_scan(cloud, n_triples=exp["n_triples"],
-                                 seed=seed, sep_tol=exp["sep_tol"])
+def _run_hyperconvex(rep, fields, radius, seed):
+    m = fields["m"]
+    cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
+    report = hyperconvexity_scan(cloud, n_triples=fields["n_triples"],
+                                 seed=seed, sep_tol=fields["sep_tol"])
     rows = [{"index": i, "margin": float(v)}
             for i, v in enumerate(report.margins)]
-    _write_csv(out / "hyperconvexity_margins.csv", ["index", "margin"], rows)
-    artifacts.append("hyperconvexity_margins.csv")
-    margin_min = exp["margin_min"]
+    margin_min = fields["margin_min"]
     results = {"m": m, "n_samples": len(cloud),
                "n_triples": report.n_evaluated,
                "min_margin": report.min_margin,
                "worst_triple": list(report.worst_triple),
                "margin_min": margin_min}
-    return results, report.min_margin > margin_min
+    return results, report.min_margin > margin_min, {
+        "hyperconvexity_margins.csv": (["index", "margin"], rows)}
 
 
-def _run_hoelder(rep, exp, radius, seed, out, artifacts):
-    m = exp["m"]
-    window = tuple(exp["window"])
-    cloud = limit_samples(rep, m, radius, dedup_tol=exp["dedup_tol"])
-    pts = cloud.points()
-    # anchors with the most neighbours inside the window, deterministically
+def _run_hoelder(rep, fields, radius, seed):
+    m = fields["m"]
+    window = tuple(fields["window"])
+    cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
+    # anchors with the most neighbours inside the window, deterministically;
+    # the scores read only the distances to each anchor point
+    points = _unit_rows(cloud.points())
     scores = [np.count_nonzero((window[0] < dp) & (dp < window[1]))
-              for dp, _ in (_pair_distances(pts, s) for s in cloud.samples)]
+              for dp in (_point_distances(points, s) for s in cloud.samples)]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}
     rows, scatter = [], []
-    for i in order[:exp["n_anchors"]]:
+    for i in order[:fields["n_anchors"]]:
         anchor = cloud.samples[i]
         rep_report = hoelder_regression(cloud, anchor, window=window)
         results["anchors"].append({
@@ -474,64 +440,73 @@ def _run_hoelder(rep, exp, radius, seed, out, artifacts):
         scatter += [{"anchor": anchor.witness.word, "point_distance": p,
                      "tangent_distance": t}
                     for p, t in rep_report.points.tolist()]
-    _write_csv(out / "hoelder_slopes.csv",
-               ["witness", "slope", "r_squared", "n_points"], rows)
-    artifacts.append("hoelder_slopes.csv")
-    _write_csv(out / "hoelder_scatter.csv",
-               ["anchor", "point_distance", "tangent_distance"], scatter)
-    artifacts.append("hoelder_scatter.csv")
-    return results, True
+    return results, True, {
+        "hoelder_slopes.csv": (["witness", "slope", "r_squared", "n_points"],
+                               rows),
+        "hoelder_scatter.csv": (["anchor", "point_distance",
+                                 "tangent_distance"], scatter)}
 
 
-def _run_cones(rep, exp, radius, seed, out, artifacts):
+def _run_cones(rep, fields, radius, seed):
     report = cone_diagnostic(enumerate_ball(rep.generators, radius),
-                             exp["n_min"])
+                             fields["n_min"])
     results = {"max_distance": report.max_distance,
                "mean_distance": report.mean_distance,
                "n_elements": report.n_elements,
                "degenerate": report.degenerate}
-    return results, not report.degenerate
+    return results, not report.degenerate, {}
 
 
-def _run_gelfand(rep, exp, radius, seed, out, artifacts):
-    word, i, K = exp["word"], exp["i"], exp["K"]
+def _run_gelfand(rep, fields, radius, seed):
+    word, i, K = fields["word"], fields["i"], fields["K"]
     g = rep.generators.element(word)
     errors = gelfand_check(g.matrix, i, K)
     rows = [{"k": k + 1, "error": float(e)} for k, e in enumerate(errors)]
-    _write_csv(out / "gelfand_errors.csv", ["k", "error"], rows)
-    artifacts.append("gelfand_errors.csv")
-    return {"word": word, "i": i, "K": K,
-            "final_error": float(errors[-1])}, True
+    return ({"word": word, "i": i, "K": K, "final_error": float(errors[-1])},
+            True, {"gelfand_errors.csv": (["k", "error"], rows)})
 
 
-def _run_perturb_sweep(rep, exp, radius, seed, out, artifacts):
-    k = exp["k"]
+def _run_perturb_sweep(rep, fields, radius, seed):
+    k = fields["k"]
     rows, results = [], []
-    for idx, eps in enumerate(exp["eps_list"]):
+    for idx, eps in enumerate(fields["eps_list"]):
         pert = perturb_rep(rep, float(eps), seed + idx)
         prof = gap_profile(enumerate_ball(pert.generators, radius), k,
-                           slope_min=exp["slope_min"], r2_min=exp["r2_min"])
+                           slope_min=fields["slope_min"],
+                           r2_min=fields["r2_min"])
         rows.append({"eps": float(eps), "slope": prof.slope,
                      "r_squared": prof.r_squared, "verdict": prof.verdict})
         results.append({"eps": float(eps), "slope": prof.slope,
                         "verdict": prof.verdict})
-    _write_csv(out / "perturb_sweep.csv",
-               ["eps", "slope", "r_squared", "verdict"], rows)
-    artifacts.append("perturb_sweep.csv")
-    return {"k": k, "sweep": results}, all(r["verdict"] == "gap grows linearly"
-                                           for r in results)
+    ok = all(r["verdict"] == "gap grows linearly" for r in results)
+    return {"k": k, "sweep": results}, ok, {
+        "perturb_sweep.csv": (["eps", "slope", "r_squared", "verdict"], rows)}
 
 
-_DRIVERS = {
-    "certify": _run_certify,
-    "alpha": _run_alpha,
-    "limitset": _run_limitset,
-    "hyperconvex": _run_hyperconvex,
-    "hoelder": _run_hoelder,
-    "cones": _run_cones,
-    "gelfand": _run_gelfand,
-    "perturb-sweep": _run_perturb_sweep,
+# Each experiment kind: its driver, and the fields it reads with their
+# defaults; any other field is rejected.  A callable default depends on
+# the run and is called with the representation and the radius.
+_KINDS = {
+    "certify": (_run_certify,
+                {"ks": [1], "slope_min": 0.05, "r2_min": 0.9}),
+    "alpha": (_run_alpha, {"m": 2, "tol": 1e-9}),
+    "limitset": (_run_limitset, {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
+                                 "anchor_index": 0}),
+    "hyperconvex": (_run_hyperconvex,
+                    {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
+                     "n_triples": 500, "sep_tol": 1e-3, "margin_min": 0.0}),
+    "hoelder": (_run_hoelder, {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
+                               "window": [1e-5, 1e-1], "n_anchors": 3}),
+    "cones": (_run_cones,
+              {"n_min": lambda rep, radius: max(1, radius - 3)}),
+    "gelfand": (_run_gelfand,
+                {"word": lambda rep, radius: rep.generators.positive_labels[0],
+                 "i": 1, "K": 200}),
+    "perturb-sweep": (_run_perturb_sweep,
+                      {"eps_list": [0.0, 1e-4, 1e-3], "k": 1,
+                       "slope_min": 0.05, "r2_min": 0.9}),
 }
+KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: dict, out_dir: Path) -> int:
@@ -545,17 +520,21 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
     exp = cfg["experiment"]
     radius = cfg["radius"]
     seed = cfg["seed"]
+    driver, defaults = _KINDS[exp["kind"]]
     # the fields the kind reads: the config's value, else the default
     fields = {key: exp[key] if key in exp
               else default(rep, radius) if callable(default) else default
-              for key, default in _FIELDS[exp["kind"]].items()}
+              for key, default in defaults.items()}
     _check_bounds(exp, fields, rep.dim, radius)
-    artifacts: list[str] = []
     try:
-        results, ok = _DRIVERS[exp["kind"]](rep, fields, radius, seed,
-                                            out_dir, artifacts)
+        results, ok, artifacts = driver(rep, fields, radius, seed)
     except BallTooLargeError as exc:
         raise ConfigError("config.radius", str(exc)) from exc
+    for name, content in artifacts.items():
+        if isinstance(content, str):
+            (out_dir / name).write_text(content)
+        else:
+            _write_csv(out_dir / name, *content)
     summary = {
         "tool": "anosov-lab",
         "version": __version__,
@@ -566,7 +545,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         "seed": seed,
         "dim": rep.dim,
         "tolerances": {key: value for key, value in fields.items()
-                       if key in _POSITIVE_FIELDS + _REAL_FIELDS},
+                       if _VALUES.get(key) in (_POSITIVE, _REAL)},
         "results": results,
         "diagnostics": {"spectral_kernel": spectral_kernel(rep.generators)},
         "property_satisfied": bool(ok),
@@ -621,11 +600,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = args.out or Path("out") / args.config.stem
+    overrides = {key: value for key, value in (("radius", args.radius),
+                                                ("seed", args.seed))
+                 if value is not None}
     try:
-        if args.radius is not None:
-            cfg["radius"] = _check_radius(args.radius)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        _check_values(overrides, "config")
+        cfg.update(overrides)
         return run_experiment(cfg, out_dir)
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,18 +120,27 @@ class RegressionReport:
         return len(self.points)
 
 
+def _unit_rows(points: np.ndarray) -> np.ndarray:
+    return points / np.linalg.norm(points, axis=1)[:, None]
+
+
+def _point_distances(P: np.ndarray, anchor: FlagSample) -> np.ndarray:
+    """The ``proj_distance`` residuals of the unit rows ``P`` (see
+    :func:`_unit_rows`) to the anchor point."""
+    x = anchor.xi1_plus.frame[:, 0]
+    x = x / np.linalg.norm(x)
+    return np.minimum(1.0, np.linalg.norm(x - P * (P @ x)[:, None], axis=1))
+
+
 def _pair_distances(points: np.ndarray, anchor: FlagSample):
     """Arrays of the distances of a cloud's stacked ``points`` (see
     :meth:`LimitCloud.points`) to the anchor point and to the anchor's
     tangent flag: the ``proj_distance`` and ``point_subspace_distance``
     residuals, over the stacked points at once."""
-    P = points / np.linalg.norm(points, axis=1)[:, None]
-    x = anchor.xi1_plus.frame[:, 0]
-    x = x / np.linalg.norm(x)
+    P = _unit_rows(points)
     F = anchor.xim_plus.frame
-    dp = np.minimum(1.0, np.linalg.norm(x - P * (P @ x)[:, None], axis=1))
     dt = np.minimum(1.0, np.linalg.norm(P - (P @ F) @ F.T, axis=1))
-    return dp, dt
+    return _point_distances(P, anchor), dt
 
 
 def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _BALL_CAP = 5_000_000  # words of the largest ball, before dedup
+_COUNT_LIMIT = 10**18  # ball sizes are reported exactly up to here
 
 
 class BallTooLargeError(RuntimeError):
@@ -154,13 +155,17 @@ class GroupElement:
 
 
 def _predicted_ball_size(n_letters: int, radius: int) -> int:
-    # free-group count: 1 + sum_{n=1..R} 2k (2k-1)^(n-1)
-    if n_letters == 0:
-        return 1
+    # free-group count: 1 + sum_{n=1..R} 2k (2k-1)^(n-1), in closed form
+    # for k <= 1; else layer by layer, stopping once past _COUNT_LIMIT, so
+    # that a huge radius costs a few steps
+    if n_letters <= 2:
+        return 1 + n_letters * radius
     total = 1
     layer = n_letters
     for _ in range(radius):
         total += layer
+        if total > _COUNT_LIMIT:
+            break
         layer *= n_letters - 1
     return total
 
@@ -254,8 +259,10 @@ def enumerate_ball(gens: GeneratorSet, radius: int) -> Ball:
     n_letters = len(gens.labels)
     predicted = _predicted_ball_size(n_letters, radius)
     if predicted > _BALL_CAP:
+        count = (predicted if predicted <= _COUNT_LIMIT
+                 else f"over {_COUNT_LIMIT}")
         raise BallTooLargeError(
-            f"ball too large: {predicted} words exceed cap {_BALL_CAP}")
+            f"ball too large: {count} words exceed cap {_BALL_CAP}")
 
     words: list[str] = [""]
     mats: list[np.ndarray] = [np.eye(gens.dim)]

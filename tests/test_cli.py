@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -172,6 +173,9 @@ class TestExperimentFields:
         ("cones", "n_min", 2, "n_min"),
         # a field the kind does not read
         ("certify", "dedup_tol", 0.5, "dedup_tol"),
+        # a real beyond the float range
+        pytest.param("alpha", "tol", 10**400, "tol",
+                     id="alpha-tol-10**400-tol"),
     ])
     def test_bad_field_exits_one_with_path(self, tmp_path, capsys, kind, key,
                                            value, path):
@@ -233,6 +237,50 @@ class TestExperimentFields:
                "radius": 2, "seed": 0,
                "experiment": {"kind": "gelfand", "word": "aB"}}
         assert load_config(write_config(tmp_path, cfg))["experiment"]["word"]
+
+
+TAU3_REP = {"kind": "tau", "d": 3, "base": BASE_REP}
+HYPERCONVEX = {"representation": TAU3_REP,
+               "experiment": {"kind": "hyperconvex", "n_triples": 5}}
+OVER_CAP = "ball too large: over 1000000000000000000 words exceed cap 5000000"
+
+
+class TestConfigValues:
+    """Integer and real values outside the experiment: at the top level,
+    in a recipe, and in the --radius and --seed overrides."""
+
+    @pytest.mark.parametrize("changes, argv, path, message", [
+        ({"representation": {"kind": "perturb", "base": BASE_REP,
+                             "eps": eps, "seed": 1}}, [],
+         "representation.eps",
+         f"expected a number >= 0 with 2 * eps finite, got {eps!r}")
+        for eps in (1e308, float("nan"), True)
+    ] + [
+        ({"radius": True}, [], "radius", "expected an integer, got True"),
+        ({"seed": True}, [], "seed", "expected an integer, got True"),
+        (dict(HYPERCONVEX, seed=-1), [], "seed", "seed must be >= 0, got -1"),
+        (HYPERCONVEX, ["--seed", "-1"], "seed", "seed must be >= 0, got -1"),
+        ({"representation": dict(TAU3_REP, d=True)}, [], "representation.d",
+         "expected an integer, got True"),
+        ({"representation": {"kind": "wedge", "base": TAU3_REP, "k": True}},
+         [], "representation.k", "expected an integer, got True"),
+        ({"radius": 100000}, [], "radius", OVER_CAP),
+        ({"radius": 1000000}, [], "radius", OVER_CAP),
+        ({"representation": dict(BASE_REP, generators={
+            "a": [[10**400, 0], [0, 1]]})}, [], "representation.generators.a",
+         "expected a 2x2 numeric matrix"),
+    ], ids=["eps-1e308", "eps-nan", "eps-true", "radius-true", "seed-true",
+            "seed--1", "override-seed--1", "d-true", "k-true",
+            "radius-100000", "radius-1000000", "generator-10**400"])
+    def test_bad_value_exits_one_with_path(self, tmp_path, capsys, changes,
+                                           argv, path, message):
+        cfg = dict({"representation": BASE_REP, "radius": 2, "seed": 0,
+                    "experiment": {"kind": "certify"}}, **changes)
+        started = time.perf_counter()
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out"), *argv]) == 1
+        assert time.perf_counter() - started < 1.0
+        assert f"error: config.{path}: {message}\n" in capsys.readouterr().err
 
 
 class TestRun:
@@ -330,6 +378,9 @@ class TestRun:
                      "--out", str(out)]) in (0, 2)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["tolerances"] == tolerances
+        # outputs lists exactly the files the run wrote
+        assert summary["outputs"] == sorted(
+            p.name for p in out.iterdir() if p.name != "summary.json")
 
     def test_perturb_sweep_honours_slope_min(self, tmp_path):
         # the unperturbed Schottky gap grows with slope about 1.4 < 50

@@ -4,8 +4,9 @@ import pytest
 from anosovlab.boundary import LimitCloud, limit_samples
 from anosovlab.functors import representation_from_matrices
 from anosovlab.groups import enumerate_ball
-from anosovlab.geometry import (ChartFrame, build_chart, chart_coords,
-                                eigen_gap_inequality_check,
+from anosovlab.geometry import (ChartFrame, _pair_distances,
+                                _point_distances, _unit_rows, build_chart,
+                                chart_coords, eigen_gap_inequality_check,
                                 hilbert_distance_psd, hoelder_regression,
                                 tangency_check)
 from tests.test_boundary import make_sample
@@ -131,6 +132,19 @@ class TestHoelderRegression:
         anchor = tau3_cloud.samples[int(np.argmax(scores))]
         report = hoelder_regression(tau3_cloud, anchor, window=(1e-4, 1e-1))
         assert abs(report.slope - 2.0) < 0.1
+
+    def test_anchor_scores_from_point_distances(self, tau3_cloud):
+        # the hoelder kind scores each anchor by the points inside the
+        # window, from point distances alone: the counts of the distances
+        # hoelder_regression windows
+        lo, hi = 1e-4, 1e-1
+        pts = tau3_cloud.points()
+        unit = _unit_rows(pts)
+        for s in tau3_cloud.samples:
+            dp = _point_distances(unit, s)
+            ref, _ = _pair_distances(pts, s)
+            assert (np.count_nonzero((lo < dp) & (dp < hi))
+                    == np.count_nonzero((lo < ref) & (ref < hi)))
 
     def test_floored_points_reported(self):
         cloud, anchor = synthetic_graph_cloud(1.5, n_points=200)
