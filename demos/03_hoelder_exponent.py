@@ -60,8 +60,7 @@ def main():
     # anchor with the most neighbours in the regression window
     window = (1e-4, 1e-1)
     counts = []
-    for s in cloud.samples:
-        v = s.xi1_plus.vector()
+    for v in pts:
         dist = np.sqrt(1 - np.clip(np.abs(pts @ v), 0, 1) ** 2)
         counts.append(((dist > window[0]) & (dist < window[1])).sum())
     anchor = cloud.samples[int(np.argmax(counts))]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,8 +21,8 @@ from scipy.spatial import cKDTree
 from .functors import Representation
 from .groups import (Ball, GroupElement, cyclic_reduce, enumerate_ball,
                      inverse_word)
-from .linalg import (GAP_TOL, SpectralGapError, Subspace, orthonormalize,
-                     top_invariant_subspace)
+from .linalg import (GAP_TOL, SpectralGapError, Subspace, _readonly,
+                     orthonormalize, top_invariant_subspace)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
@@ -56,6 +57,11 @@ class FlagSample:
 
 @dataclass(frozen=True)
 class LimitCloud:
+    """Flag samples of a limit set, with the flag index m and the recipe
+    of the representation.  The scans read the cloud's array form:
+    ``frames``, ``lines`` and ``words``, each built on first use and
+    read-only."""
+
     samples: tuple[FlagSample, ...]
     m: int
     rep_recipe: dict
@@ -63,18 +69,43 @@ class LimitCloud:
     def __len__(self) -> int:
         return len(self.samples)
 
+    @cached_property
+    def frames(self) -> dict[str, np.ndarray]:
+        """Flag name (a field of :class:`FlagSample`) -> the (n, d, k)
+        stack of the samples' orthonormal frames of that flag."""
+        return {f.name: _readonly(np.stack([getattr(s, f.name).frame
+                                            for s in self.samples]))
+                for f in fields(FlagSample)[1:]}
+
+    @cached_property
+    def lines(self) -> np.ndarray:
+        """(2, n, d) unit representatives of the plus and the minus points,
+        each row divided by its own norm as ``proj_distance`` and
+        ``point_subspace_distance`` normalize a line, so a sub-cloud's
+        rows are the matching rows of its parent's."""
+        return _readonly(np.array([[v / np.linalg.norm(v)
+                                    for v in self.frames[name][:, :, 0]]
+                                   for name in ("xi1_plus", "xi1_minus")]))
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        """(n,) witness words of the samples."""
+        words = np.array([s.witness.word for s in self.samples], dtype=str)
+        words.flags.writeable = False
+        return words
+
     def points(self) -> np.ndarray:
-        """Unit representatives of the sampled limit-set points, stacked."""
-        return np.array([s.xi1_plus.vector() for s in self.samples])
+        """(n, d) frames of the plus lines: the sampled limit points."""
+        return self.frames["xi1_plus"][:, :, 0]
 
     def coverage_stats(self) -> dict:
         """Nearest-neighbour spacing of the sampled points: how densely
         the cloud covers the limit set at this radius.  Descriptive only;
         there is no theoretical coverage guarantee."""
-        pts = self.points()
-        if len(pts) < 2:
-            return {"n": len(pts), "nn_max": math.nan, "nn_mean": math.nan,
+        if len(self) < 2:
+            return {"n": len(self), "nn_max": math.nan, "nn_mean": math.nan,
                     "nn_min": math.nan}
+        pts = self.points()
         # nearest of +-q by chordal distance (no cancellation; the first
         # hit is p or a copy of it), then proj_distance's residual sine
         _, hit = cKDTree(np.vstack([pts, -pts])).query(pts, k=2)
@@ -320,18 +351,6 @@ def _blocks(n: int, item_bytes: int):
             yield slice(row, row + 1), slice(start, min(start + per, n))
 
 
-def _unit_lines(lines) -> np.ndarray:
-    """(n, d) unit representatives of lines, normalized as
-    ``proj_distance`` and ``point_subspace_distance`` normalize them."""
-    return np.array([L.frame[:, 0] / np.linalg.norm(L.frame[:, 0])
-                     for L in lines])
-
-
-def _frames(subspaces) -> np.ndarray:
-    """(n, d, k) stack of the orthonormal frames of equal-rank subspaces."""
-    return np.stack([V.frame for V in subspaces])
-
-
 def _complements(F: np.ndarray) -> np.ndarray:
     """(n, d, d - k) orthonormal complements of a stack of (n, d, k)
     orthonormal frames."""
@@ -483,7 +502,7 @@ def _pair_words(cloud: LimitCloud, pair) -> tuple[str, str]:
     """The witness words of a pair of sample indices, ("", "") for none."""
     if pair is None:
         return "", ""
-    return tuple(cloud.samples[t].witness.word for t in pair)
+    return tuple(cloud.words[list(pair)].tolist())
 
 
 @dataclass(frozen=True)
@@ -500,16 +519,12 @@ def _transversality_blocks(cloud: LimitCloud, sep_tol: float):
     of :func:`transversality_scan`: the (r, c) margins of xi^(m)(x)
     against xi^(d-m)(y) and of xi^(1)(x) against xi^(d-1)(y), for x in
     ``rows`` and y in ``cols``, and the mask of the pairs it keeps."""
-    samples = cloud.samples
-    flags_m = _FlagPair(_frames(s.xim_plus for s in samples),
-                        _frames(s.xi_dm_minus for s in samples))
-    flags_1 = _FlagPair(_frames(s.xi1_plus for s in samples),
-                        _frames(s.xi_d1_minus for s in samples))
-    d = samples[0].xi1_plus.ambient_dim
-    for rows, cols, keep in _kept_blocks(
-            _unit_lines(s.xi1_plus for s in samples),
-            _unit_lines(s.xi1_minus for s in samples), sep_tol,
-            8 * (2 * d * d + 16)):
+    F = cloud.frames
+    flags_m = _FlagPair(F["xim_plus"], F["xi_dm_minus"])
+    flags_1 = _FlagPair(F["xi1_plus"], F["xi_d1_minus"])
+    d = F["xi1_plus"].shape[1]
+    for rows, cols, keep in _kept_blocks(*cloud.lines, sep_tol,
+                                         8 * (2 * d * d + 16)):
         yield rows, cols, keep, flags_m(rows, cols), flags_1(rows, cols)
 
 
@@ -580,9 +595,7 @@ def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
         raise ValueError("need at least 3 samples")
     rng = np.random.default_rng(seed)
     n = len(cloud)
-    samples = cloud.samples
-    plus = _unit_lines(s.xi1_plus for s in samples)
-    minus = _unit_lines(s.xi1_minus for s in samples)
+    plus, minus = cloud.lines
     triples = np.empty((n_triples, 3), dtype=np.intp)
     count = 0
     tries = 0
@@ -605,8 +618,7 @@ def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
         taken = draws[ok][:n_triples - count]
         triples[count:count + len(taken)] = taken
         count += len(taken)
-    X1 = _frames(s.xi1_plus for s in samples)
-    Ydm = _frames(s.xi_dm_minus for s in samples)
+    X1, Ydm = cloud.frames["xi1_plus"], cloud.frames["xi_dm_minus"]
     margins = np.empty(n_triples)
     _, d, width = Ydm.shape
     for part in _chunks(n_triples, Ydm.itemsize * d * (2 + width)):
@@ -616,7 +628,7 @@ def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
     worst = ("", "", "")
     if n_triples and (t := _first_below(margins, best)) is not None:
         best = float(margins[t])
-        worst = tuple(samples[idx].witness.word for idx in triples[t])
+        worst = tuple(cloud.words[triples[t]].tolist())
     return HyperconvexityReport(min_margin=best, worst_triple=worst,
                                 margins=margins, n_evaluated=count)
 
@@ -648,16 +660,14 @@ def controlled_set_check(cloud: LimitCloud,
     temporaries of ``_PAIR_BYTES`` (256 KiB) each."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
-    samples = cloud.samples
-    plus = _unit_lines(s.xi1_plus for s in samples)
-    H = _frames(s.xi_d1_minus for s in samples)
+    plus, minus = cloud.lines
+    H = cloud.frames["xi_d1_minus"]
     normals = _complements(H)[..., 0]
     best = (math.inf, None)
     violations = []
     n = 0
-    for rows, cols, keep in _kept_blocks(
-            plus, _unit_lines(s.xi1_minus for s in samples), sep_tol,
-            8 * (plus.shape[1] + 8)):
+    for rows, cols, keep in _kept_blocks(plus, minus, sep_tol,
+                                         8 * (plus.shape[1] + 8)):
         n += int(np.count_nonzero(keep))
         dist = np.where(keep, np.abs(plus[rows] @ normals[cols].T), math.inf)
         a, b = np.nonzero(keep & ((dist <= dist.min() + _BAND)
@@ -667,8 +677,9 @@ def controlled_set_check(cloud: LimitCloud,
         dist[a, b] = np.linalg.norm(resid, axis=1)
         dist = np.minimum(1.0, dist)
         best = _least_kept(dist, keep, best, rows, cols)
-        violations += [_pair_words(cloud, (rows.start + a, cols.start + b))
-                       for a, b in zip(*np.nonzero(dist <= 1e-10))]
+        a, b = np.nonzero(dist <= 1e-10)
+        violations += zip(cloud.words[rows.start + a].tolist(),
+                          cloud.words[cols.start + b].tolist())
     return ControlledSetReport(min_margin=best[0],
                                worst_pair=_pair_words(cloud, best[1]),
                                violations=tuple(violations), n_pairs=n)

@@ -27,7 +27,6 @@ from .functors import build_representation, perturb_rep
 from .geometry import (REGRESSION_CAVEAT, _point_distances, _unit_rows,
                        build_chart, chart_coords, hoelder_regression)
 from .groups import BallTooLargeError, enumerate_ball
-from .linalg import proj_distance
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
                       gelfand_check, spectral_kernel, spectral_table)
 
@@ -229,6 +228,8 @@ def load_config(path: Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON at line {exc.lineno}, "
                                      f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")
     _reject_unknown(cfg, _CONFIG_KEYS, "config", "a config")
@@ -340,56 +341,51 @@ def _run_alpha(rep, fields, radius, seed):
 
 
 def _cloud_rows(cloud):
-    rows = []
-    for s in cloud.samples:
-        row = {"word": s.witness.word, "length": s.witness.length}
-        for i, v in enumerate(s.xi1_plus.vector()):
-            row[f"xi1_{i + 1}"] = float(v)
-        for name in ("xim_plus", "xi_dm_minus", "xi_d1_minus"):
-            frame = getattr(s, name).frame
-            for i, v in enumerate(frame.ravel(order="F")):
-                row[f"{name}_{i + 1}"] = float(v)
-        rows.append(row)
+    """One row per sample: its witness, then the entries of its xi^(1),
+    xi^(m), xi^(d-m) and xi^(d-1) frames, column by column."""
+    rows = [{"word": s.witness.word, "length": s.witness.length}
+            for s in cloud.samples]
+    for name in ("xi1", "xim_plus", "xi_dm_minus", "xi_d1_minus"):
+        F = cloud.frames["xi1_plus" if name == "xi1" else name]
+        entries = F.transpose(0, 2, 1).reshape(len(F), -1).tolist()
+        for row, values in zip(rows, entries):
+            row.update((f"{name}_{i + 1}", v) for i, v in enumerate(values))
     return rows
-
-
-def _pick_chart_pair(cloud, anchor_index):
-    anchor = cloud.samples[anchor_index]
-    far_idx = max(range(len(cloud.samples)),
-                  key=lambda i: (proj_distance(anchor.xi1_plus,
-                                               cloud.samples[i].xi1_minus), -i))
-    return anchor, cloud.samples[far_idx]
 
 
 def _run_limitset(rep, fields, radius, seed):
     m = fields["m"]
     cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
-    if fields["anchor_index"] >= len(cloud):
+    a = fields["anchor_index"]
+    if a >= len(cloud):
         raise ConfigError("config.experiment.anchor_index",
                           f"expected an integer in [0, {len(cloud) - 1}] "
-                          f"for {len(cloud)} limit samples, "
-                          f"got {fields['anchor_index']}")
+                          f"for {len(cloud)} limit samples, got {a}")
     rows = _cloud_rows(cloud)
     artifacts = {"limit_cloud.csv": (list(rows[0].keys()), rows)}
     results = {"m": m, "n_samples": len(cloud),
                "coverage": cloud.coverage_stats()}
     if rep.dim == 3:
-        anchor, far = _pick_chart_pair(cloud, fields["anchor_index"])
-        frame = build_chart(anchor, far)
-        pts, chart_rows = [], []
-        for s in cloud.samples:
+        # the chart of the anchor and of the first sample whose minus
+        # point is the farthest from the anchor point
+        plus, minus = cloud.lines
+        far = int(np.argmax(_point_distances(minus, plus[a])))
+        anchor = cloud.samples[a]
+        frame = build_chart(anchor, cloud.samples[far])
+        chart_rows = []
+        for word, p in zip(cloud.words.tolist(), cloud.points()):
             try:
-                u, w = chart_coords(frame, s.xi1_plus)
+                u, w = chart_coords(frame, p)
             except ValueError:
                 continue
-            pts.append((float(u[0]), float(w[0])))
-            chart_rows.append({"word": s.witness.word,
-                               "u": float(u[0]), "w": float(w[0])})
+            chart_rows.append({"word": word, "u": float(u[0]),
+                               "w": float(w[0])})
         a_u, a_w = chart_coords(frame, anchor.xi1_plus)
-        artifacts["limit_set.svg"] = _svg(pts, (float(a_u[0]),
-                                                float(a_w[0])))
+        artifacts["limit_set.svg"] = _svg(
+            [(r["u"], r["w"]) for r in chart_rows],
+            (float(a_u[0]), float(a_w[0])))
         artifacts["chart_cloud.csv"] = (["word", "u", "w"], chart_rows)
-        results["svg_points"] = len(pts)
+        results["svg_points"] = len(chart_rows)
         results["anchor"] = anchor.witness.word
     return results, True, artifacts
 
@@ -419,7 +415,7 @@ def _run_hoelder(rep, fields, radius, seed):
     # the scores read only the distances to each anchor point
     points = _unit_rows(cloud.points())
     scores = [np.count_nonzero((window[0] < dp) & (dp < window[1]))
-              for dp in (_point_distances(points, s) for s in cloud.samples)]
+              for dp in (_point_distances(points, x) for x in cloud.lines[0])]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}
@@ -427,16 +423,11 @@ def _run_hoelder(rep, fields, radius, seed):
     for i in order[:fields["n_anchors"]]:
         anchor = cloud.samples[i]
         rep_report = hoelder_regression(cloud, anchor, window=window)
-        results["anchors"].append({
-            "witness": anchor.witness.word, "slope": rep_report.slope,
-            "r_squared": rep_report.r_squared,
-            "n_points": rep_report.n_points,
-            "n_floored": rep_report.n_floored,
-        })
-        rows.append({"witness": anchor.witness.word,
-                     "slope": rep_report.slope,
-                     "r_squared": rep_report.r_squared,
-                     "n_points": rep_report.n_points})
+        row = {"witness": anchor.witness.word, "slope": rep_report.slope,
+               "r_squared": rep_report.r_squared,
+               "n_points": rep_report.n_points}
+        rows.append(row)
+        results["anchors"].append({**row, "n_floored": rep_report.n_floored})
         scatter += [{"anchor": anchor.witness.word, "point_distance": p,
                      "tangent_distance": t}
                     for p, t in rep_report.points.tolist()]

@@ -13,8 +13,7 @@ import scipy.linalg as sla
 
 from .boundary import FlagSample, LimitCloud
 from .groups import Ball
-from .linalg import (Subspace, direct_sum_margin, proj_distance,
-                     subspace_intersection)
+from .linalg import Subspace, direct_sum_margin, subspace_intersection
 from .spectra import linefit
 
 __all__ = [
@@ -124,11 +123,9 @@ def _unit_rows(points: np.ndarray) -> np.ndarray:
     return points / np.linalg.norm(points, axis=1)[:, None]
 
 
-def _point_distances(P: np.ndarray, anchor: FlagSample) -> np.ndarray:
-    """The ``proj_distance`` residuals of the unit rows ``P`` (see
-    :func:`_unit_rows`) to the anchor point."""
-    x = anchor.xi1_plus.frame[:, 0]
-    x = x / np.linalg.norm(x)
+def _point_distances(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The ``proj_distance`` residuals of the unit rows ``P`` to the unit
+    point ``x``."""
     return np.minimum(1.0, np.linalg.norm(x - P * (P @ x)[:, None], axis=1))
 
 
@@ -138,9 +135,9 @@ def _pair_distances(points: np.ndarray, anchor: FlagSample):
     tangent flag: the ``proj_distance`` and ``point_subspace_distance``
     residuals, over the stacked points at once."""
     P = _unit_rows(points)
-    F = anchor.xim_plus.frame
+    x, F = anchor.xi1_plus.frame[:, 0], anchor.xim_plus.frame
     dt = np.minimum(1.0, np.linalg.norm(P - (P @ F) @ F.T, axis=1))
-    return _point_distances(P, anchor), dt
+    return _point_distances(P, x / np.linalg.norm(x)), dt
 
 
 def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
@@ -185,27 +182,23 @@ def tangency_check(cloud: LimitCloud, anchor: FlagSample) -> TangencyReport:
     tangent flag, for the 20 nearest cloud points within 0.5, nearest first.
 
     The angles must decrease toward zero as the secant point approaches
-    the anchor when the tangent flag is correct.
+    the anchor when the tangent flag is correct.  The distances are the
+    ``proj_distance`` residuals of the anchor point to the cloud's unit
+    lines, over the stacked lines at once.
     """
-    x1 = anchor.xi1_plus.vector()
-    xm = anchor.xim_plus.frame
-    rows = []
-    for s in cloud.samples:
-        p = s.xi1_plus.vector()
-        dp = proj_distance(anchor.xi1_plus, s.xi1_plus)
-        if dp < 1e-13 or dp > 0.5:
-            continue
-        # secant direction: component of p transverse to the anchor line
-        sec = p - x1 * (x1 @ p)
-        sec = sec / np.linalg.norm(sec)
-        resid = sec - xm @ (xm.T @ sec)
-        rows.append((dp, math.asin(min(1.0, float(np.linalg.norm(resid))))))
-    if len(rows) < 5:
+    x1, xm = anchor.xi1_plus.vector(), anchor.xim_plus.frame
+    dp = _point_distances(cloud.lines[0], x1 / np.linalg.norm(x1))
+    near = np.flatnonzero((dp >= 1e-13) & (dp <= 0.5))
+    if len(near) < 5:
         raise ValueError("need at least 5 cloud points near the anchor")
-    rows.sort()
-    rows = rows[:20]
-    return TangencyReport(distances=np.array([r[0] for r in rows]),
-                          angles=np.array([r[1] for r in rows]))
+    # secant directions: components of the points transverse to the anchor
+    P = cloud.points()[near]
+    sec = P - x1 * (P @ x1)[:, None]
+    sec /= np.linalg.norm(sec, axis=1)[:, None]
+    resid = sec - (sec @ xm) @ xm.T
+    angles = np.arcsin(np.minimum(1.0, np.linalg.norm(resid, axis=1)))
+    order = np.lexsort((angles, dp[near]))[:20]
+    return TangencyReport(distances=dp[near][order], angles=angles[order])
 
 
 def hilbert_distance_psd(X, Y) -> float:

@@ -143,11 +143,14 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
         for (at, m, spectrum), t, out in zip(reads, more, vectors):
             rows_at, back = np.unique(at, return_inverse=True)
             S = P if len(rows_at) == len(P) else P[rows_at]  # no full copy
-            own = np.log(spectrum(S))[back]
-            ladder = np.diff(np.vstack([np.zeros(len(at)), own[:, 0], t])
+            # the log of the moduli read only: the bottom ones of a long
+            # word's rounded product may underflow to 0
+            own = spectrum(S)[back]
+            ladder = np.diff(np.vstack([np.zeros(len(at)),
+                                        np.log(own[:, 0]), t])
                              [:K + 1], axis=0)  # (K, len(at)): top K logs
             hi, lo = ladder[:, :m].T, -ladder[::-1, m:].T
-            mid = own[:m, K:n - K]
+            mid = np.log(own[:m, K:n - K])
             if n > 2 * K:  # the middle, shifted to the block's log|det|
                 logdet = np.zeros(m)  # a block filling the space has unit
                 if n < gens.dim:      # |det|; slogdet would add eps * cond

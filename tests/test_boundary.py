@@ -568,6 +568,58 @@ class TestStackedScans:
             hyperconvexity_scan(tau4_cloud, n_triples=2, sep_tol=2.0)
 
 
+class TestCloudArrays:
+    """The array form of a cloud, on the sub-clouds the boundary benchmark
+    builds: the witnesses of length <= 4 of a radius-5 cloud."""
+
+    @pytest.fixture(scope="class")
+    def clouds(self, tau4_rep):
+        cloud = limit_samples(tau4_rep, 2, 5)
+        sub = LimitCloud(samples=tuple(s for s in cloud.samples
+                                       if s.witness.length <= 4),
+                         m=cloud.m, rep_recipe=cloud.rep_recipe)
+        return cloud, sub
+
+    def test_sub_cloud_rows_are_the_parent_rows(self, clouds):
+        cloud, sub = clouds
+        rows = [t for t, s in enumerate(cloud.samples)
+                if s.witness.length <= 4]
+        assert (len(cloud), len(sub)) == (440, 132)
+        for name, F in sub.frames.items():
+            parent = cloud.frames[name][rows]
+            assert (F.shape, F.tobytes()) == (parent.shape, parent.tobytes())
+        parent = cloud.lines[:, rows]
+        assert (sub.lines.shape, sub.lines.tobytes()) == (parent.shape,
+                                                          parent.tobytes())
+        assert sub.words.tolist() == cloud.words[rows].tolist()
+
+    def test_lines_normalized_as_proj_distance_does(self, clouds):
+        # a norm over axis 1 changes the last bit of some of these rows
+        cloud, _ = clouds
+        for lines, name in zip(cloud.lines, ("xi1_plus", "xi1_minus")):
+            ref = np.array([v / np.linalg.norm(v) for v in (
+                getattr(s, name).frame[:, 0] for s in cloud.samples)])
+            assert lines.tobytes() == ref.tobytes()
+
+    def test_sub_cloud_reports_equal_per_pair_loops(self, clouds):
+        _, sub = clouds
+        TestStackedScans.assert_same(sub, {
+            "transversality": reference_transversality(sub),
+            "controlled": reference_controlled_set(sub),
+            "hyperconvexity": reference_hyperconvexity(sub, 500, seed=3)})
+
+    def test_arrays_built_once_and_read_only(self, clouds):
+        cloud, _ = clouds
+        assert cloud.frames is cloud.frames
+        assert cloud.lines is cloud.lines and cloud.words is cloud.words
+        assert list(cloud.frames) == ["xi1_plus", "xim_plus", "xi_dm_minus",
+                                      "xi_d1_minus", "xi1_minus"]
+        for array in (*cloud.frames.values(), cloud.lines, cloud.words,
+                      cloud.points()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
+
 def flag_pair(rng, d, m, angle):
     """Random complementary frames X (rank m) and Y (rank d - m), in
     random bases, whose least principal angle is ``angle`` if given: the

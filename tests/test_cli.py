@@ -95,6 +95,17 @@ class TestValidation:
         assert main(["run", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer literal of more than 4,300 digits
+        cfg = {"representation": BASE_REP, "radius": 0, "seed": 0,
+               "experiment": {"kind": "certify"}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg).replace('"radius": 0',
+                                                '"radius": ' + "9" * 5001))
+        assert main(["run", str(path)]) == 1
+        assert f"{path}: invalid JSON: " in capsys.readouterr().err
+
     def test_singular_generator_build_error(self, tmp_path, capsys):
         cfg = {"representation": {"kind": "matrices", "dim": 2,
                                   "generators": {"a": [[1.0, 1.0],

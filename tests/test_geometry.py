@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from anosovlab.geometry import (ChartFrame, _pair_distances,
                                 chart_coords, eigen_gap_inequality_check,
                                 hilbert_distance_psd, hoelder_regression,
                                 tangency_check)
+from anosovlab.linalg import proj_distance
 from tests.test_boundary import make_sample
 
 
@@ -77,7 +80,6 @@ class TestBuildChart:
             build_chart(sx, sy)
 
     def test_conic_anchor_chart(self, tau3_cloud):
-        from anosovlab.linalg import proj_distance
         anchor = tau3_cloud.samples[0]
         far = max(tau3_cloud.samples,
                   key=lambda s: proj_distance(anchor.xi1_plus, s.xi1_minus))
@@ -140,8 +142,8 @@ class TestHoelderRegression:
         lo, hi = 1e-4, 1e-1
         pts = tau3_cloud.points()
         unit = _unit_rows(pts)
-        for s in tau3_cloud.samples:
-            dp = _point_distances(unit, s)
+        for s, x in zip(tau3_cloud.samples, tau3_cloud.lines[0]):
+            dp = _point_distances(unit, x)
             ref, _ = _pair_distances(pts, s)
             assert (np.count_nonzero((lo < dp) & (dp < hi))
                     == np.count_nonzero((lo < ref) & (ref < hi)))
@@ -167,7 +169,40 @@ class TestHoelderRegression:
 
 
 
+def reference_tangency(cloud, anchor):
+    """The per-sample tangency check with ``proj_distance``: (n, 2) rows
+    of distances and angles, nearest first."""
+    x1 = anchor.xi1_plus.vector()
+    xm = anchor.xim_plus.frame
+    rows = []
+    for s in cloud.samples:
+        p = s.xi1_plus.vector()
+        dp = proj_distance(anchor.xi1_plus, s.xi1_plus)
+        if dp < 1e-13 or dp > 0.5:
+            continue
+        sec = p - x1 * (x1 @ p)
+        sec = sec / np.linalg.norm(sec)
+        resid = sec - xm @ (xm.T @ sec)
+        rows.append((dp, math.asin(min(1.0, float(np.linalg.norm(resid))))))
+    return np.array(sorted(rows)[:20])
+
+
 class TestTangency:
+    def test_equals_per_sample_loop(self, tau3_cloud):
+        synthetic, anchor = synthetic_graph_cloud(1.5, n_points=300)
+        cases = [(synthetic, anchor)] + [
+            (tau3_cloud, tau3_cloud.samples[t])
+            for t in range(0, len(tau3_cloud), 61)]
+        for cloud, anchor in cases:
+            report = tangency_check(cloud, anchor)
+            ref = reference_tangency(cloud, anchor)
+            assert report.distances.shape == (len(ref),)
+            assert np.abs(report.distances - ref[:, 0]).max() <= 1e-15
+            # a secant at distance dp is a difference of unit vectors: its
+            # direction, and so its angle, is rounded to about eps / dp
+            assert np.all(np.abs(report.angles - ref[:, 1])
+                          <= 1e-15 / ref[:, 0])
+
     def test_points_on_tangent_plane(self):
         cloud, anchor = synthetic_graph_cloud(1.9, n_points=100)
         e = np.eye(3)

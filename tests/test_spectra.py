@@ -136,6 +136,14 @@ class TestAlphaEstimate:
         with pytest.raises(ValueError, match="out of range"):
             alpha_m_estimate(enumerate_ball(tau3_rep.generators, 3), 1)
 
+    def test_tau7_reads_no_underflowed_modulus(self, schottky_rep):
+        # the bottom moduli of long words' rounded products underflow to
+        # 0; the ladder never reads them, and a log of 0 fails the suite
+        tau7 = tau_representation(schottky_rep, 7)
+        est = alpha_m_estimate(enumerate_ball(tau7.generators, 6), 3)
+        # moduli lam^6, lam^4, lam^2, 1, ...: 6 log lam / 4 log lam
+        assert est.value == pytest.approx(1.5, abs=1e-9)
+
     @pytest.mark.parametrize("name", ["fuchsian_tau3", "su21_9dim",
                                       "tau5_plus_tau2"])
     def test_shipped_config_reads_its_ball(self, name):
