@@ -257,9 +257,7 @@ def _write_csv(path: Path, fieldnames, rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(float(v)) if isinstance(v, float) else v
-                             for k, v in row.items()})
+        writer.writerows(rows)
 
 
 def _svg(points, anchor_uw) -> str:

@@ -264,26 +264,40 @@ def enumerate_ball(gens: GeneratorSet, radius: int) -> Ball:
         raise BallTooLargeError(
             f"ball too large: {count} words exceed cap {_BALL_CAP}")
 
-    words: list[str] = [""]
-    mats: list[np.ndarray] = [np.eye(gens.dim)]
-    frontier = [("", mats[0])]
+    words, layer = [""], [""]
     order = sorted(gens.labels)
     for _ in range(radius):
-        nxt = []
-        for w, M in frontier:
-            for label in order:
-                if w and w[-1] == inverse_label(label):
-                    continue
-                prod = M @ gens.matrices[label].mat
-                nxt.append((w + label, prod))
-        frontier = nxt
-        for w, M in nxt:
-            words.append(w)
-            mats.append(M)
+        layer = [w + x for w in layer for x in order
+                 if w[-1:] != inverse_label(x)]
+        words += layer
+    products = word_products(gens, words)
+    return Ball(gens, words, products, _dedup_indices(words, products, 1e-8))
 
-    products = np.array(mats)
-    return Ball(gens, words, products,
-                _dedup_indices(words, products, 1e-8))
+
+def prefix_tree(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix row (-1 for the empty word) and the last letter of each
+    of the prefix-closed ``words``, sorted by (length, word).  In that
+    order the prefix rows never decrease: the children of the rows a:b
+    are the rows between ``np.searchsorted(prefix, (a, b))``."""
+    row = {w: i for i, w in enumerate(words)}
+    return (np.array([-1] + [row[w[:-1]] for w in words[1:]]),
+            np.array([w[-1:] for w in words]))
+
+
+def word_products(gens: GeneratorSet, words: list[str]) -> np.ndarray:
+    """The stacked matrices of the prefix-closed ``words``, sorted by
+    (length, word): each its prefix's product times its last letter, one
+    stacked product per length and letter."""
+    prefix, last = prefix_tree(words)
+    products = np.empty((len(words), gens.dim, gens.dim))
+    products[0] = np.eye(gens.dim)
+    a, b = 0, 1
+    while b > a:
+        a, b = np.searchsorted(prefix, (a, b))
+        for x, M in gens.matrices.items():
+            at = a + np.flatnonzero(last[a:b] == x)
+            products[at] = products[prefix[at]] @ M.mat
+    return products
 
 
 def _dedup_indices(words, mats, tol) -> list[int]:
@@ -291,8 +305,12 @@ def _dedup_indices(words, mats, tol) -> list[int]:
     (Chebyshev metric on entries), keeping the (length, word)-smallest."""
     n = len(words)
     flat = np.asarray(mats).reshape(n, -1)
-    # both lifts of each PGL element, so sign never needs normalizing
-    tree = cKDTree(np.vstack([flat, -flat]))
+    # both lifts of each PGL element, so sign never needs normalizing.  Only
+    # rows with a partner within tol can merge (the query's bound is strict)
+    near, _ = cKDTree(np.vstack([flat, -flat])).query(
+        flat, k=2, p=np.inf, distance_upper_bound=2 * tol)
+    rows = np.flatnonzero(near[:, 1] <= tol).tolist()
+    tree = cKDTree(np.vstack([flat[rows], -flat[rows]]))
     parent = list(range(n))
 
     def find(i):
@@ -302,8 +320,7 @@ def _dedup_indices(words, mats, tol) -> list[int]:
         return i
 
     for i, j in tree.query_pairs(tol, p=np.inf):
-        i %= n
-        j %= n
+        i, j = rows[i % len(rows)], rows[j % len(rows)]
         if i == j:
             continue
         ri, rj = find(i), find(j)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .functors import _wedge_coordinates, wedge_indices
 from .groups import (Ball, GeneratorSet, GroupElement, canonical_cyclic,
-                     inverse_word)
+                     inverse_word, prefix_tree, word_products)
 from .linalg import MatrixD, SpectralData, eigen_moduli, singular_values
 
 __all__ = [
@@ -85,32 +85,28 @@ def _compound_logs(letters: dict, words: list[str], reads) -> list:
     if not sizes:
         return [np.zeros((0, len(at))) for at, *_ in reads]
     step = max(1, _LADDER_BYTES // (8 * sum(c * c for c in sizes)))
-    row = {w: i for i, w in enumerate(words)}
-    kids = [[] for _ in words]
-    for i, w in enumerate(words[1:], 1):
-        kids[row[w[:-1]]].append(i)
+    prefix, last = prefix_tree(words)
     need = [np.isin(np.arange(len(words)), at) for at, *_ in reads]
     logs = [np.zeros((len(sizes), len(words))) for _ in reads]
 
-    def walk(ids, stacks):
+    def walk(a, b, stacks):  # the compounds of the rows a:b
         for (*_, spectrum), wanted, out in zip(reads, need, logs):
-            sel = wanted[ids]
+            sel = wanted[a:b]
             if sel.any():
                 for t, S in zip(out, stacks):
-                    t[ids[sel]] = np.log(spectrum(S[sel])[:, 0])
-        sub = np.array([k for i in ids for k in kids[i]], dtype=np.intp)
-        pos = np.repeat(np.arange(len(ids)), [len(kids[i]) for i in ids])
-        for start in range(0, len(sub), step):
-            part, at = sub[start:start + step], pos[start:start + step]
-            last = np.array([words[i][-1] for i in part])
-            grown = [np.empty((len(part), c, c)) for c in sizes]
+                    t[a:b][sel] = np.log(spectrum(S[sel])[:, 0])
+        lo, hi = np.searchsorted(prefix, (a, b))  # their children
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            grown = [np.empty((stop - start, c, c)) for c in sizes]
             for x, compounds in letters.items():
-                sel = last == x
+                sel = last[start:stop] == x
+                at = prefix[start:stop][sel] - a
                 for G, S, L in zip(grown, stacks, compounds):
-                    G[sel] = S[at[sel]] @ L
-            walk(part, grown)
+                    G[sel] = S[at] @ L
+            walk(start, stop, grown)
 
-    walk(np.array([row[""]]), [np.eye(c)[None] for c in sizes])
+    walk(0, 1, [np.eye(c)[None] for c in sizes])
     del walk  # it refers to itself: free its arrays now, not at a gc pass
     return [out[:, at] for (at, *_), out in zip(reads, logs)]
 
@@ -173,12 +169,9 @@ def cartan_jordan(g) -> SpectralData:
         gens, word = GeneratorSet.from_matrices({"a": g}), "a"
     core = canonical_cyclic(word)
     ends = {word, inverse_word(word), core, inverse_word(core)}
-    products = {"": np.eye(gens.dim)}
-    for w in sorted({w[:i] for w in ends for i in range(1, len(w) + 1)},
-                    key=lambda w: (len(w), w)):  # as enumerate_ball does
-        products[w] = products[w[:-1]] @ gens.matrices[w[-1]].mat
-    words = list(products)
-    ball = Ball(gens, words, np.array(list(products.values())),
+    words = sorted({w[:i] for w in ends for i in range(len(w) + 1)},
+                   key=lambda w: (len(w), w))
+    ball = Ball(gens, words, word_products(gens, words),
                 [words.index(word)])
     return SpectralData(mu=ball.cartan[0], lam=ball.jordan[0])
 

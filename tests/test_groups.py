@@ -157,6 +157,63 @@ def test_dedup_order_independent():
     assert keep1 == keep2 == {"", "a", "b", "bb"}
 
 
+def _all_pairs_dedup(words, mats, tol):
+    """The merge by an all-pairs union-find: rows whose matrices agree up
+    to sign within ``tol`` (Chebyshev) merge, and each class keeps its
+    (length, word)-smallest row."""
+    flat = np.asarray(mats).reshape(len(words), -1)
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            if min(np.abs(flat[i] - flat[j]).max(),
+                   np.abs(flat[i] + flat[j]).max()) <= tol:
+                parent[find(i)] = find(j)
+    classes: dict[int, list[int]] = {}
+    for i in range(len(words)):
+        classes.setdefault(find(i), []).append(i)
+
+    def key(i):
+        return len(words[i]), words[i]
+
+    return sorted((min(c, key=key) for c in classes.values()), key=key)
+
+
+@pytest.mark.parametrize("size", [3, 4])  # 9 and 16 entries
+def test_dedup_matches_all_pairs_reference(size):
+    from anosovlab.groups import _dedup_indices
+    tol = 2.0 ** -27  # a power of two: "exactly tol apart" is exact
+    rng = np.random.default_rng(size)
+    mats = list(rng.normal(size=(40, size, size)))
+
+    def noise():
+        return 0.4 * tol * rng.uniform(-1, 1, (size, size))
+
+    def shifted(base, by):
+        out = np.full((size, size), base)
+        out[1, 1] += by
+        return out
+
+    mats += [mats[0] + noise(), -mats[1], -(mats[2] + noise()),
+             # a chain a ~ b ~ c with a and c more than tol apart
+             shifted(0.5, 0), shifted(0.5, 0.6 * tol), shifted(0.5, 1.2 * tol),
+             # a pair exactly tol apart merges, one just over tol does not
+             shifted(0.75, 0), shifted(0.75, tol),
+             shifted(0.25, 0), shifted(0.25, tol * (1 + 1e-6))]
+    words = ["a" * int(k) + f"b{i}"
+             for i, k in enumerate(rng.integers(0, 4, len(mats)))]
+    order = rng.permutation(len(mats))
+    words, mats = [words[i] for i in order], [mats[i] for i in order]
+    keep = _dedup_indices(words, mats, tol)
+    assert keep == _all_pairs_dedup(words, mats, tol)
+    assert len(keep) == len(mats) - 6
+
+
 class TestBall:
     """The ball's stacked rows against the per-word reference path."""
 
@@ -190,6 +247,19 @@ class TestBall:
         words = {g.word for g in ball}
         assert "A" in words and "a" not in words
         self.assert_matches_reference(ball, ball)
+
+    def test_products_match_word_products(self, tau3_rep,
+                                           tau5_plus_tau2_rep):
+        # every enumerated word, merged or kept, against its own product
+        quarter_turn = GeneratorSet.from_matrices(
+            {"a": rotation(np.pi / 2), "b": np.diag([3.0, 1.0 / 3.0])})
+        for gens, radius in ((tau3_rep.generators, 4),
+                             (tau5_plus_tau2_rep.generators, 3),
+                             (quarter_turn, 3)):
+            ball = enumerate_ball(gens, radius)
+            assert len(ball.products) == len(ball.words)
+            for w, product in zip(ball.words, ball.products):
+                assert np.array_equal(product, gens.matrix_of_word(w).mat), w
 
     def test_slice(self, tau3_rep):
         ball = enumerate_ball(tau3_rep.generators, 4)
