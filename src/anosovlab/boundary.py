@@ -221,8 +221,9 @@ class _ClassFlags:
                 frames = _moved(self._letters, source_words[src], frames,
                                 transposed=src.endswith("t"))
             self._frames[src, rank] = frames
-        conj = [_conjugators(ball[i].word, words[member[i]])
-                for i in self.index]
+        conj = [_conjugators(ball.words[r], words[k]) for r, k in
+                zip(ball.rows[self.index].tolist(),
+                    member[self.index].tolist())]
         self._conj = {"P": [p for p, _ in conj], "Q": [q for _, q in conj]}
         self._specs = specs
 

@@ -253,10 +253,10 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_csv(path: Path, fieldnames, rows) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -299,7 +299,8 @@ def _svg(points, anchor_uw) -> str:
 # ---------------------------------------------------------------------------
 # experiment drivers: each takes the resolved experiment fields and returns
 # (results dict, property verdict, artifacts), where artifacts maps each
-# file name to its (header, rows) table or to its SVG text
+# file name to its (header, rows) table, rows being lists in header order,
+# or to its SVG text
 
 def _run_certify(rep, fields, radius, seed):
     ball = enumerate_ball(rep.generators, radius)
@@ -309,46 +310,43 @@ def _run_certify(rep, fields, radius, seed):
         prof = gap_profile(ball, k, slope_min=fields["slope_min"],
                            r2_min=fields["r2_min"])
         for n, mn, mx in zip(prof.lengths, prof.min_gap, prof.max_gap):
-            rows.append({"k": k, "length": int(n), "min_gap": float(mn),
-                         "max_gap": float(mx)})
+            rows.append([k, int(n), float(mn), float(mx)])
         results[f"k={k}"] = {
             "slope": prof.slope, "intercept": prof.intercept,
             "r_squared": prof.r_squared, "verdict": prof.verdict,
         }
         all_linear = all_linear and prof.linear
-    table = spectral_table(ball)
     return results, all_linear, {
         "gap_profile.csv": (["k", "length", "min_gap", "max_gap"], rows),
-        "spectra.csv": (list(table[0].keys()), table)}
+        "spectra.csv": spectral_table(ball)}
 
 
 def _run_alpha(rep, fields, radius, seed):
     m = fields["m"]
     ball = enumerate_ball(rep.generators, radius)
     est = alpha_m_estimate(ball, m, tol=fields["tol"])
-    rows = [{"radius": int(r), "alpha_inf": float(v)}
-            for r, v in est.per_radius if not np.isnan(v)]
-    table = spectral_table(ball, m=m)
+    rows = [[int(r), float(v)] for r, v in est.per_radius if not np.isnan(v)]
     results = {"m": m, "alpha": est.value, "witness": est.witness.word,
                "converged": bool(est.converged)}
     if not est.converged:
         results["note"] = "possibly not converged"
     return results, True, {
         "alpha_per_radius.csv": (["radius", "alpha_inf"], rows),
-        "spectra.csv": (list(table[0].keys()), table)}
+        "spectra.csv": spectral_table(ball, m=m)}
 
 
-def _cloud_rows(cloud):
+def _cloud_table(cloud):
     """One row per sample: its witness, then the entries of its xi^(1),
     xi^(m), xi^(d-m) and xi^(d-1) frames, column by column."""
-    rows = [{"word": s.witness.word, "length": s.witness.length}
-            for s in cloud.samples]
+    header = ["word", "length"]
+    rows = [[s.witness.word, s.witness.length] for s in cloud.samples]
     for name in ("xi1", "xim_plus", "xi_dm_minus", "xi_d1_minus"):
         F = cloud.frames["xi1_plus" if name == "xi1" else name]
         entries = F.transpose(0, 2, 1).reshape(len(F), -1).tolist()
+        header += [f"{name}_{i + 1}" for i in range(F[0].size)]
         for row, values in zip(rows, entries):
-            row.update((f"{name}_{i + 1}", v) for i, v in enumerate(values))
-    return rows
+            row += values
+    return header, rows
 
 
 def _run_limitset(rep, fields, radius, seed):
@@ -359,8 +357,7 @@ def _run_limitset(rep, fields, radius, seed):
         raise ConfigError("config.experiment.anchor_index",
                           f"expected an integer in [0, {len(cloud) - 1}] "
                           f"for {len(cloud)} limit samples, got {a}")
-    rows = _cloud_rows(cloud)
-    artifacts = {"limit_cloud.csv": (list(rows[0].keys()), rows)}
+    artifacts = {"limit_cloud.csv": _cloud_table(cloud)}
     results = {"m": m, "n_samples": len(cloud),
                "coverage": cloud.coverage_stats()}
     if rep.dim == 3:
@@ -376,11 +373,10 @@ def _run_limitset(rep, fields, radius, seed):
                 u, w = chart_coords(frame, p)
             except ValueError:
                 continue
-            chart_rows.append({"word": word, "u": float(u[0]),
-                               "w": float(w[0])})
+            chart_rows.append([word, float(u[0]), float(w[0])])
         a_u, a_w = chart_coords(frame, anchor.xi1_plus)
         artifacts["limit_set.svg"] = _svg(
-            [(r["u"], r["w"]) for r in chart_rows],
+            [(u, w) for _, u, w in chart_rows],
             (float(a_u[0]), float(a_w[0])))
         artifacts["chart_cloud.csv"] = (["word", "u", "w"], chart_rows)
         results["svg_points"] = len(chart_rows)
@@ -393,8 +389,7 @@ def _run_hyperconvex(rep, fields, radius, seed):
     cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
     report = hyperconvexity_scan(cloud, n_triples=fields["n_triples"],
                                  seed=seed, sep_tol=fields["sep_tol"])
-    rows = [{"index": i, "margin": float(v)}
-            for i, v in enumerate(report.margins)]
+    rows = [[i, float(v)] for i, v in enumerate(report.margins)]
     margin_min = fields["margin_min"]
     results = {"m": m, "n_samples": len(cloud),
                "n_triples": report.n_evaluated,
@@ -417,21 +412,20 @@ def _run_hoelder(rep, fields, radius, seed):
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}
+    header = ["witness", "slope", "r_squared", "n_points"]
     rows, scatter = [], []
     for i in order[:fields["n_anchors"]]:
         anchor = cloud.samples[i]
         rep_report = hoelder_regression(cloud, anchor, window=window)
-        row = {"witness": anchor.witness.word, "slope": rep_report.slope,
-               "r_squared": rep_report.r_squared,
-               "n_points": rep_report.n_points}
+        row = [anchor.witness.word, rep_report.slope, rep_report.r_squared,
+               rep_report.n_points]
         rows.append(row)
-        results["anchors"].append({**row, "n_floored": rep_report.n_floored})
-        scatter += [{"anchor": anchor.witness.word, "point_distance": p,
-                     "tangent_distance": t}
+        results["anchors"].append(dict(zip(header, row),
+                                       n_floored=rep_report.n_floored))
+        scatter += [[anchor.witness.word, p, t]
                     for p, t in rep_report.points.tolist()]
     return results, True, {
-        "hoelder_slopes.csv": (["witness", "slope", "r_squared", "n_points"],
-                               rows),
+        "hoelder_slopes.csv": (header, rows),
         "hoelder_scatter.csv": (["anchor", "point_distance",
                                  "tangent_distance"], scatter)}
 
@@ -450,7 +444,7 @@ def _run_gelfand(rep, fields, radius, seed):
     word, i, K = fields["word"], fields["i"], fields["K"]
     g = rep.generators.element(word)
     errors = gelfand_check(g.matrix, i, K)
-    rows = [{"k": k + 1, "error": float(e)} for k, e in enumerate(errors)]
+    rows = [[k + 1, float(e)] for k, e in enumerate(errors)]
     return ({"word": word, "i": i, "K": K, "final_error": float(errors[-1])},
             True, {"gelfand_errors.csv": (["k", "error"], rows)})
 
@@ -463,8 +457,7 @@ def _run_perturb_sweep(rep, fields, radius, seed):
         prof = gap_profile(enumerate_ball(pert.generators, radius), k,
                            slope_min=fields["slope_min"],
                            r2_min=fields["r2_min"])
-        rows.append({"eps": float(eps), "slope": prof.slope,
-                     "r_squared": prof.r_squared, "verdict": prof.verdict})
+        rows.append([float(eps), prof.slope, prof.r_squared, prof.verdict])
         results.append({"eps": float(eps), "slope": prof.slope,
                         "verdict": prof.verdict})
     ok = all(r["verdict"] == "gap grows linearly" for r in results)

@@ -10,6 +10,7 @@ whose matrices agree (as elements of PGL, i.e. up to sign) are merged.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,7 +44,8 @@ def inverse_label(label: str) -> str:
 
 
 def inverse_word(word: str) -> str:
-    return "".join(inverse_label(ch) for ch in reversed(word))
+    # exact: every label is one ASCII letter, inverted by swapcase
+    return word[::-1].swapcase()
 
 
 def free_reduce(word: str) -> str:
@@ -56,12 +58,23 @@ def free_reduce(word: str) -> str:
     return "".join(out)
 
 
+def _strip_ends(word: str) -> str:
+    """The cyclic core of a freely reduced word."""
+    while len(word) >= 2 and word[0] == word[-1].swapcase():
+        word = word[1:-1]
+    return word
+
+
+def _reduced_cyclic_key(word: str) -> str:
+    """:func:`canonical_cyclic` of a freely reduced word."""
+    w = _strip_ends(word)
+    ww = w + w
+    return min([ww[i:i + len(w)] for i in range(len(w))], default=w)
+
+
 def cyclic_reduce(word: str) -> str:
     """Cyclically reduced core of a freely reduced word."""
-    w = free_reduce(word)
-    while len(w) >= 2 and w[0] == inverse_label(w[-1]):
-        w = w[1:-1]
-    return w
+    return _strip_ends(free_reduce(word))
 
 
 def canonical_cyclic(word: str) -> str:
@@ -70,10 +83,7 @@ def canonical_cyclic(word: str) -> str:
     Conjugate elements share this key, so conjugation-invariant data
     (eigenvalue moduli) is computed once per key.
     """
-    w = cyclic_reduce(word)
-    if not w:
-        return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    return _reduced_cyclic_key(free_reduce(word))
 
 
 @dataclass(frozen=True)
@@ -103,9 +113,9 @@ class GeneratorSet:
         labels: list[str] = []
         dim = None
         for label in sorted(gens):
-            if not (len(label) == 1 and label.isalpha() and label.islower()):
-                raise ValueError(
-                    f"generator label {label!r} must be a single lowercase letter")
+            if not (len(label) == 1 and "a" <= label <= "z"):
+                raise ValueError(f"generator label {label!r} must be a single "
+                                 f"lowercase letter a-z")
             M = normalize_lift(gens[label])
             if dim is None:
                 dim = M.dim
@@ -184,9 +194,11 @@ class Ball(Sequence):
     again reduced words of no greater length, so their matrices are rows
     of the same stack, even where that word itself was merged away.
 
-    The Cartan and Jordan arrays over the elements (rows in ball order)
-    are computed together on first use, by one compound ladder along the
-    words, and live as long as the ball.
+    The elements are the stack rows ``rows``; indexing builds their
+    :class:`GroupElement` on demand.  The Cartan and Jordan arrays over
+    the elements (rows in ball order) are computed together on first
+    use, by one compound ladder along the words, and live as long as the
+    ball.
     """
 
     def __init__(self, gens: GeneratorSet, words: list[str],
@@ -195,18 +207,16 @@ class Ball(Sequence):
         self.gens = gens
         self.words = words
         self.products = products
-        self.row = {w: i for i, w in enumerate(words)}
-        self.rows = np.array(keep)
-        self.lengths = np.array([len(words[i]) for i in keep])
+        self.row = row = {w: i for i, w in enumerate(words)}
+        self.rows = np.array(keep, dtype=np.intp)
+        kept = [words[i] for i in keep]
+        self.lengths = np.fromiter(map(len, kept), dtype=int, count=len(kept))
         # stack row of each element's inverse word
-        self.inverse_rows = np.array([self.row[inverse_word(words[i])]
-                                      for i in keep])
-        self._elements = [GroupElement(word=words[i], gens=gens,
-                                       matrix=MatrixD(products[i]))
-                          for i in keep]
+        self.inverse_rows = np.array([row[inverse_word(w)] for w in kept],
+                                     dtype=np.intp)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self.rows)
 
     @property
     def radius(self) -> int:
@@ -215,7 +225,11 @@ class Ball(Sequence):
         return len(self.words[-1])
 
     def __getitem__(self, index):
-        return self._elements[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = self.rows[operator.index(index)]
+        return GroupElement(word=self.words[i], gens=self.gens,
+                            matrix=MatrixD(self.products[i]))
 
     @cached_property
     def classes(self) -> tuple[list[str], np.ndarray]:
@@ -223,9 +237,10 @@ class Ball(Sequence):
         in order of first appearance, and the class index of each
         element."""
         keys: dict[str, int] = {}
-        member = np.array([keys.setdefault(canonical_cyclic(g.word),
+        words = self.words
+        member = np.array([keys.setdefault(_reduced_cyclic_key(words[i]),
                                            len(keys))
-                           for g in self._elements])
+                           for i in self.rows.tolist()], dtype=np.intp)
         return list(keys), member
 
     @cached_property

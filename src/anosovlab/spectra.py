@@ -77,10 +77,21 @@ def spectral_kernel(gens: GeneratorSet) -> dict:
                       else f"capped at k={_rungs(n)}" for n in dims]}
 
 
-def _compound_logs(letters: dict, words: list[str], reads) -> list:
+def _finite(S: np.ndarray, n: int, words: list[str]) -> np.ndarray:
+    """``S``, the stacked products or compounds some rows of a block of
+    dimension n read, if it is finite: LAPACK fails on the rest."""
+    if not np.isfinite(S).all():
+        raise FloatingPointError(
+            f"word products overflow doubles in a block of dimension {n}; "
+            f"the longest word has length {len(words[-1])}")
+    return S
+
+
+def _compound_logs(letters: dict, words: list[str], reads, n: int) -> list:
     """Per (rows, _, spectrum) of ``reads``, the (K-1, len(rows)) logs of
     the top ``spectrum`` value of the words' compounds, multiplied from
-    ``letters`` left to right over the prefix-closed ``words``."""
+    ``letters`` left to right over the prefix-closed ``words``; ``n`` is
+    the dimension of the block they come from."""
     sizes = [C.shape[0] for C in next(iter(letters.values()))]
     if not sizes:
         return [np.zeros((0, len(at))) for at, *_ in reads]
@@ -94,7 +105,8 @@ def _compound_logs(letters: dict, words: list[str], reads) -> list:
             sel = wanted[a:b]
             if sel.any():
                 for t, S in zip(out, stacks):
-                    t[a:b][sel] = np.log(spectrum(S[sel])[:, 0])
+                    t[a:b][sel] = np.log(
+                        spectrum(_finite(S[sel], n, words))[:, 0])
         lo, hi = np.searchsorted(prefix, (a, b))  # their children
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
@@ -106,7 +118,9 @@ def _compound_logs(letters: dict, words: list[str], reads) -> list:
                     G[sel] = S[at] @ L
             walk(start, stop, grown)
 
-    walk(0, 1, [np.eye(c)[None] for c in sizes])
+    # an overflow leaves inf or nan entries, which _finite reports by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        walk(0, 1, [np.eye(c)[None] for c in sizes])
     del walk  # it refers to itself: free its arrays now, not at a gc pass
     return [out[:, at] for (at, *_), out in zip(reads, logs)]
 
@@ -135,13 +149,14 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
         ld = {x: np.linalg.slogdet(L)[1] for x, L in letters.items()}
         idx = [np.array(wedge_indices(n, k)) for k in range(2, K + 1)]
         more = _compound_logs({x: [_wedge_coordinates(L, i, i) for i in idx]
-                               for x, L in letters.items()}, words, reads)
+                               for x, L in letters.items()}, words, reads,
+                              n)
         for (at, m, spectrum), t, out in zip(reads, more, vectors):
             rows_at, back = np.unique(at, return_inverse=True)
             S = P if len(rows_at) == len(P) else P[rows_at]  # no full copy
             # the log of the moduli read only: the bottom ones of a long
             # word's rounded product may underflow to 0
-            own = spectrum(S)[back]
+            own = spectrum(_finite(S, n, words))[back]
             ladder = np.diff(np.vstack([np.zeros(len(at)),
                                         np.log(own[:, 0]), t])
                              [:K + 1], axis=0)  # (K, len(at)): top K logs
@@ -349,19 +364,25 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors[keep] / norms[keep, None]
 
 
-def spectral_table(ball: Ball, m: int | None = None) -> list[dict]:
-    """Per-element spectral rows for CSV export: word, length, the Cartan
-    and Jordan log-vectors, and (optionally) the m-th regularity ratio."""
-    rows = []
-    for g, mu, lam in zip(ball, ball.cartan, ball.jordan):
-        row = {"word": g.word or "<id>", "length": g.length}
-        for i, v in enumerate(mu, 1):
-            row[f"mu_{i}"] = v
-        for i, v in enumerate(lam, 1):
-            row[f"lambda_{i}"] = v
-        if m is not None:
-            top_gap = lam[0] - lam[m - 1]
-            row["ratio_m"] = ((lam[0] - lam[m]) / top_gap
-                              if top_gap > 1e-9 else math.nan)
-        rows.append(row)
-    return rows
+def spectral_table(ball: Ball, m: int | None = None
+                   ) -> tuple[list[str], list[list]]:
+    """The (header, rows) table of per-element spectra for CSV export:
+    word, length, the Cartan and Jordan log-vectors, and (optionally) the
+    m-th regularity ratio, NaN where the (1, m) gap is at most 1e-9."""
+    d = ball.gens.dim
+    header = ["word", "length", *(f"mu_{i}" for i in range(1, d + 1)),
+              *(f"lambda_{i}" for i in range(1, d + 1))]
+    columns = [ball.cartan, ball.jordan]
+    if m is not None:
+        lam = ball.jordan
+        top_gap = lam[:, 0] - lam[:, m - 1]
+        gapped = top_gap > 1e-9
+        ratio = np.full((len(ball), 1), math.nan)
+        ratio[gapped, 0] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
+        header.append("ratio_m")
+        columns.append(ratio)
+    words = ball.words
+    rows = [[words[i] or "<id>", n, *values] for i, n, values in
+            zip(ball.rows.tolist(), ball.lengths.tolist(),
+                np.hstack(columns).tolist())]
+    return header, rows

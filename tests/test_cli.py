@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from anosovlab.cli import ConfigError, list_examples, load_config, main
+from anosovlab.functors import build_representation
+from anosovlab.groups import enumerate_ball
 
 
 def config_path(name: str) -> Path:
@@ -114,6 +116,17 @@ class TestValidation:
         path = write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 1
         assert "non-invertible" in capsys.readouterr().err
+
+    def test_non_ascii_label_build_error(self, tmp_path, capsys):
+        cfg = {"representation": {"kind": "matrices", "dim": 2,
+                                  "generators": {"ß": [[2.0, 0.0],
+                                                       [0.0, 0.5]]}},
+               "radius": 2, "seed": 0, "experiment": {"kind": "certify"}}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.representation: ")
+        assert "'ß'" in err and "Traceback" not in err
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         # a misspelt seed next to a recipe field matrices does not read
@@ -499,7 +512,42 @@ class TestRun:
         assert summary["results"]["mean_distance"] < 0.2
 
 
+def _dict_rows_spectra_csv(path: Path, ball, m) -> None:
+    """spectra.csv as it was first written: one dict of numpy scalars per
+    element through ``csv.DictWriter``."""
+    rows = []
+    for g, mu, lam in zip(ball, ball.cartan, ball.jordan):
+        row = {"word": g.word or "<id>", "length": g.length}
+        row.update((f"mu_{i}", v) for i, v in enumerate(mu, 1))
+        row.update((f"lambda_{i}", v) for i, v in enumerate(lam, 1))
+        if m is not None:
+            top_gap = lam[0] - lam[m - 1]
+            row["ratio_m"] = ((lam[0] - lam[m]) / top_gap
+                              if top_gap > 1e-9 else math.nan)
+        rows.append(row)
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("name, radius, m", [("fuchsian_tau3", 5, 2),
+                                                 ("su21_9dim", 3, 4),
+                                                 ("tau_d_plus_tau_d2", 3,
+                                                  None)])
+    def test_spectra_csv_matches_dict_rows(self, tmp_path, name, radius, m):
+        cfg = load_config(config_path(name))
+        assert cfg["experiment"].get("m") == m
+        out = tmp_path / "out"
+        assert main(["run", str(config_path(name)), "--radius", str(radius),
+                     "--out", str(out)]) != 1
+        ball = enumerate_ball(
+            build_representation(cfg["representation"]).generators, radius)
+        _dict_rows_spectra_csv(tmp_path / "oracle.csv", ball, m)
+        assert ((out / "spectra.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))
         cfg["experiment"] = {"kind": "limitset", "m": 2}

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from anosovlab.groups import (BallTooLargeError, GeneratorSet, cyclic_reduce,
-                              enumerate_ball, free_reduce, inverse_word)
+from anosovlab.groups import (BallTooLargeError, GeneratorSet, GroupElement,
+                              canonical_cyclic, cyclic_reduce, enumerate_ball,
+                              free_reduce, inverse_label, inverse_word)
 from anosovlab.spectra import cartan_jordan
 
 
@@ -27,6 +28,23 @@ def test_cyclic_reduction():
 def test_inverse_word():
     assert inverse_word("abA") == "aBA"
     assert free_reduce("abA" + inverse_word("abA")) == ""
+
+
+def test_inverse_word_matches_per_letter_definition():
+    rng = np.random.default_rng(13)
+    letters = list("abcAzZBC")
+    for _ in range(500):
+        word = "".join(rng.choice(letters, size=rng.integers(0, 12)))
+        assert inverse_word(word) == "".join(
+            inverse_label(ch) for ch in reversed(word))
+
+
+def _canonical_by_definition(word):
+    """The least rotation of the word's cyclically reduced core."""
+    w = free_reduce(word)
+    while len(w) >= 2 and w[0] == inverse_label(w[-1]):
+        w = w[1:-1]
+    return min((w[i:] + w[:i] for i in range(len(w))), default=w)
 
 
 class TestEnumerateBall:
@@ -112,6 +130,12 @@ class TestGeneratorSet:
             GeneratorSet.from_matrices({"A": np.eye(2)})
         with pytest.raises(ValueError, match="lowercase"):
             GeneratorSet.from_matrices({"ab": np.eye(2)})
+
+    @pytest.mark.parametrize("label", ["ß", "é", "ǆ"])
+    def test_rejects_non_ascii_letters(self, label):
+        # lowercase letters whose swapcase is not their one-letter inverse
+        with pytest.raises(ValueError, match="a-z"):
+            GeneratorSet.from_matrices({label: np.eye(2)})
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one generator"):
@@ -266,3 +290,33 @@ class TestBall:
         part = ball[::7]
         assert [g.word for g in part] == [g.word for g in ball][::7]
         self.assert_matches_reference(ball, part)
+
+    def test_sequence_protocol(self, tau3_rep):
+        ball = enumerate_ball(tau3_rep.generators, 3)
+        n = len(ball)
+        assert n == len(ball.rows) == 1 + 4 + 12 + 36
+        for i in (0, 5, n - 1, -1, -n):
+            g, r = ball[i], ball.rows[i]
+            assert isinstance(g, GroupElement) and g.gens is ball.gens
+            assert g.word == ball.words[r]
+            assert np.array_equal(g.matrix.mat, ball.products[r])
+        assert ball[np.int64(3)].word == ball[3].word
+        assert [g.word for g in ball] == [ball.words[r] for r in ball.rows]
+        assert [g.word for g in ball[2:9:3]] == [ball[i].word
+                                                 for i in (2, 5, 8)]
+        assert ball[n:] == []
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ball[i]
+
+    def test_classes_match_canonical_cyclic(self, tau3_rep):
+        three = GeneratorSet.from_matrices(
+            {"a": np.diag([2.0, 0.5]), "b": [[1.25, 0.75], [0.75, 1.25]],
+             "c": rotation(0.3) @ np.diag([3.0, 1 / 3]) @ rotation(-0.3)})
+        for gens, radius in ((tau3_rep.generators, 6), (three, 4)):
+            ball = enumerate_ball(gens, radius)
+            classes, member = ball.classes
+            keys = [canonical_cyclic(g.word) for g in ball]
+            assert [classes[k] for k in member] == keys
+            assert classes == list(dict.fromkeys(keys))
+            assert keys == [_canonical_by_definition(g.word) for g in ball]

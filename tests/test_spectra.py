@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -56,6 +57,18 @@ class TestCartanJordan:
             bwd = cartan_jordan(gens.element(inverse_word(g.word)))
             assert np.allclose(fwd.lam, -bwd.lam[::-1], atol=1e-9)
             assert np.allclose(fwd.mu, -bwd.mu[::-1], atol=1e-7)
+
+    @pytest.mark.parametrize("d, word", [(6, "ab" * 48), (9, "ab" * 20)])
+    def test_overflow_is_named(self, schottky_rep, d, word):
+        # the top compounds of these words leave the double range, where
+        # LAPACK would fail; no overflow warning comes first
+        gens = tau_representation(schottky_rep, d).generators
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=f"dimension {d}; the longest word has "
+                                     f"length {len(word)}"):
+                cartan_jordan(gens.element(word))
 
     def test_mu_majorizes_lambda(self, tau3_rep):
         for g in enumerate_ball(tau3_rep.generators, 4):
@@ -217,7 +230,8 @@ def test_wedge_gap_profile_matches_higher_index(tau4_rep):
 
 
 def test_spectral_table_columns(tau3_rep):
-    rows = spectral_table(enumerate_ball(tau3_rep.generators, 2), m=2)
+    header, rows = spectral_table(enumerate_ball(tau3_rep.generators, 2), m=2)
+    rows = [dict(zip(header, row)) for row in rows]
     assert rows[0]["word"] == "<id>"
     assert math.isnan(rows[0]["ratio_m"])
     for key in ("mu_1", "mu_3", "lambda_1", "lambda_3", "length"):
