@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
                        limit_samples)
-from .functors import build_representation, perturb_rep
+from .functors import RECIPES, SUB_RECIPES, perturb_rep
 from .geometry import (REGRESSION_CAVEAT, _point_distances, _unit_rows,
                        build_chart, chart_coords, hoelder_regression)
 from .groups import BallTooLargeError, enumerate_ball
@@ -49,19 +49,9 @@ def _require(cfg: dict, key: str, types, path: str):
     return value
 
 
-# the top-level keys of a config, and the fields each recipe kind reads,
-# all required (a matrices recipe may also carry the optional "name")
+# the top-level keys of a config (functors.RECIPES holds a recipe's)
 _CONFIG_KEYS = ("name", "description", "representation", "radius", "seed",
                 "experiment")
-_RECIPE_FIELDS = {
-    "matrices": ("kind", "dim", "generators", "name"),
-    "su21": ("kind", "generators"),
-    "tau": ("kind", "base", "d"),
-    "wedge": ("kind", "base", "k"),
-    "sym2": ("kind", "base"),
-    "perturb": ("kind", "base", "eps", "seed"),
-    "direct_sum": ("kind", "left", "right"),
-}
 
 
 def _is_int(value) -> bool:
@@ -134,19 +124,21 @@ def _reject_unknown(obj: dict, known, path: str, owner: str) -> None:
                               f"not a field of {owner}, which reads {reads}")
 
 
-def _validate_recipe(recipe, path: str) -> None:
+def _build_recipe(recipe, path: str):
+    """Check a recipe node's fields and values, build its sub-recipes, then
+    the node, whose build failure exits at the node's path."""
     if not isinstance(recipe, dict):
         raise ConfigError(path, "representation recipe must be an object")
     kind = _require(recipe, "kind", str, path)
-    if kind not in _RECIPE_FIELDS:
+    if kind not in RECIPES:
         raise ConfigError(f"{path}.kind", f"unknown recipe kind {kind!r}")
-    _reject_unknown(recipe, _RECIPE_FIELDS[kind], path,
-                    f"recipe kind {kind!r}")
-    for key in _RECIPE_FIELDS[kind]:
+    fields, build = RECIPES[kind]
+    _reject_unknown(recipe, ("kind", *fields), path, f"recipe kind {kind!r}")
+    for key in fields:
         if key != "name":
             _require(recipe, key, None, path)
     _check_values(recipe, path)
-    if kind in ("matrices", "su21"):
+    if "generators" in fields:
         gens = _require(recipe, "generators", dict, path)
         if not gens:
             raise ConfigError(f"{path}.generators",
@@ -163,25 +155,21 @@ def _validate_recipe(recipe, path: str) -> None:
             if not ok:
                 raise ConfigError(f"{path}.generators.{label}",
                                   f"expected {expected}")
-    for key in ("base", "left", "right"):
-        if key in recipe:
-            _validate_recipe(recipe[key], f"{path}.{key}")
+    subs = [_build_recipe(recipe[key], f"{path}.{key}")
+            for key in fields if key in SUB_RECIPES]
+    try:
+        return build(recipe, *subs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
-def _recipe_labels(recipe: dict) -> set[str]:
-    """Positive generator labels of a validated recipe."""
-    while recipe["kind"] not in ("matrices", "su21"):
-        recipe = recipe["left" if recipe["kind"] == "direct_sum" else "base"]
-    return set(recipe["generators"])
-
-
-def _validate_experiment(exp: dict, labels: set[str], path: str) -> None:
+def _validate_experiment(exp: dict, labels, path: str) -> None:
     _reject_unknown(exp, ["kind", *_KINDS[exp["kind"]][1]], path,
                     f"kind {exp['kind']!r}")
     _check_values(exp, path)
     if "word" in exp:
         word = exp["word"]
-        letters = labels | {label.upper() for label in labels}
+        letters = set(labels)
         if not (isinstance(word, str) and len(word) > 0
                 and set(word) <= letters):
             raise ConfigError(f"{path}.word",
@@ -219,6 +207,12 @@ def _check_bounds(exp: dict, fields: dict, dim: int, radius: int) -> None:
 
 
 def load_config(path: Path) -> dict:
+    """The checked config of ``path``, whose recipe was built to check it."""
+    return _load(path)[0]
+
+
+def _load(path: Path):
+    """The checked config of ``path`` and its built representation."""
     try:
         raw = path.read_text()
     except OSError as exc:
@@ -233,8 +227,8 @@ def load_config(path: Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top level must be an object")
     _reject_unknown(cfg, _CONFIG_KEYS, "config", "a config")
-    _validate_recipe(_require(cfg, "representation", None, "config"),
-                     "config.representation")
+    rep = _build_recipe(_require(cfg, "representation", None, "config"),
+                        "config.representation")
     for key in ("radius", "seed"):
         _require(cfg, key, None, "config")
     _check_values(cfg, "config")
@@ -243,9 +237,8 @@ def load_config(path: Path) -> dict:
     if kind not in _KINDS:
         raise ConfigError("config.experiment.kind",
                           f"unknown kind {kind!r}; expected one of {KINDS}")
-    _validate_experiment(exp, _recipe_labels(cfg["representation"]),
-                         "config.experiment")
-    return cfg
+    _validate_experiment(exp, rep.generators.labels, "config.experiment")
+    return cfg, rep
 
 
 def _config_hash(cfg: dict) -> str:
@@ -442,7 +435,10 @@ def _run_cones(rep, fields, radius, seed):
 
 def _run_gelfand(rep, fields, radius, seed):
     word, i, K = fields["word"], fields["i"], fields["K"]
-    g = rep.generators.element(word)
+    try:
+        g = rep.generators.element(word)
+    except FloatingPointError as exc:
+        raise ConfigError("config.experiment.word", str(exc)) from exc
     errors = gelfand_check(g.matrix, i, K)
     rows = [[k + 1, float(e)] for k, e in enumerate(errors)]
     return ({"word": word, "i": i, "K": K, "final_error": float(errors[-1])},
@@ -491,14 +487,8 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-def run_experiment(cfg: dict, out_dir: Path) -> int:
+def run_experiment(cfg: dict, rep, out_dir: Path) -> int:
     started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        rep = build_representation(cfg["representation"])
-    except ValueError as exc:
-        print(f"error: config.representation: {exc}", file=sys.stderr)
-        return 1
     exp = cfg["experiment"]
     radius = cfg["radius"]
     seed = cfg["seed"]
@@ -512,6 +502,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> int:
         results, ok, artifacts = driver(rep, fields, radius, seed)
     except BallTooLargeError as exc:
         raise ConfigError("config.radius", str(exc)) from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         if isinstance(content, str):
             (out_dir / name).write_text(content)
@@ -577,7 +568,7 @@ def main(argv=None) -> int:
         return list_examples()
 
     try:
-        cfg = load_config(args.config)
+        cfg, rep = _load(args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -588,9 +579,12 @@ def main(argv=None) -> int:
     try:
         _check_values(overrides, "config")
         cfg.update(overrides)
-        return run_experiment(cfg, out_dir)
+        return run_experiment(cfg, rep, out_dir)
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "su21_representation",
     "representation_from_matrices",
     "build_representation",
+    "RECIPES",
     "wedge_indices",
 ]
 
@@ -343,32 +344,41 @@ def perturb_rep(rep: Representation, eps: float, seed: int) -> Representation:
     )
 
 
+def _matrices_recipe(recipe: dict) -> Representation:
+    gens = {l: np.array(m, dtype=float)
+            for l, m in recipe["generators"].items()}
+    return representation_from_matrices(gens, name=recipe.get("name", ""))
+
+
+def _su21_recipe(recipe: dict) -> Representation:
+    return su21_representation({
+        label: np.array([[complex(re, im) for re, im in row] for row in rows])
+        for label, rows in recipe["generators"].items()})
+
+
+# Each recipe kind: the fields it reads besides "kind", all required but a
+# matrices recipe's "name", and its builder, called with the recipe and
+# its built sub-recipes ("base", or "left" and "right") in field order.
+RECIPES = {
+    "matrices": (("dim", "generators", "name"), _matrices_recipe),
+    "su21": (("generators",), _su21_recipe),
+    "tau": (("base", "d"), lambda r, base: tau_representation(base, r["d"])),
+    "wedge": (("base", "k"),
+              lambda r, base: wedge_representation(base, r["k"])),
+    "sym2": (("base",), lambda r, base: sym_square_representation(base)),
+    "perturb": (("base", "eps", "seed"),
+                lambda r, base: perturb_rep(base, r["eps"], r["seed"])),
+    "direct_sum": (("left", "right"),
+                   lambda r, left, right: direct_sum_rep(left, right)),
+}
+SUB_RECIPES = ("base", "left", "right")
+
+
 def build_representation(recipe: dict) -> Representation:
     """Replay a recipe; rebuilding reproduces generator matrices."""
     kind = recipe.get("kind")
-    if kind == "matrices":
-        gens = {l: np.array(m, dtype=float)
-                for l, m in recipe["generators"].items()}
-        rep = representation_from_matrices(gens, name=recipe.get("name", ""))
-        return rep
-    if kind == "su21":
-        gens = {}
-        for label, rows in recipe["generators"].items():
-            gens[label] = np.array(
-                [[complex(re, im) for re, im in row] for row in rows])
-        return su21_representation(gens)
-    if kind == "tau":
-        return tau_representation(build_representation(recipe["base"]),
-                                  recipe["d"])
-    if kind == "wedge":
-        return wedge_representation(build_representation(recipe["base"]),
-                                    recipe["k"])
-    if kind == "sym2":
-        return sym_square_representation(build_representation(recipe["base"]))
-    if kind == "direct_sum":
-        return direct_sum_rep(build_representation(recipe["left"]),
-                              build_representation(recipe["right"]))
-    if kind == "perturb":
-        return perturb_rep(build_representation(recipe["base"]),
-                           recipe["eps"], recipe["seed"])
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    if kind not in RECIPES:
+        raise ValueError(f"unknown recipe kind {kind!r}")
+    fields, build = RECIPES[kind]
+    return build(recipe, *(build_representation(recipe[key])
+                           for key in fields if key in SUB_RECIPES))

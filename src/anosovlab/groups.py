@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .linalg import MatrixD, normalize_lift
+from .linalg import MatrixD, _readonly, normalize_lift
 
 __all__ = [
     "GeneratorSet",
@@ -140,10 +140,8 @@ class GeneratorSet:
         return tuple(l for l in self.labels if l.islower())
 
     def matrix_of_word(self, word: str) -> MatrixD:
-        M = MatrixD(np.eye(self.dim))
-        for ch in word:
-            M = M @ self.matrices[ch]
-        return M
+        prefixes = [word[:i] for i in range(len(word) + 1)]
+        return MatrixD(_readonly(word_products(self, prefixes)[-1]))
 
     def element(self, word: str) -> "GroupElement":
         word = free_reduce(word)
@@ -302,16 +300,22 @@ def prefix_tree(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def word_products(gens: GeneratorSet, words: list[str]) -> np.ndarray:
     """The stacked matrices of the prefix-closed ``words``, sorted by
     (length, word): each its prefix's product times its last letter, one
-    stacked product per length and letter."""
+    stacked product per length and letter.  Products that leave the
+    double range raise ``FloatingPointError``."""
     prefix, last = prefix_tree(words)
     products = np.empty((len(words), gens.dim, gens.dim))
     products[0] = np.eye(gens.dim)
     a, b = 0, 1
-    while b > a:
-        a, b = np.searchsorted(prefix, (a, b))
-        for x, M in gens.matrices.items():
-            at = a + np.flatnonzero(last[a:b] == x)
-            products[at] = products[prefix[at]] @ M.mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        while b > a:
+            a, b = np.searchsorted(prefix, (a, b))
+            for x, M in gens.matrices.items():
+                at = a + np.flatnonzero(last[a:b] == x)
+                products[at] = products[prefix[at]] @ M.mat
+    if not np.isfinite(products).all():
+        raise FloatingPointError(
+            f"word products overflow doubles in dimension {gens.dim}; "
+            f"the longest word has length {len(words[-1])}")
     return products
 
 

@@ -158,6 +158,29 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"error: config.{path}: not a field of recipe kind " in err
 
+    @pytest.mark.parametrize("recipe, path", [
+        ({"kind": "perturb", "eps": 0.1, "seed": 1,
+          "base": dict(BASE_REP, generators={"a": [[1.0, 1.0], [1.0, 1.0]]})},
+         "config.representation.base"),
+        ({"kind": "tau", "d": 3, "base": {"kind": "tau", "d": 3,
+                                          "base": BASE_REP}},
+         "config.representation"),
+        ({"kind": "direct_sum", "left": BASE_REP,
+          "right": dict(BASE_REP, generators={"c": [[2.0, 0.0],
+                                                    [0.0, 0.5]]})},
+         "config.representation"),
+        ({"kind": "direct_sum", "left": BASE_REP,
+          "right": {"kind": "wedge", "k": 2, "base": BASE_REP}},
+         "config.representation.right"),
+    ], ids=["singular-base", "tau-of-tau3", "label-mismatch",
+            "wedge-k-past-dim"])
+    def test_build_failure_names_its_node(self, tmp_path, recipe, path):
+        cfg = {"representation": recipe, "radius": 2, "seed": 0,
+               "experiment": {"kind": "certify"}}
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, cfg))
+        assert info.value.path == path
+
     def test_named_matrices_recipe_accepted(self, tmp_path):
         # build_representation reads the optional name of a matrices recipe
         cfg = {"representation": dict(BASE_REP, name="pair"), "radius": 2,
@@ -305,6 +328,37 @@ class TestConfigValues:
                      "--out", str(tmp_path / "out"), *argv]) == 1
         assert time.perf_counter() - started < 1.0
         assert f"error: config.{path}: {message}\n" in capsys.readouterr().err
+
+
+class TestFailedRunWritesNothing:
+    @pytest.mark.parametrize("changes, message", [
+        ({"representation": {"kind": "tau", "d": 3, "base": TAU3_REP}},
+         "config.representation: tau requires a 2-dimensional base"),
+        ({"radius": 1, "experiment": {"kind": "cones"}},
+         "config.radius: expected an integer >= 2"),
+        ({"radius": 20}, "config.radius: ball too large: "),
+        ({"representation": {"kind": "tau", "d": 6, "base": BASE_REP},
+          "experiment": {"kind": "gelfand", "word": "ab" * 200}},
+         "config.experiment.word: word products overflow doubles in "
+         "dimension 6; the longest word has length 400"),
+        # far past the address space: the allocation fails at once
+        ({"experiment": {"kind": "gelfand", "K": 10**15}},
+         "out of memory: "),
+        ({"radius": 3,
+          "experiment": {"kind": "hyperconvex", "n_triples": 10**15}},
+         "out of memory: "),
+    ], ids=["build", "bounds", "ball-cap", "word-overflow", "gelfand-K",
+            "n_triples"])
+    def test_exit_one_leaves_no_output(self, tmp_path, capsys, changes,
+                                       message):
+        cfg = dict({"representation": TAU3_REP, "radius": 2, "seed": 0,
+                    "experiment": {"kind": "certify"}}, **changes)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
 
 
 class TestRun:

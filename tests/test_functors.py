@@ -363,7 +363,37 @@ class TestPerturb:
         assert abs(pert.slope - base.slope) / base.slope < 0.10
 
 
+# one representation per recipe kind, built by that kind's constructor
+KIND_CASES = {
+    "matrices": lambda base: representation_from_matrices(
+        {"a": [[2.0, 1.0], [1.0, 1.0]], "b": np.diag([3.0, 1 / 3])},
+        name="pair"),
+    "su21": lambda base: su21_representation(
+        {"a": np.diag([2.0, 1.0, 0.5]),
+         "b": TestSU21.random_su21(np.random.default_rng(22))}),
+    "tau": lambda base: tau_representation(base, 4),
+    "wedge": lambda base: wedge_representation(tau_representation(base, 4),
+                                               2),
+    "sym2": sym_square_representation,
+    "perturb": lambda base: perturb_rep(tau_representation(base, 3), 1e-3, 5),
+    "direct_sum": lambda base: direct_sum_rep(tau_representation(base, 3),
+                                              base),
+}
+
+
 class TestRecipes:
+    @pytest.mark.parametrize("kind", sorted(functors.RECIPES))
+    def test_every_kind_round_trips(self, schottky_rep, kind):
+        # a kind without a case fails here with a KeyError
+        rep = KIND_CASES[kind](schottky_rep)
+        assert rep.recipe["kind"] == kind
+        rebuilt = build_representation(rep.recipe)
+        assert rebuilt.recipe == rep.recipe
+        assert rebuilt.generators.labels == rep.generators.labels
+        for label in rep.generators.labels:
+            assert np.array_equal(rebuilt.generators.matrices[label].mat,
+                                  rep.generators.matrices[label].mat), label
+
     def test_replay_chain(self, schottky_rep):
         rep = wedge_representation(tau_representation(schottky_rep, 4), 2)
         rebuilt = build_representation(rep.recipe)

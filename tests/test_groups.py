@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from anosovlab.functors import tau_representation
 from anosovlab.groups import (BallTooLargeError, GeneratorSet, GroupElement,
                               canonical_cyclic, cyclic_reduce, enumerate_ball,
                               free_reduce, inverse_label, inverse_word)
+from anosovlab.linalg import MatrixD
 from anosovlab.spectra import cartan_jordan
 
 
@@ -144,6 +148,31 @@ class TestGeneratorSet:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             GeneratorSet.from_matrices({"a": np.eye(2), "b": np.eye(3)})
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_matrix_of_word_matches_letter_chain(self, schottky_rep, d):
+        # the oracle: one MatrixD product per letter, from the identity
+        gens = (schottky_rep if d == 2
+                else tau_representation(schottky_rep, d)).generators
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            word = "".join(rng.choice(list("aAbB"), size=rng.integers(0, 13)))
+            chain = MatrixD(np.eye(d))
+            for ch in word:
+                chain = chain @ gens.matrices[ch]
+            assert np.array_equal(gens.matrix_of_word(word).mat,
+                                  chain.mat), word
+
+    def test_overflowing_word_is_named(self, schottky_rep):
+        # the products themselves leave the double range, with no
+        # overflow warning first
+        gens = tau_representation(schottky_rep, 6).generators
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match="dimension 6; the longest word has "
+                                     "length 400"):
+                gens.element("ab" * 200)
 
 
 class TestInfiniteOrderProxy:
