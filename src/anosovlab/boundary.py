@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .functors import Representation
-from .groups import (Ball, GroupElement, cyclic_reduce, enumerate_ball,
+from .groups import (Ball, GroupElement, _strip_ends, enumerate_ball,
                      inverse_word)
 from .linalg import (GAP_TOL, SpectralGapError, Subspace, _readonly,
                      orthonormalize, top_invariant_subspace)
@@ -124,28 +124,23 @@ def _conjugators(word: str, c: str) -> tuple[str, str]:
     (``u`` when j = 0) and ``Q = u c[:j]^-1``.  Both are reduced words
     shorter than w, and ``P c`` and ``Q c^-1`` are reduced products.
     """
-    core = cyclic_reduce(word)
+    core = _strip_ends(word)
     u = word[:(len(word) - len(core)) // 2]
     j = (c + c).index(core)
     return (u + c[j:] if j else u), u + inverse_word(c[:j])
 
 
-def _moved(letters: dict, words: list[str], frames: np.ndarray,
-           transposed: bool = False) -> np.ndarray:
-    """Orthonormal frames of the spans of ``M(w_n) frames[n]``, or of
-    ``M(w_n)^T frames[n]`` if ``transposed``, where M(w) is the product of
-    ``letters[x]`` along w.  The letters act one at a time, the last
-    first: one stacked matmul and QR per letter position (words are
-    right-aligned, shorter ones padded with the identity).
+def _moved(letters: dict, words: list[str], frames: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of the spans of ``M(w_n) frames[n]``, where M(w)
+    is the product of ``letters[x]`` along w.  The letters act one at a
+    time, the last first: one stacked matmul and QR per letter position
+    (words are right-aligned, shorter ones padded with the identity).
 
     The rounded product M(w) carries an absolute error of about
     eps * |M(w)|, which a flag that M(w) stretches far less than its norm
     (a middle rank) does not survive: moved by the rounded M(P), the
     exact tau_7 3-planes of the radius-5 ball are off by up to 7e-7,
     moved letter by letter by 5e-14."""
-    if transposed:  # M(w)^T is the product of the transposes, reversed
-        letters = {x: L.T for x, L in letters.items()}
-        words = [w[::-1] for w in words]
     code = {x: n + 1 for n, x in enumerate(letters)}
     stack = np.array([np.eye(frames.shape[1]), *letters.values()])
     width = max(map(len, words), default=0)
@@ -171,18 +166,22 @@ class _ClassFlags:
     For ``w = P c P^-1 = Q c Q^-1`` (see :func:`_conjugators`) the
     attracting flags of w are M(P) times those of the class word c, and
     those of w^-1 are M(Q) times those of c^-1.  ``specs`` maps each
-    flag to ``(source, rank, conjugator, dual)``: the flag is extracted as
-    the top invariant subspace of that rank of the source matrix, A =
-    M(c), B = M(c^-1) or their transposes ``At``, ``Bt``.  A direct flag
-    is the span of M(conjugator) times the extracted frame; a dual flag
-    is the orthogonal complement of M(conjugator)^-T times it.  Since
-    ``P c`` and ``Q c^-1`` are reduced, M(P) does not contract the
-    attracting flags of c, nor M(Q) those of c^-1.
+    flag to ``(source, rank)``: the flag is extracted as the top
+    invariant subspace of that rank of the source matrix, A = M(c), B =
+    M(c^-1) or their transposes ``At``, ``Bt``.  A and Bt give flags of
+    w, moved along P; B and At give flags of w^-1, moved along Q.  A flag
+    of A or B is the span of M(conjugator) times the extracted frame; a
+    dual flag, of At or Bt, is the orthogonal complement of
+    M(conjugator)^-T times it, the product along the conjugator of the
+    letters' inverse transposes.  Since ``P c`` and ``Q c^-1`` are
+    reduced, M(P) does not contract the attracting flags of c, nor M(Q)
+    those of c^-1.
 
-    Each distinct (source, rank) costs one ``top_invariant_subspace``
-    call per class on the source's rounded product.  That Schur frame is
-    then polished by two sweeps of orthogonal iteration along the
-    source's letters, and moved along the conjugator's letters (see
+    Each distinct spec costs one ``top_invariant_subspace`` call per
+    class on the source's rounded product.  That Schur frame is then
+    polished by two sweeps of orthogonal iteration along the source's
+    letters (M(c)^T = M(c^-1)^-T: At along c^-1 and Bt along c, with the
+    inverse transposes), and moved along the conjugator's letters (see
     :func:`_moved`).  A class with no spectral gap at some extraction is
     dropped with its elements; ``index`` holds the ball indices kept, in
     the given order.
@@ -191,8 +190,7 @@ class _ClassFlags:
     def __init__(self, ball, index, specs: dict):
         words, member = ball.classes
         products = ball.products
-        keys = list(dict.fromkeys((src, rank)
-                                  for src, rank, _, _ in specs.values()))
+        keys = list(dict.fromkeys(specs.values()))
         extracted: dict[int, list] = {}
         for k in dict.fromkeys(member[index].tolist()):
             A = products[ball.row[words[k]]]
@@ -208,39 +206,38 @@ class _ClassFlags:
         position = {k: p for p, k in enumerate(extracted)}
         self._class = np.array([position[member[i]] for i in self.index],
                                dtype=np.intp)
-        self._letters = {x: M.mat for x, M in ball.gens.matrices.items()}
+        letters = {x: M.mat for x, M in ball.gens.matrices.items()}
+        duals = {x: letters[x.swapcase()].T for x in letters}
         fwd = [words[k] for k in extracted]
         bwd = [inverse_word(c) for c in fwd]
-        source_words = {"A": fwd, "B": bwd, "At": fwd, "Bt": bwd}
+        conj = [_conjugators(ball.words[r], words[k]) for r, k in
+                zip(ball.rows[self.index].tolist(),
+                    member[self.index].tolist())]
+        P, Q = [p for p, _ in conj], [q for _, q in conj]
+        # source -> its letters, its class words and its conjugators
+        self._route = {"A": (letters, fwd, P), "B": (letters, bwd, Q),
+                       "At": (duals, bwd, Q), "Bt": (duals, fwd, P)}
         d = products.shape[1]
         self._frames = {}
         for n, (src, rank) in enumerate(keys):
             frames = np.array([f[n] for f in extracted.values()]).reshape(
                 -1, d, rank)
             for _ in range(2):
-                frames = _moved(self._letters, source_words[src], frames,
-                                transposed=src.endswith("t"))
+                frames = _moved(*self._route[src][:2], frames)
             self._frames[src, rank] = frames
-        conj = [_conjugators(ball.words[r], words[k]) for r, k in
-                zip(ball.rows[self.index].tolist(),
-                    member[self.index].tolist())]
-        self._conj = {"P": [p for p, _ in conj], "Q": [q for _, q in conj]}
         self._specs = specs
 
     def __call__(self, name: str, sel=None) -> np.ndarray:
         """(n, d, rank) orthonormal frames of flag ``name`` of the kept
         elements at positions ``sel`` (all by default), with
         ``orthonormalize``'s sign convention."""
-        src, rank, conj, dual = self._specs[name]
+        src, rank = self._specs[name]
         if sel is None:
             sel = range(len(self.index))
-        conj_words = [self._conj[conj][t] for t in sel]
-        frames = self._frames[src, rank][self._class[list(sel)]]
-        if not dual:
-            return _signed(_moved(self._letters, conj_words, frames))
-        moved = _moved(self._letters, [inverse_word(x) for x in conj_words],
-                       frames, transposed=True)  # M(x)^-T = M(x^-1)^T
-        return _signed(_complements(moved))
+        letters, _, conj = self._route[src]
+        moved = _moved(letters, [conj[t] for t in sel],
+                       self._frames[src, rank][self._class[list(sel)]])
+        return _signed(_complements(moved) if src.endswith("t") else moved)
 
 
 def _proximal(ball, ks) -> np.ndarray:
@@ -286,13 +283,11 @@ def limit_samples(rep: Representation, m: int, radius: int,
                 f"({profile.verdict}); limit samples may be unreliable",
                 stacklevel=2)
     flags = _ClassFlags(ball, _proximal(ball, sorted({1, m})), {
-        "xi1_plus": ("A", 1, "P", False),
-        "xim_plus": (("A", m, "P", False) if m <= d - m
-                     else ("Bt", d - m, "P", True)),
-        "xi_dm_minus": (("B", d - m, "Q", False) if d - m <= m
-                        else ("At", m, "Q", True)),
-        "xi_d1_minus": ("At", 1, "Q", True),
-        "xi1_minus": ("B", 1, "Q", False),
+        "xi1_plus": ("A", 1),
+        "xim_plus": ("A", m) if m <= d - m else ("Bt", d - m),
+        "xi_dm_minus": ("B", d - m) if d - m <= m else ("At", m),
+        "xi_d1_minus": ("At", 1),
+        "xi1_minus": ("B", 1),
     })
     lines = flags("xi1_plus")[:, :, 0]
     cos_thresh = math.sqrt(max(0.0, 1.0 - dedup_tol ** 2))
@@ -721,7 +716,7 @@ def irreducibility_proxy(ball: Ball) -> IrreducibilityReport:
     """
     d = ball.gens.dim
     lines = _ClassFlags(ball, _proximal(ball, [1]),
-                        {"xi1_plus": ("A", 1, "P", False)})("xi1_plus")
+                        {"xi1_plus": ("A", 1)})("xi1_plus")
     xi1_rank = 0
     if len(lines):
         s = np.linalg.svd(lines[:, :, 0].T, compute_uv=False)

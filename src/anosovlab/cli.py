@@ -380,8 +380,14 @@ def _run_limitset(rep, fields, radius, seed):
 def _run_hyperconvex(rep, fields, radius, seed):
     m = fields["m"]
     cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
-    report = hyperconvexity_scan(cloud, n_triples=fields["n_triples"],
-                                 seed=seed, sep_tol=fields["sep_tol"])
+    try:
+        report = hyperconvexity_scan(cloud, n_triples=fields["n_triples"],
+                                     seed=seed, sep_tol=fields["sep_tol"])
+    except ValueError as exc:
+        if len(cloud) < 3:
+            raise
+        # _check_bounds excludes m < 2, so the scan ran out of draws
+        raise ConfigError("config.experiment.sep_tol", str(exc)) from exc
     rows = [[i, float(v)] for i, v in enumerate(report.margins)]
     margin_min = fields["margin_min"]
     results = {"m": m, "n_samples": len(cloud),
@@ -409,7 +415,10 @@ def _run_hoelder(rep, fields, radius, seed):
     rows, scatter = [], []
     for i in order[:fields["n_anchors"]]:
         anchor = cloud.samples[i]
-        rep_report = hoelder_regression(cloud, anchor, window=window)
+        try:
+            rep_report = hoelder_regression(cloud, anchor, window=window)
+        except ValueError as exc:  # too few points in the window
+            raise ConfigError("config.experiment.window", str(exc)) from exc
         row = [anchor.witness.word, rep_report.slope, rep_report.r_squared,
                rep_report.n_points]
         rows.append(row)
@@ -569,7 +578,7 @@ def main(argv=None) -> int:
 
     try:
         cfg, rep = _load(args.config)
-    except ConfigError as exc:
+    except (ConfigError, Warning) as exc:  # a warning raised as an error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = args.out or Path("out") / args.config.stem
@@ -580,7 +589,7 @@ def main(argv=None) -> int:
         _check_values(overrides, "config")
         cfg.update(overrides)
         return run_experiment(cfg, rep, out_dir)
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

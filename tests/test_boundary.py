@@ -207,6 +207,17 @@ class TestExactFlags:
         worst = max(max(flag_errors(s).values()) for s in cloud.samples)
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("d", range(5, 9))
+    def test_dual_hyperplanes_keep_their_accuracy(self, schottky_rep, d):
+        # moved by the letters' inverse transposes the hyperplanes are
+        # within 4.2e-15 of exact; complemented once per class and moved
+        # like a direct flag they were off by 8.7e-13 (tau_5) to 5.9e-9
+        # (tau_8)
+        cloud = limit_samples(tau_representation(schottky_rep, d), 1, 4)
+        assert len(cloud) == 132
+        worst = max(flag_errors(s)["xi_d1_minus"] for s in cloud.samples)
+        assert worst <= 1e-13
+
     def test_tau5_conjugate_sampled(self, schottky_rep):
         # bbaBB has sigma_1/lambda_1 ~ 1e8: its rounded product showed a
         # spurious complex pair, and its own flags were off by 3e-4

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -347,8 +348,13 @@ class TestFailedRunWritesNothing:
         ({"radius": 3,
           "experiment": {"kind": "hyperconvex", "n_triples": 10**15}},
          "out of memory: "),
+        ({"radius": 3,
+          "experiment": {"kind": "hoelder", "window": [0.4, 0.5]}},
+         "config.experiment.window: too few cloud points in window "),
+        ({"radius": 3, "experiment": {"kind": "hyperconvex", "sep_tol": 1.5}},
+         "config.experiment.sep_tol: cannot find 500 separated triples "),
     ], ids=["build", "bounds", "ball-cap", "word-overflow", "gelfand-K",
-            "n_triples"])
+            "n_triples", "window", "sep_tol"])
     def test_exit_one_leaves_no_output(self, tmp_path, capsys, changes,
                                        message):
         cfg = dict({"representation": TAU3_REP, "radius": 2, "seed": 0,
@@ -359,6 +365,32 @@ class TestFailedRunWritesNothing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        # the radius-2 gap profile is not certified linear
+        ({}, "gap profile at k=1 is not certified linear"),
+        # the tau_6 build raises the base's entries to the 5th power
+        ({"representation": {"kind": "tau", "d": 6, "base": dict(
+            BASE_REP, generators={"a": [[1e100, 0], [0, 1e-100]]})}},
+         "overflow encountered in scalar power"),
+    ], ids=["run", "load"])
+    def test_warning_raised_as_error_exits_one(self, tmp_path, capsys,
+                                               changes, message):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(HYPERCONVEX, radius=2, seed=0,
+                                           **changes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_warning_alone_does_not_fail(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, dict(HYPERCONVEX, radius=2, seed=0))
+        with pytest.warns(UserWarning, match="not certified linear"):
+            assert main(["run", str(path), "--out", str(out)]) == 0
+        assert (out / "summary.json").exists()
 
 
 class TestRun:
