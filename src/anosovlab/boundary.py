@@ -21,8 +21,7 @@ from scipy.spatial import cKDTree
 from .functors import Representation
 from .groups import (Ball, GroupElement, _strip_ends, enumerate_ball,
                      inverse_word)
-from .linalg import (GAP_TOL, SpectralGapError, Subspace, _readonly,
-                     orthonormalize, top_invariant_subspace)
+from .linalg import GAP_TOL, Subspace, _readonly, orthonormalize
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
@@ -159,6 +158,20 @@ def _signed(U: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -U, U)
 
 
+def _top_spans(mats: np.ndarray, rank: int) -> np.ndarray:
+    """(n, d, rank) orthonormal frames of the real spans of the top
+    ``rank`` eigenvectors by modulus of a stack of (n, d, d) matrices: one
+    stacked ``eig``, the eigenvectors ordered by |lambda| (a stable sort),
+    and one stacked SVD of their real and imaginary parts.  With a gap at
+    ``rank`` a conjugate pair is taken whole, so the 2 * rank columns span
+    a real rank-plane."""
+    w, V = np.linalg.eig(mats)
+    order = np.argsort(-np.abs(w), axis=-1, kind="stable")[:, None, :rank]
+    V = np.take_along_axis(V, order, axis=2)
+    span = np.concatenate([V.real, V.imag], axis=2)
+    return np.linalg.svd(span, full_matrices=False)[0][..., :rank]
+
+
 class _ClassFlags:
     """Attracting flags of ball elements, extracted once per conjugacy
     class and transported along the reduced conjugators.
@@ -166,49 +179,41 @@ class _ClassFlags:
     For ``w = P c P^-1 = Q c Q^-1`` (see :func:`_conjugators`) the
     attracting flags of w are M(P) times those of the class word c, and
     those of w^-1 are M(Q) times those of c^-1.  ``specs`` maps each
-    flag to ``(source, rank)``: the flag is extracted as the top
-    invariant subspace of that rank of the source matrix, A = M(c), B =
-    M(c^-1) or their transposes ``At``, ``Bt``.  A and Bt give flags of
-    w, moved along P; B and At give flags of w^-1, moved along Q.  A flag
-    of A or B is the span of M(conjugator) times the extracted frame; a
-    dual flag, of At or Bt, is the orthogonal complement of
-    M(conjugator)^-T times it, the product along the conjugator of the
-    letters' inverse transposes.  Since ``P c`` and ``Q c^-1`` are
-    reduced, M(P) does not contract the attracting flags of c, nor M(Q)
-    those of c^-1.
+    flag to ``(source, rank)``: the flag is the top invariant subspace of
+    that rank of the source matrix, A = M(c), B = M(c^-1) or their
+    transposes ``At``, ``Bt``.  A and Bt give flags of w, moved along P; B
+    and At give flags of w^-1, moved along Q.  A flag of A or B is the
+    span of M(conjugator) times the extracted frame; a dual flag, of At
+    or Bt, is the orthogonal complement of M(conjugator)^-T times it, the
+    product along the conjugator of the letters' inverse transposes.
+    Since ``P c`` and ``Q c^-1`` are reduced, M(P) does not contract the
+    attracting flags of c, nor M(Q) those of c^-1.
 
-    Each distinct spec costs one ``top_invariant_subspace`` call per
-    class on the source's rounded product.  That Schur frame is then
-    polished by two sweeps of orthogonal iteration along the source's
-    letters (M(c)^T = M(c^-1)^-T: At along c^-1 and Bt along c, with the
-    inverse transposes), and moved along the conjugator's letters (see
-    :func:`_moved`).  A class with no spectral gap at some extraction is
-    dropped with its elements; ``index`` holds the ball indices kept, in
-    the given order.
+    Each distinct spec costs one stacked start over the classes: the real
+    span of the top eigenvectors of the sources' rounded products (see
+    :func:`_top_spans`).  The start is then refined by three sweeps of
+    orthogonal iteration along the source's letters (M(c)^T =
+    M(c^-1)^-T: At along c^-1 and Bt along c, with the inverse
+    transposes), and moved along the conjugator's letters (see
+    :func:`_moved`).  ``eig`` tests no gap: the caller keeps only elements
+    whose class has a gap at every rank a spec needs, read from
+    ``ball.jordan``: a source A or At of rank r needs A's gap at r (A^T
+    has the spectrum of A), and B or Bt of rank r needs A's gap at d - r.
+    The start orders the eigenvectors by the eigenvalue moduli of the
+    rounded products, which need not be separated where the exact ones
+    are: a start ordered wrongly there has to be recovered by the sweeps,
+    and nothing else checks it.
+    ``index`` holds the given ball indices, in the given order.
     """
 
     def __init__(self, ball, index, specs: dict):
         words, member = ball.classes
-        products = ball.products
-        keys = list(dict.fromkeys(specs.values()))
-        extracted: dict[int, list] = {}
-        for k in dict.fromkeys(member[index].tolist()):
-            A = products[ball.row[words[k]]]
-            B = products[ball.row[inverse_word(words[k])]]
-            sources = {"A": A, "B": B, "At": A.T, "Bt": B.T}
-            try:
-                extracted[k] = [top_invariant_subspace(sources[src], rank)
-                                .frame for src, rank in keys]
-            except SpectralGapError:
-                continue
-        self.index = np.array([i for i in index if member[i] in extracted],
-                              dtype=np.intp)
-        position = {k: p for p, k in enumerate(extracted)}
-        self._class = np.array([position[member[i]] for i in self.index],
-                               dtype=np.intp)
+        self.index = np.asarray(index, dtype=np.intp)
+        classes, self._class = np.unique(member[self.index],
+                                         return_inverse=True)
         letters = {x: M.mat for x, M in ball.gens.matrices.items()}
         duals = {x: letters[x.swapcase()].T for x in letters}
-        fwd = [words[k] for k in extracted]
+        fwd = [words[k] for k in classes.tolist()]
         bwd = [inverse_word(c) for c in fwd]
         conj = [_conjugators(ball.words[r], words[k]) for r, k in
                 zip(ball.rows[self.index].tolist(),
@@ -217,12 +222,14 @@ class _ClassFlags:
         # source -> its letters, its class words and its conjugators
         self._route = {"A": (letters, fwd, P), "B": (letters, bwd, Q),
                        "At": (duals, bwd, Q), "Bt": (duals, fwd, P)}
-        d = products.shape[1]
+        A = ball.products[[ball.row[c] for c in fwd]]
+        B = ball.products[[ball.row[c] for c in bwd]]
+        sources = {"A": A, "B": B, "At": A.transpose(0, 2, 1),
+                   "Bt": B.transpose(0, 2, 1)}
         self._frames = {}
-        for n, (src, rank) in enumerate(keys):
-            frames = np.array([f[n] for f in extracted.values()]).reshape(
-                -1, d, rank)
-            for _ in range(2):
+        for src, rank in dict.fromkeys(specs.values()):
+            frames = _top_spans(sources[src], rank)
+            for _ in range(3):
                 frames = _moved(*self._route[src][:2], frames)
             self._frames[src, rank] = frames
         self._specs = specs
@@ -256,14 +263,17 @@ def limit_samples(rep: Representation, m: int, radius: int,
     """Flags of the attracting fixed points of all proximal elements of the
     ball of ``radius``; the cloud records the recipe of ``rep``.
 
-    Elements need eigenvalue-modulus gaps at indices 1 and m (the same
-    gaps serve the inverse element at d-1 and d-m), read from the class
-    spectrum ``ball.jordan``.  The flags are extracted once per conjugacy
-    class, from the matrices of its canonical cyclic word c and of c^-1,
-    and transported to each element along reduced conjugators (see
-    :class:`_ClassFlags`).  Ranks above d/2 come by duality, as
-    orthogonal complements of transported flags of the transposes: a
-    Schur extraction at the bottom of the spectrum would lose them.
+    Elements need eigenvalue-modulus gaps at indices 1, m and d-1, read
+    from the class spectrum ``ball.jordan``: the gap at d-1 is that of
+    the inverse element at 1, whose top line is the minus point, and the
+    inverse's gap at d-m is the element's gap at m.  The flags are
+    extracted once per conjugacy class, from the matrices of its
+    canonical cyclic word c and of c^-1: a stacked ``eig`` start refined
+    by three sweeps along the class word, then transported to each
+    element along reduced conjugators (see :class:`_ClassFlags`).  Ranks
+    above d/2 come by duality, as orthogonal complements of transported
+    flags of the transposes, so every extraction is at the top of a
+    spectrum.
 
     Samples whose limit points agree within ``dedup_tol`` are merged,
     keeping the first witness in ball order (the shortest), so
@@ -282,7 +292,8 @@ def limit_samples(rep: Representation, m: int, radius: int,
                 f"gap profile at k={k} is not certified linear "
                 f"({profile.verdict}); limit samples may be unreliable",
                 stacklevel=2)
-    flags = _ClassFlags(ball, _proximal(ball, sorted({1, m})), {
+    gaps = sorted({1, m, d - 1})
+    flags = _ClassFlags(ball, _proximal(ball, gaps), {
         "xi1_plus": ("A", 1),
         "xim_plus": ("A", m) if m <= d - m else ("Bt", d - m),
         "xi_dm_minus": ("B", d - m) if d - m <= m else ("At", m),

@@ -75,7 +75,8 @@ def tau_d(g, d: int) -> MatrixD:
     with the inverse, in the monomial basis X^(d-i) Y^(i-1).  The input is
     normalized to unit determinant modulus first; its inverse is then the
     (exact) adjugate up to sign, and the image has unit determinant by
-    the determinant character identity, with no output rescaling.
+    the determinant character identity, with no output rescaling.  An
+    image with entries past the double range raises ``ValueError``.
     """
     if d < 2:
         raise ValueError("tau_d requires d >= 2")
@@ -87,14 +88,19 @@ def tau_d(g, d: int) -> MatrixD:
          * np.sign(np.linalg.det(A)))
     n = d - 1
     cols = []
-    for j in range(d):
-        # (h00 X + h01 Y)^(n-j) * (h10 X + h11 Y)^j, coefficients by Y-degree
-        p1 = np.array([math.comb(n - j, t) * h[0, 0] ** (n - j - t) * h[0, 1] ** t
-                       for t in range(n - j + 1)])
-        p2 = np.array([math.comb(j, t) * h[1, 0] ** (j - t) * h[1, 1] ** t
-                       for t in range(j + 1)])
-        cols.append(np.convolve(p1, p2))
-    return MatrixD(np.ascontiguousarray(np.array(cols).T))
+    # an overflow (and the 0 * inf after it) is caught below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            # (h00 X + h01 Y)^(n-j) (h10 X + h11 Y)^j, by Y-degree
+            p1 = np.array([math.comb(n - j, t) * h[0, 0] ** (n - j - t)
+                           * h[0, 1] ** t for t in range(n - j + 1)])
+            p2 = np.array([math.comb(j, t) * h[1, 0] ** (j - t)
+                           * h[1, 1] ** t for t in range(j + 1)])
+            cols.append(np.convolve(p1, p2))
+    image = np.ascontiguousarray(np.array(cols).T)
+    if not np.isfinite(image).all():
+        raise ValueError(f"tau_{d} image overflows doubles")
+    return MatrixD(image)
 
 
 def wedge_indices(d: int, k: int) -> list[tuple[int, ...]]:

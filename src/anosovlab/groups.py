@@ -65,11 +65,35 @@ def _strip_ends(word: str) -> str:
     return word
 
 
+def _rotations(core: str) -> list[str]:
+    """The rotations of a cyclic core, the empty core its own."""
+    return [core[j:] + core[:j] for j in range(len(core))] or [core]
+
+
 def _reduced_cyclic_key(word: str) -> str:
     """:func:`canonical_cyclic` of a freely reduced word."""
-    w = _strip_ends(word)
-    ww = w + w
-    return min([ww[i:i + len(w)] for i in range(len(w))], default=w)
+    return min(_rotations(_strip_ends(word)))
+
+
+def _class_keys(words: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct :func:`_reduced_cyclic_key` values of freely reduced
+    ``words``, in order of first appearance, and the index of each word's
+    key there.  The rotations of a cyclic core share its key, so the
+    least rotation is searched once per class: a core not seen before
+    registers every rotation of itself under its new class."""
+    keys: list[str] = []
+    of_core: dict[str, int] = {}
+    member = np.empty(len(words), dtype=np.intp)
+    for n, word in enumerate(words):
+        core = _strip_ends(word)
+        k = of_core.get(core)
+        if k is None:
+            k = len(keys)
+            rotations = _rotations(core)
+            keys.append(min(rotations))
+            of_core.update(dict.fromkeys(rotations, k))
+        member[n] = k
+    return keys, member
 
 
 def cyclic_reduce(word: str) -> str:
@@ -233,13 +257,8 @@ class Ball(Sequence):
     def classes(self) -> tuple[list[str], np.ndarray]:
         """The canonical cyclic words of the elements' conjugacy classes,
         in order of first appearance, and the class index of each
-        element."""
-        keys: dict[str, int] = {}
-        words = self.words
-        member = np.array([keys.setdefault(_reduced_cyclic_key(words[i]),
-                                           len(keys))
-                           for i in self.rows.tolist()], dtype=np.intp)
-        return list(keys), member
+        element (see :func:`_class_keys`)."""
+        return _class_keys([self.words[i] for i in self.rows.tolist()])
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,9 @@ __all__ = [
     "apply_to_subspace",
 ]
 
-GAP_TOL = 1e-6  # least relative modulus gap of top_invariant_subspace
+# least relative modulus gap of top_invariant_subspace, and of the class
+# spectra at the flag ranks for boundary's limit samples
+GAP_TOL = 1e-6
 
 
 class SpectralGapError(ValueError):

@@ -17,9 +17,10 @@ from anosovlab.functors import (direct_sum_rep, flag_wedge,
                                 tau_representation, wedge_power)
 from anosovlab.groups import (canonical_cyclic, cyclic_reduce,
                               enumerate_ball, free_reduce, inverse_word)
-from anosovlab.linalg import (Subspace, apply_to_subspace, direct_sum_margin,
-                              point_subspace_distance, proj_distance,
-                              subspace_distance, top_invariant_subspace)
+from anosovlab.linalg import (SpectralGapError, Subspace, apply_to_subspace,
+                              direct_sum_margin, point_subspace_distance,
+                              proj_distance, subspace_distance,
+                              top_invariant_subspace)
 from tests.conftest import load_example_config
 
 
@@ -150,25 +151,32 @@ for _label, _rows in load_example_config(
 
 
 @functools.lru_cache(maxsize=None)
-def osculating_plane(word: str, d: int, k: int) -> np.ndarray:
-    """Orthonormal frame of the exact attracting k-plane of tau_d(word).
-
-    tau_d acts on degree-(d-1) forms by precomposition with the inverse,
-    so its attracting k-plane is the osculating k-plane of the Veronese
-    curve at L^(d-1), span{L^(d-j) L'^(j-1) : j <= k}, for the attracting
-    linear form L (the top eigenvector of the base word's inverse
-    transpose) and any L' independent of it.  Coefficients by Y-degree,
-    from 40-digit mpmath products."""
+def attracting_form(word: str) -> tuple:
+    """The attracting linear form of the base word, the top eigenvector of
+    its inverse transpose, from 40-digit mpmath products."""
     with mpmath.workdps(40):
         M = mpmath.eye(2)
         for ch in word:
             M = M * _LETTERS[ch]
         E, V = mpmath.eig(mpmath.inverse(M).T)
         top = max(range(2), key=lambda i: abs(E[i]))
-        l0, l1 = mpmath.re(V[0, top]), mpmath.re(V[1, top])
+        return mpmath.re(V[0, top]), mpmath.re(V[1, top])
+
+
+@functools.lru_cache(maxsize=None)
+def osculating_plane(word: str, d: int, k: int) -> np.ndarray:
+    """Orthonormal frame of the exact attracting k-plane of tau_d(word).
+
+    tau_d acts on degree-(d-1) forms by precomposition with the inverse,
+    so its attracting k-plane is the osculating k-plane of the Veronese
+    curve at L^(d-1), span{L^(d-j) L'^(j-1) : j <= k}, for the attracting
+    linear form L (see :func:`attracting_form`) and any L' independent of
+    it.  Coefficients by Y-degree, in 40-digit mpmath."""
+    l0, l1 = attracting_form(word)
+    with mpmath.workdps(40):
 
         def power(u0, u1, p):
-            return [mpmath.binomial(p, t) * u0 ** (p - t) * u1 ** t
+            return [math.comb(p, t) * u0 ** (p - t) * u1 ** t
                     for t in range(p + 1)]
 
         cols = []
@@ -197,7 +205,7 @@ class TestExactFlags:
     """Every flag against the osculating planes of the Veronese curve."""
 
     @pytest.mark.parametrize("d, m", [
-        (d, m) for d in range(3, 8)
+        (d, m) for d in range(3, 9)
         for m in sorted({1, 2, d - 2, d // 2} & set(range(1, d)))])
     def test_flags_match_osculating_planes(self, schottky_rep, d, m):
         cloud = limit_samples(tau_representation(schottky_rep, d), m, 4)
@@ -224,6 +232,108 @@ class TestExactFlags:
         cloud = limit_samples(tau_representation(schottky_rep, 5), 2, 5)
         sample, = [s for s in cloud.samples if s.witness.word == "bbaBB"]
         assert max(flag_errors(sample).values()) <= 1e-12
+
+    def test_tau7_keeps_every_class(self, schottky_rep):
+        # a Schur extraction on the rounded class products dropped the 8
+        # elements of the classes of ABabbb and BBBBBa here (1,284 samples)
+        cloud = limit_samples(tau_representation(schottky_rep, 7), 3, 6)
+        assert len(cloud) == 1292
+        worst = max(max(flag_errors(s).values()) for s in cloud.samples)
+        assert worst <= 2e-11
+
+
+def per_class_oracle(mats: np.ndarray, rank: int) -> np.ndarray:
+    """``top_invariant_subspace`` frames of a stack of matrices, one call
+    per matrix."""
+    return np.array([top_invariant_subspace(M, rank).frame for M in mats])
+
+
+def schur_witnesses(rep, m: int, radius: int) -> list:
+    """Witness words of the limit cloud of ``rep`` by per-class
+    ``top_invariant_subspace`` extractions: an element is sampled when
+    every flag of its class word c is extracted from M(c), M(c^-1) or
+    their transposes without a ``SpectralGapError``, and its line, the
+    top eigenvector of its own matrix, is not within the dedup tolerance
+    of an earlier one."""
+    gens, d = rep.generators, rep.dim
+    specs = [("A", 1), ("A", m) if m <= d - m else ("Bt", d - m),
+             ("B", d - m) if d - m <= m else ("At", m), ("At", 1), ("B", 1)]
+    cos_thresh = math.sqrt(1.0 - boundary.DEFAULT_FLAG_DEDUP_TOL ** 2)
+    points, witnesses = [], []
+    for g in enumerate_ball(gens, radius)[1:]:
+        c = canonical_cyclic(g.word)
+        A = gens.matrix_of_word(c).mat
+        B = gens.matrix_of_word(inverse_word(c)).mat
+        sources = {"A": A, "B": B, "At": A.T, "Bt": B.T}
+        try:
+            for src, rank in specs:
+                top_invariant_subspace(sources[src], rank)
+        except SpectralGapError:
+            continue
+        v = top_invariant_subspace(g.matrix, 1).vector()
+        if all(abs(v @ p) <= cos_thresh for p in points):
+            points.append(v)
+            witnesses.append(g.word)
+    return witnesses
+
+
+class TestClassFlags:
+    """The stacked eig start of the class flags against per-class
+    ``top_invariant_subspace`` extractions."""
+
+    def test_no_gap_at_the_inverse_end_drops_the_element(self):
+        # a = diag(4, .5, .5) has a gap at 1 but none at d - 1: the top
+        # eigenvector of a^-1, its minus line, is not determined
+        Q = np.linalg.qr([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+                          [1.0, 0.0, 2.0]])[0]
+        rep = representation_from_matrices({
+            "a": np.diag([4.0, 0.5, 0.5]),
+            "b": Q @ np.diag([3.0, 1.0, 1 / 3]) @ Q.T})
+        with pytest.warns(UserWarning, match="not certified linear"):
+            cloud = limit_samples(rep, 1, 3)
+        witnesses = schur_witnesses(rep, 1, 3)
+        assert cloud.words.tolist() == witnesses
+        assert "a" not in witnesses and len(witnesses) == 38
+
+    def test_middle_complex_pair_keeps_the_element(self):
+        # a has eigenvalue moduli 8, 4, 2, 2, 1/4: gaps at 1, m = 2 and
+        # d - 1 = 4, none at d - m = 3, which no flag needs
+        c, s = math.cos(1.0), math.sin(1.0)
+        a = np.diag([8.0, 4.0, 2 * c, 2 * c, 0.25])
+        a[2, 3], a[3, 2] = -2 * s, 2 * s
+        Q = np.linalg.qr(np.arange(25.0).reshape(5, 5) % 7 + np.eye(5))[0]
+        rep = representation_from_matrices({
+            "a": a, "b": Q @ np.diag([5.0, 3.0, 1.5, 0.7, 0.2]) @ Q.T})
+        with pytest.warns(UserWarning, match="not certified linear"):
+            cloud = limit_samples(rep, 2, 3)
+        witnesses = schur_witnesses(rep, 2, 3)
+        assert cloud.words.tolist() == witnesses
+        assert "a" in witnesses and len(witnesses) == 25
+
+    def test_stacked_start_matches_schur_oracle(self, schottky_rep,
+                                                monkeypatch):
+        # tau_5 + tau_3 at m = 3: the top 3-plane holds lambda^2 twice
+        rep = direct_sum_rep(tau_representation(schottky_rep, 5),
+                             tau_representation(schottky_rep, 3))
+        ball = enumerate_ball(rep.generators, 5)
+        specs = {"xi1_plus": ("A", 1), "xim_plus": ("A", 3),
+                 "xi_dm_minus": ("At", 3), "xi_d1_minus": ("At", 1),
+                 "xi1_minus": ("B", 1)}
+        index = boundary._proximal(ball, [1, 3, 7])
+        flags = boundary._ClassFlags(ball, index, specs)
+        monkeypatch.setattr(boundary, "_top_spans", per_class_oracle)
+        oracle = boundary._ClassFlags(ball, index, specs)
+
+        def projectors(F):
+            return F @ F.transpose(0, 2, 1)
+
+        assert len(flags.index) == len(index) > 400
+        for key, start in flags._frames.items():
+            assert np.abs(projectors(start)
+                          - projectors(oracle._frames[key])).max() <= 1e-12
+        for name in specs:
+            assert np.abs(projectors(flags(name))
+                          - projectors(oracle(name))).max() <= 1e-12
 
 
 def reduced_words(alphabet: str):

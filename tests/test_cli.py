@@ -288,6 +288,8 @@ class TestExperimentFields:
 
 
 TAU3_REP = {"kind": "tau", "d": 3, "base": BASE_REP}
+TAU6_OVERFLOW = {"kind": "tau", "d": 6, "base": dict(
+    BASE_REP, generators={"a": [[1e100, 0], [0, 1e-100]]})}
 HYPERCONVEX = {"representation": TAU3_REP,
                "experiment": {"kind": "hyperconvex", "n_triples": 5}}
 OVER_CAP = "ball too large: over 1000000000000000000 words exceed cap 5000000"
@@ -353,8 +355,10 @@ class TestFailedRunWritesNothing:
          "config.experiment.window: too few cloud points in window "),
         ({"radius": 3, "experiment": {"kind": "hyperconvex", "sep_tol": 1.5}},
          "config.experiment.sep_tol: cannot find 500 separated triples "),
+        ({"representation": TAU6_OVERFLOW},
+         "config.representation: tau_6 image overflows doubles"),
     ], ids=["build", "bounds", "ball-cap", "word-overflow", "gelfand-K",
-            "n_triples", "window", "sep_tol"])
+            "n_triples", "window", "sep_tol", "tau-overflow"])
     def test_exit_one_leaves_no_output(self, tmp_path, capsys, changes,
                                        message):
         cfg = dict({"representation": TAU3_REP, "radius": 2, "seed": 0,
@@ -369,11 +373,15 @@ class TestFailedRunWritesNothing:
     @pytest.mark.parametrize("changes, message", [
         # the radius-2 gap profile is not certified linear
         ({}, "gap profile at k=1 is not certified linear"),
-        # the tau_6 build raises the base's entries to the 5th power
-        ({"representation": {"kind": "tau", "d": 6, "base": dict(
-            BASE_REP, generators={"a": [[1e100, 0], [0, 1e-100]]})}},
-         "overflow encountered in scalar power"),
-    ], ids=["run", "load"])
+        # the sym^2 build squares the base's entries at load
+        ({"representation": {"kind": "sym2", "base": dict(
+            BASE_REP, generators={"a": [[1e200, 0], [0, 1e-200]]})}},
+         "overflow encountered in multiply"),
+        # the tau_6 build raises the base's entries to the 5th power: its
+        # overflow is caught at load, not warned
+        ({"representation": TAU6_OVERFLOW},
+         "config.representation: tau_6 image overflows doubles"),
+    ], ids=["run", "load", "tau-overflow"])
     def test_warning_raised_as_error_exits_one(self, tmp_path, capsys,
                                                changes, message):
         out = tmp_path / "out"

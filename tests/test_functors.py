@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ class TestTau:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             tau_d(np.eye(2), 1)
+
+    @pytest.mark.parametrize("filter_", ["default", "error"])
+    def test_overflowing_image_raises(self, filter_):
+        # the 5th power of 1e100 leaves the double range: a ValueError, not
+        # an overflow warning, whatever the warnings filter
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            with pytest.raises(ValueError, match="tau_6 image overflows"):
+                tau_d(np.diag([1e100, 1e-100]), 6)
+            assert np.isfinite(tau_d(np.diag([1e50, 1e-50]), 6).mat).all()
 
 
 class TestWedgePower:

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anosovlab.functors import tau_representation
 from anosovlab.groups import (BallTooLargeError, GeneratorSet, GroupElement,
+                              _class_keys, _reduced_cyclic_key,
                               canonical_cyclic, cyclic_reduce, enumerate_ball,
                               free_reduce, inverse_label, inverse_word)
 from anosovlab.linalg import MatrixD
@@ -349,3 +352,25 @@ class TestBall:
             assert [classes[k] for k in member] == keys
             assert classes == list(dict.fromkeys(keys))
             assert keys == [_canonical_by_definition(g.word) for g in ball]
+
+    def test_class_keys_equal_per_word_keys(self, tau3_rep):
+        ball = enumerate_ball(tau3_rep.generators, 7)
+        words = [ball.words[i] for i in ball.rows]
+        assert_per_word_keys(words, ball.classes)
+        assert len(ball.classes[0]) == 551
+
+
+def assert_per_word_keys(words, classes):
+    keys = [_reduced_cyclic_key(w) for w in words]
+    names, member = classes
+    assert [names[k] for k in member] == keys
+    assert names == list(dict.fromkeys(keys))
+
+
+# short words over few letters, so that rotations and conjugates recur
+_WORDS = st.lists(st.text("aAbB", max_size=6).map(free_reduce), max_size=60)
+
+
+@given(_WORDS)
+def test_class_keys_of_words(words):
+    assert_per_word_keys(words, _class_keys(words))
