@@ -158,57 +158,63 @@ def _signed(U: np.ndarray) -> np.ndarray:
     return np.where(top < 0, -U, U)
 
 
-def _top_spans(mats: np.ndarray, rank: int) -> np.ndarray:
-    """(n, d, rank) orthonormal frames of the real spans of the top
-    ``rank`` eigenvectors by modulus of a stack of (n, d, d) matrices: one
-    stacked ``eig``, the eigenvectors ordered by |lambda| (a stable sort),
-    and one stacked SVD of their real and imaginary parts.  With a gap at
-    ``rank`` a conjugate pair is taken whole, so the 2 * rank columns span
-    a real rank-plane."""
+def _top_frames(mats: np.ndarray, rank: int) -> np.ndarray:
+    """(n, d, rank) nested orthonormal frames of the top ``rank``
+    eigenvectors by modulus of a stack of (n, d, d) matrices: one stacked
+    ``eig``, the eigenvectors ordered by |lambda| (a stable sort), a real
+    basis and one stacked QR.  The basis takes Re v for the member of a
+    conjugate pair with positive imaginary part, which LAPACK lists first,
+    and Im v for its partner, so with a gap at k the leading k columns
+    span the real k-plane of the top k eigenvectors, at every k."""
     w, V = np.linalg.eig(mats)
-    order = np.argsort(-np.abs(w), axis=-1, kind="stable")[:, None, :rank]
-    V = np.take_along_axis(V, order, axis=2)
-    span = np.concatenate([V.real, V.imag], axis=2)
-    return np.linalg.svd(span, full_matrices=False)[0][..., :rank]
+    order = np.argsort(-np.abs(w), axis=-1, kind="stable")[:, :rank]
+    w = np.take_along_axis(w, order, axis=1)[:, None, :]
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    return np.linalg.qr(np.where(w.imag < 0, V.imag, V.real))[0]
 
 
 class _ClassFlags:
     """Attracting flags of ball elements, extracted once per conjugacy
     class and transported along the reduced conjugators.
 
+    ``flags`` lists the flags wanted as ``(side, rank)``: ``("+", r)`` is
+    the attracting r-flag of an element w, ``("-", r)`` that of w^-1.  The
+    kept elements, ``index`` in ball order, are those whose class has a
+    gap at r for each ``+`` flag and at d - r, the gap of w^-1 at r, for
+    each ``-`` flag (see :func:`_proximal`).
+
     For ``w = P c P^-1 = Q c Q^-1`` (see :func:`_conjugators`) the
     attracting flags of w are M(P) times those of the class word c, and
-    those of w^-1 are M(Q) times those of c^-1.  ``specs`` maps each
-    flag to ``(source, rank)``: the flag is the top invariant subspace of
-    that rank of the source matrix, A = M(c), B = M(c^-1) or their
-    transposes ``At``, ``Bt``.  A and Bt give flags of w, moved along P; B
-    and At give flags of w^-1, moved along Q.  A flag of A or B is the
-    span of M(conjugator) times the extracted frame; a dual flag, of At
-    or Bt, is the orthogonal complement of M(conjugator)^-T times it, the
-    product along the conjugator of the letters' inverse transposes.
-    Since ``P c`` and ``Q c^-1`` are reduced, M(P) does not contract the
-    attracting flags of c, nor M(Q) those of c^-1.
+    those of w^-1 are M(Q) times those of c^-1.  A flag of rank r <= d/2
+    is the span of the leading r columns of a nested frame of A = M(c)
+    (``+``) or B = M(c^-1) (``-``), moved along the conjugator.  A flag of
+    rank r > d/2 is the orthogonal complement of the leading d - r columns
+    of a nested frame of ``Bt`` = B^T (``+``) or ``At`` = A^T (``-``),
+    moved along the conjugator by the letters' inverse transposes (the
+    product M(conjugator)^-T).  So every extraction is at the top of a
+    spectrum.  Since ``P c`` and ``Q c^-1`` are reduced, M(P) does not
+    contract the attracting flags of c, nor M(Q) those of c^-1.
 
-    Each distinct spec costs one stacked start over the classes: the real
-    span of the top eigenvectors of the sources' rounded products (see
-    :func:`_top_spans`).  The start is then refined by three sweeps of
-    orthogonal iteration along the source's letters (M(c)^T =
+    Each source gets one stacked start over the classes, at the largest
+    rank read from it (see :func:`_top_frames`), refined by three sweeps
+    of orthogonal iteration along the source's letters (M(c)^T =
     M(c^-1)^-T: At along c^-1 and Bt along c, with the inverse
-    transposes), and moved along the conjugator's letters (see
-    :func:`_moved`).  ``eig`` tests no gap: the caller keeps only elements
-    whose class has a gap at every rank a spec needs, read from
-    ``ball.jordan``: a source A or At of rank r needs A's gap at r (A^T
-    has the spectrum of A), and B or Bt of rank r needs A's gap at d - r.
-    The start orders the eigenvectors by the eigenvalue moduli of the
-    rounded products, which need not be separated where the exact ones
-    are: a start ordered wrongly there has to be recovered by the sweeps,
-    and nothing else checks it.
-    ``index`` holds the given ball indices, in the given order.
+    transposes), then moved along the conjugators' letters (see
+    :func:`_moved`).  The leading columns of an orthogonal iteration are
+    an orthogonal iteration of their own (Golub & Van Loan, Matrix
+    Computations, 7.3), so one nested frame serves every rank read from
+    its source.  ``eig`` tests no gap, and the start orders the
+    eigenvectors by the eigenvalue moduli of the rounded products, which
+    need not be separated where the exact ones are: a start ordered
+    wrongly there has to be recovered by the sweeps, and nothing else
+    checks it.
     """
 
-    def __init__(self, ball, index, specs: dict):
+    def __init__(self, ball, flags: list[tuple[str, int]]):
+        d = ball.gens.dim
+        self.index = _proximal(ball, [r if side == "+" else d - r
+                                      for side, r in flags])
         words, member = ball.classes
-        self.index = np.asarray(index, dtype=np.intp)
         classes, self._class = np.unique(member[self.index],
                                          return_inverse=True)
         letters = {x: M.mat for x, M in ball.gens.matrices.items()}
@@ -222,29 +228,32 @@ class _ClassFlags:
         # source -> its letters, its class words and its conjugators
         self._route = {"A": (letters, fwd, P), "B": (letters, bwd, Q),
                        "At": (duals, bwd, Q), "Bt": (duals, fwd, P)}
+        # flag -> its source and the leading columns read from it
+        self._flags = [("A" if side == "+" else "B", r) if 2 * r <= d
+                       else ("Bt" if side == "+" else "At", d - r)
+                       for side, r in flags]
         A = ball.products[[ball.row[c] for c in fwd]]
         B = ball.products[[ball.row[c] for c in bwd]]
         sources = {"A": A, "B": B, "At": A.transpose(0, 2, 1),
                    "Bt": B.transpose(0, 2, 1)}
         self._frames = {}
-        for src, rank in dict.fromkeys(specs.values()):
-            frames = _top_spans(sources[src], rank)
+        for src in sorted({src for src, _ in self._flags}):
+            frames = _top_frames(sources[src], max(
+                k for s, k in self._flags if s == src))
             for _ in range(3):
                 frames = _moved(*self._route[src][:2], frames)
-            self._frames[src, rank] = frames
-        self._specs = specs
+            self._frames[src] = frames
 
-    def __call__(self, name: str, sel=None) -> np.ndarray:
-        """(n, d, rank) orthonormal frames of flag ``name`` of the kept
-        elements at positions ``sel`` (all by default), with
-        ``orthonormalize``'s sign convention."""
-        src, rank = self._specs[name]
-        if sel is None:
-            sel = range(len(self.index))
-        letters, _, conj = self._route[src]
-        moved = _moved(letters, [conj[t] for t in sel],
-                       self._frames[src, rank][self._class[list(sel)]])
-        return _signed(_complements(moved) if src.endswith("t") else moved)
+    def __call__(self) -> list[np.ndarray]:
+        """(n, d, rank) orthonormal frames of the kept elements, one stack
+        per flag in the given order, with ``orthonormalize``'s sign
+        convention; each source's frames are moved once."""
+        moved = {src: _moved(self._route[src][0], self._route[src][2],
+                             frames[self._class])
+                 for src, frames in self._frames.items()}
+        return [_signed(_complements(moved[src][..., :k])
+                        if src.endswith("t") else moved[src][..., :k])
+                for src, k in self._flags]
 
 
 def _proximal(ball, ks) -> np.ndarray:
@@ -263,23 +272,20 @@ def limit_samples(rep: Representation, m: int, radius: int,
     """Flags of the attracting fixed points of all proximal elements of the
     ball of ``radius``; the cloud records the recipe of ``rep``.
 
-    Elements need eigenvalue-modulus gaps at indices 1, m and d-1, read
-    from the class spectrum ``ball.jordan``: the gap at d-1 is that of
-    the inverse element at 1, whose top line is the minus point, and the
-    inverse's gap at d-m is the element's gap at m.  The flags are
-    extracted once per conjugacy class, from the matrices of its
-    canonical cyclic word c and of c^-1: a stacked ``eig`` start refined
-    by three sweeps along the class word, then transported to each
-    element along reduced conjugators (see :class:`_ClassFlags`).  Ranks
-    above d/2 come by duality, as orthogonal complements of transported
-    flags of the transposes, so every extraction is at the top of a
-    spectrum.
+    The samples are the flags (+, 1), (+, m), (-, d-m), (-, d-1) and
+    (-, 1) of :class:`_ClassFlags`: ``+`` flags are the element's, ``-``
+    flags those of its inverse.  So elements need eigenvalue-modulus gaps
+    at indices 1, m and d-1, read from the class spectrum ``ball.jordan``.
+    The flags are extracted once per conjugacy class, from the matrices of
+    its canonical cyclic word c and of c^-1, as one nested frame per
+    source: a stacked ``eig`` start refined by three sweeps along the
+    class word, then transported to each element along reduced
+    conjugators.
 
     Samples whose limit points agree within ``dedup_tol`` are merged,
     keeping the first witness in ball order (the shortest), so
     ``dedup_tol`` acts as the spatial resolution of the cloud.  Only the
-    lines take part in the dedup; the other four flags are transported
-    for the kept samples only.
+    lines take part in the dedup.
     """
     d = rep.dim
     if not 1 <= m <= d - 1:
@@ -292,19 +298,13 @@ def limit_samples(rep: Representation, m: int, radius: int,
                 f"gap profile at k={k} is not certified linear "
                 f"({profile.verdict}); limit samples may be unreliable",
                 stacklevel=2)
-    gaps = sorted({1, m, d - 1})
-    flags = _ClassFlags(ball, _proximal(ball, gaps), {
-        "xi1_plus": ("A", 1),
-        "xim_plus": ("A", m) if m <= d - m else ("Bt", d - m),
-        "xi_dm_minus": ("B", d - m) if d - m <= m else ("At", m),
-        "xi_d1_minus": ("At", 1),
-        "xi1_minus": ("B", 1),
-    })
-    lines = flags("xi1_plus")[:, :, 0]
+    flags = _ClassFlags(ball, [("+", 1), ("+", m), ("-", d - m),
+                               ("-", d - 1), ("-", 1)])
+    frames = dict(zip([f.name for f in fields(FlagSample)[1:]], flags()))
     cos_thresh = math.sqrt(max(0.0, 1.0 - dedup_tol ** 2))
     kept: list[int] = []  # positions in flags.index of the kept samples
-    points = np.empty_like(lines)  # their limit points
-    for t, v in enumerate(lines):
+    points = np.empty((len(flags.index), d))  # their limit points
+    for t, v in enumerate(frames["xi1_plus"][:, :, 0]):
         n = len(kept)
         if n and float(np.max(np.abs(points[:n] @ v))) > cos_thresh:
             continue
@@ -312,12 +312,10 @@ def limit_samples(rep: Representation, m: int, radius: int,
         kept.append(t)
     if not kept:
         raise ValueError("no proximal elements found in the ball")
-    frames = {name: flags(name, kept) for name in
-              ("xim_plus", "xi_dm_minus", "xi_d1_minus", "xi1_minus")}
     samples = tuple(
-        FlagSample(witness=ball[i], xi1_plus=Subspace(points[n, :, None]),
-                   **{name: Subspace(F[n]) for name, F in frames.items()})
-        for n, i in enumerate(flags.index[kept]))
+        FlagSample(witness=ball[flags.index[t]],
+                   **{name: Subspace(F[t]) for name, F in frames.items()})
+        for t in kept)
     return LimitCloud(samples=samples, m=m, rep_recipe=rep.recipe)
 
 
@@ -726,8 +724,7 @@ def irreducibility_proxy(ball: Ball) -> IrreducibilityReport:
     direction is heuristic.
     """
     d = ball.gens.dim
-    lines = _ClassFlags(ball, _proximal(ball, [1]),
-                        {"xi1_plus": ("A", 1)})("xi1_plus")
+    lines, = _ClassFlags(ball, [("+", 1)])()
     xi1_rank = 0
     if len(lines):
         s = np.linalg.svd(lines[:, :, 0].T, compute_uv=False)

@@ -158,20 +158,23 @@ def sym_square(M) -> MatrixD:
     Basis {e_i . e_j : i <= j} with off-diagonal elements scaled by
     sqrt(2), so the standard inner product pulls back correctly and the
     singular-value identities hold exactly (S of an orthogonal matrix is
-    orthogonal).
+    orthogonal).  An image past the double range raises ``ValueError``.
     """
     Mu = normalize_lift(M)
     A, d = Mu.mat, Mu.dim
     pairs = _sym_pairs(d)
     rt2 = np.sqrt(2.0)
     S = np.empty((len(pairs), len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        B = np.outer(A[:, i], A[:, j])
-        X = B + B.T if i != j else 2.0 * B
-        X *= 0.5 * rt2 if i != j else 0.5
-        # X = M B_ij M^T; read off its coordinates in the weighted basis
-        for row, (kk, ll) in enumerate(pairs):
-            S[row, col] = X[kk, ll] if kk == ll else rt2 * X[kk, ll]
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        for col, (i, j) in enumerate(pairs):
+            B = np.outer(A[:, i], A[:, j])
+            X = B + B.T if i != j else 2.0 * B
+            X *= 0.5 * rt2 if i != j else 0.5
+            # X = M B_ij M^T; read off its coordinates in the weighted basis
+            for row, (kk, ll) in enumerate(pairs):
+                S[row, col] = X[kk, ll] if kk == ll else rt2 * X[kk, ll]
+    if not np.isfinite(S).all():
+        raise ValueError("sym2 image overflows doubles")
     return MatrixD(np.ascontiguousarray(S))
 
 

@@ -148,7 +148,8 @@ class GeneratorSet:
             if inverses is not None and label in inverses:
                 Minv = normalize_lift(inverses[label])
                 resid = np.abs(M.mat @ Minv.mat - np.eye(dim)).max()
-                if resid > 1e-8 * max(1.0, np.abs(M.mat).max()):
+                # a NaN residual (an inf - inf in the product) fails too
+                if not resid <= 1e-8 * max(1.0, np.abs(M.mat).max()):
                     raise ValueError(
                         f"matrix for {label!r} and its inverse are not "
                         f"mutual inverses (residual {resid:.2e})")
@@ -357,19 +358,15 @@ def _dedup_indices(words, mats, tol) -> list[int]:
             i = parent[i]
         return i
 
+    def key(i):
+        return len(words[i]), words[i]
+
     for i, j in tree.query_pairs(tol, p=np.inf):
         i, j = rows[i % len(rows)], rows[j % len(rows)]
         if i == j:
             continue
         ri, rj = find(i), find(j)
         if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    best: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        cur = best.get(r)
-        if cur is None or (len(words[i]), words[i]) < (len(words[cur]), words[cur]):
-            best[r] = i
-    return sorted(best.values(), key=lambda i: (len(words[i]), words[i]))
+            parent[max(ri, rj, key=key)] = min(ri, rj, key=key)
+    return sorted((i for i in range(n) if parent[i] == i), key=key)
 

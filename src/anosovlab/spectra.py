@@ -265,7 +265,8 @@ def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
 
     The infimum over the whole group is truncated to the ball; the
     per-radius column makes convergence visible and ``converged`` flags
-    whether the last two radii agree within 1e-6.
+    whether the last two radii agree within 1e-6.  The witness is the
+    shortest element whose ratio ties the infimum within a relative 1e-12.
     """
     d = ball.gens.dim
     if not 2 <= m <= d - 1:
@@ -275,10 +276,11 @@ def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
     ratios = np.full(len(ball), math.inf)
     gapped = (ball.lengths > 0) & (top_gap > tol)
     ratios[gapped] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
-    best = int(np.argmin(ratios))
-    if ratios[best] == math.inf:
+    value = ratios.min()
+    if value == math.inf:
         raise ValueError(
             "no infinite-order witness: no element has a (1, m) eigenvalue gap")
+    best = int(np.argmax(ratios <= value * (1 + 1e-12)))
     # per-radius running infimum, monotone non-increasing
     radii = np.arange(1, ball.radius + 1)
     running = np.minimum.accumulate(
@@ -287,7 +289,7 @@ def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
         [radii, np.where(running < math.inf, running, np.nan)])
     tail = per_radius[~np.isnan(per_radius[:, 1]), 1]
     converged = tail.size >= 2 and abs(tail[-1] - tail[-2]) <= 1e-6
-    return AlphaEstimate(m=m, value=ratios[best], witness=ball[best],
+    return AlphaEstimate(m=m, value=value, witness=ball[best],
                          per_radius=per_radius, converged=converged)
 
 

@@ -242,32 +242,36 @@ class TestExactFlags:
         assert worst <= 2e-11
 
 
-def per_class_oracle(mats: np.ndarray, rank: int) -> np.ndarray:
-    """``top_invariant_subspace`` frames of a stack of matrices, one call
-    per matrix."""
-    return np.array([top_invariant_subspace(M, rank).frame for M in mats])
+def nested_oracle(mats: np.ndarray, rank: int) -> np.ndarray:
+    """Nested frames from ``top_invariant_subspace`` extractions, two calls
+    per matrix: its top rank-plane, rotated so that its first column is
+    its top line."""
+    frames = []
+    for M in mats:
+        line = top_invariant_subspace(M, 1).frame
+        plane = top_invariant_subspace(M, rank).frame
+        frames.append(plane @ np.linalg.svd(plane.T @ line)[0])
+    return np.array(frames)
 
 
 def schur_witnesses(rep, m: int, radius: int) -> list:
     """Witness words of the limit cloud of ``rep`` by per-class
     ``top_invariant_subspace`` extractions: an element is sampled when
-    every flag of its class word c is extracted from M(c), M(c^-1) or
-    their transposes without a ``SpectralGapError``, and its line, the
-    top eigenvector of its own matrix, is not within the dedup tolerance
-    of an earlier one."""
+    every flag of its class word c is extracted from M(c) (a ``+`` flag)
+    or M(c^-1) (a ``-`` flag) without a ``SpectralGapError``, and its
+    line, the top eigenvector of its own matrix, is not within the dedup
+    tolerance of an earlier one."""
     gens, d = rep.generators, rep.dim
-    specs = [("A", 1), ("A", m) if m <= d - m else ("Bt", d - m),
-             ("B", d - m) if d - m <= m else ("At", m), ("At", 1), ("B", 1)]
+    flags = [("+", 1), ("+", m), ("-", d - m), ("-", d - 1), ("-", 1)]
     cos_thresh = math.sqrt(1.0 - boundary.DEFAULT_FLAG_DEDUP_TOL ** 2)
     points, witnesses = [], []
     for g in enumerate_ball(gens, radius)[1:]:
         c = canonical_cyclic(g.word)
-        A = gens.matrix_of_word(c).mat
-        B = gens.matrix_of_word(inverse_word(c)).mat
-        sources = {"A": A, "B": B, "At": A.T, "Bt": B.T}
+        sources = {"+": gens.matrix_of_word(c).mat,
+                   "-": gens.matrix_of_word(inverse_word(c)).mat}
         try:
-            for src, rank in specs:
-                top_invariant_subspace(sources[src], rank)
+            for side, rank in flags:
+                top_invariant_subspace(sources[side], rank)
         except SpectralGapError:
             continue
         v = top_invariant_subspace(g.matrix, 1).vector()
@@ -316,24 +320,40 @@ class TestClassFlags:
         rep = direct_sum_rep(tau_representation(schottky_rep, 5),
                              tau_representation(schottky_rep, 3))
         ball = enumerate_ball(rep.generators, 5)
-        specs = {"xi1_plus": ("A", 1), "xim_plus": ("A", 3),
-                 "xi_dm_minus": ("At", 3), "xi_d1_minus": ("At", 1),
-                 "xi1_minus": ("B", 1)}
-        index = boundary._proximal(ball, [1, 3, 7])
-        flags = boundary._ClassFlags(ball, index, specs)
-        monkeypatch.setattr(boundary, "_top_spans", per_class_oracle)
-        oracle = boundary._ClassFlags(ball, index, specs)
+        specs = [("+", 1), ("+", 3), ("-", 5), ("-", 7), ("-", 1)]
+        flags = boundary._ClassFlags(ball, specs)
+        monkeypatch.setattr(boundary, "_top_frames", nested_oracle)
+        oracle = boundary._ClassFlags(ball, specs)
 
         def projectors(F):
             return F @ F.transpose(0, 2, 1)
 
-        assert len(flags.index) == len(index) > 400
-        for key, start in flags._frames.items():
-            assert np.abs(projectors(start)
-                          - projectors(oracle._frames[key])).max() <= 1e-12
-        for name in specs:
-            assert np.abs(projectors(flags(name))
-                          - projectors(oracle(name))).max() <= 1e-12
+        assert np.array_equal(flags.index, oracle.index)
+        assert len(flags.index) > 400
+        # every rank read from each source's nested frame
+        assert sorted(flags._flags) == [("A", 1), ("A", 3), ("At", 1),
+                                        ("At", 3), ("B", 1)]
+        for src, k in flags._flags:
+            assert np.abs(projectors(flags._frames[src][..., :k])
+                          - projectors(oracle._frames[src][..., :k])
+                          ).max() <= 1e-12
+        for F, G in zip(flags(), oracle()):
+            assert np.abs(projectors(F) - projectors(G)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d, m, radius", [(4, 2, 5), (6, 2, 4),
+                                              (7, 3, 4), (8, 3, 4)])
+    def test_direct_flags_share_leading_columns(self, schottky_rep, d, m,
+                                                radius):
+        # the line and the m-plane of w come from one nested frame of the
+        # class matrix, and so do the (d - m)-plane and the line of w^-1
+        # when d - m <= d / 2
+        F = limit_samples(tau_representation(schottky_rep, d), m,
+                          radius).frames
+        pairs = [("xim_plus", "xi1_plus")]
+        if 2 * (d - m) <= d:
+            pairs.append(("xi_dm_minus", "xi1_minus"))
+        for big, line in pairs:
+            assert np.abs(F[big][..., 0] - F[line][..., 0]).max() <= 1e-14
 
 
 def reduced_words(alphabet: str):

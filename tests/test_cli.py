@@ -290,6 +290,8 @@ class TestExperimentFields:
 TAU3_REP = {"kind": "tau", "d": 3, "base": BASE_REP}
 TAU6_OVERFLOW = {"kind": "tau", "d": 6, "base": dict(
     BASE_REP, generators={"a": [[1e100, 0], [0, 1e-100]]})}
+SYM2_OVERFLOW = {"kind": "sym2", "base": dict(
+    BASE_REP, generators={"a": [[1e200, 0], [0, 1e-200]]})}
 HYPERCONVEX = {"representation": TAU3_REP,
                "experiment": {"kind": "hyperconvex", "n_triples": 5}}
 OVER_CAP = "ball too large: over 1000000000000000000 words exceed cap 5000000"
@@ -357,8 +359,11 @@ class TestFailedRunWritesNothing:
          "config.experiment.sep_tol: cannot find 500 separated triples "),
         ({"representation": TAU6_OVERFLOW},
          "config.representation: tau_6 image overflows doubles"),
+        ({"representation": SYM2_OVERFLOW},
+         "config.representation: sym2 image overflows doubles"),
     ], ids=["build", "bounds", "ball-cap", "word-overflow", "gelfand-K",
-            "n_triples", "window", "sep_tol", "tau-overflow"])
+            "n_triples", "window", "sep_tol", "tau-overflow",
+            "sym2-overflow"])
     def test_exit_one_leaves_no_output(self, tmp_path, capsys, changes,
                                        message):
         cfg = dict({"representation": TAU3_REP, "radius": 2, "seed": 0,
@@ -373,10 +378,11 @@ class TestFailedRunWritesNothing:
     @pytest.mark.parametrize("changes, message", [
         # the radius-2 gap profile is not certified linear
         ({}, "gap profile at k=1 is not certified linear"),
-        # the sym^2 build squares the base's entries at load
-        ({"representation": {"kind": "sym2", "base": dict(
-            BASE_REP, generators={"a": [[1e200, 0], [0, 1e-200]]})}},
-         "overflow encountered in multiply"),
+        # the wedge^1 image's inverse residual a a^-1 - 1 takes an
+        # inf - inf at load
+        ({"representation": {"kind": "wedge", "k": 1, "base": dict(
+            BASE_REP, generators={"a": [[1e200, 1e200], [0, 1e-200]]})}},
+         "invalid value encountered in matmul"),
         # the tau_6 build raises the base's entries to the 5th power: its
         # overflow is caught at load, not warned
         ({"representation": TAU6_OVERFLOW},

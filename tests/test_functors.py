@@ -210,6 +210,15 @@ class TestSymSquare:
         S = sym_square(Q).mat
         assert np.abs(S.T @ S - np.eye(S.shape[0])).max() < 1e-10
 
+    @pytest.mark.parametrize("filter_", ["default", "error"])
+    def test_overflowing_image_raises(self, filter_):
+        # squared, 1e200 leaves the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter(filter_)
+            with pytest.raises(ValueError, match="sym2 image overflows"):
+                sym_square(np.diag([1e200, 1e-200]))
+            assert np.isfinite(sym_square(np.diag([1e100, 1e-100])).mat).all()
+
 
 class TestVeronese:
     def test_basis_point(self):

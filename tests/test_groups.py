@@ -270,6 +270,22 @@ def test_dedup_matches_all_pairs_reference(size):
     assert len(keep) == len(mats) - 6
 
 
+def test_dedup_merges_to_the_shortest_word():
+    # a = rotation by pi/2 squares to -1, the identity in PGL: with the
+    # parabolic b the 1,457 words of radius 6 merge to 104 elements
+    from anosovlab.groups import _dedup_indices
+    gens = GeneratorSet.from_matrices({
+        "a": rotation(np.pi / 2), "b": np.array([[1.0, 1.0], [0.0, 1.0]])})
+    ball = enumerate_ball(gens, 6)
+    assert (len(ball.words), len(ball)) == (1457, 104)
+    # a = -A merges into A, the smaller word of length 1
+    assert [g.word for g in ball][:6] == ["", "A", "B", "b", "AB", "Ab"]
+    small = enumerate_ball(gens, 4)
+    keep = _dedup_indices(small.words, small.products, 1e-8)
+    assert keep == _all_pairs_dedup(small.words, small.products, 1e-8)
+    assert len(keep) < len(small.words) - 40
+
+
 class TestBall:
     """The ball's stacked rows against the per-word reference path."""
 

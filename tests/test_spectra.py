@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovlab.functors import (build_representation,
+from anosovlab.functors import (build_representation, perturb_rep,
                                 representation_from_matrices,
                                 sym_square_representation,
                                 tau_representation, wedge_representation)
@@ -156,6 +156,19 @@ class TestAlphaEstimate:
         est = alpha_m_estimate(enumerate_ball(tau7.generators, 6), 3)
         # moduli lam^6, lam^4, lam^2, 1, ...: 6 log lam / 4 log lam
         assert est.value == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("eps, witness", [(0.2, "A"), (0.05, "ABab")])
+    def test_witness_is_the_shortest_tie(self, eps, witness):
+        # at eps 0.2 the ratio of A ties those of its powers within
+        # rounding, and AAAAA held the least rounded ratio
+        base = build_representation(
+            load_example_config("fuchsian_tau3")["representation"])
+        ball = enumerate_ball(perturb_rep(base, eps, 3).generators, 6)
+        est = alpha_m_estimate(ball, 2)
+        assert est.witness.word == witness
+        lam = ball.jordan[[g.word for g in ball].index(witness)]
+        ratio = (lam[0] - lam[2]) / (lam[0] - lam[1])
+        assert est.value <= ratio <= est.value * (1 + 1e-12)
 
     @pytest.mark.parametrize("name", ["fuchsian_tau3", "su21_9dim",
                                       "tau5_plus_tau2"])
