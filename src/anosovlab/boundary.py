@@ -21,7 +21,8 @@ from scipy.spatial import cKDTree
 from .functors import Representation
 from .groups import (Ball, GroupElement, _strip_ends, enumerate_ball,
                      inverse_word)
-from .linalg import GAP_TOL, Subspace, _readonly, orthonormalize
+from .linalg import (GAP_TOL, Subspace, _readonly, _row_norms,
+                     orthonormalize)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
@@ -82,9 +83,9 @@ class LimitCloud:
         each row divided by its own norm as ``proj_distance`` and
         ``point_subspace_distance`` normalize a line, so a sub-cloud's
         rows are the matching rows of its parent's."""
-        return _readonly(np.array([[v / np.linalg.norm(v)
-                                    for v in self.frames[name][:, :, 0]]
-                                   for name in ("xi1_plus", "xi1_minus")]))
+        F = self.frames
+        return _readonly([V / _row_norms(V)[:, None] for V in (
+            F["xi1_plus"][:, :, 0], F["xi1_minus"][:, :, 0])])
 
     @cached_property
     def words(self) -> np.ndarray:
@@ -129,24 +130,32 @@ def _conjugators(word: str, c: str) -> tuple[str, str]:
     return (u + c[j:] if j else u), u + inverse_word(c[:j])
 
 
-def _moved(letters: dict, words: list[str], frames: np.ndarray) -> np.ndarray:
+def _codes(letters: dict, words: list[str]) -> np.ndarray:
+    """(n, width) codes of the words, right-aligned: the letter ``x`` is 1
+    plus its position in ``letters``, and 0, the identity, pads the
+    shorter words on the left."""
+    code = {x: n + 1 for n, x in enumerate(letters)}
+    width = max(map(len, words), default=0)
+    codes = np.zeros((len(words), width), dtype=np.intp)
+    for n, w in enumerate(words):
+        codes[n, width - len(w):] = [code[x] for x in w]
+    return codes
+
+
+def _moved(stack: np.ndarray, codes: np.ndarray,
+           frames: np.ndarray) -> np.ndarray:
     """Orthonormal frames of the spans of ``M(w_n) frames[n]``, where M(w)
-    is the product of ``letters[x]`` along w.  The letters act one at a
-    time, the last first: one stacked matmul and QR per letter position
-    (words are right-aligned, shorter ones padded with the identity).
+    is the product along w of the letter matrices of ``stack``, the
+    identity and then the letters in code order, and ``codes`` holds the
+    words (see :func:`_codes`).  The letters act one at a time, the last
+    first: one stacked matmul and QR per letter position.
 
     The rounded product M(w) carries an absolute error of about
     eps * |M(w)|, which a flag that M(w) stretches far less than its norm
     (a middle rank) does not survive: moved by the rounded M(P), the
     exact tau_7 3-planes of the radius-5 ball are off by up to 7e-7,
     moved letter by letter by 5e-14."""
-    code = {x: n + 1 for n, x in enumerate(letters)}
-    stack = np.array([np.eye(frames.shape[1]), *letters.values()])
-    width = max(map(len, words), default=0)
-    codes = np.zeros((len(words), width), dtype=np.intp)
-    for n, w in enumerate(words):
-        codes[n, width - len(w):] = [code[x] for x in w]
-    for t in reversed(range(width)):
+    for t in reversed(range(codes.shape[1])):
         frames = np.linalg.qr(stack[codes[:, t]] @ frames)[0]
     return frames
 
@@ -200,8 +209,10 @@ class _ClassFlags:
     of orthogonal iteration along the source's letters (M(c)^T =
     M(c^-1)^-T: At along c^-1 and Bt along c, with the inverse
     transposes), then moved along the conjugators' letters (see
-    :func:`_moved`).  The leading columns of an orthogonal iteration are
-    an orthogonal iteration of their own (Golub & Van Loan, Matrix
+    :func:`_moved`).  A and Bt read c and P, B and At read c^-1 and Q:
+    each word list is encoded once (see :func:`_codes`), and each letter
+    stack is built once.  The leading columns of an orthogonal iteration
+    are an orthogonal iteration of their own (Golub & Van Loan, Matrix
     Computations, 7.3), so one nested frame serves every rank read from
     its source.  ``eig`` tests no gap, and the start orders the
     eigenvectors by the eigenvalue moduli of the rounded products, which
@@ -218,20 +229,31 @@ class _ClassFlags:
         classes, self._class = np.unique(member[self.index],
                                          return_inverse=True)
         letters = {x: M.mat for x, M in ball.gens.matrices.items()}
-        duals = {x: letters[x.swapcase()].T for x in letters}
+        stack = np.array([np.eye(d), *letters.values()])
+        # the letters' inverse transposes, in the same code order
+        duals = np.array([np.eye(d), *(letters[x.swapcase()].T
+                                       for x in letters)])
         fwd = [words[k] for k in classes.tolist()]
         bwd = [inverse_word(c) for c in fwd]
         conj = [_conjugators(ball.words[r], words[k]) for r, k in
                 zip(ball.rows[self.index].tolist(),
                     member[self.index].tolist())]
         P, Q = [p for p, _ in conj], [q for _, q in conj]
-        # source -> its letters, its class words and its conjugators
-        self._route = {"A": (letters, fwd, P), "B": (letters, bwd, Q),
-                       "At": (duals, bwd, Q), "Bt": (duals, fwd, P)}
+        sides = {side for side, _ in flags}
+        # side -> the codes of its class words and of its conjugators
+        codes = {side: (_codes(letters, c), _codes(letters, x))
+                 for side, c, x in (("+", fwd, P), ("-", bwd, Q))
+                 if side in sides}
         # flag -> its source and the leading columns read from it
         self._flags = [("A" if side == "+" else "B", r) if 2 * r <= d
                        else ("Bt" if side == "+" else "At", d - r)
                        for side, r in flags]
+        # source -> its letter stack, its class words' and its
+        # conjugators' codes
+        self._route = {src: (s, *codes[side]) for src, s, side in
+                       (("A", stack, "+"), ("B", stack, "-"),
+                        ("At", duals, "-"), ("Bt", duals, "+"))
+                       if side in codes}
         A = ball.products[[ball.row[c] for c in fwd]]
         B = ball.products[[ball.row[c] for c in bwd]]
         sources = {"A": A, "B": B, "At": A.transpose(0, 2, 1),
@@ -267,6 +289,28 @@ def _proximal(ball, ks) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _dedup(points: np.ndarray, tol: float) -> list[int]:
+    """Positions of the kept rows of the (n, d) unit rows ``points``, in
+    order: a row is kept unless ``proj_distance`` puts a kept row within
+    ``tol`` of it.  The cosines with the kept rows come from one GEMV, and
+    only the rows whose squared sine 1 - cos^2 is below tol^2 + ``_BAND``
+    are decided by the residual sine of :func:`_proj_distances`: near 1
+    a cosine resolves a sine of 1e-7 to about 20 ulps of 1."""
+    near = math.sqrt(max(0.0, 1.0 - tol * tol - _BAND))
+    kept: list[int] = []
+    rows = np.empty_like(points)  # the kept rows
+    for t, v in enumerate(points):
+        n = len(kept)
+        close = np.flatnonzero(np.abs(rows[:n] @ v) > near)
+        if close.size and (_proj_distances(
+                rows[close], np.broadcast_to(v, (close.size, len(v))))
+                < tol).any():
+            continue
+        rows[n] = v
+        kept.append(t)
+    return kept
+
+
 def limit_samples(rep: Representation, m: int, radius: int,
                   dedup_tol: float = DEFAULT_FLAG_DEDUP_TOL) -> LimitCloud:
     """Flags of the attracting fixed points of all proximal elements of the
@@ -282,8 +326,9 @@ def limit_samples(rep: Representation, m: int, radius: int,
     class word, then transported to each element along reduced
     conjugators.
 
-    Samples whose limit points agree within ``dedup_tol`` are merged,
-    keeping the first witness in ball order (the shortest), so
+    Samples whose limit points are within ``dedup_tol`` by
+    ``proj_distance`` are merged (see :func:`_dedup`), keeping the first
+    witness in ball order (the shortest), so
     ``dedup_tol`` acts as the spatial resolution of the cloud.  Only the
     lines take part in the dedup.
     """
@@ -301,15 +346,7 @@ def limit_samples(rep: Representation, m: int, radius: int,
     flags = _ClassFlags(ball, [("+", 1), ("+", m), ("-", d - m),
                                ("-", d - 1), ("-", 1)])
     frames = dict(zip([f.name for f in fields(FlagSample)[1:]], flags()))
-    cos_thresh = math.sqrt(max(0.0, 1.0 - dedup_tol ** 2))
-    kept: list[int] = []  # positions in flags.index of the kept samples
-    points = np.empty((len(flags.index), d))  # their limit points
-    for t, v in enumerate(frames["xi1_plus"][:, :, 0]):
-        n = len(kept)
-        if n and float(np.max(np.abs(points[:n] @ v))) > cos_thresh:
-            continue
-        points[n] = v
-        kept.append(t)
+    kept = _dedup(frames["xi1_plus"][:, :, 0], dedup_tol)
     if not kept:
         raise ValueError("no proximal elements found in the ball")
     samples = tuple(

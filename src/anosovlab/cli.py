@@ -17,6 +17,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -246,11 +247,39 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_csv(path: Path, header, rows) -> None:
+# rows formatted and written at a time when a table has a float block
+_CSV_BLOCK = 512
+
+
+def _write_csv(path: Path, header, rows, values=None) -> None:
+    """Write the header and the rows with ``csv.writer``; an (n, w) float
+    array ``values`` follows row i with the floats of its row i, exactly as
+    ``csv.writer`` writes ``[*rows[i], *values[i].tolist()]``.  The writer
+    writes a float as its ``repr``, which is formatted once per distinct
+    bit pattern of the block (so -0.0 and 0.0 stay apart) and needs no
+    quoting; each row's leading cells still go through the writer."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if values is None:
+            writer.writerows(rows)
+            return
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        bits, inverse = np.unique(values.view(np.int64).ravel(),
+                                  return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                         dtype=object)[inverse.reshape(values.shape)]
+        end = writer.dialect.lineterminator
+        leads = []  # one line per row, the writer's only write per row
+        lead_writer = csv.writer(SimpleNamespace(write=leads.append))
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            leads.clear()
+            # a last empty cell ends each line with the separator
+            lead_writer.writerows([*row, ""] for row in rows[block])
+            fh.write("".join([lead[:-len(end)] + ",".join(cells) + end
+                              for lead, cells in
+                              zip(leads, texts[block].tolist())]))
 
 
 def _svg(points, anchor_uw) -> str:
@@ -292,25 +321,28 @@ def _svg(points, anchor_uw) -> str:
 # ---------------------------------------------------------------------------
 # experiment drivers: each takes the resolved experiment fields and returns
 # (results dict, property verdict, artifacts), where artifacts maps each
-# file name to its (header, rows) table, rows being lists in header order,
-# or to its SVG text
+# file name to its SVG text or to its table, the arguments of _write_csv
+# after the path: (header, rows), rows being lists in header order, or
+# (header, rows, values), the leading cells of each row and the (n, w)
+# float block of the columns after them
 
 def _run_certify(rep, fields, radius, seed):
     ball = enumerate_ball(rep.generators, radius)
-    rows, results = [], {}
+    rows, gaps, results = [], [], {}
     all_linear = True
     for k in fields["ks"]:
         prof = gap_profile(ball, k, slope_min=fields["slope_min"],
                            r2_min=fields["r2_min"])
-        for n, mn, mx in zip(prof.lengths, prof.min_gap, prof.max_gap):
-            rows.append([k, int(n), float(mn), float(mx)])
+        rows += [[k, n] for n in prof.lengths.tolist()]
+        gaps.append(np.column_stack([prof.min_gap, prof.max_gap]))
         results[f"k={k}"] = {
             "slope": prof.slope, "intercept": prof.intercept,
             "r_squared": prof.r_squared, "verdict": prof.verdict,
         }
         all_linear = all_linear and prof.linear
     return results, all_linear, {
-        "gap_profile.csv": (["k", "length", "min_gap", "max_gap"], rows),
+        "gap_profile.csv": (["k", "length", "min_gap", "max_gap"], rows,
+                            np.vstack(gaps)),
         "spectra.csv": spectral_table(ball)}
 
 
@@ -318,13 +350,15 @@ def _run_alpha(rep, fields, radius, seed):
     m = fields["m"]
     ball = enumerate_ball(rep.generators, radius)
     est = alpha_m_estimate(ball, m, tol=fields["tol"])
-    rows = [[int(r), float(v)] for r, v in est.per_radius if not np.isnan(v)]
+    per_radius = est.per_radius[~np.isnan(est.per_radius[:, 1])]
     results = {"m": m, "alpha": est.value, "witness": est.witness.word,
                "converged": bool(est.converged)}
     if not est.converged:
         results["note"] = "possibly not converged"
     return results, True, {
-        "alpha_per_radius.csv": (["radius", "alpha_inf"], rows),
+        "alpha_per_radius.csv": (["radius", "alpha_inf"],
+                                 [[int(r)] for r in per_radius[:, 0].tolist()],
+                                 per_radius[:, 1:]),
         "spectra.csv": spectral_table(ball, m=m)}
 
 
@@ -333,13 +367,12 @@ def _cloud_table(cloud):
     xi^(m), xi^(d-m) and xi^(d-1) frames, column by column."""
     header = ["word", "length"]
     rows = [[s.witness.word, s.witness.length] for s in cloud.samples]
+    entries = []
     for name in ("xi1", "xim_plus", "xi_dm_minus", "xi_d1_minus"):
         F = cloud.frames["xi1_plus" if name == "xi1" else name]
-        entries = F.transpose(0, 2, 1).reshape(len(F), -1).tolist()
+        entries.append(F.transpose(0, 2, 1).reshape(len(F), -1))
         header += [f"{name}_{i + 1}" for i in range(F[0].size)]
-        for row, values in zip(rows, entries):
-            row += values
-    return header, rows
+    return header, rows, np.hstack(entries)
 
 
 def _run_limitset(rep, fields, radius, seed):
@@ -360,19 +393,20 @@ def _run_limitset(rep, fields, radius, seed):
         far = int(np.argmax(_point_distances(minus, plus[a])))
         anchor = cloud.samples[a]
         frame = build_chart(anchor, cloud.samples[far])
-        chart_rows = []
+        charted, coords = [], []
         for word, p in zip(cloud.words.tolist(), cloud.points()):
             try:
                 u, w = chart_coords(frame, p)
             except ValueError:
                 continue
-            chart_rows.append([word, float(u[0]), float(w[0])])
+            charted.append([word])
+            coords.append((u[0], w[0]))
+        coords = np.array(coords, dtype=float).reshape(-1, 2)
         a_u, a_w = chart_coords(frame, anchor.xi1_plus)
-        artifacts["limit_set.svg"] = _svg(
-            [(u, w) for _, u, w in chart_rows],
-            (float(a_u[0]), float(a_w[0])))
-        artifacts["chart_cloud.csv"] = (["word", "u", "w"], chart_rows)
-        results["svg_points"] = len(chart_rows)
+        artifacts["limit_set.svg"] = _svg(coords.tolist(),
+                                          (float(a_u[0]), float(a_w[0])))
+        artifacts["chart_cloud.csv"] = (["word", "u", "w"], charted, coords)
+        results["svg_points"] = len(charted)
         results["anchor"] = anchor.witness.word
     return results, True, artifacts
 
@@ -388,7 +422,6 @@ def _run_hyperconvex(rep, fields, radius, seed):
             raise
         # _check_bounds excludes m < 2, so the scan ran out of draws
         raise ConfigError("config.experiment.sep_tol", str(exc)) from exc
-    rows = [[i, float(v)] for i, v in enumerate(report.margins)]
     margin_min = fields["margin_min"]
     results = {"m": m, "n_samples": len(cloud),
                "n_triples": report.n_evaluated,
@@ -396,7 +429,9 @@ def _run_hyperconvex(rep, fields, radius, seed):
                "worst_triple": list(report.worst_triple),
                "margin_min": margin_min}
     return results, report.min_margin > margin_min, {
-        "hyperconvexity_margins.csv": (["index", "margin"], rows)}
+        "hyperconvexity_margins.csv": (
+            ["index", "margin"], [[i] for i in range(len(report.margins))],
+            report.margins[:, None])}
 
 
 def _run_hoelder(rep, fields, radius, seed):
@@ -412,7 +447,7 @@ def _run_hoelder(rep, fields, radius, seed):
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}
     header = ["witness", "slope", "r_squared", "n_points"]
-    rows, scatter = [], []
+    rows, anchors, scatter = [], [], []
     for i in order[:fields["n_anchors"]]:
         anchor = cloud.samples[i]
         try:
@@ -424,12 +459,13 @@ def _run_hoelder(rep, fields, radius, seed):
         rows.append(row)
         results["anchors"].append(dict(zip(header, row),
                                        n_floored=rep_report.n_floored))
-        scatter += [[anchor.witness.word, p, t]
-                    for p, t in rep_report.points.tolist()]
+        anchors += [[anchor.witness.word]] * len(rep_report.points)
+        scatter.append(rep_report.points)
     return results, True, {
         "hoelder_slopes.csv": (header, rows),
         "hoelder_scatter.csv": (["anchor", "point_distance",
-                                 "tangent_distance"], scatter)}
+                                 "tangent_distance"], anchors,
+                                np.vstack(scatter))}
 
 
 def _run_cones(rep, fields, radius, seed):
@@ -449,9 +485,10 @@ def _run_gelfand(rep, fields, radius, seed):
     except FloatingPointError as exc:
         raise ConfigError("config.experiment.word", str(exc)) from exc
     errors = gelfand_check(g.matrix, i, K)
-    rows = [[k + 1, float(e)] for k, e in enumerate(errors)]
     return ({"word": word, "i": i, "K": K, "final_error": float(errors[-1])},
-            True, {"gelfand_errors.csv": (["k", "error"], rows)})
+            True, {"gelfand_errors.csv": (
+                ["k", "error"], [[k] for k in range(1, len(errors) + 1)],
+                errors[:, None])})
 
 
 def _run_perturb_sweep(rep, fields, radius, seed):

@@ -131,6 +131,15 @@ def _as_frame(V) -> np.ndarray:
     return F
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of an (n, d) array, bit for bit.  A
+    vector's norm is the square root of its BLAS ``ddot`` with itself, and
+    a stacked (1, d) @ (d, 1) matmul hands each contiguous row to the same
+    ``ddot``; an axis norm or ``einsum`` sums in another order."""
+    V = np.ascontiguousarray(V, dtype=float)
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
 def normalize_lift(M) -> MatrixD:
     """Rescale an invertible matrix into SL^±_d(R).
 

@@ -28,7 +28,8 @@ import numpy as np
 from .functors import _wedge_coordinates, wedge_indices
 from .groups import (Ball, GeneratorSet, GroupElement, canonical_cyclic,
                      inverse_word, prefix_tree, word_products)
-from .linalg import MatrixD, SpectralData, eigen_moduli, singular_values
+from .linalg import (MatrixD, SpectralData, _row_norms, eigen_moduli,
+                     singular_values)
 
 __all__ = [
     "GapProfile",
@@ -359,18 +360,19 @@ def cone_diagnostic(ball: Ball, n_min: int) -> ConeReport:
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """The rows of norm above 1e-9, normalized.  Norms are taken row by
-    row: a vectorized norm sums in another order."""
-    norms = np.array([np.linalg.norm(v) for v in vectors])
+    """The rows of norm above 1e-9, normalized by ``np.linalg.norm``."""
+    norms = _row_norms(vectors)
     keep = norms > 1e-9
     return vectors[keep] / norms[keep, None]
 
 
 def spectral_table(ball: Ball, m: int | None = None
-                   ) -> tuple[list[str], list[list]]:
-    """The (header, rows) table of per-element spectra for CSV export:
-    word, length, the Cartan and Jordan log-vectors, and (optionally) the
-    m-th regularity ratio, NaN where the (1, m) gap is at most 1e-9."""
+                   ) -> tuple[list[str], list[list], np.ndarray]:
+    """The (header, rows, values) table of per-element spectra for CSV
+    export: ``rows`` holds each element's word and length, ``values`` the
+    (n, 2d) or (n, 2d + 1) float block of the Cartan and Jordan
+    log-vectors and, if m is given, the m-th regularity ratio, NaN where
+    the (1, m) gap is at most 1e-9."""
     d = ball.gens.dim
     header = ["word", "length", *(f"mu_{i}" for i in range(1, d + 1)),
               *(f"lambda_{i}" for i in range(1, d + 1))]
@@ -384,7 +386,6 @@ def spectral_table(ball: Ball, m: int | None = None
         header.append("ratio_m")
         columns.append(ratio)
     words = ball.words
-    rows = [[words[i] or "<id>", n, *values] for i, n, values in
-            zip(ball.rows.tolist(), ball.lengths.tolist(),
-                np.hstack(columns).tolist())]
-    return header, rows
+    rows = [[words[i] or "<id>", n]
+            for i, n in zip(ball.rows.tolist(), ball.lengths.tolist())]
+    return header, rows, np.hstack(columns)

@@ -340,6 +340,19 @@ class TestClassFlags:
         for F, G in zip(flags(), oracle()):
             assert np.abs(projectors(F) - projectors(G)).max() <= 1e-12
 
+    @pytest.mark.parametrize("d, m", [(4, 2), (7, 3), (7, 4)])
+    def test_codes_built_once_equal_per_call_encoding(self, schottky_rep, d,
+                                                      m):
+        # tau_7 at m = 4 reads the 4-plane of w from Bt
+        ball = enumerate_ball(tau_representation(schottky_rep, d).generators,
+                              5)
+        specs = [("+", 1), ("+", m), ("-", d - m), ("-", d - 1), ("-", 1)]
+        flags = boundary._ClassFlags(ball, specs)
+        assert sorted(flags._frames) == (["A", "At", "B", "Bt"] if m == 4
+                                         else ["A", "At", "B"])
+        for F, G in zip(flags(), per_call_flags(ball, specs), strict=True):
+            assert (F.shape, F.tobytes()) == (G.shape, G.tobytes())
+
     @pytest.mark.parametrize("d, m, radius", [(4, 2, 5), (6, 2, 4),
                                               (7, 3, 4), (8, 3, 4)])
     def test_direct_flags_share_leading_columns(self, schottky_rep, d, m,
@@ -356,9 +369,88 @@ class TestClassFlags:
             assert np.abs(F[big][..., 0] - F[line][..., 0]).max() <= 1e-14
 
 
+def per_call_flags(ball, specs) -> list:
+    """The frames of ``_ClassFlags(ball, specs)()`` with the letter stack
+    built and the words encoded again on every move along a word list."""
+    d = ball.gens.dim
+
+    def moved(letters, words, frames):
+        code = {x: n + 1 for n, x in enumerate(letters)}
+        stack = np.array([np.eye(d), *letters.values()])
+        width = max(map(len, words), default=0)
+        codes = np.zeros((len(words), width), dtype=np.intp)
+        for n, w in enumerate(words):
+            codes[n, width - len(w):] = [code[x] for x in w]
+        for t in reversed(range(width)):
+            frames = np.linalg.qr(stack[codes[:, t]] @ frames)[0]
+        return frames
+
+    index = boundary._proximal(ball, [r if side == "+" else d - r
+                                      for side, r in specs])
+    words, member = ball.classes
+    classes, at = np.unique(member[index], return_inverse=True)
+    letters = {x: M.mat for x, M in ball.gens.matrices.items()}
+    duals = {x: letters[x.swapcase()].T for x in letters}
+    fwd = [words[k] for k in classes]
+    bwd = [inverse_word(c) for c in fwd]
+    conj = [boundary._conjugators(ball.words[r], words[k])
+            for r, k in zip(ball.rows[index], member[index])]
+    P, Q = [p for p, _ in conj], [q for _, q in conj]
+    route = {"A": (letters, fwd, P), "B": (letters, bwd, Q),
+             "At": (duals, bwd, Q), "Bt": (duals, fwd, P)}
+    A = ball.products[[ball.row[c] for c in fwd]]
+    B = ball.products[[ball.row[c] for c in bwd]]
+    sources = {"A": A, "B": B, "At": A.transpose(0, 2, 1),
+               "Bt": B.transpose(0, 2, 1)}
+    reads = [("A" if side == "+" else "B", r) if 2 * r <= d
+             else ("Bt" if side == "+" else "At", d - r)
+             for side, r in specs]
+    out = {}
+    for src in {src for src, _ in reads}:
+        frames = boundary._top_frames(sources[src], max(
+            k for s, k in reads if s == src))
+        for _ in range(3):
+            frames = moved(*route[src][:2], frames)
+        out[src] = moved(route[src][0], route[src][2], frames[at])
+    return [boundary._signed(boundary._complements(out[src][..., :k])
+                             if src.endswith("t") else out[src][..., :k])
+            for src, k in reads]
+
+
 def reduced_words(alphabet: str):
     return st.lists(st.sampled_from(alphabet), min_size=1, max_size=12).map(
         lambda letters: free_reduce("".join(letters))).filter(bool)
+
+
+class TestDedup:
+    """Two lines a fraction of the dedup tolerance on either side of it."""
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-4, 5e-2])
+    @pytest.mark.parametrize("factor, kept", [(0.99, [0, 2]),
+                                              (1.01, [0, 1, 2])])
+    def test_merged_iff_the_residual_sine_is_below_tol(self, tol, factor,
+                                                       kept):
+        rng = np.random.default_rng(7)
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        theta = math.asin(factor * tol)
+        u, v = Q[:, 0], math.cos(theta) * Q[:, 0] + math.sin(theta) * Q[:, 1]
+        assert proj_distance(u, v) == pytest.approx(factor * tol, rel=1e-6)
+        # near 1 the cosines of the two cases are a few ulps apart
+        points = np.array([u, v, Q[:, 2]])
+        assert boundary._dedup(points, tol) == kept
+        assert boundary._dedup(points[[1, 0, 2]], tol) == kept
+
+    def test_kept_lines_are_the_greedy_residual_dedup(self, tau4_rep):
+        tol = 1e-2
+        cloud = limit_samples(tau4_rep, 2, 4, dedup_tol=tol)
+        F = boundary._ClassFlags(enumerate_ball(tau4_rep.generators, 4), [
+            ("+", 1), ("+", 2), ("-", 2), ("-", 3), ("-", 1)])()[0][:, :, 0]
+        kept = []
+        for t, v in enumerate(F):
+            if all(proj_distance(F[s], v) >= tol for s in kept):
+                kept.append(t)
+        assert np.array_equal(cloud.points(), F[kept])
+        assert 10 < len(kept) < len(F)
 
 
 class TestConjugators:

@@ -6,11 +6,17 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from anosovlab import cli
 from anosovlab.cli import ConfigError, list_examples, load_config, main
 from anosovlab.functors import build_representation
 from anosovlab.groups import enumerate_ball
+from anosovlab.spectra import spectral_table
 
 
 def config_path(name: str) -> Path:
@@ -629,6 +635,72 @@ def _dict_rows_spectra_csv(path: Path, ball, m) -> None:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+
+def _csv_writer_rendering(path: Path, header, rows, values) -> None:
+    """The table as ``csv.writer`` writes it with each row's floats as
+    Python floats after its leading cells."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([*row, *v] for row, v in zip(rows, values.tolist()))
+
+
+# label cells the writer has to quote, or writes as "" when alone
+_CELLS = st.one_of(
+    st.text(alphabet=st.sampled_from(list('ab ,"\r\n;-.')), max_size=5),
+    st.integers(-10 ** 20, 10 ** 20))
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
+                                  5e-324, -5e-324, 1e308, 0.1 + 0.2,
+                                  2.0 / 3.0, 1.0, 12345678.901234567]))
+
+
+class TestFloatBlock:
+    """``_write_csv`` with a float block writes what ``csv.writer`` writes
+    for the rows with their floats appended."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12), width=st.integers(1, 4),
+           lead=st.integers(1, 3), block=st.integers(1, 5))
+    def test_equals_csv_writer(self, tmp_path_factory, data, n, width, lead,
+                               block):
+        header = data.draw(st.lists(st.text(alphabet=st.sampled_from(
+            list('hx ,"\r\n')), max_size=4), min_size=lead + width,
+            max_size=lead + width))
+        rows = data.draw(st.lists(st.lists(_CELLS, min_size=lead,
+                                           max_size=lead),
+                                  min_size=n, max_size=n))
+        values = data.draw(arrays(np.float64, (n, width), elements=_FLOATS))
+        tmp = tmp_path_factory.mktemp("block")
+        saved = cli._CSV_BLOCK
+        cli._CSV_BLOCK = block  # rows streamed across several blocks
+        try:
+            cli._write_csv(tmp / "block.csv", header, rows, values)
+        finally:
+            cli._CSV_BLOCK = saved
+        _csv_writer_rendering(tmp / "writer.csv", header, rows, values)
+        assert ((tmp / "block.csv").read_bytes()
+                == (tmp / "writer.csv").read_bytes())
+
+    def test_signed_zeros_and_nans_stay_apart(self, tmp_path):
+        values = np.array([[0.0, -0.0, math.nan], [-0.0, 0.0, -math.nan]])
+        cli._write_csv(tmp_path / "t.csv", ["w", "a", "b", "c"],
+                       [[""], ["x,y"]], values)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b'w,a,b,c\r\n,0.0,-0.0,nan\r\n"x,y",-0.0,0.0,nan\r\n')
+
+    def test_spectra_csv_is_the_csv_writer_rendering(self, tmp_path):
+        cfg = load_config(config_path("fuchsian_tau3"))
+        out = tmp_path / "out"
+        assert main(["run", str(config_path("fuchsian_tau3")), "--radius",
+                     "5", "--out", str(out)]) == 0
+        ball = enumerate_ball(
+            build_representation(cfg["representation"]).generators, 5)
+        _csv_writer_rendering(tmp_path / "writer.csv",
+                              *spectral_table(ball, m=2))
+        assert ((out / "spectra.csv").read_bytes()
+                == (tmp_path / "writer.csv").read_bytes())
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from anosovlab.linalg import (SpectralGapError, Subspace,
+from anosovlab.boundary import limit_samples
+from anosovlab.groups import enumerate_ball
+from anosovlab.linalg import (SpectralGapError, Subspace, _row_norms,
                               apply_to_subspace, direct_sum_margin,
                               eigen_moduli, normalize_lift,
                               point_subspace_distance, proj_distance,
@@ -12,6 +14,37 @@ from anosovlab.linalg import (SpectralGapError, Subspace,
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+class TestRowNorms:
+    """One stacked norm against ``np.linalg.norm`` row by row, bit for
+    bit; an axis-1 norm differs in the last bit of some rows."""
+
+    @staticmethod
+    def assert_per_row(V):
+        loop = np.array([np.linalg.norm(v) for v in V])
+        assert _row_norms(V).tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_random_rows(self, d):
+        rng = np.random.default_rng(d)
+        V = rng.standard_normal((5000, d)) * 10.0 ** rng.uniform(-3, 3,
+                                                                (5000, 1))
+        self.assert_per_row(V)
+        self.assert_per_row(V[::2])  # rows of a strided view
+        assert not np.array_equal(_row_norms(V), np.linalg.norm(V, axis=1))
+
+    @pytest.mark.parametrize("d, m, radius", [(3, 2, 6), (4, 2, 5)])
+    def test_cloud_lines(self, tau3_rep, tau4_rep, d, m, radius):
+        cloud = limit_samples({3: tau3_rep, 4: tau4_rep}[d], m, radius)
+        for name in ("xi1_plus", "xi1_minus"):
+            self.assert_per_row(cloud.frames[name][:, :, 0])
+
+    def test_cone_diagnostic_inputs(self, tau3_rep, tau5_plus_tau2_rep):
+        for rep in (tau3_rep, tau5_plus_tau2_rep):
+            ball = enumerate_ball(rep.generators, 5)
+            self.assert_per_row(ball.jordan[ball.lengths > 0])
+            self.assert_per_row(ball.cartan[ball.lengths >= 2])
 
 
 class TestNormalizeLift:
