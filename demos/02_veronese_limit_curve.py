@@ -25,7 +25,7 @@ def main():
     rep = tau_representation(build_representation(cfg["representation"]), 3)
 
     cloud = limit_samples(rep, 2, 6)
-    pts = cloud.points()
+    pts = cloud.lines[0]
     print(f"sampled {len(cloud)} distinct limit points at radius 6")
 
     monomials = np.column_stack([

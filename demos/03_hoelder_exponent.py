@@ -55,7 +55,7 @@ def main():
                      .joinpath("configs", "schottky_sl2.json").read_text())
     rep = tau_representation(build_representation(cfg["representation"]), 3)
     cloud = limit_samples(rep, 2, 7)
-    pts = cloud.points()
+    pts = cloud.lines[0]
 
     # anchor with the most neighbours in the regression window
     window = (1e-4, 1e-1)

@@ -21,8 +21,8 @@ from scipy.spatial import cKDTree
 from .functors import Representation
 from .groups import (Ball, GroupElement, _strip_ends, enumerate_ball,
                      inverse_word)
-from .linalg import (GAP_TOL, Subspace, _readonly, _row_norms,
-                     orthonormalize)
+from .linalg import (GAP_TOL, Subspace, _readonly, _residuals, _row_norms,
+                     _sines, orthonormalize)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
@@ -60,7 +60,8 @@ class LimitCloud:
     """Flag samples of a limit set, with the flag index m and the recipe
     of the representation.  The scans read the cloud's array form:
     ``frames``, ``lines`` and ``words``, each built on first use and
-    read-only."""
+    read-only.  ``lines`` is the one point array: every distance of or to
+    a sampled point reads its rows."""
 
     samples: tuple[FlagSample, ...]
     m: int
@@ -94,10 +95,6 @@ class LimitCloud:
         words.flags.writeable = False
         return words
 
-    def points(self) -> np.ndarray:
-        """(n, d) frames of the plus lines: the sampled limit points."""
-        return self.frames["xi1_plus"][:, :, 0]
-
     def coverage_stats(self) -> dict:
         """Nearest-neighbour spacing of the sampled points: how densely
         the cloud covers the limit set at this radius.  Descriptive only;
@@ -105,13 +102,11 @@ class LimitCloud:
         if len(self) < 2:
             return {"n": len(self), "nn_max": math.nan, "nn_mean": math.nan,
                     "nn_min": math.nan}
-        pts = self.points()
+        pts = self.lines[0]
         # nearest of +-q by chordal distance (no cancellation; the first
         # hit is p or a copy of it), then proj_distance's residual sine
         _, hit = cKDTree(np.vstack([pts, -pts])).query(pts, k=2)
-        near = pts[hit[:, 1] % len(pts)]
-        resid = near - pts * (pts * near).sum(axis=1)[:, None]
-        nn = np.minimum(1.0, np.linalg.norm(resid, axis=1))
+        nn = _sines(pts, pts[hit[:, 1] % len(pts)])
         return {"n": len(pts), "nn_max": float(nn.max()),
                 "nn_mean": float(nn.mean()), "nn_min": float(nn.min())}
 
@@ -294,17 +289,15 @@ def _dedup(points: np.ndarray, tol: float) -> list[int]:
     order: a row is kept unless ``proj_distance`` puts a kept row within
     ``tol`` of it.  The cosines with the kept rows come from one GEMV, and
     only the rows whose squared sine 1 - cos^2 is below tol^2 + ``_BAND``
-    are decided by the residual sine of :func:`_proj_distances`: near 1
-    a cosine resolves a sine of 1e-7 to about 20 ulps of 1."""
+    are decided by the residual sine of ``linalg._sines``: near 1 a cosine
+    resolves a sine of 1e-7 to about 20 ulps of 1."""
     near = math.sqrt(max(0.0, 1.0 - tol * tol - _BAND))
     kept: list[int] = []
     rows = np.empty_like(points)  # the kept rows
     for t, v in enumerate(points):
         n = len(kept)
         close = np.flatnonzero(np.abs(rows[:n] @ v) > near)
-        if close.size and (_proj_distances(
-                rows[close], np.broadcast_to(v, (close.size, len(v))))
-                < tol).any():
+        if close.size and (_sines(rows[close], v) < tol).any():
             continue
         rows[n] = v
         kept.append(t)
@@ -399,13 +392,6 @@ def _complements(F: np.ndarray) -> np.ndarray:
     return np.linalg.svd(F)[0][..., F.shape[2]:]
 
 
-def _proj_distances(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``proj_distance(U[t], V[t])`` of unit rows, from the same
-    orthogonal residual."""
-    resid = V - U * np.einsum("ij,ij->i", U, V)[:, None]
-    return np.minimum(1.0, np.linalg.norm(resid, axis=1))
-
-
 def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float) -> np.ndarray:
     """Boolean (r, c) mask of ``proj_distance(P[a], Q[b]) >= sep_tol`` for
     unit rows: the squared sine 1 - cos^2 from one GEMM of cosines, and
@@ -416,7 +402,7 @@ def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float) -> np.ndarray:
     keep = sine2 >= sep_tol * sep_tol
     a, b = np.nonzero(np.abs(sine2 - sep_tol * sep_tol) <= _BAND)
     if a.size:
-        keep[a, b] = _proj_distances(P[a], Q[b]) >= sep_tol
+        keep[a, b] = _sines(P[a], Q[b]) >= sep_tol
     return keep
 
 
@@ -654,9 +640,9 @@ def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
         i, j, k = draws.T
         ok = (i != j) & (j != k) & (i != k)
         i, j, k = i[ok], j[ok], k[ok]
-        ok[ok] = ((_proj_distances(plus[i], plus[j]) >= sep_tol)
-                  & (_proj_distances(plus[i], minus[k]) >= sep_tol)
-                  & (_proj_distances(plus[j], minus[k]) >= sep_tol))
+        ok[ok] = ((_sines(plus[i], plus[j]) >= sep_tol)
+                  & (_sines(plus[i], minus[k]) >= sep_tol)
+                  & (_sines(plus[j], minus[k]) >= sep_tol))
         taken = draws[ok][:n_triples - count]
         triples[count:count + len(taken)] = taken
         count += len(taken)
@@ -714,9 +700,7 @@ def controlled_set_check(cloud: LimitCloud,
         dist = np.where(keep, np.abs(plus[rows] @ normals[cols].T), math.inf)
         a, b = np.nonzero(keep & ((dist <= dist.min() + _BAND)
                                   | (np.abs(dist - 1e-10) <= _BAND)))
-        u, F = plus[rows][a], H[cols][b]
-        resid = u - (u[:, None, :] @ F @ F.transpose(0, 2, 1))[:, 0]
-        dist[a, b] = np.linalg.norm(resid, axis=1)
+        dist[a, b] = _residuals(plus[rows][a], H[cols][b])
         dist = np.minimum(1.0, dist)
         best = _least_kept(dist, keep, best, rows, cols)
         a, b = np.nonzero(dist <= 1e-10)

@@ -25,9 +25,10 @@ from . import __version__
 from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
                        limit_samples)
 from .functors import RECIPES, SUB_RECIPES, perturb_rep
-from .geometry import (REGRESSION_CAVEAT, _point_distances, _unit_rows,
-                       build_chart, chart_coords, hoelder_regression)
+from .geometry import (REGRESSION_CAVEAT, build_chart, chart_coords,
+                       hoelder_regression)
 from .groups import BallTooLargeError, enumerate_ball
+from .linalg import _sines
 from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
                       gelfand_check, spectral_kernel, spectral_table)
 
@@ -283,14 +284,12 @@ def _write_csv(path: Path, header, rows, values=None) -> None:
 
 
 def _svg(points, anchor_uw) -> str:
-    """Scatter of chart coordinates with the tangent direction (the
-    u-axis of the chart) drawn at the anchor."""
+    """Scatter of the (n, 2) chart coordinates (u, w) with the tangent
+    direction (the u-axis of the chart) drawn at the anchor's (u, w)."""
     size = 640.0
     pad = 40.0
-    us = np.array([p[0] for p in points])
-    ws = np.array([p[1] for p in points])
-    lo_u, hi_u = np.percentile(us, [5, 95])
-    lo_w, hi_w = np.percentile(ws, [5, 95])
+    lo_u, hi_u = np.percentile(points[:, 0], [5, 95])
+    lo_w, hi_w = np.percentile(points[:, 1], [5, 95])
     span = max(hi_u - lo_u, hi_w - lo_w, 1e-12)
 
     def sx(u):
@@ -309,7 +308,7 @@ def _svg(points, anchor_uw) -> str:
     x1, y1 = sx(anchor_uw[0] + half), sy(anchor_uw[1])
     lines.append(f'<line x1="{x0:.3f}" y1="{y0:.3f}" x2="{x1:.3f}" '
                  f'y2="{y1:.3f}" stroke="#d62728" stroke-width="1.5"/>')
-    for u, w in points:
+    for u, w in points.tolist():
         lines.append(f'<circle cx="{sx(u):.3f}" cy="{sy(w):.3f}" r="1.6" '
                      f'fill="#1f77b4" fill-opacity="0.7"/>')
     lines.append(f'<circle cx="{sx(anchor_uw[0]):.3f}" '
@@ -390,24 +389,17 @@ def _run_limitset(rep, fields, radius, seed):
         # the chart of the anchor and of the first sample whose minus
         # point is the farthest from the anchor point
         plus, minus = cloud.lines
-        far = int(np.argmax(_point_distances(minus, plus[a])))
-        anchor = cloud.samples[a]
-        frame = build_chart(anchor, cloud.samples[far])
-        charted, coords = [], []
-        for word, p in zip(cloud.words.tolist(), cloud.points()):
-            try:
-                u, w = chart_coords(frame, p)
-            except ValueError:
-                continue
-            charted.append([word])
-            coords.append((u[0], w[0]))
-        coords = np.array(coords, dtype=float).reshape(-1, 2)
-        a_u, a_w = chart_coords(frame, anchor.xi1_plus)
-        artifacts["limit_set.svg"] = _svg(coords.tolist(),
-                                          (float(a_u[0]), float(a_w[0])))
-        artifacts["chart_cloud.csv"] = (["word", "u", "w"], charted, coords)
-        results["svg_points"] = len(charted)
-        results["anchor"] = anchor.witness.word
+        far = int(np.argmax(_sines(minus, plus[a])))
+        frame = build_chart(cloud.samples[a], cloud.samples[far])
+        rows, u, w = chart_coords(frame, plus)
+        coords = np.hstack([u, w])
+        # the anchor maps to the chart's origin, never to infinity
+        anchor_uw = coords[np.searchsorted(rows, a)]
+        artifacts["limit_set.svg"] = _svg(coords, anchor_uw)
+        words = [[word] for word in cloud.words[rows].tolist()]
+        artifacts["chart_cloud.csv"] = (["word", "u", "w"], words, coords)
+        results["svg_points"] = len(rows)
+        results["anchor"] = str(cloud.words[a])
     return results, True, artifacts
 
 
@@ -440,9 +432,9 @@ def _run_hoelder(rep, fields, radius, seed):
     cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
     # anchors with the most neighbours inside the window, deterministically;
     # the scores read only the distances to each anchor point
-    points = _unit_rows(cloud.points())
+    plus = cloud.lines[0]
     scores = [np.count_nonzero((window[0] < dp) & (dp < window[1]))
-              for dp in (_point_distances(points, x) for x in cloud.lines[0])]
+              for dp in (_sines(plus, x) for x in plus)]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}

@@ -13,7 +13,8 @@ import scipy.linalg as sla
 
 from .boundary import FlagSample, LimitCloud
 from .groups import Ball
-from .linalg import Subspace, direct_sum_margin, subspace_intersection
+from .linalg import (_residuals, _row_norms, _sines, direct_sum_margin,
+                     subspace_intersection)
 from .spectra import linefit
 
 __all__ = [
@@ -42,10 +43,6 @@ class ChartFrame:
     basis_change: np.ndarray
     inverse: np.ndarray
     m: int
-
-    @property
-    def dim(self) -> int:
-        return self.basis_change.shape[0]
 
 
 def build_chart(sx: FlagSample, sy: FlagSample) -> ChartFrame:
@@ -85,18 +82,20 @@ def build_chart(sx: FlagSample, sy: FlagSample) -> ChartFrame:
     return ChartFrame(basis_change=B, inverse=np.linalg.inv(B), m=m)
 
 
-def chart_coords(frame: ChartFrame, p) -> tuple[np.ndarray, np.ndarray]:
-    """Affine coordinates [1 : u : w] of a projective point in the chart.
+def chart_coords(frame: ChartFrame, points) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+    """Affine coordinates [1 : u : w] in the chart of the projective points
+    given by the rows of an (n, d) array, from one product with the
+    chart's inverse basis; they do not depend on the scale of a row.
 
-    u are the m-1 tangent coordinates, w the d-m transverse ones; points
-    in the hyperplane at infinity (first coordinate ~ 0) are rejected.
+    Returns ``(rows, u, w)``: the positions of the rows off the hyperplane
+    at infinity (first chart coordinate at least 1e-12 of the row's norm),
+    and their (r, m - 1) tangent and (r, d - m) transverse coordinates.
     """
-    v = p.vector() if isinstance(p, Subspace) else np.asarray(p, dtype=float)
-    c = frame.inverse @ (v / np.linalg.norm(v))
-    if abs(c[0]) < 1e-12 * np.linalg.norm(c):
-        raise ValueError("point lies in the hyperplane at infinity of the chart")
-    c = c / c[0]
-    return c[1:frame.m], c[frame.m:]
+    C = np.asarray(points, dtype=float) @ frame.inverse.T
+    rows = np.flatnonzero(np.abs(C[:, 0]) >= 1e-12 * _row_norms(C))
+    C = C[rows] / C[rows, :1]
+    return rows, C[:, 1:frame.m], C[:, frame.m:]
 
 
 REGRESSION_CAVEAT = ("slope estimates the regularity exponent only where "
@@ -119,27 +118,6 @@ class RegressionReport:
         return len(self.points)
 
 
-def _unit_rows(points: np.ndarray) -> np.ndarray:
-    return points / np.linalg.norm(points, axis=1)[:, None]
-
-
-def _point_distances(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The ``proj_distance`` residuals of the unit rows ``P`` to the unit
-    point ``x``."""
-    return np.minimum(1.0, np.linalg.norm(x - P * (P @ x)[:, None], axis=1))
-
-
-def _pair_distances(points: np.ndarray, anchor: FlagSample):
-    """Arrays of the distances of a cloud's stacked ``points`` (see
-    :meth:`LimitCloud.points`) to the anchor point and to the anchor's
-    tangent flag: the ``proj_distance`` and ``point_subspace_distance``
-    residuals, over the stacked points at once."""
-    P = _unit_rows(points)
-    x, F = anchor.xi1_plus.frame[:, 0], anchor.xim_plus.frame
-    dt = np.minimum(1.0, np.linalg.norm(P - (P @ F) @ F.T, axis=1))
-    return _point_distances(P, x / np.linalg.norm(x)), dt
-
-
 def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
                        window: tuple[float, float] = (1e-5, 1e-1),
                        min_points: int = 20) -> RegressionReport:
@@ -150,10 +128,13 @@ def hoelder_regression(cloud: LimitCloud, anchor: FlagSample,
     The slope estimates the Hölder exponent of the limit set at the
     anchor where the graph-equality hypothesis holds; points numerically
     on the tangent flag (distance at most ``DISTANCE_FLOOR``) are excluded
-    and counted.  The report keeps the points the fit used.
+    and counted.  The report keeps the points the fit used.  Both
+    distances are read from the cloud's ``lines``.
     """
     lo, hi = window
-    dp, dt = _pair_distances(cloud.points(), anchor)
+    x = anchor.xi1_plus.frame[:, 0]
+    dp = _sines(cloud.lines[0], x / np.linalg.norm(x))
+    dt = _residuals(cloud.lines[0], anchor.xim_plus.frame)
     inside = (lo < dp) & (dp < hi)
     floored = int(np.count_nonzero(inside & (dt <= DISTANCE_FLOOR)))
     used = inside & (dt > DISTANCE_FLOOR)
@@ -183,20 +164,21 @@ def tangency_check(cloud: LimitCloud, anchor: FlagSample) -> TangencyReport:
 
     The angles must decrease toward zero as the secant point approaches
     the anchor when the tangent flag is correct.  The distances are the
-    ``proj_distance`` residuals of the anchor point to the cloud's unit
-    lines, over the stacked lines at once.
+    ``proj_distance`` residuals of the anchor point to the cloud's
+    ``lines``, the angles the arcsines of the ``point_subspace_distance``
+    residuals of the unit secants to the tangent flag.
     """
-    x1, xm = anchor.xi1_plus.vector(), anchor.xim_plus.frame
-    dp = _point_distances(cloud.lines[0], x1 / np.linalg.norm(x1))
+    x1 = anchor.xi1_plus.vector()
+    x1 = x1 / np.linalg.norm(x1)
+    dp = _sines(cloud.lines[0], x1)
     near = np.flatnonzero((dp >= 1e-13) & (dp <= 0.5))
     if len(near) < 5:
         raise ValueError("need at least 5 cloud points near the anchor")
     # secant directions: components of the points transverse to the anchor
-    P = cloud.points()[near]
+    P = cloud.lines[0][near]
     sec = P - x1 * (P @ x1)[:, None]
     sec /= np.linalg.norm(sec, axis=1)[:, None]
-    resid = sec - (sec @ xm) @ xm.T
-    angles = np.arcsin(np.minimum(1.0, np.linalg.norm(resid, axis=1)))
+    angles = np.arcsin(_residuals(sec, anchor.xim_plus.frame))
     order = np.lexsort((angles, dp[near]))[:20]
     return TangencyReport(distances=dp[near][order], angles=angles[order])
 

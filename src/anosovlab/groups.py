@@ -154,7 +154,7 @@ class GeneratorSet:
                         f"matrix for {label!r} and its inverse are not "
                         f"mutual inverses (residual {resid:.2e})")
             else:
-                Minv = M.inv()
+                Minv = MatrixD(_readonly(np.linalg.inv(M.mat)))
             mats[label] = M
             mats[inverse_label(label)] = Minv
             labels += [label, inverse_label(label)]

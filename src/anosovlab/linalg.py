@@ -52,12 +52,6 @@ class MatrixD:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def inv(self) -> "MatrixD":
-        return MatrixD(_readonly(np.linalg.inv(self.mat)))
-
-    def __matmul__(self, other: "MatrixD") -> "MatrixD":
-        return MatrixD(_readonly(self.mat @ other.mat))
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -138,6 +132,23 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     ``ddot``; an axis norm or ``einsum`` sums in another order."""
     V = np.ascontiguousarray(V, dtype=float)
     return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def _sines(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``proj_distance`` of the unit rows of an (n, d) array ``U`` to the
+    unit row ``V``, or to the matching rows of an (n, d) array ``V``, from
+    the same orthogonal residual ``V - U (U . V)``."""
+    V = np.broadcast_to(V, U.shape)
+    resid = V - U * np.einsum("ij,ij->i", U, V)[:, None]
+    return np.minimum(1.0, np.linalg.norm(resid, axis=1))
+
+
+def _residuals(P: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """``point_subspace_distance`` of the unit rows of an (n, d) array
+    ``P`` to the orthonormal (d, k) frame ``F``, or to the matching frames
+    of an (n, d, k) stack ``F``, from the same residual ``P - P F F^T``."""
+    resid = P - (P[:, None, :] @ F @ F.swapaxes(-1, -2))[:, 0]
+    return np.minimum(1.0, np.linalg.norm(resid, axis=1))
 
 
 def normalize_lift(M) -> MatrixD:

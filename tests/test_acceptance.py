@@ -145,7 +145,7 @@ def test_criterion_05_gap_collapse(tau4_plus_tau6):
 def test_criterion_06_veronese_conic(tau3_rep):
     with timed(120):
         cloud = limit_samples(tau3_rep, 2, 7)
-        pts = cloud.points()
+        pts = cloud.lines[0]
         moments = np.column_stack([
             pts[:, 0] ** 2, pts[:, 1] ** 2, pts[:, 2] ** 2,
             pts[:, 0] * pts[:, 1], pts[:, 0] * pts[:, 2],

@@ -17,10 +17,10 @@ from anosovlab.functors import (direct_sum_rep, flag_wedge,
                                 tau_representation, wedge_power)
 from anosovlab.groups import (canonical_cyclic, cyclic_reduce,
                               enumerate_ball, free_reduce, inverse_word)
-from anosovlab.linalg import (SpectralGapError, Subspace, apply_to_subspace,
-                              direct_sum_margin, point_subspace_distance,
-                              proj_distance, subspace_distance,
-                              top_invariant_subspace)
+from anosovlab.linalg import (SpectralGapError, Subspace, _sines,
+                              apply_to_subspace, direct_sum_margin,
+                              point_subspace_distance, proj_distance,
+                              subspace_distance, top_invariant_subspace)
 from tests.conftest import load_example_config
 
 
@@ -85,7 +85,7 @@ class TestLimitSamples:
             assert proj_distance(xi_conj, moved) < 1e-7
 
     def test_dedup_no_close_pairs(self, tau3_cloud):
-        pts = tau3_cloud.points()
+        pts = tau3_cloud.lines[0]
         gram = np.abs(pts @ pts.T) - np.eye(len(pts))
         # no two kept points closer than the dedup tolerance
         assert gram.max() < 1 - 0.5 * (1e-7) ** 2
@@ -449,7 +449,7 @@ class TestDedup:
         for t, v in enumerate(F):
             if all(proj_distance(F[s], v) >= tol for s in kept):
                 kept.append(t)
-        assert np.array_equal(cloud.points(), F[kept])
+        assert np.array_equal(cloud.frames["xi1_plus"][:, :, 0], F[kept])
         assert 10 < len(kept) < len(F)
 
 
@@ -779,7 +779,7 @@ class TestStackedScans:
         Q[:200] = P[:200] + 1e-3 * rng.standard_normal((200, 4))
         Q /= np.linalg.norm(Q, axis=1)[:, None]
         for u, v in zip(P[:, None], Q[:, None]):
-            dist = boundary._proj_distances(u, v)[0]
+            dist = _sines(u, v)[0]
             assert boundary._separated(u, v, dist)[0, 0]
             assert not boundary._separated(u, v, np.nextafter(dist, 2.0))[0, 0]
             assert abs(dist - proj_distance(u[0], v[0])) <= 1e-15
@@ -847,8 +847,7 @@ class TestCloudArrays:
         assert cloud.lines is cloud.lines and cloud.words is cloud.words
         assert list(cloud.frames) == ["xi1_plus", "xim_plus", "xi_dm_minus",
                                       "xi_d1_minus", "xi1_minus"]
-        for array in (*cloud.frames.values(), cloud.lines, cloud.words,
-                      cloud.points()):
+        for array in (*cloud.frames.values(), cloud.lines, cloud.words):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[1]
 

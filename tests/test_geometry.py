@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,12 +7,11 @@ import pytest
 from anosovlab.boundary import LimitCloud, limit_samples
 from anosovlab.functors import representation_from_matrices
 from anosovlab.groups import enumerate_ball
-from anosovlab.geometry import (ChartFrame, _pair_distances,
-                                _point_distances, _unit_rows, build_chart,
-                                chart_coords, eigen_gap_inequality_check,
+from anosovlab.geometry import (ChartFrame, build_chart, chart_coords,
+                                eigen_gap_inequality_check,
                                 hilbert_distance_psd, hoelder_regression,
                                 tangency_check)
-from anosovlab.linalg import proj_distance
+from anosovlab.linalg import _sines, proj_distance
 from tests.test_boundary import make_sample
 
 
@@ -84,36 +84,67 @@ class TestBuildChart:
         far = max(tau3_cloud.samples,
                   key=lambda s: proj_distance(anchor.xi1_plus, s.xi1_minus))
         frame = build_chart(anchor, far)
-        u, w = chart_coords(frame, anchor.xi1_plus)
-        assert np.abs(u).max() < 1e-10 and np.abs(w).max() < 1e-10
+        rows, u, w = chart_coords(frame, tau3_cloud.lines[0])
+        assert rows[0] == 0
+        assert np.abs(u[0]).max() < 1e-10 and np.abs(w[0]).max() < 1e-10
         # near the anchor the cloud is a graph w ~ c u^2: transverse
         # coordinates vanish to second order
-        for s in tau3_cloud.samples:
+        for t, s in enumerate(tau3_cloud.samples):
             if proj_distance(s.xi1_plus, anchor.xi1_plus) > 1e-2:
                 continue
-            u, w = chart_coords(frame, s.xi1_plus)
-            if 1e-12 < np.abs(u).max() < 1e-3:
-                assert np.abs(w).max() < 50 * np.abs(u).max() ** 2
+            a = int(np.searchsorted(rows, t))
+            assert rows[a] == t
+            if 1e-12 < np.abs(u[a]).max() < 1e-3:
+                assert np.abs(w[a]).max() < 50 * np.abs(u[a]).max() ** 2
+
+    def test_stacked_coords_equal_the_per_point_loop(self, tau3_cloud):
+        # the chart of the limitset kind: the first sample and the first
+        # whose minus point is farthest from it
+        def reference(frame, p):
+            v = p.vector()
+            c = frame.inverse @ (v / np.linalg.norm(v))
+            if abs(c[0]) < 1e-12 * np.linalg.norm(c):
+                return None  # in the hyperplane at infinity
+            c = c / c[0]
+            return c[1:frame.m], c[frame.m:]
+
+        plus, minus = tau3_cloud.lines
+        far = int(np.argmax(_sines(minus, plus[0])))
+        frame = build_chart(tau3_cloud.samples[0], tau3_cloud.samples[far])
+        ref = [reference(frame, s.xi1_plus) for s in tau3_cloud.samples]
+        rows, u, w = chart_coords(frame, plus)
+        assert rows.tolist() == [t for t, c in enumerate(ref) if c is not None]
+        # one of the 1,288 points lies in the hyperplane at infinity
+        assert (len(tau3_cloud), len(rows)) == (1288, 1287)
+        assert u.tobytes() == np.array([ref[t][0] for t in rows]).tobytes()
+        assert w.tobytes() == np.array([ref[t][1] for t in rows]).tobytes()
 
 
 class TestChartCoords:
     def test_anchor_maps_to_origin(self):
         sx, sy = coordinate_samples()
         frame = build_chart(sx, sy)
-        u, w = chart_coords(frame, sx.xi1_plus)
+        rows, u, w = chart_coords(frame, sx.xi1_plus.frame.T)
+        assert rows.tolist() == [0] and (u.shape, w.shape) == ((1, 1), (1, 1))
         assert np.abs(u).max() == 0 and np.abs(w).max() == 0
 
     def test_affine_division(self):
         frame = ChartFrame(basis_change=np.eye(3), inverse=np.eye(3), m=2)
         p = np.array([2.0, 1.0, 3.0])
-        u, w = chart_coords(frame, p / np.linalg.norm(p))
-        assert u[0] == pytest.approx(0.5)
-        assert w[0] == pytest.approx(1.5)
+        for scale in (1 / np.linalg.norm(p), 1.0, -7.0):
+            _, u, w = chart_coords(frame, scale * p[None])
+            assert u[0, 0] == pytest.approx(0.5)
+            assert w[0, 0] == pytest.approx(1.5)
 
-    def test_point_at_infinity_rejected(self):
+    def test_row_at_infinity_skipped_without_warning(self):
         frame = ChartFrame(basis_change=np.eye(3), inverse=np.eye(3), m=2)
-        with pytest.raises(ValueError, match="infinity"):
-            chart_coords(frame, np.array([0.0, 1.0, 0.0]))
+        points = np.array([[0.0, 1.0, 0.0], [2.0, 1.0, 3.0],
+                           [1e-13, 0.6, 0.8]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, u, w = chart_coords(frame, points)
+        assert rows.tolist() == [1]
+        assert u.tolist() == [[0.5]] and w.tolist() == [[1.5]]
 
 
 class TestHoelderRegression:
@@ -125,7 +156,7 @@ class TestHoelderRegression:
 
     def test_conic_slope_two(self, tau3_cloud):
         scores = []
-        pts = tau3_cloud.points()
+        pts = tau3_cloud.lines[0]
         for s in tau3_cloud.samples:
             v = s.xi1_plus.vector()
             dots = np.clip(np.abs(pts @ v), 0, 1)
@@ -137,16 +168,14 @@ class TestHoelderRegression:
 
     def test_anchor_scores_from_point_distances(self, tau3_cloud):
         # the hoelder kind scores each anchor by the points inside the
-        # window, from point distances alone: the counts of the distances
-        # hoelder_regression windows
-        lo, hi = 1e-4, 1e-1
-        pts = tau3_cloud.points()
-        unit = _unit_rows(pts)
-        for s, x in zip(tau3_cloud.samples, tau3_cloud.lines[0]):
-            dp = _point_distances(unit, x)
-            ref, _ = _pair_distances(pts, s)
-            assert (np.count_nonzero((lo < dp) & (dp < hi))
-                    == np.count_nonzero((lo < ref) & (ref < hi)))
+        # window, from the sines of the cloud's lines to the anchor's line:
+        # the proj_distance of each sample to the anchor sample
+        plus = tau3_cloud.lines[0]
+        for a in (0, 1, 2, 3, 100, 1000):
+            anchor = tau3_cloud.samples[a]
+            ref = np.array([proj_distance(s.xi1_plus, anchor.xi1_plus)
+                            for s in tau3_cloud.samples])
+            assert np.abs(_sines(plus, plus[a]) - ref).max() <= 1e-15
 
     def test_floored_points_reported(self):
         cloud, anchor = synthetic_graph_cloud(1.5, n_points=200)

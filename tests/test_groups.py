@@ -10,7 +10,6 @@ from anosovlab.groups import (BallTooLargeError, GeneratorSet, GroupElement,
                               _class_keys, _reduced_cyclic_key,
                               canonical_cyclic, cyclic_reduce, enumerate_ball,
                               free_reduce, inverse_label, inverse_word)
-from anosovlab.linalg import MatrixD
 from anosovlab.spectra import cartan_jordan
 
 
@@ -154,17 +153,16 @@ class TestGeneratorSet:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_matrix_of_word_matches_letter_chain(self, schottky_rep, d):
-        # the oracle: one MatrixD product per letter, from the identity
+        # the oracle: one matrix product per letter, from the identity
         gens = (schottky_rep if d == 2
                 else tau_representation(schottky_rep, d)).generators
         rng = np.random.default_rng(d)
         for _ in range(20):
             word = "".join(rng.choice(list("aAbB"), size=rng.integers(0, 13)))
-            chain = MatrixD(np.eye(d))
+            chain = np.eye(d)
             for ch in word:
-                chain = chain @ gens.matrices[ch]
-            assert np.array_equal(gens.matrix_of_word(word).mat,
-                                  chain.mat), word
+                chain = chain @ gens.matrices[ch].mat
+            assert np.array_equal(gens.matrix_of_word(word).mat, chain), word
 
     def test_overflowing_word_is_named(self, schottky_rep):
         # the products themselves leave the double range, with no

@@ -3,9 +3,9 @@ import pytest
 
 from anosovlab.boundary import limit_samples
 from anosovlab.groups import enumerate_ball
-from anosovlab.linalg import (SpectralGapError, Subspace, _row_norms,
-                              apply_to_subspace, direct_sum_margin,
-                              eigen_moduli, normalize_lift,
+from anosovlab.linalg import (SpectralGapError, Subspace, _residuals,
+                              _row_norms, _sines, apply_to_subspace,
+                              direct_sum_margin, eigen_moduli, normalize_lift,
                               point_subspace_distance, proj_distance,
                               singular_values, subspace_distance,
                               top_invariant_subspace)
@@ -216,6 +216,63 @@ class TestPointSubspaceDistance:
         V = Subspace(self.e[:, :2])
         p = Subspace.line((self.e[0] + self.e[2]) / np.sqrt(2))
         assert point_subspace_distance(p, V) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
+def unit_rows(rng, n, d):
+    V = rng.standard_normal((n, d))
+    return V / _row_norms(V)[:, None]
+
+
+class TestResidualKernels:
+    """The stacked sines and flag residuals against the scalar
+    ``proj_distance`` and ``point_subspace_distance``, pair by pair, on
+    random unit rows: far apart, and close, where the residual form
+    avoids cancellation."""
+
+    @staticmethod
+    def pairs(rng, d):
+        U = unit_rows(rng, 400, d)
+        V = unit_rows(rng, 400, d)
+        near = U[:200] + 10.0 ** rng.uniform(-9, -2, (200, 1)) * V[:200]
+        V[:200] = near / _row_norms(near)[:, None]
+        return U, V
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_sines_match_proj_distance(self, d):
+        rng = np.random.default_rng(d)
+        U, V = self.pairs(rng, d)
+        ref = np.array([proj_distance(u, v) for u, v in zip(U, V)])
+        assert np.abs(_sines(U, V) - ref).max() <= 1e-15
+        # one row against every row of U
+        ref = np.array([proj_distance(u, V[0]) for u in U])
+        assert np.abs(_sines(U, V[0]) - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_residuals_match_point_subspace_distance(self, d):
+        rng = np.random.default_rng(d)
+        k = int(rng.integers(1, d))
+        F = np.linalg.qr(rng.standard_normal((400, d, k)))[0]
+        P = unit_rows(rng, 400, d)
+        # half the rows within 1e-9 to 1e-2 of their frame's span
+        near = ((F[:200] @ rng.standard_normal((200, k, 1)))[:, :, 0]
+                + 10.0 ** rng.uniform(-9, -2, (200, 1)) * P[:200])
+        P[:200] = near / _row_norms(near)[:, None]
+        ref = np.array([point_subspace_distance(p, f) for p, f in zip(P, F)])
+        assert np.abs(_residuals(P, F) - ref).max() <= 1e-15
+        # every row against one frame
+        ref = np.array([point_subspace_distance(p, F[0]) for p in P])
+        assert np.abs(_residuals(P, F[0]) - ref).max() <= 1e-15
+
+    def test_sines_of_row_pairs_is_the_pair_formula(self):
+        # the pair formula of the stacked boundary scans, bit for bit
+        def reference(U, V):
+            resid = V - U * np.einsum("ij,ij->i", U, V)[:, None]
+            return np.minimum(1.0, np.linalg.norm(resid, axis=1))
+
+        rng = np.random.default_rng(11)
+        for d in range(2, 11):
+            U, V = self.pairs(rng, d)
+            assert _sines(U, V).tobytes() == reference(U, V).tobytes()
 
 
 class TestDirectSumMargin:
