@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .functors import Representation
 from .groups import (Ball, GroupElement, _strip_ends, enumerate_ball,
@@ -102,6 +101,8 @@ class LimitCloud:
         if len(self) < 2:
             return {"n": len(self), "nn_max": math.nan, "nn_mean": math.nan,
                     "nn_min": math.nan}
+        # imported here: of the CLI kinds only limitset reports coverage
+        from scipy.spatial import cKDTree
         pts = self.lines[0]
         # nearest of +-q by chordal distance (no cancellation; the first
         # hit is p or a copy of it), then proj_distance's residual sine
@@ -261,16 +262,37 @@ class _ClassFlags:
                 frames = _moved(*self._route[src][:2], frames)
             self._frames[src] = frames
 
-    def __call__(self) -> list[np.ndarray]:
-        """(n, d, rank) orthonormal frames of the kept elements, one stack
-        per flag in the given order, with ``orthonormalize``'s sign
-        convention; each source's frames are moved once."""
-        moved = {src: _moved(self._route[src][0], self._route[src][2],
-                             frames[self._class])
-                 for src, frames in self._frames.items()}
-        return [_signed(_complements(moved[src][..., :k])
-                        if src.endswith("t") else moved[src][..., :k])
-                for src, k in self._flags]
+    def _move(self, src: str, rows) -> np.ndarray:
+        """The frames of ``src`` moved along the conjugators of the kept
+        elements at positions ``rows``."""
+        stack, _, codes = self._route[src]
+        return _moved(stack, codes[rows], self._frames[src][self._class[rows]])
+
+    @cached_property
+    def _lead(self) -> np.ndarray:
+        """The first flag's source moved for every kept element."""
+        return self._move(self._flags[0][0], slice(None))
+
+    def _read(self, moved: np.ndarray, src: str, k: int) -> np.ndarray:
+        return _signed(_complements(moved[..., :k]) if src.endswith("t")
+                       else moved[..., :k])
+
+    def first(self) -> np.ndarray:
+        """(n, d, rank) frames of the first flag of every kept element."""
+        return self._read(self._lead, *self._flags[0])
+
+    def __call__(self, rows=slice(None)) -> list[np.ndarray]:
+        """(len(rows), d, rank) orthonormal frames of the kept elements at
+        positions ``rows`` (all by default), one stack per flag in the
+        given order, with ``orthonormalize``'s sign convention.  The first
+        flag's source is moved once for every element (see
+        :meth:`first`), each other source once for ``rows`` alone: a
+        stacked move treats each frame on its own, so the frames equal
+        the rows of a move of every element."""
+        lead = self._flags[0][0]
+        moved = {src: self._lead[rows] if src == lead
+                 else self._move(src, rows) for src in self._frames}
+        return [self._read(moved[src], src, k) for src, k in self._flags]
 
 
 def _proximal(ball, ks) -> np.ndarray:
@@ -323,7 +345,8 @@ def limit_samples(rep: Representation, m: int, radius: int,
     ``proj_distance`` are merged (see :func:`_dedup`), keeping the first
     witness in ball order (the shortest), so
     ``dedup_tol`` acts as the spatial resolution of the cloud.  Only the
-    lines take part in the dedup.
+    lines take part in the dedup, so they are moved for every element
+    and the other flags for the kept ones alone.
     """
     d = rep.dim
     if not 1 <= m <= d - 1:
@@ -338,14 +361,14 @@ def limit_samples(rep: Representation, m: int, radius: int,
                 stacklevel=2)
     flags = _ClassFlags(ball, [("+", 1), ("+", m), ("-", d - m),
                                ("-", d - 1), ("-", 1)])
-    frames = dict(zip([f.name for f in fields(FlagSample)[1:]], flags()))
-    kept = _dedup(frames["xi1_plus"][:, :, 0], dedup_tol)
+    kept = _dedup(flags.first()[:, :, 0], dedup_tol)
     if not kept:
         raise ValueError("no proximal elements found in the ball")
+    frames = dict(zip([f.name for f in fields(FlagSample)[1:]], flags(kept)))
     samples = tuple(
         FlagSample(witness=ball[flags.index[t]],
-                   **{name: Subspace(F[t]) for name, F in frames.items()})
-        for t in kept)
+                   **{name: Subspace(F[n]) for name, F in frames.items()})
+        for n, t in enumerate(kept))
     return LimitCloud(samples=samples, m=m, rep_recipe=rep.recipe)
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .boundary import FlagSample, LimitCloud
 from .groups import Ball
@@ -199,6 +198,8 @@ def hilbert_distance_psd(X, Y) -> float:
             raise ValueError(f"{name} is not symmetric")
         if np.linalg.eigvalsh(M).min() <= 1e-10:
             raise ValueError(f"{name} is not positive definite")
+    # imported here: no run path needs the pencil solver
+    import scipy.linalg as sla
     kappa = sla.eigvalsh(B, A)
     return float(np.log(kappa[-1] / kappa[0]))
 

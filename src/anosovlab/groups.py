@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .linalg import MatrixD, _readonly, normalize_lift
 
@@ -33,6 +32,8 @@ __all__ = [
 
 _BALL_CAP = 5_000_000  # words of the largest ball, before dedup
 _COUNT_LIMIT = 10**18  # ball sizes are reported exactly up to here
+_GOLDEN = (5**0.5 - 1) / 2  # 1 / phi, the step of the dedup's weights
+_SWEEP_BYTES = 4 << 20  # the candidate rows the dedup gathers at once
 
 
 class BallTooLargeError(RuntimeError):
@@ -341,15 +342,47 @@ def word_products(gens: GeneratorSet, words: list[str]) -> np.ndarray:
 
 def _dedup_indices(words, mats, tol) -> list[int]:
     """Merge indices whose matrices agree up to sign within ``tol``
-    (Chebyshev metric on entries), keeping the (length, word)-smallest."""
+    (Chebyshev metric on entries), keeping the (length, word)-smallest.
+
+    A sort-and-sweep over both lifts x and -x of each row, so sign never
+    needs normalizing.  A lift of L entries is projected onto the fixed
+    weights ``w_k = exp(frac(k / phi))``, k = 1..L, with phi the golden
+    ratio.  They are positive and linearly independent over the
+    rationals (Lindemann-Weierstrass), so lifts that differ in several
+    entries rarely project close; on one entry, the lifts that share it
+    would all fall in one window.
+
+    Two lifts within ``tol`` project within ``tol sum(w)``, and a rounded
+    projection lies within ``L eps |x|.w`` of the exact one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 3.1), where
+    |x|.w of the two lifts differs by at most ``tol sum(w)``.  So the
+    window of half-width ``(tol sum(w) + (2 L + 1) eps |x|.w)(1 + 4 L
+    eps)`` after the projection of a lift x holds every later lift within
+    ``tol`` of x: the added ``eps |x|.w`` covers the rounding of the sum
+    projection + half-width that ``searchsorted`` compares against, and
+    the last factor the rounding of the width itself.  Each
+    candidate pair of a window is confirmed by the test ``max|x_a - x_b|
+    <= tol``, in blocks of about ``_SWEEP_BYTES``, and the confirmed pairs
+    are merged by union-find: the result, the (length, word)-least row of
+    each component, does not depend on pair order.
+    """
     n = len(words)
-    flat = np.asarray(mats).reshape(n, -1)
-    # both lifts of each PGL element, so sign never needs normalizing.  Only
-    # rows with a partner within tol can merge (the query's bound is strict)
-    near, _ = cKDTree(np.vstack([flat, -flat])).query(
-        flat, k=2, p=np.inf, distance_upper_bound=2 * tol)
-    rows = np.flatnonzero(near[:, 1] <= tol).tolist()
-    tree = cKDTree(np.vstack([flat[rows], -flat[rows]]))
+    flat = np.asarray(mats, dtype=float).reshape(n, -1)
+    size = flat.shape[1]
+    w = np.exp(np.modf(np.arange(1, size + 1) * _GOLDEN)[0])
+    eps = size * np.finfo(float).eps
+    half = ((tol * w.sum() + (2 * eps + np.finfo(float).eps)
+             * (np.abs(flat) @ w)) * (1 + 4 * eps))
+    proj = flat @ w
+    proj = np.concatenate([proj, -proj])
+    lift = np.argsort(proj, kind="stable")  # row + n for the lift -x
+    swept = proj[lift]
+    # the candidates of sorted position t are the positions t+1 .. end-1
+    counts = (np.searchsorted(swept, swept + half[lift % n], side="right")
+              - np.arange(1, 2 * n + 1))
+    cum = np.cumsum(counts)
+    step = max(1, _SWEEP_BYTES // (8 * size))
+    cuts = [0, *np.searchsorted(cum, range(step, cum[-1], step)), 2 * n]
     parent = list(range(n))
 
     def find(i):
@@ -361,12 +394,20 @@ def _dedup_indices(words, mats, tol) -> list[int]:
     def key(i):
         return len(words[i]), words[i]
 
-    for i, j in tree.query_pairs(tol, p=np.inf):
-        i, j = rows[i % len(rows)], rows[j % len(rows)]
-        if i == j:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj, key=key)] = min(ri, rj, key=key)
+    for lo, hi in zip(cuts, cuts[1:]):
+        c = counts[lo:hi]
+        first = np.repeat(np.arange(lo, hi), c)
+        second = first + 1 + np.arange(c.sum()) - np.repeat(
+            np.cumsum(c) - c, c)
+        a, b = lift[first], lift[second]
+        i, j = a % n, b % n
+        sign = np.where((a < n) == (b < n), 1.0, -1.0)[:, None]
+        close = np.abs(flat[i] - sign * flat[j]).max(axis=1) <= tol
+        # a pair and its mirror (-x_a, -x_b) are both confirmed: take the
+        # one in which the smaller row is the lift +x
+        close &= (i != j) & np.where(i < j, a < n, b < n)
+        for x, y in zip(i[close].tolist(), j[close].tolist()):
+            ri, rj = find(x), find(y)
+            if ri != rj:
+                parent[max(ri, rj, key=key)] = min(ri, rj, key=key)
     return sorted((i for i in range(n) if parent[i] == i), key=key)
-

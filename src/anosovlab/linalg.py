@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "MatrixD",
@@ -206,6 +205,8 @@ def top_invariant_subspace(M, m: int) -> Subspace:
     if lam[m] <= 0 or lam[m - 1] / lam[m] <= 1.0 + GAP_TOL:
         raise SpectralGapError(f"no spectral gap at index {m}")
     thresh = np.sqrt(lam[m - 1] * lam[m])
+    # imported here: a test oracle, kept off the import of the package
+    import scipy.linalg as sla
     _, Z, sdim = sla.schur(A, output="real",
                            sort=lambda re, im: np.hypot(re, im) > thresh)
     if sdim != m:

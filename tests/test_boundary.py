@@ -353,6 +353,21 @@ class TestClassFlags:
         for F, G in zip(flags(), per_call_flags(ball, specs), strict=True):
             assert (F.shape, F.tobytes()) == (G.shape, G.tobytes())
 
+    @pytest.mark.parametrize("d, m", [(4, 2), (7, 3), (7, 4)])
+    def test_frames_of_some_rows_are_those_rows_of_all(self, schottky_rep,
+                                                       d, m):
+        # limit_samples moves the first flag's source for every element,
+        # and the other sources for the rows its dedup keeps
+        ball = enumerate_ball(tau_representation(schottky_rep, d).generators,
+                              5)
+        specs = [("+", 1), ("+", m), ("-", d - m), ("-", d - 1), ("-", 1)]
+        flags = boundary._ClassFlags(ball, specs)
+        rows = list(range(1, len(flags.index), 3))
+        every = flags()
+        assert flags.first().tobytes() == every[0].tobytes()
+        for F, G in zip(flags(rows), every, strict=True):
+            assert F.tobytes() == np.ascontiguousarray(G[rows]).tobytes()
+
     @pytest.mark.parametrize("d, m, radius", [(4, 2, 5), (6, 2, 4),
                                               (7, 3, 4), (8, 3, 4)])
     def test_direct_flags_share_leading_columns(self, schottky_rep, d, m,

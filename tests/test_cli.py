@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from importlib import resources
@@ -744,3 +747,48 @@ class TestDeterminism:
         summary = json.loads((out / "summary.json").read_text())
         for field in ("version", "config_hash", "tolerances", "wall_clock_s"):
             assert field in summary
+
+
+# every shipped config through the CLI, then the boundary pipeline of the
+# boundary benchmark workload and the hyperconvex and hoelder kinds
+RUN_PATH = """
+import json, pathlib, sys
+from importlib import resources
+import anosovlab
+from anosovlab import boundary, cli, functors, geometry
+
+out = pathlib.Path(sys.argv[1])
+for config in sorted(resources.files("anosovlab").joinpath("configs")
+                     .iterdir()):
+    status = cli.main(["run", str(config), "--out", str(out / config.name)])
+    assert status == (2 if config.name == "tau_d_plus_tau_d2.json" else 0)
+configs = resources.files("anosovlab").joinpath("configs")
+cfg = json.loads(configs.joinpath("fuchsian_tau3.json").read_text())
+base = json.loads(configs.joinpath("schottky_sl2.json").read_text())
+tau4 = {"kind": "tau", "d": 4, "base": base["representation"]}
+cloud = boundary.limit_samples(functors.build_representation(tau4), 2, 5)
+boundary.transversality_scan(cloud)
+boundary.controlled_set_check(cloud)
+boundary.hyperconvexity_scan(cloud, seed=0)
+anchor = next(s for s in cloud.samples if s.witness.word == "a")
+geometry.hoelder_regression(cloud, anchor)
+for kind in ("hyperconvex", "hoelder"):
+    path = out / f"{kind}.json"
+    path.write_text(json.dumps(dict(cfg, representation=tau4, radius=5,
+                                    experiment={"kind": kind, "m": 2})))
+    assert cli.main(["run", str(path), "--out", str(out / kind)]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_path_imports_no_scipy(tmp_path):
+    # a fresh interpreter: only linalg.top_invariant_subspace, a test
+    # oracle, and LimitCloud.coverage_stats of the limitset kind import it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", RUN_PATH, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anosovlab.functors import tau_representation
+from anosovlab.functors import build_representation, tau_representation
 from anosovlab.groups import (BallTooLargeError, GeneratorSet, GroupElement,
                               _class_keys, _reduced_cyclic_key,
                               canonical_cyclic, cyclic_reduce, enumerate_ball,
                               free_reduce, inverse_label, inverse_word)
 from anosovlab.spectra import cartan_jordan
+from tests.conftest import load_example_config
 
 
 def rotation(theta):
@@ -211,11 +212,10 @@ def test_dedup_order_independent():
     assert keep1 == keep2 == {"", "a", "b", "bb"}
 
 
-def _all_pairs_dedup(words, mats, tol):
-    """The merge by an all-pairs union-find: rows whose matrices agree up
-    to sign within ``tol`` (Chebyshev) merge, and each class keeps its
-    (length, word)-smallest row."""
-    flat = np.asarray(mats).reshape(len(words), -1)
+def _least_of_components(words, pairs):
+    """The (length, word)-least index of each component of the graph on
+    the indices of ``words`` with edges ``pairs``, sorted by (length,
+    word)."""
     parent = list(range(len(words)))
 
     def find(i):
@@ -223,11 +223,8 @@ def _all_pairs_dedup(words, mats, tol):
             i = parent[i]
         return i
 
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            if min(np.abs(flat[i] - flat[j]).max(),
-                   np.abs(flat[i] + flat[j]).max()) <= tol:
-                parent[find(i)] = find(j)
+    for i, j in pairs:
+        parent[find(i)] = find(j)
     classes: dict[int, list[int]] = {}
     for i in range(len(words)):
         classes.setdefault(find(i), []).append(i)
@@ -238,12 +235,37 @@ def _all_pairs_dedup(words, mats, tol):
     return sorted((min(c, key=key) for c in classes.values()), key=key)
 
 
+def _all_pairs_dedup(words, mats, tol):
+    """The merge by an all-pairs union-find: rows whose matrices agree up
+    to sign within ``tol`` (Chebyshev) merge, and each class keeps its
+    (length, word)-smallest row."""
+    flat = np.asarray(mats).reshape(len(words), -1)
+    return _least_of_components(words, [
+        (i, j) for i in range(len(words)) for j in range(i + 1, len(words))
+        if min(np.abs(flat[i] - flat[j]).max(),
+               np.abs(flat[i] + flat[j]).max()) <= tol])
+
+
+def _kdtree_dedup(words, mats, tol):
+    """The same merge from the pairs of lifts +-x within ``tol``
+    (Chebyshev) that scipy's cKDTree finds, scipy imported here alone."""
+    from scipy.spatial import cKDTree
+    flat = np.asarray(mats).reshape(len(words), -1)
+    pairs = cKDTree(np.vstack([flat, -flat])).query_pairs(
+        tol, p=np.inf, output_type="ndarray")
+    return _least_of_components(words, (pairs % len(words)).tolist())
+
+
 @pytest.mark.parametrize("size", [3, 4])  # 9 and 16 entries
 def test_dedup_matches_all_pairs_reference(size):
     from anosovlab.groups import _dedup_indices
     tol = 2.0 ** -27  # a power of two: "exactly tol apart" is exact
+    below, above = np.nextafter(tol, 0), np.nextafter(tol, 1)
     rng = np.random.default_rng(size)
     mats = list(rng.normal(size=(40, size, size)))
+    # entries around 1e6, as in the tau_3 ball of radius 8, where the
+    # rounded projections of the sweep are off by more than tol
+    large = list(1e6 * rng.normal(size=(9, size, size)))
 
     def noise():
         return 0.4 * tol * rng.uniform(-1, 1, (size, size))
@@ -253,19 +275,100 @@ def test_dedup_matches_all_pairs_reference(size):
         out[1, 1] += by
         return out
 
-    mats += [mats[0] + noise(), -mats[1], -(mats[2] + noise()),
-             # a chain a ~ b ~ c with a and c more than tol apart
-             shifted(0.5, 0), shifted(0.5, 0.6 * tol), shifted(0.5, 1.2 * tol),
-             # a pair exactly tol apart merges, one just over tol does not
-             shifted(0.75, 0), shifted(0.75, tol),
-             shifted(0.25, 0), shifted(0.25, tol * (1 + 1e-6))]
+    def at(base, value):
+        out = np.full((size, size), base)
+        out[1, 1] = value
+        return out
+
+    def moved(x, by):
+        out = x.copy()
+        out[1, 1] += by
+        return out
+
+    ulp = [abs(np.spacing(x[1, 1])) for x in large]
+    planted = [
+        (mats[0] + noise(), True), (-mats[1], True),
+        (-(mats[2] + noise()), True),
+        # a chain a ~ b ~ c with a and c more than tol apart
+        (shifted(0.5, 0), False), (shifted(0.5, 0.6 * tol), True),
+        (shifted(0.5, 1.2 * tol), True),
+        # pairs exactly tol apart and one ulp of tol either side of it
+        (at(0.75, 0), False), (at(0.75, tol), True),
+        (at(0.3, 0), False), (at(0.3, below), True),
+        (at(0.35, 0), False), (at(0.35, above), False),
+        (shifted(0.25, 0), False), (shifted(0.25, tol * (1 + 1e-6)), False),
+        # the same about the -lift of the partner
+        (at(0.4, 0), False), (-at(0.4, tol), True),
+        (at(0.45, 0), False), (-at(0.45, above), False),
+        # at 1e6, one ulp of the entry either side of tol, and -lifts
+        (large[0] + noise(), True),
+        (moved(large[1], tol), True),
+        (moved(large[2], tol + ulp[2]), False),
+        (-moved(large[3], tol - ulp[3]), True),
+        (-moved(large[4], tol + ulp[4]), False),
+        # tol apart in every entry: the exact projections are at the edge
+        # of the sweep's window, and the rounded ones fall either side
+        *((x + tol, True) for x in mats[3:7]),
+        *((-(x - tol), True) for x in large[5:9])]
+    # the planted distances are exact
+    for x, y, distance in (
+            (at(0.3, 0), at(0.3, below), below),
+            (at(0.35, 0), at(0.35, above), above),
+            (large[1], moved(large[1], tol), tol),
+            (large[2], moved(large[2], tol + ulp[2]), tol + ulp[2]),
+            (large[3], moved(large[3], tol - ulp[3]), tol - ulp[3]),
+            (mats[3], mats[3] + tol, tol), (large[5], large[5] - tol, tol)):
+        assert np.abs(x - y).max() == distance
+    mats += large + [x for x, _ in planted]
     words = ["a" * int(k) + f"b{i}"
              for i, k in enumerate(rng.integers(0, 4, len(mats)))]
     order = rng.permutation(len(mats))
     words, mats = [words[i] for i in order], [mats[i] for i in order]
     keep = _dedup_indices(words, mats, tol)
     assert keep == _all_pairs_dedup(words, mats, tol)
-    assert len(keep) == len(mats) - 6
+    assert keep == _kdtree_dedup(words, mats, tol)
+    assert len(keep) == len(mats) - sum(merged for _, merged in planted)
+
+
+def _rx(theta):
+    out = np.eye(3)
+    out[1:, 1:] = rotation(theta)
+    return out
+
+
+# balls whose words collide in PGL by the hundred: a quarter turn a with
+# a b a^-1 = b^-1, and the rotation group of the cube
+QUARTER_TURN = {"a": rotation(np.pi / 2), "b": np.diag([3.0, 1.0 / 3.0])}
+OCTAHEDRAL = {"a": _rx(np.pi / 2),
+              "b": np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                             [-1.0, 0.0, 0.0]])}
+
+
+@pytest.mark.parametrize("gens, kept", [(QUARTER_TURN, 20),
+                                        (OCTAHEDRAL, 24)])
+def test_dedup_of_colliding_balls_matches_references(gens, kept):
+    from anosovlab.groups import _dedup_indices
+    ball = enumerate_ball(GeneratorSet.from_matrices(gens), 5)
+    keep = _dedup_indices(ball.words, ball.products, 1e-8)
+    assert (len(ball.words), len(keep)) == (485, kept)
+    assert keep == _all_pairs_dedup(ball.words, ball.products, 1e-8)
+    assert keep == _kdtree_dedup(ball.words, ball.products, 1e-8)
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("fuchsian_tau3", 8), ("schottky_sl2", 8), ("su21_9dim", 6),
+    ("tau5_plus_tau2", 7), ("tau_d_plus_tau_d2", 7)])
+def test_dedup_matches_kdtree_on_shipped_configs(name, radius):
+    rep = build_representation(load_example_config(name)["representation"])
+    ball = enumerate_ball(rep.generators, radius)
+    assert ball.rows.tolist() == _kdtree_dedup(ball.words, ball.products,
+                                               1e-8)
+
+
+def test_dedup_matches_kdtree_on_tau4(tau4_rep):
+    ball = enumerate_ball(tau4_rep.generators, 5)
+    assert ball.rows.tolist() == _kdtree_dedup(ball.words, ball.products,
+                                               1e-8)
 
 
 def test_dedup_merges_to_the_shortest_word():
