@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .functors import Representation
-from .groups import (Ball, GroupElement, _strip_ends, enumerate_ball,
-                     inverse_word)
+from .groups import (Ball, GroupElement, _sorted_lifts, _strip_ends,
+                     enumerate_ball, inverse_word)
 from .linalg import (GAP_TOL, Subspace, _readonly, _residuals, _row_norms,
                      _sines, orthonormalize)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
@@ -97,18 +97,41 @@ class LimitCloud:
     def coverage_stats(self) -> dict:
         """Nearest-neighbour spacing of the sampled points: how densely
         the cloud covers the limit set at this radius.  Descriptive only;
-        there is no theoretical coverage guarantee."""
-        if len(self) < 2:
-            return {"n": len(self), "nn_max": math.nan, "nn_mean": math.nan,
+        there is no theoretical coverage guarantee.
+
+        A projection search (Friedman, Baskett & Shustek, IEEE Trans.
+        Comput. 24, 1975) over the sorted lifts +-q of
+        :func:`groups._sorted_lifts` steps k = 1, 2, ... positions to each
+        side of the lift +p, keeping the least residual sine
+        ``_sines(p, q)`` of another point q.  A sine s puts one of +-q
+        within sqrt(2) s of p, so a side closes at an end of the order or
+        at its first lift whose projection gap exceeds sqrt(2) |w| s, for
+        the least s so far plus its rounding, and both lifts' slack: the
+        search ends within 2n steps with the all-pairs minimum."""
+        n = len(self)
+        if n < 2:
+            return {"n": n, "nn_max": math.nan, "nn_mean": math.nan,
                     "nn_min": math.nan}
-        # imported here: of the CLI kinds only limitset reports coverage
-        from scipy.spatial import cKDTree
         pts = self.lines[0]
-        # nearest of +-q by chordal distance (no cancellation; the first
-        # hit is p or a copy of it), then proj_distance's residual sine
-        _, hit = cKDTree(np.vstack([pts, -pts])).query(pts, k=2)
-        nn = _sines(pts, pts[hit[:, 1] % len(pts)])
-        return {"n": len(pts), "nn_max": float(nn.max()),
+        w, lift, swept, slack = _sorted_lifts(pts)
+        reach = math.sqrt(2.0) * np.linalg.norm(w)
+        fuzz = 4 * pts.shape[1] * np.finfo(float).eps  # of a residual sine
+        at = np.argsort(lift)[:n]  # the sorted position of each lift +p
+        nn = np.full(n, math.inf)
+        rows, pos = np.tile(np.arange(n), 2), np.tile(at, 2)
+        step = np.repeat([-1, 1], n)
+        while rows.size:
+            pos = pos + step
+            live = (pos >= 0) & (pos < 2 * n)
+            rows, pos, step = rows[live], pos[live], step[live]
+            q = lift[pos] % n
+            live = (np.abs(swept[pos] - swept[at[rows]])
+                    <= reach * (nn[rows] + fuzz) + slack[rows] + slack[q])
+            rows, pos, step, q = rows[live], pos[live], step[live], q[live]
+            other = q != rows
+            np.minimum.at(nn, rows[other],
+                          _sines(pts[rows[other]], pts[q[other]]))
+        return {"n": n, "nn_max": float(nn.max()),
                 "nn_mean": float(nn.mean()), "nn_min": float(nn.min())}
 
 
@@ -415,17 +438,21 @@ def _complements(F: np.ndarray) -> np.ndarray:
     return np.linalg.svd(F)[0][..., F.shape[2]:]
 
 
-def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float) -> np.ndarray:
-    """Boolean (r, c) mask of ``proj_distance(P[a], Q[b]) >= sep_tol`` for
-    unit rows: the squared sine 1 - cos^2 from one GEMM of cosines, and
-    the orthogonal residual for the pairs within ``_BAND`` of
-    sep_tol^2, so the mask equals the residual test's."""
+def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float,
+               below: float = math.inf) -> np.ndarray:
+    """Boolean (r, c) mask of ``sep_tol <= proj_distance(P[a], Q[b]) <
+    below`` for unit rows: the squared sines 1 - cos^2 from one GEMM of
+    cosines, and the orthogonal residual ``_sines(P[a], Q[b])`` for the
+    pairs within ``_BAND`` of sep_tol^2 or below^2, so the mask equals the
+    residual test's."""
     cos = P @ Q.T
     sine2 = 1.0 - cos * cos
-    keep = sine2 >= sep_tol * sep_tol
-    a, b = np.nonzero(np.abs(sine2 - sep_tol * sep_tol) <= _BAND)
+    keep = (sine2 >= sep_tol * sep_tol) & (sine2 < below * below)
+    a, b = np.nonzero((np.abs(sine2 - sep_tol * sep_tol) <= _BAND)
+                      | (np.abs(sine2 - below * below) <= _BAND))
     if a.size:
-        keep[a, b] = _sines(P[a], Q[b]) >= sep_tol
+        dp = _sines(P[a], Q[b])
+        keep[a, b] = (dp >= sep_tol) & (dp < below)
     return keep
 
 

@@ -22,8 +22,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .boundary import (DEFAULT_FLAG_DEDUP_TOL, hyperconvexity_scan,
-                       limit_samples)
+from .boundary import (DEFAULT_FLAG_DEDUP_TOL, _chunks, _separated,
+                       hyperconvexity_scan, limit_samples)
 from .functors import RECIPES, SUB_RECIPES, perturb_rep
 from .geometry import (REGRESSION_CAVEAT, build_chart, chart_coords,
                        hoelder_regression)
@@ -430,12 +430,14 @@ def _run_hoelder(rep, fields, radius, seed):
     m = fields["m"]
     window = tuple(fields["window"])
     cloud = limit_samples(rep, m, radius, dedup_tol=fields["dedup_tol"])
-    # anchors with the most neighbours inside the window, deterministically;
-    # the scores read only the distances to each anchor point
+    # anchors with the most points p within the window by _sines(p, anchor),
+    # ties to the first; for doubles, lo < dp is dp >= nextafter(lo, inf)
     plus = cloud.lines[0]
-    scores = [np.count_nonzero((window[0] < dp) & (dp < window[1]))
-              for dp in (_sines(plus, x) for x in plus)]
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    lo = np.nextafter(window[0], math.inf)
+    scores = np.concatenate([
+        _separated(plus, plus[part], lo, window[1]).sum(axis=0)
+        for part in _chunks(len(plus), 48 * len(plus))])
+    order = np.argsort(-scores, kind="stable")
     results = {"m": m, "window": list(window), "anchors": [],
                "caveat": REGRESSION_CAVEAT}
     header = ["witness", "slope", "r_squared", "n_points"]

@@ -340,60 +340,59 @@ def word_products(gens: GeneratorSet, words: list[str]) -> np.ndarray:
     return products
 
 
+def _sorted_lifts(flat: np.ndarray):
+    """Both lifts x and -x of each row of the (n, L) array ``flat``,
+    sorted by their projections onto the weights ``w_k = exp(frac(k /
+    phi))``, k = 1..L, phi the golden ratio, which are positive and
+    linearly independent over the rationals (Lindemann-Weierstrass): w,
+    the lifts in that order (row + n for -x), their projections, and each
+    row's slack ``(2 L + 1) eps |x|.w``.  A rounded projection lies within
+    ``L eps |x|.w`` of the exact one (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, 3.1), so the slack covers two lifts of
+    about equal |x|.w and one rounding of their sum or difference."""
+    n, size = flat.shape
+    w = np.exp(np.modf(np.arange(1, size + 1) * _GOLDEN)[0])
+    proj = flat @ w
+    proj = np.concatenate([proj, -proj])
+    lift = np.argsort(proj, kind="stable")
+    slack = (2 * size + 1) * np.finfo(float).eps * (np.abs(flat) @ w)
+    return w, lift, proj[lift], slack
+
+
 def _dedup_indices(words, mats, tol) -> list[int]:
     """Merge indices whose matrices agree up to sign within ``tol``
     (Chebyshev metric on entries), keeping the (length, word)-smallest.
 
-    A sort-and-sweep over both lifts x and -x of each row, so sign never
-    needs normalizing.  A lift of L entries is projected onto the fixed
-    weights ``w_k = exp(frac(k / phi))``, k = 1..L, with phi the golden
-    ratio.  They are positive and linearly independent over the
-    rationals (Lindemann-Weierstrass), so lifts that differ in several
-    entries rarely project close; on one entry, the lifts that share it
-    would all fall in one window.
-
-    Two lifts within ``tol`` project within ``tol sum(w)``, and a rounded
-    projection lies within ``L eps |x|.w`` of the exact one (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, 3.1), where
-    |x|.w of the two lifts differs by at most ``tol sum(w)``.  So the
-    window of half-width ``(tol sum(w) + (2 L + 1) eps |x|.w)(1 + 4 L
-    eps)`` after the projection of a lift x holds every later lift within
-    ``tol`` of x: the added ``eps |x|.w`` covers the rounding of the sum
-    projection + half-width that ``searchsorted`` compares against, and
-    the last factor the rounding of the width itself.  Each
-    candidate pair of a window is confirmed by the test ``max|x_a - x_b|
-    <= tol``, in blocks of about ``_SWEEP_BYTES``, and the confirmed pairs
-    are merged by union-find: the result, the (length, word)-least row of
-    each component, does not depend on pair order.
+    A sweep over both lifts x and -x of each row, sorted by projection
+    (see :func:`_sorted_lifts`), so sign never needs normalizing.  Two
+    lifts within ``tol`` project within ``tol sum(w)``, and their |x|.w
+    differ by at most as much.  So the window of half-width ``(tol sum(w)
+    + slack)(1 + 4 L eps)`` after the projection of a lift x holds every
+    later lift within ``tol`` of x: the slack covers the rounding of both
+    projections and of the sum projection + half-width that
+    ``searchsorted`` compares against, and the last factor the rounding of
+    the width itself.  Each candidate pair of a window is confirmed by the
+    test ``max|x_a - x_b| <= tol``, in blocks of about ``_SWEEP_BYTES``.
+    The confirmed pairs are merged by min-label propagation with pointer
+    jumping (Shiloach & Vishkin, J. Algorithms 3, 1982) over the (length,
+    word) ranks: each component keeps its least rank, so the result does
+    not depend on pair or input order.
     """
     n = len(words)
     flat = np.asarray(mats, dtype=float).reshape(n, -1)
     size = flat.shape[1]
-    w = np.exp(np.modf(np.arange(1, size + 1) * _GOLDEN)[0])
-    eps = size * np.finfo(float).eps
-    half = ((tol * w.sum() + (2 * eps + np.finfo(float).eps)
-             * (np.abs(flat) @ w)) * (1 + 4 * eps))
-    proj = flat @ w
-    proj = np.concatenate([proj, -proj])
-    lift = np.argsort(proj, kind="stable")  # row + n for the lift -x
-    swept = proj[lift]
+    w, lift, swept, slack = _sorted_lifts(flat)
+    half = (tol * w.sum() + slack) * (1 + 4 * size * np.finfo(float).eps)
     # the candidates of sorted position t are the positions t+1 .. end-1
     counts = (np.searchsorted(swept, swept + half[lift % n], side="right")
               - np.arange(1, 2 * n + 1))
     cum = np.cumsum(counts)
     step = max(1, _SWEEP_BYTES // (8 * size))
     cuts = [0, *np.searchsorted(cum, range(step, cum[-1], step)), 2 * n]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def key(i):
-        return len(words[i]), words[i]
-
+    order = np.lexsort((words, [len(x) for x in words]))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    root = np.arange(n)  # by rank: a rank <= r of the component of r
     for lo, hi in zip(cuts, cuts[1:]):
         c = counts[lo:hi]
         first = np.repeat(np.arange(lo, hi), c)
@@ -403,11 +402,12 @@ def _dedup_indices(words, mats, tol) -> list[int]:
         i, j = a % n, b % n
         sign = np.where((a < n) == (b < n), 1.0, -1.0)[:, None]
         close = np.abs(flat[i] - sign * flat[j]).max(axis=1) <= tol
-        # a pair and its mirror (-x_a, -x_b) are both confirmed: take the
-        # one in which the smaller row is the lift +x
-        close &= (i != j) & np.where(i < j, a < n, b < n)
-        for x, y in zip(i[close].tolist(), j[close].tolist()):
-            ri, rj = find(x), find(y)
-            if ri != rj:
-                parent[max(ri, rj, key=key)] = min(ri, rj, key=key)
-    return sorted((i for i in range(n) if parent[i] == i), key=key)
+        a, b = rank[i[close]], rank[j[close]]
+        # hook the larger root of each split pair to the smaller, then
+        # jump until every rank points at its root
+        while (split := root[a] != root[b]).any():
+            x, y = root[a[split]], root[b[split]]
+            np.minimum.at(root, np.maximum(x, y), np.minimum(x, y))
+            while (root[root] != root).any():
+                root = root[root]
+    return order[root == np.arange(n)].tolist()

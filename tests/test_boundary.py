@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -15,7 +16,7 @@ from anosovlab.boundary import (FlagSample, LimitCloud, controlled_set_check,
 from anosovlab.functors import (direct_sum_rep, flag_wedge,
                                 representation_from_matrices,
                                 tau_representation, wedge_power)
-from anosovlab.groups import (canonical_cyclic, cyclic_reduce,
+from anosovlab.groups import (_sorted_lifts, canonical_cyclic, cyclic_reduce,
                               enumerate_ball, free_reduce, inverse_word)
 from anosovlab.linalg import (SpectralGapError, Subspace, _sines,
                               apply_to_subspace, direct_sum_margin,
@@ -799,6 +800,31 @@ class TestStackedScans:
             assert not boundary._separated(u, v, np.nextafter(dist, 2.0))[0, 0]
             assert abs(dist - proj_distance(u[0], v[0])) <= 1e-15
 
+    def test_window_at_its_edges(self):
+        # the hoelder kind's anchor scores, the number of points p with
+        # lo < _sines(p, x) < hi for each anchor x, counted from
+        # _separated(P, X, nextafter(lo, inf), hi), with lo and hi at
+        # planted pairs' own distances and one ulp either side of them
+        rng = np.random.default_rng(9)
+
+        def unit(v):
+            return v / np.linalg.norm(v, axis=1)[:, None]
+
+        X = unit(rng.standard_normal((12, 4)))
+        P = unit(np.vstack([X + 1e-3 * rng.standard_normal((12, 4)),
+                            X + 0.2 * rng.standard_normal((12, 4)),
+                            rng.standard_normal((40, 4))]))
+        dp = np.array([_sines(P, x) for x in X])  # (anchor, point)
+        for k in range(12):
+            lo, hi = dp[k, k], dp[k, 12 + k]
+            for a, b in itertools.product(
+                    (np.nextafter(lo, 0), lo, np.nextafter(lo, 1)),
+                    (np.nextafter(hi, 0), hi, np.nextafter(hi, 1))):
+                scores = boundary._separated(
+                    P, X, np.nextafter(a, math.inf), b).sum(axis=0)
+                assert scores.tolist() == np.count_nonzero(
+                    (a < dp) & (dp < b), axis=1).tolist()
+
     def test_every_pair_skipped(self, tau4_cloud):
         # a projective distance never exceeds 1, so sep_tol=2 skips all
         t = transversality_scan(tau4_cloud, sep_tol=2.0)
@@ -970,6 +996,81 @@ def test_coverage_stats(tau3_cloud):
     # finer clouds cover more tightly than coarse nets
     coarse = LimitCloud(samples=tau3_cloud.samples[:4], m=2, rep_recipe={})
     assert coarse.coverage_stats()["nn_mean"] >= stats["nn_min"]
+
+
+def _nearest_by_cosines(P):
+    """Each unit row p's least residual sine ``_sines(p, q)`` over the
+    other rows q, from all pairs: |cos| of every pair from a GEMM, and the
+    residual for each row's pairs within 1e-9 of its greatest |cos|,
+    which hold its least sine whatever the rounding."""
+    nn = np.full(len(P), math.inf)
+    for start in range(0, len(P), 256):
+        rows = np.arange(start, min(start + 256, len(P)))
+        c = np.abs(P[rows] @ P.T)
+        c[np.arange(len(rows)), rows] = -1.0
+        a, b = np.nonzero(c >= c.max(axis=1, keepdims=True) - 1e-9)
+        np.minimum.at(nn, rows[a], _sines(P[rows[a]], P[b]))
+    return nn
+
+
+def _nearest_by_kdtree(P):
+    """The same from the nearest lift +-q by chordal distance, found by
+    scipy's cKDTree (imported here alone), then its residual sine."""
+    from scipy.spatial import cKDTree
+    _, hit = cKDTree(np.vstack([P, -P])).query(P, k=2)
+    return _sines(P, P[hit[:, 1] % len(P)])
+
+
+def _coverage_of(nn):
+    return {"n": len(nn), "nn_max": float(nn.max()),
+            "nn_mean": float(nn.mean()), "nn_min": float(nn.min())}
+
+
+class TestCoverageSearch:
+    """The projection search of ``coverage_stats`` against all pairs and
+    against a k-d tree: the same nearest-neighbour sines, bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_references(cloud):
+        P = cloud.lines[0]
+        assert (cloud.coverage_stats() == _coverage_of(_nearest_by_cosines(P))
+                == _coverage_of(_nearest_by_kdtree(P)))
+
+    @staticmethod
+    def cloud_of(points):
+        gens = representation_from_matrices(
+            {"a": np.diag([2.0, 1.0, 0.5])}).generators
+        e = np.eye(3)
+        return LimitCloud(samples=tuple(
+            make_sample(gens, "a", p, e[:, :2], e[:, 2:], e[:, 1:], e[2])
+            for p in points), m=2, rep_recipe={})
+
+    @pytest.mark.parametrize("d, radius", [(3, 6), (3, 7), (3, 8), (4, 5),
+                                           (4, 7)])
+    def test_limit_clouds(self, schottky_rep, d, radius):
+        self.assert_equal_to_references(limit_samples(
+            tau_representation(schottky_rep, d), 2, radius))
+
+    def test_copies_antipodes_and_pairs(self):
+        rng = np.random.default_rng(12)
+        P = rng.standard_normal((60, 3))
+        for points in (np.vstack([P, P[:5]]), np.vstack([P, -P[5:10]]),
+                       P[:2], np.vstack([P[:1], -P[:1]])):
+            cloud = self.cloud_of(points)
+            self.assert_equal_to_references(cloud)
+            if len(points) != 2:
+                assert cloud.coverage_stats()["nn_min"] <= 1e-15
+
+    def test_points_that_project_alike(self):
+        # points on the great circle orthogonal to the sweep's weights: all
+        # lifts project within rounding of 0, so the sides stay open over
+        # O(n) steps
+        w = _sorted_lifts(np.zeros((1, 3)))[0]
+        u, v = np.linalg.svd(w[None])[2][1:]
+        t = np.sort(np.random.default_rng(13).uniform(0, np.pi, 300))
+        cloud = self.cloud_of(np.cos(t)[:, None] * u + np.sin(t)[:, None] * v)
+        assert np.ptp(cloud.lines[0] @ w) < 1e-14
+        self.assert_equal_to_references(cloud)
 
 
 def test_coverage_stats_at_dedup_resolution():

@@ -610,6 +610,39 @@ class TestRun:
             # the scatter holds exactly the points each fit used
             assert scatter.count(anchor["witness"]) == anchor["n_points"]
 
+    def test_hoelder_anchors_equal_the_per_anchor_loop(self, monkeypatch):
+        # every anchor in order, with the window's edges at the distances
+        # of two of the cloud's pairs and one ulp either side of them
+        from types import SimpleNamespace
+        from anosovlab.boundary import limit_samples
+        from anosovlab.linalg import _sines
+        rep = build_representation(
+            load_config(config_path("fuchsian_tau3"))["representation"])
+        cloud = limit_samples(rep, 2, 5)
+        monkeypatch.setattr(cli, "limit_samples", lambda *args, **kw: cloud)
+        chosen = []
+
+        def fit(cloud, anchor, window):
+            chosen.append(anchor.witness.word)
+            return SimpleNamespace(slope=1.0, r_squared=1.0, n_points=0,
+                                   n_floored=0, points=np.empty((0, 2)))
+
+        monkeypatch.setattr(cli, "hoelder_regression", fit)
+        plus = cloud.lines[0]
+        dp = np.array([_sines(plus, x) for x in plus])  # (anchor, point)
+        near = np.sort(dp[0])
+        lo, hi = near[near > 1e-4][0], near[near > 0.1][0]
+        for a in (np.nextafter(lo, 0), lo, np.nextafter(lo, 1)):
+            for b in (np.nextafter(hi, 0), hi, np.nextafter(hi, 1)):
+                chosen.clear()
+                cli._run_hoelder(rep, {"m": 2, "dedup_tol": 1e-7,
+                                       "window": [a, b],
+                                       "n_anchors": len(cloud)}, 5, 0)
+                scores = np.count_nonzero((a < dp) & (dp < b), axis=1)
+                order = sorted(range(len(cloud)),
+                               key=lambda i: (-scores[i], i))
+                assert chosen == cloud.words[order].tolist()
+
     def test_cones_kind(self, tmp_path):
         cfg = load_config(config_path("schottky_sl2"))
         cfg["experiment"] = {"kind": "cones", "n_min": 3}
@@ -750,7 +783,8 @@ class TestDeterminism:
 
 
 # every shipped config through the CLI, then the boundary pipeline of the
-# boundary benchmark workload and the hyperconvex and hoelder kinds
+# boundary benchmark workload, its coverage, and the limitset, hyperconvex
+# and hoelder kinds
 RUN_PATH = """
 import json, pathlib, sys
 from importlib import resources
@@ -772,7 +806,8 @@ boundary.controlled_set_check(cloud)
 boundary.hyperconvexity_scan(cloud, seed=0)
 anchor = next(s for s in cloud.samples if s.witness.word == "a")
 geometry.hoelder_regression(cloud, anchor)
-for kind in ("hyperconvex", "hoelder"):
+cloud.coverage_stats()
+for kind in ("limitset", "hyperconvex", "hoelder"):
     path = out / f"{kind}.json"
     path.write_text(json.dumps(dict(cfg, representation=tau4, radius=5,
                                     experiment={"kind": kind, "m": 2})))
@@ -783,7 +818,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_run_path_imports_no_scipy(tmp_path):
     # a fresh interpreter: only linalg.top_invariant_subspace, a test
-    # oracle, and LimitCloud.coverage_stats of the limitset kind import it
+    # oracle, and linalg.hilbert_distance_psd import it
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))

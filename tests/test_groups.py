@@ -240,10 +240,10 @@ def _all_pairs_dedup(words, mats, tol):
     to sign within ``tol`` (Chebyshev) merge, and each class keeps its
     (length, word)-smallest row."""
     flat = np.asarray(mats).reshape(len(words), -1)
-    return _least_of_components(words, [
-        (i, j) for i in range(len(words)) for j in range(i + 1, len(words))
-        if min(np.abs(flat[i] - flat[j]).max(),
-               np.abs(flat[i] + flat[j]).max()) <= tol])
+    apart = np.minimum(np.abs(flat[:, None] - flat).max(axis=2),
+                       np.abs(flat[:, None] + flat).max(axis=2))
+    return _least_of_components(
+        words, zip(*np.nonzero(np.triu(apart <= tol, 1))))
 
 
 def _kdtree_dedup(words, mats, tol):
@@ -369,6 +369,28 @@ def test_dedup_matches_kdtree_on_tau4(tau4_rep):
     ball = enumerate_ball(tau4_rep.generators, 5)
     assert ball.rows.tolist() == _kdtree_dedup(ball.words, ball.products,
                                                1e-8)
+
+
+@pytest.mark.parametrize("sweep_bytes", [4 << 20, 64])
+def test_dedup_merges_a_chain_in_reverse_rank_order(monkeypatch,
+                                                    sweep_bytes):
+    # rows k and k + 1 within tol, k and k + 2 not: one component of 1,200
+    # rows whose (length, word) ranks fall along the chain, so the least
+    # rank, the last row, must reach the first; a second such chain, of
+    # negative entries, is interleaved with it.  At 64 bytes the pairs
+    # are confirmed and merged 8 at a time
+    from anosovlab import groups
+    from anosovlab.groups import _dedup_indices
+    monkeypatch.setattr(groups, "_SWEEP_BYTES", sweep_bytes)
+    tol, n = 2.0 ** -20, 1200
+    steps = 0.75 * tol * np.arange(n)  # exact, as are the sums below
+    mats = np.empty((2 * n, 1, 1))
+    mats[0::2, 0, 0] = 0.5 + steps
+    mats[1::2, 0, 0] = -(0.25 + steps[::-1])
+    words = [f"b{2 * n - k:05d}" for k in range(2 * n)]
+    keep = _dedup_indices(words, mats, tol)
+    assert keep == [2 * n - 1, 2 * n - 2]
+    assert keep == _all_pairs_dedup(words, mats, tol)
 
 
 def test_dedup_merges_to_the_shortest_word():
