@@ -256,9 +256,12 @@ def _write_csv(path: Path, header, rows, values=None) -> None:
     """Write the header and the rows with ``csv.writer``; an (n, w) float
     array ``values`` follows row i with the floats of its row i, exactly as
     ``csv.writer`` writes ``[*rows[i], *values[i].tolist()]``.  The writer
-    writes a float as its ``repr``, which is formatted once per distinct
-    bit pattern of the block (so -0.0 and 0.0 stay apart) and needs no
-    quoting; each row's leading cells still go through the writer."""
+    writes a float as its ``repr``, which needs no quoting.  It is
+    formatted once per distinct magnitude of the block (the bits with the
+    sign cleared), and a value with its sign bit set gets a ``-`` in
+    front, as its ``repr`` has, unless it is a NaN, whose ``repr`` drops
+    the sign: so -0.0 and 0.0 stay apart.  Each row's leading cells still
+    go through the writer."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -266,10 +269,13 @@ def _write_csv(path: Path, header, rows, values=None) -> None:
             writer.writerows(rows)
             return
         values = np.ascontiguousarray(values, dtype=np.float64)
-        bits, inverse = np.unique(values.view(np.int64).ravel(),
-                                  return_inverse=True)
-        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()],
-                         dtype=object)[inverse.reshape(values.shape)]
+        magnitudes, inverse = np.unique(
+            values.view(np.int64).ravel() & np.int64(2 ** 63 - 1),
+            return_inverse=True)
+        texts = list(map(repr, magnitudes.view(np.float64).tolist()))
+        negative = np.signbit(values) & ~np.isnan(values)
+        texts = np.array(texts + ["-" + t for t in texts], dtype=object)[
+            inverse.reshape(values.shape) + len(texts) * negative]
         end = writer.dialect.lineterminator
         leads = []  # one line per row, the writer's only write per row
         lead_writer = csv.writer(SimpleNamespace(write=leads.append))

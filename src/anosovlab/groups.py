@@ -213,10 +213,13 @@ class Ball(Sequence):
     from :attr:`radius`.  ``products`` stacks the left-to-right products
     of *every* reduced word of length <= radius, merged or kept, in the
     order of the list ``words`` (prefix-closed and sorted by (length,
-    word)), and ``row`` maps each word to its index there.  The
-    inverse word and every rotation of the cyclic core of a ball word are
-    again reduced words of no greater length, so their matrices are rows
-    of the same stack, even where that word itself was merged away.
+    word)), and ``row`` maps each word to its index there.  The ball owns
+    the prefix tree of ``words``: ``prefix`` and ``last`` hold each row's
+    prefix row and last letter, as :func:`prefix_tree` gives them, and
+    the spectral ladder walks that tree.  The inverse word and every
+    rotation of the cyclic core of a ball word are again reduced words of
+    no greater length, so their matrices are rows of the same stack, even
+    where that word itself was merged away.
 
     The elements are the stack rows ``rows``; indexing builds their
     :class:`GroupElement` on demand.  The Cartan and Jordan arrays over
@@ -226,18 +229,17 @@ class Ball(Sequence):
     """
 
     def __init__(self, gens: GeneratorSet, words: list[str],
-                 products: np.ndarray, keep: list[int]):
+                 tree: tuple[np.ndarray, np.ndarray], products: np.ndarray,
+                 keep: list[int]):
         products.flags.writeable = False
         self.gens = gens
         self.words = words
+        self.prefix, self.last = tree
         self.products = products
-        self.row = row = {w: i for i, w in enumerate(words)}
+        self.row = {w: i for i, w in enumerate(words)}
         self.rows = np.array(keep, dtype=np.intp)
-        kept = [words[i] for i in keep]
-        self.lengths = np.fromiter(map(len, kept), dtype=int, count=len(kept))
-        # stack row of each element's inverse word
-        self.inverse_rows = np.array([row[inverse_word(w)] for w in kept],
-                                     dtype=np.intp)
+        # the stack row of each element's inverse word, and its length
+        self.inverse_rows, self.lengths = _inverse_rows(self)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -298,21 +300,41 @@ def enumerate_ball(gens: GeneratorSet, radius: int) -> Ball:
         raise BallTooLargeError(
             f"ball too large: {count} words exceed cap {_BALL_CAP}")
 
-    words, layer = [""], [""]
+    # the words layer by layer and their prefix tree by array gathers:
+    # the rows of a layer spawn their successors in order, from a table
+    # keyed by their last letter, an index into ``order`` (the empty
+    # word's, n_letters, stands for no letter)
     order = sorted(gens.labels)
+    after = {x: [y for y in order if y != inverse_label(x)] for x in order}
+    after[""] = order
+    succ = np.array([[order.index(y) for y in after[x]] for x in order],
+                    dtype=np.intp)
+    words, layer = [""], [""]
+    prefix, code = [np.array([-1])], [np.array([n_letters])]
+    parents, codes = np.zeros(n_letters, dtype=np.intp), np.arange(n_letters)
     for _ in range(radius):
-        layer = [w + x for w in layer for x in order
-                 if w[-1:] != inverse_label(x)]
+        layer = [w + y for w in layer for y in after[w[-1:]]]
+        prefix.append(parents)
+        code.append(codes)
+        parents = np.repeat(np.arange(len(words), len(words) + len(layer)),
+                            n_letters - 1)
+        codes = succ[codes].ravel()
         words += layer
-    products = word_products(gens, words)
-    return Ball(gens, words, products, _dedup_indices(words, products, 1e-8))
+    last = np.array([*order, ""])[np.concatenate(code)]
+    tree = np.concatenate(prefix), last
+    products = _tree_products(gens, *tree)
+    return Ball(gens, words, tree, products,
+                _dedup_indices(words, products, 1e-8))
 
 
 def prefix_tree(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The prefix row (-1 for the empty word) and the last letter of each
     of the prefix-closed ``words``, sorted by (length, word).  In that
     order the prefix rows never decrease: the children of the rows a:b
-    are the rows between ``np.searchsorted(prefix, (a, b))``."""
+    are the rows between ``np.searchsorted(prefix, (a, b))``.  A
+    :class:`Ball` owns the tree of its words, built by
+    :func:`enumerate_ball` as it generates them; this one serves other
+    word sets (:func:`word_products`)."""
     row = {w: i for i, w in enumerate(words)}
     return (np.array([-1] + [row[w[:-1]] for w in words[1:]]),
             np.array([w[-1:] for w in words]))
@@ -320,24 +342,60 @@ def prefix_tree(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def word_products(gens: GeneratorSet, words: list[str]) -> np.ndarray:
     """The stacked matrices of the prefix-closed ``words``, sorted by
-    (length, word): each its prefix's product times its last letter, one
-    stacked product per length and letter.  Products that leave the
-    double range raise ``FloatingPointError``."""
-    prefix, last = prefix_tree(words)
-    products = np.empty((len(words), gens.dim, gens.dim))
+    (length, word) (see :func:`_tree_products`)."""
+    return _tree_products(gens, *prefix_tree(words))
+
+
+def _tree_products(gens: GeneratorSet, prefix: np.ndarray,
+                   last: np.ndarray) -> np.ndarray:
+    """The stacked matrices of the words of a prefix tree: each its
+    prefix's product times its last letter, one stacked product per
+    length and letter.  Products that leave the double range raise
+    ``FloatingPointError``."""
+    products = np.empty((len(prefix), gens.dim, gens.dim))
     products[0] = np.eye(gens.dim)
-    a, b = 0, 1
+    a, b, length = 0, 1, -1  # one pass per layer, and one finding none
     with np.errstate(over="ignore", invalid="ignore"):
         while b > a:
             a, b = np.searchsorted(prefix, (a, b))
+            length += 1
             for x, M in gens.matrices.items():
                 at = a + np.flatnonzero(last[a:b] == x)
                 products[at] = products[prefix[at]] @ M.mat
     if not np.isfinite(products).all():
         raise FloatingPointError(
             f"word products overflow doubles in dimension {gens.dim}; "
-            f"the longest word has length {len(words[-1])}")
+            f"the longest word has length {length}")
     return products
+
+
+def _inverse_rows(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """The row of the inverse word of each of the ball's elements, and
+    each element's length, read off its prefix tree.  The inverse of a
+    word reads its letters from the end, inverted, so one step per letter
+    position goes up the tree from each row and down it from the empty
+    word, along a (rows, letters) child table.  Every inverse word must
+    be in the tree, and so its prefixes."""
+    labels, prefix, last = ball.gens.labels, ball.prefix, ball.last
+    n, column = len(prefix), {x: j for j, x in enumerate(labels)}
+    code = np.zeros(n, dtype=np.intp)
+    for x, j in column.items():
+        code[last == x] = j
+    # row n stands for a word not in the tree, and stays there
+    child = np.full((n + 1, len(labels)), n)
+    child[prefix[1:], code[1:]] = np.arange(1, n)
+    flip = np.array([column[inverse_label(x)] for x in labels],
+                    dtype=np.intp)
+    up = ball.rows
+    down, lengths = np.zeros_like(up), np.zeros(len(up), dtype=int)
+    for _ in range(ball.radius):
+        live = up > 0
+        down = np.where(live, child[down, flip[code[up]]], down)
+        up = np.where(live, prefix[up], 0)
+        lengths += live
+    if (down == n).any():
+        raise KeyError("an inverse word is not in the tree")
+    return down, lengths
 
 
 def _sorted_lifts(flat: np.ndarray):
@@ -402,12 +460,21 @@ def _dedup_indices(words, mats, tol) -> list[int]:
         i, j = a % n, b % n
         sign = np.where((a < n) == (b < n), 1.0, -1.0)[:, None]
         close = np.abs(flat[i] - sign * flat[j]).max(axis=1) <= tol
-        a, b = rank[i[close]], rank[j[close]]
-        # hook the larger root of each split pair to the smaller, then
-        # jump until every rank points at its root
-        while (split := root[a] != root[b]).any():
-            x, y = root[a[split]], root[b[split]]
-            np.minimum.at(root, np.maximum(x, y), np.minimum(x, y))
-            while (root[root] != root).any():
-                root = root[root]
+        root = _join(root, rank[i[close]], rank[j[close]])
     return order[root == np.arange(n)].tolist()
+
+
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forest ``root`` of ranks, each pointing at the least rank of
+    its component, with the components of each pair (a[k], b[k]) joined:
+    the larger root of each split pair is hooked to the smaller, then
+    labels jump until every rank points at its root again.  That full
+    compression makes every hook, in this call or the next, join two
+    roots; a hook on a rank that is not a root would move it off its
+    tree and split a component joined before."""
+    while (split := root[a] != root[b]).any():
+        x, y = root[a[split]], root[b[split]]
+        np.minimum.at(root, np.maximum(x, y), np.minimum(x, y))
+        while (root[root] != root).any():
+            root = root[root]
+    return root

@@ -88,16 +88,16 @@ def _finite(S: np.ndarray, n: int, words: list[str]) -> np.ndarray:
     return S
 
 
-def _compound_logs(letters: dict, words: list[str], reads, n: int) -> list:
+def _compound_logs(letters: dict, ball: Ball, reads, n: int) -> list:
     """Per (rows, _, spectrum) of ``reads``, the (K-1, len(rows)) logs of
-    the top ``spectrum`` value of the words' compounds, multiplied from
-    ``letters`` left to right over the prefix-closed ``words``; ``n`` is
-    the dimension of the block they come from."""
+    the top ``spectrum`` value of the compounds of the ball's words,
+    multiplied from ``letters`` left to right along its prefix tree;
+    ``n`` is the dimension of the block they come from."""
     sizes = [C.shape[0] for C in next(iter(letters.values()))]
     if not sizes:
         return [np.zeros((0, len(at))) for at, *_ in reads]
     step = max(1, _LADDER_BYTES // (8 * sum(c * c for c in sizes)))
-    prefix, last = prefix_tree(words)
+    words, prefix, last = ball.words, ball.prefix, ball.last
     need = [np.isin(np.arange(len(words)), at) for at, *_ in reads]
     logs = [np.zeros((len(sizes), len(words))) for _ in reads]
 
@@ -132,7 +132,7 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
     rows, Jordan vectors once per class on the rows of its canonical
     cyclic word and of that word's inverse; the k = 1 rung of each block
     on the ball's ``products``, the others on compounds multiplied along
-    its prefix-closed, length-sorted ``words``."""
+    its prefix tree."""
     gens, words, products, row = (ball.gens, ball.words, ball.products,
                                   ball.row)
     classes, member = ball.classes
@@ -150,7 +150,7 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
         ld = {x: np.linalg.slogdet(L)[1] for x, L in letters.items()}
         idx = [np.array(wedge_indices(n, k)) for k in range(2, K + 1)]
         more = _compound_logs({x: [_wedge_coordinates(L, i, i) for i in idx]
-                               for x, L in letters.items()}, words, reads,
+                               for x, L in letters.items()}, ball, reads,
                               n)
         for (at, m, spectrum), t, out in zip(reads, more, vectors):
             rows_at, back = np.unique(at, return_inverse=True)
@@ -187,7 +187,7 @@ def cartan_jordan(g) -> SpectralData:
     ends = {word, inverse_word(word), core, inverse_word(core)}
     words = sorted({w[:i] for w in ends for i in range(len(w) + 1)},
                    key=lambda w: (len(w), w))
-    ball = Ball(gens, words, word_products(gens, words),
+    ball = Ball(gens, words, prefix_tree(words), word_products(gens, words),
                 [words.index(word)])
     return SpectralData(mu=ball.cartan[0], lam=ball.jordan[0])
 

@@ -726,6 +726,28 @@ class TestFloatBlock:
         assert (tmp_path / "t.csv").read_bytes() == (
             b'w,a,b,c\r\n,0.0,-0.0,nan\r\n"x,y",-0.0,0.0,nan\r\n')
 
+    def test_both_signs_of_each_magnitude(self, tmp_path, monkeypatch):
+        # each magnitude is formatted once and written with both signs, in
+        # rows spread over several blocks; the last column holds the edge
+        # cases of the sign rule: zeros, infinities, the least subnormals
+        # and NaNs, each with and without its sign bit
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+        rng = np.random.default_rng(23)
+        magnitudes = np.concatenate([rng.lognormal(0, 30, 40), [1e308, 0.1]])
+        signed = np.concatenate([magnitudes, -magnitudes])
+        special = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                   math.nan, -math.nan]
+        values = np.empty((21, 5))
+        values[:, :4] = rng.permutation(signed).reshape(21, 4)
+        values[:, 4] = [special[k % len(special)] for k in range(21)]
+        assert math.isnan(values[7, 4]) and np.signbit(values[7, 4])
+        rows = [[f"w{k}", k] for k in range(21)]
+        header = ["word", "length", "a", "b", "c", "d", "e"]
+        cli._write_csv(tmp_path / "block.csv", header, rows, values)
+        _csv_writer_rendering(tmp_path / "writer.csv", header, rows, values)
+        assert ((tmp_path / "block.csv").read_bytes()
+                == (tmp_path / "writer.csv").read_bytes())
+
     def test_spectra_csv_is_the_csv_writer_rendering(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))
         out = tmp_path / "out"

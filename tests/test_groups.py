@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anosovlab.functors import build_representation, tau_representation
-from anosovlab.groups import (BallTooLargeError, GeneratorSet, GroupElement,
-                              _class_keys, _reduced_cyclic_key,
+from anosovlab.groups import (Ball, BallTooLargeError, GeneratorSet,
+                              GroupElement, _class_keys, _reduced_cyclic_key,
                               canonical_cyclic, cyclic_reduce, enumerate_ball,
-                              free_reduce, inverse_label, inverse_word)
+                              free_reduce, inverse_label, inverse_word,
+                              prefix_tree, word_products)
 from anosovlab.spectra import cartan_jordan
 from tests.conftest import load_example_config
 
@@ -393,6 +394,24 @@ def test_dedup_merges_a_chain_in_reverse_rank_order(monkeypatch,
     assert keep == _all_pairs_dedup(words, mats, tol)
 
 
+def test_join_leaves_every_rank_at_its_root():
+    # the merge of _dedup_indices, one chunk of confirmed pairs at a time.
+    # Ranks 0..6 stand for y < c0 < c1 < c2 < c3 < e < t.  The first chunk
+    # hangs t under e; the second hooks e -> c3 -> c2 -> c1 -> c0 in one
+    # round, five pointers from t to its root, and its own pairs agree
+    # after two jumps, which leave t at c1; the third joins t to y.  Had
+    # t been left at c1, that hook would move c1 off the tree of c0 and
+    # split the component the first two chunks joined
+    from anosovlab.groups import _join
+    y, c0, c1, c2, c3, e, t = range(7)
+    root = np.arange(7)
+    for a, b in (([t], [e]), ([c0, c1, c2, c3], [c1, c2, c3, e]),
+                 ([t], [y])):
+        root = _join(root, np.array(a), np.array(b))
+        assert (root[root] == root).all()
+    assert (root == y).all()
+
+
 def test_dedup_merges_to_the_shortest_word():
     # a = rotation by pi/2 squares to -1, the identity in PGL: with the
     # parabolic b the 1,457 words of radius 6 merge to 104 elements
@@ -491,6 +510,47 @@ class TestBall:
             assert [classes[k] for k in member] == keys
             assert classes == list(dict.fromkeys(keys))
             assert keys == [_canonical_by_definition(g.word) for g in ball]
+
+    @staticmethod
+    def assert_tree_matches_strings(ball):
+        # the bookkeeping read off the prefix tree against the string
+        # definitions it replaces
+        prefix, last = prefix_tree(ball.words)
+        assert ball.prefix.dtype == prefix.dtype and ball.last.dtype == last.dtype
+        assert np.array_equal(ball.prefix, prefix)
+        assert np.array_equal(ball.last, last)
+        kept = [ball.words[i] for i in ball.rows.tolist()]
+        assert ball.inverse_rows.tolist() == [ball.row[inverse_word(w)]
+                                              for w in kept]
+        assert ball.lengths.tolist() == [len(w) for w in kept]
+        assert np.array_equal(ball.products,
+                              word_products(ball.gens, ball.words))
+
+    @pytest.mark.parametrize("gens, radius", [
+        ({"a": np.diag([2.0, 0.5])}, 5),
+        ({"a": np.diag([2.0, 0.5]), "b": [[1.25, 0.75], [0.75, 1.25]]}, 5),
+        ({"a": np.diag([2.0, 0.5]), "b": [[1.25, 0.75], [0.75, 1.25]],
+          "c": rotation(0.3) @ np.diag([3.0, 1 / 3]) @ rotation(-0.3)}, 4),
+        (QUARTER_TURN, 6)])
+    def test_tree_matches_string_definitions(self, gens, radius):
+        ball = enumerate_ball(GeneratorSet.from_matrices(gens), radius)
+        if gens is QUARTER_TURN:  # merged: the kept rows skip words
+            assert len(ball) < len(ball.words)
+        self.assert_tree_matches_strings(ball)
+
+    def test_tree_of_a_cartan_jordan_word_set(self, tau3_rep):
+        # the prefixes of a word, its inverse and their cyclic cores, as
+        # cartan_jordan builds them: not a ball, and its rows skip lengths
+        gens = tau3_rep.generators
+        word = "abbAbaB"
+        core = canonical_cyclic(word)
+        ends = {word, inverse_word(word), core, inverse_word(core)}
+        words = sorted({w[:i] for w in ends for i in range(len(w) + 1)},
+                       key=lambda w: (len(w), w))
+        keep = sorted(words.index(w) for w in ends)
+        ball = Ball(gens, words, prefix_tree(words),
+                    word_products(gens, words), keep)
+        self.assert_tree_matches_strings(ball)
 
     def test_class_keys_equal_per_word_keys(self, tau3_rep):
         ball = enumerate_ball(tau3_rep.generators, 7)
