@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -20,8 +20,8 @@ import numpy as np
 from .functors import Representation
 from .groups import (Ball, GroupElement, _sorted_lifts, _strip_ends,
                      enumerate_ball, inverse_word)
-from .linalg import (GAP_TOL, Subspace, _readonly, _residuals, _row_norms,
-                     _sines, orthonormalize)
+from .linalg import (GAP_TOL, MatrixD, Subspace, _readonly, _residuals,
+                     _row_norms, _sines, orthonormalize)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
 from .spectra import cartan_jordan, gap_profile  # noqa: F401
 
@@ -60,11 +60,21 @@ class LimitCloud:
     of the representation.  The scans read the cloud's array form:
     ``frames``, ``lines`` and ``words``, each built on first use and
     read-only.  ``lines`` is the one point array: every distance of or to
-    a sampled point reads its rows."""
+    a sampled point reads its rows.
+
+    :func:`limit_samples` passes ``stacks``, the read-only frame stacks
+    that its samples' frames are views of, which serve as ``frames``; a
+    cloud built from samples alone stacks their frames, to the same
+    bits."""
 
     samples: tuple[FlagSample, ...]
     m: int
     rep_recipe: dict
+    stacks: InitVar[dict[str, np.ndarray] | None] = None
+
+    def __post_init__(self, stacks):
+        if stacks is not None:
+            self.__dict__["frames"] = stacks  # the cached frames
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -329,23 +339,70 @@ def _proximal(ball, ks) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+# Rows per block of the line dedup, whose cosines within a block are one
+# (128, 128) GEMM
+_DEDUP_ROWS = 128
+
+
 def _dedup(points: np.ndarray, tol: float) -> list[int]:
     """Positions of the kept rows of the (n, d) unit rows ``points``, in
-    order: a row is kept unless ``proj_distance`` puts a kept row within
-    ``tol`` of it.  The cosines with the kept rows come from one GEMV, and
-    only the rows whose squared sine 1 - cos^2 is below tol^2 + ``_BAND``
-    are decided by the residual sine of ``linalg._sines``: near 1 a cosine
-    resolves a sine of 1e-7 to about 20 ulps of 1."""
+    order: a row is kept unless ``proj_distance`` puts an earlier kept row
+    within ``tol`` of it.  A pair is screened by its cosine, ``|cos| >
+    near`` for near^2 = 1 - tol^2 - ``_BAND``, and decided by the residual
+    sine of ``linalg._sines``: near 1 a cosine resolves a sine of 1e-7 to
+    about 20 ulps of 1.
+
+    The rows go in blocks of ``_DEDUP_ROWS``.  A block's rows are first
+    checked against the kept rows of earlier blocks, through a window on
+    the sorted lifts +-k of the kept rows (see :func:`groups._sorted_lifts`
+    and :meth:`LimitCloud.coverage_stats`): a sine s puts one of +-k within
+    sqrt(2) s of the row, so the window reaches sqrt(2) |w| (tol + fuzz)
+    plus the row's slack and the largest slack to either side of the row's
+    projection, the fuzz covering the rounding of the sine and of the
+    window's ends.  The block's other rows are screened against each
+    other by one GEMM of cosines and decided in row order, each dropping
+    only when an earlier kept row confirms.  Then the block's kept lifts
+    join the sorted index.  Kept rows are tol apart, so a window holds few
+    of them at any tol."""
+    n, d = points.shape
     near = math.sqrt(max(0.0, 1.0 - tol * tol - _BAND))
+    w, lift, swept, slack = _sorted_lifts(points)
+    at = np.empty(2 * n, dtype=np.intp)  # the sorted position of each lift
+    at[lift] = np.arange(2 * n)
+    fuzz = 4 * d * np.finfo(float).eps
+    reach = (math.sqrt(2.0) * np.linalg.norm(w) * (tol + fuzz)
+             + slack.max(initial=0.0))
+    index = np.empty(0, dtype=np.intp)  # sorted positions of the kept lifts
     kept: list[int] = []
-    rows = np.empty_like(points)  # the kept rows
-    for t, v in enumerate(points):
-        n = len(kept)
-        close = np.flatnonzero(np.abs(rows[:n] @ v) > near)
-        if close.size and (_sines(rows[close], v) < tol).any():
-            continue
-        rows[n] = v
-        kept.append(t)
+    for lo in range(0, n, _DEDUP_ROWS):
+        rows = np.arange(lo, min(lo + _DEDUP_ROWS, n))
+        if index.size:
+            proj, half = swept[at[rows]], reach + slack[rows]
+            known = swept[index]
+            found = np.searchsorted(known, proj - half)
+            c = np.searchsorted(known, proj + half, side="right") - found
+            # each row against the kept lifts found .. found + c - 1
+            t = np.repeat(rows, c)
+            k = lift[index[np.arange(c.sum()) + np.repeat(
+                found - np.cumsum(c) + c, c)]] % n
+            close = np.abs(np.einsum("ij,ij->i", points[k], points[t])) > near
+            k, t = k[close], t[close]
+            live = np.ones(len(rows), dtype=bool)
+            live[t[_sines(points[k], points[t]) < tol] - lo] = False
+            rows = rows[live]
+        S = points[rows]
+        i, j = np.nonzero(np.abs(S @ S.T) > near)
+        i, j = i[i < j], j[i < j]
+        confirmed = _sines(S[i], S[j]) < tol
+        drop: set[int] = set()
+        for later, earlier in sorted(zip(j[confirmed].tolist(),
+                                         i[confirmed].tolist())):
+            if earlier not in drop:
+                drop.add(later)
+        rows = np.delete(rows, list(drop))
+        kept += rows.tolist()
+        new = np.sort(np.concatenate([at[rows], at[rows + n]]))
+        index = np.insert(index, np.searchsorted(index, new), new)
     return kept
 
 
@@ -369,7 +426,9 @@ def limit_samples(rep: Representation, m: int, radius: int,
     witness in ball order (the shortest), so
     ``dedup_tol`` acts as the spatial resolution of the cloud.  Only the
     lines take part in the dedup, so they are moved for every element
-    and the other flags for the kept ones alone.
+    and the other flags for the kept ones alone.  The cloud's ``frames``
+    are those stacks, read-only, and each sample's frames are views of
+    them; the witnesses are built from one gather of ``ball.rows``.
     """
     d = rep.dim
     if not 1 <= m <= d - 1:
@@ -387,12 +446,14 @@ def limit_samples(rep: Representation, m: int, radius: int,
     kept = _dedup(flags.first()[:, :, 0], dedup_tol)
     if not kept:
         raise ValueError("no proximal elements found in the ball")
-    frames = dict(zip([f.name for f in fields(FlagSample)[1:]], flags(kept)))
-    samples = tuple(
-        FlagSample(witness=ball[flags.index[t]],
-                   **{name: Subspace(F[n]) for name, F in frames.items()})
-        for n, t in enumerate(kept))
-    return LimitCloud(samples=samples, m=m, rep_recipe=rep.recipe)
+    stacks = [_readonly(F) for F in flags(kept)]
+    gens, words, products = ball.gens, ball.words, ball.products
+    witnesses = [GroupElement(words[r], MatrixD(products[r]), gens)
+                 for r in ball.rows[flags.index[kept]].tolist()]
+    samples = tuple(map(FlagSample, witnesses,
+                        *(map(Subspace, F) for F in stacks)))
+    return LimitCloud(samples, m, rep.recipe, dict(zip(
+        [f.name for f in fields(FlagSample)[1:]], stacks)))
 
 
 # Byte budget of the float temporaries of one block of the pair scans (the

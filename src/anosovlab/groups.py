@@ -404,22 +404,30 @@ def _sorted_lifts(flat: np.ndarray):
     phi))``, k = 1..L, phi the golden ratio, which are positive and
     linearly independent over the rationals (Lindemann-Weierstrass): w,
     the lifts in that order (row + n for -x), their projections, and each
-    row's slack ``(2 L + 1) eps |x|.w``.  A rounded projection lies within
-    ``L eps |x|.w`` of the exact one (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, 3.1), so the slack covers two lifts of
-    about equal |x|.w and one rounding of their sum or difference."""
+    row's slack ``(2 L + 1) eps |x|.w``.  Negating every lift reverses
+    the order: the x lifts take equal projections in row order, the -x
+    lifts come in the reverse of the x lifts' order, and a -x lift goes
+    before an x lift of equal projection.  A rounded projection lies
+    within ``L eps |x|.w`` of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 3.1), so the slack covers two
+    lifts of about equal |x|.w and one rounding of their sum or
+    difference."""
     n, size = flat.shape
     w = np.exp(np.modf(np.arange(1, size + 1) * _GOLDEN)[0])
     proj = flat @ w
-    proj = np.concatenate([proj, -proj])
-    lift = np.argsort(proj, kind="stable")
+    up = np.argsort(proj, kind="stable")
+    down = up[::-1]
+    lift = np.insert(up, np.searchsorted(proj[up], -proj[down]), down + n)
     slack = (2 * size + 1) * np.finfo(float).eps * (np.abs(flat) @ w)
-    return w, lift, proj[lift], slack
+    return w, lift, np.concatenate([proj, -proj])[lift], slack
 
 
 def _dedup_indices(words, mats, tol) -> list[int]:
     """Merge indices whose matrices agree up to sign within ``tol``
-    (Chebyshev metric on entries), keeping the (length, word)-smallest.
+    (Chebyshev metric on entries), each component keeping its (length,
+    word)-smallest: the kept indices, in input order.
+    :func:`enumerate_ball` passes its words sorted by (length, word), so
+    there the kept indices are in that order too.
 
     A sweep over both lifts x and -x of each row, sorted by projection
     (see :func:`_sorted_lifts`), so sign never needs normalizing.  Two
@@ -429,12 +437,15 @@ def _dedup_indices(words, mats, tol) -> list[int]:
     later lift within ``tol`` of x: the slack covers the rounding of both
     projections and of the sum projection + half-width that
     ``searchsorted`` compares against, and the last factor the rounding of
-    the width itself.  Each candidate pair of a window is confirmed by the
+    the width itself.  A pair of rows comes from the windows of both
+    signs, in mirrored order, so a candidate is taken only when its first
+    lift's row is below its second's: each pair is confirmed once, by the
     test ``max|x_a - x_b| <= tol``, in blocks of about ``_SWEEP_BYTES``.
     The confirmed pairs are merged by min-label propagation with pointer
     jumping (Shiloach & Vishkin, J. Algorithms 3, 1982) over the (length,
-    word) ranks: each component keeps its least rank, so the result does
-    not depend on pair or input order.
+    word) ranks, ranked at the first confirmed pair: each component keeps
+    its least rank, so the kept set does not depend on pair or input
+    order.
     """
     n = len(words)
     flat = np.asarray(mats, dtype=float).reshape(n, -1)
@@ -447,21 +458,28 @@ def _dedup_indices(words, mats, tol) -> list[int]:
     cum = np.cumsum(counts)
     step = max(1, _SWEEP_BYTES // (8 * size))
     cuts = [0, *np.searchsorted(cum, range(step, cum[-1], step)), 2 * n]
-    order = np.lexsort((words, [len(x) for x in words]))
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    root = np.arange(n)  # by rank: a rank <= r of the component of r
+    rank = root = None  # root, by rank: a rank <= r of the component of r
     for lo, hi in zip(cuts, cuts[1:]):
         c = counts[lo:hi]
         first = np.repeat(np.arange(lo, hi), c)
         second = first + 1 + np.arange(c.sum()) - np.repeat(
             np.cumsum(c) - c, c)
         a, b = lift[first], lift[second]
+        once = a % n < b % n
+        a, b = a[once], b[once]
         i, j = a % n, b % n
         sign = np.where((a < n) == (b < n), 1.0, -1.0)[:, None]
         close = np.abs(flat[i] - sign * flat[j]).max(axis=1) <= tol
-        root = _join(root, rank[i[close]], rank[j[close]])
-    return order[root == np.arange(n)].tolist()
+        if close.any():
+            if rank is None:
+                rank = np.empty(n, dtype=np.intp)
+                rank[np.lexsort((words, [len(x) for x in words]))] = (
+                    np.arange(n))
+                root = np.arange(n)
+            root = _join(root, rank[i[close]], rank[j[close]])
+    if rank is None:
+        return list(range(n))
+    return np.flatnonzero(root[rank] == rank).tolist()
 
 
 def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

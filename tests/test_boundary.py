@@ -127,6 +127,23 @@ class TestLimitSamples:
             attract = top_invariant_subspace(W, 1)
             assert proj_distance(line, attract) < 1e-7
 
+    def test_frames_are_the_stacks_of_the_samples(self, tau4_rep, tau4_cloud):
+        # the class-flag stacks, handed to the cloud, against the stacks of
+        # a cloud built from the same samples
+        rebuilt = LimitCloud(samples=tau4_cloud.samples, m=2, rep_recipe={})
+        assert tau4_cloud.frames.keys() == rebuilt.frames.keys()
+        for name, F in tau4_cloud.frames.items():
+            assert F.tobytes() == rebuilt.frames[name].tobytes()
+            assert F.shape == rebuilt.frames[name].shape
+            assert not F.flags.writeable
+            assert all(getattr(s, name).frame.base is F
+                       for s in tau4_cloud.samples)
+        assert tau4_cloud.lines.tobytes() == rebuilt.lines.tobytes()
+        gens = tau4_rep.generators
+        for s in tau4_cloud.samples[::25]:
+            assert np.array_equal(s.witness.matrix.mat,
+                                  gens.matrix_of_word(s.witness.word).mat)
+
     def test_no_proximal_elements_error(self, rotation_rep):
         rep3 = tau_representation(rotation_rep, 3)
         with pytest.warns(UserWarning):
@@ -438,6 +455,30 @@ def reduced_words(alphabet: str):
         lambda letters: free_reduce("".join(letters))).filter(bool)
 
 
+def _greedy_dedup(points, tol):
+    """The line dedup as a greedy loop, one GEMV of cosines per row against
+    the kept rows: the oracle of ``boundary._dedup``."""
+    near = math.sqrt(max(0.0, 1.0 - tol * tol - boundary._BAND))
+    kept = []
+    rows = np.empty_like(points)  # the kept rows
+    for t, v in enumerate(points):
+        n = len(kept)
+        close = np.flatnonzero(np.abs(rows[:n] @ v) > near)
+        if close.size and (_sines(rows[close], v) < tol).any():
+            continue
+        rows[n] = v
+        kept.append(t)
+    return kept
+
+
+def _turned(rng, x, sine):
+    """A unit row at the sine ``sine`` from the unit row ``x``."""
+    y = rng.standard_normal(x.shape)
+    y -= x * (x @ y)
+    y /= np.linalg.norm(y)
+    return math.sqrt(1.0 - sine * sine) * x + sine * y
+
+
 class TestDedup:
     """Two lines a fraction of the dedup tolerance on either side of it."""
 
@@ -455,6 +496,46 @@ class TestDedup:
         points = np.array([u, v, Q[:, 2]])
         assert boundary._dedup(points, tol) == kept
         assert boundary._dedup(points[[1, 0, 2]], tol) == kept
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+           tol=st.sampled_from([1e-7, 1e-3, 5e-2]),
+           extra=st.sampled_from([-1, 0, 1]))
+    def test_blocks_keep_the_greedy_lines(self, seed, d, tol, extra):
+        # random unit rows about one block long, with planted duplicates,
+        # negatives and pairs at 0.97-1.02 tol, and a chain of lines 0.75
+        # tol apart across the block edge: its two-step neighbours are 1.5
+        # tol apart, so every other line of the chain is kept
+        rng = np.random.default_rng(seed)
+        edge = boundary._DEDUP_ROWS
+        n = edge + extra
+        P = rng.standard_normal((n, d))
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        for t in rng.choice(n, n // 3, replace=False):
+            x = P[rng.integers(n)]
+            P[t] = [_turned(rng, x, 1e-3 * tol), -x,
+                    _turned(rng, x, rng.uniform(0.97, 1.02) * tol)][t % 3]
+        a, b = np.linalg.qr(rng.standard_normal((d, 2)))[0].T
+        theta = math.asin(0.75 * tol)
+        start = edge - int(rng.integers(1, 5))
+        for k, t in enumerate(range(start, min(n, start + 8))):
+            P[t] = math.cos(k * theta) * a + math.sin(k * theta) * b
+        assert boundary._dedup(P, tol) == _greedy_dedup(P, tol)
+
+    @pytest.mark.parametrize("d, radius", [(4, 5), (4, 7), (3, 6), (3, 8)])
+    def test_limit_lines_keep_the_greedy_lines(self, schottky_rep, d,
+                                               radius):
+        # the lines limit_samples dedups at m = 2, at three tolerances:
+        # few conflicts at 1e-7, nearly all rows dropped at 5e-2
+        ball = enumerate_ball(
+            tau_representation(schottky_rep, d).generators, radius)
+        lines = boundary._ClassFlags(ball, [
+            ("+", 1), ("+", 2), ("-", d - 2), ("-", d - 1), ("-", 1)
+        ]).first()[:, :, 0]
+        for tol in (1e-7, 1e-3, 5e-2):
+            kept = boundary._dedup(lines, tol)
+            assert kept == _greedy_dedup(lines, tol)
+            assert len(kept) < len(lines)
 
     def test_kept_lines_are_the_greedy_residual_dedup(self, tau4_rep):
         tol = 1e-2

@@ -215,8 +215,7 @@ def test_dedup_order_independent():
 
 def _least_of_components(words, pairs):
     """The (length, word)-least index of each component of the graph on
-    the indices of ``words`` with edges ``pairs``, sorted by (length,
-    word)."""
+    the indices of ``words`` with edges ``pairs``, in index order."""
     parent = list(range(len(words)))
 
     def find(i):
@@ -233,7 +232,7 @@ def _least_of_components(words, pairs):
     def key(i):
         return len(words[i]), words[i]
 
-    return sorted((min(c, key=key) for c in classes.values()), key=key)
+    return sorted(min(c, key=key) for c in classes.values())
 
 
 def _all_pairs_dedup(words, mats, tol):
@@ -390,7 +389,7 @@ def test_dedup_merges_a_chain_in_reverse_rank_order(monkeypatch,
     mats[1::2, 0, 0] = -(0.25 + steps[::-1])
     words = [f"b{2 * n - k:05d}" for k in range(2 * n)]
     keep = _dedup_indices(words, mats, tol)
-    assert keep == [2 * n - 1, 2 * n - 2]
+    assert keep == [2 * n - 2, 2 * n - 1]
     assert keep == _all_pairs_dedup(words, mats, tol)
 
 
@@ -410,6 +409,48 @@ def test_join_leaves_every_rank_at_its_root():
         root = _join(root, np.array(a), np.array(b))
         assert (root[root] == root).all()
     assert (root == y).all()
+
+
+def test_dedup_confirms_each_pair_once(monkeypatch):
+    # the windows of x and -x find each pair of rows twice, in mirrored
+    # order; the quarter-turn ball has ties of equal matrices, which the
+    # lifts' order mirrors too
+    from anosovlab import groups
+    from anosovlab.groups import _join
+    joined = []
+
+    def join(root, a, b):
+        joined.extend(zip(a.tolist(), b.tolist()))
+        return _join(root, a, b)
+
+    monkeypatch.setattr(groups, "_join", join)
+    ball = enumerate_ball(GeneratorSet.from_matrices(QUARTER_TURN), 5)
+    flat = ball.products.reshape(len(ball.words), -1)
+    apart = np.minimum(np.abs(flat[:, None] - flat).max(axis=2),
+                       np.abs(flat[:, None] + flat).max(axis=2))
+    pairs = np.count_nonzero(np.triu(apart <= 1e-8, 1))
+    assert len(joined) == len(set(map(frozenset, joined))) == pairs > 1000
+
+
+def test_dedup_joins_chunks_as_join_does(monkeypatch):
+    # the chunks of test_join_leaves_every_rank_at_its_root, delivered by
+    # the sweep: 1 x 1 rows c0 < c1 < c2 < c3 < e < t < y, 0.75 tol apart,
+    # so only neighbours pair, with the ranks y < c0 < ... < e < t, and a
+    # pair z0 < z1 far above them.  Each pair is confirmed once, from the
+    # lift whose row comes first: the - lifts (swept first) give t-e, the
+    # + lifts the chain c0-c1-c2-c3-e, then t-y and z0-z1.  At 48 bytes a
+    # chunk holds 6 of the 14 candidates, which cuts the sweep into three
+    # chunks, one each for t-e, the chain and t-y
+    from anosovlab import groups
+    from anosovlab.groups import _dedup_indices
+    monkeypatch.setattr(groups, "_SWEEP_BYTES", 48)
+    tol = 2.0 ** -20
+    c0, c1, c2, c3, t, e, y, z0, z1 = range(9)  # the rows
+    values = [1.0 + 0.75 * tol * k for k in (0, 1, 2, 3, 5, 4, 6)]
+    mats = np.array(values + [2.0, 2.0 + 0.75 * tol]).reshape(-1, 1, 1)
+    words = ["a", "b", "c", "d", "ab", "aa", "", "ba", "bb"]
+    keep = _dedup_indices(words, mats, tol)
+    assert keep == _all_pairs_dedup(words, mats, tol) == [y, z0]
 
 
 def test_dedup_merges_to_the_shortest_word():
