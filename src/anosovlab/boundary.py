@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import InitVar, dataclass, fields
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -96,6 +96,20 @@ class LimitCloud:
         F = self.frames
         return _readonly([V / _row_norms(V)[:, None] for V in (
             F["xi1_plus"][:, :, 0], F["xi1_minus"][:, :, 0])])
+
+    def complement(self, name: str) -> np.ndarray:
+        """The read-only (n, d, d - k) stack of orthonormal complements of
+        the frames of flag ``name``, computed once per cloud, on first
+        use: the transversality scan and the controlled-set check share the
+        hyperplanes' normals."""
+        cache = self.__dict__.setdefault("_complements", {})
+        if name not in cache:
+            # the SVD's own view, not a contiguous copy: a contiguous
+            # (n, d, 1) stack flattens to a view that numpy hands BLAS
+            # transposed, which rounds some margins' last bit otherwise
+            cache[name] = _complements(self.frames[name])
+            cache[name].flags.writeable = False
+        return cache[name]
 
     @cached_property
     def words(self) -> np.ndarray:
@@ -459,7 +473,10 @@ def limit_samples(rep: Representation, m: int, radius: int,
 # Byte budget of the float temporaries of one block of the pair scans (the
 # cosines behind the sep_tol test, the per-pair products of frames, the
 # margins) and of one batch of drawn triples; between blocks only the
-# (n, d, k) per-sample stacks and 1-D per-triple arrays stay alive.
+# (n, d, k) per-sample stacks and 1-D per-triple arrays stay alive.  Each
+# scan states its bytes per pair from the floats a pair holds: 8 (d + 8)
+# for the controlled-set distances, 8 (floats_m + floats_1 + 16) for the
+# transversality margins (see :class:`_FlagPair`), 224 B at d = 4, m = 2.
 _PAIR_BYTES = 256 << 10
 
 # Half-width of the band in which a scan recomputes a value screened from
@@ -481,7 +498,9 @@ def _blocks(n: int, item_bytes: int):
     """(rows, cols) slices of the (n, n) grid of ordered pairs, in
     row-major order, whose float temporaries of ``item_bytes`` per pair fit
     in ``_PAIR_BYTES``: whole rows while one fits, else pieces of one row
-    (at least one pair)."""
+    (at least one pair).  ``item_bytes`` is the scan's own count of the
+    floats a pair holds, so a scan of fewer floats per pair takes fewer,
+    larger blocks."""
     per = max(1, _PAIR_BYTES // item_bytes)
     if per >= n:
         step = per // n
@@ -508,9 +527,12 @@ def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float,
     residual test's."""
     cos = P @ Q.T
     sine2 = 1.0 - cos * cos
-    keep = (sine2 >= sep_tol * sep_tol) & (sine2 < below * below)
-    a, b = np.nonzero((np.abs(sine2 - sep_tol * sep_tol) <= _BAND)
-                      | (np.abs(sine2 - below * below) <= _BAND))
+    keep = sine2 >= sep_tol * sep_tol
+    band = np.abs(sine2 - sep_tol * sep_tol) <= _BAND
+    if below < math.inf:
+        keep &= sine2 < below * below
+        band |= np.abs(sine2 - below * below) <= _BAND
+    a, b = np.nonzero(band)
     if a.size:
         dp = _sines(P[a], Q[b])
         keep[a, b] = (dp >= sep_tol) & (dp < below)
@@ -527,51 +549,57 @@ def _kept_blocks(plus: np.ndarray, minus: np.ndarray, sep_tol: float,
 
 
 def _sigma_max(G: np.ndarray) -> np.ndarray:
-    """(r, c) largest singular values of the p x q blocks G[a, :, b, :] of
-    an (r, p, c, q) grid: a norm for min(p, q) = 1, the larger eigenvalue
-    of the 2 x 2 Gram matrix for 2 (a sum of non-negative terms), else a
-    stacked SVD."""
-    if G.shape[1] > G.shape[3]:
-        G = G.transpose(0, 3, 2, 1)
-    if G.shape[1] == 1:
-        return np.sqrt((G * G).sum(axis=(1, 3)))
-    if G.shape[1] == 2:
-        u, v = G[:, 0], G[:, 1]
-        a, e, b = (u * u).sum(axis=2), (v * v).sum(axis=2), (u * v).sum(axis=2)
+    """(r, c) largest singular values of the p x q blocks of a (p, q, r, c)
+    entry-major grid (see :class:`_PairProducts`).  With k = min(p, q):
+    for k = 1 a norm, for k = 2 the larger eigenvalue of the 2 x 2 Gram
+    matrix (its diagonal a sum of non-negative terms), each from
+    elementwise sums over the entries, in order; for k >= 3 a stacked
+    SVD."""
+    if G.shape[0] > G.shape[1]:
+        G = G.transpose(1, 0, 2, 3)
+    if G.shape[0] == 1:
+        return np.sqrt(reduce(np.add, G[0] * G[0]))
+    if G.shape[0] == 2:
+        a, e = reduce(np.add, (G * G).transpose(1, 0, 2, 3))
+        b = reduce(np.add, G[0] * G[1])
         return np.sqrt(0.5 * (a + e) + np.hypot(0.5 * (a - e), b))
-    return np.linalg.svd(G.transpose(0, 2, 1, 3), compute_uv=False)[..., 0]
+    return np.linalg.svd(G.transpose(2, 3, 0, 1), compute_uv=False)[..., 0]
 
 
 def _sigma_min(G: np.ndarray) -> np.ndarray:
-    """(r, c) k-th singular values, k = min(p, q), of the p x q blocks of an
-    (r, p, c, q) grid.  For k = 2 this is vol / sigma_max, with vol^2 the
-    sum of the squared 2 x 2 minors (|det| for a square block), each
-    accurate to rounding; a zero block gives 0.  For k >= 3 a stacked
+    """(r, c) k-th singular values, k = min(p, q), of the p x q blocks of a
+    (p, q, r, c) entry-major grid.  For k = 2 this is vol / sigma_max, with
+    vol^2 the sum of the squared 2 x 2 minors (|det| for a square block),
+    each accurate to rounding; a zero block gives 0.  For k >= 3 a stacked
     SVD."""
-    if G.shape[1] > G.shape[3]:
-        G = G.transpose(0, 3, 2, 1)
-    k, width = G.shape[1], G.shape[3]
+    if G.shape[0] > G.shape[1]:
+        G = G.transpose(1, 0, 2, 3)
+    k, width = G.shape[:2]
     if k == 1:
-        return (np.abs(G[:, 0, :, 0]) if width == 1
-                else np.sqrt((G * G).sum(axis=(1, 3))))
+        return np.abs(G[0, 0]) if width == 1 else _sigma_max(G)
     if k == 2:
-        minors = np.array([G[:, 0, :, a] * G[:, 1, :, b]
-                           - G[:, 0, :, b] * G[:, 1, :, a]
-                           for a in range(width) for b in range(a + 1, width)])
-        vol = np.sqrt((minors * minors).sum(axis=0))
-        top = _sigma_max(G)
-        return np.divide(vol, top, out=np.zeros_like(top), where=top > 0)
-    return np.linalg.svd(G.transpose(0, 2, 1, 3),
+        u, v = G
+        vol = np.sqrt(reduce(np.add, [
+            (u[a] * v[b] - u[b] * v[a]) ** 2
+            for a in range(width) for b in range(a + 1, width)]))
+        # top = 0 only where every entry squares to 0, and so do the
+        # minors: those blocks give 0 / 5e-324 = 0
+        return vol / np.maximum(_sigma_max(G), 5e-324)
+    return np.linalg.svd(G.transpose(2, 3, 0, 1),
                          compute_uv=False)[..., k - 1]
 
 
 class _PairProducts:
-    """The (r, p, c, q) grids of the products L_a^T R_b of a stack of
-    (n, d, p) frames L and a stack of (n, d, q) frames R, one GEMM per
-    block of pairs: both stacks are flattened once."""
+    """The products L_a^T R_b of a stack of (n, d, p) frames L and a stack
+    of (n, d, q) frames R, a block of pairs at a time, entry-major: a
+    (p, q, r, c) array whose entry [i, j] is the contiguous (r, c) grid of
+    the dot products of column i of L_a and column j of R_b.  Both stacks
+    are flattened once; a block is one GEMM and one copy into that
+    layout.  ``floats`` is the number of entries per pair, p * q."""
 
     def __init__(self, L: np.ndarray, R: np.ndarray):
         self._p, self._q = L.shape[2], R.shape[2]
+        self.floats = self._p * self._q
         self._L = L.transpose(0, 2, 1).reshape(-1, L.shape[1])
         self._R = R.transpose(1, 0, 2).reshape(R.shape[1], -1)
 
@@ -579,8 +607,9 @@ class _PairProducts:
         p, q = self._p, self._q
         G = (self._L[rows.start * p:rows.stop * p]
              @ self._R[:, cols.start * q:cols.stop * q])
-        return G.reshape(rows.stop - rows.start, p, cols.stop - cols.start,
-                         q)
+        return np.ascontiguousarray(G.reshape(
+            rows.stop - rows.start, p, cols.stop - cols.start,
+            q).transpose(1, 3, 0, 2))
 
 
 class _FlagPair:
@@ -596,13 +625,28 @@ class _FlagPair:
     Argentati, SIAM J. Sci. Comput. 23, 2002).  With k = min(p, q), s is
     the k-th singular value of X^T Y' for the complement Y' of Y when
     p <= q, else of X'^T Y for the complement X' of X: a k x k block for
-    flags."""
+    flags.  ``complement`` is that Y' or X', computed when not given.
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray):
-        self._sine = (_PairProducts(X, _complements(Y))
-                      if X.shape[2] <= Y.shape[2]
-                      else _PairProducts(_complements(X), Y))
+    ``floats`` is the number of float entries a pair's two products hold:
+    k^2 sine entries and p * q cosine entries, for flags."""
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray,
+                 complement: np.ndarray | None = None):
+        swap = X.shape[2] > Y.shape[2]
+        if complement is None:
+            complement = _complements(X if swap else Y)
+        self._sine = (_PairProducts(complement, Y) if swap
+                      else _PairProducts(X, complement))
         self._cos = _PairProducts(X, Y)
+        self.floats = self._sine.floats + self._cos.floats
+
+    @classmethod
+    def of(cls, cloud: LimitCloud, x: str, y: str) -> _FlagPair:
+        """The pair of the cloud's flags ``x`` and ``y``, with the cloud's
+        complement (see :meth:`LimitCloud.complement`)."""
+        X, Y = cloud.frames[x], cloud.frames[y]
+        return cls(X, Y, cloud.complement(x if X.shape[2] > Y.shape[2]
+                                          else y))
 
     def __call__(self, rows: slice, cols: slice) -> np.ndarray:
         s = _sigma_min(self._sine(rows, cols))
@@ -658,12 +702,10 @@ def _transversality_blocks(cloud: LimitCloud, sep_tol: float):
     of :func:`transversality_scan`: the (r, c) margins of xi^(m)(x)
     against xi^(d-m)(y) and of xi^(1)(x) against xi^(d-1)(y), for x in
     ``rows`` and y in ``cols``, and the mask of the pairs it keeps."""
-    F = cloud.frames
-    flags_m = _FlagPair(F["xim_plus"], F["xi_dm_minus"])
-    flags_1 = _FlagPair(F["xi1_plus"], F["xi_d1_minus"])
-    d = F["xi1_plus"].shape[1]
-    for rows, cols, keep in _kept_blocks(*cloud.lines, sep_tol,
-                                         8 * (2 * d * d + 16)):
+    flags_m = _FlagPair.of(cloud, "xim_plus", "xi_dm_minus")
+    flags_1 = _FlagPair.of(cloud, "xi1_plus", "xi_d1_minus")
+    for rows, cols, keep in _kept_blocks(
+            *cloud.lines, sep_tol, 8 * (flags_m.floats + flags_1.floats + 16)):
         yield rows, cols, keep, flags_m(rows, cols), flags_1(rows, cols)
 
 
@@ -683,9 +725,13 @@ def transversality_scan(cloud: LimitCloud,
     hyperplane with unit normal n_y, s = |x . n_y| and c the norm of x's
     projection on the hyperplane.  It agrees with ``direct_sum_margin``
     to rounding.  The pairs are evaluated a block at a time (see
-    :func:`_blocks`), separation test included: beyond the (n, d, k)
-    per-sample frame stacks, memory stays within a few block temporaries
-    of ``_PAIR_BYTES`` (256 KiB) each."""
+    :func:`_blocks`), separation test included, each block's products
+    entry-major (see :class:`_PairProducts`) so that the closed forms
+    for k <= 2 are elementwise sums over contiguous grids.  A block is
+    sized by the floats a pair holds, 8 (floats_m + floats_1 + 16) bytes
+    (224 at d = 4, m = 2; 176 at d = 3): beyond the (n, d, k) per-sample
+    frame stacks and the cloud's complements, memory stays within a few
+    block temporaries of ``_PAIR_BYTES`` (256 KiB) each."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
     best_m = best_1 = (math.inf, None)
@@ -790,18 +836,20 @@ def controlled_set_check(cloud: LimitCloud,
     skipped (the distance vanishes quadratically at the tangency).
 
     The distances are screened as |u . n_y| for the unit point u and the
-    unit normal n_y of the hyperplane, one GEMM per block of pairs (see
-    :func:`_blocks`), separation test included.  The pairs within
-    ``_BAND`` of a block's least distance or of the violation threshold
-    are recomputed as ``point_subspace_distance``'s residual, so the
-    minimum, its pair and the violations are the residual's.  Beyond the
-    (n, d, d - 1) stack of hyperplanes, memory stays within a few block
-    temporaries of ``_PAIR_BYTES`` (256 KiB) each."""
+    unit normal n_y of the hyperplane (the cloud's complement of the
+    hyperplanes, which :func:`transversality_scan` reads too), one GEMM
+    per block of pairs (see :func:`_blocks`), separation test included.
+    The pairs within ``_BAND`` of a block's least distance or of the
+    violation threshold are recomputed as ``point_subspace_distance``'s
+    residual, so the minimum, its pair and the violations are the
+    residual's.  Beyond the (n, d, d - 1) stack of hyperplanes, memory
+    stays within a few block temporaries of ``_PAIR_BYTES`` (256 KiB)
+    each."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
     plus, minus = cloud.lines
     H = cloud.frames["xi_d1_minus"]
-    normals = _complements(H)[..., 0]
+    normals = cloud.complement("xi_d1_minus")[..., 0]
     best = (math.inf, None)
     violations = []
     n = 0

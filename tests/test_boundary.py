@@ -20,8 +20,8 @@ from anosovlab.groups import (_sorted_lifts, canonical_cyclic, cyclic_reduce,
                               enumerate_ball, free_reduce, inverse_word)
 from anosovlab.linalg import (SpectralGapError, Subspace, _sines,
                               apply_to_subspace, direct_sum_margin,
-                              point_subspace_distance, proj_distance,
-                              subspace_distance, top_invariant_subspace)
+                              proj_distance, subspace_distance,
+                              top_invariant_subspace)
 from tests.conftest import load_example_config
 
 
@@ -695,25 +695,70 @@ class TestControlledSet:
         assert not report.violations
 
 
+def stacked(cloud, name):
+    """(n, d, k) stack of the samples' frames of flag ``name``."""
+    return np.array([getattr(s, name).frame for s in cloud.samples])
+
+
+def ddots(U, V):
+    """The BLAS ``ddot`` of each row of an (n, d) array U with the row
+    V or with the matching row of an (n, d) array V, as ``U[i] @ V[i]``
+    gives it: a stacked (1, d) @ (d, 1) matmul hands each pair to the
+    same ddot."""
+    return (np.ascontiguousarray(U)[:, None, :] @ V[..., None])[:, 0, 0]
+
+
+def unit_lines(cloud, name):
+    """The first columns of the samples' frames of flag ``name``, each
+    divided by its ``np.linalg.norm`` as ``proj_distance`` does."""
+    V = np.ascontiguousarray(stacked(cloud, name)[:, :, 0])
+    return V / np.sqrt(ddots(V, V))[:, None]
+
+
+def norms(R):
+    """``np.linalg.norm`` of each row of R, capped at 1 as the distances
+    of ``linalg`` are."""
+    return np.minimum(1.0, np.sqrt(ddots(R, R)))
+
+
+def separated(cloud, sep_tol):
+    """Rows of the (n, n) mask of ``proj_distance(x.xi1_plus, y.xi1_minus)
+    >= sep_tol``, from the same residuals and the same ddot calls."""
+    plus, minus = unit_lines(cloud, "xi1_plus"), unit_lines(cloud, "xi1_minus")
+    for u in plus:
+        yield u, norms(minus - u * ddots(minus, u)[:, None]) >= sep_tol
+
+
+def first_least(cloud, values):
+    """The least value of an (n, n) array (nan where a pair is skipped) and
+    the words of its first pair in row-major order; inf and ("", "") for
+    none."""
+    t = int(np.argmin(np.nan_to_num(values, nan=math.inf)))
+    if np.isnan(values.flat[t]):
+        return math.inf, ("", "")
+    return float(values.flat[t]), tuple(
+        cloud.samples[i].witness.word for i in divmod(t, len(cloud)))
+
+
 def reference_transversality(cloud, sep_tol=1e-3):
-    """The per-pair transversality scan with ``direct_sum_margin``: the
-    least margins, their first pairs, the pair count and the (n, n)
-    margins (nan where a pair is skipped)."""
+    """The per-pair transversality scan with ``direct_sum_margin``, a row
+    of the pair grid at a time: the least margins, their first pairs, the
+    pair count and the (n, n) margins (nan where a pair is skipped).  Each
+    row's matrices [X_a | Y_b] go through one stacked SVD, which hands
+    each to the same LAPACK call as ``direct_sum_margin``."""
     n = len(cloud)
+    flags = [(stacked(cloud, x), stacked(cloud, y)) for x, y in (
+        ("xim_plus", "xi_dm_minus"), ("xi1_plus", "xi_d1_minus"))]
     margins = np.full((2, n, n), np.nan)
-    best_m, best_1 = math.inf, math.inf
-    pair_m = pair_1 = ("", "")
-    for a, sx in enumerate(cloud.samples):
-        for b, sy in enumerate(cloud.samples):
-            if proj_distance(sx.xi1_plus, sy.xi1_minus) < sep_tol:
-                continue
-            marg_m = direct_sum_margin([sx.xim_plus, sy.xi_dm_minus])
-            marg_1 = direct_sum_margin([sx.xi1_plus, sy.xi_d1_minus])
-            margins[:, a, b] = marg_m, marg_1
-            if marg_m < best_m:
-                best_m, pair_m = marg_m, (sx.witness.word, sy.witness.word)
-            if marg_1 < best_1:
-                best_1, pair_1 = marg_1, (sx.witness.word, sy.witness.word)
+    for a, (_, keep) in enumerate(separated(cloud, sep_tol)):
+        for layer, (X, Y) in enumerate(flags):
+            pairs = np.concatenate([np.broadcast_to(X[a], (n, *X.shape[1:])),
+                                    Y], axis=2)[keep]
+            if len(pairs):
+                margins[layer, a, keep] = np.linalg.svd(
+                    pairs, compute_uv=False)[:, -1]
+    best_m, pair_m = first_least(cloud, margins[0])
+    best_1, pair_1 = first_least(cloud, margins[1])
     n_pairs = int(np.count_nonzero(~np.isnan(margins[0])))
     return best_m, pair_m, best_1, pair_1, n_pairs, margins
 
@@ -730,23 +775,21 @@ def scan_margins(cloud, sep_tol=1e-3):
 
 
 def reference_controlled_set(cloud, sep_tol=1e-3, violation_tol=1e-10):
-    """The per-pair controlled-set check the stacked one replaced."""
-    best = math.inf
-    worst = ("", "")
-    violations = []
-    n = 0
-    for sp in cloud.samples:
-        p = sp.xi1_plus
-        for sy in cloud.samples:
-            if proj_distance(p, sy.xi1_minus) < sep_tol:
-                continue
-            n += 1
-            marg = point_subspace_distance(p, sy.xi_d1_minus)
-            if marg < best:
-                best, worst = marg, (sp.witness.word, sy.witness.word)
-            if marg <= violation_tol:
-                violations.append((sp.witness.word, sy.witness.word))
-    return best, worst, tuple(violations), n
+    """The per-pair controlled-set check the stacked one replaced, a row
+    of the pair grid at a time: ``point_subspace_distance`` of the plus
+    point of x to each hyperplane of y, from the same residual and the
+    same BLAS calls."""
+    n = len(cloud)
+    H = stacked(cloud, "xi_d1_minus")
+    dist = np.full((n, n), np.nan)
+    for a, (u, keep) in enumerate(separated(cloud, sep_tol)):
+        resid = u - (H[keep] @ (H[keep].swapaxes(1, 2) @ u)[..., None])[..., 0]
+        dist[a, keep] = norms(resid)
+    best, worst = first_least(cloud, dist)
+    violations = tuple(
+        tuple(cloud.samples[i].witness.word for i in pair)
+        for pair in np.argwhere(dist <= violation_tol).tolist())
+    return best, worst, violations, int(np.count_nonzero(~np.isnan(dist)))
 
 
 def reference_hyperconvexity(cloud, n_triples, seed, sep_tol=1e-3):
@@ -785,8 +828,14 @@ def tau5_m3_cloud(schottky_rep):
     return limit_samples(tau_representation(schottky_rep, 5), 3, 4)
 
 
+@pytest.fixture(scope="module")
+def tau6_m3_cloud(schottky_rep):
+    # the m-margins' 3 x 3 blocks take the stacked-SVD fallback
+    return limit_samples(tau_representation(schottky_rep, 6), 3, 4)
+
+
 @pytest.fixture(scope="module", params=["tau3_cloud", "tau4_cloud",
-                                        "tau5_m3_cloud"])
+                                        "tau5_m3_cloud", "tau6_m3_cloud"])
 def scanned_cloud(request):
     """A cloud with the per-pair reference results of the three scans."""
     cloud = request.getfixturevalue(request.param)
@@ -1034,20 +1083,43 @@ class TestClosedFormMargins:
                                              compute_uv=False))
                 assert abs(margins[layer, x, y] - float(exact)) <= 1e-15
 
-    def test_memory_linear_in_samples(self, tau3_rep):
-        cloud = limit_samples(tau3_rep, 2, 6)
-        n, d = len(cloud), 3
-        tracemalloc.start()
-        try:
-            report = transversality_scan(cloud)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.n_pairs > 1_600_000
-        # blocks within _PAIR_BYTES plus the (n, d, d) stacks, less than
-        # one (n, n) boolean mask
-        bound = 4 * boundary._PAIR_BYTES + 4 * n * d * d * 8
-        assert peak <= bound < n * n
+    def test_memory_linear_in_samples(self, schottky_rep, monkeypatch):
+        used = []  # the bytes per pair each scan passes to _blocks
+        blocks = boundary._blocks
+
+        def recorded(n, item_bytes):
+            used.append(item_bytes)
+            return blocks(n, item_bytes)
+
+        monkeypatch.setattr(boundary, "_blocks", recorded)
+        # the margins' floats per pair: the sine and cosine entries of
+        # both flag pairs, and 16 more for the block's mask, cosines and
+        # results; the distances' d + 8
+        for d, m, radius, floats in ((3, 2, 6, 3 + 3), (4, 2, 5, 8 + 4),
+                                     (6, 3, 4, 18 + 6)):
+            cloud = limit_samples(tau_representation(schottky_rep, d), m,
+                                  radius)
+            n = len(cloud)
+            for scan, pair_bytes in ((transversality_scan, 8 * (floats + 16)),
+                                     (controlled_set_check, 8 * (d + 8))):
+                tracemalloc.start()
+                try:
+                    report = scan(cloud)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert report.n_pairs > n * (n - 1) // 2
+                assert used[-1] == pair_bytes
+                # four of the largest block at that count, plus the
+                # (n, d, d) stacks
+                largest = max((r.stop - r.start) * (c.stop - c.start)
+                              for r, c in blocks(n, pair_bytes))
+                assert largest * pair_bytes <= boundary._PAIR_BYTES
+                bound = 4 * largest * pair_bytes + 4 * n * d * d * 8
+                assert peak <= bound
+                if n > 1000:
+                    # at tau_3 R=6: less than one (n, n) boolean mask
+                    assert bound < n * n
 
 
 class TestIrreducibilityProxy:
