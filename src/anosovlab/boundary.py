@@ -18,8 +18,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .functors import Representation
-from .groups import (Ball, GroupElement, _sorted_lifts, _strip_ends,
-                     enumerate_ball, inverse_word)
+from .groups import Ball, GroupElement, _sorted_lifts, enumerate_ball
 from .linalg import (GAP_TOL, MatrixD, Subspace, _readonly, _residuals,
                      _row_norms, _sines, orthonormalize)
 # perfbench/selftest.py checks that its tracer patches this cartan_jordan
@@ -159,39 +158,13 @@ class LimitCloud:
                 "nn_mean": float(nn.mean()), "nn_min": float(nn.min())}
 
 
-def _conjugators(word: str, c: str) -> tuple[str, str]:
-    """The plus and minus conjugators P, Q of a reduced word w with class
-    word ``c = canonical_cyclic(w)``: ``w = P c P^-1 = Q c Q^-1``.
-
-    With ``w = u core u^-1`` and ``core = c[j:] + c[:j]``, ``P = u c[j:]``
-    (``u`` when j = 0) and ``Q = u c[:j]^-1``.  Both are reduced words
-    shorter than w, and ``P c`` and ``Q c^-1`` are reduced products.
-    """
-    core = _strip_ends(word)
-    u = word[:(len(word) - len(core)) // 2]
-    j = (c + c).index(core)
-    return (u + c[j:] if j else u), u + inverse_word(c[:j])
-
-
-def _codes(letters: dict, words: list[str]) -> np.ndarray:
-    """(n, width) codes of the words, right-aligned: the letter ``x`` is 1
-    plus its position in ``letters``, and 0, the identity, pads the
-    shorter words on the left."""
-    code = {x: n + 1 for n, x in enumerate(letters)}
-    width = max(map(len, words), default=0)
-    codes = np.zeros((len(words), width), dtype=np.intp)
-    for n, w in enumerate(words):
-        codes[n, width - len(w):] = [code[x] for x in w]
-    return codes
-
-
 def _moved(stack: np.ndarray, codes: np.ndarray,
            frames: np.ndarray) -> np.ndarray:
     """Orthonormal frames of the spans of ``M(w_n) frames[n]``, where M(w)
     is the product along w of the letter matrices of ``stack``, the
     identity and then the letters in code order, and ``codes`` holds the
-    words (see :func:`_codes`).  The letters act one at a time, the last
-    first: one stacked matmul and QR per letter position.
+    words' code rows (see :class:`Ball`).  The letters act one at a time,
+    the last first: one stacked matmul and QR per letter position.
 
     The rounded product M(w) carries an absolute error of about
     eps * |M(w)|, which a flag that M(w) stretches far less than its norm
@@ -235,7 +208,7 @@ class _ClassFlags:
     gap at r for each ``+`` flag and at d - r, the gap of w^-1 at r, for
     each ``-`` flag (see :func:`_proximal`).
 
-    For ``w = P c P^-1 = Q c Q^-1`` (see :func:`_conjugators`) the
+    For ``w = P c P^-1 = Q c Q^-1`` (see :meth:`Ball.conjugators`) the
     attracting flags of w are M(P) times those of the class word c, and
     those of w^-1 are M(Q) times those of c^-1.  A flag of rank r <= d/2
     is the span of the leading r columns of a nested frame of A = M(c)
@@ -252,9 +225,9 @@ class _ClassFlags:
     of orthogonal iteration along the source's letters (M(c)^T =
     M(c^-1)^-T: At along c^-1 and Bt along c, with the inverse
     transposes), then moved along the conjugators' letters (see
-    :func:`_moved`).  A and Bt read c and P, B and At read c^-1 and Q:
-    each word list is encoded once (see :func:`_codes`), and each letter
-    stack is built once.  The leading columns of an orthogonal iteration
+    :func:`_moved`).  A and Bt read c and P, B and At read c^-1 and Q,
+    as code rows gathered by the ball, and each letter stack is built
+    once, in code order.  The leading columns of an orthogonal iteration
     are an orthogonal iteration of their own (Golub & Van Loan, Matrix
     Computations, 7.3), so one nested frame serves every rank read from
     its source.  ``eig`` tests no gap, and the start orders the
@@ -268,37 +241,25 @@ class _ClassFlags:
         d = ball.gens.dim
         self.index = _proximal(ball, [r if side == "+" else d - r
                                       for side, r in flags])
-        words, member = ball.classes
+        class_rows, inverse_rows, member = ball.classes
         classes, self._class = np.unique(member[self.index],
                                          return_inverse=True)
-        letters = {x: M.mat for x, M in ball.gens.matrices.items()}
-        stack = np.array([np.eye(d), *letters.values()])
+        fwd, bwd = class_rows[classes], inverse_rows[classes]
+        mats = ball.gens.matrices
+        stack = np.array([np.eye(d), *(mats[x].mat for x in ball.letters)])
         # the letters' inverse transposes, in the same code order
-        duals = np.array([np.eye(d), *(letters[x.swapcase()].T
-                                       for x in letters)])
-        fwd = [words[k] for k in classes.tolist()]
-        bwd = [inverse_word(c) for c in fwd]
-        conj = [_conjugators(ball.words[r], words[k]) for r, k in
-                zip(ball.rows[self.index].tolist(),
-                    member[self.index].tolist())]
-        P, Q = [p for p, _ in conj], [q for _, q in conj]
-        sides = {side for side, _ in flags}
-        # side -> the codes of its class words and of its conjugators
-        codes = {side: (_codes(letters, c), _codes(letters, x))
-                 for side, c, x in (("+", fwd, P), ("-", bwd, Q))
-                 if side in sides}
+        duals = np.array([np.eye(d), *(mats[x.swapcase()].mat.T
+                                       for x in ball.letters)])
+        c, x = ball.codes_of(fwd), ball.codes_of(bwd)
+        P, Q = ball.conjugators(self.index)
         # flag -> its source and the leading columns read from it
         self._flags = [("A" if side == "+" else "B", r) if 2 * r <= d
                        else ("Bt" if side == "+" else "At", d - r)
                        for side, r in flags]
-        # source -> its letter stack, its class words' and its
-        # conjugators' codes
-        self._route = {src: (s, *codes[side]) for src, s, side in
-                       (("A", stack, "+"), ("B", stack, "-"),
-                        ("At", duals, "-"), ("Bt", duals, "+"))
-                       if side in codes}
-        A = ball.products[[ball.row[c] for c in fwd]]
-        B = ball.products[[ball.row[c] for c in bwd]]
+        # source -> its letter stack, class words' and conjugators' codes
+        self._route = {"A": (stack, c, P), "B": (stack, x, Q),
+                       "At": (duals, x, Q), "Bt": (duals, c, P)}
+        A, B = ball.products[fwd], ball.products[bwd]
         sources = {"A": A, "B": B, "At": A.transpose(0, 2, 1),
                    "Bt": B.transpose(0, 2, 1)}
         self._frames = {}

@@ -4,8 +4,10 @@ deduplication.
 
 Generators are labelled by lowercase letters; the formal inverse of a
 label is its uppercase counterpart (``a`` <-> ``A``), so a word is just a
-string like ``"abAB"``.  Relations are never handled symbolically: words
-whose matrices agree (as elements of PGL, i.e. up to sign) are merged.
+string like ``"abAB"``.  Strings are the API; the layout is integer code
+rows: a :class:`Ball` builds them and answers every word question on
+them.  Relations are never handled symbolically: words whose
+matrices agree (as elements of PGL, i.e. up to sign) are merged.
 """
 
 from __future__ import annotations
@@ -59,47 +61,13 @@ def free_reduce(word: str) -> str:
     return "".join(out)
 
 
-def _strip_ends(word: str) -> str:
-    """The cyclic core of a freely reduced word."""
+def cyclic_reduce(word: str) -> str:
+    """Cyclically reduced core of a word: its free reduction with inverse
+    end letters stripped in pairs."""
+    word = free_reduce(word)
     while len(word) >= 2 and word[0] == word[-1].swapcase():
         word = word[1:-1]
     return word
-
-
-def _rotations(core: str) -> list[str]:
-    """The rotations of a cyclic core, the empty core its own."""
-    return [core[j:] + core[:j] for j in range(len(core))] or [core]
-
-
-def _reduced_cyclic_key(word: str) -> str:
-    """:func:`canonical_cyclic` of a freely reduced word."""
-    return min(_rotations(_strip_ends(word)))
-
-
-def _class_keys(words: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct :func:`_reduced_cyclic_key` values of freely reduced
-    ``words``, in order of first appearance, and the index of each word's
-    key there.  The rotations of a cyclic core share its key, so the
-    least rotation is searched once per class: a core not seen before
-    registers every rotation of itself under its new class."""
-    keys: list[str] = []
-    of_core: dict[str, int] = {}
-    member = np.empty(len(words), dtype=np.intp)
-    for n, word in enumerate(words):
-        core = _strip_ends(word)
-        k = of_core.get(core)
-        if k is None:
-            k = len(keys)
-            rotations = _rotations(core)
-            keys.append(min(rotations))
-            of_core.update(dict.fromkeys(rotations, k))
-        member[n] = k
-    return keys, member
-
-
-def cyclic_reduce(word: str) -> str:
-    """Cyclically reduced core of a freely reduced word."""
-    return _strip_ends(free_reduce(word))
 
 
 def canonical_cyclic(word: str) -> str:
@@ -108,7 +76,8 @@ def canonical_cyclic(word: str) -> str:
     Conjugate elements share this key, so conjugation-invariant data
     (eigenvalue moduli) is computed once per key.
     """
-    return _reduced_cyclic_key(free_reduce(word))
+    core = cyclic_reduce(word)
+    return min((core[j:] + core[:j] for j in range(len(core))), default=core)
 
 
 @dataclass(frozen=True)
@@ -213,13 +182,17 @@ class Ball(Sequence):
     from :attr:`radius`.  ``products`` stacks the left-to-right products
     of *every* reduced word of length <= radius, merged or kept, in the
     order of the list ``words`` (prefix-closed and sorted by (length,
-    word)), and ``row`` maps each word to its index there.  The ball owns
-    the prefix tree of ``words``: ``prefix`` and ``last`` hold each row's
-    prefix row and last letter, as :func:`prefix_tree` gives them, and
-    the spectral ladder walks that tree.  The inverse word and every
-    rotation of the cyclic core of a ball word are again reduced words of
-    no greater length, so their matrices are rows of the same stack, even
-    where that word itself was merged away.
+    word)).  The ball owns the prefix tree of ``words``: ``prefix`` and
+    ``last`` hold each row's prefix row and last letter, as
+    :func:`prefix_tree` gives them, and the spectral ladder walks that
+    tree.  The inverse word and every rotation of the cyclic core of a
+    ball word are again reduced words of no greater length, so their
+    matrices are rows of the same stack, even where that word itself was
+    merged away.  ``codes`` holds each row's word as a right-aligned int8
+    row of width ``radius``: a letter's code is 1 plus its index in
+    ``letters``, the sorted labels, so codes compare as letters do, and
+    0 pads.  :meth:`row_of`, ``inverse_rows``, :attr:`classes` and
+    :meth:`conjugators` read these rows.
 
     The elements are the stack rows ``rows``; indexing builds their
     :class:`GroupElement` on demand.  The Cartan and Jordan arrays over
@@ -236,10 +209,23 @@ class Ball(Sequence):
         self.words = words
         self.prefix, self.last = tree
         self.products = products
-        self.row = {w: i for i, w in enumerate(words)}
         self.rows = np.array(keep, dtype=np.intp)
-        # the stack row of each element's inverse word, and its length
-        self.inverse_rows, self.lengths = _inverse_rows(self)
+        self.letters = tuple(sorted(gens.labels))
+        self._flip = np.array([0, *(self.letters.index(x.swapcase()) + 1
+                                    for x in self.letters)], dtype=np.int8)
+        n, code = len(words), np.searchsorted(["", *self.letters], self.last)
+        # one step up the tree per letter position, the last letter first
+        self.codes = np.zeros((n, self.radius), dtype=np.int8)
+        up, parent = np.arange(n), np.maximum(self.prefix, 0)
+        for t in reversed(range(self.radius)):
+            self.codes[:, t], up = code[up], parent[up]
+        # the (rows, codes) child table; row n stands for no word
+        self._child = np.full((n + 1, len(self.letters) + 1), n)
+        self._child[:, 0] = np.arange(n + 1)
+        self._child[self.prefix[1:], code[1:]] = np.arange(1, n)
+        elements = self.codes[self.rows]
+        self.lengths = np.count_nonzero(elements, axis=1)
+        self.inverse_rows = self.row_of(self._flip[elements[:, ::-1]])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -257,12 +243,91 @@ class Ball(Sequence):
         return GroupElement(word=self.words[i], gens=self.gens,
                             matrix=MatrixD(self.products[i]))
 
+    def row_of(self, codes: np.ndarray) -> np.ndarray:
+        """The stack rows of the words of the code rows ``codes``, one
+        step down the tree per column; code 0 stays, so either side may
+        pad.  Every word must be in the tree."""
+        rows = np.zeros(len(codes), dtype=np.intp)
+        for column in codes.T:
+            rows = self._child[rows, column]
+        if (rows == len(self.words)).any():
+            raise KeyError("a word is not in the tree")
+        return rows
+
+    def codes_of(self, rows) -> np.ndarray:
+        """The code rows of stack rows, as wide as the longest word."""
+        return _trimmed(self.codes[rows])
+
     @cached_property
-    def classes(self) -> tuple[list[str], np.ndarray]:
-        """The canonical cyclic words of the elements' conjugacy classes,
-        in order of first appearance, and the class index of each
-        element (see :func:`_class_keys`)."""
-        return _class_keys([self.words[i] for i in self.rows.tolist()])
+    def _cores(self) -> tuple[np.ndarray, ...]:
+        """Per element: the column where its cyclic core starts (inverse
+        end codes stripped in pairs), the core's length, the start i of
+        its least rotation ``core[i:] + core[:i]`` and that rotation's
+        key, its codes read in base B = 2k + 1, so keys order rotations
+        as strings do; one Horner step moves a first letter to the back.
+        Of equal least rotations (periodic cores) i is 0 or the last, so
+        j = (size - i) mod size is the first j of ``(c + c).index(core)``.
+        Keys are int64 while B^radius < 2^63, as ``_BALL_CAP`` ensures
+        for two or more generators, else Python ints (one generator's
+        powers, a long word of ``cartan_jordan``): exact at any length."""
+        C, L, R = self.codes[self.rows], self.lengths, self.radius
+        B, r = len(self.letters) + 1, np.arange(len(L))
+        lo, hi = R - L, np.full(len(L), R)
+        for _ in range(R // 2):
+            strip = (hi - lo >= 2) & (C[r, lo % R]
+                                      == self._flip[C[r, hi - 1]])
+            lo, hi = lo + strip, hi - strip
+        size = hi - lo
+        D = C.astype(np.int64 if B ** R < 2 ** 63 else object)
+        key = np.zeros(len(L), dtype=D.dtype)
+        for t in range(R):
+            key = np.where((lo <= t) & (t < hi), key * B + D[:, t], key)
+        top = B ** np.maximum(size - 1, 0).astype(D.dtype)
+        least, start, rotated = key, np.zeros_like(size), key
+        for i in range(1, R):
+            d = D[r, (lo + i - 1) % R]
+            rotated = (rotated - d * top) * B + d
+            take = (i < size) & (rotated <= least)
+            least = np.where(take, rotated, least)
+            start = np.where(take, i, start)
+        return lo, size, np.where(least < key, start, 0), least
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stack rows of the canonical cyclic words of the elements'
+        classes in order of first appearance, the rows of their inverses,
+        and each element's class: ``np.unique`` of the least rotations'
+        keys (see :attr:`_cores`)."""
+        lo, size, start, key = self._cores
+        first, member = np.unique(key, return_index=True,
+                                  return_inverse=True)[1:]
+        order = np.argsort(first)
+        e, R = first[order], self.radius  # the first element of each class
+        lo, size, start = lo[e, None], size[e, None], start[e, None]
+        x = np.arange(R) - (R - size)  # negative at the pads
+        at = (lo + (start + x) % np.maximum(size, 1)) % R
+        rows = self.row_of(np.where(x >= 0, np.take_along_axis(
+            self.codes[self.rows[e]], at, axis=1), 0))
+        return (rows, self.row_of(self._flip[self.codes[rows][:, ::-1]]),
+                np.argsort(order)[member])
+
+    def conjugators(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """Code rows, each as wide as its longest, of the conjugators of
+        the elements w at ``index``: ``w = P c P^-1 = Q c Q^-1`` for the
+        class word c.  With ``w = u core u^-1`` and ``core = c[j:] +
+        c[:j]``, P = u c[j:] (u if j = 0) and Q = u c[:j]^-1 are shorter
+        than w, and the products P c and Q c^-1 are reduced: P is w's
+        prefix of length |u| + i, i the start of the least rotation (see
+        :attr:`_cores`), and Q the inverse of w's suffix of |u| + j."""
+        lo, size, start, _ = (a[index] for a in self._cores)
+        C, R = self.codes[self.rows[index]], self.radius
+        L, t = self.lengths[index][:, None], np.arange(R)
+        p = (lo - R)[:, None] + L + start[:, None]
+        q = p - start[:, None] + np.where(start > 0, size - start, 0)[:, None]
+        P = np.where(t >= R - p, np.take_along_axis(C, (t + p - L) % R, 1), 0)
+        Q = np.where(t >= R - q, self._flip[np.take_along_axis(
+            C, (2 * R - 1 - q - t) % R, 1)], 0)
+        return _trimmed(P), _trimmed(Q)
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -369,33 +434,10 @@ def _tree_products(gens: GeneratorSet, prefix: np.ndarray,
     return products
 
 
-def _inverse_rows(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
-    """The row of the inverse word of each of the ball's elements, and
-    each element's length, read off its prefix tree.  The inverse of a
-    word reads its letters from the end, inverted, so one step per letter
-    position goes up the tree from each row and down it from the empty
-    word, along a (rows, letters) child table.  Every inverse word must
-    be in the tree, and so its prefixes."""
-    labels, prefix, last = ball.gens.labels, ball.prefix, ball.last
-    n, column = len(prefix), {x: j for j, x in enumerate(labels)}
-    code = np.zeros(n, dtype=np.intp)
-    for x, j in column.items():
-        code[last == x] = j
-    # row n stands for a word not in the tree, and stays there
-    child = np.full((n + 1, len(labels)), n)
-    child[prefix[1:], code[1:]] = np.arange(1, n)
-    flip = np.array([column[inverse_label(x)] for x in labels],
-                    dtype=np.intp)
-    up = ball.rows
-    down, lengths = np.zeros_like(up), np.zeros(len(up), dtype=int)
-    for _ in range(ball.radius):
-        live = up > 0
-        down = np.where(live, child[down, flip[code[up]]], down)
-        up = np.where(live, prefix[up], 0)
-        lengths += live
-    if (down == n).any():
-        raise KeyError("an inverse word is not in the tree")
-    return down, lengths
+def _trimmed(codes: np.ndarray) -> np.ndarray:
+    """Right-aligned code rows without the columns that pad every row."""
+    width = np.count_nonzero(codes, axis=1).max(initial=0)
+    return codes[:, codes.shape[1] - width:]
 
 
 def _sorted_lifts(flat: np.ndarray):

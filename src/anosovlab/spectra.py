@@ -133,21 +133,17 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
     cyclic word and of that word's inverse; the k = 1 rung of each block
     on the ball's ``products``, the others on compounds multiplied along
     its prefix tree."""
-    gens, words, products, row = (ball.gens, ball.words, ball.products,
-                                  ball.row)
-    classes, member = ball.classes
-    class_rows = [row[w] for w in classes]
-    class_rows += [row[inverse_word(w)] for w in classes]
-    reads = [(np.r_[ball.rows, ball.inverse_rows].astype(np.intp), len(ball),
-              singular_values),
-             (np.array(class_rows, dtype=np.intp), len(classes),
-              eigen_moduli)]
+    gens, words, products = ball.gens, ball.words, ball.products
+    class_rows, inverse_rows, member = ball.classes
+    reads = [(np.r_[ball.rows, ball.inverse_rows], len(ball), singular_values),
+             (np.r_[class_rows, inverse_rows], len(class_rows), eigen_moduli)]
     vectors = [[], []]
     for B in _diagonal_blocks(gens):
         n, K = len(B), _rungs(len(B))
         P = products if n == gens.dim else products[:, B][:, :, B]
         letters = {x: M.mat[np.ix_(B, B)] for x, M in gens.matrices.items()}
-        ld = {x: np.linalg.slogdet(L)[1] for x, L in letters.items()}
+        ld = np.array([0.0, *(np.linalg.slogdet(letters[x])[1]
+                              for x in ball.letters)])  # by code
         idx = [np.array(wedge_indices(n, k)) for k in range(2, K + 1)]
         more = _compound_logs({x: [_wedge_coordinates(L, i, i) for i in idx]
                                for x, L in letters.items()}, ball, reads,
@@ -166,7 +162,8 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
             if n > 2 * K:  # the middle, shifted to the block's log|det|
                 logdet = np.zeros(m)  # a block filling the space has unit
                 if n < gens.dim:      # |det|; slogdet would add eps * cond
-                    logdet[:] = [sum(ld[x] for x in words[i]) for i in at[:m]]
+                    for column in ld[ball.codes[at[:m]]].T:
+                        logdet += column  # left to right, as words read
                 mid = mid + ((logdet - hi.sum(axis=1) - lo.sum(axis=1)
                               - mid.sum(axis=1)) / mid.shape[1])[:, None]
             out.append(np.hstack([hi, mid, lo]))

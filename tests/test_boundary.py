@@ -23,6 +23,7 @@ from anosovlab.linalg import (SpectralGapError, Subspace, _sines,
                               proj_distance, subspace_distance,
                               top_invariant_subspace)
 from tests.conftest import load_example_config
+from tests.words import class_keys, conjugators, decode, sl2_letters, word_ball
 
 
 @pytest.fixture(scope="module")
@@ -420,19 +421,20 @@ def per_call_flags(ball, specs) -> list:
 
     index = boundary._proximal(ball, [r if side == "+" else d - r
                                       for side, r in specs])
-    words, member = ball.classes
+    kept = [ball.words[r] for r in ball.rows.tolist()]
+    words, member = class_keys(kept)
     classes, at = np.unique(member[index], return_inverse=True)
     letters = {x: M.mat for x, M in ball.gens.matrices.items()}
     duals = {x: letters[x.swapcase()].T for x in letters}
     fwd = [words[k] for k in classes]
     bwd = [inverse_word(c) for c in fwd]
-    conj = [boundary._conjugators(ball.words[r], words[k])
-            for r, k in zip(ball.rows[index], member[index])]
+    conj = [conjugators(kept[i], words[member[i]]) for i in index]
     P, Q = [p for p, _ in conj], [q for _, q in conj]
     route = {"A": (letters, fwd, P), "B": (letters, bwd, Q),
              "At": (duals, bwd, Q), "Bt": (duals, fwd, P)}
-    A = ball.products[[ball.row[c] for c in fwd]]
-    B = ball.products[[ball.row[c] for c in bwd]]
+    row = {w: i for i, w in enumerate(ball.words)}
+    A = ball.products[[row[c] for c in fwd]]
+    B = ball.products[[row[c] for c in bwd]]
     sources = {"A": A, "B": B, "At": A.transpose(0, 2, 1),
                "Bt": B.transpose(0, 2, 1)}
     reads = [("A" if side == "+" else "B", r) if 2 * r <= d
@@ -553,8 +555,10 @@ class TestDedup:
 class TestConjugators:
     @given(reduced_words("aAbB") | reduced_words("aAbBcC"))
     def test_reduced_conjugators(self, w):
+        ball = word_ball([w], sl2_letters("abc"))
         c = canonical_cyclic(w)
-        P, Q = boundary._conjugators(w, c)
+        P, Q = (decode(ball, x)[0] for x in ball.conjugators([0]))
+        assert (P, Q) == conjugators(w, c)
         for x, core in ((P, c), (Q, inverse_word(c))):
             assert free_reduce(x) == x and len(x) < len(w)
             assert free_reduce(x + c + inverse_word(x)) == w
@@ -565,8 +569,11 @@ class TestConjugators:
         # w = u core u^-1 with u = "b", core = "aB", c = "Ba" = core[1:] +
         # core[:1]: P = u c[1:] = "ba", Q = u c[:1]^-1 = "bb"
         assert canonical_cyclic("baBB") == "Ba"
-        assert boundary._conjugators("baBB", "Ba") == ("ba", "bb")
-        assert boundary._conjugators("aab", "aab") == ("", "")
+        ball = word_ball(["baBB", "aab"], sl2_letters("ab"))
+        P, Q = (decode(ball, x) for x in ball.conjugators([0, 1]))
+        assert (P, Q) == (["ba", ""], ["bb", ""])
+        assert [conjugators(w, canonical_cyclic(w)) for w in (
+            "baBB", "aab")] == [("ba", "bb"), ("", "")]
         assert cyclic_reduce("baBB") == "aB"
 
 

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from anosovlab.functors import build_representation, tau_representation
 from anosovlab.groups import (Ball, BallTooLargeError, GeneratorSet,
-                              GroupElement, _class_keys, _reduced_cyclic_key,
-                              canonical_cyclic, cyclic_reduce, enumerate_ball,
-                              free_reduce, inverse_label, inverse_word,
-                              prefix_tree, word_products)
+                              GroupElement, canonical_cyclic, cyclic_reduce,
+                              enumerate_ball, free_reduce, inverse_label,
+                              inverse_word, prefix_tree, word_products)
 from anosovlab.spectra import cartan_jordan
 from tests.conftest import load_example_config
+from tests.words import (assert_words_match_strings, class_keys, decode,
+                         genus2_rep, reduced_word_lists, sl2_letters,
+                         word_ball)
 
 
 def rotation(theta):
@@ -546,7 +548,8 @@ class TestBall:
              "c": rotation(0.3) @ np.diag([3.0, 1 / 3]) @ rotation(-0.3)})
         for gens, radius in ((tau3_rep.generators, 6), (three, 4)):
             ball = enumerate_ball(gens, radius)
-            classes, member = ball.classes
+            rows, _, member = ball.classes
+            classes = [ball.words[r] for r in rows]
             keys = [canonical_cyclic(g.word) for g in ball]
             assert [classes[k] for k in member] == keys
             assert classes == list(dict.fromkeys(keys))
@@ -561,7 +564,8 @@ class TestBall:
         assert np.array_equal(ball.prefix, prefix)
         assert np.array_equal(ball.last, last)
         kept = [ball.words[i] for i in ball.rows.tolist()]
-        assert ball.inverse_rows.tolist() == [ball.row[inverse_word(w)]
+        row = {w: i for i, w in enumerate(ball.words)}
+        assert ball.inverse_rows.tolist() == [row[inverse_word(w)]
                                               for w in kept]
         assert ball.lengths.tolist() == [len(w) for w in kept]
         assert np.array_equal(ball.products,
@@ -596,21 +600,80 @@ class TestBall:
     def test_class_keys_equal_per_word_keys(self, tau3_rep):
         ball = enumerate_ball(tau3_rep.generators, 7)
         words = [ball.words[i] for i in ball.rows]
-        assert_per_word_keys(words, ball.classes)
+        assert_per_word_keys(ball, words)
         assert len(ball.classes[0]) == 551
 
 
-def assert_per_word_keys(words, classes):
-    keys = [_reduced_cyclic_key(w) for w in words]
-    names, member = classes
+def assert_per_word_keys(ball, words):
+    keys = [canonical_cyclic(w) for w in words]
+    rows, inverse_rows, member = ball.classes
+    names = [ball.words[r] for r in rows]
     assert [names[k] for k in member] == keys
     assert names == list(dict.fromkeys(keys))
+    oracle, at = class_keys(words)
+    assert names == oracle and np.array_equal(member, at)
+    assert [ball.words[r] for r in inverse_rows] == [inverse_word(c)
+                                                    for c in names]
 
 
-# short words over few letters, so that rotations and conjugates recur
-_WORDS = st.lists(st.text("aAbB", max_size=6).map(free_reduce), max_size=60)
-
-
-@given(_WORDS)
+@given(reduced_word_lists("aAbB"))
 def test_class_keys_of_words(words):
-    assert_per_word_keys(words, _class_keys(words))
+    assert_per_word_keys(word_ball(words, sl2_letters("ab")), words)
+
+
+class TestCodeRows:
+    """The ball's code rows, class rows and conjugators against the
+    string definitions they replace (see ``tests/words.py``)."""
+
+    @pytest.mark.parametrize("name", ["fuchsian_tau3", "schottky_sl2",
+                                      "su21_9dim", "tau5_plus_tau2",
+                                      "tau_d_plus_tau_d2"])
+    def test_shipped_configs(self, name):
+        cfg = load_example_config(name)
+        gens = build_representation(cfg["representation"]).generators
+        assert_words_match_strings(enumerate_ball(gens, cfg["radius"]))
+
+    def test_quarter_turn_ball(self):
+        # merged: class words and conjugators skip kept rows
+        ball = enumerate_ball(GeneratorSet.from_matrices(QUARTER_TURN), 8)
+        assert len(ball) < len(ball.words)
+        assert_words_match_strings(ball)
+
+    def test_genus2_letters(self):
+        # four generators: base-9 keys, 22,289 elements
+        ball = enumerate_ball(genus2_rep().generators, 5)
+        assert len(ball) == 22289
+        assert_words_match_strings(ball)
+
+    @given(reduced_word_lists("aAbB", 8))
+    def test_words_over_two_generators(self, words):
+        assert_words_match_strings(word_ball(words, sl2_letters("ab")))
+
+    @given(reduced_word_lists("aAbBcC", 8))
+    def test_words_over_three_generators(self, words):
+        assert_words_match_strings(word_ball(words, sl2_letters("abc")))
+
+    def test_one_generator_past_the_int64_keys(self):
+        # base-3 keys of a^40 pass 2^63: the keys are Python ints there
+        gens = GeneratorSet.from_matrices({"a": np.diag([2.0, 0.5])})
+        ball = enumerate_ball(gens, 60)
+        assert 3 ** ball.radius > 2 ** 63 and ball._cores[3].dtype == object
+        rows, _, member = ball.classes
+        keys = [canonical_cyclic(g.word) for g in ball]
+        assert [ball.words[rows[k]] for k in member] == keys
+        assert len(rows) == len(ball) == 121
+        assert_words_match_strings(ball)
+
+    def test_long_word_of_cartan_jordan(self, tau3_rep):
+        # a word of 30 letters over two generators: past int64 keys, its
+        # rotations share the spectrum of their one class word
+        gens = tau3_rep.generators
+        word = "abbAbaBBab" * 3
+        ball = word_ball([word, word[7:] + word[:7]], gens)
+        assert 5 ** ball.radius > 2 ** 63 and ball._cores[3].dtype == object
+        assert_words_match_strings(ball)
+        rows, _, member = ball.classes
+        assert member.tolist() == [0, 0]
+        assert decode(ball, ball.codes[rows]) == [canonical_cyclic(word)]
+        rotated = cartan_jordan(gens.element(word[7:] + word[:7])).lam
+        assert np.array_equal(cartan_jordan(gens.element(word)).lam, rotated)
