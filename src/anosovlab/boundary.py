@@ -403,7 +403,8 @@ def limit_samples(rep: Representation, m: int, radius: int,
     lines take part in the dedup, so they are moved for every element
     and the other flags for the kept ones alone.  The cloud's ``frames``
     are those stacks, read-only, and each sample's frames are views of
-    them; the witnesses are built from one gather of ``ball.rows``.
+    them; the witnesses are built from one gather of ``ball.rows``, their
+    words formatted by :meth:`Ball.words_of`.
     """
     d = rep.dim
     if not 1 <= m <= d - 1:
@@ -422,9 +423,10 @@ def limit_samples(rep: Representation, m: int, radius: int,
     if not kept:
         raise ValueError("no proximal elements found in the ball")
     stacks = [_readonly(F) for F in flags(kept)]
-    gens, words, products = ball.gens, ball.words, ball.products
-    witnesses = [GroupElement(words[r], MatrixD(products[r]), gens)
-                 for r in ball.rows[flags.index[kept]].tolist()]
+    index = flags.index[kept]
+    witnesses = [GroupElement(w, MatrixD(ball.products[r]), ball.gens)
+                 for w, r in zip(ball.words_of(index),
+                                 ball.rows[index].tolist())]
     samples = tuple(map(FlagSample, witnesses,
                         *(map(Subspace, F) for F in stacks)))
     return LimitCloud(samples, m, rep.recipe, dict(zip(

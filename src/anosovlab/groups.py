@@ -4,9 +4,10 @@ deduplication.
 
 Generators are labelled by lowercase letters; the formal inverse of a
 label is its uppercase counterpart (``a`` <-> ``A``), so a word is just a
-string like ``"abAB"``.  Strings are the API; the layout is integer code
-rows: a :class:`Ball` builds them and answers every word question on
-them.  Relations are never handled symbolically: words whose
+string like ``"abAB"``.  Strings are the API's edges alone, parsed by
+:func:`prefix_tree` and formatted by :meth:`Ball.words_of`; in between a
+word is an integer code row, on which a :class:`Ball` answers every
+word question.  Relations are never handled symbolically: words whose
 matrices agree (as elements of PGL, i.e. up to sign) are merged.
 """
 
@@ -135,8 +136,7 @@ class GeneratorSet:
         return tuple(l for l in self.labels if l.islower())
 
     def matrix_of_word(self, word: str) -> MatrixD:
-        prefixes = [word[:i] for i in range(len(word) + 1)]
-        return MatrixD(_readonly(word_products(self, prefixes)[-1]))
+        return MatrixD(_readonly(word_products(self, [word])[0]))
 
     def element(self, word: str) -> "GroupElement":
         word = free_reduce(word)
@@ -179,20 +179,20 @@ class Ball(Sequence):
     A sequence of :class:`GroupElement` sorted by (length, word), after
     merging words with equal matrices: the one input of the spectral
     analytics, which read the dimension from ``gens.dim`` and the radius
-    from :attr:`radius`.  ``products`` stacks the left-to-right products
-    of *every* reduced word of length <= radius, merged or kept, in the
-    order of the list ``words`` (prefix-closed and sorted by (length,
-    word)).  The ball owns the prefix tree of ``words``: ``prefix`` and
-    ``last`` hold each row's prefix row and last letter, as
-    :func:`prefix_tree` gives them, and the spectral ladder walks that
-    tree.  The inverse word and every rotation of the cyclic core of a
-    ball word are again reduced words of no greater length, so their
-    matrices are rows of the same stack, even where that word itself was
-    merged away.  ``codes`` holds each row's word as a right-aligned int8
-    row of width ``radius``: a letter's code is 1 plus its index in
-    ``letters``, the sorted labels, so codes compare as letters do, and
-    0 pads.  :meth:`row_of`, ``inverse_rows``, :attr:`classes` and
-    :meth:`conjugators` read these rows.
+    from :attr:`radius`.  Words are integer codes: a letter's code is 1
+    plus its index in ``letters``, the sorted labels, so codes compare
+    as letters do, and 0 is no letter.  The stack rows are *every*
+    reduced word of length <= radius, merged or kept, sorted by (length,
+    word): ``prefix`` and ``last`` hold each row's prefix row (-1 for
+    the empty word) and last code, the tree of :func:`prefix_tree` that
+    the spectral ladder walks, and ``products`` their products.  The
+    inverse word and every rotation of the cyclic core of a ball word
+    are again reduced words of no greater length, so their matrices are
+    rows of the same stack, even where that word itself was merged away.
+    ``codes`` holds each row's word as a right-aligned int8 row of width
+    ``radius``, 0 padding it.  :meth:`row_of`, ``inverse_rows``,
+    :attr:`classes` and :meth:`conjugators` read these rows, and
+    :meth:`words_of` formats them as strings, for output alone.
 
     The elements are the stack rows ``rows``; indexing builds their
     :class:`GroupElement` on demand.  The Cartan and Jordan arrays over
@@ -201,28 +201,31 @@ class Ball(Sequence):
     ball.
     """
 
-    def __init__(self, gens: GeneratorSet, words: list[str],
+    def __init__(self, gens: GeneratorSet,
                  tree: tuple[np.ndarray, np.ndarray], products: np.ndarray,
                  keep: list[int]):
         products.flags.writeable = False
         self.gens = gens
-        self.words = words
         self.prefix, self.last = tree
         self.products = products
         self.rows = np.array(keep, dtype=np.intp)
         self.letters = tuple(sorted(gens.labels))
         self._flip = np.array([0, *(self.letters.index(x.swapcase()) + 1
                                     for x in self.letters)], dtype=np.int8)
-        n, code = len(words), np.searchsorted(["", *self.letters], self.last)
+        # the radius: the length of the longest enumerated word, merged or
+        # kept, the last row's
+        n, self.radius, up = len(self.prefix), 0, len(self.prefix) - 1
+        while up > 0:
+            self.radius, up = self.radius + 1, self.prefix[up]
         # one step up the tree per letter position, the last letter first
         self.codes = np.zeros((n, self.radius), dtype=np.int8)
         up, parent = np.arange(n), np.maximum(self.prefix, 0)
         for t in reversed(range(self.radius)):
-            self.codes[:, t], up = code[up], parent[up]
+            self.codes[:, t], up = self.last[up], parent[up]
         # the (rows, codes) child table; row n stands for no word
         self._child = np.full((n + 1, len(self.letters) + 1), n)
         self._child[:, 0] = np.arange(n + 1)
-        self._child[self.prefix[1:], code[1:]] = np.arange(1, n)
+        self._child[self.prefix[1:], self.last[1:]] = np.arange(1, n)
         elements = self.codes[self.rows]
         self.lengths = np.count_nonzero(elements, axis=1)
         self.inverse_rows = self.row_of(self._flip[elements[:, ::-1]])
@@ -230,18 +233,27 @@ class Ball(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    @property
-    def radius(self) -> int:
-        """The length of the longest enumerated word, merged or kept: the
-        enumeration radius."""
-        return len(self.words[-1])
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        i = self.rows[operator.index(index)]
-        return GroupElement(word=self.words[i], gens=self.gens,
-                            matrix=MatrixD(self.products[i]))
+        i = operator.index(index)
+        return GroupElement(word=self.words_of([i])[0], gens=self.gens,
+                            matrix=MatrixD(self.products[self.rows[i]]))
+
+    def words_of(self, index) -> list[str]:
+        """The words of the elements at ``index``, for output, whose lengths
+        must not decrease (as in ball order): per length, one run of rows
+        whose letters' code points are viewed as UCS4 strings."""
+        rows, lengths = self.rows[index], self.lengths[index]
+        if (np.diff(lengths) < 0).any():
+            raise ValueError("words_of reads elements in ball order")
+        cuts = np.searchsorted(lengths, np.arange(self.radius + 1), "right")
+        chars = np.array([0, *map(ord, self.letters)], dtype=np.uint32)
+        words = [""] * int(cuts[0])
+        for n in range(1, self.radius + 1):
+            words += chars[self.codes[rows[cuts[n - 1]:cuts[n]], -n:]].view(
+                f"U{n}")[:, 0].tolist()
+        return words
 
     def row_of(self, codes: np.ndarray) -> np.ndarray:
         """The stack rows of the words of the code rows ``codes``, one
@@ -250,7 +262,7 @@ class Ball(Sequence):
         rows = np.zeros(len(codes), dtype=np.intp)
         for column in codes.T:
             rows = self._child[rows, column]
-        if (rows == len(self.words)).any():
+        if (rows == len(self.prefix)).any():
             raise KeyError("a word is not in the tree")
         return rows
 
@@ -351,64 +363,59 @@ def enumerate_ball(gens: GeneratorSet, radius: int) -> Ball:
 
     Elements whose matrices agree within 1e-8 (max-entry difference, up
     to the PGL sign) are merged, keeping the shortest word (ties:
-    lexicographic).  The result is sorted by (length, word) and is
-    independent of enumeration order; balls of over ``_BALL_CAP`` words
-    raise ``BallTooLargeError``.
+    lexicographic).  The result is sorted by (length, word); balls of
+    over ``_BALL_CAP`` words raise ``BallTooLargeError``.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    n_letters = len(gens.labels)
-    predicted = _predicted_ball_size(n_letters, radius)
+    predicted = _predicted_ball_size(len(gens.labels), radius)
     if predicted > _BALL_CAP:
         count = (predicted if predicted <= _COUNT_LIMIT
                  else f"over {_COUNT_LIMIT}")
         raise BallTooLargeError(
             f"ball too large: {count} words exceed cap {_BALL_CAP}")
 
-    # the words layer by layer and their prefix tree by array gathers:
-    # the rows of a layer spawn their successors in order, from a table
-    # keyed by their last letter, an index into ``order`` (the empty
-    # word's, n_letters, stands for no letter)
-    order = sorted(gens.labels)
-    after = {x: [y for y in order if y != inverse_label(x)] for x in order}
-    after[""] = order
-    succ = np.array([[order.index(y) for y in after[x]] for x in order],
-                    dtype=np.intp)
-    words, layer = [""], [""]
-    prefix, code = [np.array([-1])], [np.array([n_letters])]
-    parents, codes = np.zeros(n_letters, dtype=np.intp), np.arange(n_letters)
+    # the prefix tree layer by layer, by array gathers: each row of a
+    # layer spawns, in code order, the codes its last code allows (all
+    # after the empty word's 0, else all but its inverse's)
+    letters = sorted(gens.labels)
+    allowed = np.array([[y != x.swapcase() for y in letters]
+                        for x in ["", *letters]])
+    prefix, last, start = [np.array([-1])], [np.zeros(1, np.int8)], 0
     for _ in range(radius):
-        layer = [w + y for w in layer for y in after[w[-1:]]]
-        prefix.append(parents)
-        code.append(codes)
-        parents = np.repeat(np.arange(len(words), len(words) + len(layer)),
-                            n_letters - 1)
-        codes = succ[codes].ravel()
-        words += layer
-    last = np.array([*order, ""])[np.concatenate(code)]
-    tree = np.concatenate(prefix), last
+        parents, codes = np.nonzero(allowed[last[-1]])
+        prefix.append(start + parents)
+        last.append((codes + 1).astype(np.int8))
+        start += len(last[-2])
+    tree = np.concatenate(prefix), np.concatenate(last)
     products = _tree_products(gens, *tree)
-    return Ball(gens, words, tree, products,
-                _dedup_indices(words, products, 1e-8))
+    return Ball(gens, tree, products, _dedup_indices(products, 1e-8))
 
 
-def prefix_tree(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The prefix row (-1 for the empty word) and the last letter of each
-    of the prefix-closed ``words``, sorted by (length, word).  In that
-    order the prefix rows never decrease: the children of the rows a:b
-    are the rows between ``np.searchsorted(prefix, (a, b))``.  A
-    :class:`Ball` owns the tree of its words, built by
-    :func:`enumerate_ball` as it generates them; this one serves other
-    word sets (:func:`word_products`)."""
-    row = {w: i for i, w in enumerate(words)}
-    return (np.array([-1] + [row[w[:-1]] for w in words[1:]]),
-            np.array([w[-1:] for w in words]))
+def prefix_tree(gens: GeneratorSet, words: list[str]
+                ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The one parser of string words: the tree of the prefixes of
+    ``words`` in (length, word) order, as a :class:`Ball` holds its own
+    (each row's prefix row and last code), and the rows of ``words``.
+    The prefix rows never decrease: the children of the rows a:b are the
+    rows between ``np.searchsorted(prefix, (a, b))``.  A letter that is
+    not a label of ``gens`` raises ``ValueError``."""
+    closure = sorted({w[:i] for w in ["", *words] for i in range(len(w) + 1)},
+                     key=lambda w: (len(w), w))
+    code = {"": 0, **{x: n for n, x in enumerate(sorted(gens.labels), 1)}}
+    if unknown := [x for w in words for x in w if x not in code]:
+        raise ValueError(f"letter {unknown[0]!r} is not among the "
+                         f"generator labels {', '.join(gens.labels)}")
+    row = {w: i for i, w in enumerate(closure)}
+    return ((np.array([-1] + [row[w[:-1]] for w in closure[1:]]),
+             np.array([code[w[-1:]] for w in closure], dtype=np.int8)),
+            np.array([row[w] for w in words], dtype=np.intp))
 
 
 def word_products(gens: GeneratorSet, words: list[str]) -> np.ndarray:
-    """The stacked matrices of the prefix-closed ``words``, sorted by
-    (length, word) (see :func:`_tree_products`)."""
-    return _tree_products(gens, *prefix_tree(words))
+    """The stacked matrices of ``words`` (see :func:`_tree_products`)."""
+    tree, rows = prefix_tree(gens, words)
+    return _tree_products(gens, *tree)[rows]
 
 
 def _tree_products(gens: GeneratorSet, prefix: np.ndarray,
@@ -424,9 +431,9 @@ def _tree_products(gens: GeneratorSet, prefix: np.ndarray,
         while b > a:
             a, b = np.searchsorted(prefix, (a, b))
             length += 1
-            for x, M in gens.matrices.items():
-                at = a + np.flatnonzero(last[a:b] == x)
-                products[at] = products[prefix[at]] @ M.mat
+            for code, x in enumerate(sorted(gens.labels), 1):
+                at = a + np.flatnonzero(last[a:b] == code)
+                products[at] = products[prefix[at]] @ gens.matrices[x].mat
     if not np.isfinite(products).all():
         raise FloatingPointError(
             f"word products overflow doubles in dimension {gens.dim}; "
@@ -464,12 +471,12 @@ def _sorted_lifts(flat: np.ndarray):
     return w, lift, np.concatenate([proj, -proj])[lift], slack
 
 
-def _dedup_indices(words, mats, tol) -> list[int]:
+def _dedup_indices(mats, tol) -> list[int]:
     """Merge indices whose matrices agree up to sign within ``tol``
-    (Chebyshev metric on entries), each component keeping its (length,
-    word)-smallest: the kept indices, in input order.
-    :func:`enumerate_ball` passes its words sorted by (length, word), so
-    there the kept indices are in that order too.
+    (Chebyshev metric on entries), each component keeping its least
+    index: the kept indices, in order.  :func:`enumerate_ball` passes its
+    rows sorted by (length, word), so there each component keeps its
+    shortest word (ties: lexicographic).
 
     A sweep over both lifts x and -x of each row, sorted by projection
     (see :func:`_sorted_lifts`), so sign never needs normalizing.  Two
@@ -484,12 +491,11 @@ def _dedup_indices(words, mats, tol) -> list[int]:
     lift's row is below its second's: each pair is confirmed once, by the
     test ``max|x_a - x_b| <= tol``, in blocks of about ``_SWEEP_BYTES``.
     The confirmed pairs are merged by min-label propagation with pointer
-    jumping (Shiloach & Vishkin, J. Algorithms 3, 1982) over the (length,
-    word) ranks, ranked at the first confirmed pair: each component keeps
-    its least rank, so the kept set does not depend on pair or input
-    order.
+    jumping (Shiloach & Vishkin, J. Algorithms 3, 1982) over the indices:
+    each component keeps its least index, so the kept set does not
+    depend on pair order.
     """
-    n = len(words)
+    n = len(mats)
     flat = np.asarray(mats, dtype=float).reshape(n, -1)
     size = flat.shape[1]
     w, lift, swept, slack = _sorted_lifts(flat)
@@ -500,7 +506,7 @@ def _dedup_indices(words, mats, tol) -> list[int]:
     cum = np.cumsum(counts)
     step = max(1, _SWEEP_BYTES // (8 * size))
     cuts = [0, *np.searchsorted(cum, range(step, cum[-1], step)), 2 * n]
-    rank = root = None  # root, by rank: a rank <= r of the component of r
+    root = np.arange(n)  # an index <= i of the component of i
     for lo, hi in zip(cuts, cuts[1:]):
         c = counts[lo:hi]
         first = np.repeat(np.arange(lo, hi), c)
@@ -512,25 +518,17 @@ def _dedup_indices(words, mats, tol) -> list[int]:
         i, j = a % n, b % n
         sign = np.where((a < n) == (b < n), 1.0, -1.0)[:, None]
         close = np.abs(flat[i] - sign * flat[j]).max(axis=1) <= tol
-        if close.any():
-            if rank is None:
-                rank = np.empty(n, dtype=np.intp)
-                rank[np.lexsort((words, [len(x) for x in words]))] = (
-                    np.arange(n))
-                root = np.arange(n)
-            root = _join(root, rank[i[close]], rank[j[close]])
-    if rank is None:
-        return list(range(n))
-    return np.flatnonzero(root[rank] == rank).tolist()
+        root = _join(root, i[close], j[close])
+    return np.flatnonzero(root == np.arange(n)).tolist()
 
 
 def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The forest ``root`` of ranks, each pointing at the least rank of
+    """The forest ``root`` of indices, each pointing at the least index of
     its component, with the components of each pair (a[k], b[k]) joined:
     the larger root of each split pair is hooked to the smaller, then
-    labels jump until every rank points at its root again.  That full
+    labels jump until every index points at its root again.  That full
     compression makes every hook, in this call or the next, join two
-    roots; a hook on a rank that is not a root would move it off its
+    roots; a hook on an index that is not a root would move it off its
     tree and split a component joined before."""
     while (split := root[a] != root[b]).any():
         x, y = root[a[split]], root[b[split]]

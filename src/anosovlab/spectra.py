@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functors import _wedge_coordinates, wedge_indices
-from .groups import (Ball, GeneratorSet, GroupElement, canonical_cyclic,
-                     inverse_word, prefix_tree, word_products)
+from .groups import (Ball, GeneratorSet, GroupElement, _tree_products,
+                     canonical_cyclic, inverse_word, prefix_tree)
 from .linalg import (MatrixD, SpectralData, _row_norms, eigen_moduli,
                      singular_values)
 
@@ -78,28 +78,29 @@ def spectral_kernel(gens: GeneratorSet) -> dict:
                       else f"capped at k={_rungs(n)}" for n in dims]}
 
 
-def _finite(S: np.ndarray, n: int, words: list[str]) -> np.ndarray:
+def _finite(S: np.ndarray, n: int, radius: int) -> np.ndarray:
     """``S``, the stacked products or compounds some rows of a block of
     dimension n read, if it is finite: LAPACK fails on the rest."""
     if not np.isfinite(S).all():
         raise FloatingPointError(
             f"word products overflow doubles in a block of dimension {n}; "
-            f"the longest word has length {len(words[-1])}")
+            f"the longest word has length {radius}")
     return S
 
 
-def _compound_logs(letters: dict, ball: Ball, reads, n: int) -> list:
+def _compound_logs(letters: list, ball: Ball, reads, n: int) -> list:
     """Per (rows, _, spectrum) of ``reads``, the (K-1, len(rows)) logs of
     the top ``spectrum`` value of the compounds of the ball's words,
-    multiplied from ``letters`` left to right along its prefix tree;
-    ``n`` is the dimension of the block they come from."""
-    sizes = [C.shape[0] for C in next(iter(letters.values()))]
+    multiplied from ``letters`` (each letter's compounds, in code order)
+    left to right along its prefix tree; ``n`` is the dimension of the
+    block they come from."""
+    sizes = [C.shape[0] for C in letters[0]]
     if not sizes:
         return [np.zeros((0, len(at))) for at, *_ in reads]
     step = max(1, _LADDER_BYTES // (8 * sum(c * c for c in sizes)))
-    words, prefix, last = ball.words, ball.prefix, ball.last
-    need = [np.isin(np.arange(len(words)), at) for at, *_ in reads]
-    logs = [np.zeros((len(sizes), len(words))) for _ in reads]
+    prefix, last, radius = ball.prefix, ball.last, ball.radius
+    need = [np.isin(np.arange(len(prefix)), at) for at, *_ in reads]
+    logs = [np.zeros((len(sizes), len(prefix))) for _ in reads]
 
     def walk(a, b, stacks):  # the compounds of the rows a:b
         for (*_, spectrum), wanted, out in zip(reads, need, logs):
@@ -107,13 +108,13 @@ def _compound_logs(letters: dict, ball: Ball, reads, n: int) -> list:
             if sel.any():
                 for t, S in zip(out, stacks):
                     t[a:b][sel] = np.log(
-                        spectrum(_finite(S[sel], n, words))[:, 0])
+                        spectrum(_finite(S[sel], n, radius))[:, 0])
         lo, hi = np.searchsorted(prefix, (a, b))  # their children
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
             grown = [np.empty((stop - start, c, c)) for c in sizes]
-            for x, compounds in letters.items():
-                sel = last[start:stop] == x
+            for code, compounds in enumerate(letters, 1):
+                sel = last[start:stop] == code
                 at = prefix[start:stop][sel] - a
                 for G, S, L in zip(grown, stacks, compounds):
                     G[sel] = S[at] @ L
@@ -133,7 +134,7 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
     cyclic word and of that word's inverse; the k = 1 rung of each block
     on the ball's ``products``, the others on compounds multiplied along
     its prefix tree."""
-    gens, words, products = ball.gens, ball.words, ball.products
+    gens, products = ball.gens, ball.products
     class_rows, inverse_rows, member = ball.classes
     reads = [(np.r_[ball.rows, ball.inverse_rows], len(ball), singular_values),
              (np.r_[class_rows, inverse_rows], len(class_rows), eigen_moduli)]
@@ -141,19 +142,17 @@ def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
     for B in _diagonal_blocks(gens):
         n, K = len(B), _rungs(len(B))
         P = products if n == gens.dim else products[:, B][:, :, B]
-        letters = {x: M.mat[np.ix_(B, B)] for x, M in gens.matrices.items()}
-        ld = np.array([0.0, *(np.linalg.slogdet(letters[x])[1]
-                              for x in ball.letters)])  # by code
+        letters = [gens.matrices[x].mat[np.ix_(B, B)] for x in ball.letters]
+        ld = np.array([0.0, *(np.linalg.slogdet(L)[1] for L in letters)])
         idx = [np.array(wedge_indices(n, k)) for k in range(2, K + 1)]
-        more = _compound_logs({x: [_wedge_coordinates(L, i, i) for i in idx]
-                               for x, L in letters.items()}, ball, reads,
-                              n)
+        more = _compound_logs([[_wedge_coordinates(L, i, i) for i in idx]
+                               for L in letters], ball, reads, n)
         for (at, m, spectrum), t, out in zip(reads, more, vectors):
             rows_at, back = np.unique(at, return_inverse=True)
             S = P if len(rows_at) == len(P) else P[rows_at]  # no full copy
             # the log of the moduli read only: the bottom ones of a long
             # word's rounded product may underflow to 0
-            own = spectrum(_finite(S, n, words))[back]
+            own = spectrum(_finite(S, n, ball.radius))[back]
             ladder = np.diff(np.vstack([np.zeros(len(at)),
                                         np.log(own[:, 0]), t])
                              [:K + 1], axis=0)  # (K, len(at)): top K logs
@@ -181,11 +180,9 @@ def cartan_jordan(g) -> SpectralData:
     else:
         gens, word = GeneratorSet.from_matrices({"a": g}), "a"
     core = canonical_cyclic(word)
-    ends = {word, inverse_word(word), core, inverse_word(core)}
-    words = sorted({w[:i] for w in ends for i in range(len(w) + 1)},
-                   key=lambda w: (len(w), w))
-    ball = Ball(gens, words, prefix_tree(words), word_products(gens, words),
-                [words.index(word)])
+    tree, rows = prefix_tree(gens, [word, inverse_word(word), core,
+                                    inverse_word(core)])
+    ball = Ball(gens, tree, _tree_products(gens, *tree), rows[:1])
     return SpectralData(mu=ball.cartan[0], lam=ball.jordan[0])
 
 
@@ -382,7 +379,6 @@ def spectral_table(ball: Ball, m: int | None = None
         ratio[gapped, 0] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
         header.append("ratio_m")
         columns.append(ratio)
-    words = ball.words
-    rows = [[words[i] or "<id>", n]
-            for i, n in zip(ball.rows.tolist(), ball.lengths.tolist())]
+    rows = [[word or "<id>", n] for word, n in zip(
+        ball.words_of(slice(None)), ball.lengths.tolist())]
     return header, rows, np.hstack(columns)

@@ -13,8 +13,8 @@ from anosovlab import boundary
 from anosovlab.boundary import (FlagSample, LimitCloud, controlled_set_check,
                                 hyperconvexity_scan, irreducibility_proxy,
                                 limit_samples, transversality_scan)
-from anosovlab.functors import (direct_sum_rep, flag_wedge,
-                                representation_from_matrices,
+from anosovlab.functors import (build_representation, direct_sum_rep,
+                                flag_wedge, representation_from_matrices,
                                 tau_representation, wedge_power)
 from anosovlab.groups import (_sorted_lifts, canonical_cyclic, cyclic_reduce,
                               enumerate_ball, free_reduce, inverse_word)
@@ -23,7 +23,9 @@ from anosovlab.linalg import (SpectralGapError, Subspace, _sines,
                               proj_distance, subspace_distance,
                               top_invariant_subspace)
 from tests.conftest import load_example_config
-from tests.words import class_keys, conjugators, decode, sl2_letters, word_ball
+from tests.words import (assert_witnesses_formatted, ball_words,
+                         class_keys, conjugators, decode, genus2_rep,
+                         sl2_letters, word_ball)
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +423,8 @@ def per_call_flags(ball, specs) -> list:
 
     index = boundary._proximal(ball, [r if side == "+" else d - r
                                       for side, r in specs])
-    kept = [ball.words[r] for r in ball.rows.tolist()]
+    stack = ball_words(ball.gens, ball.radius)
+    kept = [stack[r] for r in ball.rows.tolist()]
     words, member = class_keys(kept)
     classes, at = np.unique(member[index], return_inverse=True)
     letters = {x: M.mat for x, M in ball.gens.matrices.items()}
@@ -432,7 +435,7 @@ def per_call_flags(ball, specs) -> list:
     P, Q = [p for p, _ in conj], [q for _, q in conj]
     route = {"A": (letters, fwd, P), "B": (letters, bwd, Q),
              "At": (duals, bwd, Q), "Bt": (duals, fwd, P)}
-    row = {w: i for i, w in enumerate(ball.words)}
+    row = {w: i for i, w in enumerate(stack)}
     A = ball.products[[row[c] for c in fwd]]
     B = ball.products[[row[c] for c in bwd]]
     sources = {"A": A, "B": B, "At": A.transpose(0, 2, 1),
@@ -552,10 +555,40 @@ class TestDedup:
         assert 10 < len(kept) < len(F)
 
 
+
+def _quarter_turn_rep():
+    c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
+    return representation_from_matrices({"a": [[c, -s], [s, c]],
+                                         "b": np.diag([3.0, 1 / 3])})
+
+
+@pytest.mark.filterwarnings("ignore:gap profile")
+@pytest.mark.parametrize("name", [
+    "fuchsian_tau3", "schottky_sl2", "su21_9dim", "tau5_plus_tau2",
+    "tau_d_plus_tau_d2", "quarter_turn", "genus2", "one_generator"])
+def test_witness_words_match_strings(name):
+    # the cloud's witnesses, formatted from code rows, against the string
+    # enumeration, on the shipped configs at their radii and on balls of
+    # merged words, four generators and one generator's long powers
+    if name == "quarter_turn":
+        rep, radius = _quarter_turn_rep(), 8
+    elif name == "genus2":
+        rep, radius = genus2_rep(), 5
+    elif name == "one_generator":
+        rep, radius = tau_representation(representation_from_matrices(
+            {"a": np.diag([2.0, 0.5])}), 3), 60
+    else:
+        cfg = load_example_config(name)
+        rep, radius = (build_representation(cfg["representation"]),
+                       cfg["radius"])
+    cloud = limit_samples(rep, 1, radius)
+    assert_witnesses_formatted(cloud, enumerate_ball(rep.generators, radius),
+                               ball_words(rep.generators, radius))
+
 class TestConjugators:
     @given(reduced_words("aAbB") | reduced_words("aAbBcC"))
     def test_reduced_conjugators(self, w):
-        ball = word_ball([w], sl2_letters("abc"))
+        ball = word_ball([w], sl2_letters("abc"))[0]
         c = canonical_cyclic(w)
         P, Q = (decode(ball, x)[0] for x in ball.conjugators([0]))
         assert (P, Q) == conjugators(w, c)
@@ -569,7 +602,7 @@ class TestConjugators:
         # w = u core u^-1 with u = "b", core = "aB", c = "Ba" = core[1:] +
         # core[:1]: P = u c[1:] = "ba", Q = u c[:1]^-1 = "bb"
         assert canonical_cyclic("baBB") == "Ba"
-        ball = word_ball(["baBB", "aab"], sl2_letters("ab"))
+        ball = word_ball(["baBB", "aab"], sl2_letters("ab"))[0]
         P, Q = (decode(ball, x) for x in ball.conjugators([0, 1]))
         assert (P, Q) == (["ba", ""], ["bb", ""])
         assert [conjugators(w, canonical_cyclic(w)) for w in (

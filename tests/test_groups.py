@@ -10,11 +10,11 @@ from anosovlab.groups import (Ball, BallTooLargeError, GeneratorSet,
                               GroupElement, canonical_cyclic, cyclic_reduce,
                               enumerate_ball, free_reduce, inverse_label,
                               inverse_word, prefix_tree, word_products)
-from anosovlab.spectra import cartan_jordan
+from anosovlab.spectra import cartan_jordan, spectral_table
 from tests.conftest import load_example_config
-from tests.words import (assert_words_match_strings, class_keys, decode,
-                         genus2_rep, reduced_word_lists, sl2_letters,
-                         word_ball)
+from tests.words import (assert_words_formatted, assert_words_match_strings,
+                         ball_words, class_keys, decode, genus2_rep,
+                         reduced_word_lists, sl2_letters, word_ball)
 
 
 def rotation(theta):
@@ -72,6 +72,11 @@ class TestEnumerateBall:
         assert len(ball) == 1
         assert ball[0].word == ""
         assert np.allclose(ball[0].matrix.mat, np.eye(2))
+        # no letter column; the empty word is formatted as <id>
+        assert ball.codes.shape == (1, 0)
+        assert ball_words(schottky_rep.generators, 0) == [""]
+        assert_words_formatted(ball, [""])
+        assert spectral_table(ball)[1] == [["<id>", 0]]
 
     @pytest.mark.parametrize("radius", range(5))
     def test_radius_survives_merges(self, radius):
@@ -179,6 +184,17 @@ class TestGeneratorSet:
                                      "length 400"):
                 gens.element("ab" * 200)
 
+    def test_unknown_letters_are_named(self, schottky_rep):
+        # the one parser of words rejects a letter outside the generators
+        gens = schottky_rep.generators
+        with pytest.raises(ValueError, match="letter 'x' is not among the "
+                                             "generator labels a, A, b, B"):
+            gens.element("x")
+        with pytest.raises(ValueError, match="letter 'z' is not among"):
+            gens.matrix_of_word("az")
+        with pytest.raises(ValueError, match="letter 'z' is not among"):
+            cartan_jordan(GroupElement("az", gens.matrix_of_word("a"), gens))
+
 
 class TestInfiniteOrderProxy:
     """An element of infinite order shows a spread Jordan vector; elliptic
@@ -199,20 +215,18 @@ class TestInfiniteOrderProxy:
         assert self.spread(schottky_rep.generators.element("")) == 0.0
 
 
-def test_dedup_order_independent():
+def test_dedup_keeps_the_least_index_of_each_component():
     from anosovlab.groups import _dedup_indices
     rng = np.random.default_rng(33)
     mats = [rng.normal(size=(2, 2)) for _ in range(6)]
-    words = ["", "a", "b", "ab", "ba", "bb"]
-    # plant duplicates: same matrix under different words, opposite sign
+    # plant duplicates: the same matrix twice, and one of opposite sign
     mats[3] = mats[1].copy()
     mats[4] = -mats[2]
-    keep1 = {words[i] for i in _dedup_indices(words, mats, 1e-9)}
+    assert _dedup_indices(mats, 1e-9) == [0, 1, 2, 5]
+    # permuted, the components {1, 3} and {2, 4} sit at positions {2, 1}
+    # and {5, 3}: each keeps its first position
     perm = [5, 3, 1, 4, 0, 2]
-    keep2 = {words[perm[i]]
-             for i in _dedup_indices([words[p] for p in perm],
-                                     [mats[p] for p in perm], 1e-9)}
-    assert keep1 == keep2 == {"", "a", "b", "bb"}
+    assert _dedup_indices([mats[p] for p in perm], 1e-9) == [0, 1, 3, 4]
 
 
 def _least_of_components(words, pairs):
@@ -322,11 +336,13 @@ def test_dedup_matches_all_pairs_reference(size):
             (mats[3], mats[3] + tol, tol), (large[5], large[5] - tol, tol)):
         assert np.abs(x - y).max() == distance
     mats += large + [x for x, _ in planted]
-    words = ["a" * int(k) + f"b{i}"
-             for i, k in enumerate(rng.integers(0, 4, len(mats)))]
-    order = rng.permutation(len(mats))
-    words, mats = [words[i] for i in order], [mats[i] for i in order]
-    keep = _dedup_indices(words, mats, tol)
+    # in (length, word) order, as the ball's rows are, so that each
+    # component's least position is its least word
+    words = sorted(("a" * int(k) + f"b{i}"
+                    for i, k in enumerate(rng.integers(0, 4, len(mats)))),
+                   key=lambda w: (len(w), w))
+    mats = [mats[int(w[w.index("b") + 1:])] for w in words]
+    keep = _dedup_indices(mats, tol)
     assert keep == _all_pairs_dedup(words, mats, tol)
     assert keep == _kdtree_dedup(words, mats, tol)
     assert len(keep) == len(mats) - sum(merged for _, merged in planted)
@@ -350,11 +366,12 @@ OCTAHEDRAL = {"a": _rx(np.pi / 2),
                                         (OCTAHEDRAL, 24)])
 def test_dedup_of_colliding_balls_matches_references(gens, kept):
     from anosovlab.groups import _dedup_indices
-    ball = enumerate_ball(GeneratorSet.from_matrices(gens), 5)
-    keep = _dedup_indices(ball.words, ball.products, 1e-8)
-    assert (len(ball.words), len(keep)) == (485, kept)
-    assert keep == _all_pairs_dedup(ball.words, ball.products, 1e-8)
-    assert keep == _kdtree_dedup(ball.words, ball.products, 1e-8)
+    gens = GeneratorSet.from_matrices(gens)
+    ball, words = enumerate_ball(gens, 5), ball_words(gens, 5)
+    keep = _dedup_indices(ball.products, 1e-8)
+    assert (len(words), len(keep)) == (485, kept)
+    assert keep == _all_pairs_dedup(words, ball.products, 1e-8)
+    assert keep == _kdtree_dedup(words, ball.products, 1e-8)
 
 
 @pytest.mark.parametrize("name, radius", [
@@ -363,24 +380,25 @@ def test_dedup_of_colliding_balls_matches_references(gens, kept):
 def test_dedup_matches_kdtree_on_shipped_configs(name, radius):
     rep = build_representation(load_example_config(name)["representation"])
     ball = enumerate_ball(rep.generators, radius)
-    assert ball.rows.tolist() == _kdtree_dedup(ball.words, ball.products,
-                                               1e-8)
+    assert ball.rows.tolist() == _kdtree_dedup(
+        ball_words(rep.generators, radius), ball.products, 1e-8)
 
 
 def test_dedup_matches_kdtree_on_tau4(tau4_rep):
     ball = enumerate_ball(tau4_rep.generators, 5)
-    assert ball.rows.tolist() == _kdtree_dedup(ball.words, ball.products,
-                                               1e-8)
+    assert ball.rows.tolist() == _kdtree_dedup(
+        ball_words(tau4_rep.generators, 5), ball.products, 1e-8)
 
 
 @pytest.mark.parametrize("sweep_bytes", [4 << 20, 64])
 def test_dedup_merges_a_chain_in_reverse_rank_order(monkeypatch,
                                                     sweep_bytes):
-    # rows k and k + 1 within tol, k and k + 2 not: one component of 1,200
-    # rows whose (length, word) ranks fall along the chain, so the least
-    # rank, the last row, must reach the first; a second such chain, of
-    # negative entries, is interleaved with it.  At 64 bytes the pairs
-    # are confirmed and merged 8 at a time
+    # entries k and k + 1 within tol, k and k + 2 not: one component of
+    # 1,200 rows whose positions fall along the chain, its least entry
+    # placed last, so the least position, at the far end, must reach the
+    # least entry; a second such chain, of negative entries, is
+    # interleaved with it.  At 64 bytes the pairs are confirmed and merged
+    # 8 at a time
     from anosovlab import groups
     from anosovlab.groups import _dedup_indices
     monkeypatch.setattr(groups, "_SWEEP_BYTES", sweep_bytes)
@@ -389,15 +407,16 @@ def test_dedup_merges_a_chain_in_reverse_rank_order(monkeypatch,
     mats = np.empty((2 * n, 1, 1))
     mats[0::2, 0, 0] = 0.5 + steps
     mats[1::2, 0, 0] = -(0.25 + steps[::-1])
-    words = [f"b{2 * n - k:05d}" for k in range(2 * n)]
-    keep = _dedup_indices(words, mats, tol)
-    assert keep == [2 * n - 2, 2 * n - 1]
+    mats = mats[::-1]
+    words = [f"b{k:05d}" for k in range(2 * n)]
+    keep = _dedup_indices(mats, tol)
+    assert keep == [0, 1]
     assert keep == _all_pairs_dedup(words, mats, tol)
 
 
 def test_join_leaves_every_rank_at_its_root():
     # the merge of _dedup_indices, one chunk of confirmed pairs at a time.
-    # Ranks 0..6 stand for y < c0 < c1 < c2 < c3 < e < t.  The first chunk
+    # Indices 0..6 stand for y < c0 < c1 < c2 < c3 < e < t.  The first chunk
     # hangs t under e; the second hooks e -> c3 -> c2 -> c1 -> c0 in one
     # round, five pointers from t to its root, and its own pairs agree
     # after two jumps, which leave t at c1; the third joins t to y.  Had
@@ -427,7 +446,7 @@ def test_dedup_confirms_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(groups, "_join", join)
     ball = enumerate_ball(GeneratorSet.from_matrices(QUARTER_TURN), 5)
-    flat = ball.products.reshape(len(ball.words), -1)
+    flat = ball.products.reshape(len(ball.products), -1)
     apart = np.minimum(np.abs(flat[:, None] - flat).max(axis=2),
                        np.abs(flat[:, None] + flat).max(axis=2))
     pairs = np.count_nonzero(np.triu(apart <= 1e-8, 1))
@@ -436,23 +455,36 @@ def test_dedup_confirms_each_pair_once(monkeypatch):
 
 def test_dedup_joins_chunks_as_join_does(monkeypatch):
     # the chunks of test_join_leaves_every_rank_at_its_root, delivered by
-    # the sweep: 1 x 1 rows c0 < c1 < c2 < c3 < e < t < y, 0.75 tol apart,
-    # so only neighbours pair, with the ranks y < c0 < ... < e < t, and a
-    # pair z0 < z1 far above them.  Each pair is confirmed once, from the
-    # lift whose row comes first: the - lifts (swept first) give t-e, the
-    # + lifts the chain c0-c1-c2-c3-e, then t-y and z0-z1.  At 48 bytes a
-    # chunk holds 6 of the 14 candidates, which cuts the sweep into three
-    # chunks, one each for t-e, the chain and t-y
+    # the sweep: rows y < c0 < c1 < c2 < c3 < e < t of two entries, where
+    # only the pairs t-e, the chain c0-c1-c2-c3-e and t-y are within tol,
+    # and a pair z0 < z1 far above them.  Their projections increase
+    # along c0, c1, c2, c3, y, t, e.  Each pair is confirmed once, from
+    # the lift whose row comes first: the - lifts (swept first, by
+    # decreasing projection) give t-e, the + lifts the chain, then t-y
+    # and z0-z1.  At 192 bytes a chunk holds 12 candidates, which cuts
+    # the sweep into three chunks, one each for t-e, the chain and t-y
     from anosovlab import groups
-    from anosovlab.groups import _dedup_indices
-    monkeypatch.setattr(groups, "_SWEEP_BYTES", 48)
+    from anosovlab.groups import _dedup_indices, _join
+    chunks = []
+
+    def join(root, a, b):
+        if len(a):
+            chunks.append(list(zip(a.tolist(), b.tolist())))
+        return _join(root, a, b)
+
+    monkeypatch.setattr(groups, "_join", join)
+    monkeypatch.setattr(groups, "_SWEEP_BYTES", 192)
     tol = 2.0 ** -20
-    c0, c1, c2, c3, t, e, y, z0, z1 = range(9)  # the rows
-    values = [1.0 + 0.75 * tol * k for k in (0, 1, 2, 3, 5, 4, 6)]
-    mats = np.array(values + [2.0, 2.0 + 0.75 * tol]).reshape(-1, 1, 1)
-    words = ["a", "b", "c", "d", "ab", "aa", "", "ba", "bb"]
-    keep = _dedup_indices(words, mats, tol)
+    y, c0, c1, c2, c3, e, t, z0, z1 = range(9)  # the rows
+    at = [(0.5, -1.5), (-3.6, 0.4), (-2.7, 0.4), (-1.8, 0.4), (-0.9, 0.4),
+          (0.0, 0.0), (0.2, -0.7), (1 / tol, 1 / tol),
+          (1 / tol, 1 / tol + 0.75)]  # in units of tol from (1, 1)
+    mats = (1.0 + tol * np.array(at)).reshape(-1, 1, 2)
+    words = ["", "a", "b", "c", "d", "aa", "ab", "ba", "bb"]
+    keep = _dedup_indices(mats, tol)
     assert keep == _all_pairs_dedup(words, mats, tol) == [y, z0]
+    assert chunks == [[(e, t)], [(c0, c1), (c1, c2), (c2, c3), (c3, e)],
+                      [(y, t), (z0, z1)]]
 
 
 def test_dedup_merges_to_the_shortest_word():
@@ -462,13 +494,13 @@ def test_dedup_merges_to_the_shortest_word():
     gens = GeneratorSet.from_matrices({
         "a": rotation(np.pi / 2), "b": np.array([[1.0, 1.0], [0.0, 1.0]])})
     ball = enumerate_ball(gens, 6)
-    assert (len(ball.words), len(ball)) == (1457, 104)
+    assert (len(ball.products), len(ball)) == (1457, 104)
     # a = -A merges into A, the smaller word of length 1
     assert [g.word for g in ball][:6] == ["", "A", "B", "b", "AB", "Ab"]
-    small = enumerate_ball(gens, 4)
-    keep = _dedup_indices(small.words, small.products, 1e-8)
-    assert keep == _all_pairs_dedup(small.words, small.products, 1e-8)
-    assert len(keep) < len(small.words) - 40
+    small, words = enumerate_ball(gens, 4), ball_words(gens, 4)
+    keep = _dedup_indices(small.products, 1e-8)
+    assert keep == _all_pairs_dedup(words, small.products, 1e-8)
+    assert len(keep) < len(words) - 40
 
 
 class TestBall:
@@ -513,9 +545,9 @@ class TestBall:
         for gens, radius in ((tau3_rep.generators, 4),
                              (tau5_plus_tau2_rep.generators, 3),
                              (quarter_turn, 3)):
-            ball = enumerate_ball(gens, radius)
-            assert len(ball.products) == len(ball.words)
-            for w, product in zip(ball.words, ball.products):
+            ball, words = enumerate_ball(gens, radius), ball_words(gens, radius)
+            assert len(ball.products) == len(words)
+            for w, product in zip(words, ball.products):
                 assert np.array_equal(product, gens.matrix_of_word(w).mat), w
 
     def test_slice(self, tau3_rep):
@@ -526,15 +558,16 @@ class TestBall:
 
     def test_sequence_protocol(self, tau3_rep):
         ball = enumerate_ball(tau3_rep.generators, 3)
+        words = ball_words(tau3_rep.generators, 3)
         n = len(ball)
         assert n == len(ball.rows) == 1 + 4 + 12 + 36
         for i in (0, 5, n - 1, -1, -n):
             g, r = ball[i], ball.rows[i]
             assert isinstance(g, GroupElement) and g.gens is ball.gens
-            assert g.word == ball.words[r]
+            assert g.word == words[r]
             assert np.array_equal(g.matrix.mat, ball.products[r])
         assert ball[np.int64(3)].word == ball[3].word
-        assert [g.word for g in ball] == [ball.words[r] for r in ball.rows]
+        assert [g.word for g in ball] == [words[r] for r in ball.rows]
         assert [g.word for g in ball[2:9:3]] == [ball[i].word
                                                  for i in (2, 5, 8)]
         assert ball[n:] == []
@@ -549,27 +582,27 @@ class TestBall:
         for gens, radius in ((tau3_rep.generators, 6), (three, 4)):
             ball = enumerate_ball(gens, radius)
             rows, _, member = ball.classes
-            classes = [ball.words[r] for r in rows]
+            classes = decode(ball, ball.codes[rows])
             keys = [canonical_cyclic(g.word) for g in ball]
             assert [classes[k] for k in member] == keys
             assert classes == list(dict.fromkeys(keys))
             assert keys == [_canonical_by_definition(g.word) for g in ball]
 
     @staticmethod
-    def assert_tree_matches_strings(ball):
+    def assert_tree_matches_strings(ball, words):
         # the bookkeeping read off the prefix tree against the string
-        # definitions it replaces
-        prefix, last = prefix_tree(ball.words)
+        # definitions it replaces, ``words`` being the stack rows' words
+        (prefix, last), rows = prefix_tree(ball.gens, words)
         assert ball.prefix.dtype == prefix.dtype and ball.last.dtype == last.dtype
         assert np.array_equal(ball.prefix, prefix)
         assert np.array_equal(ball.last, last)
-        kept = [ball.words[i] for i in ball.rows.tolist()]
-        row = {w: i for i, w in enumerate(ball.words)}
+        assert np.array_equal(rows, np.arange(len(words)))
+        kept = [words[i] for i in ball.rows.tolist()]
+        row = {w: i for i, w in enumerate(words)}
         assert ball.inverse_rows.tolist() == [row[inverse_word(w)]
                                               for w in kept]
         assert ball.lengths.tolist() == [len(w) for w in kept]
-        assert np.array_equal(ball.products,
-                              word_products(ball.gens, ball.words))
+        assert np.array_equal(ball.products, word_products(ball.gens, words))
 
     @pytest.mark.parametrize("gens, radius", [
         ({"a": np.diag([2.0, 0.5])}, 5),
@@ -578,10 +611,12 @@ class TestBall:
           "c": rotation(0.3) @ np.diag([3.0, 1 / 3]) @ rotation(-0.3)}, 4),
         (QUARTER_TURN, 6)])
     def test_tree_matches_string_definitions(self, gens, radius):
-        ball = enumerate_ball(GeneratorSet.from_matrices(gens), radius)
+        letters = GeneratorSet.from_matrices(gens)
+        ball = enumerate_ball(letters, radius)
+        words = ball_words(letters, radius)
         if gens is QUARTER_TURN:  # merged: the kept rows skip words
-            assert len(ball) < len(ball.words)
-        self.assert_tree_matches_strings(ball)
+            assert len(ball) < len(words)
+        self.assert_tree_matches_strings(ball, words)
 
     def test_tree_of_a_cartan_jordan_word_set(self, tau3_rep):
         # the prefixes of a word, its inverse and their cyclic cores, as
@@ -589,36 +624,36 @@ class TestBall:
         gens = tau3_rep.generators
         word = "abbAbaB"
         core = canonical_cyclic(word)
-        ends = {word, inverse_word(word), core, inverse_word(core)}
+        ends = [word, inverse_word(word), core, inverse_word(core)]
         words = sorted({w[:i] for w in ends for i in range(len(w) + 1)},
                        key=lambda w: (len(w), w))
-        keep = sorted(words.index(w) for w in ends)
-        ball = Ball(gens, words, prefix_tree(words),
-                    word_products(gens, words), keep)
-        self.assert_tree_matches_strings(ball)
+        tree, rows = prefix_tree(gens, ends)
+        assert [words[r] for r in rows] == ends
+        ball = Ball(gens, tree, word_products(gens, words), sorted(rows))
+        self.assert_tree_matches_strings(ball, words)
 
     def test_class_keys_equal_per_word_keys(self, tau3_rep):
         ball = enumerate_ball(tau3_rep.generators, 7)
-        words = [ball.words[i] for i in ball.rows]
-        assert_per_word_keys(ball, words)
+        words = ball_words(tau3_rep.generators, 7)
+        assert_per_word_keys(ball, [words[i] for i in ball.rows])
         assert len(ball.classes[0]) == 551
 
 
 def assert_per_word_keys(ball, words):
     keys = [canonical_cyclic(w) for w in words]
     rows, inverse_rows, member = ball.classes
-    names = [ball.words[r] for r in rows]
+    names = decode(ball, ball.codes[rows])
     assert [names[k] for k in member] == keys
     assert names == list(dict.fromkeys(keys))
     oracle, at = class_keys(words)
     assert names == oracle and np.array_equal(member, at)
-    assert [ball.words[r] for r in inverse_rows] == [inverse_word(c)
-                                                    for c in names]
+    assert decode(ball, ball.codes[inverse_rows]) == [inverse_word(c)
+                                                      for c in names]
 
 
 @given(reduced_word_lists("aAbB"))
 def test_class_keys_of_words(words):
-    assert_per_word_keys(word_ball(words, sl2_letters("ab")), words)
+    assert_per_word_keys(word_ball(words, sl2_letters("ab"))[0], words)
 
 
 class TestCodeRows:
@@ -631,47 +666,70 @@ class TestCodeRows:
     def test_shipped_configs(self, name):
         cfg = load_example_config(name)
         gens = build_representation(cfg["representation"]).generators
-        assert_words_match_strings(enumerate_ball(gens, cfg["radius"]))
+        ball, words = (enumerate_ball(gens, cfg["radius"]),
+                       ball_words(gens, cfg["radius"]))
+        assert_words_match_strings(ball, words)
+        assert_words_formatted(ball, words)
 
     def test_quarter_turn_ball(self):
         # merged: class words and conjugators skip kept rows
-        ball = enumerate_ball(GeneratorSet.from_matrices(QUARTER_TURN), 8)
-        assert len(ball) < len(ball.words)
-        assert_words_match_strings(ball)
+        gens = GeneratorSet.from_matrices(QUARTER_TURN)
+        ball, words = enumerate_ball(gens, 8), ball_words(gens, 8)
+        assert len(ball) < len(words)
+        assert_words_match_strings(ball, words)
+        assert_words_formatted(ball, words)
 
     def test_genus2_letters(self):
         # four generators: base-9 keys, 22,289 elements
-        ball = enumerate_ball(genus2_rep().generators, 5)
+        gens = genus2_rep().generators
+        ball, words = enumerate_ball(gens, 5), ball_words(gens, 5)
         assert len(ball) == 22289
-        assert_words_match_strings(ball)
+        assert_words_match_strings(ball, words)
+        assert_words_formatted(ball, words)
 
     @given(reduced_word_lists("aAbB", 8))
     def test_words_over_two_generators(self, words):
-        assert_words_match_strings(word_ball(words, sl2_letters("ab")))
+        assert_words_match_strings(*word_ball(words, sl2_letters("ab")))
 
     @given(reduced_word_lists("aAbBcC", 8))
     def test_words_over_three_generators(self, words):
-        assert_words_match_strings(word_ball(words, sl2_letters("abc")))
+        assert_words_match_strings(*word_ball(words, sl2_letters("abc")))
 
     def test_one_generator_past_the_int64_keys(self):
         # base-3 keys of a^40 pass 2^63: the keys are Python ints there
         gens = GeneratorSet.from_matrices({"a": np.diag([2.0, 0.5])})
-        ball = enumerate_ball(gens, 60)
+        ball, words = enumerate_ball(gens, 60), ball_words(gens, 60)
         assert 3 ** ball.radius > 2 ** 63 and ball._cores[3].dtype == object
         rows, _, member = ball.classes
         keys = [canonical_cyclic(g.word) for g in ball]
-        assert [ball.words[rows[k]] for k in member] == keys
+        assert [words[rows[k]] for k in member] == keys
         assert len(rows) == len(ball) == 121
-        assert_words_match_strings(ball)
+        assert_words_match_strings(ball, words)
+        assert_words_formatted(ball, words)
+
+    def test_words_of_elements_in_ball_order(self, tau3_rep):
+        # any positions whose lengths do not decrease: sorted, repeated,
+        # a slice, a length skipped, none; lengths that decrease raise
+        gens = tau3_rep.generators
+        ball, words = enumerate_ball(gens, 4), ball_words(gens, 4)
+        index = np.sort(np.random.default_rng(4).integers(0, len(ball), 300))
+        assert ball.words_of(index) == [words[ball.rows[i]] for i in index]
+        assert ball.words_of(slice(3, 90, 4)) == [
+            words[r] for r in ball.rows[3:90:4]]
+        assert ball.words_of([0, 2, 2, 30]) == ["", "B", "B", "BBB"]
+        assert ball.words_of([]) == []
+        with pytest.raises(ValueError, match="ball order"):
+            ball.words_of([5, 4, 30, 2])
 
     def test_long_word_of_cartan_jordan(self, tau3_rep):
         # a word of 30 letters over two generators: past int64 keys, its
         # rotations share the spectrum of their one class word
         gens = tau3_rep.generators
         word = "abbAbaBBab" * 3
-        ball = word_ball([word, word[7:] + word[:7]], gens)
+        ball, words = word_ball([word, word[7:] + word[:7]], gens)
         assert 5 ** ball.radius > 2 ** 63 and ball._cores[3].dtype == object
-        assert_words_match_strings(ball)
+        assert_words_match_strings(ball, words)
+        assert [g.word for g in ball] == [word, word[7:] + word[:7]]
         rows, _, member = ball.classes
         assert member.tolist() == [0, 0]
         assert decode(ball, ball.codes[rows]) == [canonical_cyclic(word)]

@@ -1,13 +1,40 @@
 """String oracles of the ball's word questions, which it answers on
-integer code rows: class keys, conjugators and the encoding itself."""
+integer code rows: the enumerated words, class keys, conjugators and the
+encoding itself."""
 
 import numpy as np
 from hypothesis import strategies as st
 
 from anosovlab.functors import representation_from_matrices, tau_representation
 from anosovlab.groups import (Ball, GeneratorSet, canonical_cyclic,
-                              cyclic_reduce, free_reduce, inverse_word,
-                              prefix_tree, word_products)
+                              cyclic_reduce, free_reduce, inverse_label,
+                              inverse_word, prefix_tree, word_products)
+from anosovlab.spectra import spectral_table
+
+
+def ball_words(gens: GeneratorSet, radius: int) -> list[str]:
+    """Every reduced word of length <= radius, sorted by (length, word),
+    as strings: layer by layer, each word followed by every letter but
+    its last letter's inverse, in sorted order."""
+    order = sorted(gens.labels)
+    after = {x: [y for y in order if y != inverse_label(x)] for x in order}
+    after[""] = order
+    words, layer = [""], [""]
+    for _ in range(radius):
+        layer = [w + y for w in layer for y in after[w[-1:]]]
+        words += layer
+    return words
+
+
+def assert_words_formatted(ball: Ball, words: list[str]):
+    """The ball's formatted words against ``words``, the strings of its
+    stack rows: the elements, one by one and at once, and the spectral
+    table."""
+    kept = [words[r] for r in ball.rows.tolist()]
+    assert ball.words_of(slice(None)) == kept
+    assert [g.word for g in ball] == kept
+    assert [row[0] for row in spectral_table(ball)[1]] == [
+        w or "<id>" for w in kept]
 
 
 def class_keys(words: list[str]) -> tuple[list[str], np.ndarray]:
@@ -56,15 +83,15 @@ def decode(ball: Ball, codes: np.ndarray) -> list[str]:
             for row in codes.tolist()]
 
 
-def assert_words_match_strings(ball: Ball):
+def assert_words_match_strings(ball: Ball, words: list[str]):
     """The ball's code rows, classes and conjugators against the string
-    definitions."""
-    assert np.array_equal(ball.codes, encode(ball, ball.words, ball.radius))
-    kept = [ball.words[r] for r in ball.rows.tolist()]
+    definitions, ``words`` being the strings of its stack rows."""
+    assert np.array_equal(ball.codes, encode(ball, words, ball.radius))
+    kept = [words[r] for r in ball.rows.tolist()]
     keys, member = class_keys(kept)
     rows, inverse_rows, at = ball.classes
-    assert [ball.words[r] for r in rows.tolist()] == keys
-    assert [ball.words[r] for r in inverse_rows.tolist()] == [
+    assert [words[r] for r in rows.tolist()] == keys
+    assert [words[r] for r in inverse_rows.tolist()] == [
         inverse_word(c) for c in keys]
     assert at.dtype == np.intp and np.array_equal(at, member)
     expected = [conjugators(w, keys[k]) for w, k in zip(kept, member)]
@@ -81,17 +108,18 @@ def sl2_letters(labels: str) -> GeneratorSet:
     return GeneratorSet.from_matrices(dict(zip(labels, mats)))
 
 
-def word_ball(words: list[str], gens: GeneratorSet) -> Ball:
+def word_ball(words: list[str], gens: GeneratorSet
+              ) -> tuple[Ball, list[str]]:
     """A :class:`Ball` whose elements are the reduced ``words``, over the
-    prefixes of them, of their class words and of those words'
-    inverses."""
+    prefixes of them, of their class words and of those words' inverses,
+    and the strings of its stack rows."""
     ends = ["", *words, *map(canonical_cyclic, words)]
     ends += [inverse_word(w) for w in ends]
     closure = sorted({w[:i] for w in ends for i in range(len(w) + 1)},
                      key=lambda w: (len(w), w))
-    row = {w: i for i, w in enumerate(closure)}
-    return Ball(gens, closure, prefix_tree(closure),
-                word_products(gens, closure), [row[w] for w in words])
+    tree, rows = prefix_tree(gens, [*closure, *words])
+    return Ball(gens, tree, word_products(gens, closure),
+                rows[len(closure):]), closure
 
 
 def reduced_word_lists(alphabet: str, max_size: int = 6):
@@ -115,3 +143,14 @@ def genus2_rep():
 
     return tau_representation(representation_from_matrices(
         {"a": a, "b": turned(1), "c": turned(2), "d": turned(3)}), 3)
+
+
+def assert_witnesses_formatted(cloud, ball: Ball, words: list[str]):
+    """Each witness of ``cloud``, sampled from ``ball``, against the
+    string of its stack row: a kept row whose product is its matrix."""
+    row = {w: i for i, w in enumerate(words)}
+    kept = set(ball.rows.tolist())
+    for s in cloud.samples:
+        r = row[s.witness.word]
+        assert r in kept and s.witness.length == len(words[r])
+        assert np.array_equal(s.witness.matrix.mat, ball.products[r])
