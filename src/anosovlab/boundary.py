@@ -103,7 +103,7 @@ class LimitCloud:
         hyperplanes' normals."""
         cache = self.__dict__.setdefault("_complements", {})
         if name not in cache:
-            # the SVD's own view, not a contiguous copy: a contiguous
+            # the QR's own view, not a contiguous copy: a contiguous
             # (n, d, 1) stack flattens to a view that numpy hands BLAS
             # transposed, which rounds some margins' last bit otherwise
             cache[name] = _complements(self.frames[name])
@@ -158,21 +158,49 @@ class LimitCloud:
                 "nn_mean": float(nn.mean()), "nn_min": float(nn.min())}
 
 
+def _orth(X: np.ndarray) -> np.ndarray:
+    """(n, d, k) orthonormal frames of a stack of (n, d, k) matrices of
+    full column rank, whose leading j columns span those of X at every j:
+    classical Gram-Schmidt with one reorthogonalization, which keeps the
+    columns orthonormal to rounding while eps * cond(X) stays well below 1
+    ("twice is enough": Giraud, Langou & Rozloznik, Comput. Math. Appl.
+    50, 2005).  The first column is normalized; each later one takes two
+    projection passes against the columns before it, then one
+    normalization.
+
+    Elementwise ``einsum`` calls only, no BLAS, so the bits do not depend
+    on the BLAS thread count, and each row of a C-contiguous stack comes
+    out as it does from a call on that row alone."""
+    Q = np.empty_like(X)
+    for j in range(X.shape[2]):
+        v = X[..., j]
+        if j:
+            for _ in range(2):
+                v = v - np.einsum("ndj,nj->nd", Q[..., :j], np.einsum(
+                    "ndj,nd->nj", Q[..., :j], v))
+        Q[..., j] = v / np.sqrt(np.einsum("nd,nd->n", v, v))[:, None]
+    return Q
+
+
 def _moved(stack: np.ndarray, codes: np.ndarray,
            frames: np.ndarray) -> np.ndarray:
     """Orthonormal frames of the spans of ``M(w_n) frames[n]``, where M(w)
     is the product along w of the letter matrices of ``stack``, the
     identity and then the letters in code order, and ``codes`` holds the
     words' code rows (see :class:`Ball`).  The letters act one at a time,
-    the last first: one stacked matmul and QR per letter position.
+    the last first: one stacked matmul and one :func:`_orth` per letter
+    position.  An invertible letter times an orthonormal frame has full
+    column rank, with condition number at most the letter's, and
+    ``_orth`` keeps the leading columns of each frame nested.
 
     The rounded product M(w) carries an absolute error of about
     eps * |M(w)|, which a flag that M(w) stretches far less than its norm
     (a middle rank) does not survive: moved by the rounded M(P), the
-    exact tau_7 3-planes of the radius-5 ball are off by up to 7e-7,
-    moved letter by letter by 5e-14."""
+    exact tau_7 3-planes of the radius-5 ball are off by up to 1e-6,
+    moved letter by letter by 3e-13 (by 6e-12 with Householder QR in
+    place of ``_orth``)."""
     for t in reversed(range(codes.shape[1])):
-        frames = np.linalg.qr(stack[codes[:, t]] @ frames)[0]
+        frames = _orth(stack[codes[:, t]] @ frames)
     return frames
 
 
@@ -190,7 +218,9 @@ def _top_frames(mats: np.ndarray, rank: int) -> np.ndarray:
     basis and one stacked QR.  The basis takes Re v for the member of a
     conjugate pair with positive imaginary part, which LAPACK lists first,
     and Im v for its partner, so with a gap at k the leading k columns
-    span the real k-plane of the top k eigenvectors, at every k."""
+    span the real k-plane of the top k eigenvectors, at every k.  The QR
+    is LAPACK's, not :func:`_orth`: eigenvectors from ``eig`` can be
+    (nearly) dependent, and Householder QR needs no full rank."""
     w, V = np.linalg.eig(mats)
     order = np.argsort(-np.abs(w), axis=-1, kind="stable")[:, :rank]
     w = np.take_along_axis(w, order, axis=1)[:, None, :]
@@ -477,8 +507,8 @@ def _blocks(n: int, item_bytes: int):
 
 def _complements(F: np.ndarray) -> np.ndarray:
     """(n, d, d - k) orthonormal complements of a stack of (n, d, k)
-    orthonormal frames."""
-    return np.linalg.svd(F)[0][..., F.shape[2]:]
+    orthonormal frames: the trailing columns of a complete QR."""
+    return np.linalg.qr(F, mode="complete")[0][..., F.shape[2]:]
 
 
 def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float,
