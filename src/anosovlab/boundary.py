@@ -169,8 +169,10 @@ def _orth(X: np.ndarray) -> np.ndarray:
     normalization.
 
     Elementwise ``einsum`` calls only, no BLAS, so the bits do not depend
-    on the BLAS thread count, and each row of a C-contiguous stack comes
-    out as it does from a call on that row alone."""
+    on the BLAS thread count, and each row of a stack comes out as it does
+    from a call on that row alone.  The stack is read as a C-contiguous
+    copy, since einsum's rounding can follow the memory layout."""
+    X = np.ascontiguousarray(X)
     Q = np.empty_like(X)
     for j in range(X.shape[2]):
         v = X[..., j]
@@ -367,8 +369,9 @@ def _dedup(points: np.ndarray, tol: float) -> list[int]:
     window's ends.  The block's other rows are screened against each
     other by one GEMM of cosines and decided in row order, each dropping
     only when an earlier kept row confirms.  Then the block's kept lifts
-    join the sorted index.  Kept rows are tol apart, so a window holds few
-    of them at any tol."""
+    join a sorted buffer, searched beside the index and merged into it
+    once it outgrows 1/16 of it, so the index is not copied per block.
+    Kept rows are tol apart, so a window holds few of them at any tol."""
     n, d = points.shape
     near = math.sqrt(max(0.0, 1.0 - tol * tol - _BAND))
     w, lift, swept, slack = _sorted_lifts(points)
@@ -377,19 +380,25 @@ def _dedup(points: np.ndarray, tol: float) -> list[int]:
     fuzz = 4 * d * np.finfo(float).eps
     reach = (math.sqrt(2.0) * np.linalg.norm(w) * (tol + fuzz)
              + slack.max(initial=0.0))
-    index = np.empty(0, dtype=np.intp)  # sorted positions of the kept lifts
+    # sorted positions of the kept lifts, the latest of them in ``recent``
+    index = recent = np.empty(0, dtype=np.intp)
     kept: list[int] = []
     for lo in range(0, n, _DEDUP_ROWS):
         rows = np.arange(lo, min(lo + _DEDUP_ROWS, n))
-        if index.size:
+        if kept:
+            # each row's window, as the sorted positions first .. stop - 1
             proj, half = swept[at[rows]], reach + slack[rows]
-            known = swept[index]
-            found = np.searchsorted(known, proj - half)
-            c = np.searchsorted(known, proj + half, side="right") - found
-            # each row against the kept lifts found .. found + c - 1
-            t = np.repeat(rows, c)
-            k = lift[index[np.arange(c.sum()) + np.repeat(
-                found - np.cumsum(c) + c, c)]] % n
+            first = np.searchsorted(swept, proj - half)
+            stop = np.searchsorted(swept, proj + half, side="right")
+            k, t = [], []
+            for lifts in filter(len, (index, recent)):
+                found = np.searchsorted(lifts, first)
+                c = np.searchsorted(lifts, stop) - found
+                # each row against the kept lifts found .. found + c - 1
+                t.append(np.repeat(rows, c))
+                k.append(lift[lifts[np.arange(c.sum()) + np.repeat(
+                    found - np.cumsum(c) + c, c)]] % n)
+            k, t = np.concatenate(k), np.concatenate(t)
             close = np.abs(np.einsum("ij,ij->i", points[k], points[t])) > near
             k, t = k[close], t[close]
             live = np.ones(len(rows), dtype=bool)
@@ -406,8 +415,11 @@ def _dedup(points: np.ndarray, tol: float) -> list[int]:
                 drop.add(later)
         rows = np.delete(rows, list(drop))
         kept += rows.tolist()
-        new = np.sort(np.concatenate([at[rows], at[rows + n]]))
-        index = np.insert(index, np.searchsorted(index, new), new)
+        recent = np.sort(np.concatenate([recent, at[rows], at[rows + n]]))
+        if 16 * len(recent) > len(index):
+            # a merge of two sorted runs
+            index = np.sort(np.concatenate([index, recent]), kind="stable")
+            recent = recent[:0]
     return kept
 
 

@@ -252,41 +252,56 @@ def _config_hash(cfg: dict) -> str:
 _CSV_BLOCK = 512
 
 
-def _write_csv(path: Path, header, rows, values=None) -> None:
-    """Write the header and the rows with ``csv.writer``; an (n, w) float
-    array ``values`` follows row i with the floats of its row i, exactly as
-    ``csv.writer`` writes ``[*rows[i], *values[i].tolist()]``.  The writer
-    writes a float as its ``repr``, which needs no quoting.  It is
-    formatted once per distinct magnitude of the block (the bits with the
-    sign cleared), and a value with its sign bit set gets a ``-`` in
-    front, as its ``repr`` has, unless it is a NaN, whose ``repr`` drops
-    the sign: so -0.0 and 0.0 stay apart.  Each row's leading cells still
-    go through the writer."""
+def _csv_cells(column) -> list[str]:
+    """A leading column's cells as ``csv.writer`` writes them before more
+    cells: an int array's by ``str``, once per distinct value, whose cells
+    share that text; texts as they are unless csv quoting acts on one of
+    them, else all through the writer."""
+    if isinstance(column, np.ndarray):
+        values, at = np.unique(column, return_inverse=True)
+        texts = np.array(list(map(str, values.tolist())), dtype=object)
+        return texts[at].tolist()
+    joined = "".join(column)
+    if not any(c in joined for c in ',"\r\n'):
+        return column
+    lines = []  # each ends with the separator of a last empty cell, "\r\n"
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(
+        [cell, ""] for cell in column)
+    return [line[:-3] for line in lines]
+
+
+def _write_csv(path: Path, header, cells, values=None) -> None:
+    """Write the header, then ``cells``: the rows, through ``csv.writer``,
+    or, with an (n, w) float array ``values``, the leading columns, int
+    arrays or lists of texts, each formatted once, row i exactly as the
+    writer writes its i-th cells and then ``values[i].tolist()``.  A row
+    with floats is never a lone empty field, the one case in which the
+    writer writes an empty text as ``""``.  A float is written as its
+    ``repr``, formatted once per distinct magnitude (the bits with the
+    sign cleared), with a ``-`` in front if its sign bit is set, as its
+    ``repr`` has, unless it is a NaN, whose ``repr`` drops the sign: so
+    -0.0 and 0.0 stay apart."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         if values is None:
-            writer.writerows(rows)
+            writer.writerows(cells)
             return
         values = np.ascontiguousarray(values, dtype=np.float64)
-        magnitudes, inverse = np.unique(
+        magnitudes, at = np.unique(
             values.view(np.int64).ravel() & np.int64(2 ** 63 - 1),
             return_inverse=True)
         texts = list(map(repr, magnitudes.view(np.float64).tolist()))
-        negative = np.signbit(values) & ~np.isnan(values)
-        texts = np.array(texts + ["-" + t for t in texts], dtype=object)[
-            inverse.reshape(values.shape) + len(texts) * negative]
-        end = writer.dialect.lineterminator
-        leads = []  # one line per row, the writer's only write per row
-        lead_writer = csv.writer(SimpleNamespace(write=leads.append))
-        for start in range(0, len(rows), _CSV_BLOCK):
-            block = slice(start, start + _CSV_BLOCK)
-            leads.clear()
-            # a last empty cell ends each line with the separator
-            lead_writer.writerows([*row, ""] for row in rows[block])
-            fh.write("".join([lead[:-len(end)] + ",".join(cells) + end
-                              for lead, cells in
-                              zip(leads, texts[block].tolist())]))
+        texts = np.array(texts + ["-" + t for t in texts], dtype=object)
+        at = at.reshape(values.shape)  # the position of each value's text
+        at[np.signbit(values) & ~np.isnan(values)] += len(magnitudes)
+        leads = list(map(_csv_cells, cells))
+        for start in range(0, len(values), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            grid = np.hstack([np.array([lead[rows] for lead in leads],
+                                       dtype=object).T, texts[at[rows]]])
+            fh.write("".join([",".join(line) + "\r\n"
+                              for line in grid.tolist()]))
 
 
 def _svg(points, anchor_uw) -> str:
@@ -327,9 +342,9 @@ def _svg(points, anchor_uw) -> str:
 # experiment drivers: each takes the resolved experiment fields and returns
 # (results dict, property verdict, artifacts), where artifacts maps each
 # file name to its SVG text or to its table, the arguments of _write_csv
-# after the path: (header, rows), rows being lists in header order, or
-# (header, rows, values), the leading cells of each row and the (n, w)
-# float block of the columns after them
+# after the path: (header, rows), a few rows of cells in header order, or
+# (header, columns, values), the leading columns, int arrays or lists of
+# texts, and the (n, w) float block of the columns after them
 
 def _run_certify(rep, fields, radius, seed):
     ball = enumerate_ball(rep.generators, radius)
@@ -338,7 +353,8 @@ def _run_certify(rep, fields, radius, seed):
     for k in fields["ks"]:
         prof = gap_profile(ball, k, slope_min=fields["slope_min"],
                            r2_min=fields["r2_min"])
-        rows += [[k, n] for n in prof.lengths.tolist()]
+        rows.append(np.column_stack([np.full_like(prof.lengths, k),
+                                     prof.lengths]))
         gaps.append(np.column_stack([prof.min_gap, prof.max_gap]))
         results[f"k={k}"] = {
             "slope": prof.slope, "intercept": prof.intercept,
@@ -346,8 +362,8 @@ def _run_certify(rep, fields, radius, seed):
         }
         all_linear = all_linear and prof.linear
     return results, all_linear, {
-        "gap_profile.csv": (["k", "length", "min_gap", "max_gap"], rows,
-                            np.vstack(gaps)),
+        "gap_profile.csv": (["k", "length", "min_gap", "max_gap"],
+                            list(np.vstack(rows).T), np.vstack(gaps)),
         "spectra.csv": spectral_table(ball)}
 
 
@@ -362,7 +378,7 @@ def _run_alpha(rep, fields, radius, seed):
         results["note"] = "possibly not converged"
     return results, True, {
         "alpha_per_radius.csv": (["radius", "alpha_inf"],
-                                 [[int(r)] for r in per_radius[:, 0].tolist()],
+                                 [per_radius[:, 0].astype(int)],
                                  per_radius[:, 1:]),
         "spectra.csv": spectral_table(ball, m=m)}
 
@@ -371,13 +387,13 @@ def _cloud_table(cloud):
     """One row per sample: its witness, then the entries of its xi^(1),
     xi^(m), xi^(d-m) and xi^(d-1) frames, column by column."""
     header = ["word", "length"]
-    rows = [[s.witness.word, s.witness.length] for s in cloud.samples]
+    columns = [cloud.words.tolist(), np.char.str_len(cloud.words)]
     entries = []
     for name in ("xi1", "xim_plus", "xi_dm_minus", "xi_d1_minus"):
         F = cloud.frames["xi1_plus" if name == "xi1" else name]
         entries.append(F.transpose(0, 2, 1).reshape(len(F), -1))
         header += [f"{name}_{i + 1}" for i in range(F[0].size)]
-    return header, rows, np.hstack(entries)
+    return header, columns, np.hstack(entries)
 
 
 def _run_limitset(rep, fields, radius, seed):
@@ -402,8 +418,8 @@ def _run_limitset(rep, fields, radius, seed):
         # the anchor maps to the chart's origin, never to infinity
         anchor_uw = coords[np.searchsorted(rows, a)]
         artifacts["limit_set.svg"] = _svg(coords, anchor_uw)
-        words = [[word] for word in cloud.words[rows].tolist()]
-        artifacts["chart_cloud.csv"] = (["word", "u", "w"], words, coords)
+        artifacts["chart_cloud.csv"] = (["word", "u", "w"],
+                                        [cloud.words[rows].tolist()], coords)
         results["svg_points"] = len(rows)
         results["anchor"] = str(cloud.words[a])
     return results, True, artifacts
@@ -428,7 +444,7 @@ def _run_hyperconvex(rep, fields, radius, seed):
                "margin_min": margin_min}
     return results, report.min_margin > margin_min, {
         "hyperconvexity_margins.csv": (
-            ["index", "margin"], [[i] for i in range(len(report.margins))],
+            ["index", "margin"], [np.arange(len(report.margins))],
             report.margins[:, None])}
 
 
@@ -459,12 +475,12 @@ def _run_hoelder(rep, fields, radius, seed):
         rows.append(row)
         results["anchors"].append(dict(zip(header, row),
                                        n_floored=rep_report.n_floored))
-        anchors += [[anchor.witness.word]] * len(rep_report.points)
+        anchors += [anchor.witness.word] * len(rep_report.points)
         scatter.append(rep_report.points)
     return results, True, {
         "hoelder_slopes.csv": (header, rows),
         "hoelder_scatter.csv": (["anchor", "point_distance",
-                                 "tangent_distance"], anchors,
+                                 "tangent_distance"], [anchors],
                                 np.vstack(scatter))}
 
 
@@ -487,7 +503,7 @@ def _run_gelfand(rep, fields, radius, seed):
     errors = gelfand_check(g.matrix, i, K)
     return ({"word": word, "i": i, "K": K, "final_error": float(errors[-1])},
             True, {"gelfand_errors.csv": (
-                ["k", "error"], [[k] for k in range(1, len(errors) + 1)],
+                ["k", "error"], [np.arange(1, len(errors) + 1)],
                 errors[:, None])})
 
 

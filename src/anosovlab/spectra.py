@@ -361,16 +361,17 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def spectral_table(ball: Ball, m: int | None = None
-                   ) -> tuple[list[str], list[list], np.ndarray]:
-    """The (header, rows, values) table of per-element spectra for CSV
-    export: ``rows`` holds each element's word and length, ``values`` the
-    (n, 2d) or (n, 2d + 1) float block of the Cartan and Jordan
-    log-vectors and, if m is given, the m-th regularity ratio, NaN where
-    the (1, m) gap is at most 1e-9."""
+                   ) -> tuple[list[str], list, np.ndarray]:
+    """The (header, columns, values) table of per-element spectra for CSV
+    export: ``columns`` holds the elements' words, the identity's written
+    ``<id>``, and the int array of their lengths; ``values`` the (n, 2d)
+    or (n, 2d + 1) float block of the Cartan and Jordan log-vectors and,
+    if m is given, the m-th regularity ratio, NaN where the (1, m) gap is
+    at most 1e-9."""
     d = ball.gens.dim
     header = ["word", "length", *(f"mu_{i}" for i in range(1, d + 1)),
               *(f"lambda_{i}" for i in range(1, d + 1))]
-    columns = [ball.cartan, ball.jordan]
+    blocks = [ball.cartan, ball.jordan]
     if m is not None:
         lam = ball.jordan
         top_gap = lam[:, 0] - lam[:, m - 1]
@@ -378,7 +379,8 @@ def spectral_table(ball: Ball, m: int | None = None
         ratio = np.full((len(ball), 1), math.nan)
         ratio[gapped, 0] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
         header.append("ratio_m")
-        columns.append(ratio)
-    rows = [[word or "<id>", n] for word, n in zip(
-        ball.words_of(slice(None)), ball.lengths.tolist())]
-    return header, rows, np.hstack(columns)
+        blocks.append(ratio)
+    words = ball.words_of(slice(None))
+    ids = np.count_nonzero(ball.lengths == 0)  # first, in ball order
+    words[:ids] = ["<id>"] * ids
+    return header, [words, ball.lengths], np.hstack(blocks)

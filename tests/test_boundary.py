@@ -444,6 +444,17 @@ class TestOrth:
         for i in range(len(X)):
             assert Q[i].tobytes() == boundary._orth(X[i:i + 1])[0].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1387])
+    def test_a_strided_stack_is_read_as_its_contiguous_copy(self, n):
+        # one column of a wider stack: einsum's rounding can follow the
+        # memory layout of its operands
+        rng = np.random.default_rng(n)
+        for d in range(2, 11):
+            X = rng.standard_normal((n, d, 3))[:, :, 1:2]
+            assert not X.flags.c_contiguous
+            assert (boundary._orth(X).tobytes()
+                    == boundary._orth(np.ascontiguousarray(X)).tobytes())
+
 
 def per_call_flags(ball, specs) -> list:
     """The frames of ``_ClassFlags(ball, specs)()`` with the letter stack

@@ -673,28 +673,36 @@ def _dict_rows_spectra_csv(path: Path, ball, m) -> None:
         writer.writerows(rows)
 
 
-def _csv_writer_rendering(path: Path, header, rows, values) -> None:
-    """The table as ``csv.writer`` writes it with each row's floats as
-    Python floats after its leading cells."""
+def _csv_writer_rendering(path: Path, header, columns, values=None) -> None:
+    """The table as ``csv.writer`` writes it: ``columns`` holds its rows
+    without ``values``; with them, its leading columns, each row's cells
+    followed by its floats as Python floats."""
+    rows = columns if values is None else [
+        [*cells, *v] for cells, v in zip(zip(*columns), values.tolist())]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([*row, *v] for row, v in zip(rows, values.tolist()))
+        writer.writerows(rows)
 
 
-# label cells the writer has to quote, or writes as "" when alone
-_CELLS = st.one_of(
-    st.text(alphabet=st.sampled_from(list('ab ,"\r\n;-.')), max_size=5),
-    st.integers(-10 ** 20, 10 ** 20))
+# leading columns: texts the writer has to quote, or writes as "" when
+# alone, or ints past int64, which numpy holds as objects
+_TEXTS = st.text(alphabet=st.sampled_from(list('ab ,"\r\n;-.')), max_size=5)
+_INTS = st.integers(-10 ** 20, 10 ** 20)
 _FLOATS = st.one_of(
     st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0,
                                   5e-324, -5e-324, 1e308, 0.1 + 0.2,
                                   2.0 / 3.0, 1.0, 12345678.901234567]))
 
 
+def _columns(n: int):
+    return st.one_of(st.lists(_TEXTS, min_size=n, max_size=n),
+                     st.lists(_INTS, min_size=n, max_size=n).map(np.array))
+
+
 class TestFloatBlock:
     """``_write_csv`` with a float block writes what ``csv.writer`` writes
-    for the rows with their floats appended."""
+    for the rows of its leading columns with their floats appended."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(0, 12), width=st.integers(1, 4),
@@ -704,25 +712,23 @@ class TestFloatBlock:
         header = data.draw(st.lists(st.text(alphabet=st.sampled_from(
             list('hx ,"\r\n')), max_size=4), min_size=lead + width,
             max_size=lead + width))
-        rows = data.draw(st.lists(st.lists(_CELLS, min_size=lead,
-                                           max_size=lead),
-                                  min_size=n, max_size=n))
+        columns = [data.draw(_columns(n)) for _ in range(lead)]
         values = data.draw(arrays(np.float64, (n, width), elements=_FLOATS))
         tmp = tmp_path_factory.mktemp("block")
         saved = cli._CSV_BLOCK
         cli._CSV_BLOCK = block  # rows streamed across several blocks
         try:
-            cli._write_csv(tmp / "block.csv", header, rows, values)
+            cli._write_csv(tmp / "block.csv", header, columns, values)
         finally:
             cli._CSV_BLOCK = saved
-        _csv_writer_rendering(tmp / "writer.csv", header, rows, values)
+        _csv_writer_rendering(tmp / "writer.csv", header, columns, values)
         assert ((tmp / "block.csv").read_bytes()
                 == (tmp / "writer.csv").read_bytes())
 
     def test_signed_zeros_and_nans_stay_apart(self, tmp_path):
         values = np.array([[0.0, -0.0, math.nan], [-0.0, 0.0, -math.nan]])
         cli._write_csv(tmp_path / "t.csv", ["w", "a", "b", "c"],
-                       [[""], ["x,y"]], values)
+                       [["", "x,y"]], values)
         assert (tmp_path / "t.csv").read_bytes() == (
             b'w,a,b,c\r\n,0.0,-0.0,nan\r\n"x,y",-0.0,0.0,nan\r\n')
 
@@ -741,10 +747,11 @@ class TestFloatBlock:
         values[:, :4] = rng.permutation(signed).reshape(21, 4)
         values[:, 4] = [special[k % len(special)] for k in range(21)]
         assert math.isnan(values[7, 4]) and np.signbit(values[7, 4])
-        rows = [[f"w{k}", k] for k in range(21)]
+        columns = [[f"w{k}" for k in range(21)], np.arange(21)]
         header = ["word", "length", "a", "b", "c", "d", "e"]
-        cli._write_csv(tmp_path / "block.csv", header, rows, values)
-        _csv_writer_rendering(tmp_path / "writer.csv", header, rows, values)
+        cli._write_csv(tmp_path / "block.csv", header, columns, values)
+        _csv_writer_rendering(tmp_path / "writer.csv", header, columns,
+                              values)
         assert ((tmp_path / "block.csv").read_bytes()
                 == (tmp_path / "writer.csv").read_bytes())
 
@@ -759,6 +766,33 @@ class TestFloatBlock:
                               *spectral_table(ball, m=2))
         assert ((out / "spectra.csv").read_bytes()
                 == (tmp_path / "writer.csv").read_bytes())
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("certify", {"ks": [1, 2]}), ("alpha", {}), ("limitset", {}),
+        ("hyperconvex", {}), ("hoelder", {"window": [1e-3, 0.5]}),
+        ("gelfand", {})])
+    def test_driver_tables_are_the_csv_writer_rendering(
+            self, tmp_path, monkeypatch, kind, fields):
+        # every table of a run against the cells its driver returned
+        driver, defaults = cli._KINDS[kind]
+        returned = []
+
+        def recorded(*args):
+            returned.append(driver(*args))
+            return returned[-1]
+
+        monkeypatch.setitem(cli._KINDS, kind, (recorded, defaults))
+        cfg = load_config(config_path("fuchsian_tau3"))
+        cfg.update(radius=5, experiment={"kind": kind, **fields})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        tables = {name: table for name, table in returned[0][2].items()
+                  if not isinstance(table, str)}
+        assert any(len(table) == 3 for table in tables.values())
+        for name, table in tables.items():
+            _csv_writer_rendering(tmp_path / name, *table)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestDeterminism:

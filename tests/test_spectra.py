@@ -244,11 +244,13 @@ def test_wedge_gap_profile_matches_higher_index(tau4_rep):
 
 def test_spectral_table_columns(tau3_rep):
     ball = enumerate_ball(tau3_rep.generators, 2)
-    header, rows, values = spectral_table(ball, m=2)
+    header, columns, values = spectral_table(ball, m=2)
     assert values.shape == (len(ball), 7) and values.dtype == np.float64
-    assert all(len(row) == 2 for row in rows)
-    rows = [dict(zip(header, [*row, *v]))
-            for row, v in zip(rows, values.tolist())]
+    words, lengths = columns
+    assert len(words) == len(ball) and lengths.dtype.kind == "i"
+    rows = [dict(zip(header, [*cells, *v]))
+            for cells, v in zip(zip(words, lengths.tolist()),
+                                values.tolist())]
     assert rows[0]["word"] == "<id>"
     assert math.isnan(rows[0]["ratio_m"])
     for key in ("mu_1", "mu_3", "lambda_1", "lambda_3", "length"):

@@ -33,8 +33,9 @@ def assert_words_formatted(ball: Ball, words: list[str]):
     kept = [words[r] for r in ball.rows.tolist()]
     assert ball.words_of(slice(None)) == kept
     assert [g.word for g in ball] == kept
-    assert [row[0] for row in spectral_table(ball)[1]] == [
-        w or "<id>" for w in kept]
+    words, lengths = spectral_table(ball)[1]
+    assert words == [w or "<id>" for w in kept]
+    assert lengths.tolist() == list(map(len, kept))
 
 
 def class_keys(words: list[str]) -> tuple[list[str], np.ndarray]:
