@@ -181,9 +181,22 @@ def eigen_moduli(M) -> np.ndarray:
 
 
 def singular_values(M) -> np.ndarray:
-    """Singular values sorted descending (sqrt of eigenvalues of M^T M),
-    of one matrix or of each matrix of a stack (..., d, d)."""
+    """Singular values sorted descending, of one matrix or of each matrix
+    of a stack (..., d, d), from LAPACK's SVD."""
     return np.linalg.svd(_as_matrix(M, stack=True), compute_uv=False)
+
+
+def _top_singular_values(S: np.ndarray) -> np.ndarray:
+    """The largest singular value of each matrix of a stack (..., d, d),
+    as sqrt(lambda_max(U^T U)) 2^e with U = S / 2^e, e the exponent of
+    the matrix's largest |entry|.  The scaling is exact and keeps the
+    Gram's entries at most d, so no finite S overflows it; the top
+    eigenvalue of a rounded PSD matrix errs by O(d eps) of itself (Weyl),
+    so sigma_1 keeps the SVD's relative accuracy."""
+    e = np.frexp(np.abs(S).max(axis=(-2, -1)))[1]
+    U = np.ldexp(S, -e[..., None, None])
+    top = np.linalg.eigvalsh(U.swapaxes(-1, -2) @ U)[..., -1]
+    return np.ldexp(np.sqrt(top), e)
 
 
 def top_invariant_subspace(M, m: int) -> Subspace:

@@ -1,14 +1,20 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
 from anosovlab.boundary import limit_samples
 from anosovlab.groups import enumerate_ball
 from anosovlab.linalg import (SpectralGapError, Subspace, _residuals,
-                              _row_norms, _sines, apply_to_subspace,
-                              direct_sum_margin, eigen_moduli, normalize_lift,
+                              _row_norms, _sines, _top_singular_values,
+                              apply_to_subspace, direct_sum_margin,
+                              eigen_moduli, normalize_lift,
                               point_subspace_distance, proj_distance,
                               singular_values, subspace_distance,
                               top_invariant_subspace)
+
+EPS = np.finfo(float).eps
 
 
 def rotation(theta):
@@ -127,6 +133,67 @@ class TestSingularValues:
             B = rng.normal(size=(4, 4))
             s_ab = singular_values(A @ B)[0]
             assert s_ab <= singular_values(A)[0] * singular_values(B)[0] * (1 + 1e-8)
+
+
+def graded_stack(rng, d: int, scale: float | None = None) -> np.ndarray:
+    """Four d x d matrices U diag(s) V^T, U and V random orthogonal, s
+    graded geometrically from 1 down to 1/cond for cond = 1, 1e4, 1e8 and
+    1e12, each times ``scale`` or times 10^k, k uniform in [-30, 30]."""
+    stack = []
+    for c in (0, 4, 8, 12):
+        U, V = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in "UV")
+        k = rng.uniform(-30, 30) if scale is None else math.log10(scale)
+        stack.append((U * np.logspace(0, -c, d)) @ V.T * 10.0 ** k)
+    return np.array(stack)
+
+
+def top_sigma_50_digits(A: np.ndarray) -> float:
+    """The largest singular value of the float matrix A at 50 digits."""
+    with mpmath.workdps(50):
+        return float(max(mpmath.svd_r(mpmath.matrix(A.tolist()),
+                                      compute_uv=False)))
+
+
+class TestTopSingularValues:
+    """sqrt(lambda_max) of the scaled Gram matrix keeps sigma_1 to a
+    relative 4 d eps, the bound of one rounded Gram and one symmetric
+    eigensolve, at every conditioning and at any finite scale."""
+
+    DIMS = [*range(2, 10), 20]
+
+    @staticmethod
+    def assert_within_bound(got, want, d):
+        assert np.all(np.abs(got - want) <= 4 * d * EPS * np.abs(want))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_against_mpmath(self, d):
+        S = graded_stack(np.random.default_rng(d), d)
+        want = np.array([top_sigma_50_digits(A) for A in S])
+        self.assert_within_bound(_top_singular_values(S), want, d)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_against_svd(self, d):
+        S = graded_stack(np.random.default_rng(100 + d), d)
+        self.assert_within_bound(_top_singular_values(S),
+                                 singular_values(S)[:, 0], d)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_rows_of_a_stack_are_single_calls(self, d):
+        rng = np.random.default_rng(200 + d)
+        S = np.concatenate([graded_stack(rng, d) for _ in range(5)])
+        alone = np.array([_top_singular_values(A) for A in S])
+        assert _top_singular_values(S).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("d", [2, 3, 9, 20])
+    def test_extreme_entries(self, d, scale):
+        # the Gram of an unscaled 1e300 matrix overflows, of a 1e-300 one
+        # underflows to 0
+        S = graded_stack(np.random.default_rng(300 + d), d, scale)
+        got = _top_singular_values(S)
+        assert np.isfinite(got).all()
+        want = np.array([top_sigma_50_digits(A) for A in S])
+        self.assert_within_bound(got, want, d)
 
 
 class TestTopInvariantSubspace:

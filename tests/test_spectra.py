@@ -12,7 +12,8 @@ from anosovlab.functors import (build_representation, perturb_rep,
                                 sym_square_representation,
                                 tau_representation, wedge_representation)
 from anosovlab.groups import enumerate_ball, free_reduce, inverse_word
-from anosovlab.spectra import (alpha_m_estimate, cartan_jordan,
+from anosovlab.spectra import (_block_logs, _diagonal_blocks,
+                               alpha_m_estimate, cartan_jordan,
                                cone_diagnostic, gap_profile, gelfand_check,
                                linefit, spectral_kernel, spectral_table)
 from tests.conftest import load_example_config
@@ -400,6 +401,35 @@ class TestLadderProperties:
                      for j in range(i + strict, len(lam))]
             got = cartan_jordan(functor.generators.element(word)).lam
             assert np.abs(got - np.sort(pairs)[::-1]).max() < 1e-10
+
+
+class TestOddMiddle:
+    """The middle index of an odd block is its log|det| minus the other
+    indices, so a block's Cartan and Jordan vectors sum to its log|det|:
+    the sum of its letters' log|det| along the word, 0 for a block that
+    fills the space."""
+
+    @pytest.mark.parametrize("name, radius", [
+        ("fuchsian_tau3", 5), ("tau5_plus_tau2", 4), ("su21_9dim", 3)])
+    def test_blocks_sum_to_their_logdet(self, name, radius):
+        gens = build_representation(
+            load_example_config(name)["representation"]).generators
+        ball = enumerate_ball(gens, radius)
+        class_rows = ball.classes[0]
+        odd = [B for B in _diagonal_blocks(gens) if len(B) % 2]
+        assert odd
+        for B in odd:
+            ld = {x: (np.linalg.slogdet(L.mat[np.ix_(B, B)])[1]
+                      if len(B) < gens.dim else 0.0)
+                  for x, L in gens.matrices.items()}
+            for vectors, rows in zip(_block_logs(ball, B),
+                                     (ball.rows, class_rows)):
+                assert vectors.shape == (len(rows), len(B))
+                for v, code in zip(vectors, ball.codes[rows]):
+                    word = [ball.letters[c - 1] for c in code if c]
+                    logdet = math.fsum(ld[x] for x in word)
+                    assert (abs(math.fsum(v) - logdet)
+                            <= 8 * np.spacing(np.abs(v).max()))
 
 
 class TestCappedBlock:
