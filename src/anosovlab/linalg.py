@@ -180,23 +180,22 @@ def eigen_moduli(M) -> np.ndarray:
     return np.sort(np.abs(w))[..., ::-1]
 
 
-def singular_values(M) -> np.ndarray:
+def singular_values(M, top: bool = False) -> np.ndarray:
     """Singular values sorted descending, of one matrix or of each matrix
-    of a stack (..., d, d), from LAPACK's SVD."""
-    return np.linalg.svd(_as_matrix(M, stack=True), compute_uv=False)
-
-
-def _top_singular_values(S: np.ndarray) -> np.ndarray:
-    """The largest singular value of each matrix of a stack (..., d, d),
-    as sqrt(lambda_max(U^T U)) 2^e with U = S / 2^e, e the exponent of
-    the matrix's largest |entry|.  The scaling is exact and keeps the
-    Gram's entries at most d, so no finite S overflows it; the top
-    eigenvalue of a rounded PSD matrix errs by O(d eps) of itself (Weyl),
-    so sigma_1 keeps the SVD's relative accuracy."""
-    e = np.frexp(np.abs(S).max(axis=(-2, -1)))[1]
-    U = np.ldexp(S, -e[..., None, None])
-    top = np.linalg.eigvalsh(U.swapaxes(-1, -2) @ U)[..., -1]
-    return np.ldexp(np.sqrt(top), e)
+    of a stack (..., d, d), from LAPACK's SVD.  With ``top``, only the
+    largest, of shape (..., 1): sqrt(lambda_max(U^T U)) 2^e with
+    U = M / 2^e, e the exponent of the matrix's largest |entry|.  The
+    scaling is exact and keeps the Gram's entries at most d, so no finite
+    M overflows it; the top eigenvalue of a rounded PSD matrix errs by
+    O(d eps) of itself (Weyl), so sigma_1 keeps the SVD's relative
+    accuracy."""
+    A = _as_matrix(M, stack=True)
+    if not top:
+        return np.linalg.svd(A, compute_uv=False)
+    e = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))[1]
+    U = np.ldexp(A, -e)
+    lam = np.linalg.eigvalsh(U.swapaxes(-1, -2) @ U)[..., -1:]
+    return np.ldexp(np.sqrt(lam), e[..., 0])
 
 
 def top_invariant_subspace(M, m: int) -> Subspace:

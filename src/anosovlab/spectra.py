@@ -15,8 +15,8 @@ of dimension n, the top floor(n/2) indices come from the word, the
 bottom floor(n/2) from its inverse and an odd middle one is log|det|
 minus the others.  Each rung reads one value: a Cartan rung the top
 singular value, from the largest eigenvalue of a scaled Gram matrix
-(:func:`~anosovlab.linalg._top_singular_values`), a Jordan rung the top
-eigenvalue modulus.  Compounds are built while C(n, k) <= 126 (every
+(:func:`~anosovlab.linalg.singular_values` with ``top``), a Jordan rung
+the top eigenvalue modulus.  Compounds are built while C(n, k) <= 126 (every
 index up to n = 9); a larger block takes the rest of its middle from the
 block product's own spectrum (singular values from LAPACK's SVD),
 shifted to its log|det|, and :func:`spectral_kernel` says so.
@@ -32,8 +32,8 @@ import numpy as np
 from .functors import _wedge_coordinates, wedge_indices
 from .groups import (Ball, GeneratorSet, GroupElement, _tree_products,
                      canonical_cyclic, inverse_word, prefix_tree)
-from .linalg import (MatrixD, SpectralData, _row_norms,
-                     _top_singular_values, eigen_moduli, singular_values)
+from .linalg import (MatrixD, SpectralData, _row_norms, eigen_moduli,
+                     singular_values)
 
 __all__ = [
     "GapProfile",
@@ -74,12 +74,18 @@ def _rungs(n: int) -> int:
                if math.comb(n, k) <= _COMPOUND_CAP)
 
 
+def _capped(n: int) -> bool:
+    """Whether a block of dimension n keeps more than one middle index
+    past its top and bottom ``_rungs(n)``, which no compound reads."""
+    return n - 2 * _rungs(n) > 1
+
+
 def spectral_kernel(gens: GeneratorSet) -> dict:
     """The block dimensions and ``ladder`` or ``capped at k=K`` per block."""
     dims = [len(b) for b in _diagonal_blocks(gens)]
     return {"blocks": dims,
-            "paths": ["ladder" if n - 2 * _rungs(n) <= 1
-                      else f"capped at k={_rungs(n)}" for n in dims]}
+            "paths": [f"capped at k={_rungs(n)}" if _capped(n) else "ladder"
+                      for n in dims]}
 
 
 def _finite(S: np.ndarray, n: int, radius: int) -> np.ndarray:
@@ -94,10 +100,10 @@ def _finite(S: np.ndarray, n: int, radius: int) -> np.ndarray:
 
 def _compound_logs(letters: list, ball: Ball, reads, n: int) -> list:
     """Per (rows, _, _, top) of ``reads``, the (K-1, len(rows)) logs of
-    ``top``, the top value of a spectrum, of the compounds of the ball's
-    words, multiplied from ``letters`` (each letter's compounds, in code
-    order) left to right along its prefix tree; ``n`` is the dimension of
-    the block they come from."""
+    the ``top`` spectrum value of the compounds of the ball's words,
+    multiplied from ``letters`` (each letter's compounds, in code order)
+    left to right along its prefix tree; ``n`` is the dimension of the
+    block they come from."""
     sizes = [C.shape[0] for C in letters[0]]
     if not sizes:
         return [np.zeros((0, len(at))) for at, *_ in reads]
@@ -111,7 +117,8 @@ def _compound_logs(letters: list, ball: Ball, reads, n: int) -> list:
             sel = wanted[a:b]
             if sel.any():
                 for t, S in zip(out, stacks):
-                    t[a:b][sel] = np.log(top(_finite(S[sel], n, radius)))
+                    t[a:b][sel] = np.log(
+                        top(_finite(S[sel], n, radius))[:, 0])
         lo, hi = np.searchsorted(prefix, (a, b))  # their children
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
@@ -130,64 +137,57 @@ def _compound_logs(letters: list, ball: Ball, reads, n: int) -> list:
     return [out[:, at] for (at, *_), out in zip(reads, logs)]
 
 
-def _block_logs(ball: Ball, B: np.ndarray) -> list[np.ndarray]:
-    """The unsorted Cartan vectors of the ball's elements and Jordan
-    vectors of its classes, in the diagonal block ``B`` of the generators.
-    Cartan vectors are read on the elements' rows and their inverse words'
-    rows, Jordan vectors on the rows of each class's canonical cyclic word
-    and of that word's inverse; the k = 1 rung on the ball's ``products``,
-    the others on compounds multiplied along its prefix tree."""
-    gens, products = ball.gens, ball.products
-    class_rows, inverse_rows, _ = ball.classes
-    reads = [(np.r_[ball.rows, ball.inverse_rows], len(ball),
-              singular_values, _top_singular_values),
-             (np.r_[class_rows, inverse_rows], len(class_rows),
-              eigen_moduli, lambda S: eigen_moduli(S)[:, 0])]
-    n, K = len(B), _rungs(len(B))
-    capped = n > 2 * K + 1
-    P = products if n == gens.dim else products[:, B][:, :, B]
-    letters = [gens.matrices[x].mat[np.ix_(B, B)] for x in ball.letters]
-    ld = np.array([0.0, *(np.linalg.slogdet(L)[1] for L in letters)])
-    idx = [np.array(wedge_indices(n, k)) for k in range(2, K + 1)]
-    more = _compound_logs([[_wedge_coordinates(L, i, i) for i in idx]
-                           for L in letters], ball, reads, n)
-    vectors = []
-    for (at, m, spectrum, top), t in zip(reads, more):
-        rows_at, back = np.unique(at, return_inverse=True)
-        S = P if len(rows_at) == len(P) else P[rows_at]  # no full copy
-        S = _finite(S, n, ball.radius)
-        # a capped block reads the rest of its middle off this spectrum
-        own = (spectrum(S) if capped else top(S)[:, None])[back]
-        ladder = np.diff(np.vstack([np.zeros(len(at)),
-                                    np.log(own[:, 0]), t])
-                         [:K + 1], axis=0)  # (K, len(at)): top K logs
-        hi, lo = ladder[:, :m].T, -ladder[::-1, m:].T
-        mid = np.zeros((m, 0))
-        if n > 2 * K:  # the middle sums to the block's log|det|
-            logdet = np.zeros(m)  # a block filling the space has unit
-            if n < gens.dim:      # |det|; slogdet would add eps * cond
-                for column in ld[ball.codes[at[:m]]].T:
-                    logdet += column  # left to right, as words read
-            rest = logdet - hi.sum(axis=1) - lo.sum(axis=1)
-            if capped:
-                # the log of the moduli read only: the bottom ones of a
-                # long word's rounded product may underflow to 0
-                mid = np.log(own[:m, K:n - K])
-                mid = mid + ((rest - mid.sum(axis=1)) / mid.shape[1])[:, None]
-            else:
-                mid = rest[:, None]
-        vectors.append(np.hstack([hi, mid, lo]))
-    return vectors
-
-
 def ladder_logs(ball: Ball) -> tuple[np.ndarray, np.ndarray]:
-    """Descending (n, d) Cartan and Jordan vectors of the ball's elements:
-    per diagonal block of the generators, :func:`_block_logs`."""
-    blocks = [_block_logs(ball, B) for B in _diagonal_blocks(ball.gens)]
+    """Descending (n, d) Cartan and Jordan vectors of the ball's elements.
+    Cartan vectors are read on the elements' rows and their inverse words'
+    rows, Jordan vectors once per class on the rows of its canonical
+    cyclic word and of that word's inverse; the k = 1 rung of each block
+    on the ball's ``products``, the others on compounds multiplied along
+    its prefix tree."""
+    gens, products = ball.gens, ball.products
+    class_rows, inverse_rows, member = ball.classes
+    reads = [(np.r_[ball.rows, ball.inverse_rows], len(ball), singular_values,
+              lambda S: singular_values(S, top=True)),
+             (np.r_[class_rows, inverse_rows], len(class_rows), eigen_moduli,
+              lambda S: eigen_moduli(S)[:, :1])]
+    vectors = [[], []]
+    for B in _diagonal_blocks(gens):
+        n, K, capped = len(B), _rungs(len(B)), _capped(len(B))
+        P = products if n == gens.dim else products[:, B][:, :, B]
+        letters = [gens.matrices[x].mat[np.ix_(B, B)] for x in ball.letters]
+        ld = np.array([0.0, *(np.linalg.slogdet(L)[1] for L in letters)])
+        idx = [np.array(wedge_indices(n, k)) for k in range(2, K + 1)]
+        more = _compound_logs([[_wedge_coordinates(L, i, i) for i in idx]
+                               for L in letters], ball, reads, n)
+        for (at, m, spectrum, top), t, out in zip(reads, more, vectors):
+            rows_at, back = np.unique(at, return_inverse=True)
+            S = P if len(rows_at) == len(P) else P[rows_at]  # no full copy
+            S = _finite(S, n, ball.radius)
+            # a capped block reads the rest of its middle off the spectrum
+            own = (spectrum(S) if capped else top(S))[back]
+            ladder = np.diff(np.vstack([np.zeros(len(at)),
+                                        np.log(own[:, 0]), t])
+                             [:K + 1], axis=0)  # (K, len(at)): top K logs
+            hi, lo = ladder[:, :m].T, -ladder[::-1, m:].T
+            mid = np.zeros((m, 0))
+            if n > 2 * K:  # the middle sums to the block's log|det|
+                logdet = np.zeros(m)  # a block filling the space has unit
+                if n < gens.dim:      # |det|; slogdet would add eps * cond
+                    for column in ld[ball.codes[at[:m]]].T:
+                        logdet += column  # left to right, as words read
+                rest = logdet - hi.sum(axis=1) - lo.sum(axis=1)
+                if capped:
+                    # the log of the moduli read only: the bottom ones of
+                    # a long word's rounded product may underflow to 0
+                    mid = np.log(own[:m, K:n - K])
+                    mid = mid + ((rest - mid.sum(axis=1))
+                                 / mid.shape[1])[:, None]
+                else:
+                    mid = rest[:, None]
+            out.append(np.hstack([hi, mid, lo]))
     # descending; adding 0.0 copies the reversed view and clears -0.0
-    cartan, jordan = (np.sort(np.hstack(v))[:, ::-1] + 0.0
-                      for v in zip(*blocks))
-    return cartan, jordan[ball.classes[2]]
+    cartan, jordan = (np.sort(np.hstack(v))[:, ::-1] + 0.0 for v in vectors)
+    return cartan, jordan[member]
 
 
 def cartan_jordan(g) -> SpectralData:
