@@ -99,8 +99,8 @@ class LimitCloud:
     def complement(self, name: str) -> np.ndarray:
         """The read-only (n, d, d - k) stack of orthonormal complements of
         the frames of flag ``name``, computed once per cloud, on first
-        use: the transversality scan and the controlled-set check share the
-        hyperplanes' normals."""
+        use: the pair pass reads the hyperplanes' normals, for the
+        transversality margins and the controlled-set distances alike."""
         cache = self.__dict__.setdefault("_complements", {})
         if name not in cache:
             # the QR's own view, not a contiguous copy: a contiguous
@@ -475,21 +475,23 @@ def limit_samples(rep: Representation, m: int, radius: int,
         [f.name for f in fields(FlagSample)[1:]], stacks)))
 
 
-# Byte budget of the float temporaries of one block of the pair scans (the
+# Byte budget of the float temporaries of one block of the pair pass (the
 # cosines behind the sep_tol test, the per-pair products of frames, the
 # margins) and of one batch of drawn triples; between blocks only the
-# (n, d, k) per-sample stacks and 1-D per-triple arrays stay alive.  Each
-# scan states its bytes per pair from the floats a pair holds: 8 (d + 8)
-# for the controlled-set distances, 8 (floats_m + floats_1 + 16) for the
-# transversality margins (see :class:`_FlagPair`), 224 B at d = 4, m = 2.
+# (n, d, k) per-sample stacks and 1-D per-triple arrays stay alive.  A pair
+# holds 8 (floats_m + floats_1 + 16) bytes (see :class:`_FlagPair`), 224 B
+# at d = 4, m = 2.
 _PAIR_BYTES = 256 << 10
 
 # Half-width of the band in which a scan recomputes a value screened from
 # one GEMM with the residual formula of ``linalg`` before deciding on it:
-# around sep_tol^2 for the squared sines 1 - cos^2, around the least
-# distance and the violation threshold for the controlled-set distances.
+# around sep_tol^2 for the squared sines 1 - cos^2, up to the least
+# distance or the violation threshold for the controlled-set distances.
 # Screened and residual values of unit rows differ by a few ulps of 1.
 _BAND = 1e-12
+
+# Controlled-set distances up to this are violations
+_VIOLATION = 1e-10
 
 
 def _chunks(n_items: int, item_bytes: int):
@@ -503,9 +505,7 @@ def _blocks(n: int, item_bytes: int):
     """(rows, cols) slices of the (n, n) grid of ordered pairs, in
     row-major order, whose float temporaries of ``item_bytes`` per pair fit
     in ``_PAIR_BYTES``: whole rows while one fits, else pieces of one row
-    (at least one pair).  ``item_bytes`` is the scan's own count of the
-    floats a pair holds, so a scan of fewer floats per pair takes fewer,
-    larger blocks."""
+    (at least one pair)."""
     per = max(1, _PAIR_BYTES // item_bytes)
     if per >= n:
         step = per // n
@@ -542,15 +542,6 @@ def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float,
         dp = _sines(P[a], Q[b])
         keep[a, b] = (dp >= sep_tol) & (dp < below)
     return keep
-
-
-def _kept_blocks(plus: np.ndarray, minus: np.ndarray, sep_tol: float,
-                 item_bytes: int):
-    """Blocks ``(rows, cols, keep)`` of the ordered pairs (x, y) of a
-    cloud (see :func:`_blocks`); ``keep`` marks the pairs whose plus point
-    of x and minus point of y are at least ``sep_tol`` apart."""
-    for rows, cols in _blocks(len(plus), item_bytes):
-        yield rows, cols, _separated(plus[rows], minus[cols], sep_tol)
 
 
 def _sigma_max(G: np.ndarray) -> np.ndarray:
@@ -618,9 +609,10 @@ class _PairProducts:
 
 
 class _FlagPair:
-    """Direct-sum margins ``sigma_min([X_a | Y_b])`` of the pairs of a
-    stack of (n, d, p) frames X and a stack of (n, d, q) frames Y, p + q
-    <= d (q = d - p for flags), by blocks of pairs.
+    """The sines s and cosines c from which :func:`_margin` forms the
+    direct-sum margins ``sigma_min([X_a | Y_b])`` of the pairs of a stack
+    of (n, d, p) frames X and a stack of (n, d, q) frames Y, p + q <= d
+    (q = d - p for flags), an (r, c) block of pairs per call.
 
     [X Y]^T [X Y] has the eigenvalues 1 +- cos(theta_i) and 1, for the
     principal angles theta_i between the two spans (Björck & Golub, Math.
@@ -653,10 +645,14 @@ class _FlagPair:
         return cls(X, Y, cloud.complement(x if X.shape[2] > Y.shape[2]
                                           else y))
 
-    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
-        s = _sigma_min(self._sine(rows, cols))
-        c = _sigma_max(self._cos(rows, cols))
-        return s / np.sqrt(1.0 + c)
+    def __call__(self, rows: slice, cols: slice) -> tuple:
+        return (_sigma_min(self._sine(rows, cols)),
+                _sigma_max(self._cos(rows, cols)))
+
+
+def _margin(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The margins s / sqrt(1 + c) of a block of :class:`_FlagPair`."""
+    return s / np.sqrt(1.0 + c)
 
 
 def _margins(*stacks: np.ndarray) -> np.ndarray:
@@ -686,11 +682,12 @@ def _least_kept(values: np.ndarray, keep: np.ndarray, best: tuple,
     return float(masked[a, b]), (rows.start + a, cols.start + b)
 
 
-def _pair_words(cloud: LimitCloud, pair) -> tuple[str, str]:
-    """The witness words of a pair of sample indices, ("", "") for none."""
-    if pair is None:
-        return "", ""
-    return tuple(cloud.words[list(pair)].tolist())
+def _worst(cloud: LimitCloud, best: tuple) -> tuple[float, tuple[str, str]]:
+    """A ``(value, (x, y))`` least of a scan with the witness words of x
+    and y in place of the sample indices, ("", "") for none."""
+    value, pair = best
+    return value, ("", "") if pair is None else tuple(
+        cloud.words[list(pair)].tolist())
 
 
 @dataclass(frozen=True)
@@ -702,22 +699,75 @@ class TransversalityReport:
     n_pairs: int
 
 
-def _transversality_blocks(cloud: LimitCloud, sep_tol: float):
-    """Blocks ``(rows, cols, keep, margin_m, margin_1)`` of the pair grid
-    of :func:`transversality_scan`: the (r, c) margins of xi^(m)(x)
-    against xi^(d-m)(y) and of xi^(1)(x) against xi^(d-1)(y), for x in
-    ``rows`` and y in ``cols``, and the mask of the pairs it keeps."""
+@dataclass(frozen=True)
+class ControlledSetReport:
+    min_margin: float
+    worst_pair: tuple[str, str]
+    violations: tuple[tuple[str, str], ...]
+    n_pairs: int
+
+
+def _pair_blocks(cloud: LimitCloud, sep_tol: float):
+    """Blocks ``(rows, cols, keep, margin_m, margin_1, sine_1)`` of the
+    ordered pairs (x, y) of a cloud (see :func:`_blocks`): the (r, c)
+    margins of xi^(m)(x) against xi^(d-m)(y) and of xi^(1)(x) against
+    xi^(d-1)(y), the latter's sines |x . n_y|, and the mask of the pairs
+    whose plus point of x and minus point of y are sep_tol or more apart."""
+    plus, minus = cloud.lines
     flags_m = _FlagPair.of(cloud, "xim_plus", "xi_dm_minus")
     flags_1 = _FlagPair.of(cloud, "xi1_plus", "xi_d1_minus")
-    for rows, cols, keep in _kept_blocks(
-            *cloud.lines, sep_tol, 8 * (flags_m.floats + flags_1.floats + 16)):
-        yield rows, cols, keep, flags_m(rows, cols), flags_1(rows, cols)
+    for rows, cols in _blocks(
+            len(cloud), 8 * (flags_m.floats + flags_1.floats + 16)):
+        s, c = flags_1(rows, cols)
+        yield (rows, cols, _separated(plus[rows], minus[cols], sep_tol),
+               _margin(*flags_m(rows, cols)), _margin(s, c), s)
+
+
+def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
+    """Both pair scans' reports from one pass over :func:`_pair_blocks`,
+    computed once per cloud and ``sep_tol``, on first use.  The sine
+    |x . n_y| screens the controlled-set distance: a block's kept pairs
+    screened at most ``_BAND`` above ``_VIOLATION`` or above the lesser of
+    its least kept sine and the least distance so far are recomputed as
+    ``point_subspace_distance``'s residual, and the least distance, its
+    first pair and the violations are read from those alone, so they are
+    the residual's."""
+    if len(cloud) < 2:
+        raise ValueError("need at least 2 samples")
+    cache = cloud.__dict__.setdefault("_pair_reports", {})
+    if sep_tol in cache:
+        return cache[sep_tol]
+    best_m = best_1 = best = (math.inf, None)
+    violations = []
+    n = 0
+    for rows, cols, keep, marg_m, marg_1, s in _pair_blocks(cloud, sep_tol):
+        n += int(np.count_nonzero(keep))
+        best_m = _least_kept(marg_m, keep, best_m, rows, cols)
+        best_1 = _least_kept(marg_1, keep, best_1, rows, cols)
+        least = np.min(s, where=keep, initial=math.inf)
+        top = max(min(least, best[0]), _VIOLATION) + _BAND
+        if least >= top:  # no kept pair, or none that can count
+            continue
+        a, b = np.nonzero(keep & (s <= top))
+        a, b = a + rows.start, b + cols.start
+        dist = _residuals(cloud.lines[0][a], cloud.frames["xi_d1_minus"][b])
+        if (t := _first_below(dist, best[0])) is not None:
+            best = float(dist[t]), (int(a[t]), int(b[t]))
+        bad = dist <= _VIOLATION
+        violations += zip(cloud.words[a[bad]].tolist(),
+                          cloud.words[b[bad]].tolist())
+    cache[sep_tol] = (TransversalityReport(*_worst(cloud, best_m),
+                                           *_worst(cloud, best_1), n),
+                      ControlledSetReport(*_worst(cloud, best),
+                                          tuple(violations), n))
+    return cache[sep_tol]
 
 
 def transversality_scan(cloud: LimitCloud,
                         sep_tol: float = 1e-3) -> TransversalityReport:
-    """Minimum direct-sum margins over ordered pairs of distinct samples:
-    xi^(m)(x) against xi^(d-m)(y), and xi^(1)(x) against xi^(d-1)(y).
+    """Are the flags of distinct boundary points transverse?  Minimum
+    direct-sum margins over ordered pairs of distinct samples: xi^(m)(x)
+    against xi^(d-m)(y), and xi^(1)(x) against xi^(d-1)(y).
 
     The y-flags live at the minus point of y's witness.  Pairs of
     boundary points closer than ``sep_tol`` are skipped: transversality
@@ -729,27 +779,29 @@ def transversality_scan(cloud: LimitCloud,
     principal angle (see :class:`_FlagPair`): for the line x against the
     hyperplane with unit normal n_y, s = |x . n_y| and c the norm of x's
     projection on the hyperplane.  It agrees with ``direct_sum_margin``
-    to rounding.  The pairs are evaluated a block at a time (see
-    :func:`_blocks`), separation test included, each block's products
-    entry-major (see :class:`_PairProducts`) so that the closed forms
-    for k <= 2 are elementwise sums over contiguous grids.  A block is
-    sized by the floats a pair holds, 8 (floats_m + floats_1 + 16) bytes
-    (224 at d = 4, m = 2; 176 at d = 3): beyond the (n, d, k) per-sample
-    frame stacks and the cloud's complements, memory stays within a few
-    block temporaries of ``_PAIR_BYTES`` (256 KiB) each."""
-    if len(cloud) < 2:
-        raise ValueError("need at least 2 samples")
-    best_m = best_1 = (math.inf, None)
-    n = 0
-    for rows, cols, keep, marg_m, marg_1 in _transversality_blocks(
-            cloud, sep_tol):
-        n += int(np.count_nonzero(keep))
-        best_m = _least_kept(marg_m, keep, best_m, rows, cols)
-        best_1 = _least_kept(marg_1, keep, best_1, rows, cols)
-    return TransversalityReport(
-        min_margin_m=best_m[0], worst_pair_m=_pair_words(cloud, best_m[1]),
-        min_margin_1=best_1[0], worst_pair_1=_pair_words(cloud, best_1[1]),
-        n_pairs=n)
+    to rounding.  The pairs go a block at a time (see :func:`_blocks`),
+    separation test included, in one pass per cloud and ``sep_tol``
+    shared with :func:`controlled_set_check` (see :func:`_pair_reports`):
+    a caller of both pays for one pass.  Beyond the (n, d, k) frame stacks
+    and the cloud's complements, memory stays within a few block
+    temporaries of ``_PAIR_BYTES`` each."""
+    return _pair_reports(cloud, sep_tol)[0]
+
+
+def controlled_set_check(cloud: LimitCloud,
+                         sep_tol: float = 1e-3) -> ControlledSetReport:
+    """Do the sampled limit points meet each hyperplane flag only at its
+    own boundary point?  For p != xi^(1)(y) the distance from p to
+    xi^(d-1)(y) must be positive; distances up to ``_VIOLATION`` (1e-10)
+    are violations.  Points within ``sep_tol`` of the hyperplane's own
+    boundary point are skipped (the distance vanishes quadratically at
+    the tangency).
+
+    The distance of the unit point x is screened as |x . n_y|, the sine
+    of :func:`transversality_scan`'s margin_1, in the pass that the two
+    scans share, and decided by ``point_subspace_distance``'s residual
+    (see :func:`_pair_reports`)."""
+    return _pair_reports(cloud, sep_tol)[1]
 
 
 @dataclass(frozen=True)
@@ -821,58 +873,6 @@ def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
         worst = tuple(cloud.words[triples[t]].tolist())
     return HyperconvexityReport(min_margin=best, worst_triple=worst,
                                 margins=margins, n_evaluated=count)
-
-
-@dataclass(frozen=True)
-class ControlledSetReport:
-    min_margin: float
-    worst_pair: tuple[str, str]
-    violations: tuple[tuple[str, str], ...]
-    n_pairs: int
-
-
-def controlled_set_check(cloud: LimitCloud,
-                         sep_tol: float = 1e-3) -> ControlledSetReport:
-    """Checks that sampled limit points meet each hyperplane flag only at
-    its own boundary point: for p != xi^(1)(y) the distance from p to
-    xi^(d-1)(y) must be positive; distances up to 1e-10 are violations.
-
-    Points within ``sep_tol`` of the hyperplane's own boundary point are
-    skipped (the distance vanishes quadratically at the tangency).
-
-    The distances are screened as |u . n_y| for the unit point u and the
-    unit normal n_y of the hyperplane (the cloud's complement of the
-    hyperplanes, which :func:`transversality_scan` reads too), one GEMM
-    per block of pairs (see :func:`_blocks`), separation test included.
-    The pairs within ``_BAND`` of a block's least distance or of the
-    violation threshold are recomputed as ``point_subspace_distance``'s
-    residual, so the minimum, its pair and the violations are the
-    residual's.  Beyond the (n, d, d - 1) stack of hyperplanes, memory
-    stays within a few block temporaries of ``_PAIR_BYTES`` (256 KiB)
-    each."""
-    if len(cloud) < 2:
-        raise ValueError("need at least 2 samples")
-    plus, minus = cloud.lines
-    H = cloud.frames["xi_d1_minus"]
-    normals = cloud.complement("xi_d1_minus")[..., 0]
-    best = (math.inf, None)
-    violations = []
-    n = 0
-    for rows, cols, keep in _kept_blocks(plus, minus, sep_tol,
-                                         8 * (plus.shape[1] + 8)):
-        n += int(np.count_nonzero(keep))
-        dist = np.where(keep, np.abs(plus[rows] @ normals[cols].T), math.inf)
-        a, b = np.nonzero(keep & ((dist <= dist.min() + _BAND)
-                                  | (np.abs(dist - 1e-10) <= _BAND)))
-        dist[a, b] = _residuals(plus[rows][a], H[cols][b])
-        dist = np.minimum(1.0, dist)
-        best = _least_kept(dist, keep, best, rows, cols)
-        a, b = np.nonzero(dist <= 1e-10)
-        violations += zip(cloud.words[rows.start + a].tolist(),
-                          cloud.words[cols.start + b].tolist())
-    return ControlledSetReport(min_margin=best[0],
-                               worst_pair=_pair_words(cloud, best[1]),
-                               violations=tuple(violations), n_pairs=n)
 
 
 @dataclass(frozen=True)

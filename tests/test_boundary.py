@@ -855,14 +855,33 @@ def reference_transversality(cloud, sep_tol=1e-3):
 
 
 def scan_margins(cloud, sep_tol=1e-3):
-    """The (n, n) margins of the blocks of ``transversality_scan`` (nan
-    where a pair is skipped)."""
+    """The (n, n) margins of the blocks of the pair pass (nan where a pair
+    is skipped)."""
     n = len(cloud)
     margins = np.full((2, n, n), np.nan)
-    for rows, cols, keep, *values in boundary._transversality_blocks(
-            cloud, sep_tol):
+    for rows, cols, keep, *values, _ in boundary._pair_blocks(cloud, sep_tol):
         margins[:, rows, cols] = np.where(keep, values, np.nan)
     return margins
+
+
+def fresh(cloud, **stacks):
+    """A new cloud of the same samples, with no pair pass cached."""
+    return LimitCloud(samples=cloud.samples, m=cloud.m,
+                      rep_recipe=cloud.rep_recipe, **stacks)
+
+
+def record_blocks(monkeypatch):
+    """The bytes per pair of each ``_blocks`` call from now on: one call
+    per pair pass."""
+    used = []
+    blocks = boundary._blocks
+
+    def recorded(n, item_bytes):
+        used.append(item_bytes)
+        return blocks(n, item_bytes)
+
+    monkeypatch.setattr(boundary, "_blocks", recorded)
+    return used
 
 
 def reference_controlled_set(cloud, sep_tol=1e-3, violation_tol=1e-10):
@@ -977,14 +996,19 @@ class TestStackedScans:
 
     def test_chunks_split_mid_row(self, scanned_cloud, monkeypatch):
         cloud, ref = scanned_cloud
-        d = cloud.samples[0].xi1_plus.ambient_dim
+        # a fresh cloud: the fixture's has its pass cached at the default
+        # budget
+        cloud = fresh(cloud)
+        n, d = len(cloud), cloud.samples[0].xi1_plus.ambient_dim
         # 2/7 of a row of d x d floats: blocks are pieces of rows, the last
         # one shorter, and batches hold tens of triples
-        budget = len(cloud) * 8 * d * d * 2 // 7
-        monkeypatch.setattr(boundary, "_PAIR_BYTES", budget)
-        assert len(list(boundary._blocks(len(cloud), 8 * d * d))) > 3 * len(
-            cloud)
+        monkeypatch.setattr(boundary, "_PAIR_BYTES", n * 8 * d * d * 2 // 7)
+        blocks = boundary._blocks
+        used = record_blocks(monkeypatch)
         self.assert_same(cloud, ref)
+        # the pass, and scan_margins' second one, split every row
+        assert len(used) == 2 and len(set(used)) == 1
+        assert len(list(blocks(n, used[0]))) > 3 * n
 
     def test_ties_keep_the_first_pair(self, monkeypatch):
         # coordinate flags on which every pair ties: the m-margins are 1,
@@ -1061,6 +1085,94 @@ class TestStackedScans:
             math.inf, ("", ""), (), 0)
         with pytest.raises(ValueError, match="cannot find 2 separated"):
             hyperconvexity_scan(tau4_cloud, n_triples=2, sep_tol=2.0)
+
+
+def planted_cloud(ts):
+    """A d = 3 cloud whose controlled-set distances are exact: sample i has
+    the plus point (t_i, 0, 1), a unit row as it stands, and the
+    hyperplane span(e2, e3) for even i, span(e1, e2) for odd i, so plus
+    point i lies at residual distance exactly t_i from every even
+    sample's hyperplane and 1 from every odd one's.  Every minus point is
+    e2, 1 away from each plus point."""
+    e = np.eye(3)
+    gens = representation_from_matrices(
+        {"a": np.diag([2.0, 1.0, 0.5])}).generators
+    return LimitCloud(samples=tuple(
+        FlagSample(gens.element("a" * (i + 1)),
+                   Subspace(np.array([[t], [0.0], [1.0]])),
+                   Subspace(np.array([[t, 0.0], [0.0, 1.0], [1.0, 0.0]])),
+                   Subspace(e[:, :1]),
+                   Subspace(e[:, 1:] if i % 2 == 0 else e[:, :2]),
+                   Subspace(e[:, 1:2]))
+        for i, t in enumerate(ts)), m=2, rep_recipe={})
+
+
+class TestOnePass:
+    """Both pair scans read one pass over the pairs, cached on the cloud
+    per sep_tol, whichever scan is called first."""
+
+    @pytest.mark.parametrize("order", ["transversality first",
+                                       "controlled first"])
+    def test_either_order_runs_one_pass(self, tau4_cloud, monkeypatch,
+                                        order):
+        used = record_blocks(monkeypatch)
+        cloud = fresh(tau4_cloud)
+        scans = [transversality_scan, controlled_set_check]
+        for scan in scans if order == "transversality first" else scans[::-1]:
+            scan(cloud)
+        assert len(used) == 1
+
+    def test_one_pass_per_sep_tol(self, tau4_cloud, monkeypatch):
+        used = record_blocks(monkeypatch)
+        cloud = fresh(tau4_cloud)
+        reports = {sep_tol: (transversality_scan(cloud, sep_tol),
+                             controlled_set_check(cloud, sep_tol))
+                   for sep_tol in (1e-3, 1e-1)}
+        assert len(used) == 2
+        assert reports[1e-3][0].n_pairs > reports[1e-1][0].n_pairs
+        for sep_tol, (t, c) in reports.items():
+            assert (transversality_scan(cloud, sep_tol),
+                    controlled_set_check(cloud, sep_tol)) == (t, c)
+            assert t.n_pairs == c.n_pairs
+        assert len(used) == 2
+
+    def test_either_order_equals_the_references(self, scanned_cloud):
+        cloud, ref = scanned_cloud
+        ahead, behind = fresh(cloud), fresh(cloud)
+        controlled = controlled_set_check(behind)
+        for scanned in (ahead, behind):
+            TestStackedScans.assert_same(scanned, ref)
+        assert transversality_scan(ahead) == transversality_scan(behind)
+        assert controlled_set_check(ahead) == controlled
+
+    @pytest.mark.parametrize("layout", ["pairs", "row pieces", "rows",
+                                        "row pairs", "grid"])
+    def test_violations_at_the_threshold(self, monkeypatch, layout):
+        # residual distances 1e-10 and one ulp either side of it, in blocks
+        # whose least distance is below, at or above the threshold: each
+        # pair is a violation by its residual alone
+        below, above = np.nextafter(1e-10, 0), np.nextafter(1e-10, 1)
+        ts = [1e-11, 1e-10, below, above, 1e-9, 1e-10, above, 1e-9]
+        n = len(ts)
+        cloud = planted_cloud(ts)
+        monkeypatch.setattr(boundary, "_blocks", lambda _, __: {
+            "pairs": [(slice(i, i + 1), slice(j, j + 1))
+                      for i in range(n) for j in range(n)],
+            "row pieces": [(slice(i, i + 1), slice(j, min(j + 3, n)))
+                           for i in range(n) for j in range(0, n, 3)],
+            "rows": [(slice(i, i + 1), slice(0, n)) for i in range(n)],
+            "row pairs": [(slice(i, i + 2), slice(0, n))
+                          for i in range(0, n, 2)],
+            "grid": [(slice(0, n), slice(0, n))]}[layout])
+        report = controlled_set_check(cloud)
+        words = cloud.words.tolist()
+        assert report.violations == tuple(
+            (words[i], words[j]) for i in range(n) for j in range(0, n, 2)
+            if ts[i] <= 1e-10)
+        assert (report.min_margin, report.worst_pair, report.n_pairs) == (
+            1e-11, ("a", "a"), n * n)
+        assert reference_controlled_set(cloud) == (
+            report.min_margin, report.worst_pair, report.violations, n * n)
 
 
 class TestCloudArrays:
@@ -1142,7 +1254,8 @@ class TestClosedFormMargins:
         angle = 10.0 ** -digits
         pairs = [flag_pair(rng, d, m, a) for a in (angle, None, None)]
         X, Y = (np.array(F) for F in zip(*pairs))
-        margins = boundary._FlagPair(X, Y)(slice(0, 3), slice(0, 3))
+        margins = boundary._margin(*boundary._FlagPair(X, Y)(
+            slice(0, 3), slice(0, 3)))
         for a in range(3):
             for b in range(3):
                 ref = direct_sum_margin([X[a], Y[b]])
@@ -1156,7 +1269,8 @@ class TestClosedFormMargins:
         e = np.eye(4)
         X = np.array([e[:, :2], e[:, :2]])
         Y = np.array([e[:, :2], e[:, 2:]])
-        margins = boundary._FlagPair(X, Y)(slice(0, 2), slice(0, 2))
+        margins = boundary._margin(*boundary._FlagPair(X, Y)(
+            slice(0, 2), slice(0, 2)))
         assert np.array_equal(margins, [[0.0, 1.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("d, m", [(4, 2), (6, 3)])
@@ -1175,32 +1289,33 @@ class TestClosedFormMargins:
                 assert abs(margins[layer, x, y] - float(exact)) <= 1e-15
 
     def test_memory_linear_in_samples(self, schottky_rep, monkeypatch):
-        used = []  # the bytes per pair each scan passes to _blocks
         blocks = boundary._blocks
-
-        def recorded(n, item_bytes):
-            used.append(item_bytes)
-            return blocks(n, item_bytes)
-
-        monkeypatch.setattr(boundary, "_blocks", recorded)
-        # the margins' floats per pair: the sine and cosine entries of
-        # both flag pairs, and 16 more for the block's mask, cosines and
-        # results; the distances' d + 8
+        used = record_blocks(monkeypatch)
+        # the floats per pair of the one pass: the sine and cosine entries
+        # of both flag pairs, and 16 more for the block's mask, cosines and
+        # results
         for d, m, radius, floats in ((3, 2, 6, 3 + 3), (4, 2, 5, 8 + 4),
                                      (6, 3, 4, 18 + 6)):
             cloud = limit_samples(tau_representation(schottky_rep, d), m,
                                   radius)
-            n = len(cloud)
-            for scan, pair_bytes in ((transversality_scan, 8 * (floats + 16)),
-                                     (controlled_set_check, 8 * (d + 8))):
+            n, pair_bytes = len(cloud), 8 * (floats + 16)
+            for first, other in itertools.permutations(
+                    (transversality_scan, controlled_set_check)):
+                # a fresh cloud on the same frame stacks, as limit_samples
+                # hands them over: the first scan runs the pass
+                scanned = fresh(cloud, stacks=cloud.frames)
+                used.clear()
                 tracemalloc.start()
                 try:
-                    report = scan(cloud)
+                    report = first(scanned)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 assert report.n_pairs > n * (n - 1) // 2
-                assert used[-1] == pair_bytes
+                assert used == [pair_bytes]
+                # and the other runs no block
+                assert other(scanned).n_pairs == report.n_pairs
+                assert used == [pair_bytes]
                 # four of the largest block at that count, plus the
                 # (n, d, d) stacks
                 largest = max((r.stop - r.start) * (c.stop - c.start)
