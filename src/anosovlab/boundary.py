@@ -480,7 +480,9 @@ def limit_samples(rep: Representation, m: int, radius: int,
 # margins) and of one batch of drawn triples; between blocks only the
 # (n, d, k) per-sample stacks and 1-D per-triple arrays stay alive.  A pair
 # holds 8 (floats_m + floats_1 + 16) bytes (see :class:`_FlagPair`), 224 B
-# at d = 4, m = 2.
+# at d = 4, m = 2.  A block of the pair pass is whole rows of the pair
+# grid, at least one, so it holds max(_PAIR_BYTES, one row) bytes: one row
+# of n pairs outgrows the budget from n = 1,171 at d = 4, m = 2.
 _PAIR_BYTES = 256 << 10
 
 # Half-width of the band in which a scan recomputes a value screened from
@@ -495,26 +497,12 @@ _VIOLATION = 1e-10
 
 
 def _chunks(n_items: int, item_bytes: int):
-    """Slices of ``range(n_items)`` whose float temporaries of
-    ``item_bytes`` per item fit in ``_PAIR_BYTES`` (at least one item)."""
+    """Slices of ``range(n_items)``, in order, whose float temporaries of
+    ``item_bytes`` per item fit in ``_PAIR_BYTES`` (at least one item):
+    rows of the pair grid, triples, or anchors."""
     step = max(1, _PAIR_BYTES // item_bytes)
-    return (slice(start, start + step) for start in range(0, n_items, step))
-
-
-def _blocks(n: int, item_bytes: int):
-    """(rows, cols) slices of the (n, n) grid of ordered pairs, in
-    row-major order, whose float temporaries of ``item_bytes`` per pair fit
-    in ``_PAIR_BYTES``: whole rows while one fits, else pieces of one row
-    (at least one pair)."""
-    per = max(1, _PAIR_BYTES // item_bytes)
-    if per >= n:
-        step = per // n
-        for start in range(0, n, step):
-            yield slice(start, min(start + step, n)), slice(0, n)
-        return
-    for row in range(n):
-        for start in range(0, n, per):
-            yield slice(row, row + 1), slice(start, min(start + per, n))
+    return (slice(start, min(start + step, n_items))
+            for start in range(0, n_items, step))
 
 
 def _complements(F: np.ndarray) -> np.ndarray:
@@ -564,34 +552,30 @@ def _sigma_max(G: np.ndarray) -> np.ndarray:
 
 def _sigma_min(G: np.ndarray) -> np.ndarray:
     """(r, c) k-th singular values, k = min(p, q), of the p x q blocks of a
-    (p, q, r, c) entry-major grid.  For k = 2 this is vol / sigma_max, with
-    vol^2 the sum of the squared 2 x 2 minors (|det| for a square block),
-    each accurate to rounding; a zero block gives 0.  For k >= 3 a stacked
-    SVD."""
-    if G.shape[0] > G.shape[1]:
-        G = G.transpose(1, 0, 2, 3)
-    k, width = G.shape[:2]
-    if k == 1:
-        return np.abs(G[0, 0]) if width == 1 else _sigma_max(G)
-    if k == 2:
-        u, v = G
-        vol = np.sqrt(reduce(np.add, [
-            (u[a] * v[b] - u[b] * v[a]) ** 2
-            for a in range(width) for b in range(a + 1, width)]))
-        # top = 0 only where every entry squares to 0, and so do the
-        # minors: those blocks give 0 / 5e-324 = 0
-        return vol / np.maximum(_sigma_max(G), 5e-324)
+    (p, q, r, c) entry-major grid.  A square block, as complementary flags
+    give, of k = 1 reads the entry's modulus, of k = 2 |det| / sigma_max,
+    each accurate to rounding, and a zero block gives 0.  Other blocks
+    take a stacked SVD."""
+    p, q = G.shape[:2]
+    if p == q == 1:
+        return np.abs(G[0, 0])
+    if p == q == 2:
+        (u0, u1), (v0, v1) = G
+        # top = 0 only where every entry squares to 0, and so does the
+        # determinant: those blocks give 0 / 5e-324 = 0
+        return np.abs(u0 * v1 - u1 * v0) / np.maximum(_sigma_max(G), 5e-324)
     return np.linalg.svd(G.transpose(2, 3, 0, 1),
-                         compute_uv=False)[..., k - 1]
+                         compute_uv=False)[..., min(p, q) - 1]
 
 
 class _PairProducts:
     """The products L_a^T R_b of a stack of (n, d, p) frames L and a stack
-    of (n, d, q) frames R, a block of pairs at a time, entry-major: a
-    (p, q, r, c) array whose entry [i, j] is the contiguous (r, c) grid of
-    the dot products of column i of L_a and column j of R_b.  Both stacks
-    are flattened once; a block is one GEMM and one copy into that
-    layout.  ``floats`` is the number of entries per pair, p * q."""
+    of (n, d, q) frames R, a range of rows a at a time against every b,
+    entry-major: a (p, q, r, n) array whose entry [i, j] is the contiguous
+    (r, n) grid of the dot products of column i of L_a and column j of
+    R_b.  Both stacks are flattened once; a block is one GEMM and one copy
+    into that layout.  ``floats`` is the number of entries per pair,
+    p * q."""
 
     def __init__(self, L: np.ndarray, R: np.ndarray):
         self._p, self._q = L.shape[2], R.shape[2]
@@ -599,20 +583,19 @@ class _PairProducts:
         self._L = L.transpose(0, 2, 1).reshape(-1, L.shape[1])
         self._R = R.transpose(1, 0, 2).reshape(R.shape[1], -1)
 
-    def __call__(self, rows: slice, cols: slice) -> np.ndarray:
+    def __call__(self, rows: slice) -> np.ndarray:
         p, q = self._p, self._q
-        G = (self._L[rows.start * p:rows.stop * p]
-             @ self._R[:, cols.start * q:cols.stop * q])
+        G = self._L[rows.start * p:rows.stop * p] @ self._R
         return np.ascontiguousarray(G.reshape(
-            rows.stop - rows.start, p, cols.stop - cols.start,
-            q).transpose(1, 3, 0, 2))
+            rows.stop - rows.start, p, -1, q).transpose(1, 3, 0, 2))
 
 
 class _FlagPair:
     """The sines s and cosines c from which :func:`_margin` forms the
     direct-sum margins ``sigma_min([X_a | Y_b])`` of the pairs of a stack
-    of (n, d, p) frames X and a stack of (n, d, q) frames Y, p + q <= d
-    (q = d - p for flags), an (r, c) block of pairs per call.
+    of (n, d, p) frames X and a stack of (n, d, q) frames Y, p + q = d
+    for the flags of a cloud (p + q < d for hand-built frames), the (r, n)
+    pairs of a range of rows of X per call.
 
     [X Y]^T [X Y] has the eigenvalues 1 +- cos(theta_i) and 1, for the
     principal angles theta_i between the two spans (Björck & Golub, Math.
@@ -622,10 +605,10 @@ class _FlagPair:
     Argentati, SIAM J. Sci. Comput. 23, 2002).  With k = min(p, q), s is
     the k-th singular value of X^T Y' for the complement Y' of Y when
     p <= q, else of X'^T Y for the complement X' of X: a k x k block for
-    flags.  ``complement`` is that Y' or X', computed when not given.
+    p + q = d.  ``complement`` is that Y' or X', computed when not given.
 
     ``floats`` is the number of float entries a pair's two products hold:
-    k^2 sine entries and p * q cosine entries, for flags."""
+    k^2 sine entries and p * q cosine entries, for p + q = d."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray,
                  complement: np.ndarray | None = None):
@@ -645,9 +628,8 @@ class _FlagPair:
         return cls(X, Y, cloud.complement(x if X.shape[2] > Y.shape[2]
                                           else y))
 
-    def __call__(self, rows: slice, cols: slice) -> tuple:
-        return (_sigma_min(self._sine(rows, cols)),
-                _sigma_max(self._cos(rows, cols)))
+    def __call__(self, rows: slice) -> tuple:
+        return _sigma_min(self._sine(rows)), _sigma_max(self._cos(rows))
 
 
 def _margin(s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -671,15 +653,16 @@ def _first_below(values: np.ndarray, best: float) -> int | None:
 
 
 def _least_kept(values: np.ndarray, keep: np.ndarray, best: tuple,
-                rows: slice, cols: slice) -> tuple:
+                rows: slice) -> tuple:
     """``best``, a ``(value, (x, y))`` pair, or the first least kept value
-    of a block in row-major order with its pair if that beats it."""
+    of a block of rows in row-major order with its pair if that beats
+    it."""
     masked = np.where(keep, values, math.inf)
     t = _first_below(masked.reshape(-1), best[0])
     if t is None:
         return best
     a, b = divmod(t, masked.shape[1])
-    return float(masked[a, b]), (rows.start + a, cols.start + b)
+    return float(masked[a, b]), (rows.start + a, b)
 
 
 def _worst(cloud: LimitCloud, best: tuple) -> tuple[float, tuple[str, str]]:
@@ -708,19 +691,20 @@ class ControlledSetReport:
 
 
 def _pair_blocks(cloud: LimitCloud, sep_tol: float):
-    """Blocks ``(rows, cols, keep, margin_m, margin_1, sine_1)`` of the
-    ordered pairs (x, y) of a cloud (see :func:`_blocks`): the (r, c)
-    margins of xi^(m)(x) against xi^(d-m)(y) and of xi^(1)(x) against
-    xi^(d-1)(y), the latter's sines |x . n_y|, and the mask of the pairs
-    whose plus point of x and minus point of y are sep_tol or more apart."""
+    """Blocks ``(rows, keep, margin_m, margin_1, sine_1)`` of the ordered
+    pairs (x, y) of a cloud, whole rows x of the pair grid at a time (see
+    :func:`_chunks`): the (r, n) margins of xi^(m)(x) against xi^(d-m)(y)
+    and of xi^(1)(x) against xi^(d-1)(y), the latter's sines |x . n_y|,
+    and the mask of the pairs whose plus point of x and minus point of y
+    are sep_tol or more apart."""
     plus, minus = cloud.lines
     flags_m = _FlagPair.of(cloud, "xim_plus", "xi_dm_minus")
     flags_1 = _FlagPair.of(cloud, "xi1_plus", "xi_d1_minus")
-    for rows, cols in _blocks(
-            len(cloud), 8 * (flags_m.floats + flags_1.floats + 16)):
-        s, c = flags_1(rows, cols)
-        yield (rows, cols, _separated(plus[rows], minus[cols], sep_tol),
-               _margin(*flags_m(rows, cols)), _margin(s, c), s)
+    n = len(cloud)
+    for rows in _chunks(n, n * 8 * (flags_m.floats + flags_1.floats + 16)):
+        s, c = flags_1(rows)
+        yield (rows, _separated(plus[rows], minus, sep_tol),
+               _margin(*flags_m(rows)), _margin(s, c), s)
 
 
 def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
@@ -740,16 +724,16 @@ def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
     best_m = best_1 = best = (math.inf, None)
     violations = []
     n = 0
-    for rows, cols, keep, marg_m, marg_1, s in _pair_blocks(cloud, sep_tol):
+    for rows, keep, marg_m, marg_1, s in _pair_blocks(cloud, sep_tol):
         n += int(np.count_nonzero(keep))
-        best_m = _least_kept(marg_m, keep, best_m, rows, cols)
-        best_1 = _least_kept(marg_1, keep, best_1, rows, cols)
+        best_m = _least_kept(marg_m, keep, best_m, rows)
+        best_1 = _least_kept(marg_1, keep, best_1, rows)
         least = np.min(s, where=keep, initial=math.inf)
         top = max(min(least, best[0]), _VIOLATION) + _BAND
         if least >= top:  # no kept pair, or none that can count
             continue
         a, b = np.nonzero(keep & (s <= top))
-        a, b = a + rows.start, b + cols.start
+        a += rows.start
         dist = _residuals(cloud.lines[0][a], cloud.frames["xi_d1_minus"][b])
         if (t := _first_below(dist, best[0])) is not None:
             best = float(dist[t]), (int(a[t]), int(b[t]))
@@ -779,12 +763,13 @@ def transversality_scan(cloud: LimitCloud,
     principal angle (see :class:`_FlagPair`): for the line x against the
     hyperplane with unit normal n_y, s = |x . n_y| and c the norm of x's
     projection on the hyperplane.  It agrees with ``direct_sum_margin``
-    to rounding.  The pairs go a block at a time (see :func:`_blocks`),
-    separation test included, in one pass per cloud and ``sep_tol``
-    shared with :func:`controlled_set_check` (see :func:`_pair_reports`):
-    a caller of both pays for one pass.  Beyond the (n, d, k) frame stacks
-    and the cloud's complements, memory stays within a few block
-    temporaries of ``_PAIR_BYTES`` each."""
+    to rounding.  The pairs go a block of whole rows at a time (see
+    :func:`_pair_blocks`), separation test included, in one pass per cloud
+    and ``sep_tol`` shared with :func:`controlled_set_check` (see
+    :func:`_pair_reports`): a caller of both pays for one pass.  Beyond
+    the (n, d, k) frame stacks and the cloud's complements, memory stays
+    within a few block temporaries of max(``_PAIR_BYTES``, one row of n
+    pairs) each, linear in the number of samples."""
     return _pair_reports(cloud, sep_tol)[0]
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "AlphaEstimate",
     "ConeReport",
     "cartan_jordan",
+    "ladder_logs",
     "gap_profile",
     "alpha_m_estimate",
     "gelfand_check",
@@ -272,6 +273,18 @@ class AlphaEstimate:
     converged: bool
 
 
+def _ratios(lam: np.ndarray, m: int, tol: float,
+            fill: float) -> np.ndarray:
+    """(n,) regularity ratios (lam_1 - lam_(m+1)) / (lam_1 - lam_m) of the
+    rows of Jordan vectors ``lam``, ``fill`` where the (1, m) gap is at
+    most ``tol``."""
+    top_gap = lam[:, 0] - lam[:, m - 1]
+    gapped = top_gap > tol
+    ratios = np.full(len(lam), fill)
+    ratios[gapped] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
+    return ratios
+
+
 def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
     """Infimum over ball elements of
     log(lam_1/lam_(m+1)) / log(lam_1/lam_m), skipping elements whose
@@ -285,11 +298,8 @@ def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
     d = ball.gens.dim
     if not 2 <= m <= d - 1:
         raise ValueError(f"alpha index m={m} out of range for dimension {d}")
-    lam = ball.jordan
-    top_gap = lam[:, 0] - lam[:, m - 1]
-    ratios = np.full(len(ball), math.inf)
-    gapped = (ball.lengths > 0) & (top_gap > tol)
-    ratios[gapped] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
+    ratios = np.where(ball.lengths > 0,
+                      _ratios(ball.jordan, m, tol, math.inf), math.inf)
     value = ratios.min()
     if value == math.inf:
         raise ValueError(
@@ -392,13 +402,8 @@ def spectral_table(ball: Ball, m: int | None = None
               *(f"lambda_{i}" for i in range(1, d + 1))]
     blocks = [ball.cartan, ball.jordan]
     if m is not None:
-        lam = ball.jordan
-        top_gap = lam[:, 0] - lam[:, m - 1]
-        gapped = top_gap > 1e-9
-        ratio = np.full((len(ball), 1), math.nan)
-        ratio[gapped, 0] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
         header.append("ratio_m")
-        blocks.append(ratio)
+        blocks.append(_ratios(ball.jordan, m, 1e-9, math.nan)[:, None])
     words = ball.words_of(slice(None))
     ids = np.count_nonzero(ball.lengths == 0)  # first, in ball order
     words[:ids] = ["<id>"] * ids

@@ -859,8 +859,8 @@ def scan_margins(cloud, sep_tol=1e-3):
     is skipped)."""
     n = len(cloud)
     margins = np.full((2, n, n), np.nan)
-    for rows, cols, keep, *values, _ in boundary._pair_blocks(cloud, sep_tol):
-        margins[:, rows, cols] = np.where(keep, values, np.nan)
+    for rows, keep, *values, _ in boundary._pair_blocks(cloud, sep_tol):
+        margins[:, rows] = np.where(keep, values, np.nan)
     return margins
 
 
@@ -870,18 +870,21 @@ def fresh(cloud, **stacks):
                       rep_recipe=cloud.rep_recipe, **stacks)
 
 
-def record_blocks(monkeypatch):
-    """The bytes per pair of each ``_blocks`` call from now on: one call
-    per pair pass."""
-    used = []
-    blocks = boundary._blocks
+def record_passes(monkeypatch):
+    """The row slices of the blocks of each pass over ``_pair_blocks`` from
+    now on, one list per pass."""
+    passes = []
+    pair_blocks = boundary._pair_blocks
 
-    def recorded(n, item_bytes):
-        used.append(item_bytes)
-        return blocks(n, item_bytes)
+    def recorded(cloud, sep_tol):
+        rows = []
+        passes.append(rows)
+        for block in pair_blocks(cloud, sep_tol):
+            rows.append(block[0])
+            yield block
 
-    monkeypatch.setattr(boundary, "_blocks", recorded)
-    return used
+    monkeypatch.setattr(boundary, "_pair_blocks", recorded)
+    return passes
 
 
 def reference_controlled_set(cloud, sep_tol=1e-3, violation_tol=1e-10):
@@ -1000,15 +1003,15 @@ class TestStackedScans:
         # budget
         cloud = fresh(cloud)
         n, d = len(cloud), cloud.samples[0].xi1_plus.ambient_dim
-        # 2/7 of a row of d x d floats: blocks are pieces of rows, the last
-        # one shorter, and batches hold tens of triples
+        # 2/7 of a row of d x d floats, a budget below one row of the pass:
+        # its blocks are single rows, and batches hold tens of triples
         monkeypatch.setattr(boundary, "_PAIR_BYTES", n * 8 * d * d * 2 // 7)
-        blocks = boundary._blocks
-        used = record_blocks(monkeypatch)
+        passes = record_passes(monkeypatch)
         self.assert_same(cloud, ref)
-        # the pass, and scan_margins' second one, split every row
-        assert len(used) == 2 and len(set(used)) == 1
-        assert len(list(blocks(n, used[0]))) > 3 * n
+        # the pass, and scan_margins' second one, run each row on its own
+        assert len(passes) == 2
+        for rows in passes:
+            assert rows == [slice(a, a + 1) for a in range(n)]
 
     def test_ties_keep_the_first_pair(self, monkeypatch):
         # coordinate flags on which every pair ties: the m-margins are 1,
@@ -1115,26 +1118,26 @@ class TestOnePass:
                                        "controlled first"])
     def test_either_order_runs_one_pass(self, tau4_cloud, monkeypatch,
                                         order):
-        used = record_blocks(monkeypatch)
+        passes = record_passes(monkeypatch)
         cloud = fresh(tau4_cloud)
         scans = [transversality_scan, controlled_set_check]
         for scan in scans if order == "transversality first" else scans[::-1]:
             scan(cloud)
-        assert len(used) == 1
+        assert len(passes) == 1
 
     def test_one_pass_per_sep_tol(self, tau4_cloud, monkeypatch):
-        used = record_blocks(monkeypatch)
+        passes = record_passes(monkeypatch)
         cloud = fresh(tau4_cloud)
         reports = {sep_tol: (transversality_scan(cloud, sep_tol),
                              controlled_set_check(cloud, sep_tol))
                    for sep_tol in (1e-3, 1e-1)}
-        assert len(used) == 2
+        assert len(passes) == 2
         assert reports[1e-3][0].n_pairs > reports[1e-1][0].n_pairs
         for sep_tol, (t, c) in reports.items():
             assert (transversality_scan(cloud, sep_tol),
                     controlled_set_check(cloud, sep_tol)) == (t, c)
             assert t.n_pairs == c.n_pairs
-        assert len(used) == 2
+        assert len(passes) == 2
 
     def test_either_order_equals_the_references(self, scanned_cloud):
         cloud, ref = scanned_cloud
@@ -1145,8 +1148,7 @@ class TestOnePass:
         assert transversality_scan(ahead) == transversality_scan(behind)
         assert controlled_set_check(ahead) == controlled
 
-    @pytest.mark.parametrize("layout", ["pairs", "row pieces", "rows",
-                                        "row pairs", "grid"])
+    @pytest.mark.parametrize("layout", ["rows", "row pairs", "grid"])
     def test_violations_at_the_threshold(self, monkeypatch, layout):
         # residual distances 1e-10 and one ulp either side of it, in blocks
         # whose least distance is below, at or above the threshold: each
@@ -1155,15 +1157,10 @@ class TestOnePass:
         ts = [1e-11, 1e-10, below, above, 1e-9, 1e-10, above, 1e-9]
         n = len(ts)
         cloud = planted_cloud(ts)
-        monkeypatch.setattr(boundary, "_blocks", lambda _, __: {
-            "pairs": [(slice(i, i + 1), slice(j, j + 1))
-                      for i in range(n) for j in range(n)],
-            "row pieces": [(slice(i, i + 1), slice(j, min(j + 3, n)))
-                           for i in range(n) for j in range(0, n, 3)],
-            "rows": [(slice(i, i + 1), slice(0, n)) for i in range(n)],
-            "row pairs": [(slice(i, i + 2), slice(0, n))
-                          for i in range(0, n, 2)],
-            "grid": [(slice(0, n), slice(0, n))]}[layout])
+        monkeypatch.setattr(boundary, "_chunks", lambda _, __: {
+            "rows": [slice(i, i + 1) for i in range(n)],
+            "row pairs": [slice(i, i + 2) for i in range(0, n, 2)],
+            "grid": [slice(0, n)]}[layout])
         report = controlled_set_check(cloud)
         words = cloud.words.tolist()
         assert report.violations == tuple(
@@ -1254,8 +1251,7 @@ class TestClosedFormMargins:
         angle = 10.0 ** -digits
         pairs = [flag_pair(rng, d, m, a) for a in (angle, None, None)]
         X, Y = (np.array(F) for F in zip(*pairs))
-        margins = boundary._margin(*boundary._FlagPair(X, Y)(
-            slice(0, 3), slice(0, 3)))
+        margins = boundary._margin(*boundary._FlagPair(X, Y)(slice(0, 3)))
         for a in range(3):
             for b in range(3):
                 ref = direct_sum_margin([X[a], Y[b]])
@@ -1269,8 +1265,7 @@ class TestClosedFormMargins:
         e = np.eye(4)
         X = np.array([e[:, :2], e[:, :2]])
         Y = np.array([e[:, :2], e[:, 2:]])
-        margins = boundary._margin(*boundary._FlagPair(X, Y)(
-            slice(0, 2), slice(0, 2)))
+        margins = boundary._margin(*boundary._FlagPair(X, Y)(slice(0, 2)))
         assert np.array_equal(margins, [[0.0, 1.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("d, m", [(4, 2), (6, 3)])
@@ -1289,8 +1284,8 @@ class TestClosedFormMargins:
                 assert abs(margins[layer, x, y] - float(exact)) <= 1e-15
 
     def test_memory_linear_in_samples(self, schottky_rep, monkeypatch):
-        blocks = boundary._blocks
-        used = record_blocks(monkeypatch)
+        passes = record_passes(monkeypatch)
+        default = boundary._PAIR_BYTES
         # the floats per pair of the one pass: the sine and cosine entries
         # of both flag pairs, and 16 more for the block's mask, cosines and
         # results
@@ -1299,12 +1294,18 @@ class TestClosedFormMargins:
             cloud = limit_samples(tau_representation(schottky_rep, d), m,
                                   radius)
             n, pair_bytes = len(cloud), 8 * (floats + 16)
-            for first, other in itertools.permutations(
-                    (transversality_scan, controlled_set_check)):
+            row = n * pair_bytes
+            # the default budget holds a row of each cloud; a third of a
+            # row holds none, and each block is then one row
+            assert row <= default
+            for budget, (first, other) in itertools.product(
+                    (default, row // 3), itertools.permutations(
+                        (transversality_scan, controlled_set_check))):
+                monkeypatch.setattr(boundary, "_PAIR_BYTES", budget)
                 # a fresh cloud on the same frame stacks, as limit_samples
                 # hands them over: the first scan runs the pass
                 scanned = fresh(cloud, stacks=cloud.frames)
-                used.clear()
+                passes.clear()
                 tracemalloc.start()
                 try:
                     report = first(scanned)
@@ -1312,16 +1313,21 @@ class TestClosedFormMargins:
                 finally:
                     tracemalloc.stop()
                 assert report.n_pairs > n * (n - 1) // 2
-                assert used == [pair_bytes]
                 # and the other runs no block
                 assert other(scanned).n_pairs == report.n_pairs
-                assert used == [pair_bytes]
-                # four of the largest block at that count, plus the
-                # (n, d, d) stacks
-                largest = max((r.stop - r.start) * (c.stop - c.start)
-                              for r, c in blocks(n, pair_bytes))
-                assert largest * pair_bytes <= boundary._PAIR_BYTES
-                bound = 4 * largest * pair_bytes + 4 * n * d * d * 8
+                rows, = passes
+                # whole rows in order, as many per block as the budget
+                # holds at that count, at least one
+                step = max(1, budget // row)
+                assert rows == [slice(a, min(a + step, n))
+                                for a in range(0, n, step)]
+                largest = max(r.stop - r.start for r in rows) * n
+                assert largest * pair_bytes <= max(budget, row)
+                # four of the largest block, plus the pass's per-sample
+                # arrays: the complete QRs behind the cloud's two
+                # complements, (n, d, d) each, the products' flattened
+                # frames, at most 4 n d^2 floats, and one QR's temporaries
+                bound = 4 * largest * pair_bytes + 8 * n * d * d * 8
                 assert peak <= bound
                 if n > 1000:
                     # at tau_3 R=6: less than one (n, n) boolean mask
