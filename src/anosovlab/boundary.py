@@ -573,21 +573,27 @@ class _PairProducts:
     of (n, d, q) frames R, a range of rows a at a time against every b,
     entry-major: a (p, q, r, n) array whose entry [i, j] is the contiguous
     (r, n) grid of the dot products of column i of L_a and column j of
-    R_b.  Both stacks are flattened once; a block is one GEMM and one copy
-    into that layout.  ``floats`` is the number of entries per pair,
-    p * q."""
+    R_b.  The stacks come laid out by :func:`_operand`, so that two
+    products share R's one copy; a block is one GEMM and one copy into
+    that layout.  ``floats`` is the number of entries per pair, p * q."""
 
     def __init__(self, L: np.ndarray, R: np.ndarray):
-        self._p, self._q = L.shape[2], R.shape[2]
-        self.floats = self._p * self._q
-        self._L = L.transpose(0, 2, 1).reshape(-1, L.shape[1])
-        self._R = R.transpose(1, 0, 2).reshape(R.shape[1], -1)
+        self._L, self._R, self._q = L, R, R.shape[1] // len(L)
+        self.floats = L.shape[1] * self._q
 
     def __call__(self, rows: slice) -> np.ndarray:
-        p, q = self._p, self._q
-        G = self._L[rows.start * p:rows.stop * p] @ self._R
+        L = self._L[rows]
+        G = L.reshape(-1, L.shape[2]) @ self._R
         return np.ascontiguousarray(G.reshape(
-            rows.stop - rows.start, p, -1, q).transpose(1, 3, 0, 2))
+            *L.shape[:2], -1, self._q).transpose(1, 3, 0, 2))
+
+
+def _operand(F: np.ndarray, left: bool) -> np.ndarray:
+    """A stack of (n, d, k) frames as the left operand of
+    :class:`_PairProducts`, the (n, k, d) view of its columns, or as the
+    right one, the (d, n k) matrix of its rows (a copy for k > 1)."""
+    return (F.transpose(0, 2, 1) if left
+            else F.transpose(1, 0, 2).reshape(F.shape[1], -1))
 
 
 class _FlagPair:
@@ -615,8 +621,9 @@ class _FlagPair:
         swap = X.shape[2] > Y.shape[2]
         if complement is None:
             complement = _complements(X if swap else Y)
-        self._sine = (_PairProducts(complement, Y) if swap
-                      else _PairProducts(X, complement))
+        X, Y = _operand(X, True), _operand(Y, False)
+        C = _operand(complement, swap)
+        self._sine = _PairProducts(C, Y) if swap else _PairProducts(X, C)
         self._cos = _PairProducts(X, Y)
         self.floats = self._sine.floats + self._cos.floats
 

@@ -279,10 +279,8 @@ def _ratios(lam: np.ndarray, m: int, tol: float,
     rows of Jordan vectors ``lam``, ``fill`` where the (1, m) gap is at
     most ``tol``."""
     top_gap = lam[:, 0] - lam[:, m - 1]
-    gapped = top_gap > tol
-    ratios = np.full(len(lam), fill)
-    ratios[gapped] = (lam[gapped, 0] - lam[gapped, m]) / top_gap[gapped]
-    return ratios
+    return np.divide(lam[:, 0] - lam[:, m], top_gap,
+                     out=np.full(len(lam), fill), where=top_gap > tol)
 
 
 def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:

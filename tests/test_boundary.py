@@ -998,6 +998,7 @@ class TestStackedScans:
         self.assert_same(*scanned_cloud)
 
     def test_chunks_split_mid_row(self, scanned_cloud, monkeypatch):
+        # a budget that would split a row: the pass runs single rows instead
         cloud, ref = scanned_cloud
         # a fresh cloud: the fixture's has its pass cached at the default
         # budget
@@ -1323,11 +1324,8 @@ class TestClosedFormMargins:
                                 for a in range(0, n, step)]
                 largest = max(r.stop - r.start for r in rows) * n
                 assert largest * pair_bytes <= max(budget, row)
-                # four of the largest block, plus the pass's per-sample
-                # arrays: the complete QRs behind the cloud's two
-                # complements, (n, d, d) each, the products' flattened
-                # frames, at most 4 n d^2 floats, and one QR's temporaries
-                bound = 4 * largest * pair_bytes + 8 * n * d * d * 8
+                # four of the largest block, plus the (n, d, d) stacks
+                bound = 4 * largest * pair_bytes + 4 * n * d * d * 8
                 assert peak <= bound
                 if n > 1000:
                     # at tau_3 R=6: less than one (n, n) boolean mask
