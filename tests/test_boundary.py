@@ -998,7 +998,6 @@ class TestStackedScans:
         self.assert_same(*scanned_cloud)
 
     def test_chunks_split_mid_row(self, scanned_cloud, monkeypatch):
-        # a budget that would split a row: the pass runs single rows instead
         cloud, ref = scanned_cloud
         # a fresh cloud: the fixture's has its pass cached at the default
         # budget
