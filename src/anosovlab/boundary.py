@@ -56,10 +56,13 @@ class FlagSample:
 @dataclass(frozen=True)
 class LimitCloud:
     """Flag samples of a limit set, with the flag index m and the recipe
-    of the representation.  The scans read the cloud's array form:
-    ``frames``, ``lines`` and ``words``, each built on first use and
-    read-only.  ``lines`` is the one point array: every distance of or to
-    a sampled point reads its rows.
+    of the representation.  The scans read the cloud's array form,
+    read-only: ``frames``, built with the cloud, and ``lines`` and
+    ``words``, built on first use.  ``lines`` is the one point array:
+    every distance of or to a sampled point reads its rows.  The flags of
+    a sample have ranks 1, m, d - m, d - 1 and 1, in the order of the
+    fields of :class:`FlagSample`; a cloud of other ranks raises
+    ``ValueError``.
 
     :func:`limit_samples` passes ``stacks``, the read-only frame stacks
     that its samples' frames are views of, which serve as ``frames``; a
@@ -74,6 +77,14 @@ class LimitCloud:
     def __post_init__(self, stacks):
         if stacks is not None:
             self.__dict__["frames"] = stacks  # the cached frames
+        if not self.samples:
+            return
+        d = self.samples[0].xi1_plus.ambient_dim
+        for (name, F), rank in zip(self.frames.items(),
+                                   (1, self.m, d - self.m, d - 1, 1)):
+            if F.shape[2] != rank:
+                raise ValueError(f"flag {name} has rank {F.shape[2]}, not "
+                                 f"{rank} (d = {d}, m = {self.m})")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -82,9 +93,16 @@ class LimitCloud:
     def frames(self) -> dict[str, np.ndarray]:
         """Flag name (a field of :class:`FlagSample`) -> the (n, d, k)
         stack of the samples' orthonormal frames of that flag."""
-        return {f.name: _readonly(np.stack([getattr(s, f.name).frame
-                                            for s in self.samples]))
-                for f in fields(FlagSample)[1:]}
+        frames = {}
+        for f in fields(FlagSample)[1:]:
+            stack = [getattr(s, f.name).frame for s in self.samples]
+            try:
+                frames[f.name] = _readonly(np.stack(stack))
+            except ValueError:
+                shapes = sorted({F.shape for F in stack})
+                raise ValueError(f"flag {f.name} has frames of shapes "
+                                 f"{shapes}") from None
+        return frames
 
     @cached_property
     def lines(self) -> np.ndarray:
@@ -525,57 +543,73 @@ def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float,
     if below < math.inf:
         keep &= sine2 < below * below
         band |= np.abs(sine2 - below * below) <= _BAND
-    a, b = np.nonzero(band)
-    if a.size:
+    if band.any():
+        a, b = np.nonzero(band)
         dp = _sines(P[a], Q[b])
         keep[a, b] = (dp >= sep_tol) & (dp < below)
     return keep
 
 
 def _sigma_max(G: np.ndarray) -> np.ndarray:
-    """(r, c) largest singular values of the p x q blocks of a (p, q, r, c)
-    entry-major grid (see :class:`_PairProducts`).  With k = min(p, q):
-    for k = 1 a norm, for k = 2 the larger eigenvalue of the 2 x 2 Gram
-    matrix (its diagonal a sum of non-negative terms), each from
-    elementwise sums over the entries, in order; for k >= 3 a stacked
-    SVD."""
+    """Largest singular values of the p x q blocks of a (p, q, ...)
+    entry-major grid (see :class:`_PairProducts`), one per trailing index.
+    With k = min(p, q): for k = 1 a norm, for k = 2 the larger eigenvalue
+    of the 2 x 2 Gram matrix (its diagonal a sum of non-negative terms),
+    each from elementwise sums over the entries, in order; for k >= 3 a
+    stacked SVD."""
     if G.shape[0] > G.shape[1]:
-        G = G.transpose(1, 0, 2, 3)
+        G = G.swapaxes(0, 1)
     if G.shape[0] == 1:
         return np.sqrt(reduce(np.add, G[0] * G[0]))
     if G.shape[0] == 2:
-        a, e = reduce(np.add, (G * G).transpose(1, 0, 2, 3))
+        a, e = reduce(np.add, (G * G).swapaxes(0, 1))
         b = reduce(np.add, G[0] * G[1])
         return np.sqrt(0.5 * (a + e) + np.hypot(0.5 * (a - e), b))
-    return np.linalg.svd(G.transpose(2, 3, 0, 1), compute_uv=False)[..., 0]
+    return np.linalg.svd(np.moveaxis(G, (0, 1), (-2, -1)),
+                         compute_uv=False)[..., 0]
+
+
+def _det(G: np.ndarray) -> np.ndarray:
+    """|det| of the 2 x 2 blocks of a (2, 2, ...) entry-major grid."""
+    (u0, u1), (v0, v1) = G
+    return np.abs(u0 * v1 - u1 * v0)
 
 
 def _sigma_min(G: np.ndarray) -> np.ndarray:
-    """(r, c) k-th singular values, k = min(p, q), of the p x q blocks of a
-    (p, q, r, c) entry-major grid.  A square block, as complementary flags
-    give, of k = 1 reads the entry's modulus, of k = 2 |det| / sigma_max,
-    each accurate to rounding, and a zero block gives 0.  Other blocks
-    take a stacked SVD."""
-    p, q = G.shape[:2]
-    if p == q == 1:
+    """k-th singular values of the k x k blocks of a (k, k, ...)
+    entry-major grid, one per trailing index: for k = 1 the entry's
+    modulus, for k = 2 |det| / sigma_max, each accurate to rounding, and
+    0 for a zero block; for k >= 3 a stacked SVD."""
+    if len(G) == 1:
         return np.abs(G[0, 0])
-    if p == q == 2:
-        (u0, u1), (v0, v1) = G
+    if len(G) == 2:
         # top = 0 only where every entry squares to 0, and so does the
         # determinant: those blocks give 0 / 5e-324 = 0
-        return np.abs(u0 * v1 - u1 * v0) / np.maximum(_sigma_max(G), 5e-324)
-    return np.linalg.svd(G.transpose(2, 3, 0, 1),
-                         compute_uv=False)[..., min(p, q) - 1]
+        return _det(G) / np.maximum(_sigma_max(G), 5e-324)
+    return np.linalg.svd(np.moveaxis(G, (0, 1), (-2, -1)),
+                         compute_uv=False)[..., -1]
+
+
+def _screen(G: np.ndarray) -> np.ndarray:
+    """Screens t of the k-th singular values s of the k x k blocks of a
+    (k, k, ...) entry-major grid, with s / sqrt(2) <= t <= s: s itself for
+    k != 2, and for k = 2 |det| / ||G||_F, whose numerator is that of
+    s = |det| / sigma_max, while ||G||_F^2 = sigma_max^2 + s^2 lies
+    between sigma_max^2 and 2 sigma_max^2."""
+    if len(G) != 2:
+        return _sigma_min(G)
+    norm = np.sqrt(reduce(np.add, (G * G).reshape(4, *G.shape[2:])))
+    return _det(G) / np.maximum(norm, 5e-324)
 
 
 class _PairProducts:
     """The products L_a^T R_b of a stack of (n, d, p) frames L and a stack
     of (n, d, q) frames R, a range of rows a at a time against every b,
-    entry-major: a (p, q, r, n) array whose entry [i, j] is the contiguous
-    (r, n) grid of the dot products of column i of L_a and column j of
-    R_b.  The stacks come laid out by :func:`_operand`, so that two
-    products share R's one copy; a block is one GEMM and one copy into
-    that layout.  ``floats`` is the number of entries per pair, p * q."""
+    entry-major: a (p, q, r, n) view whose entry [i, j] is the (r, n) grid
+    of the dot products of column i of L_a and column j of R_b.  The
+    stacks come laid out by :func:`_operand`, so that two products share
+    R's one copy; a block is one GEMM.  ``floats`` is the number of
+    entries per pair, p * q."""
 
     def __init__(self, L: np.ndarray, R: np.ndarray):
         self._L, self._R, self._q = L, R, R.shape[1] // len(L)
@@ -584,8 +618,7 @@ class _PairProducts:
     def __call__(self, rows: slice) -> np.ndarray:
         L = self._L[rows]
         G = L.reshape(-1, L.shape[2]) @ self._R
-        return np.ascontiguousarray(G.reshape(
-            *L.shape[:2], -1, self._q).transpose(1, 3, 0, 2))
+        return G.reshape(*L.shape[:2], -1, self._q).transpose(1, 3, 0, 2)
 
 
 def _operand(F: np.ndarray, left: bool) -> np.ndarray:
@@ -597,11 +630,9 @@ def _operand(F: np.ndarray, left: bool) -> np.ndarray:
 
 
 class _FlagPair:
-    """The sines s and cosines c from which :func:`_margin` forms the
-    direct-sum margins ``sigma_min([X_a | Y_b])`` of the pairs of a stack
-    of (n, d, p) frames X and a stack of (n, d, q) frames Y, p + q = d
-    for the flags of a cloud (p + q < d for hand-built frames), the (r, n)
-    pairs of a range of rows of X per call.
+    """The direct-sum margins ``sigma_min([X_a | Y_b])`` of the pairs of a
+    stack of (n, d, p) frames X and a stack of (n, d, q) frames Y,
+    complementary (p + q = d), a range of rows of X at a time.
 
     [X Y]^T [X Y] has the eigenvalues 1 +- cos(theta_i) and 1, for the
     principal angles theta_i between the two spans (Björck & Golub, Math.
@@ -609,12 +640,17 @@ class _FlagPair:
     c = cos(theta_1) = sigma_max(X^T Y) and s = sin(theta_1).  The sine
     form keeps the margin's absolute accuracy near zero (Knyazev &
     Argentati, SIAM J. Sci. Comput. 23, 2002).  With k = min(p, q), s is
-    the k-th singular value of X^T Y' for the complement Y' of Y when
-    p <= q, else of X'^T Y for the complement X' of X: a k x k block for
-    p + q = d.  ``complement`` is that Y' or X', computed when not given.
+    the k-th singular value of the k x k block X^T Y' for the complement
+    Y' of Y when p <= q, else of X'^T Y for the complement X' of X.
+    ``complement`` is that Y' or X', computed when not given.
+
+    As 0 <= c <= 1, the margin lies in [s / sqrt(2), s]: a call gives the
+    block's sine screens (see :func:`_screen`), within a factor sqrt(2)
+    of the margins either way, and a function that computes the margins
+    of the pairs at given positions of the block alone.
 
     ``floats`` is the number of float entries a pair's two products hold:
-    k^2 sine entries and p * q cosine entries, for p + q = d."""
+    k^2 sine entries and p * q cosine entries."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray,
                  complement: np.ndarray | None = None):
@@ -635,12 +671,25 @@ class _FlagPair:
         return cls(X, Y, cloud.complement(x if X.shape[2] > Y.shape[2]
                                           else y))
 
-    def __call__(self, rows: slice) -> tuple:
-        return _sigma_min(self._sine(rows)), _sigma_max(self._cos(rows))
+    def __call__(self, rows: slice, keep: np.ndarray) -> tuple:
+        """The (r, n) sine screens of a range of rows, inf where ``keep``
+        is False, and the function of flat positions t in that block that
+        gives the margins of their pairs.  It gathers their sine entries
+        from the block's sine GEMM and their cosine entries from one
+        cosine GEMM of the block, and runs the kernels of a whole block on
+        them, so a margin's bits do not depend on which pairs are asked
+        for."""
+        sines = np.ascontiguousarray(self._sine(rows))
+
+        def margins(t: np.ndarray) -> np.ndarray:
+            a, b = np.divmod(t, sines.shape[3])
+            return _margin(_sigma_min(sines[:, :, a, b]),
+                           _sigma_max(self._cos(rows)[:, :, a, b]))
+        return np.where(keep, _screen(sines), math.inf), margins
 
 
 def _margin(s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The margins s / sqrt(1 + c) of a block of :class:`_FlagPair`."""
+    """The margins s / sqrt(1 + c) of :class:`_FlagPair`."""
     return s / np.sqrt(1.0 + c)
 
 
@@ -659,17 +708,24 @@ def _first_below(values: np.ndarray, best: float) -> int | None:
     return t if values[t] < best else None
 
 
-def _least_kept(values: np.ndarray, keep: np.ndarray, best: tuple,
-                rows: slice) -> tuple:
-    """``best``, a ``(value, (x, y))`` pair, or the first least kept value
-    of a block of rows in row-major order with its pair if that beats
-    it."""
-    masked = np.where(keep, values, math.inf)
-    t = _first_below(masked.reshape(-1), best[0])
-    if t is None:
+def _least_margin(flags: tuple, best: tuple, rows: slice) -> tuple:
+    """``best``, a ``(value, (x, y))`` pair, or the first least kept margin
+    of a block of rows in row-major order with its pair if that beats it.
+    ``flags`` are the block's screens of kept pairs and margin function
+    (see :class:`_FlagPair`).  A margin lies within a factor sqrt(2) of
+    its screen t, so none is above twice the least screen; margins are
+    computed only for the pairs whose t / 2 is at most the lesser of that
+    and ``best``, the pairs that can set or tie the minimum."""
+    screen, margins = flags
+    least = screen.min()
+    if least == math.inf or least > 2 * best[0]:
         return best
-    a, b = divmod(t, masked.shape[1])
-    return float(masked[a, b]), (rows.start + a, b)
+    t = np.flatnonzero(screen <= 2 * min(best[0], 2 * least))
+    values = margins(t)
+    if (i := _first_below(values, best[0])) is None:
+        return best
+    a, b = divmod(int(t[i]), screen.shape[1])
+    return float(values[i]), (rows.start + a, b)
 
 
 def _worst(cloud: LimitCloud, best: tuple) -> tuple[float, tuple[str, str]]:
@@ -698,31 +754,32 @@ class ControlledSetReport:
 
 
 def _pair_blocks(cloud: LimitCloud, sep_tol: float):
-    """Blocks ``(rows, keep, margin_m, margin_1, sine_1)`` of the ordered
-    pairs (x, y) of a cloud, whole rows x of the pair grid at a time (see
-    :func:`_chunks`): the (r, n) margins of xi^(m)(x) against xi^(d-m)(y)
-    and of xi^(1)(x) against xi^(d-1)(y), the latter's sines |x . n_y|,
-    and the mask of the pairs whose plus point of x and minus point of y
-    are sep_tol or more apart."""
+    """Blocks ``(rows, keep, flags_m, flags_1)`` of the ordered pairs
+    (x, y) of a cloud, whole rows x of the pair grid at a time (see
+    :func:`_chunks`): the mask of the pairs whose plus point of x and
+    minus point of y are sep_tol or more apart, and the (r, n) screens and
+    the margin function (see :class:`_FlagPair`) of xi^(m)(x) against
+    xi^(d-m)(y) and of xi^(1)(x) against xi^(d-1)(y).  The latter's
+    screens are its sines |x . n_y|."""
     plus, minus = cloud.lines
     flags_m = _FlagPair.of(cloud, "xim_plus", "xi_dm_minus")
     flags_1 = _FlagPair.of(cloud, "xi1_plus", "xi_d1_minus")
     n = len(cloud)
     for rows in _chunks(n, n * 8 * (flags_m.floats + flags_1.floats + 16)):
-        s, c = flags_1(rows)
-        yield (rows, _separated(plus[rows], minus, sep_tol),
-               _margin(*flags_m(rows)), _margin(s, c), s)
+        keep = _separated(plus[rows], minus, sep_tol)
+        yield rows, keep, flags_m(rows, keep), flags_1(rows, keep)
 
 
 def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
     """Both pair scans' reports from one pass over :func:`_pair_blocks`,
-    computed once per cloud and ``sep_tol``, on first use.  The sine
-    |x . n_y| screens the controlled-set distance: a block's kept pairs
-    screened at most ``_BAND`` above ``_VIOLATION`` or above the lesser of
-    its least kept sine and the least distance so far are recomputed as
-    ``point_subspace_distance``'s residual, and the least distance, its
-    first pair and the violations are read from those alone, so they are
-    the residual's."""
+    computed once per cloud and ``sep_tol``, on first use.  The least
+    margins are screened by their sines (see :func:`_least_margin`).  The
+    sine |x . n_y| screens the controlled-set distance: a block's kept
+    pairs screened at most ``_BAND`` above ``_VIOLATION`` or above the
+    lesser of its least kept sine and the least distance so far are
+    recomputed as ``point_subspace_distance``'s residual, and the least
+    distance, its first pair and the violations are read from those
+    alone, so they are the residual's."""
     if len(cloud) < 2:
         raise ValueError("need at least 2 samples")
     cache = cloud.__dict__.setdefault("_pair_reports", {})
@@ -731,15 +788,16 @@ def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
     best_m = best_1 = best = (math.inf, None)
     violations = []
     n = 0
-    for rows, keep, marg_m, marg_1, s in _pair_blocks(cloud, sep_tol):
+    for rows, keep, flags_m, flags_1 in _pair_blocks(cloud, sep_tol):
         n += int(np.count_nonzero(keep))
-        best_m = _least_kept(marg_m, keep, best_m, rows)
-        best_1 = _least_kept(marg_1, keep, best_1, rows)
-        least = np.min(s, where=keep, initial=math.inf)
+        best_m = _least_margin(flags_m, best_m, rows)
+        best_1 = _least_margin(flags_1, best_1, rows)
+        s = flags_1[0]
+        least = s.min()
         top = max(min(least, best[0]), _VIOLATION) + _BAND
         if least >= top:  # no kept pair, or none that can count
             continue
-        a, b = np.nonzero(keep & (s <= top))
+        a, b = np.divmod(np.flatnonzero(s <= top), s.shape[1])
         a += rows.start
         dist = _residuals(cloud.lines[0][a], cloud.frames["xi_d1_minus"][b])
         if (t := _first_below(dist, best[0])) is not None:
@@ -770,10 +828,17 @@ def transversality_scan(cloud: LimitCloud,
     principal angle (see :class:`_FlagPair`): for the line x against the
     hyperplane with unit normal n_y, s = |x . n_y| and c the norm of x's
     projection on the hyperplane.  It agrees with ``direct_sum_margin``
-    to rounding.  The pairs go a block of whole rows at a time (see
-    :func:`_pair_blocks`), separation test included, in one pass per cloud
-    and ``sep_tol`` shared with :func:`controlled_set_check` (see
-    :func:`_pair_reports`): a caller of both pays for one pass.  Beyond
+    to rounding.  As 0 <= c <= 1 the margin lies in [s / sqrt(2), s], so
+    the sines screen the pairs: cosines and margins are computed only for
+    kept pairs whose sine bound can reach the least margin so far (see
+    :func:`_least_margin`).  A pair screened out has a margin above that
+    minimum and can neither set nor tie it, and a computed margin has the
+    bits it has in a full computation of its block, so the report is
+    that of every pair's margin.  The pairs go a block of whole rows at a
+    time (see :func:`_pair_blocks`), separation test included, in one
+    pass per cloud and ``sep_tol`` shared with
+    :func:`controlled_set_check` (see :func:`_pair_reports`): a caller of
+    both pays for one pass.  Beyond
     the (n, d, k) frame stacks and the cloud's complements, memory stays
     within a few block temporaries of max(``_PAIR_BYTES``, one row of n
     pairs) each, linear in the number of samples."""

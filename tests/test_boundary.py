@@ -662,16 +662,48 @@ class TestConjugators:
 
 
 class TestTransversality:
-    def test_coordinate_flags(self, schottky_rep):
+    def test_coordinate_flags(self):
+        # d = 3, m = 1: each sample's line against a coordinate plane.  The
+        # plus line u = (e1 + e2) / sqrt(2) of "A" leans 45 degrees off
+        # both planes, so [u | plane] has the Gram eigenvalues 1 +- cos 45
+        # and 1, and the margin sqrt(1 - 1 / sqrt(2)); e1 against
+        # span(e2, e3) has margin 1, and the pair of e1 with the minus
+        # point e1 of "A" is skipped
+        e = np.eye(3)
+        gens = representation_from_matrices(
+            {"a": np.diag([2.0, 1.0, 0.5])}).generators
+        u = (e[0] + e[1]) / math.sqrt(2)
+        s1 = make_sample(gens, "a", e[0], e[:, :1], e[:, 1:], e[:, 1:], e[2])
+        s2 = make_sample(gens, "A", u, u[:, None], e[:, ::2], e[:, ::2], e[0])
+        cloud = LimitCloud(samples=(s1, s2), m=1, rep_recipe={})
+        report = transversality_scan(cloud)
+        margin = math.sqrt(1 - 1 / math.sqrt(2))
+        assert report.n_pairs == 3
+        assert report.min_margin_m == pytest.approx(margin, abs=1e-15)
+        assert report.min_margin_1 == pytest.approx(margin, abs=1e-15)
+        assert report.worst_pair_m == report.worst_pair_1 == ("A", "a")
+
+    @pytest.mark.parametrize("m, flag, rank", [(1, "xi_dm_minus", 1),
+                                               (2, "xim_plus", 1)])
+    def test_flags_of_other_ranks_rejected(self, m, flag, rank):
+        # the flags of the parent's coordinate test had xi_dm_minus a line
+        # at m = 1; at m = 2 the same samples' xim_plus is a line
         e = np.eye(3)
         gens = representation_from_matrices(
             {"a": np.diag([2.0, 1.0, 0.5])}).generators
         s1 = make_sample(gens, "a", e[0], e[:, :1], e[:, 2:], e[:, 1:], e[2])
-        s2 = make_sample(gens, "A", e[1], e[:, 1:2], e[:, :1],
-                         np.column_stack([e[:, 0], e[:, 2]]), e[0])
-        cloud = LimitCloud(samples=(s1, s2), m=1, rep_recipe={})
-        report = transversality_scan(cloud)
-        assert report.min_margin_m == pytest.approx(1.0)
+        with pytest.raises(ValueError, match=f"flag {flag} has rank {rank},"):
+            LimitCloud(samples=(s1,), m=m, rep_recipe={})
+
+    def test_flags_of_mixed_ranks_rejected(self):
+        e = np.eye(3)
+        gens = representation_from_matrices(
+            {"a": np.diag([2.0, 1.0, 0.5])}).generators
+        s1 = make_sample(gens, "a", e[0], e[:, :2], e[:, 2:], e[:, 1:], e[2])
+        s2 = make_sample(gens, "A", e[1], e[:, :1], e[:, 2:], e[:, 1:], e[2])
+        with pytest.raises(ValueError, match="flag xim_plus has frames of "
+                                             r"shapes \[\(3, 1\), \(3, 2\)\]"):
+            LimitCloud(samples=(s1, s2), m=2, rep_recipe={})
 
     def test_fuchsian_positive(self, tau3_rep):
         # margins at a tangency shrink quadratically with the point
@@ -854,14 +886,27 @@ def reference_transversality(cloud, sep_tol=1e-3):
     return best_m, pair_m, best_1, pair_1, n_pairs, margins
 
 
-def scan_margins(cloud, sep_tol=1e-3):
-    """The (n, n) margins of the blocks of the pair pass (nan where a pair
-    is skipped)."""
+def scan_margins(cloud, sep_tol=1e-3, screens=False):
+    """The full grid of the pair pass: the (2, n, n) margins of xi^(m) and
+    of xi^(1) pairs (nan where a pair is skipped), each computed by its
+    block's margin function for every kept pair of the block, as the pass
+    computes those it screens in; with ``screens``, also the (2, n, n)
+    sine screens (inf where a pair is skipped)."""
     n = len(cloud)
     margins = np.full((2, n, n), np.nan)
-    for rows, keep, *values, _ in boundary._pair_blocks(cloud, sep_tol):
-        margins[:, rows] = np.where(keep, values, np.nan)
-    return margins
+    grid = np.full((2, n, n), math.inf)
+    for rows, keep, *flags in boundary._pair_blocks(cloud, sep_tol):
+        for layer, (screen, margin) in enumerate(flags):
+            grid[layer, rows] = screen
+            margins[layer, rows][keep] = margin(np.flatnonzero(keep))
+    return (margins, grid) if screens else margins
+
+
+def all_margins(X, Y):
+    """The (n, n) margins of ``_FlagPair(X, Y)``, all pairs in one block."""
+    n = len(X)
+    _, margins = boundary._FlagPair(X, Y)(slice(0, n), np.ones((n, n), bool))
+    return margins(np.arange(n * n)).reshape(n, n)
 
 
 def fresh(cloud, **stacks):
@@ -1090,6 +1135,112 @@ class TestStackedScans:
             hyperconvexity_scan(tau4_cloud, n_triples=2, sep_tol=2.0)
 
 
+def counted_margins(monkeypatch):
+    """The number of margins each pass over ``_pair_blocks`` computes from
+    now on, one entry per pass."""
+    counts = []
+    pair_blocks = boundary._pair_blocks
+
+    def counted(cloud, sep_tol):
+        counts.append(0)
+
+        def count(margins):
+            def margin(t):
+                counts[-1] += len(t)
+                return margins(t)
+            return margin
+        for rows, keep, *flags in pair_blocks(cloud, sep_tol):
+            yield rows, keep, *((screen, count(margins))
+                                for screen, margins in flags)
+
+    monkeypatch.setattr(boundary, "_pair_blocks", counted)
+    return counts
+
+
+@pytest.fixture(scope="module", params=[(3, 2, 5), (4, 2, 5), (6, 3, 4)],
+                ids=lambda p: "tau%d-m%d-R%d" % p)
+def screened_cloud(request, schottky_rep):
+    """Clouds whose m-margins' sine blocks are 1 x 1, 2 x 2 and 3 x 3."""
+    d, m, radius = request.param
+    return limit_samples(tau_representation(schottky_rep, d), m, radius)
+
+
+class TestSineScreen:
+    """The pair pass computes margins only where the sine screen says a
+    pair can set or tie the minimum: against the full grid of margins,
+    every pair's margin computed by its block's margin function."""
+
+    def test_screens_bracket_every_margin(self, screened_cloud):
+        margins, screens = scan_margins(screened_cloud, screens=True)
+        kept = ~np.isnan(margins)
+        assert np.array_equal(kept, np.isfinite(screens))
+        assert kept.sum() > len(screened_cloud) ** 2
+        ratio = margins[kept] / screens[kept]
+        # the pass's rule, t / 2 <= margin <= 2 t, holds with room: the
+        # margin lies in [s / sqrt(2), s] and the screen t in the same
+        # interval of the sine s, so margin / t lies in [2^-1/2, 2^1/2]
+        eps = 4 * np.finfo(float).eps
+        assert ratio.min() >= (1 - eps) / math.sqrt(2)
+        assert ratio.max() <= (1 + eps) * math.sqrt(2)
+        d = screened_cloud.samples[0].xi1_plus.ambient_dim
+        if min(screened_cloud.m, d - screened_cloud.m) != 2:
+            # the screen is the sine itself, and bounds the margin above
+            assert ratio[: kept[0].sum()].max() <= 1.0
+        assert ratio[kept[0].sum():].max() <= 1.0  # the sines |x . n_y|
+
+    def test_reports_equal_the_full_grid(self, screened_cloud, monkeypatch):
+        counts = counted_margins(monkeypatch)
+        cloud = fresh(screened_cloud)
+        t = transversality_scan(cloud)
+        margins = scan_margins(cloud)
+        assert (t.min_margin_m, t.worst_pair_m) == first_least(cloud,
+                                                              margins[0])
+        assert (t.min_margin_1, t.worst_pair_1) == first_least(cloud,
+                                                              margins[1])
+        # the pass computed a few percent of what the full grid did
+        computed, grid = counts
+        assert computed < 0.1 * grid
+
+    @pytest.mark.parametrize("layout", ["rows", "grid"])
+    def test_tied_pairs_report_the_first(self, monkeypatch, layout):
+        # d = 3, m = 1: the plus lines (c, s, 0) of "aa" and (c, 0, s) of
+        # "A" both lie at the sine c off span(e2, e3), the hyperplane of
+        # "a", with equal cosines s, and so at equal margins; every other
+        # pair has its sine above 0.5.  Both reports name ("aa", "a"), in
+        # one block or in two
+        e = np.eye(3)
+        gens = representation_from_matrices(
+            {"a": np.diag([2.0, 1.0, 0.5])}).generators
+        c, s = math.cos(1.47), math.sin(1.47)
+        normal = np.array([1.0, 1.0, -1.0]) / math.sqrt(3)
+        tilted = np.linalg.qr(np.column_stack([normal, e[1] + e[2]]),
+                              mode="complete")[0][:, 1:]
+        cloud = LimitCloud(samples=tuple(
+            make_sample(gens, w, x, x[:, None], H, H, H[:, 1])
+            for w, x, H in [("a", e[0], e[:, 1:]),
+                            ("aa", np.array([c, s, 0.0]), tilted),
+                            ("A", np.array([c, 0.0, s]), tilted)]),
+            m=1, rep_recipe={})
+        if layout == "rows":
+            monkeypatch.setattr(boundary, "_PAIR_BYTES", 1)
+        best_m, pair_m, best_1, pair_1, n, margins = reference_transversality(
+            cloud)
+        scanned = scan_margins(cloud)
+        assert scanned[0, 1, 0] == scanned[0, 2, 0] == np.nanmin(scanned[0])
+        assert np.array_equal(scanned[0], scanned[1], equal_nan=True)
+        assert margins[0, 1, 0] == margins[0, 2, 0] == best_m
+        assert pair_m == pair_1 == ("aa", "a")
+        t = transversality_scan(cloud)
+        assert (t.worst_pair_m, t.worst_pair_1, t.n_pairs) == (pair_m, pair_1,
+                                                               n)
+        assert t.min_margin_m == t.min_margin_1 == scanned[0, 1, 0]
+        ctrl = controlled_set_check(cloud)
+        best, worst, violations, n = reference_controlled_set(cloud)
+        assert (ctrl.min_margin, ctrl.worst_pair, ctrl.violations,
+                ctrl.n_pairs) == (best, worst, violations, n)
+        assert worst == ("aa", "a")
+
+
 def planted_cloud(ts):
     """A d = 3 cloud whose controlled-set distances are exact: sample i has
     the plus point (t_i, 0, 1), a unit row as it stands, and the
@@ -1251,7 +1402,7 @@ class TestClosedFormMargins:
         angle = 10.0 ** -digits
         pairs = [flag_pair(rng, d, m, a) for a in (angle, None, None)]
         X, Y = (np.array(F) for F in zip(*pairs))
-        margins = boundary._margin(*boundary._FlagPair(X, Y)(slice(0, 3)))
+        margins = all_margins(X, Y)
         for a in range(3):
             for b in range(3):
                 ref = direct_sum_margin([X[a], Y[b]])
@@ -1265,7 +1416,7 @@ class TestClosedFormMargins:
         e = np.eye(4)
         X = np.array([e[:, :2], e[:, :2]])
         Y = np.array([e[:, :2], e[:, 2:]])
-        margins = boundary._margin(*boundary._FlagPair(X, Y)(slice(0, 2)))
+        margins = all_margins(X, Y)
         assert np.array_equal(margins, [[0.0, 1.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("d, m", [(4, 2), (6, 3)])
