@@ -1197,9 +1197,10 @@ class TestSineScreen:
                                                               margins[0])
         assert (t.min_margin_1, t.worst_pair_1) == first_least(cloud,
                                                               margins[1])
-        # the pass computed a few percent of what the full grid did
+        # the pass computed under 0.1% of the full grid's margins on these
+        # clouds
         computed, grid = counts
-        assert computed < 0.1 * grid
+        assert computed < 0.01 * grid
 
     @pytest.mark.parametrize("layout", ["rows", "grid"])
     def test_tied_pairs_report_the_first(self, monkeypatch, layout):
