@@ -686,8 +686,8 @@ class TestTransversality:
     @pytest.mark.parametrize("m, flag, rank", [(1, "xi_dm_minus", 1),
                                                (2, "xim_plus", 1)])
     def test_flags_of_other_ranks_rejected(self, m, flag, rank):
-        # the flags of the parent's coordinate test had xi_dm_minus a line
-        # at m = 1; at m = 2 the same samples' xim_plus is a line
+        # a line where xi_dm_minus must be a plane at m = 1, and where
+        # xim_plus must be a plane at m = 2
         e = np.eye(3)
         gens = representation_from_matrices(
             {"a": np.diag([2.0, 1.0, 0.5])}).generators
