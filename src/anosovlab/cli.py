@@ -376,6 +376,15 @@ def _run_alpha(rep, fields, radius, seed):
                "converged": bool(est.converged)}
     if not est.converged:
         results["note"] = "possibly not converged"
+    if not est.witness_gap > fields["tol"]:
+        # an element of infinite order with lam_m = lam_(m+1): not
+        # P_m-Anosov, so the theorem does not apply and the ratio is not
+        # the limit set's regularity
+        results["hypotheses"] = (
+            f"the witness's Jordan gap log(lam_{m} / lam_{m + 1}) = "
+            f"{est.witness_gap:.3g} is at most tol = {fields['tol']:g}: the "
+            f"representation is outside the theorem's hypotheses (not "
+            f"P_{m}-Anosov), and alpha is not a regularity exponent")
     return results, True, {
         "alpha_per_radius.csv": (["radius", "alpha_inf"],
                                  [per_radius[:, 0].astype(int)],

@@ -183,19 +183,74 @@ def eigen_moduli(M) -> np.ndarray:
 def singular_values(M, top: bool = False) -> np.ndarray:
     """Singular values sorted descending, of one matrix or of each matrix
     of a stack (..., d, d), from LAPACK's SVD.  With ``top``, only the
-    largest, of shape (..., 1): sqrt(lambda_max(U^T U)) 2^e with
-    U = M / 2^e, e the exponent of the matrix's largest |entry|.  The
-    scaling is exact and keeps the Gram's entries at most d, so no finite
-    M overflows it; the top eigenvalue of a rounded PSD matrix errs by
+    largest, of shape (..., 1): sqrt(lambda) 2^e, lambda the largest
+    eigenvalue of the Gram G = U^T U of U = M / 2^e, e the exponent of the
+    matrix's largest |entry|.  The scaling is exact and keeps G's entries
+    at most d, so no finite M overflows it.  lambda comes from LAPACK's
+    ``eigvalsh`` of G: the top eigenvalue of a rounded PSD matrix errs by
     O(d eps) of itself (Weyl), so sigma_1 keeps the SVD's relative
-    accuracy."""
+    accuracy.
+
+    For d = 3 a closed form gives lambda (Smith, Commun. ACM 4, 1961):
+    with q = tr G / 3, p^2 = ||G - qI||_F^2 / 6 and r = det((G - qI)/p) / 2
+    in [-1, 1], the eigenvalues are q + 2p cos((arccos r + 2 pi k) / 3),
+    so lambda = q + 2p c(r), c(r) = cos(arccos(r) / 3) in [1/2, 1], and
+    lambda = q where p = 0 (a multiple of I, returned exactly).  Both
+    terms are >= 0 and p <= lambda / 3, so the rounding of q and p, read
+    off entries |G_ij| <= lambda, costs a few eps of lambda.  Rounding r
+    by dr ~ eps lambda / p costs 2p |c'(r)| |dr|, and c'(r) =
+    sin(phi/3) / (3 sin phi) <= 1 / (2 sqrt(6) sqrt(1 + r)), phi =
+    arccos r.  So to first order
+        |d lambda| <= (a + b / sqrt(1 + r)) eps lambda,
+    a <= 8 and b <= 9 by a running-error count (the off-diagonal entries
+    of G - qI are G's own), a ~ 1 and b ~ 0.6 measured as the worst over
+    6,000 random Grams.  Where p is itself a few ulps of lambda, dr may
+    be O(1), but then 2p |dc| <= p.  As the top two eigenvalues meet,
+    r -> -1 and the first-order term diverges: the error grows to
+    O(sqrt(eps)) (Kopp, Int. J. Mod. Phys. C 19, 2008).  The closed form
+    is therefore kept for r > -3/4, where 1 / sqrt(1 + r) < 2 holds the
+    r term to twice its size at r = 0: there the worst measured error
+    was 1 eps of lambda, against 4 eps for ``eigvalsh``.  The rows with
+    r <= -3/4 take ``eigvalsh`` as above, with its bits.  The closed
+    form's Gram sums its three products in index order, with no BLAS,
+    so those rows' bits depend on no thread count and no stack size."""
     A = _as_matrix(M, stack=True)
     if not top:
         return np.linalg.svd(A, compute_uv=False)
-    e = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))[1]
-    U = np.ldexp(A, -e)
-    lam = np.linalg.eigvalsh(U.swapaxes(-1, -2) @ U)[..., -1:]
-    return np.ldexp(np.sqrt(lam), e[..., 0])
+    if A.shape[-1] != 3:
+        e = np.frexp(np.abs(A).max(axis=(-2, -1), keepdims=True))[1]
+        U = np.ldexp(A, -e)
+        lam = np.linalg.eigvalsh(U.swapaxes(-1, -2) @ U)[..., -1:]
+        return np.ldexp(np.sqrt(lam), e[..., 0])
+    S = A.reshape(-1, 3, 3)
+    U = S.reshape(-1, 9).T.copy()  # U[3k + i] = S[:, k, i]
+    e = np.frexp(np.maximum(U.max(axis=0), -U.min(axis=0)))[1]
+    U = np.ldexp(U, -e, out=U).reshape(3, 3, -1)
+    g00, g01, g02, g11, g12, g22 = (
+        U[0, i] * U[0, j] + U[1, i] * U[1, j] + U[2, i] * U[2, j]
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    del U
+    # G - qI with q = g00 + t: diagonal -t, b1, b2; off-diagonal G's own
+    b1, b2 = g11 - g00, g22 - g00
+    t = (b1 + b2) / 3
+    b1 -= t
+    b2 -= t
+    b0 = -t
+    p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2
+                 + 2 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with p = 0
+        s = 1 / p
+        for x in (b0, b1, b2, g01, g02, g12):  # (G - qI) / p
+            x *= s
+        r = (b0 * (b1 * b2 - g12 * g12) - g01 * (g01 * b2 - g12 * g02)
+             + g02 * (g01 * g12 - b1 * g02)) / 2
+    r = np.where(p > 0, np.clip(r, -1.0, 1.0), 1.0)
+    lam = g00 + t + 2 * p * np.cos(np.arccos(r) / 3)
+    close = np.flatnonzero(r <= -0.75)
+    if close.size:
+        V = np.ldexp(S[close], -e[close, None, None])
+        lam[close] = np.linalg.eigvalsh(V.swapaxes(-1, -2) @ V)[:, -1]
+    return np.ldexp(np.sqrt(lam), e).reshape(*A.shape[:-2], 1)
 
 
 def top_invariant_subspace(M, m: int) -> Subspace:

@@ -271,6 +271,7 @@ class AlphaEstimate:
     witness: GroupElement
     per_radius: np.ndarray  # shape (R, 2): radius, running infimum (nan if none)
     converged: bool
+    witness_gap: float  # the witness's Jordan gap log(lam_m / lam_(m+1))
 
 
 def _ratios(lam: np.ndarray, m: int, tol: float,
@@ -291,7 +292,10 @@ def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
     The infimum over the whole group is truncated to the ball; the
     per-radius column makes convergence visible and ``converged`` flags
     whether the last two radii agree within 1e-6.  The witness is the
-    shortest element whose ratio ties the infimum within a relative 1e-12.
+    shortest element whose ratio ties the infimum within a relative 1e-12;
+    ``witness_gap`` is its (m, m+1) gap on the log scale, which is 0 for
+    an element of infinite order only where the representation is not
+    P_m-Anosov.
     """
     d = ball.gens.dim
     if not 2 <= m <= d - 1:
@@ -312,7 +316,9 @@ def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
     tail = per_radius[~np.isnan(per_radius[:, 1]), 1]
     converged = tail.size >= 2 and abs(tail[-1] - tail[-2]) <= 1e-6
     return AlphaEstimate(m=m, value=value, witness=ball[best],
-                         per_radius=per_radius, converged=converged)
+                         per_radius=per_radius, converged=converged,
+                         witness_gap=float(ball.jordan[best, m - 1]
+                                           - ball.jordan[best, m]))
 
 
 def gelfand_check(M, i: int, K: int) -> np.ndarray:

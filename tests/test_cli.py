@@ -428,6 +428,21 @@ class TestRun:
         assert (out / "spectra.csv").exists()
         header = (out / "spectra.csv").read_text().splitlines()[0]
         assert header.startswith("word,length,mu_1")
+        assert "hypotheses" not in summary["results"]
+
+    def test_alpha_outside_the_hypotheses(self, tmp_path):
+        # the witness AAbaB has a complex pair, lam_2 = lam_3: its ratio 1
+        # is not a regularity exponent, though the radii agree on it
+        cfg = json.loads(config_path("fuchsian_tau3").read_text())
+        cfg["representation"] = {"kind": "perturb", "eps": 0.1, "seed": 4,
+                                 "base": cfg["representation"]}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["witness"] == "AAbaB" and results["converged"]
+        assert results["alpha"] == pytest.approx(1.0, abs=1e-12)
+        assert "not a regularity exponent" in results["hypotheses"]
 
     def test_csv_cells_are_plain_floats(self, tmp_path):
         out = tmp_path / "out"

@@ -199,6 +199,56 @@ class TestTopSingularValues:
         want = np.array([top_sigma_50_digits(A) for A in S])
         self.assert_within_bound(got, want, d)
 
+    @staticmethod
+    def planted(rng, delta: float, scale: float) -> np.ndarray:
+        """3 x 3 matrices U diag(1, 1 - delta, s3) V^T * scale, U and V
+        random orthogonal, s3 = 0.5, 1e-4 and 1e-8: sigma_2 = sigma_1 (1 -
+        delta), so the top two Gram eigenvalues are close for small delta
+        and r = det((G - qI)/p) / 2 is near -1."""
+        stack = []
+        for s3 in (0.5, 1e-4, 1e-8):
+            U, V = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in "UV")
+            stack.append((U * [1.0, 1.0 - delta, s3]) @ V.T * scale)
+        return np.array(stack)
+
+    @pytest.mark.parametrize("delta", [float(f"1e-{k}") for k in range(1, 13)]
+                             + [0.0])
+    def test_planted_near_double_top(self, delta):
+        # the closed form alone errs by up to sqrt(eps) here; the screened
+        # rows take eigvalsh
+        rng = np.random.default_rng(int(-np.log10(delta)) if delta else 0)
+        S = np.concatenate([self.planted(rng, delta, scale)
+                            for scale in 10.0 ** np.arange(-300, 301, 50)])
+        want = np.array([top_sigma_50_digits(A) for A in S])
+        self.assert_within_bound(top_sigma(S), want, 3)
+
+    def test_screened_rows_are_eigvalsh_bits(self):
+        # near-double tops and the powers of a = diag(2, 2, 1/4), whose
+        # Grams have r = -1: every row is screened
+        rng = np.random.default_rng(400)
+        a = np.diag([2.0, 2.0, 0.25])
+        S = np.concatenate([self.planted(rng, delta, scale)
+                            for delta in (0.0, 1e-12, 1e-6, 1e-2)
+                            for scale in (1e-300, 1.0, 1e300)]
+                           + [[np.linalg.matrix_power(a, k)
+                               for k in range(1, 40)]])
+        e = np.frexp(np.abs(S).max(axis=(-2, -1)))[1]
+        U = np.ldexp(S, -e[:, None, None])
+        lam = np.linalg.eigvalsh(U.swapaxes(-1, -2) @ U)[:, -1]
+        assert top_sigma(S).tobytes() == np.ldexp(np.sqrt(lam), e).tobytes()
+
+    def test_multiples_of_the_identity_exact(self):
+        # Gram matrices c I: p = 0, so lambda = q = c, with no rounding
+        P = np.eye(3)[[2, 0, 1]] * [[1.0], [-1.0], [1.0]]  # signed permutation
+        Q = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, -2.0], [2.0, -2.0, 1.0]])
+        cases = [(np.eye(3), 1.0), (P, 1.0), (Q, 3.0), (Q / 1024, 3.0 / 1024)]
+        for c in (2.0, -3.7, 0.1, 1e-300, 7e300, np.pi):
+            cases += [(c * np.eye(3), abs(c)), (c * P, abs(c))]
+        S = np.array([M for M, _ in cases])
+        want = np.array([sigma for _, sigma in cases])
+        assert np.array_equal(top_sigma(S), want)
+        assert all(top_sigma(M) == sigma for M, sigma in cases)
+
 
 class TestTopInvariantSubspace:
     def test_diagonal_top_line(self):
