@@ -494,13 +494,16 @@ def limit_samples(rep: Representation, m: int, radius: int,
 
 
 # Byte budget of the float temporaries of one block of the pair pass (the
-# cosines behind the sep_tol test, the per-pair products of frames, the
-# margins) and of one batch of drawn triples; between blocks only the
-# (n, d, k) per-sample stacks and 1-D per-triple arrays stay alive.  A pair
-# holds 8 (floats_m + floats_1 + 16) bytes (see :class:`_FlagPair`), 224 B
-# at d = 4, m = 2.  A block of the pair pass is whole rows of the pair
-# grid, at least one, so it holds max(_PAIR_BYTES, one row) bytes: one row
-# of n pairs outgrows the budget from n = 1,171 at d = 4, m = 2.
+# cosines behind the sep_tol test, the per-pair sine products, the sines)
+# and of one batch of drawn triples; between blocks only the (n, d, k)
+# per-sample stacks and 1-D per-triple arrays stay alive.  A pair holds
+# 8 (floats_m + floats_1 + 16) bytes, its k^2 sine entries of both flag
+# pairs (see :class:`_FlagPair`) and 16 for the mask and the sines, 168 B
+# at d = 4, m = 2; the pass computes no cosine block but the one of each
+# least margin's own pair, after the last block.  A block of the pair pass
+# is whole rows of the pair grid, at least one, so it holds
+# max(_PAIR_BYTES, one row) bytes: one row of n pairs outgrows the budget
+# from n = 1,561 at d = 4, m = 2.
 _PAIR_BYTES = 256 << 10
 
 # Half-width of the band in which a scan recomputes a value screened from
@@ -552,11 +555,11 @@ def _separated(P: np.ndarray, Q: np.ndarray, sep_tol: float,
 
 def _sigma_max(G: np.ndarray) -> np.ndarray:
     """Largest singular values of the p x q blocks of a (p, q, ...)
-    entry-major grid (see :class:`_PairProducts`), one per trailing index.
-    With k = min(p, q): for k = 1 a norm, for k = 2 the larger eigenvalue
-    of the 2 x 2 Gram matrix (its diagonal a sum of non-negative terms),
-    each from elementwise sums over the entries, in order; for k >= 3 a
-    stacked SVD."""
+    entry-major grid (see :meth:`_FlagPair.__call__`), one per trailing
+    index.  With k = min(p, q): for k = 1 a norm, for k = 2 the larger
+    eigenvalue of the 2 x 2 Gram matrix (its diagonal a sum of
+    non-negative terms), each from elementwise sums over the entries, in
+    order; for k >= 3 a stacked SVD."""
     if G.shape[0] > G.shape[1]:
         G = G.swapaxes(0, 1)
     if G.shape[0] == 1:
@@ -590,49 +593,11 @@ def _sigma_min(G: np.ndarray) -> np.ndarray:
                          compute_uv=False)[..., -1]
 
 
-def _screen(G: np.ndarray) -> np.ndarray:
-    """Screens t of the k-th singular values s of the k x k blocks of a
-    (k, k, ...) entry-major grid, with s / sqrt(2) <= t <= s: s itself for
-    k != 2, and for k = 2 |det| / ||G||_F, whose numerator is that of
-    s = |det| / sigma_max, while ||G||_F^2 = sigma_max^2 + s^2 lies
-    between sigma_max^2 and 2 sigma_max^2."""
-    if len(G) != 2:
-        return _sigma_min(G)
-    norm = np.sqrt(reduce(np.add, (G * G).reshape(4, *G.shape[2:])))
-    return _det(G) / np.maximum(norm, 5e-324)
-
-
-class _PairProducts:
-    """The products L_a^T R_b of a stack of (n, d, p) frames L and a stack
-    of (n, d, q) frames R, a range of rows a at a time against every b,
-    entry-major: a (p, q, r, n) view whose entry [i, j] is the (r, n) grid
-    of the dot products of column i of L_a and column j of R_b.  The
-    stacks come laid out by :func:`_operand`, so that two products share
-    R's one copy; a block is one GEMM.  ``floats`` is the number of
-    entries per pair, p * q."""
-
-    def __init__(self, L: np.ndarray, R: np.ndarray):
-        self._L, self._R, self._q = L, R, R.shape[1] // len(L)
-        self.floats = L.shape[1] * self._q
-
-    def __call__(self, rows: slice) -> np.ndarray:
-        L = self._L[rows]
-        G = L.reshape(-1, L.shape[2]) @ self._R
-        return G.reshape(*L.shape[:2], -1, self._q).transpose(1, 3, 0, 2)
-
-
-def _operand(F: np.ndarray, left: bool) -> np.ndarray:
-    """A stack of (n, d, k) frames as the left operand of
-    :class:`_PairProducts`, the (n, k, d) view of its columns, or as the
-    right one, the (d, n k) matrix of its rows (a copy for k > 1)."""
-    return (F.transpose(0, 2, 1) if left
-            else F.transpose(1, 0, 2).reshape(F.shape[1], -1))
-
-
 class _FlagPair:
-    """The direct-sum margins ``sigma_min([X_a | Y_b])`` of the pairs of a
-    stack of (n, d, p) frames X and a stack of (n, d, q) frames Y,
-    complementary (p + q = d), a range of rows of X at a time.
+    """The sines of the least principal angles between a stack of (n, d, p)
+    frames X and a stack of (n, d, q) frames Y, complementary (p + q = d),
+    a range of rows of X at a time, and the direct-sum margins
+    ``sigma_min([X_a | Y_b])`` of given pairs.
 
     [X Y]^T [X Y] has the eigenvalues 1 +- cos(theta_i) and 1, for the
     principal angles theta_i between the two spans (Björck & Golub, Math.
@@ -640,28 +605,29 @@ class _FlagPair:
     c = cos(theta_1) = sigma_max(X^T Y) and s = sin(theta_1).  The sine
     form keeps the margin's absolute accuracy near zero (Knyazev &
     Argentati, SIAM J. Sci. Comput. 23, 2002).  With k = min(p, q), s is
-    the k-th singular value of the k x k block X^T Y' for the complement
-    Y' of Y when p <= q, else of X'^T Y for the complement X' of X.
-    ``complement`` is that Y' or X', computed when not given.
+    the k-th singular value of the k x k block L^T R: L = X and R the
+    complement Y' of Y when p <= q, else L the complement X' of X and
+    R = Y.  ``complement`` is that Y' or X', computed when not given.
 
-    As 0 <= c <= 1, the margin lies in [s / sqrt(2), s]: a call gives the
-    block's sine screens (see :func:`_screen`), within a factor sqrt(2)
-    of the margins either way, and a function that computes the margins
-    of the pairs at given positions of the block alone.
+    As c = sqrt(1 - s^2), the margin sqrt(1 - sqrt(1 - s^2)) rises with
+    s: the least sine belongs to the least margin, and a search for the
+    least margin reads the sines alone.
 
-    ``floats`` is the number of float entries a pair's two products hold:
-    k^2 sine entries and p * q cosine entries."""
+    ``floats`` is the number of float entries of a pair's sine block,
+    k^2."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray,
                  complement: np.ndarray | None = None):
         swap = X.shape[2] > Y.shape[2]
         if complement is None:
             complement = _complements(X if swap else Y)
-        X, Y = _operand(X, True), _operand(Y, False)
-        C = _operand(complement, swap)
-        self._sine = _PairProducts(C, Y) if swap else _PairProducts(X, C)
-        self._cos = _PairProducts(X, Y)
-        self.floats = self._sine.floats + self._cos.floats
+        self._X, self._Y = X, Y
+        L, R = (complement, Y) if swap else (X, complement)
+        # L as the (n, k, d) view of its columns, R as the (d, n k) matrix
+        # of its rows (a copy for k > 1): a block of rows of L is one GEMM
+        self._L = L.transpose(0, 2, 1)
+        self._R = R.transpose(1, 0, 2).reshape(R.shape[1], -1)
+        self.floats = L.shape[2] ** 2
 
     @classmethod
     def of(cls, cloud: LimitCloud, x: str, y: str) -> _FlagPair:
@@ -671,26 +637,31 @@ class _FlagPair:
         return cls(X, Y, cloud.complement(x if X.shape[2] > Y.shape[2]
                                           else y))
 
-    def __call__(self, rows: slice, keep: np.ndarray) -> tuple:
-        """The (r, n) sine screens of a range of rows, inf where ``keep``
-        is False, and the function of flat positions t in that block that
-        gives the margins of their pairs.  It gathers their sine entries
-        from the block's sine GEMM and their cosine entries from one
-        cosine GEMM of the block, and runs the kernels of a whole block on
-        them, so a margin's bits do not depend on which pairs are asked
-        for."""
-        sines = np.ascontiguousarray(self._sine(rows))
+    def __call__(self, rows: slice, keep: np.ndarray) -> np.ndarray:
+        """The (r, n) sines of a range of rows a, inf where ``keep`` is
+        False: the k-th singular values (see :func:`_sigma_min`) of the
+        products L_a^T R_b against every b, from one GEMM, as a contiguous
+        (k, k, r, n) entry-major grid whose entry [i, j] is the (r, n) grid
+        of the dot products of column i of L_a and column j of R_b."""
+        L = self._L[rows]
+        r, k, d = L.shape
+        G = (L.reshape(-1, d) @ self._R).reshape(r, k, -1, k)
+        sines = _sigma_min(np.ascontiguousarray(G.transpose(1, 3, 0, 2)))
+        return np.where(keep, sines, math.inf)
 
-        def margins(t: np.ndarray) -> np.ndarray:
-            a, b = np.divmod(t, sines.shape[3])
-            return _margin(_sigma_min(sines[:, :, a, b]),
-                           _sigma_max(self._cos(rows)[:, :, a, b]))
-        return np.where(keep, _screen(sines), math.inf), margins
+    def margins(self, a, b, s: np.ndarray) -> np.ndarray:
+        """The margins s / sqrt(1 + c) of the pairs (X_a, Y_b), for index
+        arrays a and b and the pairs' sines s from a call: one stacked
+        product X_a^T Y_b of the pairs' own frames gives the cosines c.
+        Taken as sqrt(1 - s^2) instead, c would lose half its digits as s
+        nears 1."""
+        G = self._X[a].swapaxes(1, 2) @ self._Y[b]
+        return s / np.sqrt(1.0 + _sigma_max(np.moveaxis(G, 0, -1)))
 
 
-def _margin(s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The margins s / sqrt(1 + c) of :class:`_FlagPair`."""
-    return s / np.sqrt(1.0 + c)
+# The flag pairs of the transversality scan: xi^(m)(x) against xi^(d-m)(y),
+# and xi^(1)(x) against xi^(d-1)(y)
+_FLAGS = (("xim_plus", "xi_dm_minus"), ("xi1_plus", "xi_d1_minus"))
 
 
 def _margins(*stacks: np.ndarray) -> np.ndarray:
@@ -708,24 +679,13 @@ def _first_below(values: np.ndarray, best: float) -> int | None:
     return t if values[t] < best else None
 
 
-def _least_margin(flags: tuple, best: tuple, rows: slice) -> tuple:
-    """``best``, a ``(value, (x, y))`` pair, or the first least kept margin
-    of a block of rows in row-major order with its pair if that beats it.
-    ``flags`` are the block's screens of kept pairs and margin function
-    (see :class:`_FlagPair`).  A margin lies within a factor sqrt(2) of
-    its screen t, so none is above twice the least screen; margins are
-    computed only for the pairs whose t / 2 is at most the lesser of that
-    and ``best``, the pairs that can set or tie the minimum."""
-    screen, margins = flags
-    least = screen.min()
-    if least == math.inf or least > 2 * best[0]:
+def _least(values: np.ndarray, best: tuple, rows: slice) -> tuple:
+    """``best``, a ``(value, (x, y))`` pair, or the first least value of a
+    block of rows in row-major order with its pair if that beats it."""
+    if (t := _first_below(values.ravel(), best[0])) is None:
         return best
-    t = np.flatnonzero(screen <= 2 * min(best[0], 2 * least))
-    values = margins(t)
-    if (i := _first_below(values, best[0])) is None:
-        return best
-    a, b = divmod(int(t[i]), screen.shape[1])
-    return float(values[i]), (rows.start + a, b)
+    a, b = divmod(t, values.shape[1])
+    return float(values[a, b]), (rows.start + a, b)
 
 
 def _worst(cloud: LimitCloud, best: tuple) -> tuple[float, tuple[str, str]]:
@@ -753,28 +713,35 @@ class ControlledSetReport:
     n_pairs: int
 
 
-def _pair_blocks(cloud: LimitCloud, sep_tol: float):
-    """Blocks ``(rows, keep, flags_m, flags_1)`` of the ordered pairs
-    (x, y) of a cloud, whole rows x of the pair grid at a time (see
+def _pair_blocks(cloud: LimitCloud, sep_tol: float, pairs: list):
+    """Blocks ``(rows, keep, sines_m, sines_1)`` of the ordered pairs (x, y)
+    of a cloud, whole rows x of the pair grid at a time (see
     :func:`_chunks`): the mask of the pairs whose plus point of x and
-    minus point of y are sep_tol or more apart, and the (r, n) screens and
-    the margin function (see :class:`_FlagPair`) of xi^(m)(x) against
-    xi^(d-m)(y) and of xi^(1)(x) against xi^(d-1)(y).  The latter's
-    screens are its sines |x . n_y|."""
+    minus point of y are sep_tol or more apart, and for each
+    :class:`_FlagPair` in ``pairs`` (those of ``_FLAGS``) the (r, n) sines
+    of the kept pairs, inf elsewhere; the second's are |x . n_y|.  The
+    blocks hold no cosine of a flag pair: the least margins need the
+    sines alone (see :func:`_pair_reports`)."""
     plus, minus = cloud.lines
-    flags_m = _FlagPair.of(cloud, "xim_plus", "xi_dm_minus")
-    flags_1 = _FlagPair.of(cloud, "xi1_plus", "xi_d1_minus")
     n = len(cloud)
-    for rows in _chunks(n, n * 8 * (flags_m.floats + flags_1.floats + 16)):
+    floats = sum(flags.floats for flags in pairs) + 16
+    for rows in _chunks(n, n * 8 * floats):
         keep = _separated(plus[rows], minus, sep_tol)
-        yield rows, keep, flags_m(rows, keep), flags_1(rows, keep)
+        yield rows, keep, *(flags(rows, keep) for flags in pairs)
 
 
 def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
     """Both pair scans' reports from one pass over :func:`_pair_blocks`,
-    computed once per cloud and ``sep_tol``, on first use.  The least
-    margins are screened by their sines (see :func:`_least_margin`).  The
-    sine |x . n_y| screens the controlled-set distance: a block's kept
+    computed once per cloud and ``sep_tol``, on first use.
+
+    A margin rises with its sine (see :class:`_FlagPair`), so each least
+    margin is found as the first least kept sine in row-major order, which
+    in exact arithmetic is also the first least margin.  Once the pass
+    ends, that pair's margin comes from its sine and one cosine block of
+    its own frames (:meth:`_FlagPair.margins`): one per least margin, and
+    none where no pair is kept.
+
+    The sine |x . n_y| screens the controlled-set distance: a block's kept
     pairs screened at most ``_BAND`` above ``_VIOLATION`` or above the
     lesser of its least kept sine and the least distance so far are
     recomputed as ``point_subspace_distance``'s residual, and the least
@@ -785,17 +752,18 @@ def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
     cache = cloud.__dict__.setdefault("_pair_reports", {})
     if sep_tol in cache:
         return cache[sep_tol]
-    best_m = best_1 = best = (math.inf, None)
+    pairs = [_FlagPair.of(cloud, x, y) for x, y in _FLAGS]
+    least = [(math.inf, None)] * len(pairs)
+    best = (math.inf, None)
     violations = []
     n = 0
-    for rows, keep, flags_m, flags_1 in _pair_blocks(cloud, sep_tol):
+    for rows, keep, *sines in _pair_blocks(cloud, sep_tol, pairs):
         n += int(np.count_nonzero(keep))
-        best_m = _least_margin(flags_m, best_m, rows)
-        best_1 = _least_margin(flags_1, best_1, rows)
-        s = flags_1[0]
-        least = s.min()
-        top = max(min(least, best[0]), _VIOLATION) + _BAND
-        if least >= top:  # no kept pair, or none that can count
+        least = [_least(s, b, rows) for s, b in zip(sines, least)]
+        s = sines[1]
+        low = s.min()
+        top = max(min(low, best[0]), _VIOLATION) + _BAND
+        if low >= top:  # no kept pair, or none that can count
             continue
         a, b = np.divmod(np.flatnonzero(s <= top), s.shape[1])
         a += rows.start
@@ -805,8 +773,13 @@ def _pair_reports(cloud: LimitCloud, sep_tol: float) -> tuple:
         bad = dist <= _VIOLATION
         violations += zip(cloud.words[a[bad]].tolist(),
                           cloud.words[b[bad]].tolist())
-    cache[sep_tol] = (TransversalityReport(*_worst(cloud, best_m),
-                                           *_worst(cloud, best_1), n),
+    worst = []
+    for flags, (value, pair) in zip(pairs, least):
+        if pair is not None:
+            x, y = pair
+            value = float(flags.margins([x], [y], value)[0])
+        worst += _worst(cloud, (value, pair))
+    cache[sep_tol] = (TransversalityReport(*worst, n),
                       ControlledSetReport(*_worst(cloud, best),
                                           tuple(violations), n))
     return cache[sep_tol]
@@ -828,20 +801,17 @@ def transversality_scan(cloud: LimitCloud,
     principal angle (see :class:`_FlagPair`): for the line x against the
     hyperplane with unit normal n_y, s = |x . n_y| and c the norm of x's
     projection on the hyperplane.  It agrees with ``direct_sum_margin``
-    to rounding.  As 0 <= c <= 1 the margin lies in [s / sqrt(2), s], so
-    the sines screen the pairs: cosines and margins are computed only for
-    kept pairs whose sine bound can reach the least margin so far (see
-    :func:`_least_margin`).  A pair screened out has a margin above that
-    minimum and can neither set nor tie it, and a computed margin has the
-    bits it has in a full computation of its block, so the report is
-    that of every pair's margin.  The pairs go a block of whole rows at a
-    time (see :func:`_pair_blocks`), separation test included, in one
-    pass per cloud and ``sep_tol`` shared with
-    :func:`controlled_set_check` (see :func:`_pair_reports`): a caller of
-    both pays for one pass.  Beyond
-    the (n, d, k) frame stacks and the cloud's complements, memory stays
-    within a few block temporaries of max(``_PAIR_BYTES``, one row of n
-    pairs) each, linear in the number of samples."""
+    to rounding.  As c = sqrt(1 - s^2), the margin rises with s, so the
+    pass reads each kept pair's sine alone and keeps the first least sine
+    in row-major order, the pair of the first least margin in exact
+    arithmetic; only that pair's margin is computed, with one cosine
+    block per least margin (see :func:`_pair_reports`).  The pairs go a
+    block of whole rows at a time (see :func:`_pair_blocks`), separation
+    test included, in one pass per cloud and ``sep_tol`` shared with
+    :func:`controlled_set_check`: a caller of both pays for one pass.
+    Beyond the (n, d, k) frame stacks and the cloud's complements, memory
+    stays within a few block temporaries of max(``_PAIR_BYTES``, one row
+    of n pairs) each, linear in the number of samples."""
     return _pair_reports(cloud, sep_tol)[0]
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "subspace_distance",
     "subspace_intersection",
     "orthonormalize",
-    "apply_to_subspace",
 ]
 
 # least relative modulus gap of top_invariant_subspace, and of the class
@@ -365,7 +364,3 @@ def orthonormalize(A: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
             U[:, j] = -U[:, j]
     return U
 
-
-def apply_to_subspace(M, V) -> Subspace:
-    """Image of a subspace under an invertible matrix, re-orthonormalized."""
-    return Subspace(orthonormalize(_as_matrix(M) @ _as_frame(V)))

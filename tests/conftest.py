@@ -6,6 +6,12 @@ import pytest
 
 from anosovlab.functors import (Representation, build_representation,
                                 direct_sum_rep, tau_representation)
+from anosovlab.linalg import Subspace, orthonormalize
+
+
+def apply_to_subspace(M: np.ndarray, V: Subspace) -> Subspace:
+    """Image of a subspace under an invertible matrix, re-orthonormalized."""
+    return Subspace(orthonormalize(M @ V.frame))
 
 
 def load_example_config(name: str) -> dict:

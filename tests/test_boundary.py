@@ -19,10 +19,9 @@ from anosovlab.functors import (build_representation, direct_sum_rep,
 from anosovlab.groups import (_sorted_lifts, canonical_cyclic, cyclic_reduce,
                               enumerate_ball, free_reduce, inverse_word)
 from anosovlab.linalg import (SpectralGapError, Subspace, _sines,
-                              apply_to_subspace, direct_sum_margin,
-                              proj_distance, subspace_distance,
-                              top_invariant_subspace)
-from tests.conftest import load_example_config
+                              direct_sum_margin, proj_distance,
+                              subspace_distance, top_invariant_subspace)
+from tests.conftest import apply_to_subspace, load_example_config
 from tests.words import (assert_witnesses_formatted, ball_words,
                          class_keys, conjugators, decode, genus2_rep,
                          sl2_letters, word_ball)
@@ -886,27 +885,37 @@ def reference_transversality(cloud, sep_tol=1e-3):
     return best_m, pair_m, best_1, pair_1, n_pairs, margins
 
 
-def scan_margins(cloud, sep_tol=1e-3, screens=False):
+def flag_pairs(cloud):
+    """The two ``_FlagPair`` s of the pair pass on a cloud."""
+    return [boundary._FlagPair.of(cloud, x, y) for x, y in boundary._FLAGS]
+
+
+def scan_margins(cloud, sep_tol=1e-3, sines=False):
     """The full grid of the pair pass: the (2, n, n) margins of xi^(m) and
-    of xi^(1) pairs (nan where a pair is skipped), each computed by its
-    block's margin function for every kept pair of the block, as the pass
-    computes those it screens in; with ``screens``, also the (2, n, n)
-    sine screens (inf where a pair is skipped)."""
+    of xi^(1) pairs (nan where a pair is skipped), each from the sine its
+    block gives and the cosine block of the pair's own frames
+    (``_FlagPair.margins``), as the pass computes its least margins; with
+    ``sines``, also the (2, n, n) sines (inf where a pair is skipped)."""
     n = len(cloud)
     margins = np.full((2, n, n), np.nan)
     grid = np.full((2, n, n), math.inf)
-    for rows, keep, *flags in boundary._pair_blocks(cloud, sep_tol):
-        for layer, (screen, margin) in enumerate(flags):
-            grid[layer, rows] = screen
-            margins[layer, rows][keep] = margin(np.flatnonzero(keep))
-    return (margins, grid) if screens else margins
+    pairs = flag_pairs(cloud)
+    for rows, keep, *blocks in boundary._pair_blocks(cloud, sep_tol, pairs):
+        a, b = np.nonzero(keep)
+        for layer, (flags, s) in enumerate(zip(pairs, blocks)):
+            grid[layer, rows] = s
+            margins[layer, rows][keep] = flags.margins(a + rows.start, b,
+                                                       s[keep])
+    return (margins, grid) if sines else margins
 
 
 def all_margins(X, Y):
-    """The (n, n) margins of ``_FlagPair(X, Y)``, all pairs in one block."""
+    """The (n, n) margins of ``_FlagPair(X, Y)``, all sines in one block."""
     n = len(X)
-    _, margins = boundary._FlagPair(X, Y)(slice(0, n), np.ones((n, n), bool))
-    return margins(np.arange(n * n)).reshape(n, n)
+    flags = boundary._FlagPair(X, Y)
+    sines = flags(slice(0, n), np.ones((n, n), bool))
+    a, b = np.divmod(np.arange(n * n), n)
+    return flags.margins(a, b, sines.ravel()).reshape(n, n)
 
 
 def fresh(cloud, **stacks):
@@ -921,10 +930,10 @@ def record_passes(monkeypatch):
     passes = []
     pair_blocks = boundary._pair_blocks
 
-    def recorded(cloud, sep_tol):
+    def recorded(cloud, sep_tol, pairs):
         rows = []
         passes.append(rows)
-        for block in pair_blocks(cloud, sep_tol):
+        for block in pair_blocks(cloud, sep_tol, pairs):
             rows.append(block[0])
             yield block
 
@@ -1135,72 +1144,85 @@ class TestStackedScans:
             hyperconvexity_scan(tau4_cloud, n_triples=2, sep_tol=2.0)
 
 
-def counted_margins(monkeypatch):
-    """The number of margins each pass over ``_pair_blocks`` computes from
-    now on, one entry per pass."""
+def counted_cosines(monkeypatch):
+    """The number of pairs of each cosine block that ``_FlagPair.margins``
+    computes from now on, one entry per block."""
     counts = []
-    pair_blocks = boundary._pair_blocks
+    margins = boundary._FlagPair.margins
 
-    def counted(cloud, sep_tol):
-        counts.append(0)
+    def counted(self, a, b, s):
+        counts.append(len(a))
+        return margins(self, a, b, s)
 
-        def count(margins):
-            def margin(t):
-                counts[-1] += len(t)
-                return margins(t)
-            return margin
-        for rows, keep, *flags in pair_blocks(cloud, sep_tol):
-            yield rows, keep, *((screen, count(margins))
-                                for screen, margins in flags)
-
-    monkeypatch.setattr(boundary, "_pair_blocks", counted)
+    monkeypatch.setattr(boundary._FlagPair, "margins", counted)
     return counts
+
+
+def exact_margin(X, Y):
+    """sigma_min([X Y]) in 50-digit arithmetic."""
+    A = mpmath.matrix(np.hstack([X, Y]).tolist())
+    with mpmath.workdps(50):
+        return float(min(mpmath.svd_r(A, compute_uv=False)))
 
 
 @pytest.fixture(scope="module", params=[(3, 2, 5), (4, 2, 5), (6, 3, 4)],
                 ids=lambda p: "tau%d-m%d-R%d" % p)
-def screened_cloud(request, schottky_rep):
+def sine_cloud(request, schottky_rep):
     """Clouds whose m-margins' sine blocks are 1 x 1, 2 x 2 and 3 x 3."""
     d, m, radius = request.param
     return limit_samples(tau_representation(schottky_rep, d), m, radius)
 
 
-class TestSineScreen:
-    """The pair pass computes margins only where the sine screen says a
-    pair can set or tie the minimum: against the full grid of margins,
-    every pair's margin computed by its block's margin function."""
+class TestLeastSine:
+    """A margin rises with its sine, so the pair pass reads the sines
+    alone and computes one margin per least margin: against the full grid
+    of sines and margins."""
 
-    def test_screens_bracket_every_margin(self, screened_cloud):
-        margins, screens = scan_margins(screened_cloud, screens=True)
+    def test_margins_rise_with_their_sines(self, sine_cloud):
+        margins, sines = scan_margins(sine_cloud, sines=True)
         kept = ~np.isnan(margins)
-        assert np.array_equal(kept, np.isfinite(screens))
-        assert kept.sum() > len(screened_cloud) ** 2
-        ratio = margins[kept] / screens[kept]
-        # the pass's rule, t / 2 <= margin <= 2 t, holds with room: the
-        # margin lies in [s / sqrt(2), s] and the screen t in the same
-        # interval of the sine s, so margin / t lies in [2^-1/2, 2^1/2]
+        assert np.array_equal(kept, np.isfinite(sines))
+        assert kept.sum() > len(sine_cloud) ** 2
         eps = 4 * np.finfo(float).eps
-        assert ratio.min() >= (1 - eps) / math.sqrt(2)
-        assert ratio.max() <= (1 + eps) * math.sqrt(2)
-        d = screened_cloud.samples[0].xi1_plus.ambient_dim
-        if min(screened_cloud.m, d - screened_cloud.m) != 2:
-            # the screen is the sine itself, and bounds the margin above
-            assert ratio[: kept[0].sum()].max() <= 1.0
-        assert ratio[kept[0].sum():].max() <= 1.0  # the sines |x . n_y|
+        for layer in range(2):
+            s, m = sines[layer][kept[layer]], margins[layer][kept[layer]]
+            # the margin s / sqrt(1 + c) lies in [s / sqrt(2), s] ...
+            assert (m >= s * (1 - eps) / math.sqrt(2)).all()
+            assert (m <= s).all()
+            # ... and, in the order of the sines, never falls by more than
+            # its rounding where the slope s / (2 m c) of m(s) is below
+            # 0.82, up to s = 1/2; it grows without bound as s nears 1,
+            # where equal sines give margins apart by the cosines' rounding
+            low = s <= 0.5
+            m = m[low][np.argsort(s[low], kind="stable")]
+            assert len(m) > len(sine_cloud)
+            assert (np.diff(m) >= -eps * m[1:]).all()
 
-    def test_reports_equal_the_full_grid(self, screened_cloud, monkeypatch):
-        counts = counted_margins(monkeypatch)
-        cloud = fresh(screened_cloud)
+    def test_reports_read_the_first_least_sine(self, sine_cloud,
+                                               monkeypatch):
+        counts = counted_cosines(monkeypatch)
+        cloud = fresh(sine_cloud)
         t = transversality_scan(cloud)
-        margins = scan_margins(cloud)
-        assert (t.min_margin_m, t.worst_pair_m) == first_least(cloud,
-                                                              margins[0])
-        assert (t.min_margin_1, t.worst_pair_1) == first_least(cloud,
-                                                              margins[1])
-        # the pass computed under 0.1% of the full grid's margins on these
-        # clouds
-        computed, grid = counts
-        assert computed < 0.01 * grid
+        # one cosine block of one pair per least margin
+        assert counts == [1, 1]
+        margins, sines = scan_margins(cloud, sines=True)
+        for layer, ((fx, fy), got, pair) in enumerate(zip(
+                boundary._FLAGS, (t.min_margin_m, t.min_margin_1),
+                (t.worst_pair_m, t.worst_pair_1))):
+            x, y = divmod(int(np.argmin(sines[layer])), len(cloud))
+            assert pair == (cloud.words[x], cloud.words[y])
+            # the margin of the pass's own sine for that pair; its first
+            # least margin on the grid too, on these clouds
+            assert got == margins[layer, x, y]
+            assert (got, pair) == first_least(cloud, margins[layer])
+            X, Y = cloud.frames[fx][x], cloud.frames[fy][y]
+            assert abs(got - direct_sum_margin([X, Y])) <= 1e-12
+            assert abs(got - exact_margin(X, Y)) <= 1e-15
+
+    def test_no_cosine_without_a_kept_pair(self, tau4_cloud, monkeypatch):
+        counts = counted_cosines(monkeypatch)
+        t = transversality_scan(fresh(tau4_cloud), sep_tol=2.0)
+        assert (t.n_pairs, counts) == (0, [])
 
     @pytest.mark.parametrize("layout", ["rows", "grid"])
     def test_tied_pairs_report_the_first(self, monkeypatch, layout):
@@ -1424,25 +1446,19 @@ class TestClosedFormMargins:
     def test_smallest_margins_against_mpmath(self, schottky_rep, d, m):
         cloud = limit_samples(tau_representation(schottky_rep, d), m, 4)
         margins = np.nan_to_num(scan_margins(cloud), nan=math.inf)
-        flags = (("xim_plus", "xi_dm_minus"), ("xi1_plus", "xi_d1_minus"))
-        for layer, (fx, fy) in enumerate(flags):
+        for layer, (fx, fy) in enumerate(boundary._FLAGS):
             for t in np.argsort(margins[layer], axis=None)[:30]:
                 x, y = divmod(int(t), len(cloud))
-                A = np.hstack([getattr(cloud.samples[x], fx).frame,
-                               getattr(cloud.samples[y], fy).frame])
-                with mpmath.workdps(50):
-                    exact = min(mpmath.svd_r(mpmath.matrix(A.tolist()),
-                                             compute_uv=False))
-                assert abs(margins[layer, x, y] - float(exact)) <= 1e-15
+                exact = exact_margin(cloud.frames[fx][x], cloud.frames[fy][y])
+                assert abs(margins[layer, x, y] - exact) <= 1e-15
 
     def test_memory_linear_in_samples(self, schottky_rep, monkeypatch):
         passes = record_passes(monkeypatch)
         default = boundary._PAIR_BYTES
-        # the floats per pair of the one pass: the sine and cosine entries
-        # of both flag pairs, and 16 more for the block's mask, cosines and
-        # results
-        for d, m, radius, floats in ((3, 2, 6, 3 + 3), (4, 2, 5, 8 + 4),
-                                     (6, 3, 4, 18 + 6)):
+        # the floats per pair of the one pass: the k^2 sine entries of both
+        # flag pairs, and 16 more for the block's mask, cosines and sines
+        for d, m, radius, floats in ((3, 2, 6, 1 + 1), (4, 2, 5, 4 + 1),
+                                     (6, 3, 4, 9 + 1)):
             cloud = limit_samples(tau_representation(schottky_rep, d), m,
                                   radius)
             n, pair_bytes = len(cloud), 8 * (floats + 16)

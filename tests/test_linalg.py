@@ -7,12 +7,12 @@ import pytest
 from anosovlab.boundary import limit_samples
 from anosovlab.groups import enumerate_ball
 from anosovlab.linalg import (SpectralGapError, Subspace, _residuals,
-                              _row_norms, _sines, apply_to_subspace,
-                              direct_sum_margin,
+                              _row_norms, _sines, direct_sum_margin,
                               eigen_moduli, normalize_lift,
                               point_subspace_distance, proj_distance,
                               singular_values, subspace_distance,
                               top_invariant_subspace)
+from tests.conftest import apply_to_subspace
 
 EPS = np.finfo(float).eps
 
