@@ -10,6 +10,7 @@ flags of the element itself, computed stably from the inverse).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import InitVar, dataclass, fields
@@ -118,7 +119,8 @@ class LimitCloud:
         """The read-only (n, d, d - k) stack of orthonormal complements of
         the frames of flag ``name``, computed once per cloud, on first
         use: the pair pass reads the hyperplanes' normals, for the
-        transversality margins and the controlled-set distances alike."""
+        transversality margins and the controlled-set distances alike,
+        and the triple margins those of xi^(d-m)."""
         cache = self.__dict__.setdefault("_complements", {})
         if name not in cache:
             # the QR's own view, not a contiguous copy: a contiguous
@@ -494,8 +496,11 @@ def limit_samples(rep: Representation, m: int, radius: int,
 
 
 # Byte budget of the float temporaries of one block of the pair pass (the
-# cosines behind the sep_tol test, the per-pair sine products, the sines)
-# and of one batch of drawn triples; between blocks only the (n, d, k)
+# cosines behind the sep_tol test, the per-pair sine products, the sines),
+# of one batch of drawn triples and of one chunk of triple margins, whose
+# triple holds 8 (d (d + 2m + 4) + 24) bytes: its gathered frames and
+# complement, their entry-major copies, one product and the quartic's
+# scalars (see :func:`_triple_margins`); between blocks only the (n, d, k)
 # per-sample stacks and 1-D per-triple arrays stay alive.  A pair holds
 # 8 (floats_m + floats_1 + 16) bytes, its k^2 sine entries of both flag
 # pairs (see :class:`_FlagPair`) and 16 for the mask and the sines, 168 B
@@ -666,9 +671,98 @@ _FLAGS = (("xim_plus", "xi_dm_minus"), ("xi1_plus", "xi_d1_minus"))
 
 def _margins(*stacks: np.ndarray) -> np.ndarray:
     """``direct_sum_margin`` of each row of frame stacks (c, d, k_i): one
-    batched SVD of the frames concatenated in the same column order."""
+    batched SVD of the frames concatenated in the same column order, each
+    row with the bits of ``direct_sum_margin`` on that row alone.  The
+    triple margins take it on the rows their screen rejects (see
+    :func:`_triple_margins`)."""
     return np.linalg.svd(np.concatenate(stacks, axis=2),
                          compute_uv=False)[:, -1]
+
+
+# Newton steps from 0 to the least root of the triple margins' quartic
+_NEWTON_STEPS = 12
+
+
+def _off(C: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """C - Y (Y^T C) for stacks of frames C (n, d, m) and Y (n, d, q),
+    in elementwise sums in index order: one Gram-Schmidt pass of C
+    against Y.  A complement from Householder QR is orthogonal to Y only
+    to a few eps (8e-16 on the tau_4 clouds); after the pass, to
+    rounding (1.4e-16)."""
+    YtC = reduce(np.add, (Y[..., None] * C[:, :, None]).swapaxes(0, 1))
+    return C - reduce(np.add, (Y[..., None] * YtC[:, None]).transpose(
+        2, 0, 1, 3))
+
+
+def _triple_margins(X: np.ndarray, Z: np.ndarray, Y: np.ndarray,
+                    C: np.ndarray) -> tuple[np.ndarray, int]:
+    """The margins ``sigma_min([x | z | Y])`` of the rows of the line
+    frames X and Z (c, d, 1) and the frames Y (c, d, q), m = d - q >= 2,
+    given C (c, d, m), the orthonormal complements of Y passed through
+    :func:`_off`, and the number of rows that took the SVD of
+    :func:`_margins`.
+
+    With G = [x z]^T [x z], B = G + I, b = Y^T [x z] and a = C^T [x z],
+    M = [x z Y] has M^T M = [[G, b^T], [b, I]] and G - b^T b = a^T a = A,
+    so det(M^T M - lambda I) = (1 - lambda)^(q - 2) p(lambda) with
+        p(lambda) = det(A - lambda B + lambda^2 I)
+                  = lambda^4 - tr B lambda^3 + (tr A + det B) lambda^2
+                    - (A11 B22 + A22 B11 - 2 A12 B12) lambda + det A,
+    and the margin is the square root of the least root of p, which is
+    at most 1, as the four roots sum to tr B = 4 for unit x and z.  det A
+    is the sum of the squared 2 x 2 minors of a (Cauchy-Binet), so a small
+    margin keeps the relative accuracy of those minors.  C^T Y adds
+    itself times Y^T x to a: straight from QR it costs a margin near
+    1e-5 a relative 1e-11, hence :func:`_off`.
+
+    Every root of p is an eigenvalue of M^T M or 1, so all are real and
+    at least 0, and Newton's method from 0 climbs to the least root
+    without passing it: ``_NEWTON_STEPS`` steps, in Horner's rule.  A row
+    keeps that root if its last step is at most 4 eps of it, the root is
+    positive, and the running error bound 8 eps sum |c_k| lambda^k /
+    |p'(lambda)| of Horner's rule (twice gamma_8: Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1) is at most 32 eps
+    sqrt(lambda), so the margin errs by at most 16 eps from that
+    rounding.  The other rows, where the least root is (nearly) double,
+    where it is 0, or where the quartic has no accurate value, take the
+    SVD.  The sums go in index order by elementwise ufuncs, with no
+    BLAS, so each row's bits depend on neither the BLAS thread count nor
+    the stack it is in."""
+    # entry-major copies: x and z (d, c), C (d, m, c)
+    x, z = (np.ascontiguousarray(F[..., 0].T) for F in (X, Z))
+    Ct = np.ascontiguousarray(C.transpose(1, 2, 0))
+    a, c = (reduce(np.add, Ct * v[:, None]) for v in (x, z))
+    g11, g22, g12 = (reduce(np.add, u * v) for u, v in ((x, x), (z, z),
+                                                        (x, z)))
+    a11, a22, a12 = (reduce(np.add, u * v) for u, v in ((a, a), (c, c),
+                                                        (a, c)))
+    det_a = reduce(np.add, [(a[i] * c[j] - a[j] * c[i]) ** 2
+                            for i, j in itertools.combinations(range(len(a)),
+                                                               2)])
+    b11, b22 = g11 + 1.0, g22 + 1.0
+    c3 = b11 + b22
+    c2 = a11 + a22 + (b11 * b22 - g12 * g12)
+    c1 = a11 * b22 + a22 * b11 - 2.0 * a12 * g12
+    lam = np.zeros_like(det_a)
+    d3, d2 = 3.0 * c3, 2.0 * c2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # rows with p'(lambda) = 0 step to nan and fail the screen
+        for _ in range(_NEWTON_STEPS):
+            p = (((lam - c3) * lam + c2) * lam - c1) * lam + det_a
+            dp = ((4.0 * lam - d3) * lam + d2) * lam - c1
+            step = p / dp
+            lam = lam - step
+        # sum |c_k| lambda^k: the coefficients are all at least 0, c1 as
+        # A11 + A22 at least (B >= I), and c2 as det B >= 1
+        size = (((lam + c3) * lam + c2) * lam + c1) * lam + det_a
+        # the bound 8 eps size / |p'| at most 32 eps sqrt(lambda)
+        keep = ((np.abs(step) <= 4 * np.finfo(float).eps * lam)
+                & (lam > 0) & (size <= 4.0 * np.sqrt(lam) * np.abs(dp)))
+    margins = np.sqrt(np.where(keep, lam, 0.0))
+    svd = np.flatnonzero(~keep)
+    if svd.size:
+        margins[svd] = _margins(X[svd], Z[svd], Y[svd])
+    return margins, int(svd.size)
 
 
 def _first_below(values: np.ndarray, best: float) -> int | None:
@@ -837,6 +931,7 @@ class HyperconvexityReport:
     worst_triple: tuple[str, str, str]
     margins: np.ndarray
     n_evaluated: int
+    n_svd: int  # triples whose margin took the SVD (see _triple_margins)
 
 
 def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
@@ -855,8 +950,12 @@ def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
     the same stream as B draws of three, and only the drawn pairs are
     tested for separation, with ``proj_distance``'s residual; a batch
     holds at most ``_PAIR_BYTES`` (256 KiB) of temporaries.  The margins
-    of the accepted triples come after the draws from one batched SVD
-    per chunk, bit-identical to ``direct_sum_margin`` triple by triple.
+    of the accepted triples come after the draws, a chunk at a time, as
+    the square roots of the least roots of a quartic, with the cloud's
+    complements of xi^(d-m)(y) (see :func:`_triple_margins`); the rows
+    that the quartic's screen rejects take the batched SVD of
+    ``direct_sum_margin``, and ``n_svd`` counts them.  Each triple's
+    margin has the bits of that kernel on the triple alone.
     """
     if cloud.m < 2:
         raise ValueError("hyperconvexity scan requires m >= 2")
@@ -888,18 +987,22 @@ def hyperconvexity_scan(cloud: LimitCloud, n_triples: int = 500,
         triples[count:count + len(taken)] = taken
         count += len(taken)
     X1, Ydm = cloud.frames["xi1_plus"], cloud.frames["xi_dm_minus"]
+    C = _off(cloud.complement("xi_dm_minus"), Ydm)
     margins = np.empty(n_triples)
-    _, d, width = Ydm.shape
-    for part in _chunks(n_triples, Ydm.itemsize * d * (2 + width)):
+    n_svd = 0
+    d, m = C.shape[1:]
+    for part in _chunks(n_triples, C.itemsize * (d * (d + 2 * m + 4) + 24)):
         i, j, k = triples[part].T
-        margins[part] = _margins(X1[i], X1[j], Ydm[k])
+        margins[part], svd = _triple_margins(X1[i], X1[j], Ydm[k], C[k])
+        n_svd += svd
     best = math.inf
     worst = ("", "", "")
     if n_triples and (t := _first_below(margins, best)) is not None:
         best = float(margins[t])
         worst = tuple(cloud.words[triples[t]].tolist())
     return HyperconvexityReport(min_margin=best, worst_triple=worst,
-                                margins=margins, n_evaluated=count)
+                                margins=margins, n_evaluated=count,
+                                n_svd=n_svd)
 
 
 @dataclass(frozen=True)

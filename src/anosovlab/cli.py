@@ -448,6 +448,7 @@ def _run_hyperconvex(rep, fields, radius, seed):
     margin_min = fields["margin_min"]
     results = {"m": m, "n_samples": len(cloud),
                "n_triples": report.n_evaluated,
+               "n_svd": report.n_svd,
                "min_margin": report.min_margin,
                "worst_triple": list(report.worst_triple),
                "margin_min": margin_min}

@@ -959,35 +959,56 @@ def reference_controlled_set(cloud, sep_tol=1e-3, violation_tol=1e-10):
     return best, worst, violations, int(np.count_nonzero(~np.isnan(dist)))
 
 
-def reference_hyperconvexity(cloud, n_triples, seed, sep_tol=1e-3):
-    """The per-triple hyperconvexity scan the stacked one replaced."""
+def drawn_triples(cloud, n_triples, seed, sep_tol=1e-3):
+    """The (n_triples, 3) sample indices (x, z, y) of the triples the
+    hyperconvexity scan accepts, drawn one at a time: plus points of x and
+    z and the minus point of y, pairwise distinct and ``sep_tol`` or more
+    apart by ``proj_distance``."""
     rng = np.random.default_rng(seed)
     n = len(cloud)
-    margins = np.empty(n_triples)
-    best = math.inf
-    worst = ("", "", "")
-    count = 0
+    triples = []
     tries = 0
-    while count < n_triples:
+    while len(triples) < n_triples:
         tries += 1
         if tries > 2000 * n_triples:
             raise ValueError("cannot find separated triples")
         i, j, k = rng.integers(0, n, 3)
         if i == j or j == k or i == k:
             continue
-        sx, sz, sy = cloud.samples[i], cloud.samples[j], cloud.samples[k]
-        x1, z1, y1 = sx.xi1_plus, sz.xi1_plus, sy.xi1_minus
+        x1, z1 = cloud.samples[i].xi1_plus, cloud.samples[j].xi1_plus
+        y1 = cloud.samples[k].xi1_minus
         if (proj_distance(x1, z1) < sep_tol
                 or proj_distance(x1, y1) < sep_tol
                 or proj_distance(z1, y1) < sep_tol):
             continue
-        marg = direct_sum_margin([x1, z1, sy.xi_dm_minus])
-        margins[count] = marg
-        count += 1
+        triples.append((i, j, k))
+    return np.array(triples, dtype=np.intp).reshape(-1, 3)
+
+
+def triple_margins(X, Z, Y):
+    """``boundary._triple_margins`` of frame stacks (n, d, 1), (n, d, 1)
+    and (n, d, q), with the complements of Y from the QR of Y and one
+    ``_off`` pass, as the scan computes them for the cloud's frames."""
+    return boundary._triple_margins(
+        X, Z, Y, boundary._off(boundary._complements(Y), Y))
+
+
+def reference_hyperconvexity(cloud, n_triples, seed, sep_tol=1e-3):
+    """The per-triple hyperconvexity scan: the triples drawn one at a
+    time, and each margin from the closed-form kernel on that triple
+    alone."""
+    X1, Y = stacked(cloud, "xi1_plus"), stacked(cloud, "xi_dm_minus")
+    margins = np.empty(n_triples)
+    best = math.inf
+    worst = ("", "", "")
+    for t, (i, j, k) in enumerate(drawn_triples(cloud, n_triples, seed,
+                                                sep_tol)):
+        marg = triple_margins(X1[[i]], X1[[j]], Y[[k]])[0][0]
+        margins[t] = marg
         if marg < best:
             best = marg
-            worst = (sx.witness.word, sz.witness.word, sy.witness.word)
-    return best, worst, margins, count
+            worst = tuple(cloud.samples[s].witness.word for s in (i, j, k))
+    return best, worst, margins, n_triples
 
 
 @pytest.fixture(scope="module")
@@ -1497,6 +1518,91 @@ class TestClosedFormMargins:
                 if n > 1000:
                     # at tau_3 R=6: less than one (n, n) boolean mask
                     assert bound < n * n
+
+
+@pytest.fixture(scope="module", params=[(3, 2, 6), (4, 2, 5), (4, 3, 5),
+                                        (6, 3, 4)],
+                ids=lambda p: "tau%d-m%d-R%d" % p)
+def triple_cloud(request, schottky_rep):
+    """Clouds whose triple margins' quartics have q = d - m = 1, 2 and 3:
+    at q = 1 the quartic has the extra root 1."""
+    d, m, radius = request.param
+    return limit_samples(tau_representation(schottky_rep, d), m, radius)
+
+
+def planted_triple(d, x, z, Y, seed=8):
+    """Frame stacks of one triple (x, z, Y) of R^d, given in coordinates,
+    turned by a random orthogonal matrix unless ``seed`` is None."""
+    Q = (np.eye(d) if seed is None else
+         np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0])
+    return ((Q @ np.reshape(F, (d, -1)))[None] for F in (x, z, Y))
+
+
+class TestTripleMargins:
+    """The triple margins of the hyperconvexity scan, the least roots of
+    a quartic with the SVD on the rows its screen rejects, against
+    ``direct_sum_margin`` and against 50-digit references."""
+
+    def test_within_rounding_of_direct_sum_margin(self, triple_cloud):
+        report = hyperconvexity_scan(triple_cloud, n_triples=2000, seed=11)
+        X1 = triple_cloud.frames["xi1_plus"]
+        Y = triple_cloud.frames["xi_dm_minus"]
+        for margin, (i, j, k) in zip(report.margins, drawn_triples(
+                triple_cloud, 2000, seed=11)):
+            assert abs(margin - direct_sum_margin([X1[i], X1[j], Y[k]])) \
+                <= 1e-15
+        # the screen keeps most rows
+        assert 0 < report.n_svd < 1000
+
+    def test_no_less_accurate_than_the_svd(self, triple_cloud):
+        triples = drawn_triples(triple_cloud, 300, seed=0)
+        i, j, k = triples.T
+        X1 = triple_cloud.frames["xi1_plus"]
+        Y = triple_cloud.frames["xi_dm_minus"]
+        quartic, _ = triple_margins(X1[i], X1[j], Y[k])
+        svd = boundary._margins(X1[i], X1[j], Y[k])
+        exact = np.array([exact_margin(np.hstack([X1[a], X1[b]]), Y[c])
+                          for a, b, c in triples])
+        assert np.abs(quartic - exact).max() <= np.abs(svd - exact).max()
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-6])
+    def test_near_double_least_root_takes_the_svd(self, gap):
+        # x in span(e1, e3) and z in span(e2, e4) against Y = span(e3, e4):
+        # two 2 x 2 blocks [[cos t, 0], [sin t, 1]], whose squared singular
+        # values are 1 +- sin t: the least two, 1 - sin t and 1 - sin u,
+        # are near-double
+        t, u = 0.7, 0.7 + gap
+        e = np.eye(4)
+        X, Z, Y = planted_triple(4, math.cos(t) * e[0] + math.sin(t) * e[2],
+                                 math.cos(u) * e[1] + math.sin(u) * e[3],
+                                 e[:, 2:])
+        margins, n_svd = triple_margins(X, Z, Y)
+        assert n_svd == 1
+        assert margins.tobytes() == boundary._margins(X, Z, Y).tobytes()
+        assert abs(margins[0] - math.sqrt(1 - math.sin(u))) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [None, 8])
+    @pytest.mark.parametrize("z", [1, 3], ids=["z-off-Y", "z-in-Y"])
+    def test_line_in_the_span_of_y(self, seed, z):
+        # x is Y's first column; the margin is 0 and comes out 0 or a few
+        # ulps, with no 0 / 0 (a RuntimeWarning fails here); with z in
+        # span(Y) too, a = 0, so p(0) = p'(0) = 0 and Newton's first step
+        # is 0 / 0
+        e = np.eye(4)
+        X, Z, Y = planted_triple(4, e[2], e[z], e[:, 2:], seed)
+        margins, n_svd = triple_margins(X, Z, Y)
+        assert 0.0 <= margins[0] <= 1e-15
+        assert margins[0] == 0.0 or seed is not None
+        assert n_svd == 1 or margins[0] > 0.0
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_coordinate_frames_give_one(self, d):
+        # p = (1 - lambda)^4: Newton's steps shrink by 3/4 only, and the
+        # SVD of a coordinate frame gives 1 exactly
+        e = np.eye(d)
+        X, Z, Y = planted_triple(d, e[0], e[1], e[:, 2:], seed=None)
+        margins, n_svd = triple_margins(X, Z, Y)
+        assert (margins.tolist(), n_svd) == ([1.0], 1)
 
 
 class TestIrreducibilityProxy:

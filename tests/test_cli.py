@@ -580,6 +580,12 @@ class TestRun:
                      "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["results"]["min_margin"] > 0
+        # the triples whose margin took the SVD: a deterministic counter
+        assert 0 <= summary["results"]["n_svd"] < 50
+        assert main(["run", str(path), "--radius", "5",
+                     "--out", str(tmp_path / "again")]) == 0
+        again = json.loads((tmp_path / "again" / "summary.json").read_text())
+        assert again["results"] == summary["results"]
 
     def test_hyperconvex_verdict_negative(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))
