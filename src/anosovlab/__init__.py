@@ -16,8 +16,8 @@ from .functors import (Representation, build_representation, build_su21_rep,
                        tau_representation, veronese_point, wedge_power,
                        wedge_representation)
 from .spectra import (AlphaEstimate, GapProfile, alpha_m_estimate,
-                      cartan_jordan, cone_diagnostic, gap_profile,
-                      gelfand_check, spectral_table)
+                      cartan_jordan, gap_profile, gelfand_check,
+                      spectral_table)
 from .boundary import (FlagSample, LimitCloud, controlled_set_check,
                        hyperconvexity_scan, irreducibility_proxy,
                        limit_samples, transversality_scan)

@@ -24,13 +24,13 @@ import numpy as np
 from . import __version__
 from .boundary import (DEFAULT_FLAG_DEDUP_TOL, _chunks, _separated,
                        hyperconvexity_scan, limit_samples)
-from .functors import RECIPES, SUB_RECIPES, perturb_rep
+from .functors import RECIPES, SUB_RECIPES
 from .geometry import (REGRESSION_CAVEAT, build_chart, chart_coords,
                        hoelder_regression)
 from .groups import BallTooLargeError, enumerate_ball
 from .linalg import _sines
-from .spectra import (alpha_m_estimate, cone_diagnostic, gap_profile,
-                      gelfand_check, spectral_kernel, spectral_table)
+from .spectra import (alpha_m_estimate, gap_profile, gelfand_check,
+                      spectral_kernel, spectral_table)
 
 
 class ConfigError(ValueError):
@@ -76,13 +76,13 @@ _EPS = (lambda v: _is_real(v) and v >= 0 and math.isfinite(2.0 * v),
 # overrides --radius and --seed included).  An integer field maps to its
 # least value; a real field to its test and what it expects; a list field
 # to the rule of each entry of a non-empty list.  Ranges that depend on
-# the representation's dimension or on the radius are checked by
-# _check_bounds once the representation is built.  The summary reports
-# the _POSITIVE and _REAL fields a run read as its tolerances.
+# the representation's dimension are checked by _check_bounds once the
+# representation is built.  The summary reports the _POSITIVE and _REAL
+# fields a run read as its tolerances.
 _VALUES = {
     "radius": 1, "seed": 0, "dim": 1, "d": 2, "k": 1, "eps": _EPS,
     "ks": [1], "m": 1, "i": 1, "K": 1, "n_triples": 1, "n_anchors": 1,
-    "n_min": 1, "anchor_index": 0, "eps_list": [_EPS],
+    "anchor_index": 0,
     "tol": _POSITIVE, "dedup_tol": _POSITIVE, "sep_tol": _POSITIVE,
     "slope_min": _REAL, "r2_min": _REAL, "margin_min": _REAL,
     "window": (lambda w: isinstance(w, list) and len(w) == 2
@@ -179,13 +179,11 @@ def _validate_experiment(exp: dict, labels, path: str) -> None:
                               f"{''.join(sorted(letters))}, got {word!r}")
 
 
-def _check_bounds(exp: dict, fields: dict, dim: int, radius: int) -> None:
+def _check_bounds(exp: dict, fields: dict, dim: int) -> None:
     """Resolved experiment values whose range depends on the
-    representation's dimension or on the radius, as the analytics require
-    them.  A default out of range for the radius blames the radius."""
+    representation's dimension, as the analytics require them."""
     m_lo = 2 if exp["kind"] in ("alpha", "hyperconvex") else 1
-    bounds = {"k": (1, dim - 1), "m": (m_lo, dim - 1), "i": (1, dim),
-              "n_min": (1, radius - 1)}
+    bounds = {"k": (1, dim - 1), "m": (m_lo, dim - 1), "i": (1, dim)}
     values = [(key, key, fields[key]) for key in bounds if key in fields]
     if "ks" in fields:
         values += [(f"ks[{j}]", "k", k) for j, k in enumerate(fields["ks"])]
@@ -193,19 +191,13 @@ def _check_bounds(exp: dict, fields: dict, dim: int, radius: int) -> None:
         lo, hi = bounds[key]
         if lo <= value <= hi:
             continue
-        if key == "n_min" and key not in exp:
-            raise ConfigError("config.radius", f"expected an integer >= "
-                              f"{value + 1} for the {exp['kind']} default "
-                              f"n_min {value}, got {radius}")
-        scope, size = ("radius", radius) if key == "n_min" else ("dimension",
-                                                                 dim)
-        if lo > hi:  # every empty range here has hi = size - 1
+        if lo > hi:  # every empty range here has hi = dim - 1
             raise ConfigError(f"config.experiment.{field_path}",
-                              f"kind {exp['kind']!r} needs {scope} >= "
-                              f"{lo + 1}, got {size}")
+                              f"kind {exp['kind']!r} needs dimension >= "
+                              f"{lo + 1}, got {dim}")
         raise ConfigError(f"config.experiment.{field_path}",
                           f"expected an integer in [{lo}, {hi}] for "
-                          f"{scope} {size}, got {value!r}")
+                          f"dimension {dim}, got {value!r}")
 
 
 def load_config(path: Path) -> dict:
@@ -494,16 +486,6 @@ def _run_hoelder(rep, fields, radius, seed):
                                 np.vstack(scatter))}
 
 
-def _run_cones(rep, fields, radius, seed):
-    report = cone_diagnostic(enumerate_ball(rep.generators, radius),
-                             fields["n_min"])
-    results = {"max_distance": report.max_distance,
-               "mean_distance": report.mean_distance,
-               "n_elements": report.n_elements,
-               "degenerate": report.degenerate}
-    return results, not report.degenerate, {}
-
-
 def _run_gelfand(rep, fields, radius, seed):
     word, i, K = fields["word"], fields["i"], fields["K"]
     try:
@@ -517,25 +499,9 @@ def _run_gelfand(rep, fields, radius, seed):
                 errors[:, None])})
 
 
-def _run_perturb_sweep(rep, fields, radius, seed):
-    k = fields["k"]
-    rows, results = [], []
-    for idx, eps in enumerate(fields["eps_list"]):
-        pert = perturb_rep(rep, float(eps), seed + idx)
-        prof = gap_profile(enumerate_ball(pert.generators, radius), k,
-                           slope_min=fields["slope_min"],
-                           r2_min=fields["r2_min"])
-        rows.append([float(eps), prof.slope, prof.r_squared, prof.verdict])
-        results.append({"eps": float(eps), "slope": prof.slope,
-                        "verdict": prof.verdict})
-    ok = all(r["verdict"] == "gap grows linearly" for r in results)
-    return {"k": k, "sweep": results}, ok, {
-        "perturb_sweep.csv": (["eps", "slope", "r_squared", "verdict"], rows)}
-
-
 # Each experiment kind: its driver, and the fields it reads with their
 # defaults; any other field is rejected.  A callable default depends on
-# the run and is called with the representation and the radius.
+# the representation and is called with it.
 _KINDS = {
     "certify": (_run_certify,
                 {"ks": [1], "slope_min": 0.05, "r2_min": 0.9}),
@@ -547,14 +513,9 @@ _KINDS = {
                      "n_triples": 500, "sep_tol": 1e-3, "margin_min": 0.0}),
     "hoelder": (_run_hoelder, {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
                                "window": [1e-5, 1e-1], "n_anchors": 3}),
-    "cones": (_run_cones,
-              {"n_min": lambda rep, radius: max(1, radius - 3)}),
     "gelfand": (_run_gelfand,
-                {"word": lambda rep, radius: rep.generators.positive_labels[0],
+                {"word": lambda rep: rep.generators.positive_labels[0],
                  "i": 1, "K": 200}),
-    "perturb-sweep": (_run_perturb_sweep,
-                      {"eps_list": [0.0, 1e-4, 1e-3], "k": 1,
-                       "slope_min": 0.05, "r2_min": 0.9}),
 }
 KINDS = tuple(_KINDS)
 
@@ -567,9 +528,9 @@ def run_experiment(cfg: dict, rep, out_dir: Path) -> int:
     driver, defaults = _KINDS[exp["kind"]]
     # the fields the kind reads: the config's value, else the default
     fields = {key: exp[key] if key in exp
-              else default(rep, radius) if callable(default) else default
+              else default(rep) if callable(default) else default
               for key, default in defaults.items()}
-    _check_bounds(exp, fields, rep.dim, radius)
+    _check_bounds(exp, fields, rep.dim)
     try:
         results, ok, artifacts = driver(rep, fields, radius, seed)
     except BallTooLargeError as exc:

@@ -1,6 +1,6 @@
 """Spectral analytics over word balls: Cartan/Jordan projections, gap
-certification, the optimal-regularity ratio estimator, Gelfand-limit
-checks and the Jordan/Cartan cone diagnostic.
+certification, the optimal-regularity ratio estimator and Gelfand-limit
+checks.
 
 Every analytic takes the :class:`~anosovlab.groups.Ball` it reads, and
 reads the dimension and the radius from it.  One kernel, the compound
@@ -32,19 +32,16 @@ import numpy as np
 from .functors import _wedge_coordinates, wedge_indices
 from .groups import (Ball, GeneratorSet, GroupElement, _tree_products,
                      canonical_cyclic, inverse_word, prefix_tree)
-from .linalg import (MatrixD, SpectralData, _row_norms, eigen_moduli,
-                     singular_values)
+from .linalg import MatrixD, SpectralData, eigen_moduli, singular_values
 
 __all__ = [
     "GapProfile",
     "AlphaEstimate",
-    "ConeReport",
     "cartan_jordan",
     "ladder_logs",
     "gap_profile",
     "alpha_m_estimate",
     "gelfand_check",
-    "cone_diagnostic",
     "spectral_table",
     "linefit",
 ]
@@ -353,44 +350,6 @@ def gelfand_check(M, i: int, K: int) -> np.ndarray:
                 f"sigma_{i} underflowed at k={k}; index too deep for doubles")
         errors[k - 1] = abs((math.log(sig) + log_scale) / k - lam_i)
     return errors
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    max_distance: float
-    mean_distance: float
-    n_elements: int
-    degenerate: bool
-
-
-def cone_diagnostic(ball: Ball, n_min: int) -> ConeReport:
-    """Angular distance between each long element's normalized Cartan
-    vector and the nearest normalized Jordan direction over the ball.
-
-    Small values are consistent with the asymptotic Cartan cone agreeing
-    with the closed Jordan cone; this is a sampling diagnostic, not a
-    proof.  Elements with vanishing vectors (elliptic data) are skipped;
-    if everything vanishes the report is flagged degenerate.
-    """
-    if ball.radius <= n_min:
-        raise ValueError("radius must exceed n_min")
-    directions = _unit_rows(ball.jordan[ball.lengths > 0])
-    cartan = _unit_rows(ball.cartan[ball.lengths >= n_min])
-    if not len(directions) or not len(cartan):
-        return ConeReport(max_distance=math.nan, mean_distance=math.nan,
-                          n_elements=0, degenerate=True)
-    arr = np.array([np.arccos(np.clip(directions @ u, -1.0, 1.0).max())
-                    for u in cartan])
-    return ConeReport(max_distance=float(arr.max()),
-                      mean_distance=float(arr.mean()),
-                      n_elements=arr.size, degenerate=False)
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """The rows of norm above 1e-9, normalized by ``np.linalg.norm``."""
-    norms = _row_norms(vectors)
-    keep = norms > 1e-9
-    return vectors[keep] / norms[keep, None]
 
 
 def spectral_table(ball: Ball, m: int | None = None

@@ -47,9 +47,7 @@ READS = {
     "limitset": {"m", "dedup_tol", "anchor_index"},
     "hyperconvex": {"m", "dedup_tol", "n_triples", "sep_tol", "margin_min"},
     "hoelder": {"m", "dedup_tol", "window", "n_anchors"},
-    "cones": {"n_min"},
     "gelfand": {"word", "i", "K"},
-    "perturb-sweep": {"eps_list", "k", "slope_min", "r2_min"},
 }
 
 
@@ -203,16 +201,16 @@ class TestExperimentFields:
     @pytest.mark.parametrize("kind, key, value, path", [
         ("certify", "ks", "1", "ks"),
         ("certify", "ks", [1, 0], "ks[1]"),
-        ("perturb-sweep", "k", "1", "k"),
+        ("certify", "ks", [], "ks"),
         ("alpha", "m", "2", "m"),
         ("gelfand", "i", 0, "i"),
         ("gelfand", "K", 2.5, "K"),
         ("hoelder", "window", [1e-1, 1e-4], "window"),
-        ("perturb-sweep", "eps_list", [0.0, 1e308], "eps_list[1]"),
+        ("hoelder", "window", [0.0, 1e-1], "window"),
         ("gelfand", "word", "az", "word"),
         ("hyperconvex", "n_triples", 0, "n_triples"),
         ("hoelder", "n_anchors", True, "n_anchors"),
-        ("cones", "n_min", 0, "n_min"),
+        ("gelfand", "K", 0, "K"),
         ("limitset", "anchor_index", -1, "anchor_index"),
         ("alpha", "tol", -1e-9, "tol"),
         ("limitset", "dedup_tol", "1e-7", "dedup_tol"),
@@ -220,14 +218,12 @@ class TestExperimentFields:
         ("certify", "slope_min", None, "slope_min"),
         ("certify", "r2_min", "0.9", "r2_min"),
         ("hyperconvex", "margin_min", [0.0], "margin_min"),
-        # ranges that depend on the dimension (2) or the radius (2)
+        # ranges that depend on the dimension (2)
         ("certify", "ks", [1, 2], "ks[1]"),
-        ("perturb-sweep", "k", 2, "k"),
         ("alpha", "m", 3, "m"),
         ("limitset", "m", 2, "m"),
         ("hyperconvex", "m", 1, "m"),
         ("gelfand", "i", 3, "i"),
-        ("cones", "n_min", 2, "n_min"),
         # a field the kind does not read
         ("certify", "dedup_tol", 0.5, "dedup_tol"),
         # a real beyond the float range
@@ -240,14 +236,6 @@ class TestExperimentFields:
                "experiment": {"kind": kind, key: value}}
         assert main(["run", str(write_config(tmp_path, cfg))]) == 1
         assert f"error: config.experiment.{path}: " in capsys.readouterr().err
-
-    def test_cones_default_n_min_needs_radius_two(self, tmp_path, capsys):
-        # without n_min, cones defaults it to max(1, radius - 3) = 1
-        cfg = {"representation": BASE_REP, "radius": 1, "seed": 0,
-               "experiment": {"kind": "cones"}}
-        assert main(["run", str(write_config(tmp_path, cfg))]) == 1
-        err = capsys.readouterr().err
-        assert "error: config.radius: expected an integer >= 2" in err
 
     @pytest.mark.parametrize("kind", ["alpha", "limitset", "hyperconvex",
                                       "hoelder"])
@@ -269,8 +257,8 @@ class TestExperimentFields:
 
     def test_field_accepted_iff_kind_reads_it(self, tmp_path):
         valid = {"ks": [1], "k": 1, "m": 1, "i": 1, "K": 5,
-                 "window": [1e-4, 1e-1], "eps_list": [0.0], "word": "a",
-                 "n_triples": 5, "n_anchors": 1, "n_min": 1,
+                 "window": [1e-4, 1e-1], "word": "a", "n_triples": 5,
+                 "n_anchors": 1,
                  "anchor_index": 0, "tol": 1e-9, "dedup_tol": 1e-7,
                  "sep_tol": 1e-3, "slope_min": 0.05, "r2_min": 0.9,
                  "margin_min": 0.0}
@@ -348,8 +336,8 @@ class TestFailedRunWritesNothing:
     @pytest.mark.parametrize("changes, message", [
         ({"representation": {"kind": "tau", "d": 3, "base": TAU3_REP}},
          "config.representation: tau requires a 2-dimensional base"),
-        ({"radius": 1, "experiment": {"kind": "cones"}},
-         "config.radius: expected an integer >= 2"),
+        ({"experiment": {"kind": "alpha", "m": 3}},
+         "config.experiment.m: expected an integer in [2, 2]"),
         ({"radius": 20}, "config.radius: ball too large: "),
         ({"representation": {"kind": "tau", "d": 6, "base": BASE_REP},
           "experiment": {"kind": "gelfand", "word": "ab" * 200}},
@@ -382,6 +370,21 @@ class TestFailedRunWritesNothing:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["cones", "perturb-sweep"])
+    def test_removed_kind_exits_one_listing_the_kinds(self, tmp_path, capsys,
+                                                      kind):
+        cfg = {"representation": TAU3_REP, "radius": 2, "seed": 0,
+               "experiment": {"kind": kind}}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        assert cli.KINDS == ("certify", "alpha", "limitset", "hyperconvex",
+                             "hoelder", "gelfand")
+        assert capsys.readouterr().err == (
+            f"error: config.experiment.kind: unknown kind {kind!r}; "
+            f"expected one of {cli.KINDS}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("changes, message", [
@@ -511,10 +514,7 @@ class TestRun:
          {"dedup_tol": 1e-7, "sep_tol": 1e-2, "margin_min": 0.0}),
         ({"kind": "hoelder", "window": [1e-3, 0.5], "n_anchors": 1,
           "dedup_tol": 1e-6}, {"dedup_tol": 1e-6}),
-        ({"kind": "cones"}, {}),
         ({"kind": "gelfand", "K": 10}, {}),
-        ({"kind": "perturb-sweep", "eps_list": [0.0], "r2_min": 0.5},
-         {"slope_min": 0.05, "r2_min": 0.5}),
     ], ids=list(READS))
     def test_summary_reports_tolerances_read(self, tmp_path, experiment,
                                              tolerances):
@@ -530,16 +530,15 @@ class TestRun:
         assert summary["outputs"] == sorted(
             p.name for p in out.iterdir() if p.name != "summary.json")
 
-    def test_perturb_sweep_honours_slope_min(self, tmp_path):
-        # the unperturbed Schottky gap grows with slope about 1.4 < 50
+    def test_certify_honours_slope_min(self, tmp_path):
+        # the Schottky gap grows with slope about 1.4 < 50
         cfg = load_config(config_path("schottky_sl2"))
-        cfg["experiment"] = {"kind": "perturb-sweep", "eps_list": [0.0],
-                             "slope_min": 50}
+        cfg["experiment"] = {"kind": "certify", "slope_min": 50}
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path, cfg)), "--radius", "4",
                      "--out", str(out)]) == 2
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["results"]["sweep"][0]["slope"] < 50
+        assert summary["results"]["k=1"]["slope"] < 50
 
     def test_anchor_index_past_the_cloud(self, tmp_path, capsys):
         cfg = load_config(config_path("fuchsian_tau3"))
@@ -604,17 +603,6 @@ class TestRun:
         rows = (out / "gelfand_errors.csv").read_text().splitlines()
         assert len(rows) == 51  # header + 50 entries
 
-    def test_perturb_sweep_kind(self, tmp_path):
-        cfg = load_config(config_path("schottky_sl2"))
-        cfg["experiment"] = {"kind": "perturb-sweep",
-                             "eps_list": [0.0, 1e-4], "k": 1}
-        cfg["radius"] = 4
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 0
-        sweep = (out / "perturb_sweep.csv").read_text().splitlines()
-        assert len(sweep) == 3
-
     def test_hoelder_kind(self, tmp_path):
         cfg = load_config(config_path("fuchsian_tau3"))
         cfg["experiment"] = {"kind": "hoelder", "m": 2,
@@ -663,16 +651,6 @@ class TestRun:
                 order = sorted(range(len(cloud)),
                                key=lambda i: (-scores[i], i))
                 assert chosen == cloud.words[order].tolist()
-
-    def test_cones_kind(self, tmp_path):
-        cfg = load_config(config_path("schottky_sl2"))
-        cfg["experiment"] = {"kind": "cones", "n_min": 3}
-        cfg["radius"] = 5
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["results"]["mean_distance"] < 0.2
 
 
 def _dict_rows_spectra_csv(path: Path, ball, m) -> None:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from anosovlab.boundary import limit_samples
-from anosovlab.groups import enumerate_ball
 from anosovlab.linalg import (SpectralGapError, Subspace, _residuals,
                               _row_norms, _sines, direct_sum_margin,
                               eigen_moduli, normalize_lift,
@@ -45,12 +44,6 @@ class TestRowNorms:
         cloud = limit_samples({3: tau3_rep, 4: tau4_rep}[d], m, radius)
         for name in ("xi1_plus", "xi1_minus"):
             self.assert_per_row(cloud.frames[name][:, :, 0])
-
-    def test_cone_diagnostic_inputs(self, tau3_rep, tau5_plus_tau2_rep):
-        for rep in (tau3_rep, tau5_plus_tau2_rep):
-            ball = enumerate_ball(rep.generators, 5)
-            self.assert_per_row(ball.jordan[ball.lengths > 0])
-            self.assert_per_row(ball.cartan[ball.lengths >= 2])
 
 
 class TestNormalizeLift:

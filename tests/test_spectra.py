@@ -15,9 +15,8 @@ from anosovlab.groups import (GeneratorSet, enumerate_ball, free_reduce,
                               inverse_label, inverse_word)
 from anosovlab.linalg import MatrixD
 from anosovlab.spectra import (_diagonal_blocks, alpha_m_estimate,
-                               cartan_jordan, cone_diagnostic, gap_profile,
-                               gelfand_check, linefit, spectral_kernel,
-                               spectral_table)
+                               cartan_jordan, gap_profile, gelfand_check,
+                               linefit, spectral_kernel, spectral_table)
 from tests.conftest import load_example_config
 
 
@@ -209,29 +208,6 @@ class TestGelfand:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             gelfand_check(np.eye(2), 1, 0)
-
-
-class TestConeDiagnostic:
-    def test_single_boost_zero_distance(self):
-        rep = representation_from_matrices({"a": np.diag([2.0, 1.0, 0.5])})
-        report = cone_diagnostic(enumerate_ball(rep.generators, 4), 2)
-        assert report.max_distance < 1e-9
-        assert not report.degenerate
-
-    def test_schottky_cones_close(self, schottky_rep):
-        report = cone_diagnostic(enumerate_ball(schottky_rep.generators, 6),
-                                 4)
-        assert report.mean_distance < 0.1
-        assert report.n_elements > 0
-
-    def test_elliptic_degenerate(self, rotation_rep):
-        report = cone_diagnostic(enumerate_ball(rotation_rep.generators, 4),
-                                 2)
-        assert report.degenerate
-
-    def test_radius_validation(self, schottky_rep):
-        with pytest.raises(ValueError, match="exceed"):
-            cone_diagnostic(enumerate_ball(schottky_rep.generators, 3), 3)
 
 
 def test_wedge_gap_profile_matches_higher_index(tau4_rep):
