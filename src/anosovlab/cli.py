@@ -29,8 +29,9 @@ from .geometry import (REGRESSION_CAVEAT, build_chart, chart_coords,
                        hoelder_regression)
 from .groups import BallTooLargeError, enumerate_ball
 from .linalg import _sines
-from .spectra import (alpha_m_estimate, gap_profile, gelfand_check,
-                      spectral_kernel, spectral_table)
+from .spectra import (GAP_ZERO, R2_MIN, SLOPE_MIN, alpha_m_estimate,
+                      gap_profile, gelfand_check, spectral_kernel,
+                      spectral_table)
 
 
 class ConfigError(ValueError):
@@ -66,7 +67,8 @@ def _is_real(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-_POSITIVE = (lambda v: _is_real(v) and v > 0, "a finite number > 0")
+# dedup_tol and sep_tol bound sines of angles between lines, none above 1
+_SINE = (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]")
 _REAL = (_is_real, "a finite number")
 # the noise range [-eps, eps] must have a finite width
 _EPS = (lambda v: _is_real(v) and v >= 0 and math.isfinite(2.0 * v),
@@ -77,14 +79,13 @@ _EPS = (lambda v: _is_real(v) and v >= 0 and math.isfinite(2.0 * v),
 # least value; a real field to its test and what it expects; a list field
 # to the rule of each entry of a non-empty list.  Ranges that depend on
 # the representation's dimension are checked by _check_bounds once the
-# representation is built.  The summary reports the _POSITIVE and _REAL
+# representation is built.  The summary reports the _SINE and _REAL
 # fields a run read as its tolerances.
 _VALUES = {
     "radius": 1, "seed": 0, "dim": 1, "d": 2, "k": 1, "eps": _EPS,
     "ks": [1], "m": 1, "i": 1, "K": 1, "n_triples": 1, "n_anchors": 1,
     "anchor_index": 0,
-    "tol": _POSITIVE, "dedup_tol": _POSITIVE, "sep_tol": _POSITIVE,
-    "slope_min": _REAL, "r2_min": _REAL, "margin_min": _REAL,
+    "dedup_tol": _SINE, "sep_tol": _SINE, "margin_min": _REAL,
     "window": (lambda w: isinstance(w, list) and len(w) == 2
                and all(map(_is_real, w)) and 0 < w[0] < w[1],
                "[lo, hi] with 0 < lo < hi"),
@@ -343,8 +344,7 @@ def _run_certify(rep, fields, radius, seed):
     rows, gaps, results = [], [], {}
     all_linear = True
     for k in fields["ks"]:
-        prof = gap_profile(ball, k, slope_min=fields["slope_min"],
-                           r2_min=fields["r2_min"])
+        prof = gap_profile(ball, k)
         rows.append(np.column_stack([np.full_like(prof.lengths, k),
                                      prof.lengths]))
         gaps.append(np.column_stack([prof.min_gap, prof.max_gap]))
@@ -362,19 +362,19 @@ def _run_certify(rep, fields, radius, seed):
 def _run_alpha(rep, fields, radius, seed):
     m = fields["m"]
     ball = enumerate_ball(rep.generators, radius)
-    est = alpha_m_estimate(ball, m, tol=fields["tol"])
+    est = alpha_m_estimate(ball, m)
     per_radius = est.per_radius[~np.isnan(est.per_radius[:, 1])]
     results = {"m": m, "alpha": est.value, "witness": est.witness.word,
                "converged": bool(est.converged)}
     if not est.converged:
         results["note"] = "possibly not converged"
-    if not est.witness_gap > fields["tol"]:
+    if not est.witness_gap > GAP_ZERO:
         # an element of infinite order with lam_m = lam_(m+1): not
         # P_m-Anosov, so the theorem does not apply and the ratio is not
         # the limit set's regularity
         results["hypotheses"] = (
             f"the witness's Jordan gap log(lam_{m} / lam_{m + 1}) = "
-            f"{est.witness_gap:.3g} is at most tol = {fields['tol']:g}: the "
+            f"{est.witness_gap:.3g} is at most tol = {GAP_ZERO:g}: the "
             f"representation is outside the theorem's hypotheses (not "
             f"P_{m}-Anosov), and alpha is not a regularity exponent")
     return results, True, {
@@ -503,9 +503,8 @@ def _run_gelfand(rep, fields, radius, seed):
 # defaults; any other field is rejected.  A callable default depends on
 # the representation and is called with it.
 _KINDS = {
-    "certify": (_run_certify,
-                {"ks": [1], "slope_min": 0.05, "r2_min": 0.9}),
-    "alpha": (_run_alpha, {"m": 2, "tol": 1e-9}),
+    "certify": (_run_certify, {"ks": [1]}),
+    "alpha": (_run_alpha, {"m": 2}),
     "limitset": (_run_limitset, {"m": 2, "dedup_tol": DEFAULT_FLAG_DEDUP_TOL,
                                  "anchor_index": 0}),
     "hyperconvex": (_run_hyperconvex,
@@ -518,6 +517,10 @@ _KINDS = {
                  "i": 1, "K": 200}),
 }
 KINDS = tuple(_KINDS)
+# the fixed thresholds of a kind's verdict, which its summary reports with
+# the tolerances it read
+_FIXED = {"certify": {"slope_min": SLOPE_MIN, "r2_min": R2_MIN},
+          "alpha": {"tol": GAP_ZERO}}
 
 
 def run_experiment(cfg: dict, rep, out_dir: Path) -> int:
@@ -550,8 +553,9 @@ def run_experiment(cfg: dict, rep, out_dir: Path) -> int:
         "radius": radius,
         "seed": seed,
         "dim": rep.dim,
-        "tolerances": {key: value for key, value in fields.items()
-                       if _VALUES.get(key) in (_POSITIVE, _REAL)},
+        "tolerances": {**{key: value for key, value in fields.items()
+                          if _VALUES.get(key) in (_SINE, _REAL)},
+                       **_FIXED.get(exp["kind"], {})},
         "results": results,
         "diagnostics": {"spectral_kernel": spectral_kernel(rep.generators)},
         "property_satisfied": bool(ok),

@@ -231,14 +231,20 @@ class GapProfile:
     verdict: str
 
 
-def gap_profile(ball: Ball, k: int, slope_min: float = 0.05,
-                r2_min: float = 0.9) -> GapProfile:
+# a gap is linear when the fit of its per-length minima has a slope above
+# SLOPE_MIN and an R^2 above R2_MIN; limit_samples warns on the same test
+SLOPE_MIN = 0.05
+R2_MIN = 0.9
+
+
+def gap_profile(ball: Ball, k: int) -> GapProfile:
     """Per-length extrema of log(mu_k / mu_(k+1)) over the deduplicated
     ball, with a least-squares fit through the per-length minima.
 
     The verdict is positive iff the fit exists (>= 3 lengths), its slope
-    exceeds ``slope_min`` and R^2 exceeds ``r2_min``; a positive verdict
-    is numerical evidence of a linear gap, not a certificate.
+    exceeds ``SLOPE_MIN`` (0.05) and R^2 exceeds ``R2_MIN`` (0.9); a
+    positive verdict is numerical evidence of a linear gap, not a
+    certificate.
     """
     d = ball.gens.dim
     if not 1 <= k <= d - 1:
@@ -251,7 +257,7 @@ def gap_profile(ball: Ball, k: int, slope_min: float = 0.05,
     maxs = np.array([gaps[ball.lengths == n].max() for n in lengths])
     if lengths.size >= 3:
         slope, intercept, r2 = linefit(lengths, mins)
-        linear = slope > slope_min and r2 > r2_min
+        linear = slope > SLOPE_MIN and r2 > R2_MIN
     else:
         slope = intercept = r2 = None
         linear = False
@@ -271,20 +277,25 @@ class AlphaEstimate:
     witness_gap: float  # the witness's Jordan gap log(lam_m / lam_(m+1))
 
 
-def _ratios(lam: np.ndarray, m: int, tol: float,
-            fill: float) -> np.ndarray:
+# a Jordan gap of at most GAP_ZERO on the log scale is numerically zero:
+# an element with such a (1, m) gap has no regularity ratio
+GAP_ZERO = 1e-9
+
+
+def _ratios(lam: np.ndarray, m: int, fill: float) -> np.ndarray:
     """(n,) regularity ratios (lam_1 - lam_(m+1)) / (lam_1 - lam_m) of the
     rows of Jordan vectors ``lam``, ``fill`` where the (1, m) gap is at
-    most ``tol``."""
+    most ``GAP_ZERO``."""
     top_gap = lam[:, 0] - lam[:, m - 1]
     return np.divide(lam[:, 0] - lam[:, m], top_gap,
-                     out=np.full(len(lam), fill), where=top_gap > tol)
+                     out=np.full(len(lam), fill), where=top_gap > GAP_ZERO)
 
 
-def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
+def alpha_m_estimate(ball: Ball, m: int) -> AlphaEstimate:
     """Infimum over ball elements of
     log(lam_1/lam_(m+1)) / log(lam_1/lam_m), skipping elements whose
-    (1, m) eigenvalue gap is below ``tol`` on the log scale.
+    (1, m) eigenvalue gap is at most ``GAP_ZERO`` (1e-9) on the log
+    scale, as :func:`spectral_table`'s ``ratio_m`` column does.
 
     The infimum over the whole group is truncated to the ball; the
     per-radius column makes convergence visible and ``converged`` flags
@@ -298,7 +309,7 @@ def alpha_m_estimate(ball: Ball, m: int, tol: float = 1e-9) -> AlphaEstimate:
     if not 2 <= m <= d - 1:
         raise ValueError(f"alpha index m={m} out of range for dimension {d}")
     ratios = np.where(ball.lengths > 0,
-                      _ratios(ball.jordan, m, tol, math.inf), math.inf)
+                      _ratios(ball.jordan, m, math.inf), math.inf)
     value = ratios.min()
     if value == math.inf:
         raise ValueError(
@@ -359,14 +370,15 @@ def spectral_table(ball: Ball, m: int | None = None
     ``<id>``, and the int array of their lengths; ``values`` the (n, 2d)
     or (n, 2d + 1) float block of the Cartan and Jordan log-vectors and,
     if m is given, the m-th regularity ratio, NaN where the (1, m) gap is
-    at most 1e-9."""
+    at most ``GAP_ZERO`` (1e-9), whose least value over the elements of
+    positive length is :func:`alpha_m_estimate`'s."""
     d = ball.gens.dim
     header = ["word", "length", *(f"mu_{i}" for i in range(1, d + 1)),
               *(f"lambda_{i}" for i in range(1, d + 1))]
     blocks = [ball.cartan, ball.jordan]
     if m is not None:
         header.append("ratio_m")
-        blocks.append(_ratios(ball.jordan, m, 1e-9, math.nan)[:, None])
+        blocks.append(_ratios(ball.jordan, m, math.nan)[:, None])
     words = ball.words_of(slice(None))
     ids = np.count_nonzero(ball.lengths == 0)  # first, in ball order
     words[:ids] = ["<id>"] * ids

@@ -42,8 +42,8 @@ BASE_REP = {
 
 # the experiment fields each kind reads, and no others
 READS = {
-    "certify": {"ks", "slope_min", "r2_min"},
-    "alpha": {"m", "tol"},
+    "certify": {"ks"},
+    "alpha": {"m"},
     "limitset": {"m", "dedup_tol", "anchor_index"},
     "hyperconvex": {"m", "dedup_tol", "n_triples", "sep_tol", "margin_min"},
     "hoelder": {"m", "dedup_tol", "window", "n_anchors"},
@@ -212,11 +212,11 @@ class TestExperimentFields:
         ("hoelder", "n_anchors", True, "n_anchors"),
         ("gelfand", "K", 0, "K"),
         ("limitset", "anchor_index", -1, "anchor_index"),
-        ("alpha", "tol", -1e-9, "tol"),
+        ("hyperconvex", "sep_tol", -1e-9, "sep_tol"),
         ("limitset", "dedup_tol", "1e-7", "dedup_tol"),
         ("hyperconvex", "sep_tol", float("nan"), "sep_tol"),
-        ("certify", "slope_min", None, "slope_min"),
-        ("certify", "r2_min", "0.9", "r2_min"),
+        ("hyperconvex", "margin_min", None, "margin_min"),
+        ("hyperconvex", "dedup_tol", 0.0, "dedup_tol"),
         ("hyperconvex", "margin_min", [0.0], "margin_min"),
         # ranges that depend on the dimension (2)
         ("certify", "ks", [1, 2], "ks[1]"),
@@ -226,9 +226,10 @@ class TestExperimentFields:
         ("gelfand", "i", 3, "i"),
         # a field the kind does not read
         ("certify", "dedup_tol", 0.5, "dedup_tol"),
+        ("certify", "r2_min", "0.9", "r2_min"),
         # a real beyond the float range
-        pytest.param("alpha", "tol", 10**400, "tol",
-                     id="alpha-tol-10**400-tol"),
+        pytest.param("hyperconvex", "margin_min", 10**400, "margin_min",
+                     id="hyperconvex-margin_min-10**400-margin_min"),
     ])
     def test_bad_field_exits_one_with_path(self, tmp_path, capsys, kind, key,
                                            value, path):
@@ -256,6 +257,7 @@ class TestExperimentFields:
             assert "for dimension 2, got 2" in err
 
     def test_field_accepted_iff_kind_reads_it(self, tmp_path):
+        # tol, slope_min and r2_min are fixed thresholds, read by no kind
         valid = {"ks": [1], "k": 1, "m": 1, "i": 1, "K": 5,
                  "window": [1e-4, 1e-1], "word": "a", "n_triples": 5,
                  "n_anchors": 1,
@@ -276,6 +278,20 @@ class TestExperimentFields:
                     continue
                 accepted.setdefault(kind, set()).add(key)
         assert accepted == READS
+
+    @pytest.mark.parametrize("key", ["dedup_tol", "sep_tol"])
+    def test_sine_tolerance_at_most_one(self, tmp_path, key):
+        # both compare sines, none of which exceeds 1
+        def experiment(value):
+            cfg = {"representation": BASE_REP, "radius": 2, "seed": 0,
+                   "experiment": {"kind": "hyperconvex", key: value}}
+            return write_config(tmp_path, cfg)
+
+        assert load_config(experiment(1.0))["experiment"][key] == 1.0
+        with pytest.raises(ConfigError) as info:
+            load_config(experiment(1.5))
+        assert str(info.value) == (f"config.experiment.{key}: expected a "
+                                   f"number in (0, 1], got 1.5")
 
     def test_word_over_inverse_labels_accepted(self, tmp_path):
         cfg = {"representation": {"kind": "tau", "d": 3, "base": BASE_REP},
@@ -352,7 +368,7 @@ class TestFailedRunWritesNothing:
         ({"radius": 3,
           "experiment": {"kind": "hoelder", "window": [0.4, 0.5]}},
          "config.experiment.window: too few cloud points in window "),
-        ({"radius": 3, "experiment": {"kind": "hyperconvex", "sep_tol": 1.5}},
+        ({"radius": 3, "experiment": {"kind": "hyperconvex", "sep_tol": 1.0}},
          "config.experiment.sep_tol: cannot find 500 separated triples "),
         ({"representation": TAU6_OVERFLOW},
          "config.representation: tau_6 image overflows doubles"),
@@ -370,6 +386,21 @@ class TestFailedRunWritesNothing:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, key, reads", [
+        ("alpha", "tol", "m"), ("certify", "slope_min", "ks"),
+        ("certify", "r2_min", "ks")])
+    def test_fixed_threshold_exits_one(self, tmp_path, capsys, kind, key,
+                                       reads):
+        cfg = {"representation": TAU3_REP, "radius": 2, "seed": 0,
+               "experiment": {"kind": kind, key: 0.5}}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config.experiment.{key}: not a field of kind "
+            f"{kind!r}, which reads {reads}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["cones", "perturb-sweep"])
@@ -447,6 +478,24 @@ class TestRun:
         assert results["alpha"] == pytest.approx(1.0, abs=1e-12)
         assert "not a regularity exponent" in results["hypotheses"]
 
+    def test_alpha_is_the_least_ratio_in_spectra_csv(self, tmp_path):
+        # alpha and ratio_m skip the same elements, those whose (1, 2) gap
+        # is numerically zero: a threshold of 7 for alpha alone would give
+        # 1.837 (witness ABaab) beside a least ratio_m of 1.748 here
+        cfg = json.loads(config_path("fuchsian_tau3").read_text())
+        cfg["representation"] = {"kind": "perturb", "eps": 0.05, "seed": 3,
+                                 "base": cfg["representation"]}
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--radius", "6",
+                     "--out", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        with (out / "spectra.csv").open(newline="") as fh:
+            ratios = {row["word"]: float(row["ratio_m"])
+                      for row in csv.DictReader(fh)}
+        least = min(r for r in ratios.values() if not math.isnan(r))
+        assert results["alpha"] == least == pytest.approx(1.7476540639232077)
+        assert ratios[results["witness"]] == least
+
     def test_csv_cells_are_plain_floats(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", str(config_path("fuchsian_tau3")),
@@ -506,9 +555,8 @@ class TestRun:
         assert summary["tolerances"]["dedup_tol"] == 1e-07
 
     @pytest.mark.parametrize("experiment, tolerances", [
-        ({"kind": "certify", "slope_min": 0.01},
-         {"slope_min": 0.01, "r2_min": 0.9}),
-        ({"kind": "alpha", "tol": 1e-8}, {"tol": 1e-8}),
+        ({"kind": "certify"}, {"slope_min": 0.05, "r2_min": 0.9}),
+        ({"kind": "alpha"}, {"tol": 1e-9}),
         ({"kind": "limitset"}, {"dedup_tol": 1e-7}),
         ({"kind": "hyperconvex", "n_triples": 20, "sep_tol": 1e-2},
          {"dedup_tol": 1e-7, "sep_tol": 1e-2, "margin_min": 0.0}),
@@ -518,7 +566,8 @@ class TestRun:
     ], ids=list(READS))
     def test_summary_reports_tolerances_read(self, tmp_path, experiment,
                                              tolerances):
-        # the config's value where it sets one, the kind's default otherwise
+        # the config's value where it sets one, the kind's default
+        # otherwise, and the fixed thresholds of the kind's verdict
         cfg = load_config(config_path("fuchsian_tau3"))
         cfg["experiment"] = experiment
         out = tmp_path / "out"
@@ -529,16 +578,6 @@ class TestRun:
         # outputs lists exactly the files the run wrote
         assert summary["outputs"] == sorted(
             p.name for p in out.iterdir() if p.name != "summary.json")
-
-    def test_certify_honours_slope_min(self, tmp_path):
-        # the Schottky gap grows with slope about 1.4 < 50
-        cfg = load_config(config_path("schottky_sl2"))
-        cfg["experiment"] = {"kind": "certify", "slope_min": 50}
-        out = tmp_path / "out"
-        assert main(["run", str(write_config(tmp_path, cfg)), "--radius", "4",
-                     "--out", str(out)]) == 2
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["results"]["k=1"]["slope"] < 50
 
     def test_anchor_index_past_the_cloud(self, tmp_path, capsys):
         cfg = load_config(config_path("fuchsian_tau3"))
@@ -838,11 +877,12 @@ class TestDeterminism:
 
 
 # every shipped config through the CLI, then the boundary pipeline of the
-# boundary benchmark workload, its coverage, and the limitset, hyperconvex
-# and hoelder kinds
+# boundary benchmark workload, its coverage, every kind, and the Hilbert
+# distance
 RUN_PATH = """
 import json, pathlib, sys
 from importlib import resources
+import numpy as np
 import anosovlab
 from anosovlab import boundary, cli, functors, geometry
 
@@ -862,18 +902,22 @@ boundary.hyperconvexity_scan(cloud, seed=0)
 anchor = next(s for s in cloud.samples if s.witness.word == "a")
 geometry.hoelder_regression(cloud, anchor)
 cloud.coverage_stats()
-for kind in ("limitset", "hyperconvex", "hoelder"):
+for kind in cli.KINDS:
     path = out / f"{kind}.json"
+    experiment = {"kind": kind, **({} if kind == "gelfand" else
+                                   {"ks": [1, 2]} if kind == "certify" else
+                                   {"m": 2})}
     path.write_text(json.dumps(dict(cfg, representation=tau4, radius=5,
-                                    experiment={"kind": kind, "m": 2})))
+                                    experiment=experiment)))
     assert cli.main(["run", str(path), "--out", str(out / kind)]) == 0
+geometry.hilbert_distance_psd(np.eye(3), np.diag([3.0, 2.0, 1.0]))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_run_path_imports_no_scipy(tmp_path):
-    # a fresh interpreter: only linalg.top_invariant_subspace, a test
-    # oracle, and linalg.hilbert_distance_psd import it
+    # a fresh interpreter: of the package, only
+    # linalg.top_invariant_subspace, a test oracle, imports it
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))

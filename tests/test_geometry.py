@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -277,6 +278,28 @@ class TestHilbertMetric:
     def test_closed_form_log_two(self):
         assert hilbert_distance_psd(np.eye(2), np.diag([2.0, 1.0])) == \
             pytest.approx(np.log(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+    def test_relative_error_below_cond_eps(self, cond):
+        # against the pencil's eigenvalues in 50-digit mpmath, for X with
+        # eigenvalues log-spaced over [cond^-1/2, cond^1/2] in a random
+        # basis
+        rng = np.random.default_rng(43)
+        for trial in range(40):
+            d = 2 + trial % 4
+            Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            X = (Q * np.logspace(0.5, -0.5, d) ** math.log10(cond)) @ Q.T
+            X = (X + X.T) / 2
+            B = rng.normal(size=(d, d))
+            Y = B @ B.T + 0.3 * np.eye(d)
+            with mpmath.workdps(50):
+                Li = mpmath.inverse(mpmath.cholesky(mpmath.matrix(X)))
+                W = Li * mpmath.matrix(Y) * Li.T
+                kappa = sorted(mpmath.eigsy((W + W.T) / 2,
+                                            eigvals_only=True))
+                exact = mpmath.log(kappa[-1] / kappa[0])
+                error = abs(hilbert_distance_psd(X, Y) - exact) / exact
+            assert error < cond * np.finfo(float).eps
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(40)
